@@ -33,21 +33,22 @@ streams, so identical configs produce identical reports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .experiments import (
     ConfigError,
     FilterConfig,
+    categorical_counts,
     check_mode_equivalence,
     derive_rng,
     derive_seed,
     run_filter_exact,
     run_filter_mc,
 )
-from .rules import CouplingOutcome, Rule, apply_rule, swapped_channel
+from .rules import Coupling, Rule, coupling_channel, swapped_coupling_channel
 from .states import (
     BASIS_DIAG,
     BASIS_SIGMA,
@@ -60,14 +61,13 @@ from .states import (
     SIGMA_PLUS,
     STATE_X,
     STATE_Y,
-    apply_unitary,
     basis_change_unitary,
     fidelity,
-    haar_unitary,
+    haar_unitaries,
     joint_born_distribution,
     mutually_unbiased,
-    random_state,
     state_label,
+    uniform_state_amps,
 )
 
 
@@ -115,8 +115,8 @@ def chi_square_two_sample(counts_a, counts_b) -> tuple[float, float]:
     """Two-sample chi-square statistic and p-value over pooled expected counts.
 
     Cells with pooled count zero are dropped; degrees of freedom are the
-    remaining cell count minus one; the p-value is the regularized upper
-    incomplete gamma function at the statistic.
+    remaining cell count minus one; the p-value is the chi-square survival
+    function at the statistic.
     """
     a = np.asarray(counts_a, dtype=float).reshape(-1)
     b = np.asarray(counts_b, dtype=float).reshape(-1)
@@ -138,8 +138,29 @@ def chi_square_two_sample(counts_a, counts_b) -> tuple[float, float]:
         + np.sum((b[keep] - expected_b) ** 2 / expected_b)
     )
     dof = int(keep.sum()) - 1
-    p_value = float(gammaincc(dof / 2.0, stat / 2.0))
-    return stat, p_value
+    return stat, _chi_square_sf(stat, dof)
+
+
+def _chi_square_sf(stat: float, dof: int) -> float:
+    """Upper tail ``P(X >= stat)`` of a chi-square law with integer ``dof >= 1``.
+
+    Closed forms of Abramowitz & Stegun 26.4.4 (odd dof) and 26.4.5 (even
+    dof): a finite series times ``exp(-stat/2)``, plus ``erfc`` for odd dof.
+    """
+    half = stat / 2.0
+    if dof % 2 == 0:
+        term = math.exp(-half)
+        total = term
+        for r in range(1, dof // 2):
+            term *= half / r
+            total += term
+    else:
+        total = math.erfc(math.sqrt(half))
+        term = math.exp(-half) * math.sqrt(2.0 * stat / math.pi)
+        for r in range(1, (dof + 1) // 2):
+            total += term
+            term *= stat / (2 * r + 1)
+    return min(max(total, 0.0), 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,10 +296,6 @@ def _corner_pairs() -> list[tuple[QubitState, QubitState]]:
     return [(a, b) for a in CORNER_STATES for b in CORNER_STATES]
 
 
-def _sampled_pairs(rng, count: int) -> list[tuple[QubitState, QubitState]]:
-    return [(random_state(rng), random_state(rng)) for _ in range(count)]
-
-
 def _corner_unitaries(bases) -> list[tuple[str, np.ndarray]]:
     out = [("identity", np.eye(2, dtype=complex))]
     for src in bases:
@@ -288,22 +305,107 @@ def _corner_unitaries(bases) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def _channel_discrepancy(a: CouplingOutcome, b: CouplingOutcome) -> tuple[float, float, float]:
-    """(discrepancy, scatter gap, fidelity) between two coupling outcomes."""
-    dp = abs(a.p_scatter - b.p_scatter)
-    if a.survive_state is None and b.survive_state is None:
-        return dp, dp, 1.0
-    if a.survive_state is None or b.survive_state is None:
-        return max(dp, 1.0), dp, 0.0
-    f = fidelity(a.survive_state, b.survive_state)
-    return max(dp, 1.0 - f), dp, f
+def _amps(states) -> np.ndarray:
+    return np.array([s.amps for s in states]).reshape(-1, 2)
 
 
-def _conjugated_outcome(out: CouplingOutcome, uu: np.ndarray) -> CouplingOutcome:
-    """The outcome with its survivor rotated by the pair unitary ``uu``."""
-    if out.survive_state is None:
-        return out
-    return CouplingOutcome(out.p_scatter, uu @ out.survive_state @ uu.conj().T)
+def _input_label(probe: np.ndarray, obj: np.ndarray) -> str:
+    return f"input=({state_label(QubitState(probe))}, {state_label(QubitState(obj))})"
+
+
+def _exact_verdict(check_id: str, worst: float, witness: str, evidence, config) -> CheckResult:
+    worst = max(worst, 0.0)
+    return CheckResult(
+        check_id, worst < config.epsilon_exact, worst, config.epsilon_exact, witness, evidence
+    )
+
+
+def _by_input(couplings: list[Coupling]) -> Coupling:
+    """One coupling per noise level, merged into rows ordered input-major, noise-minor."""
+    return Coupling(
+        *(np.stack(parts, axis=1).reshape(-1, *parts[0].shape[1:]) for parts in zip(*couplings))
+    )
+
+
+def _discrepancy(a: Coupling, b: Coupling) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: max(scatter gap, 1 - fidelity) and the fidelity of the survivors.
+
+    A row where only one side survives has fidelity 0; where neither
+    does, fidelity 1, so only the scatter gap counts.
+    """
+    both = a.alive & b.alive
+    f = np.where(both, fidelity(a.survivors, b.survivors), (a.alive == b.alive).astype(float))
+    return np.maximum(np.abs(a.p_scatter - b.p_scatter), 1.0 - f), f
+
+
+def _input_grid(corner_pairs, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Probe and object amplitudes: the corner pairs, then ``count`` uniform pairs from ``rng``."""
+    u = rng.random((count, 4))
+    probes = np.concatenate([_amps(p for p, _ in corner_pairs), uniform_state_amps(u[:, 0:2])])
+    objects = np.concatenate([_amps(o for _, o in corner_pairs), uniform_state_amps(u[:, 2:4])])
+    return probes, objects
+
+
+def _role_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, count: int):
+    """C2 cases, input-major then noise level: row labeller, direct and mirrored couplings."""
+    probes, objects = _input_grid(corner_pairs, derive_rng(config.seed, stream), count)
+    levels = config.noise_levels
+    direct = _by_input([coupling_channel(rule, probes, objects, q) for q in levels])
+    mirrored = _by_input([swapped_coupling_channel(rule, probes, objects, q) for q in levels])
+
+    def label(row: int) -> str:
+        n, k = divmod(row, len(levels))
+        return f"{_input_label(probes[n], objects[n])} q={levels[k]:g}"
+
+    return label, direct, mirrored
+
+
+def _covariance_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, count: int):
+    """C4 cases, input-major then noise level: row labeller, rotated and conjugated couplings.
+
+    Inputs are every corner unitary on every corner pair, then ``count``
+    Haar unitaries, each with a uniform pair, drawn from one stream.
+    """
+    corners = _corner_unitaries(config.bases)
+    u = derive_rng(config.seed, stream).random((count, 7))
+    names = [name for name, _ in corners for _ in corner_pairs]
+    names += [f"haar[{i}]" for i in range(count)]
+    unitaries = np.concatenate(
+        [np.repeat([m for _, m in corners], len(corner_pairs), axis=0), haar_unitaries(u[:, 0:3])]
+    )
+    corner_probes = np.tile(_amps(p for p, _ in corner_pairs), (len(corners), 1))
+    corner_objects = np.tile(_amps(o for _, o in corner_pairs), (len(corners), 1))
+    probes = np.concatenate([corner_probes, uniform_state_amps(u[:, 3:5])])
+    objects = np.concatenate([corner_objects, uniform_state_amps(u[:, 5:7])])
+    rotated_probes = np.einsum("nij,nj->ni", unitaries, probes)
+    rotated_objects = np.einsum("nij,nj->ni", unitaries, objects)
+    levels = config.noise_levels
+    rotated = _by_input(
+        [coupling_channel(rule, rotated_probes, rotated_objects, q) for q in levels]
+    )
+    base = _by_input([coupling_channel(rule, probes, objects, q) for q in levels])
+    uu = np.repeat(
+        np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 4, 4), len(levels), axis=0
+    )
+    conjugated = base._replace(survivors=uu @ base.survivors @ uu.conj().swapaxes(-1, -2))
+
+    def label(row: int) -> str:
+        n, k = divmod(row, len(levels))
+        return f"unitary={names[n]} {_input_label(probes[n], objects[n])} q={levels[k]:g}"
+
+    return label, rotated, conjugated
+
+
+def _anti_alignment_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, count: int):
+    """C3 cases: the inputs whose q = 0 coupling can survive, as a labeller and their couplings."""
+    probes, objects = _input_grid(corner_pairs, derive_rng(config.seed, stream), count)
+    out = coupling_channel(rule, probes, objects, 0.0)
+    rows = np.flatnonzero(out.alive & (out.p_scatter < 1.0 - 1e-6))
+
+    def label(i: int) -> str:
+        return _input_label(probes[rows[i]], objects[rows[i]])
+
+    return label, Coupling(*(field[rows] for field in out))
 
 
 def _mode_pair_cases(config: AuditConfig, analyzers: str):
@@ -372,10 +474,7 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
                     "tvd_full": t_full,
                     "tvd_conditional": t_cond,
                 }
-    worst = max(worst, 0.0)
-    return CheckResult(
-        CHECK_IDS[0], worst < config.epsilon_exact, worst, config.epsilon_exact, witness, evidence
-    )
+    return _exact_verdict(CHECK_IDS[0], worst, witness, evidence, config)
 
 
 def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
@@ -422,61 +521,36 @@ def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
     """C2: exchanging the partners and SWAPping back must change nothing."""
     if config.evaluation == "mc":
         return _check_c2_mc(rule, config)
-    rng = derive_rng(config.seed, 2)
-    pairs = _corner_pairs() + _sampled_pairs(rng, config.input_samples)
-    worst = -1.0
-    witness = ""
-    evidence = None
-    for probe, obj in pairs:
-        for q in config.noise_levels:
-            direct = apply_rule(rule, probe, obj, q)
-            mirrored = swapped_channel(rule, probe, obj, q)
-            disc, dp, f = _channel_discrepancy(direct, mirrored)
-            if disc > worst:
-                worst = disc
-                witness = f"input=({state_label(probe)}, {state_label(obj)}) q={q:g}"
-                evidence = {
-                    "p_scatter_direct": direct.p_scatter,
-                    "p_scatter_swapped": mirrored.p_scatter,
-                    "fidelity": f,
-                }
-    worst = max(worst, 0.0)
-    return CheckResult(
-        CHECK_IDS[1], worst < config.epsilon_exact, worst, config.epsilon_exact, witness, evidence
-    )
+    label, direct, mirrored = _role_cases(rule, config, _corner_pairs(), 2, config.input_samples)
+    disc, f = _discrepancy(direct, mirrored)
+    row = int(np.argmax(disc))
+    evidence = {
+        "p_scatter_direct": float(direct.p_scatter[row]),
+        "p_scatter_swapped": float(mirrored.p_scatter[row]),
+        "fidelity": float(f[row]),
+    }
+    return _exact_verdict(CHECK_IDS[1], float(disc[row]), label(row), evidence, config)
 
 
-def _outcome_law(out: CouplingOutcome, basis: Basis) -> np.ndarray:
-    """Five-outcome law: the four joint cells in ``basis`` plus scatter."""
+def _outcome_laws(out: Coupling, basis: Basis) -> np.ndarray:
+    """Per row, the five-outcome law: the four joint cells in ``basis`` plus scatter."""
+    cells = joint_born_distribution(out.survivors, basis, basis)
     survive = 1.0 - out.p_scatter
-    if out.survive_state is None:
-        cells = np.zeros(4)
-    else:
-        cells = joint_born_distribution(out.survive_state, basis, basis)
-    return np.clip(np.concatenate([survive * cells, [out.p_scatter]]), 0.0, None)
+    return np.clip(np.column_stack([survive[:, None] * cells, out.p_scatter]), 0.0, None)
 
 
-def _sample_counts(rng, law: np.ndarray, trials: int) -> np.ndarray:
-    cum = np.cumsum(law)
-    cum[-1] = max(cum[-1], 1.0)
-    idx = np.searchsorted(cum, rng.random(trials), side="right")
-    return np.bincount(idx, minlength=len(law))
-
-
-def _mc_law_comparisons(config, cases, stream):
-    """chi-square comparisons of five-outcome laws for (label, out_a, out_b) cases."""
+def _mc_law_comparisons(config, label, out_a: Coupling, out_b: Coupling, stream):
+    """chi-square comparisons of the five-outcome laws of two couplings, row by row."""
+    laws = [(_outcome_laws(out_a, b), _outcome_laws(out_b, b)) for b in config.bases]
     comparisons = []
     case_idx = 0
-    for label, out_a, out_b in cases:
-        for basis in config.bases:
-            law_a = _outcome_law(out_a, basis)
-            law_b = _outcome_law(out_b, basis)
-            counts_a = _sample_counts(
-                derive_rng(config.seed, stream, case_idx, 1), law_a, config.mc_trials
-            )
-            counts_b = _sample_counts(
-                derive_rng(config.seed, stream, case_idx, 2), law_b, config.mc_trials
-            )
+    for row in range(len(out_a.p_scatter)):
+        row_label = label(row)
+        for basis, (laws_a, laws_b) in zip(config.bases, laws):
+            u_a = derive_rng(config.seed, stream, case_idx, 1).random(config.mc_trials)
+            u_b = derive_rng(config.seed, stream, case_idx, 2).random(config.mc_trials)
+            counts_a = categorical_counts(laws_a[row], u_a)
+            counts_b = categorical_counts(laws_b[row], u_b)
             case_idx += 1
             try:
                 _, p_value = chi_square_two_sample(counts_a, counts_b)
@@ -485,7 +559,7 @@ def _mc_law_comparisons(config, cases, stream):
             comparisons.append(
                 (
                     1.0 - p_value,
-                    f"{label} basis={basis.label}",
+                    f"{row_label} basis={basis.label}",
                     {"p_value": p_value},
                 )
             )
@@ -493,16 +567,8 @@ def _mc_law_comparisons(config, cases, stream):
 
 
 def _check_c2_mc(rule: Rule, config: AuditConfig) -> CheckResult:
-    rng = derive_rng(config.seed, 21)
-    pairs = list(_MC_CORNER_PAIRS) + _sampled_pairs(rng, config.mc_input_samples)
-    cases = []
-    for probe, obj in pairs:
-        for q in config.noise_levels:
-            label = f"input=({state_label(probe)}, {state_label(obj)}) q={q:g}"
-            cases.append(
-                (label, apply_rule(rule, probe, obj, q), swapped_channel(rule, probe, obj, q))
-            )
-    return _mc_verdict(CHECK_IDS[1], _mc_law_comparisons(config, cases, 22), config)
+    cases = _role_cases(rule, config, _MC_CORNER_PAIRS, 21, config.mc_input_samples)
+    return _mc_verdict(CHECK_IDS[1], _mc_law_comparisons(config, *cases, 22), config)
 
 
 def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
@@ -514,67 +580,44 @@ def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
     """
     if config.evaluation == "mc":
         return _check_c3_mc(rule, config)
-    rng = derive_rng(config.seed, 3)
-    pairs = _corner_pairs() + _sampled_pairs(rng, config.input_samples)
-    survivors = []
-    for probe, obj in pairs:
-        out = apply_rule(rule, probe, obj, 0.0)
-        if out.survive_state is None or out.p_scatter >= 1.0 - 1e-6:
-            continue
-        survivors.append((probe, obj, out))
-    worst = -1.0
-    witness = ""
-    evidence = None
-    for probe, obj, out in survivors:
-        for basis in config.bases:
-            cells = joint_born_distribution(out.survive_state, basis, basis)
-            aligned = float(cells[0] + cells[3])
-            if aligned > worst:
-                worst = aligned
-                witness = (
-                    f"input=({state_label(probe)}, {state_label(obj)}) basis={basis.label}"
-                )
-                evidence = {"cells": [float(c) for c in cells], "aligned_weight": aligned}
-    worst = max(worst, 0.0)
-    return CheckResult(
-        CHECK_IDS[2], worst < config.epsilon_exact, worst, config.epsilon_exact, witness, evidence
+    label, out = _anti_alignment_cases(rule, config, _corner_pairs(), 3, config.input_samples)
+    if not out.alive.size:
+        return _exact_verdict(CHECK_IDS[2], 0.0, "", None, config)
+    cells = np.stack(
+        [joint_born_distribution(out.survivors, b, b) for b in config.bases], axis=1
     )
+    aligned = cells[..., 0] + cells[..., 3]
+    n, k = np.unravel_index(np.argmax(aligned), aligned.shape)
+    evidence = {"cells": [float(c) for c in cells[n, k]], "aligned_weight": float(aligned[n, k])}
+    witness = f"{label(n)} basis={config.bases[k].label}"
+    return _exact_verdict(CHECK_IDS[2], float(aligned[n, k]), witness, evidence, config)
 
 
 def _check_c3_mc(rule: Rule, config: AuditConfig) -> CheckResult:
-    rng = derive_rng(config.seed, 31)
-    picks = list(_MC_CORNER_PAIRS) + _sampled_pairs(rng, config.mc_input_samples)
-    chosen = []
-    for probe, obj in picks:
-        out = apply_rule(rule, probe, obj, 0.0)
-        if out.survive_state is None or out.p_scatter >= 1.0 - 1e-6:
-            continue
-        chosen.append((probe, obj, out))
+    label, out = _anti_alignment_cases(
+        rule, config, _MC_CORNER_PAIRS, 31, config.mc_input_samples
+    )
     threshold = 0.5 / config.mc_trials
     worst = 0.0
     witness = "no aligned events observed"
     evidence = None
     case_idx = 0
-    for probe, obj, out in chosen:
+    for i, (p_scatter, survivor) in enumerate(zip(out.p_scatter, out.survivors)):
         for basis in config.bases:
-            cells = joint_born_distribution(out.survive_state, basis, basis)
+            cells = joint_born_distribution(survivor, basis, basis)
             case_rng = derive_rng(config.seed, 32, case_idx)
             case_idx += 1
             u = case_rng.random((config.mc_trials, 2))
-            survived = u[:, 0] >= out.p_scatter
+            survived = u[:, 0] >= p_scatter
             n_survivors = int(survived.sum())
             if n_survivors == 0:
                 continue
-            cum = np.cumsum(np.clip(cells, 0.0, None))
-            cum[-1] = max(cum[-1], 1.0)
-            idx = np.searchsorted(cum, u[survived, 1], side="right")
-            aligned_events = int(((idx == 0) | (idx == 3)).sum())
+            counts = categorical_counts(cells, u[survived, 1])
+            aligned_events = int(counts[0] + counts[3])
             fraction = aligned_events / n_survivors
             if fraction > worst:
                 worst = fraction
-                witness = (
-                    f"input=({state_label(probe)}, {state_label(obj)}) basis={basis.label}"
-                )
+                witness = f"{label(i)} basis={basis.label}"
                 evidence = {"aligned_events": aligned_events, "survivors": n_survivors}
     return CheckResult(CHECK_IDS[2], worst < threshold, worst, threshold, witness, evidence)
 
@@ -583,60 +626,22 @@ def check_basis_covariance(rule: Rule, config: AuditConfig) -> CheckResult:
     """C4: the rule must commute with identical rotations of both inputs."""
     if config.evaluation == "mc":
         return _check_c4_mc(rule, config)
-    rng = derive_rng(config.seed, 4)
-    cases = []
-    for u_label, u in _corner_unitaries(config.bases):
-        for pair in _corner_pairs():
-            cases.append((u_label, u, pair))
-    for i in range(config.unitary_samples):
-        u = haar_unitary(rng)
-        cases.append((f"haar[{i}]", u, (random_state(rng), random_state(rng))))
-    worst = -1.0
-    witness = ""
-    evidence = None
-    for u_label, u, (probe, obj) in cases:
-        uu = np.kron(u, u)
-        for q in config.noise_levels:
-            rotated = apply_rule(rule, apply_unitary(u, probe), apply_unitary(u, obj), q)
-            base = apply_rule(rule, probe, obj, q)
-            conjugated = _conjugated_outcome(base, uu)
-            disc, dp, f = _channel_discrepancy(rotated, conjugated)
-            if disc > worst:
-                worst = disc
-                witness = (
-                    f"unitary={u_label} input=({state_label(probe)}, {state_label(obj)}) q={q:g}"
-                )
-                evidence = {
-                    "p_scatter_rotated": rotated.p_scatter,
-                    "p_scatter_base": base.p_scatter,
-                    "fidelity": f,
-                }
-    worst = max(worst, 0.0)
-    return CheckResult(
-        CHECK_IDS[3], worst < config.epsilon_exact, worst, config.epsilon_exact, witness, evidence
+    label, rotated, conjugated = _covariance_cases(
+        rule, config, _corner_pairs(), 4, config.unitary_samples
     )
+    disc, f = _discrepancy(rotated, conjugated)
+    row = int(np.argmax(disc))
+    evidence = {
+        "p_scatter_rotated": float(rotated.p_scatter[row]),
+        "p_scatter_base": float(conjugated.p_scatter[row]),
+        "fidelity": float(f[row]),
+    }
+    return _exact_verdict(CHECK_IDS[3], float(disc[row]), label(row), evidence, config)
 
 
 def _check_c4_mc(rule: Rule, config: AuditConfig) -> CheckResult:
-    rng = derive_rng(config.seed, 41)
-    unitary_cases = []
-    for u_label, u in _corner_unitaries(config.bases):
-        for pair in _MC_CORNER_PAIRS:
-            unitary_cases.append((u_label, u, pair))
-    for i in range(config.mc_unitary_samples):
-        u = haar_unitary(rng)
-        unitary_cases.append((f"haar[{i}]", u, (random_state(rng), random_state(rng))))
-    cases = []
-    for u_label, u, (probe, obj) in unitary_cases:
-        uu = np.kron(u, u)
-        for q in config.noise_levels:
-            rotated = apply_rule(rule, apply_unitary(u, probe), apply_unitary(u, obj), q)
-            conjugated = _conjugated_outcome(apply_rule(rule, probe, obj, q), uu)
-            label = (
-                f"unitary={u_label} input=({state_label(probe)}, {state_label(obj)}) q={q:g}"
-            )
-            cases.append((label, rotated, conjugated))
-    return _mc_verdict(CHECK_IDS[3], _mc_law_comparisons(config, cases, 42), config)
+    cases = _covariance_cases(rule, config, _MC_CORNER_PAIRS, 41, config.mc_unitary_samples)
+    return _mc_verdict(CHECK_IDS[3], _mc_law_comparisons(config, *cases, 42), config)
 
 
 def audit_rule(rule: Rule, config: AuditConfig | None = None) -> AuditReport:

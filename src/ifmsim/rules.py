@@ -26,8 +26,10 @@ which is precisely the kind of disagreement the audit battery exposes.
 
 Fly-by noise ``q`` is the probability that the coupling simply does not
 happen; the outcome then blends the untouched input with the rule's own
-survivor.  All functions here are pure and deterministic; randomness
-lives only in the Monte Carlo engine.
+survivor.  ``coupling_channel`` evaluates a whole batch of input pairs
+as arrays; ``apply_rule`` and ``swapped_channel`` are its single-pair
+forms.  All functions here are pure and deterministic; randomness lives
+only in the Monte Carlo engine.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,13 +46,10 @@ from .states import (
     ATOL,
     PHASE_EPS,
     Basis,
-    JointState,
     QubitState,
     SINGLET,
-    orthogonal_state,
     overlap_probability,
     parse_basis_spec,
-    tensor_product,
 )
 
 # Permutation exchanging the probe and object slots: (i, j) -> (j, i).
@@ -93,19 +93,15 @@ class RuleKind(enum.Enum):
 
 
 _BASIS_KINDS = (RuleKind.PREFERRED_BASIS, RuleKind.COHERENT_PROJECTION)
-# Kinds whose scatter probability is the universal interaction probability.
-UNIVERSAL_SCATTER_KINDS = (
-    RuleKind.PROBE_RIGID,
-    RuleKind.OBJECT_RIGID,
-    RuleKind.SINGLET,
-    RuleKind.RANDOM_MIX,
-    RuleKind.PREFERRED_BASIS,
-)
 
 
 @dataclass(frozen=True, eq=False)
 class Rule:
-    """One candidate non-interaction rule."""
+    """One candidate non-interaction rule.
+
+    ``operator`` is the survive operator ``K`` of the linear kinds: given
+    for ``custom``, and ``I - P_aligned(basis)`` for ``coherent-projection``.
+    """
 
     kind: RuleKind
     basis: Basis | None = None
@@ -128,6 +124,12 @@ class Rule:
                 raise ContractionViolationError(slack.min())
             op.setflags(write=False)
             object.__setattr__(self, "operator", op)
+        elif self.kind is RuleKind.COHERENT_PROJECTION:
+            op = _IDENTITY4 - _aligned_projector(self.basis)
+            op.setflags(write=False)
+            object.__setattr__(self, "operator", op)
+        elif self.operator is not None:
+            raise InvalidRuleError(f"{self.kind.value} rule takes no survive operator")
         if not self.name:
             name = self.kind.value
             if self.basis is not None:
@@ -218,68 +220,125 @@ def _aligned_projector(basis: Basis) -> np.ndarray:
     return np.outer(v11, v11.conj()) + np.outer(v22, v22.conj())
 
 
-def _survivor_density(rule: Rule, probe: QubitState, obj: QubitState, inp: JointState) -> np.ndarray:
-    """Noiseless survivor for the universal-scatter rule kinds."""
+class Coupling(NamedTuple):
+    """Outcomes of a batch of couplings; row ``n`` belongs to input pair ``n``.
+
+    ``alive`` is False where the pair scatters with certainty; those rows
+    carry ``p_scatter == 1`` and an all-zero survivor.
+    """
+
+    p_scatter: np.ndarray
+    survivors: np.ndarray
+    alive: np.ndarray
+
+
+def _pair_amps(probes: np.ndarray, objects: np.ndarray) -> np.ndarray:
+    """Product amplitudes ``probe_i * object_j`` at flat index ``2*i + j``, per row."""
+    return (probes[:, :, None] * objects[:, None, :]).reshape(-1, 4)
+
+
+def _projectors(amps: np.ndarray) -> np.ndarray:
+    """``|v><v|`` for every row ``v`` of ``amps``."""
+    return amps[:, :, None] * amps[:, None, :].conj()
+
+
+def _orthogonal(amps: np.ndarray) -> np.ndarray:
+    """Per row, the state orthogonal to ``amps``: ``(-conj(a_y), conj(a_x))``."""
+    return np.stack([-amps[:, 1].conj(), amps[:, 0].conj()], axis=1)
+
+
+def _universal_survivors(rule: Rule, probes, objects, inp) -> np.ndarray:
+    """Noiseless survivor densities of the kinds that obey the universal scatter law."""
+    n = len(inp)
     if rule.kind is RuleKind.PROBE_RIGID:
-        return np.kron(probe.density(), orthogonal_state(probe).density())
+        return _projectors(_pair_amps(probes, _orthogonal(probes)))
     if rule.kind is RuleKind.OBJECT_RIGID:
-        return np.kron(orthogonal_state(aligned_state(obj)).density(), obj.density())
+        return _projectors(_pair_amps(_orthogonal(objects), objects))
     if rule.kind is RuleKind.SINGLET:
-        return _SINGLET_DENSITY
+        return np.broadcast_to(_SINGLET_DENSITY, (n, 4, 4))
     if rule.kind is RuleKind.RANDOM_MIX:
-        return _IDENTITY4 / 4.0
+        return np.broadcast_to(_IDENTITY4 / 4.0, (n, 4, 4))
     if rule.kind is RuleKind.PREFERRED_BASIS:
         v12 = np.kron(rule.basis.b1.amps, rule.basis.b2.amps)
         v21 = np.kron(rule.basis.b2.amps, rule.basis.b1.amps)
-        w12 = abs(np.vdot(v12, inp.amps)) ** 2
-        w21 = abs(np.vdot(v21, inp.amps)) ** 2
+        w12 = np.abs(inp @ v12.conj()) ** 2
+        w21 = np.abs(inp @ v21.conj()) ** 2
         total = w12 + w21
-        if total <= PHASE_EPS:
-            w12 = w21 = 0.5
-        else:
-            w12, w21 = w12 / total, w21 / total
-        return w12 * np.outer(v12, v12.conj()) + w21 * np.outer(v21, v21.conj())
+        # no anti-aligned weight to go by: split evenly between the two cells
+        degenerate = total <= PHASE_EPS
+        norm = np.where(degenerate, 1.0, total)
+        w12 = np.where(degenerate, 0.5, w12 / norm)
+        w21 = np.where(degenerate, 0.5, w21 / norm)
+        return (
+            w12[:, None, None] * np.outer(v12, v12.conj())
+            + w21[:, None, None] * np.outer(v21, v21.conj())
+        )
     raise InvalidRuleError(f"no survivor map for rule kind {rule.kind}")
+
+
+def coupling_channel(rule: Rule, probes, objects, noise_q: float = 0.0) -> Coupling:
+    """Run one coupling per row of the ``(N, 2)`` probe and object amplitude arrays.
+
+    With probability ``noise_q`` the coupling does not happen at all and
+    the input product state passes through untouched.  Otherwise the
+    rule's own scatter law and survivor map apply: a linear rule with
+    survive operator ``K`` scatters with the weight ``K`` removes and
+    keeps ``K psi``; every other kind scatters with the interaction
+    probability.  Rows whose overall survive probability is negligible
+    report certain scatter and are not ``alive``.  Amplitude rows must
+    be normalized.
+    """
+    q = float(noise_q)
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"noise_q must be within [0, 1], got {q}")
+    probes = np.asarray(probes, dtype=complex).reshape(-1, 2)
+    objects = np.asarray(objects, dtype=complex).reshape(-1, 2)
+    inp = _pair_amps(probes, objects)
+
+    if rule.operator is not None:
+        kept = inp @ rule.operator.T
+        survive_nn = np.sum(np.abs(kept) ** 2, axis=1)
+        p_nn = np.clip(1.0 - survive_nn, 0.0, 1.0)
+        coupled = survive_nn > PHASE_EPS
+        survivor_nn = _projectors(kept) / np.where(coupled, survive_nn, 1.0)[:, None, None]
+    else:
+        p_nn = np.clip(np.abs(np.sum(probes.conj() * objects, axis=1)) ** 2, 0.0, 1.0)
+        coupled = 1.0 - p_nn > PHASE_EPS
+        survivor_nn = _universal_survivors(rule, probes, objects, inp)
+
+    survive_mass = q + (1.0 - q) * (1.0 - p_nn)
+    alive = survive_mass > PHASE_EPS
+    weight = np.where(coupled, (1.0 - q) * (1.0 - p_nn), 0.0)
+    blended = q * _projectors(inp) + weight[:, None, None] * survivor_nn
+    # dividing by an infinite mass zeroes the survivors of rows that are not alive
+    survivors = blended / np.where(alive, survive_mass, np.inf)[:, None, None]
+    return Coupling(np.where(alive, (1.0 - q) * p_nn, 1.0), survivors, alive)
+
+
+def swapped_coupling_channel(rule: Rule, probes, objects, noise_q: float = 0.0) -> Coupling:
+    """``coupling_channel`` with the arguments exchanged, mapped back by SWAP.
+
+    The survivors live on the same (probe slot, object slot) space as
+    ``coupling_channel(rule, probes, objects)``, so a role-symmetric rule
+    gives identical rows through both paths.
+    """
+    out = coupling_channel(rule, objects, probes, noise_q)
+    return out._replace(survivors=SWAP @ out.survivors @ SWAP)
+
+
+def _single(out: Coupling) -> CouplingOutcome:
+    if not out.alive[0]:
+        return CouplingOutcome(1.0, None)
+    return CouplingOutcome(float(out.p_scatter[0]), out.survivors[0])
 
 
 def apply_rule(rule: Rule, probe: QubitState, obj: QubitState, noise_q: float = 0.0) -> CouplingOutcome:
     """Run one coupling under ``rule`` with fly-by probability ``noise_q``.
 
-    With probability ``noise_q`` the coupling does not happen at all and
-    the input product state passes through untouched.  Otherwise the
-    rule's own scatter law and survivor map apply.  If the overall
-    survive probability is negligible the outcome reports certain
-    scatter and omits the survivor.
+    The single-pair form of ``coupling_channel``; a pair that scatters
+    with certainty reports ``p_scatter == 1`` and omits the survivor.
     """
-    q = float(noise_q)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"noise_q must be within [0, 1], got {q}")
-    inp = tensor_product(probe, obj)
-
-    if rule.kind is RuleKind.COHERENT_PROJECTION:
-        kept = (_IDENTITY4 - _aligned_projector(rule.basis)) @ inp.amps
-        survive_nn = float(np.vdot(kept, kept).real)
-        p_nn = min(max(1.0 - survive_nn, 0.0), 1.0)
-        survivor_nn = np.outer(kept, kept.conj()) / survive_nn if survive_nn > PHASE_EPS else None
-    elif rule.kind is RuleKind.CUSTOM:
-        kept = rule.operator @ inp.amps
-        survive_nn = float(np.vdot(kept, kept).real)
-        p_nn = min(max(1.0 - survive_nn, 0.0), 1.0)
-        survivor_nn = np.outer(kept, kept.conj()) / survive_nn if survive_nn > PHASE_EPS else None
-    else:
-        p_nn = interaction_probability(probe, obj)
-        survive_nn = 1.0 - p_nn
-        survivor_nn = _survivor_density(rule, probe, obj, inp) if survive_nn > PHASE_EPS else None
-
-    survive_mass = q + (1.0 - q) * (1.0 - p_nn)
-    if survive_mass <= PHASE_EPS:
-        return CouplingOutcome(1.0, None)
-
-    p_scatter = (1.0 - q) * p_nn
-    blended = q * inp.density()
-    if survivor_nn is not None:
-        blended = blended + (1.0 - q) * (1.0 - p_nn) * survivor_nn
-    return CouplingOutcome(p_scatter, blended / survive_mass)
+    return _single(coupling_channel(rule, probe.amps, obj.amps, noise_q))
 
 
 def swapped_channel(rule: Rule, probe: QubitState, obj: QubitState, noise_q: float = 0.0) -> CouplingOutcome:
@@ -289,10 +348,7 @@ def swapped_channel(rule: Rule, probe: QubitState, obj: QubitState, noise_q: flo
     ``apply_rule(rule, probe, obj)``, so a role-symmetric rule gives an
     identical outcome through both paths.
     """
-    out = apply_rule(rule, obj, probe, noise_q)
-    if out.survive_state is None:
-        return out
-    return CouplingOutcome(out.p_scatter, SWAP @ out.survive_state @ SWAP)
+    return _single(swapped_coupling_channel(rule, probe.amps, obj.amps, noise_q))
 
 
 _BUILTIN_FACTORIES = {

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 ATOL = 1e-9
-EXACT_ATOL = 1e-12
 PHASE_EPS = 1e-12
 
 
@@ -249,33 +248,40 @@ def tensor_product(probe: QubitState, obj: QubitState) -> JointState:
 
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
-    """Reduced 2x2 density of one subsystem of a 4x4 pair density."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    """Reduced 2x2 density of one subsystem of a 4x4 pair density.
+
+    Leading axes of ``rho`` are kept: ``(..., 4, 4)`` maps to ``(..., 2, 2)``.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    r = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
     if keep == "probe":
-        return np.trace(r, axis1=1, axis2=3)
+        return np.trace(r, axis1=-3, axis2=-1)
     if keep == "object":
-        return np.trace(r, axis1=0, axis2=2)
+        return np.trace(r, axis1=-4, axis2=-2)
     raise ValueError(f"keep must be 'probe' or 'object', got {keep!r}")
 
 
-def born_distribution(rho: np.ndarray, basis: Basis) -> np.ndarray:
-    """Outcome probabilities ``(<b1|rho|b1>, <b2|rho|b2>)``."""
+def _expectations(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``<v|rho|v>`` for every row ``v`` of ``vectors``, clipped at zero, over leading axes."""
     rho = np.asarray(rho, dtype=complex)
-    probs = np.array(
-        [np.vdot(b.amps, rho @ b.amps).real for b in basis.states()], dtype=float
-    )
+    probs = np.einsum("ki,...ij,kj->...k", vectors.conj(), rho, vectors).real
     return np.clip(probs, 0.0, None)
+
+
+def born_distribution(rho: np.ndarray, basis: Basis) -> np.ndarray:
+    """Outcome probabilities ``(<b1|rho|b1>, <b2|rho|b2>)``, over leading axes of ``rho``."""
+    return _expectations(rho, np.array([basis.b1.amps, basis.b2.amps]))
 
 
 def joint_born_distribution(rho: np.ndarray, basis_probe: Basis, basis_object: Basis) -> np.ndarray:
-    """Joint outcome probabilities over (probe, object), flat index ``2*k + l``."""
-    rho = np.asarray(rho, dtype=complex)
-    probs = np.empty(4, dtype=float)
-    for k, bp in enumerate(basis_probe.states()):
-        for l, bo in enumerate(basis_object.states()):
-            v = np.kron(bp.amps, bo.amps)
-            probs[2 * k + l] = np.vdot(v, rho @ v).real
-    return np.clip(probs, 0.0, None)
+    """Joint outcome probabilities over (probe, object), flat index ``2*k + l``.
+
+    Leading axes of ``rho`` are kept: ``(..., 4, 4)`` maps to ``(..., 4)``.
+    """
+    cells = np.array(
+        [np.kron(bp.amps, bo.amps) for bp in basis_probe.states() for bo in basis_object.states()]
+    )
+    return _expectations(rho, cells)
 
 
 def entanglement_entropy(s: JointState) -> float:
@@ -285,17 +291,21 @@ def entanglement_entropy(s: JointState) -> float:
     return float(-sum(p * math.log2(p) for p in lam if p > 1e-15))
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))**2`` in [0, 1]."""
+def fidelity(rho: np.ndarray, sigma: np.ndarray):
+    """Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))**2`` in [0, 1].
+
+    A float for two matrices; for stacks ``(..., d, d)`` an array over the
+    leading axes.
+    """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     lam, vecs = np.linalg.eigh(rho)
     lam = np.clip(lam, 0.0, None)
-    sqrt_rho = (vecs * np.sqrt(lam)) @ vecs.conj().T
+    sqrt_rho = (vecs * np.sqrt(lam)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     mid = sqrt_rho @ sigma @ sqrt_rho
     ev = np.clip(np.linalg.eigvalsh(mid), 0.0, None)
-    f = float(np.sum(np.sqrt(ev)) ** 2)
-    return min(max(f, 0.0), 1.0)
+    f = np.clip(np.sum(np.sqrt(ev), axis=-1) ** 2, 0.0, 1.0)
+    return float(f) if f.ndim == 0 else f
 
 
 def is_density(rho: np.ndarray, atol: float = ATOL) -> bool:
@@ -328,26 +338,38 @@ def basis_change_unitary(src: Basis, dst: Basis) -> np.ndarray:
     return np.outer(dst.b1.amps, src.b1.amps.conj()) + np.outer(dst.b2.amps, src.b2.amps.conj())
 
 
+def haar_unitaries(u) -> np.ndarray:
+    """Haar-random SU(2) elements from uniforms ``u[..., 0:3]``, one per leading index."""
+    u = np.asarray(u, dtype=float)
+    theta = np.arcsin(np.sqrt(u[..., 0]))
+    psi = 2.0 * math.pi * u[..., 1]
+    chi = 2.0 * math.pi * u[..., 2]
+    c, s = np.cos(theta), np.sin(theta)
+    row1 = np.stack([np.exp(1j * psi) * c, np.exp(1j * chi) * s], axis=-1)
+    row2 = np.stack([-np.exp(-1j * chi) * s, np.exp(-1j * psi) * c], axis=-1)
+    return np.stack([row1, row2], axis=-2)
+
+
 def haar_unitary(rng: np.random.Generator) -> np.ndarray:
     """Haar-random SU(2) element from three independent uniform draws."""
-    xi, u_psi, u_chi = rng.random(3)
-    theta = math.asin(math.sqrt(xi))
-    psi = 2.0 * math.pi * u_psi
-    chi = 2.0 * math.pi * u_chi
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array(
-        [
-            [cmath.exp(1j * psi) * c, cmath.exp(1j * chi) * s],
-            [-cmath.exp(-1j * chi) * s, cmath.exp(-1j * psi) * c],
-        ]
-    )
+    return haar_unitaries(rng.random(3))
+
+
+def uniform_state_amps(u) -> np.ndarray:
+    """Amplitudes of states uniform on the Bloch sphere from uniforms ``u[..., 0:2]``.
+
+    ``u[..., 0]`` sets the Bloch z component ``2u - 1``, ``u[..., 1]`` the
+    azimuth ``2 pi u``; the result has shape ``(..., 2)``.
+    """
+    u = np.asarray(u, dtype=float)
+    theta = np.arccos(2.0 * u[..., 0] - 1.0)
+    phi = 2.0 * math.pi * u[..., 1]
+    return np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1)
 
 
 def random_state(rng: np.random.Generator) -> QubitState:
     """State drawn uniformly from the Bloch sphere."""
-    n3 = 2.0 * rng.random() - 1.0
-    phi = 2.0 * math.pi * rng.random()
-    return from_bloch_angles(math.acos(n3), phi)
+    return QubitState(uniform_state_amps(rng.random(2)))
 
 
 def eigenbasis_of(state: QubitState) -> Basis:

@@ -26,7 +26,9 @@ from ifmsim import (
     run_filter_mc,
     singlet_rule,
     tvd,
+    validate_custom_rule,
 )
+from ifmsim.experiments import derive_rng
 
 FAST_EXACT = AuditConfig(unitary_samples=25, input_samples=40, seed=11)
 FAST_MC = AuditConfig(
@@ -91,6 +93,24 @@ def test_chi_square_drops_empty_cells():
     stat_without, p_without = chi_square_two_sample([5, 5], [7, 3])
     assert stat_with == pytest.approx(stat_without, abs=1e-12)
     assert p_with == pytest.approx(p_without, abs=1e-12)
+
+
+def test_chi_square_p_value_matches_incomplete_gamma():
+    special = pytest.importorskip("scipy.special")
+    rng = derive_rng(80)
+    for dof in range(1, 9):
+        signs = np.where(np.arange(dof + 1) % 2 == 0, 1.0, -1.0)
+        # offsets from 0 to 20 sigma sweep the statistic from 0 deep into the tail
+        for offset in (0.0, 0.01, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 20.0):
+            n = 10_000.0
+            a = n + offset * np.sqrt(n) * signs
+            b = n - offset * np.sqrt(n) * signs
+            stat, p = chi_square_two_sample(a, b)
+            assert p == pytest.approx(float(special.gammaincc(dof / 2, stat / 2)), abs=1e-12)
+        a = rng.integers(1, 40, dof + 1)
+        b = rng.integers(1, 40, dof + 1)
+        stat, p = chi_square_two_sample(a, b)
+        assert p == pytest.approx(float(special.gammaincc(dof / 2, stat / 2)), abs=1e-12)
 
 
 def test_chi_square_degenerate_data():
@@ -275,3 +295,38 @@ def test_check_result_invariant_passed_iff_below_threshold():
             for check in report.checks:
                 assert check.passed == (check.metric < check.threshold)
                 assert check.metric >= 0.0
+
+
+# C1-C4 verdicts and failing metrics of the default exact audit (seed 0).  The
+# C2/C4 metrics of the rigid rules and of preferred-basis:sigma are 1 - fidelity
+# of rank-deficient survivors: the square roots of eigenvalues that round to
+# about 1e-17 leave rounding of up to about 1e-9 in them, so they are pinned at
+# 1e-8; every other failing metric is pinned at 1e-12.
+DEFAULT_EXACT_TABLE = {
+    "probe-rigid": ("FFFP", {"C1": (0.5, 1e-12), "C2": (0.9999918610569855, 1e-8),
+                             "C3": (0.5, 1e-12)}),
+    "object-rigid": ("FFFP", {"C1": (0.5, 1e-12), "C2": (0.9999918610573185, 1e-8),
+                              "C3": (0.5, 1e-12)}),
+    "singlet": ("PPPP", {}),
+    "random-mix": ("PPFP", {"C3": (0.5, 1e-12)}),
+    "preferred-basis:sigma": ("PPFF", {"C3": (0.5, 1e-12), "C4": (0.8038261878765223, 1e-8)}),
+    "coherent-projection:xy": ("PPFF", {"C3": (1.0, 1e-12), "C4": (1.0, 1e-12)}),
+    "remove-aligned-xy": ("PPFF", {"C3": (1.0, 1e-12), "C4": (1.0, 1e-12)}),
+}
+
+
+@pytest.mark.parametrize(
+    "rule",
+    list(builtin_rules()) + [validate_custom_rule(np.diag([0, 1, 1, 0]), name="remove-aligned-xy")],
+    ids=lambda rule: rule.name,
+)
+def test_default_exact_audit_pinned(rule):
+    verdicts, failing = DEFAULT_EXACT_TABLE[rule.name]
+    report = audit_rule(rule)
+    assert "".join("P" if c.passed else "F" for c in report.checks) == verdicts
+    for check in report.checks:
+        if check.passed:
+            assert check.metric < 1e-9
+        else:
+            value, tol = failing[check.check_id[:2]]
+            assert check.metric == pytest.approx(value, abs=tol), check.check_id

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import ifmsim
 from ifmsim.audit import AuditReport
 from ifmsim.cli import load_report, main
 
@@ -226,3 +230,15 @@ def test_help_documents_every_flag(runner):
         assert result.exit_code == 0
         for flag in flags:
             assert flag in result.output, (command, flag)
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, ifmsim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ifmsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -30,6 +30,7 @@ from ifmsim import (
     singlet_rule,
     tvd,
 )
+from ifmsim.experiments import categorical_counts
 from ifmsim.rules import builtin_rules, coherent_projection
 
 
@@ -272,3 +273,35 @@ def test_derive_rng_streams_differ():
     assert not np.array_equal(a, c)
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        pytest.param([0.0, 0.0, 0.0, 0.0, 1.0], id="all-scatter"),
+        pytest.param([0.5, 0.0, 0.0, 0.5, 0.0], id="zero-cells"),
+        pytest.param([0.0, 0.25, 0.0, 0.75], id="zero-first-and-third"),
+        pytest.param([0.1] * 10, id="cumsum-ends-below-1"),
+        pytest.param([0.3, 0.3, 0.3, 0.1 - 1e-12], id="mass-below-1"),
+    ],
+)
+def test_categorical_counts_match_searchsorted(law):
+    cum = np.cumsum(law)
+    cum[-1] = max(cum[-1], 1.0)
+    # random draws plus draws exactly on every bound, where side="right" matters
+    u = np.concatenate([derive_rng(70).random(50_000), [0.0], cum[:-1]])
+    u = u[u < 1.0]
+    want = np.bincount(np.searchsorted(cum, u, side="right"), minlength=len(law))
+    assert np.array_equal(categorical_counts(law, u), want)
+
+
+def test_categorical_counts_match_searchsorted_on_random_laws():
+    rng = derive_rng(71)
+    u = rng.random(20_000)
+    for _ in range(200):
+        law = rng.random(5) * (rng.random(5) < 0.7)
+        law = law / law.sum() if law.sum() > 0 else np.eye(5)[4]
+        cum = np.cumsum(law)
+        cum[-1] = max(cum[-1], 1.0)
+        want = np.bincount(np.searchsorted(cum, u, side="right"), minlength=5)
+        assert np.array_equal(categorical_counts(law, u), want)

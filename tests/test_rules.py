@@ -26,12 +26,14 @@ from ifmsim import (
     apply_unitary,
     builtin_rules,
     coherent_projection,
+    coupling_channel,
     fidelity,
     haar_unitary,
     interaction_probability,
     is_density,
     joint_born_distribution,
     load_rule_file,
+    make_state,
     object_rigid,
     orthogonal_state,
     overlap_probability,
@@ -42,10 +44,12 @@ from ifmsim import (
     rule_from_name,
     singlet_rule,
     swapped_channel,
+    swapped_coupling_channel,
     tensor_product,
     validate_custom_rule,
 )
 from ifmsim.experiments import derive_rng
+from ifmsim.states import PHASE_EPS
 
 CORNERS = (STATE_X, STATE_Y, SIGMA_PLUS, SIGMA_MINUS, D_PLUS, D_MINUS)
 UNIVERSAL = (probe_rigid(), object_rigid(), singlet_rule(), random_mix(), preferred_basis(BASIS_SIGMA))
@@ -145,6 +149,122 @@ def test_degenerate_scatter_omits_survivor():
     out = apply_rule(object_rigid(), STATE_X, STATE_X)
     assert out.p_scatter == 1.0
     assert out.survive_state is None
+
+
+def _product(probe, obj):
+    return tensor_product(probe, obj).density()
+
+
+# A near-aligned pair around sigma+ whose anti-aligned SIGMA weight (about
+# 2 DELTA^2) is below PHASE_EPS while its survive weight (about 4 DELTA^2) is
+# not: preferred-basis:sigma must split the survivor evenly between the cells.
+DELTA = 6e-7
+NEAR_PROBE = make_state(1 + DELTA, 1j * (1 - DELTA))
+NEAR_OBJECT = make_state(1 - DELTA, 1j * (1 + DELTA))
+SIGMA_ANTI_EVEN = 0.5 * _product(SIGMA_PLUS, SIGMA_MINUS) + 0.5 * _product(SIGMA_MINUS, SIGMA_PLUS)
+
+
+def test_near_aligned_pair_has_degenerate_preferred_weights():
+    inp = tensor_product(NEAR_PROBE, NEAR_OBJECT).amps
+    anti = sum(
+        abs(np.vdot(np.kron(a.amps, b.amps), inp)) ** 2
+        for a, b in ((SIGMA_PLUS, SIGMA_MINUS), (SIGMA_MINUS, SIGMA_PLUS))
+    )
+    assert anti <= PHASE_EPS
+    assert 1.0 - interaction_probability(NEAR_PROBE, NEAR_OBJECT) > PHASE_EPS
+
+
+@pytest.mark.parametrize(
+    "rule, probe, obj, q, p_scatter, survivor",
+    [
+        pytest.param(probe_rigid(), STATE_X, STATE_X, 0.0, 1.0, None, id="aligned"),
+        pytest.param(
+            coherent_projection(BASIS_XY), STATE_X, STATE_X, 0.0, 1.0, None, id="aligned-coherent"
+        ),
+        pytest.param(
+            singlet_rule(), STATE_Y, STATE_X, 0.0, 0.0, SINGLET.density(), id="anti-aligned-singlet"
+        ),
+        pytest.param(
+            probe_rigid(), SIGMA_PLUS, SIGMA_MINUS, 0.0, 0.0, _product(SIGMA_PLUS, SIGMA_MINUS),
+            id="anti-aligned-probe-rigid",
+        ),
+        pytest.param(
+            object_rigid(), SIGMA_PLUS, STATE_X, 1.0, 0.0, _product(SIGMA_PLUS, STATE_X), id="q=1"
+        ),
+        pytest.param(probe_rigid(), STATE_X, STATE_X, 1.0, 0.0, _product(STATE_X, STATE_X),
+                     id="aligned-q=1"),
+        pytest.param(
+            validate_custom_rule(np.zeros((4, 4))), STATE_Y, STATE_X, 0.0, 1.0, None, id="K=0"
+        ),
+        pytest.param(
+            validate_custom_rule(np.zeros((4, 4))), STATE_Y, STATE_X, 0.5, 0.5,
+            _product(STATE_Y, STATE_X), id="K=0-q=0.5",
+        ),
+        pytest.param(
+            preferred_basis(BASIS_SIGMA), NEAR_PROBE, NEAR_OBJECT, 0.0,
+            abs(np.vdot(NEAR_PROBE.amps, NEAR_OBJECT.amps)) ** 2, SIGMA_ANTI_EVEN,
+            id="degenerate-preferred-weights",
+        ),
+    ],
+)
+def test_coupling_channel_pinned_rows(rule, probe, obj, q, p_scatter, survivor):
+    # the pinned pair sits between two other pairs, so a leak across rows shows
+    others = ((SIGMA_PLUS, STATE_X), (D_MINUS, SIGMA_MINUS))
+    probes = np.array([others[0][0].amps, probe.amps, others[1][0].amps])
+    objects = np.array([others[0][1].amps, obj.amps, others[1][1].amps])
+    out = coupling_channel(rule, probes, objects, q)
+    assert out.p_scatter[1] == pytest.approx(p_scatter, abs=1e-12)
+    assert out.alive[1] == (survivor is not None)
+    expected = np.zeros((4, 4)) if survivor is None else survivor
+    assert np.allclose(out.survivors[1], expected, atol=1e-12)
+    single = apply_rule(rule, probe, obj, q)
+    assert single.p_scatter == pytest.approx(p_scatter, abs=1e-12)
+    if survivor is None:
+        assert single.survive_state is None
+    else:
+        assert np.allclose(single.survive_state, survivor, atol=1e-12)
+    for row, (p, o) in zip((0, 2), others):
+        ref = apply_rule(rule, p, o, q)
+        assert out.p_scatter[row] == pytest.approx(ref.p_scatter, abs=1e-15)
+        ref_survivor = np.zeros((4, 4)) if ref.survive_state is None else ref.survive_state
+        assert np.allclose(out.survivors[row], ref_survivor, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    list(builtin_rules()) + [validate_custom_rule(np.diag([0, 1, 1, 0]), name="remove-aligned-xy")],
+    ids=lambda rule: rule.name,
+)
+def test_coupling_channel_rows_match_single_pairs(rule):
+    rng = derive_rng(210)
+    pairs = [(a, b) for a in CORNERS for b in CORNERS]
+    pairs += [(random_state(rng), random_state(rng)) for _ in range(20)]
+    probes = np.array([p.amps for p, _ in pairs])
+    objects = np.array([o.amps for _, o in pairs])
+    for q in (0.0, 0.3, 1.0):
+        out = coupling_channel(rule, probes, objects, q)
+        mirrored = swapped_coupling_channel(rule, probes, objects, q)
+        for n, (probe, obj) in enumerate(pairs):
+            single = apply_rule(rule, probe, obj, q)
+            assert out.p_scatter[n] == pytest.approx(single.p_scatter, abs=1e-15)
+            assert out.alive[n] == (single.survive_state is not None)
+            if single.survive_state is not None:
+                assert np.allclose(out.survivors[n], single.survive_state, atol=1e-15)
+            reverse = apply_rule(rule, obj, probe, q)
+            assert mirrored.p_scatter[n] == pytest.approx(reverse.p_scatter, abs=1e-15)
+            if reverse.survive_state is not None:
+                assert np.allclose(
+                    mirrored.survivors[n], SWAP @ reverse.survive_state @ SWAP, atol=1e-15
+                )
+
+
+def test_only_linear_kinds_carry_a_survive_operator():
+    assert np.allclose(
+        coherent_projection(BASIS_XY).operator, aligned_projector_complement(), atol=1e-15
+    )
+    assert singlet_rule().operator is None
+    with pytest.raises(InvalidRuleError):
+        Rule(RuleKind.SINGLET, operator=np.eye(4))
 
 
 def test_singlet_output_is_input_independent():

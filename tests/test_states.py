@@ -44,6 +44,7 @@ from ifmsim import (
     to_bloch,
 )
 from ifmsim.experiments import derive_rng
+from ifmsim.states import haar_unitaries, uniform_state_amps
 
 CORNERS = (STATE_X, STATE_Y, SIGMA_PLUS, SIGMA_MINUS, D_PLUS, D_MINUS)
 
@@ -231,6 +232,52 @@ def test_joint_born_singlet_anti_aligned_in_sigma_and_xy():
     for basis in (BASIS_SIGMA, BASIS_XY):
         cells = joint_born_distribution(SINGLET.density(), basis, basis)
         assert np.allclose(cells, [0, 0.5, 0.5, 0], atol=1e-12)
+
+
+def _random_pair_densities(rng, count):
+    """Full-rank pair densities: mixtures of four random product states."""
+    out = []
+    for _ in range(count):
+        weights = rng.random(4) + 0.1
+        weights /= weights.sum()
+        out.append(sum(
+            w * tensor_product(random_state(rng), random_state(rng)).density() for w in weights
+        ))
+    return np.array(out)
+
+
+def test_stacked_densities_match_per_item_loop():
+    rng = derive_rng(60)
+    rhos = _random_pair_densities(rng, 12)
+    sigmas = _random_pair_densities(rng, 12)
+    stacked = fidelity(rhos, sigmas)
+    assert stacked.shape == (12,)
+    assert np.allclose(stacked, [fidelity(r, s) for r, s in zip(rhos, sigmas)], rtol=0, atol=1e-12)
+    assert isinstance(fidelity(rhos[0], sigmas[0]), float)
+    for basis_probe, basis_object in ((BASIS_XY, BASIS_SIGMA), (BASIS_DIAG, BASIS_DIAG)):
+        stacked = joint_born_distribution(rhos, basis_probe, basis_object)
+        loop = [joint_born_distribution(r, basis_probe, basis_object) for r in rhos]
+        assert stacked.shape == (12, 4)
+        assert np.allclose(stacked, loop, rtol=0, atol=1e-15)
+    for keep in ("probe", "object"):
+        reduced = partial_trace(rhos, keep)
+        assert np.allclose(reduced, [partial_trace(r, keep) for r in rhos], rtol=0, atol=1e-15)
+        probs = born_distribution(reduced, BASIS_SIGMA)
+        assert np.allclose(
+            probs, [born_distribution(r, BASIS_SIGMA) for r in reduced], rtol=0, atol=1e-15
+        )
+
+
+def test_uniform_block_matches_scalar_draws():
+    # one (n, 7) block holds, per row, the draws of haar_unitary then two random_state calls
+    block = derive_rng(61).random((25, 7))
+    rng = derive_rng(61)
+    for row in block:
+        assert np.array_equal(haar_unitaries(row[0:3]), haar_unitary(rng))
+        for cols in (slice(3, 5), slice(5, 7)):
+            assert np.allclose(uniform_state_amps(row[cols]), random_state(rng).amps,
+                               rtol=0, atol=1e-15)
+    assert np.array_equal(haar_unitaries(block[:, 0:3])[7], haar_unitaries(block[7, 0:3]))
 
 
 def test_joint_born_product():

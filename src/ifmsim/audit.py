@@ -34,19 +34,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .experiments import (
     ConfigError,
-    FilterConfig,
     categorical_counts,
     check_mode_equivalence,
+    conditional_clicks,
     derive_rng,
     derive_seed,
-    run_filter_exact,
-    run_filter_mc,
+    filter_branches,
+    filter_law,
+    sample_branches,
 )
 from .rules import Coupling, Rule, coupling_channel, swapped_coupling_channel
 from .states import (
@@ -99,16 +100,23 @@ _MC_CORNER_PAIRS = (
 )
 
 
-def tvd(d1, d2) -> float:
-    """Total variation distance ``0.5 * sum |d1 - d2|`` between distributions."""
-    a = np.asarray(d1, dtype=float).reshape(-1)
-    b = np.asarray(d2, dtype=float).reshape(-1)
-    if a.shape != b.shape:
+def tvd(d1, d2):
+    """Total variation distance ``0.5 * sum |d1 - d2|`` between distributions.
+
+    A float for two vectors; for stacks ``(..., k)`` an array over the
+    leading axes, which broadcast.  Every row must sum to 1.
+    """
+    a = np.asarray(d1, dtype=float)
+    b = np.asarray(d2, dtype=float)
+    if a.shape[-1:] != b.shape[-1:]:
         raise DimensionMismatchError(f"outcome spaces differ: {a.shape} vs {b.shape}")
     for name, dist in (("first", a), ("second", b)):
-        if abs(dist.sum() - 1.0) > 1e-6:
-            raise ValueError(f"{name} distribution sums to {dist.sum()}, expected 1")
-    return float(0.5 * np.abs(a - b).sum())
+        sums = dist.sum(axis=-1)
+        bad = np.abs(sums - 1.0) > 1e-6
+        if np.any(bad):
+            raise ValueError(f"{name} distribution sums to {sums[bad].flat[0]}, expected 1")
+    t = 0.5 * np.abs(a - b).sum(axis=-1)
+    return float(t) if t.ndim == 0 else t
 
 
 def chi_square_two_sample(counts_a, counts_b) -> tuple[float, float]:
@@ -277,19 +285,10 @@ class AuditReport:
 
 
 def _config_echo(config: AuditConfig) -> dict:
-    return {
-        "bases": [b.label.lower() for b in config.bases],
-        "epsilon_exact": config.epsilon_exact,
-        "epsilon_mc": config.epsilon_mc,
-        "unitary_samples": config.unitary_samples,
-        "input_samples": config.input_samples,
-        "noise_levels": [float(q) for q in config.noise_levels],
-        "seed": config.seed,
-        "evaluation": config.evaluation,
-        "mc_trials": config.mc_trials,
-        "mc_input_samples": config.mc_input_samples,
-        "mc_unitary_samples": config.mc_unitary_samples,
-    }
+    echo = {f.name: getattr(config, f.name) for f in fields(config)}
+    echo["bases"] = [b.label.lower() for b in config.bases]
+    echo["noise_levels"] = [float(q) for q in config.noise_levels]
+    return echo
 
 
 def _corner_pairs() -> list[tuple[QubitState, QubitState]]:
@@ -311,6 +310,11 @@ def _amps(states) -> np.ndarray:
 
 def _input_label(probe: np.ndarray, obj: np.ndarray) -> str:
     return f"input=({state_label(QubitState(probe))}, {state_label(QubitState(obj))})"
+
+
+def _no_cases(check_id: str, threshold: float) -> CheckResult:
+    """A check that evaluated no case shows nothing, so it fails."""
+    return CheckResult(check_id, False, 1.0, threshold, "no cases evaluated", None)
 
 
 def _exact_verdict(check_id: str, worst: float, witness: str, evidence, config) -> CheckResult:
@@ -425,19 +429,24 @@ def _mode_pair_cases(config: AuditConfig, analyzers: str):
     return cases
 
 
-def _mode_pair_configs(rule, swapped, object_basis, analyzer, mode2_basis, q, **mc):
-    check_mode_equivalence(object_basis, mode2_basis)
-    common = dict(
-        rule=rule,
-        object_state=object_basis.b1,
-        analyzer_basis=analyzer,
-        noise_q=q,
-        swapped_roles=swapped,
-        **mc,
+def _mode_pair_branches(rule: Rule, cases):
+    """Filter branches of the C1 cases over (case, source mode, branch).
+
+    Mode 1 emits the object basis, mode 2 the mode-2 basis; each pair of
+    the two is checked once to share a density matrix.
+    """
+    for object_basis, mode2_basis in dict.fromkeys((c[1], c[3]) for c in cases):
+        check_mode_equivalence(object_basis, mode2_basis)
+    n = len(cases)
+    sources = np.array([[_amps(c[1].states()), _amps(c[3].states())] for c in cases])
+    branches = filter_branches(
+        rule,
+        sources.reshape(-1, 2),
+        np.repeat(_amps(c[1].b1 for c in cases), 4, axis=0),
+        np.repeat([c[0] for c in cases], 4),
+        np.repeat([_amps(c[2].states()) for c in cases], 4, axis=0),
     )
-    cfg1 = FilterConfig(source_mode=1, source_basis=object_basis, **common)
-    cfg2 = FilterConfig(source_mode=2, source_basis=mode2_basis, **common)
-    return cfg1, cfg2
+    return [x.reshape(n, 2, 2, *x.shape[1:]) for x in branches]
 
 
 def _case_label(swapped, object_basis, analyzer, mode2_basis, q) -> str:
@@ -452,46 +461,41 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
     """C1: mode-1 and mode-2 source statistics must be identical."""
     if config.evaluation == "mc":
         return _check_c1_mc(rule, config)
-    worst = -1.0
-    witness = ""
-    evidence = None
-    for case in _mode_pair_cases(config, analyzers="all"):
-        swapped, object_basis, analyzer, mode2_basis, q = case
-        cfg1, cfg2 = _mode_pair_configs(rule, *case)
-        d1 = run_filter_exact(cfg1)
-        d2 = run_filter_exact(cfg2)
-        t_full = tvd(d1.probabilities(), d2.probabilities())
-        t_cond = None
-        if d1.conditional_on_survival is not None and d2.conditional_on_survival is not None:
-            t_cond = tvd(d1.conditional_on_survival, d2.conditional_on_survival)
-        for view, value in (("full", t_full), ("conditional", t_cond)):
-            if value is not None and value > worst:
-                worst = value
-                witness = _case_label(*case) + f" view={view}"
-                evidence = {
-                    "mode1": [float(x) for x in d1.probabilities()],
-                    "mode2": [float(x) for x in d2.probabilities()],
-                    "tvd_full": t_full,
-                    "tvd_conditional": t_cond,
-                }
-    return _exact_verdict(CHECK_IDS[0], worst, witness, evidence, config)
+    cases = _mode_pair_cases(config, analyzers="all")
+    if not cases:
+        return _no_cases(CHECK_IDS[0], config.epsilon_exact)
+    q = np.array([c[4] for c in cases])[:, None]
+    laws = filter_law(q, *_mode_pair_branches(rule, cases))
+    conditional, defined = conditional_clicks(laws)
+    both = defined.all(axis=1)
+    t_full = tvd(laws[:, 0], laws[:, 1])
+    t_cond = np.full(len(cases), -1.0)
+    t_cond[both] = tvd(conditional[both, 0], conditional[both, 1])
+    views = np.stack([t_full, t_cond], axis=1)
+    n, k = divmod(int(np.argmax(views)), 2)
+    evidence = {
+        "mode1": [float(x) for x in laws[n, 0]],
+        "mode2": [float(x) for x in laws[n, 1]],
+        "tvd_full": float(t_full[n]),
+        "tvd_conditional": float(t_cond[n]) if both[n] else None,
+    }
+    witness = _case_label(*cases[n]) + f" view={('full', 'conditional')[k]}"
+    return _exact_verdict(CHECK_IDS[0], float(views[n, k]), witness, evidence, config)
 
 
 def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
+    cases = _mode_pair_cases(config, analyzers="object")
+    if not cases:
+        return _mc_verdict(CHECK_IDS[0], [], config)
+    p, survivor, flyby = _mode_pair_branches(rule, cases)
     comparisons = []  # (1 - p_value, label, evidence)
-    for idx, case in enumerate(_mode_pair_cases(config, analyzers="object")):
-        cfg1, cfg2 = _mode_pair_configs(
-            rule,
-            *case,
-            evaluation="mc",
-            trials=config.mc_trials,
-            seed=0,
+    for idx, case in enumerate(cases):
+        d1, d2 = (
+            sample_branches(derive_seed(config.seed, 11, idx, m + 1), config.mc_trials, case[4],
+                            p[idx, m], survivor[idx, m], flyby[idx, m])
+            for m in (0, 1)
         )
-        d1 = run_filter_mc(replace(cfg1, seed=derive_seed(config.seed, 11, idx, 1)))
-        d2 = run_filter_mc(replace(cfg2, seed=derive_seed(config.seed, 11, idx, 2)))
-        views = [("full", d1.counts, d2.counts)]
-        views.append(("conditional", d1.counts[:2], d2.counts[:2]))
-        for view, c1, c2 in views:
+        for view, c1, c2 in (("full", d1, d2), ("conditional", d1[:2], d2[:2])):
             try:
                 _, p_value = chi_square_two_sample(c1, c2)
             except DegenerateDataError:
@@ -510,7 +514,7 @@ def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
 def _mc_verdict(check_id: str, comparisons, config: AuditConfig) -> CheckResult:
     """Family-wise chi-square verdict: every p-value must clear the shared budget."""
     if not comparisons:
-        return CheckResult(check_id, True, 0.0, 1.0, "no informative comparisons", None)
+        return _no_cases(check_id, 1.0)
     per_case = config.epsilon_mc / len(comparisons)
     threshold = 1.0 - per_case
     worst, witness, evidence = max(comparisons, key=lambda item: item[0])
@@ -582,7 +586,7 @@ def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
         return _check_c3_mc(rule, config)
     label, out = _anti_alignment_cases(rule, config, _corner_pairs(), 3, config.input_samples)
     if not out.alive.size:
-        return _exact_verdict(CHECK_IDS[2], 0.0, "", None, config)
+        return _no_cases(CHECK_IDS[2], config.epsilon_exact)
     cells = np.stack(
         [joint_born_distribution(out.survivors, b, b) for b in config.bases], axis=1
     )
@@ -602,6 +606,7 @@ def _check_c3_mc(rule: Rule, config: AuditConfig) -> CheckResult:
     witness = "no aligned events observed"
     evidence = None
     case_idx = 0
+    evaluated = 0
     for i, (p_scatter, survivor) in enumerate(zip(out.p_scatter, out.survivors)):
         for basis in config.bases:
             cells = joint_born_distribution(survivor, basis, basis)
@@ -612,6 +617,7 @@ def _check_c3_mc(rule: Rule, config: AuditConfig) -> CheckResult:
             n_survivors = int(survived.sum())
             if n_survivors == 0:
                 continue
+            evaluated += 1
             counts = categorical_counts(cells, u[survived, 1])
             aligned_events = int(counts[0] + counts[3])
             fraction = aligned_events / n_survivors
@@ -619,6 +625,8 @@ def _check_c3_mc(rule: Rule, config: AuditConfig) -> CheckResult:
                 worst = fraction
                 witness = f"{label(i)} basis={basis.label}"
                 evidence = {"aligned_events": aligned_events, "survivors": n_survivors}
+    if not evaluated:
+        return _no_cases(CHECK_IDS[2], threshold)
     return CheckResult(CHECK_IDS[2], worst < threshold, worst, threshold, witness, evidence)
 
 

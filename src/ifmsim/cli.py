@@ -13,22 +13,16 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 import click
 import numpy as np
 from click.core import ParameterSource
 
-from .audit import (
-    AuditConfig,
-    AuditReport,
-    DegenerateDataError,
-    DimensionMismatchError,
-    audit_rule,
-)
+from .audit import AuditConfig, AuditReport, audit_rule
 from .experiments import (
     ConfigError,
     FilterConfig,
-    NoSurvivorsError,
     run_correlation,
     run_correlation_mc,
     run_filter,
@@ -38,28 +32,12 @@ from .experiments import (
 from .rules import (
     InvalidRuleError,
     builtin_rules,
+    contraction_slack,
     load_rule_file,
     rule_description,
     rule_from_name,
 )
-from .states import (
-    ParseError,
-    ZeroVectorError,
-    parse_basis_spec,
-    parse_state_spec,
-    state_label,
-)
-
-_USAGE_ERRORS = (
-    ParseError,
-    ZeroVectorError,
-    InvalidRuleError,
-    ConfigError,
-    NoSurvivorsError,
-    DimensionMismatchError,
-    DegenerateDataError,
-    ValueError,
-)
+from .states import parse_basis_spec, parse_state_spec, state_label
 
 
 def _guarded(fn):
@@ -69,7 +47,7 @@ def _guarded(fn):
             return fn(*args, **kwargs)
         except (click.ClickException, click.exceptions.Abort, SystemExit):
             raise
-        except _USAGE_ERRORS as exc:
+        except ValueError as exc:  # every validation error of the package is one
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except Exception as exc:  # pragma: no cover - defensive catch-all
@@ -105,7 +83,26 @@ def _write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _load_config_doc(path: str | None, allowed: set[str], what: str) -> dict:
+# JSON types a config value may take, by the annotation of its config field;
+# rules, bases and states are spelled as strings and tuples as lists.
+_JSON_TYPES = {
+    "int": int, "float": (int, float), "bool": bool, "str": str, "Rule": str, "Basis": str,
+    "QubitState": str, "Basis | None": (str, type(None)),
+}
+
+
+def _json_fits(annotation: str, value) -> bool:
+    if annotation.startswith("tuple["):
+        item = annotation[len("tuple["):-len(", ...]")]
+        return isinstance(value, list) and all(_json_fits(item, v) for v in value)
+    # JSON true and false are no numbers, though Python's bool subclasses int
+    return isinstance(value, _JSON_TYPES[annotation]) and (
+        isinstance(value, bool) == (annotation == "bool")
+    )
+
+
+def _load_config_doc(path: str | None, config_cls, what: str) -> dict:
+    """The JSON config at ``path``, or {}; keys and types follow ``config_cls`` plus ``rule``."""
     if path is None:
         return {}
     try:
@@ -117,19 +114,30 @@ def _load_config_doc(path: str | None, allowed: set[str], what: str) -> dict:
         raise ConfigError(f"{what} config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} config must be a JSON object")
-    unknown = set(doc) - allowed
+    allowed = {"rule": "Rule"} | {f.name: f.type for f in fields(config_cls)}
+    unknown = set(doc) - set(allowed)
     if unknown:
         raise ConfigError(
             f"unknown {what} config keys: {', '.join(sorted(unknown))}; "
             f"allowed: {', '.join(sorted(allowed))}"
         )
+    for key, value in doc.items():
+        if not _json_fits(allowed[key], value):
+            raise ConfigError(
+                f"{what} config key {key!r}: expected {allowed[key]}, got {json.dumps(value)}"
+            )
     return doc
+
+
+def _explicit(ctx, param_name: str) -> bool:
+    """Whether the flag was given on the command line or through its environment variable."""
+    source = ctx.get_parameter_source(param_name)
+    return source in (ParameterSource.COMMANDLINE, ParameterSource.ENVIRONMENT)
 
 
 def _pick(ctx, param_name: str, flag_value, doc: dict, doc_key: str):
     """CLI flag when given explicitly, else config value, else the flag default."""
-    source = ctx.get_parameter_source(param_name)
-    if source in (ParameterSource.COMMANDLINE, ParameterSource.ENVIRONMENT):
+    if _explicit(ctx, param_name):
         return flag_value
     if doc_key in doc:
         return doc[doc_key]
@@ -145,20 +153,6 @@ def _matrix_to_json(matrix):
 @click.group()
 def main():
     """Simulate interaction-free coupling of two qubits and audit non-interaction rules."""
-
-
-_FILTER_CONFIG_KEYS = {
-    "rule",
-    "source_mode",
-    "source_basis",
-    "object_state",
-    "analyzer_basis",
-    "noise_q",
-    "swapped_roles",
-    "evaluation",
-    "trials",
-    "seed",
-}
 
 
 @main.command()
@@ -179,38 +173,25 @@ _FILTER_CONFIG_KEYS = {
 @_guarded
 def audit(ctx, rule_spec, evaluation, trials, seed, noise_q, report_path, config_path):
     """Run the four-check audit battery against one rule."""
-    allowed = {
-        "rule", "bases", "epsilon_exact", "epsilon_mc", "unitary_samples", "input_samples",
-        "noise_levels", "seed", "evaluation", "mc_trials", "mc_input_samples",
-        "mc_unitary_samples",
-    }
-    doc = _load_config_doc(config_path, allowed, "audit")
+    doc = _load_config_doc(config_path, AuditConfig, "audit")
     rule_text = rule_spec if rule_spec is not None else doc.get("rule")
     if not rule_text:
         raise ConfigError("no rule given; pass --rule or put 'rule' in the config file")
-    rule = _resolve_rule(str(rule_text))
+    rule = _resolve_rule(rule_text)
 
+    given = {key: value for key, value in doc.items() if key != "rule"}
+    if "bases" in given:
+        given["bases"] = tuple(parse_basis_spec(label) for label in given["bases"])
+    if "noise_levels" in given:
+        given["noise_levels"] = tuple(float(q) for q in given["noise_levels"])
     if noise_q is not None:
-        noise_levels = (float(noise_q),)
-    elif "noise_levels" in doc:
-        noise_levels = tuple(float(q) for q in doc["noise_levels"])
-    else:
-        noise_levels = (0.0, 0.5)
-    bases = tuple(parse_basis_spec(label) for label in doc.get("bases", ["xy", "sigma", "diag"]))
-    config = AuditConfig(
-        bases=bases,
-        epsilon_exact=float(doc.get("epsilon_exact", 1e-9)),
-        epsilon_mc=float(doc.get("epsilon_mc", 1e-3)),
-        unitary_samples=int(doc.get("unitary_samples", 100)),
-        input_samples=int(doc.get("input_samples", 200)),
-        noise_levels=noise_levels,
-        seed=int(_pick(ctx, "seed", seed, doc, "seed")),
-        evaluation=str(_pick(ctx, "evaluation", evaluation, doc, "evaluation")),
-        mc_trials=int(_pick(ctx, "trials", trials, doc, "mc_trials")),
-        mc_input_samples=int(doc.get("mc_input_samples", 12)),
-        mc_unitary_samples=int(doc.get("mc_unitary_samples", 6)),
-    )
-    report = audit_rule(rule, config)
+        given["noise_levels"] = (float(noise_q),)
+    flags = {"seed": ("seed", seed), "evaluation": ("evaluation", evaluation),
+             "trials": ("mc_trials", trials)}
+    for param, (key, value) in flags.items():
+        if _explicit(ctx, param):
+            given[key] = value
+    report = audit_rule(rule, AuditConfig(**given))
     text = report.to_json()
     click.echo(text)
     if report_path:
@@ -229,16 +210,16 @@ def _filter_config_from_inputs(ctx, doc, rule_spec, source_mode, source_basis, o
         raise ConfigError("no rule given; pass --rule or put 'rule' in the config file")
     basis_spec = _pick(ctx, "source_basis", source_basis, doc, "source_basis")
     return FilterConfig(
-        rule=_resolve_rule(str(rule_text)),
-        source_mode=int(_pick(ctx, "source_mode", source_mode, doc, "source_mode")),
-        source_basis=None if basis_spec is None else parse_basis_spec(str(basis_spec)),
-        object_state=parse_state_spec(str(_pick(ctx, "object_state", object_state, doc, "object_state"))),
-        analyzer_basis=parse_basis_spec(str(_pick(ctx, "analyzer_basis", analyzer_basis, doc, "analyzer_basis"))),
+        rule=_resolve_rule(rule_text),
+        source_mode=_pick(ctx, "source_mode", source_mode, doc, "source_mode"),
+        source_basis=None if basis_spec is None else parse_basis_spec(basis_spec),
+        object_state=parse_state_spec(_pick(ctx, "object_state", object_state, doc, "object_state")),
+        analyzer_basis=parse_basis_spec(_pick(ctx, "analyzer_basis", analyzer_basis, doc, "analyzer_basis")),
         noise_q=float(_pick(ctx, "noise_q", noise_q, doc, "noise_q")),
-        swapped_roles=bool(_pick(ctx, "swap_roles", swap_roles, doc, "swapped_roles")),
-        evaluation=str(_pick(ctx, "evaluation", evaluation, doc, "evaluation")),
-        trials=int(_pick(ctx, "trials", trials, doc, "trials")),
-        seed=int(_pick(ctx, "seed", seed, doc, "seed")),
+        swapped_roles=_pick(ctx, "swap_roles", swap_roles, doc, "swapped_roles"),
+        evaluation=_pick(ctx, "evaluation", evaluation, doc, "evaluation"),
+        trials=_pick(ctx, "trials", trials, doc, "trials"),
+        seed=_pick(ctx, "seed", seed, doc, "seed"),
     )
 
 
@@ -269,7 +250,7 @@ def _filter_config_from_inputs(ctx, doc, rule_spec, source_mode, source_basis, o
 def run_filter_cmd(ctx, rule_spec, source_mode, source_basis, object_state, analyzer_basis,
                    noise_q, swap_roles, evaluation, trials, seed, csv_path, config_path):
     """Run the three-stage filter device once."""
-    doc = _load_config_doc(config_path, _FILTER_CONFIG_KEYS, "filter")
+    doc = _load_config_doc(config_path, FilterConfig, "filter")
     cfg = _filter_config_from_inputs(ctx, doc, rule_spec, source_mode, source_basis,
                                      object_state, analyzer_basis, noise_q, swap_roles,
                                      evaluation, trials, seed)
@@ -406,12 +387,9 @@ def rules_list():
 def rules_validate(rule_file):
     """Validate a custom-rule JSON file against the contraction bound."""
     rule = load_rule_file(rule_file)
-    slack = np.linalg.eigvalsh(
-        np.eye(4, dtype=complex) - rule.operator.conj().T @ rule.operator
-    )
     click.echo(
         f"OK {rule.name}: contraction bound satisfied "
-        f"(min eigenvalue of I - K^dag K = {float(slack.min()):.6g})"
+        f"(min eigenvalue of I - K^dag K = {contraction_slack(rule.operator):.6g})"
     )
 
 

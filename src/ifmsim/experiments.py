@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rules import Rule, apply_rule
+from .rules import Rule, apply_rule, coupling_channel
 from .states import (
     ATOL,
     BASIS_SIGMA,
@@ -157,51 +157,97 @@ class OutcomeDistribution:
         }
 
 
-def _branches(cfg: FilterConfig):
-    """Per source state: (scatter prob, survivor click probs, fly-by click probs).
+def filter_branches(rule: Rule, sources, objects, swapped, analyzers):
+    """The filter device at q = 0, one row per emitted source state.
 
-    Click probabilities refer to the analyzed particle, which is always
-    the source particle; probabilities are evaluated at q=0 so the
-    caller can fold fly-by noise itself (exact runs) or sample the
-    fly-by branch per trial (Monte Carlo runs).
+    Rows: ``(N, 2)`` source and object amplitudes, ``(N,)`` flags that feed
+    the source into the object slot, ``(N, 2, 2)`` analyzer basis vectors.
+    Returns per row the scatter probability and the source particle's click
+    laws when it survives (zero if it cannot) and when the coupling flies by.
     """
-    out = []
-    for source_state in cfg.resolved_source_basis().states():
-        if cfg.swapped_roles:
-            coupled = apply_rule(cfg.rule, cfg.object_state, source_state, 0.0)
-            keep = "object"
-        else:
-            coupled = apply_rule(cfg.rule, source_state, cfg.object_state, 0.0)
-            keep = "probe"
-        if coupled.survive_state is None:
-            survivor_clicks = None
-        else:
-            reduced = partial_trace(coupled.survive_state, keep)
-            survivor_clicks = born_distribution(reduced, cfg.analyzer_basis)
-        flyby_clicks = born_distribution(source_state.density(), cfg.analyzer_basis)
-        out.append((coupled.p_scatter, survivor_clicks, flyby_clicks))
-    return out
+    sources = np.asarray(sources, dtype=complex)
+    objects = np.asarray(objects, dtype=complex)
+    swapped = np.asarray(swapped, dtype=bool)[:, None]
+    out = coupling_channel(
+        rule, np.where(swapped, objects, sources), np.where(swapped, sources, objects), 0.0
+    )
+    reduced = np.where(
+        swapped[:, :, None],
+        partial_trace(out.survivors, "object"),
+        partial_trace(out.survivors, "probe"),
+    )
+    flyby = sources[:, :, None] * sources[:, None, :].conj()
+    return out.p_scatter, _clicks(reduced, analyzers), _clicks(flyby, analyzers)
+
+
+def _clicks(rho, analyzers) -> np.ndarray:
+    """Per row, ``<v|rho|v>`` for both analyzer vectors ``v``, clipped at zero."""
+    analyzers = np.asarray(analyzers, dtype=complex)
+    return np.clip(np.einsum("nki,nij,nkj->nk", analyzers.conj(), rho, analyzers).real, 0.0, None)
+
+
+def filter_law(q, p_scatter, survivor_clicks, flyby_clicks) -> np.ndarray:
+    """Detector law ``(click b1, click b2, scatter)`` of two equally likely source branches.
+
+    Inputs are ``filter_branches`` rows reshaped to ``(..., 2)`` branches;
+    ``q`` broadcasts over the leading axes.  Terms add up in source order,
+    so a case gives the same bits alone and within a grid.
+    """
+    q = np.asarray(q, dtype=float)[..., None]
+    clicks = scatter = 0.0
+    for b in (0, 1):
+        p = p_scatter[..., b, None]
+        scatter = scatter + 0.5 * (1.0 - q) * p
+        clicks = clicks + 0.5 * q * flyby_clicks[..., b, :]
+        clicks = clicks + 0.5 * (1.0 - q) * (1.0 - p) * survivor_clicks[..., b, :]
+    return np.concatenate([clicks, scatter], axis=-1)
+
+
+def conditional_clicks(law) -> tuple[np.ndarray, np.ndarray]:
+    """Click law given survival of the ``(..., 3)`` detector laws, and where it is defined."""
+    clicks = law[..., :2]
+    mass = clicks.sum(axis=-1, keepdims=True)
+    defined = mass[..., 0] > PHASE_EPS
+    return clicks / np.where(defined[..., None], mass, 1.0), defined
+
+
+def sample_branches(seed: int, trials: int, q: float, p_scatter, survivor_laws, flyby_laws):
+    """Per-trial counts over one or two equally likely branches: outcome cells, then scatter.
+
+    Trial ``i`` is row ``i`` of one uniform block: a branch column (``u >=
+    1/2`` picks the second) when there are two, then fly-by (``u < q``),
+    scatter and outcome.  Outcomes are counted per (branch, fly-by) group.
+    """
+    n = len(p_scatter)
+    u = derive_rng(seed).random((int(trials), n + 2))
+    source = u[:, 0] >= 0.5 if n == 2 else np.zeros(len(u), dtype=bool)
+    flyby = u[:, -3] < q
+    scatter = ~flyby & (u[:, -2] < np.where(source, p_scatter[-1], p_scatter[0]))
+    outcome = u[:, -1]
+    counts = 0
+    for b in range(n):
+        branch = source == bool(b)
+        counts = counts + categorical_counts(flyby_laws[b], outcome[branch & flyby])
+        counts = counts + categorical_counts(survivor_laws[b], outcome[branch & ~flyby & ~scatter])
+    return np.append(counts, np.count_nonzero(scatter))
+
+
+def _config_branches(cfg: FilterConfig):
+    """``filter_branches`` of the two source states of one run."""
+    sources = [s.amps for s in cfg.resolved_source_basis().states()]
+    analyzer = [cfg.analyzer_basis.b1.amps, cfg.analyzer_basis.b2.amps]
+    return filter_branches(cfg.rule, sources, [cfg.object_state.amps] * 2, [cfg.swapped_roles] * 2,
+                           [analyzer] * 2)
 
 
 def run_filter_exact(cfg: FilterConfig) -> OutcomeDistribution:
     """Closed-form detector statistics of one filter run."""
     if cfg.evaluation != "exact":
         raise ConfigError("run_filter_exact needs evaluation='exact'")
-    q = float(cfg.noise_q)
-    clicks = np.zeros(2)
-    scatter = 0.0
-    for p_nn, survivor_clicks, flyby_clicks in _branches(cfg):
-        scatter += 0.5 * (1.0 - q) * p_nn
-        clicks += 0.5 * q * flyby_clicks
-        if survivor_clicks is not None:
-            clicks += 0.5 * (1.0 - q) * (1.0 - p_nn) * survivor_clicks
-    survive_mass = clicks.sum()
-    conditional = (
-        (float(clicks[0] / survive_mass), float(clicks[1] / survive_mass))
-        if survive_mass > PHASE_EPS
-        else None
-    )
-    return OutcomeDistribution(float(clicks[0]), float(clicks[1]), float(scatter), conditional)
+    law = filter_law(cfg.noise_q, *_config_branches(cfg))
+    conditional, defined = conditional_clicks(law)
+    conditional = (float(conditional[0]), float(conditional[1])) if defined else None
+    return OutcomeDistribution(float(law[0]), float(law[1]), float(law[2]), conditional)
 
 
 def run_filter_mc(cfg: FilterConfig) -> OutcomeDistribution:
@@ -213,22 +259,8 @@ def run_filter_mc(cfg: FilterConfig) -> OutcomeDistribution:
     """
     if cfg.evaluation != "mc":
         raise ConfigError("run_filter_mc needs evaluation='mc'")
-    q = float(cfg.noise_q)
-    branches = _branches(cfg)
-    p_nn = np.array([b[0] for b in branches])
-    survivor_p1 = np.array([0.0 if b[1] is None else b[1][0] for b in branches])
-    flyby_p1 = np.array([b[2][0] for b in branches])
-
-    rng = derive_rng(cfg.seed)
-    u = rng.random((int(cfg.trials), 4))
-    source = (u[:, 0] >= 0.5).astype(np.intp)
-    flyby = u[:, 1] < q
-    scatter = ~flyby & (u[:, 2] < p_nn[source])
-    p1 = np.where(flyby, flyby_p1[source], survivor_p1[source])
-    click1 = ~scatter & (u[:, 3] < p1)
-    click2 = ~scatter & ~click1
-
-    counts = (int(click1.sum()), int(click2.sum()), int(scatter.sum()))
+    counts = sample_branches(cfg.seed, cfg.trials, float(cfg.noise_q), *_config_branches(cfg))
+    counts = tuple(int(c) for c in counts)
     trials = int(cfg.trials)
     survived = counts[0] + counts[1]
     conditional = (counts[0] / survived, counts[1] / survived) if survived else None
@@ -301,6 +333,16 @@ def _survivor_or_raise(rule: Rule, probe: QubitState, obj: QubitState, noise_q: 
     return out
 
 
+def _survivor_counts(seed, trials, noise_q, out, survivor_law, flyby_law):
+    """Outcome counts of the surviving trials of one input pair and their number; ``out`` at q = 0."""
+    counts = sample_branches(seed, trials, float(noise_q), out.p_scatter, survivor_law, [flyby_law])
+    counts = counts[:-1]
+    n_survivors = int(counts.sum())
+    if n_survivors == 0:
+        raise NoSurvivorsError("all trials scattered; nothing to measure")
+    return counts, n_survivors
+
+
 def run_correlation(
     probe: QubitState,
     obj: QubitState,
@@ -330,29 +372,10 @@ def run_correlation_mc(
     """
     if int(trials) < 1:
         raise ConfigError(f"trials must be >= 1, got {trials!r}")
-    q = float(noise_q)
-    coupled = apply_rule(rule, probe, obj, 0.0)
+    out = coupling_channel(rule, probe.amps, obj.amps, 0.0)
     flyby_cells = joint_born_distribution(tensor_product(probe, obj).density(), basis, basis)
-    # without a survivor every coupled trial scatters, so only fly-by trials reach the detectors
-    survivor_cells = (
-        flyby_cells
-        if coupled.survive_state is None
-        else joint_born_distribution(coupled.survive_state, basis, basis)
-    )
-
-    rng = derive_rng(seed)
-    u = rng.random((int(trials), 3))
-    flyby = u[:, 0] < q
-    scatter = ~flyby & (u[:, 1] < coupled.p_scatter)
-    survived = ~scatter
-    n_survivors = int(survived.sum())
-    if n_survivors == 0:
-        raise NoSurvivorsError("all trials scattered; nothing to measure")
-
-    survivor_flyby = flyby[survived]
-    draws = u[survived, 2]
-    counts = categorical_counts(flyby_cells, draws[survivor_flyby]) + categorical_counts(
-        survivor_cells, draws[~survivor_flyby]
+    counts, n_survivors = _survivor_counts(
+        seed, trials, noise_q, out, joint_born_distribution(out.survivors, basis, basis), flyby_cells
     )
     cells = counts / n_survivors
     return CorrelationResult(
@@ -407,24 +430,10 @@ def run_flip_mc(
     if int(trials) < 1:
         raise ConfigError(f"trials must be >= 1, got {trials!r}")
     exact = run_flip(probe, obj, rule, noise_q)
-    q = float(noise_q)
-    coupled = apply_rule(rule, probe, obj, 0.0)
-    flyby_p_x = born_distribution(probe.density(), BASIS_XY)[0]
-    survivor_p_x = (
-        0.0
-        if coupled.survive_state is None
-        else born_distribution(partial_trace(coupled.survive_state, "probe"), BASIS_XY)[0]
+    out = coupling_channel(rule, probe.amps, obj.amps, 0.0)
+    counts, n_survivors = _survivor_counts(
+        seed, trials, noise_q, out,
+        born_distribution(partial_trace(out.survivors, "probe"), BASIS_XY),
+        born_distribution(probe.density(), BASIS_XY),
     )
-
-    rng = derive_rng(seed)
-    u = rng.random((int(trials), 3))
-    flyby = u[:, 0] < q
-    scatter = ~flyby & (u[:, 1] < coupled.p_scatter)
-    survived = ~scatter
-    n_survivors = int(survived.sum())
-    if n_survivors == 0:
-        raise NoSurvivorsError("all trials scattered; nothing to measure")
-    p_x = np.where(flyby, flyby_p_x, survivor_p_x)
-    outcome_x = survived & (u[:, 2] < p_x)
-    counts = np.array([int(outcome_x.sum()), n_survivors - int(outcome_x.sum())])
     return FlipResult(counts / n_survivors, exact.object_given, counts=counts, trials=int(trials))

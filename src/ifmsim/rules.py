@@ -119,9 +119,9 @@ class Rule:
                 raise InvalidRuleError(f"survive operator must be 4x4, got shape {op.shape}")
             if not np.all(np.isfinite(op)):
                 raise InvalidRuleError("survive operator entries must be finite")
-            slack = np.linalg.eigvalsh(_IDENTITY4 - op.conj().T @ op)
-            if slack.min() < -ATOL:
-                raise ContractionViolationError(slack.min())
+            slack = contraction_slack(op)
+            if slack < -ATOL:
+                raise ContractionViolationError(slack)
             op.setflags(write=False)
             object.__setattr__(self, "operator", op)
         elif self.kind is RuleKind.COHERENT_PROJECTION:
@@ -138,6 +138,12 @@ class Rule:
 
     def __repr__(self) -> str:
         return f"Rule({self.name})"
+
+
+def contraction_slack(operator) -> float:
+    """Most-negative eigenvalue of ``I - K^dag K``; ``K`` is a contraction when it is >= 0."""
+    op = np.asarray(operator, dtype=complex)
+    return float(np.linalg.eigvalsh(_IDENTITY4 - op.conj().T @ op).min())
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,32 +357,23 @@ def swapped_channel(rule: Rule, probe: QubitState, obj: QubitState, noise_q: flo
     return _single(swapped_coupling_channel(rule, probe.amps, obj.amps, noise_q))
 
 
-_BUILTIN_FACTORIES = {
-    RuleKind.PROBE_RIGID.value: lambda basis: probe_rigid(),
-    RuleKind.OBJECT_RIGID.value: lambda basis: object_rigid(),
-    RuleKind.SINGLET.value: lambda basis: singlet_rule(),
-    RuleKind.RANDOM_MIX.value: lambda basis: random_mix(),
-    RuleKind.PREFERRED_BASIS.value: preferred_basis,
-    RuleKind.COHERENT_PROJECTION.value: coherent_projection,
-}
-
-
 def rule_from_name(text: str) -> Rule:
     """Resolve a rule spelling like ``singlet`` or ``preferred-basis:sigma``."""
     if not isinstance(text, str) or not text.strip():
         raise InvalidRuleError("empty rule name")
     spelled = text.strip().lower()
     base, _, basis_label = spelled.partition(":")
-    if base not in _BUILTIN_FACTORIES:
-        known = ", ".join(sorted(_BUILTIN_FACTORIES))
+    builtins = [kind.value for kind in RuleKind if kind is not RuleKind.CUSTOM]
+    if base not in builtins:
+        known = ", ".join(sorted(builtins))
         raise InvalidRuleError(f"unknown rule {text.strip()!r}; built-ins: {known}")
-    needs_basis = base in (RuleKind.PREFERRED_BASIS.value, RuleKind.COHERENT_PROJECTION.value)
+    kind = RuleKind(base)
+    needs_basis = kind in _BASIS_KINDS
     if needs_basis and not basis_label:
         raise InvalidRuleError(f"rule {base!r} needs a basis, e.g. {base}:sigma")
     if not needs_basis and basis_label:
         raise InvalidRuleError(f"rule {base!r} does not take a basis parameter")
-    basis = parse_basis_spec(basis_label) if basis_label else None
-    return _BUILTIN_FACTORIES[base](basis)
+    return Rule(kind, basis=parse_basis_spec(basis_label) if basis_label else None)
 
 
 def load_rule_file(path: str) -> Rule:

@@ -46,6 +46,23 @@ def test_tvd_examples():
     assert tvd([1, 0], [0, 1]) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_tvd_stacks_match_row_loop():
+    rng = derive_rng(5)
+    a = rng.dirichlet(np.ones(3), size=(4, 6))
+    b = rng.dirichlet(np.ones(3), size=(4, 6))
+    stacked = tvd(a, b)
+    assert stacked.shape == (4, 6)
+    for i in range(4):
+        for j in range(6):
+            assert stacked[i, j] == tvd(a[i, j], b[i, j])
+    assert isinstance(tvd(a[0, 0], b[0, 0]), float)
+    a[2, 3] = [0.7, 0.7, 0.1]
+    with pytest.raises(ValueError, match="first distribution sums to 1.5"):
+        tvd(a, b)
+    with pytest.raises(DimensionMismatchError):
+        tvd(a, b[..., :2])
+
+
 def test_tvd_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         tvd([1, 0], [1, 0, 0])
@@ -143,6 +160,21 @@ def test_c1_probe_rigid_fails_with_quarter_and_half():
     assert "roles=normal" in result.witness
 
 
+@pytest.mark.parametrize("rule, roles", [(probe_rigid(), "normal"), (object_rigid(), "swapped")],
+                         ids=["probe-rigid", "object-rigid"])
+def test_c1_default_witness_pinned(rule, roles):
+    result = check_indistinguishability(rule, AuditConfig())
+    assert result.witness == (
+        f"roles={roles} object_basis=XY analyzer=XY mode2=SIGMA q=0 view=conditional"
+    )
+    assert result.evidence == {
+        "mode1": [0.0, 0.5, 0.5],
+        "mode2": [0.24999999999999994, 0.24999999999999994, 0.4999999999999999],
+        "tvd_full": 0.25000000000000006,
+        "tvd_conditional": 0.5,
+    }
+
+
 def test_c1_object_rigid_fails_only_when_swapped():
     result = check_indistinguishability(object_rigid(), FAST_EXACT)
     assert not result.passed
@@ -231,6 +263,23 @@ def test_audit_random_mix_fails_exactly_c3():
         "C3_anti_alignment": False,
         "C4_basis_covariance": True,
     }
+
+
+@pytest.mark.parametrize("config", [FAST_EXACT, FAST_MC], ids=["exact", "mc"])
+def test_always_scatter_rule_fails_without_cases(config):
+    # nothing ever survives a coupling, so C3 has no case to judge
+    report = audit_rule(validate_custom_rule(np.zeros((4, 4)), name="always-scatter"), config)
+    assert not report.overall_pass
+    c3 = report.check(CHECK_IDS[2])
+    assert (c3.passed, c3.metric, c3.witness) == (False, 1.0, "no cases evaluated")
+
+
+@pytest.mark.parametrize("evaluation", ["exact", "mc"])
+def test_c1_without_unbiased_basis_pair_fails(evaluation):
+    # one basis leaves no mode-2 basis to compare against
+    config = AuditConfig(bases=(BASIS_XY,), evaluation=evaluation)
+    result = check_indistinguishability(singlet_rule(), config)
+    assert (result.passed, result.metric, result.witness) == (False, 1.0, "no cases evaluated")
 
 
 def test_audit_deterministic():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 
 import ifmsim
 from ifmsim.audit import AuditReport
-from ifmsim.cli import load_report, main
+from ifmsim.cli import _json_fits, load_report, main
 
 
 @pytest.fixture()
@@ -200,6 +201,41 @@ def test_filter_config_rejects_unknown_keys(runner, tmp_path):
     result = runner.invoke(main, ["run", "filter", "--config", str(path)])
     assert result.exit_code == 2
     assert "wormhole" in result.output or "wormhole" in (result.stderr or "")
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("filter", "swapped_roles", "false"),
+        ("filter", "swapped_roles", 1),
+        ("filter", "source_mode", 1.9),
+        ("filter", "trials", 2.5),
+        ("filter", "seed", 1.7),
+        ("filter", "seed", True),
+        ("filter", "noise_q", [0.1]),
+        ("filter", "object_state", 1),
+        ("audit", "noise_levels", 0.5),
+        ("audit", "noise_levels", [0.0, "0.5"]),
+        ("audit", "input_samples", None),
+        ("audit", "mc_trials", 1e5),
+        ("audit", "bases", 5),
+        ("audit", "bases", ["xy", 1]),
+        ("audit", "epsilon_exact", "1e-9"),
+    ],
+)
+def test_config_file_rejects_wrong_json_types(runner, tmp_path, command, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"rule": "singlet", key: value}))
+    args = ["audit"] if command == "audit" else ["run", "filter"]
+    result = runner.invoke(main, [*args, "--config", str(path)])
+    assert result.exit_code == 2
+    assert f"config key {key!r}" in result.output
+
+
+def test_config_file_fields_have_json_types():
+    for cls in (ifmsim.AuditConfig, ifmsim.FilterConfig):
+        for field in fields(cls):
+            _json_fits(field.type, [None])  # KeyError for a type without a JSON form
 
 
 def test_audit_config_file(runner, tmp_path):

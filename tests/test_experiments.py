@@ -6,6 +6,7 @@ from ifmsim import (
     BASIS_SIGMA,
     BASIS_XY,
     ConfigError,
+    D_PLUS,
     FilterConfig,
     NoSurvivorsError,
     SIGMA_PLUS,
@@ -150,6 +151,18 @@ def test_mc_same_seed_bit_identical():
     assert a.counts == b.counts
     c = run_filter_mc(mc_cfg(singlet_rule(), 1, seed=43))
     assert c.counts != a.counts
+
+
+def test_mc_counts_pinned_per_seed():
+    # counts of the per-trial sampler, fixed for these seeds
+    swapped = mc_cfg(probe_rigid(), 2, trials=20_000, seed=5, noise_q=0.3, swapped_roles=True)
+    assert run_filter_mc(swapped).counts == (3023, 9894, 7083)
+    corr = run_correlation_mc(STATE_Y, SIGMA_PLUS, BASIS_XY, object_rigid(), 0.3,
+                              trials=20_000, seed=3)
+    assert corr.counts.tolist() == [1686, 1775, 4794, 4774]
+    assert corr.survivors == 13_029
+    flip = run_flip_mc(D_PLUS, STATE_X, probe_rigid(), 0.3, trials=20_000, seed=4)
+    assert flip.counts.tolist() == [6383, 6604]
 
 
 def test_mc_close_to_exact():

@@ -414,6 +414,8 @@ def test_rule_from_name():
         rule_from_name("preferred-basis")
     with pytest.raises(InvalidRuleError):
         rule_from_name("singlet:xy")
+    with pytest.raises(InvalidRuleError, match="unknown rule 'custom'; built-ins: coherent-projection"):
+        rule_from_name("custom")
 
 
 def test_rule_requires_basis_when_parameterized():

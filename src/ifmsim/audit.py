@@ -19,8 +19,12 @@ statistical cross-check):
 * C4 basis covariance - rotating both inputs by the same unitary must
   commute with the rule; metric as in C2.
 
-Monte Carlo mode replays each comparison as counts at ``mc_trials``
-trials and applies two-sample chi-square tests; the p-value threshold
+Monte Carlo mode draws each comparison's counts at ``mc_trials`` trials
+as one multinomial draw of the case's exact law, the same law the exact
+evaluator builds, so the work grows with the number of cells, not with
+the number of trials.  All cases of a check and side come from one Philox
+stream, ``derive_rng(seed, stream, side)``.  Two-sample chi-square tests
+compare the counts; the p-value threshold
 ``epsilon_mc`` is spent family-wise across a check's comparisons
 (Bonferroni), so a rule whose exact metric is zero is not failed by a
 single unlucky case among many.  C3's Monte Carlo verdict demands zero
@@ -40,14 +44,12 @@ import numpy as np
 
 from .experiments import (
     ConfigError,
-    categorical_counts,
+    check_integer_fields,
     check_mode_equivalence,
     conditional_clicks,
     derive_rng,
-    derive_seed,
     filter_branches,
     filter_law,
-    sample_branches,
 )
 from .rules import Coupling, Rule, coupling_channel, swapped_coupling_channel
 from .states import (
@@ -200,6 +202,7 @@ class AuditConfig:
     mc_unitary_samples: int = 6
 
     def __post_init__(self):
+        check_integer_fields(self)
         if not self.bases:
             raise ConfigError("bases must not be empty")
         if not 0.0 < float(self.epsilon_exact) < 1.0:
@@ -429,8 +432,8 @@ def _mode_pair_cases(config: AuditConfig, analyzers: str):
     return cases
 
 
-def _mode_pair_branches(rule: Rule, cases):
-    """Filter branches of the C1 cases over (case, source mode, branch).
+def _mode_pair_laws(rule: Rule, cases) -> np.ndarray:
+    """Detector laws of the C1 cases over (case, source mode, outcome).
 
     Mode 1 emits the object basis, mode 2 the mode-2 basis; each pair of
     the two is checked once to share a density matrix.
@@ -446,7 +449,12 @@ def _mode_pair_branches(rule: Rule, cases):
         np.repeat([c[0] for c in cases], 4),
         np.repeat([_amps(c[2].states()) for c in cases], 4, axis=0),
     )
-    return [x.reshape(n, 2, 2, *x.shape[1:]) for x in branches]
+    q = np.array([c[4] for c in cases])[:, None]
+    return filter_law(q, *(x.reshape(n, 2, 2, *x.shape[1:]) for x in branches))
+
+
+# C1 compares the full detector law and the click law given survival.
+_C1_VIEWS = ("full", "conditional")
 
 
 def _case_label(swapped, object_basis, analyzer, mode2_basis, q) -> str:
@@ -464,8 +472,7 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
     cases = _mode_pair_cases(config, analyzers="all")
     if not cases:
         return _no_cases(CHECK_IDS[0], config.epsilon_exact)
-    q = np.array([c[4] for c in cases])[:, None]
-    laws = filter_law(q, *_mode_pair_branches(rule, cases))
+    laws = _mode_pair_laws(rule, cases)
     conditional, defined = conditional_clicks(laws)
     both = defined.all(axis=1)
     t_full = tvd(laws[:, 0], laws[:, 1])
@@ -479,46 +486,58 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
         "tvd_full": float(t_full[n]),
         "tvd_conditional": float(t_cond[n]) if both[n] else None,
     }
-    witness = _case_label(*cases[n]) + f" view={('full', 'conditional')[k]}"
+    witness = _case_label(*cases[n]) + f" view={_C1_VIEWS[k]}"
     return _exact_verdict(CHECK_IDS[0], float(views[n, k]), witness, evidence, config)
+
+
+def _mc_counts(config: AuditConfig, stream: int, side: int, laws) -> np.ndarray:
+    """Counts of ``mc_trials`` trials for each row law of ``laws`` (..., cells), one draw.
+
+    Rows are normalised to sum to 1, so rounding cannot trip the
+    multinomial's check on the cell probabilities.
+    """
+    laws = np.asarray(laws, dtype=float)
+    laws = laws / laws.sum(axis=-1, keepdims=True)
+    return derive_rng(config.seed, stream, side).multinomial(config.mc_trials, laws)
 
 
 def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
     cases = _mode_pair_cases(config, analyzers="object")
     if not cases:
-        return _mc_verdict(CHECK_IDS[0], [], config)
-    p, survivor, flyby = _mode_pair_branches(rule, cases)
-    comparisons = []  # (1 - p_value, label, evidence)
-    for idx, case in enumerate(cases):
-        d1, d2 = (
-            sample_branches(derive_seed(config.seed, 11, idx, m + 1), config.mc_trials, case[4],
-                            p[idx, m], survivor[idx, m], flyby[idx, m])
-            for m in (0, 1)
-        )
-        for view, c1, c2 in (("full", d1, d2), ("conditional", d1[:2], d2[:2])):
+        return _no_cases(CHECK_IDS[0], 1.0)
+    laws = _mode_pair_laws(rule, cases)
+    d1, d2 = (_mc_counts(config, 11, m + 1, laws[:, m]) for m in (0, 1))
+    comparisons = []  # (1 - p_value, case, view, evidence)
+    for idx in range(len(cases)):
+        for view, cells in enumerate((slice(None), slice(0, 2))):
+            c1, c2 = d1[idx, cells], d2[idx, cells]
             try:
                 _, p_value = chi_square_two_sample(c1, c2)
             except DegenerateDataError:
                 continue
-            comparisons.append(
-                (
-                    1.0 - p_value,
-                    _case_label(*case) + f" view={view}",
-                    {"counts_mode1": list(map(int, c1)), "counts_mode2": list(map(int, c2)),
-                     "p_value": p_value},
-                )
-            )
-    return _mc_verdict(CHECK_IDS[0], comparisons, config)
+            evidence = {"counts_mode1": list(map(int, c1)), "counts_mode2": list(map(int, c2)),
+                        "p_value": p_value}
+            comparisons.append((1.0 - p_value, idx, view, evidence))
+
+    def witness(idx: int, view: int) -> str:
+        return _case_label(*cases[idx]) + f" view={_C1_VIEWS[view]}"
+
+    return _mc_verdict(CHECK_IDS[0], comparisons, config, witness)
 
 
-def _mc_verdict(check_id: str, comparisons, config: AuditConfig) -> CheckResult:
-    """Family-wise chi-square verdict: every p-value must clear the shared budget."""
+def _mc_verdict(check_id: str, comparisons, config: AuditConfig, witness) -> CheckResult:
+    """Family-wise chi-square verdict: every p-value must clear the shared budget.
+
+    Comparisons are ``(1 - p_value, row, column, evidence)``; only the first
+    worst one is labelled, by ``witness(row, column)``.
+    """
     if not comparisons:
         return _no_cases(check_id, 1.0)
     per_case = config.epsilon_mc / len(comparisons)
     threshold = 1.0 - per_case
-    worst, witness, evidence = max(comparisons, key=lambda item: item[0])
-    return CheckResult(check_id, worst < threshold, worst, threshold, witness, evidence)
+    worst, row, column, evidence = max(comparisons, key=lambda item: item[0])
+    return CheckResult(check_id, worst < threshold, worst, threshold, witness(row, column),
+                       evidence)
 
 
 def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
@@ -543,36 +562,32 @@ def _outcome_laws(out: Coupling, basis: Basis) -> np.ndarray:
     return np.clip(np.column_stack([survive[:, None] * cells, out.p_scatter]), 0.0, None)
 
 
-def _mc_law_comparisons(config, label, out_a: Coupling, out_b: Coupling, stream):
-    """chi-square comparisons of the five-outcome laws of two couplings, row by row."""
-    laws = [(_outcome_laws(out_a, b), _outcome_laws(out_b, b)) for b in config.bases]
-    comparisons = []
-    case_idx = 0
-    for row in range(len(out_a.p_scatter)):
-        row_label = label(row)
-        for basis, (laws_a, laws_b) in zip(config.bases, laws):
-            u_a = derive_rng(config.seed, stream, case_idx, 1).random(config.mc_trials)
-            u_b = derive_rng(config.seed, stream, case_idx, 2).random(config.mc_trials)
-            counts_a = categorical_counts(laws_a[row], u_a)
-            counts_b = categorical_counts(laws_b[row], u_b)
-            case_idx += 1
-            try:
-                _, p_value = chi_square_two_sample(counts_a, counts_b)
-            except DegenerateDataError:
-                continue
-            comparisons.append(
-                (
-                    1.0 - p_value,
-                    f"{row_label} basis={basis.label}",
-                    {"p_value": p_value},
-                )
-            )
-    return comparisons
+def _basis_laws(out: Coupling, bases) -> np.ndarray:
+    """Five-outcome laws of every row in every basis, ``(rows, bases, 5)``."""
+    return np.stack([_outcome_laws(out, b) for b in bases], axis=1)
+
+
+def _mc_law_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, stream):
+    """Family-wise verdict of chi-square comparisons of two couplings' five-outcome laws."""
+    counts_a = _mc_counts(config, stream, 1, _basis_laws(out_a, config.bases))
+    counts_b = _mc_counts(config, stream, 2, _basis_laws(out_b, config.bases))
+    comparisons = []  # (1 - p_value, row, basis index, evidence)
+    for row, k in np.ndindex(counts_a.shape[:2]):
+        try:
+            _, p_value = chi_square_two_sample(counts_a[row, k], counts_b[row, k])
+        except DegenerateDataError:
+            continue
+        comparisons.append((1.0 - p_value, row, k, {"p_value": p_value}))
+
+    def witness(row: int, k: int) -> str:
+        return f"{label(row)} basis={config.bases[k].label}"
+
+    return _mc_verdict(check_id, comparisons, config, witness)
 
 
 def _check_c2_mc(rule: Rule, config: AuditConfig) -> CheckResult:
     cases = _role_cases(rule, config, _MC_CORNER_PAIRS, 21, config.mc_input_samples)
-    return _mc_verdict(CHECK_IDS[1], _mc_law_comparisons(config, *cases, 22), config)
+    return _mc_law_verdict(CHECK_IDS[1], config, *cases, 22)
 
 
 def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
@@ -602,31 +617,19 @@ def _check_c3_mc(rule: Rule, config: AuditConfig) -> CheckResult:
         rule, config, _MC_CORNER_PAIRS, 31, config.mc_input_samples
     )
     threshold = 0.5 / config.mc_trials
-    worst = 0.0
-    witness = "no aligned events observed"
-    evidence = None
-    case_idx = 0
-    evaluated = 0
-    for i, (p_scatter, survivor) in enumerate(zip(out.p_scatter, out.survivors)):
-        for basis in config.bases:
-            cells = joint_born_distribution(survivor, basis, basis)
-            case_rng = derive_rng(config.seed, 32, case_idx)
-            case_idx += 1
-            u = case_rng.random((config.mc_trials, 2))
-            survived = u[:, 0] >= p_scatter
-            n_survivors = int(survived.sum())
-            if n_survivors == 0:
-                continue
-            evaluated += 1
-            counts = categorical_counts(cells, u[survived, 1])
-            aligned_events = int(counts[0] + counts[3])
-            fraction = aligned_events / n_survivors
-            if fraction > worst:
-                worst = fraction
-                witness = f"{label(i)} basis={basis.label}"
-                evidence = {"aligned_events": aligned_events, "survivors": n_survivors}
-    if not evaluated:
+    counts = _mc_counts(config, 32, 1, _basis_laws(out, config.bases))
+    survivors = config.mc_trials - counts[..., 4]
+    aligned_events = counts[..., 0] + counts[..., 3]
+    if not survivors.any():
         return _no_cases(CHECK_IDS[2], threshold)
+    fraction = aligned_events / np.maximum(survivors, 1)
+    n, k = np.unravel_index(np.argmax(fraction), fraction.shape)
+    worst = float(fraction[n, k])
+    if worst == 0.0:
+        witness, evidence = "no aligned events observed", None
+    else:
+        witness = f"{label(n)} basis={config.bases[k].label}"
+        evidence = {"aligned_events": int(aligned_events[n, k]), "survivors": int(survivors[n, k])}
     return CheckResult(CHECK_IDS[2], worst < threshold, worst, threshold, witness, evidence)
 
 
@@ -649,7 +652,7 @@ def check_basis_covariance(rule: Rule, config: AuditConfig) -> CheckResult:
 
 def _check_c4_mc(rule: Rule, config: AuditConfig) -> CheckResult:
     cases = _covariance_cases(rule, config, _MC_CORNER_PAIRS, 41, config.mc_unitary_samples)
-    return _mc_verdict(CHECK_IDS[3], _mc_law_comparisons(config, *cases, 42), config)
+    return _mc_law_verdict(CHECK_IDS[3], config, *cases, 42)
 
 
 def audit_rule(rule: Rule, config: AuditConfig | None = None) -> AuditReport:

@@ -20,12 +20,15 @@ through ``numpy.random.SeedSequence(seed, spawn_key=stream)``, which is
 platform independent.  Per-trial randomness is taken row-wise from one
 ``(trials, k)`` uniform block, so trial ``i`` is a pure function of
 ``(seed, stream, i)`` and aggregation is order independent; identical
-seeds give bit-identical counts.
+seeds give bit-identical counts.  The block is drawn from the one
+generator in chunks of ``CHUNK_ROWS`` rows, which yields the same
+uniforms as one draw while bounding memory for any trial count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -54,6 +57,18 @@ class ConfigError(ValueError):
 
 class NoSurvivorsError(ValueError):
     """The requested statistics condition on survivors, but none exist."""
+
+
+# Rows of the per-trial uniform block drawn at a time: 8 MB at the filter's width 4.
+CHUNK_ROWS = 1 << 18
+
+
+def check_integer_fields(config) -> None:
+    """Reject bools and non-integers in the ``int`` fields of a config dataclass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
 
 
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -98,6 +113,7 @@ class FilterConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer_fields(self)
         if not isinstance(self.rule, Rule):
             raise ConfigError("rule must be a Rule")
         if self.source_mode not in (1, 2):
@@ -216,10 +232,25 @@ def sample_branches(seed: int, trials: int, q: float, p_scatter, survivor_laws, 
 
     Trial ``i`` is row ``i`` of one uniform block: a branch column (``u >=
     1/2`` picks the second) when there are two, then fly-by (``u < q``),
-    scatter and outcome.  Outcomes are counted per (branch, fly-by) group.
+    scatter and outcome.  The block is drawn in chunks of ``CHUNK_ROWS``
+    rows from one generator, which gives the same rows as one draw.
+    """
+    rng = derive_rng(seed)
+    trials = int(trials)
+    width = len(p_scatter) + 2
+    return sum(
+        _block_counts(rng.random((min(CHUNK_ROWS, trials - start), width)), q, p_scatter,
+                      survivor_laws, flyby_laws)
+        for start in range(0, trials, CHUNK_ROWS)
+    )
+
+
+def _block_counts(u, q, p_scatter, survivor_laws, flyby_laws):
+    """``sample_branches`` counts of the trials in the uniform rows ``u``.
+
+    Outcomes are counted per (branch, fly-by) group.
     """
     n = len(p_scatter)
-    u = derive_rng(seed).random((int(trials), n + 2))
     source = u[:, 0] >= 0.5 if n == 2 else np.zeros(len(u), dtype=bool)
     flyby = u[:, -3] < q
     scatter = ~flyby & (u[:, -2] < np.where(source, p_scatter[-1], p_scatter[0]))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -28,6 +30,7 @@ from ifmsim import (
     tvd,
     validate_custom_rule,
 )
+from ifmsim.audit import _chi_square_sf, _mc_counts
 from ifmsim.experiments import derive_rng
 
 FAST_EXACT = AuditConfig(unitary_samples=25, input_samples=40, seed=11)
@@ -324,6 +327,67 @@ def test_mc_audit_deterministic():
     a = audit_rule(probe_rigid(), FAST_MC)
     b = audit_rule(probe_rigid(), FAST_MC)
     assert a.to_json() == b.to_json()
+
+
+def test_mc_audit_cost_does_not_grow_with_trials():
+    config = AuditConfig(evaluation="mc", mc_trials=10**9)
+    start = time.perf_counter()
+    verdicts = {
+        rule.name: "".join("P" if c.passed else "F" for c in audit_rule(rule, config).checks)
+        for rule in (singlet_rule(), probe_rigid())
+    }
+    assert time.perf_counter() - start < 10.0
+    assert verdicts == {"singlet": "PPPP", "probe-rigid": "FFFP"}
+
+
+@pytest.mark.parametrize(
+    "rule", [singlet_rule(), probe_rigid(), object_rigid()], ids=lambda rule: rule.name
+)
+def test_mc_c1_evidence_counts_cover_every_trial(rule):
+    result = check_indistinguishability(rule, FAST_MC)
+    counts = [sum(result.evidence[key]) for key in ("counts_mode1", "counts_mode2")]
+    if result.witness.endswith("view=full"):
+        assert counts == [FAST_MC.mc_trials] * 2
+    else:
+        assert max(counts) <= FAST_MC.mc_trials
+
+
+@pytest.mark.parametrize(
+    "rule", [random_mix(), probe_rigid(), preferred_basis(BASIS_SIGMA)], ids=lambda rule: rule.name
+)
+def test_mc_c3_evidence_counts_are_nested(rule):
+    result = check_anti_alignment(rule, FAST_MC)
+    assert not result.passed
+    evidence = result.evidence
+    assert 0 < evidence["aligned_events"] <= evidence["survivors"] <= FAST_MC.mc_trials
+    assert result.metric == evidence["aligned_events"] / evidence["survivors"]
+    # the aligned fraction of survivors estimates the exact aligned weight
+    assert result.metric == pytest.approx(check_anti_alignment(rule, FAST_EXACT).metric, abs=0.02)
+
+
+def test_mc_counts_null_calibration():
+    # rows with zero cells and with sums off 1 by rounding; every row must follow its law
+    laws = np.array([
+        [0.1, 0.2, 0.3, 0.4, 0.0],
+        [0.25, 0.0, 0.0, 0.25, 0.5],
+        [0.5 + 1e-9, 0.5 + 1e-9, 0.0, 0.0, 0.0],
+        [0.2, 0.2, 0.2, 0.2, 0.2 - 1e-12],
+    ])
+    probs = laws / laws.sum(axis=1, keepdims=True)
+    good = total = 0
+    for seed in range(100):
+        config = AuditConfig(evaluation="mc", seed=seed, mc_trials=100_000)
+        counts = _mc_counts(config, 22, 1, laws[None])[0]
+        assert counts.shape == laws.shape
+        assert np.all(counts.sum(axis=1) == config.mc_trials)
+        assert np.all(counts[laws == 0] == 0)
+        for row, p in zip(counts, probs):
+            keep = p > 0
+            expected = config.mc_trials * p[keep]
+            stat = float(np.sum((row[keep] - expected) ** 2 / expected))
+            good += _chi_square_sf(stat, int(keep.sum()) - 1) > 0.01
+            total += 1
+    assert good >= 0.95 * total
 
 
 def test_audit_config_validation():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ifmsim import (
+    AuditConfig,
     BASIS_DIAG,
     BASIS_SIGMA,
     BASIS_XY,
@@ -31,7 +32,7 @@ from ifmsim import (
     singlet_rule,
     tvd,
 )
-from ifmsim.experiments import categorical_counts
+from ifmsim.experiments import CHUNK_ROWS, _config_branches, categorical_counts
 from ifmsim.rules import builtin_rules, coherent_projection
 
 
@@ -276,6 +277,47 @@ def test_coherent_projection_filter_runs():
 def test_preferred_basis_filter_runs():
     dist = run_filter_exact(exact_cfg(preferred_basis(BASIS_SIGMA), 2))
     assert dist.probabilities().sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (FilterConfig, "source_mode", True),
+        (FilterConfig, "trials", 2.5),
+        (FilterConfig, "trials", 3.0),
+        (FilterConfig, "seed", False),
+        (AuditConfig, "input_samples", 2.5),
+        (AuditConfig, "seed", True),
+        (AuditConfig, "mc_trials", 2.5),
+        (AuditConfig, "unitary_samples", "10"),
+        (AuditConfig, "mc_unitary_samples", np.float64(2.0)),
+        (AuditConfig, "mc_input_samples", None),
+    ],
+)
+def test_config_integer_fields_reject_bools_and_non_integers(cls, field, value):
+    base = {"rule": singlet_rule()} if cls is FilterConfig else {}
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+        cls(**base, **{field: value})
+    assert getattr(cls(**base, **{field: np.int64(1)}), field) == 1
+
+
+@pytest.mark.parametrize("rule", [singlet_rule(), probe_rigid()], ids=lambda rule: rule.name)
+@pytest.mark.parametrize("q", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "trials", [1, 1000, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 7, 2_000_000]
+)
+def test_sample_branches_chunks_match_one_block(rule, q, trials):
+    cfg = mc_cfg(rule, 2, trials=trials, seed=17, noise_q=q)
+    p_scatter, survivor, flyby = _config_branches(cfg)
+    # one (trials, 4) block: source branch, fly-by, scatter, outcome per trial
+    u = derive_rng(17).random((trials, 4))
+    branch = (u[:, 0] >= 0.5).astype(int)
+    fly = u[:, 1] < q
+    scatter = ~fly & (u[:, 2] < p_scatter[branch])
+    laws = np.where(fly[:, None], flyby[branch], survivor[branch])
+    cells = np.count_nonzero(u[~scatter, 3:] >= np.cumsum(laws[~scatter], axis=1)[:, :-1], axis=1)
+    want = np.append(np.bincount(cells, minlength=2), np.count_nonzero(scatter))
+    assert run_filter_mc(cfg).counts == tuple(int(c) for c in want)
 
 
 def test_derive_rng_streams_differ():

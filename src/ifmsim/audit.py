@@ -23,12 +23,12 @@ Monte Carlo mode draws each comparison's counts at ``mc_trials`` trials
 as one multinomial draw of the case's exact law, the same law the exact
 evaluator builds, so the work grows with the number of cells, not with
 the number of trials.  All cases of a check and side come from one Philox
-stream, ``derive_rng(seed, stream, side)``.  Two-sample chi-square tests
-compare the counts; the p-value threshold
-``epsilon_mc`` is spent family-wise across a check's comparisons
-(Bonferroni), so a rule whose exact metric is zero is not failed by a
-single unlucky case among many.  C3's Monte Carlo verdict demands zero
-aligned events among the coupled survivors.
+stream, ``derive_rng(seed, stream, side)``.  One stacked two-sample
+chi-square call per check compares all of its counts; the p-value
+threshold ``epsilon_mc`` is spent family-wise across the check's
+informative comparisons (Bonferroni), so a rule whose exact metric is
+zero is not failed by a single unlucky case among many.  C3's Monte
+Carlo verdict demands zero aligned events among the coupled survivors.
 
 Every sampled quantity derives from ``AuditConfig.seed`` through fixed
 streams, so identical configs produce identical reports.
@@ -121,34 +121,48 @@ def tvd(d1, d2):
     return float(t) if t.ndim == 0 else t
 
 
-def chi_square_two_sample(counts_a, counts_b) -> tuple[float, float]:
+def chi_square_two_sample(counts_a, counts_b):
     """Two-sample chi-square statistic and p-value over pooled expected counts.
 
     Cells with pooled count zero are dropped; degrees of freedom are the
     remaining cell count minus one; the p-value is the chi-square survival
-    function at the statistic.
+    function at the statistic.  Two vectors give floats, and a
+    ``DegenerateDataError`` when a sample is empty or fewer than two cells
+    remain.  Stacks ``(..., k)`` broadcast over the leading axes and give
+    arrays, NaN on such degenerate rows.
     """
-    a = np.asarray(counts_a, dtype=float).reshape(-1)
-    b = np.asarray(counts_b, dtype=float).reshape(-1)
-    if a.shape != b.shape:
+    a = np.asarray(counts_a, dtype=float)
+    b = np.asarray(counts_b, dtype=float)
+    if a.shape[-1:] != b.shape[-1:]:
         raise DimensionMismatchError(f"outcome spaces differ: {a.shape} vs {b.shape}")
     if np.any(a < 0) or np.any(b < 0):
         raise ValueError("counts must be non-negative")
-    total_a, total_b = a.sum(), b.sum()
-    if total_a <= 0 or total_b <= 0:
-        raise DegenerateDataError("each sample needs at least one count")
+    a, b = np.broadcast_arrays(a, b)
+    total_a, total_b = a.sum(axis=-1), b.sum(axis=-1)
     pooled = a + b
     keep = pooled > 0
-    if int(keep.sum()) < 2:
+    dof = keep.sum(axis=-1) - 1
+    filled = (total_a > 0) & (total_b > 0)
+    if a.ndim == 1 and not filled:
+        raise DegenerateDataError("each sample needs at least one count")
+    if a.ndim == 1 and dof < 1:
         raise DegenerateDataError("fewer than 2 nonzero pooled cells")
-    expected_a = total_a * pooled[keep] / (total_a + total_b)
-    expected_b = total_b * pooled[keep] / (total_a + total_b)
-    stat = float(
-        np.sum((a[keep] - expected_a) ** 2 / expected_a)
-        + np.sum((b[keep] - expected_b) ** 2 / expected_b)
-    )
-    dof = int(keep.sum()) - 1
-    return stat, _chi_square_sf(stat, dof)
+    valid = filled & (dof >= 1)
+    use = keep & valid[..., None]
+    grand_total = (total_a + total_b)[..., None]
+
+    def squared_deviations(x, total):
+        expected = np.divide(total[..., None] * pooled, grand_total,
+                             out=np.zeros_like(pooled), where=use)
+        return np.divide((x - expected) ** 2, expected,
+                         out=np.zeros_like(pooled), where=use).sum(axis=-1)
+
+    stat = np.where(valid, squared_deviations(a, total_a) + squared_deviations(b, total_b), np.nan)
+    if stat.ndim == 0:
+        return float(stat), _chi_square_sf(float(stat), int(dof))
+    p_value = np.full(stat.shape, np.nan)
+    p_value[valid] = np.vectorize(_chi_square_sf, otypes=[float])(stat[valid], dof[valid])
+    return stat, p_value
 
 
 def _chi_square_sf(stat: float, dof: int) -> float:
@@ -213,6 +227,8 @@ class AuditConfig:
                       self.mc_input_samples, self.mc_unitary_samples):
             if int(count) < 1:
                 raise ConfigError("sample counts must be positive")
+        if int(self.seed) < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if not self.noise_levels:
             raise ConfigError("noise_levels must not be empty")
         for q in self.noise_levels:
@@ -334,15 +350,22 @@ def _by_input(couplings: list[Coupling]) -> Coupling:
     )
 
 
-def _discrepancy(a: Coupling, b: Coupling) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: max(scatter gap, 1 - fidelity) and the fidelity of the survivors.
+def _exact_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, names):
+    """C2/C4 exact: the first row of worst max(scatter gap, 1 - fidelity of the survivors).
 
     A row where only one side survives has fidelity 0; where neither
-    does, fidelity 1, so only the scatter gap counts.
+    does, fidelity 1, so only the scatter gap counts.  ``names`` name the
+    two sides in the evidence keys ``p_scatter_<name>``.
     """
-    both = a.alive & b.alive
-    f = np.where(both, fidelity(a.survivors, b.survivors), (a.alive == b.alive).astype(float))
-    return np.maximum(np.abs(a.p_scatter - b.p_scatter), 1.0 - f), f
+    both = out_a.alive & out_b.alive
+    f = np.where(both, fidelity(out_a.survivors, out_b.survivors),
+                 (out_a.alive == out_b.alive).astype(float))
+    disc = np.maximum(np.abs(out_a.p_scatter - out_b.p_scatter), 1.0 - f)
+    row = int(np.argmax(disc))
+    evidence = {f"p_scatter_{name}": float(out.p_scatter[row])
+                for name, out in zip(names, (out_a, out_b))}
+    evidence["fidelity"] = float(f[row])
+    return _exact_verdict(check_id, float(disc[row]), label(row), evidence, config)
 
 
 def _input_grid(corner_pairs, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -507,52 +530,49 @@ def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
         return _no_cases(CHECK_IDS[0], 1.0)
     laws = _mode_pair_laws(rule, cases)
     d1, d2 = (_mc_counts(config, 11, m + 1, laws[:, m]) for m in (0, 1))
-    comparisons = []  # (1 - p_value, case, view, evidence)
-    for idx in range(len(cases)):
-        for view, cells in enumerate((slice(None), slice(0, 2))):
-            c1, c2 = d1[idx, cells], d2[idx, cells]
-            try:
-                _, p_value = chi_square_two_sample(c1, c2)
-            except DegenerateDataError:
-                continue
-            evidence = {"counts_mode1": list(map(int, c1)), "counts_mode2": list(map(int, c2)),
-                        "p_value": p_value}
-            comparisons.append((1.0 - p_value, idx, view, evidence))
+    # One column per view; the conditional one zeroes the scatter cell, which
+    # the test then drops as a pooled-zero cell.
+    views1, views2 = (np.stack([d, d * [1, 1, 0]], axis=1) for d in (d1, d2))
 
     def witness(idx: int, view: int) -> str:
         return _case_label(*cases[idx]) + f" view={_C1_VIEWS[view]}"
 
-    return _mc_verdict(CHECK_IDS[0], comparisons, config, witness)
+    def evidence(idx: int, view: int) -> dict:
+        cells = slice(None) if view == 0 else slice(0, 2)
+        return {"counts_mode1": list(map(int, d1[idx, cells])),
+                "counts_mode2": list(map(int, d2[idx, cells]))}
+
+    return _mc_verdict(CHECK_IDS[0], config, views1, views2, witness, evidence)
 
 
-def _mc_verdict(check_id: str, comparisons, config: AuditConfig, witness) -> CheckResult:
-    """Family-wise chi-square verdict: every p-value must clear the shared budget.
+def _mc_verdict(check_id: str, config: AuditConfig, counts_a, counts_b, witness,
+                evidence) -> CheckResult:
+    """Family-wise verdict of one chi-square test over ``(rows, columns, cells)`` counts.
 
-    Comparisons are ``(1 - p_value, row, column, evidence)``; only the first
-    worst one is labelled, by ``witness(row, column)``.
+    Every comparison with a p-value must clear the shared budget
+    ``epsilon_mc`` (Bonferroni).  Only the first worst one is labelled, by
+    ``witness(row, column)``, with ``evidence(row, column)`` and its p-value.
     """
-    if not comparisons:
+    _, p_values = chi_square_two_sample(counts_a, counts_b)
+    informative = ~np.isnan(p_values)
+    if not informative.any():
         return _no_cases(check_id, 1.0)
-    per_case = config.epsilon_mc / len(comparisons)
-    threshold = 1.0 - per_case
-    worst, row, column, evidence = max(comparisons, key=lambda item: item[0])
+    threshold = 1.0 - config.epsilon_mc / int(informative.sum())
+    row, column = divmod(int(np.argmax(np.where(informative, 1.0 - p_values, -1.0))),
+                         p_values.shape[1])
+    p_value = float(p_values[row, column])
+    worst = 1.0 - p_value
     return CheckResult(check_id, worst < threshold, worst, threshold, witness(row, column),
-                       evidence)
+                       {**evidence(row, column), "p_value": p_value})
 
 
 def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
     """C2: exchanging the partners and SWAPping back must change nothing."""
     if config.evaluation == "mc":
-        return _check_c2_mc(rule, config)
-    label, direct, mirrored = _role_cases(rule, config, _corner_pairs(), 2, config.input_samples)
-    disc, f = _discrepancy(direct, mirrored)
-    row = int(np.argmax(disc))
-    evidence = {
-        "p_scatter_direct": float(direct.p_scatter[row]),
-        "p_scatter_swapped": float(mirrored.p_scatter[row]),
-        "fidelity": float(f[row]),
-    }
-    return _exact_verdict(CHECK_IDS[1], float(disc[row]), label(row), evidence, config)
+        cases = _role_cases(rule, config, _MC_CORNER_PAIRS, 21, config.mc_input_samples)
+        return _mc_pair_verdict(CHECK_IDS[1], config, *cases, 22)
+    cases = _role_cases(rule, config, _corner_pairs(), 2, config.input_samples)
+    return _exact_pair_verdict(CHECK_IDS[1], config, *cases, ("direct", "swapped"))
 
 
 def _outcome_laws(out: Coupling, basis: Basis) -> np.ndarray:
@@ -567,27 +587,15 @@ def _basis_laws(out: Coupling, bases) -> np.ndarray:
     return np.stack([_outcome_laws(out, b) for b in bases], axis=1)
 
 
-def _mc_law_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, stream):
-    """Family-wise verdict of chi-square comparisons of two couplings' five-outcome laws."""
+def _mc_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, stream):
+    """C2/C4 Monte Carlo: the two couplings' five-outcome laws compared in every basis."""
     counts_a = _mc_counts(config, stream, 1, _basis_laws(out_a, config.bases))
     counts_b = _mc_counts(config, stream, 2, _basis_laws(out_b, config.bases))
-    comparisons = []  # (1 - p_value, row, basis index, evidence)
-    for row, k in np.ndindex(counts_a.shape[:2]):
-        try:
-            _, p_value = chi_square_two_sample(counts_a[row, k], counts_b[row, k])
-        except DegenerateDataError:
-            continue
-        comparisons.append((1.0 - p_value, row, k, {"p_value": p_value}))
 
     def witness(row: int, k: int) -> str:
         return f"{label(row)} basis={config.bases[k].label}"
 
-    return _mc_verdict(check_id, comparisons, config, witness)
-
-
-def _check_c2_mc(rule: Rule, config: AuditConfig) -> CheckResult:
-    cases = _role_cases(rule, config, _MC_CORNER_PAIRS, 21, config.mc_input_samples)
-    return _mc_law_verdict(CHECK_IDS[1], config, *cases, 22)
+    return _mc_verdict(check_id, config, counts_a, counts_b, witness, lambda row, k: {})
 
 
 def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
@@ -636,23 +644,10 @@ def _check_c3_mc(rule: Rule, config: AuditConfig) -> CheckResult:
 def check_basis_covariance(rule: Rule, config: AuditConfig) -> CheckResult:
     """C4: the rule must commute with identical rotations of both inputs."""
     if config.evaluation == "mc":
-        return _check_c4_mc(rule, config)
-    label, rotated, conjugated = _covariance_cases(
-        rule, config, _corner_pairs(), 4, config.unitary_samples
-    )
-    disc, f = _discrepancy(rotated, conjugated)
-    row = int(np.argmax(disc))
-    evidence = {
-        "p_scatter_rotated": float(rotated.p_scatter[row]),
-        "p_scatter_base": float(conjugated.p_scatter[row]),
-        "fidelity": float(f[row]),
-    }
-    return _exact_verdict(CHECK_IDS[3], float(disc[row]), label(row), evidence, config)
-
-
-def _check_c4_mc(rule: Rule, config: AuditConfig) -> CheckResult:
-    cases = _covariance_cases(rule, config, _MC_CORNER_PAIRS, 41, config.mc_unitary_samples)
-    return _mc_law_verdict(CHECK_IDS[3], config, *cases, 42)
+        cases = _covariance_cases(rule, config, _MC_CORNER_PAIRS, 41, config.mc_unitary_samples)
+        return _mc_pair_verdict(CHECK_IDS[3], config, *cases, 42)
+    cases = _covariance_cases(rule, config, _corner_pairs(), 4, config.unitary_samples)
+    return _exact_pair_verdict(CHECK_IDS[3], config, *cases, ("rotated", "base"))
 
 
 def audit_rule(rule: Rule, config: AuditConfig | None = None) -> AuditReport:

@@ -130,6 +130,8 @@ class FilterConfig:
             raise ConfigError(f"evaluation must be 'exact' or 'mc', got {self.evaluation!r}")
         if int(self.trials) < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials!r}")
+        if int(self.seed) < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
 
     def resolved_source_basis(self) -> Basis:
         """Explicit source basis, or the mode default.
@@ -366,6 +368,12 @@ def _survivor_or_raise(rule: Rule, probe: QubitState, obj: QubitState, noise_q: 
 
 def _survivor_counts(seed, trials, noise_q, out, survivor_law, flyby_law):
     """Outcome counts of the surviving trials of one input pair and their number; ``out`` at q = 0."""
+    if not 0.0 <= float(noise_q) <= 1.0:
+        raise ConfigError(f"noise_q must be within [0, 1], got {float(noise_q)}")
+    if int(trials) < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials!r}")
+    if int(seed) < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed!r}")
     counts = sample_branches(seed, trials, float(noise_q), out.p_scatter, survivor_law, [flyby_law])
     counts = counts[:-1]
     n_survivors = int(counts.sum())
@@ -401,8 +409,6 @@ def run_correlation_mc(
     Trials that scatter yield no pair to measure; cell statistics are
     reported over the surviving trials.
     """
-    if int(trials) < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials!r}")
     out = coupling_channel(rule, probe.amps, obj.amps, 0.0)
     flyby_cells = joint_born_distribution(tensor_product(probe, obj).density(), basis, basis)
     counts, n_survivors = _survivor_counts(
@@ -458,8 +464,6 @@ def run_flip_mc(
     seed: int = 0,
 ) -> FlipResult:
     """Per-trial probe measurement counts; conditioned object states stay exact."""
-    if int(trials) < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials!r}")
     exact = run_flip(probe, obj, rule, noise_q)
     out = coupling_channel(rule, probe.amps, obj.amps, 0.0)
     counts, n_survivors = _survivor_counts(

@@ -140,6 +140,33 @@ def test_chi_square_degenerate_data():
         chi_square_two_sample([1, 2], [1, 2, 3])
 
 
+def test_chi_square_stacks_match_row_loop():
+    rng = derive_rng(6)
+    a = rng.integers(0, 30, (4, 6, 5))
+    b = rng.integers(0, 30, (4, 6, 5))
+    a[0, 1, 2] = b[0, 1, 2] = 0  # a pooled-zero cell
+    a[1, 2] = 0  # an empty sample
+    a[2, 3], b[2, 3] = [0, 0, 7, 0, 0], [0, 0, 3, 0, 0]  # a single pooled cell
+    stat, p = chi_square_two_sample(a, b)
+    assert stat.shape == p.shape == (4, 6)
+    degenerate = np.zeros((4, 6), dtype=bool)
+    for i, j in np.ndindex(4, 6):
+        try:
+            assert (stat[i, j], p[i, j]) == chi_square_two_sample(a[i, j], b[i, j])
+        except DegenerateDataError:
+            degenerate[i, j] = True
+    assert np.argwhere(degenerate).tolist() == [[1, 2], [2, 3]]
+    assert np.array_equal(np.isnan(p), degenerate)
+    assert np.array_equal(np.isnan(stat), degenerate)
+    assert all(isinstance(x, float) for x in chi_square_two_sample(a[0, 0], b[0, 0]))
+    stat, p = chi_square_two_sample(a[3, 0], b)
+    assert stat.shape == p.shape == (4, 6)
+    for i, j in np.ndindex(4, 6):
+        assert (stat[i, j], p[i, j]) == chi_square_two_sample(a[3, 0], b[i, j])
+    with pytest.raises(DimensionMismatchError):
+        chi_square_two_sample(a, b[..., :4])
+
+
 def test_chi_square_null_calibration():
     # independent seeds on an identical configuration: p should rarely be small
     base = dict(rule=singlet_rule(), source_mode=1, evaluation="mc", trials=100_000)
@@ -361,6 +388,37 @@ def test_mc_c3_evidence_counts_are_nested(rule):
     assert result.metric == evidence["aligned_events"] / evidence["survivors"]
     # the aligned fraction of survivors estimates the exact aligned weight
     assert result.metric == pytest.approx(check_anti_alignment(rule, FAST_EXACT).metric, abs=0.02)
+
+
+# Witness, metric, threshold and p-value of C1, C2 and C4 in the FAST_MC audit;
+# the thresholds pin the Bonferroni family sizes (probe-rigid C1 has fewer
+# informative comparisons than singlet C1).
+FAST_MC_PINNED = {
+    "probe-rigid": {
+        "C1": ("roles=normal object_basis=XY analyzer=XY mode2=SIGMA q=0 view=full",
+               1.0, 0.9999761904761905, 0.0),
+        "C2": ("input=(sigma+, x) q=0 basis=XY", 1.0, 0.9999838709677419, 0.0),
+        "C4": ("unitary=haar[0] input=(theta,phi=2.43402,2.533, theta,phi=1.52845,-0.886317)"
+               " q=0 basis=SIGMA", 0.9995524174421984, 0.999995, 0.0004475825578015875),
+    },
+    "singlet": {
+        "C1": ("roles=swapped object_basis=SIGMA analyzer=SIGMA mode2=XY q=0.5 view=full",
+               0.9861892337831718, 0.9999791666666666, 0.01381076621682824),
+        "C2": ("input=(d+, sigma-) q=0 basis=XY", 0.9908387941735957, 0.9999848484848485,
+               0.00916120582640437),
+        "C4": ("unitary=DIAG->SIGMA input=(d+, sigma-) q=0 basis=XY", 0.9940069403463665,
+               0.9999956140350877, 0.005993059653633468),
+    },
+}
+
+
+@pytest.mark.parametrize("rule", [probe_rigid(), singlet_rule()], ids=lambda rule: rule.name)
+def test_mc_evidence_pinned(rule):
+    report = audit_rule(rule, FAST_MC)
+    for check_id, pinned in FAST_MC_PINNED[rule.name].items():
+        check = next(c for c in report.checks if c.check_id.startswith(check_id))
+        assert (check.witness, check.metric, check.threshold, check.evidence["p_value"]) == pinned
+        assert check.passed == (rule.name == "singlet" or check_id == "C4")
 
 
 def test_mc_counts_null_calibration():

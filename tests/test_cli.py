@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -162,6 +163,30 @@ def test_unknown_rule_exits_2(runner):
     assert result.exit_code == 2
     result = runner.invoke(main, ["audit", "--rule", "missing/file.json"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("q", [2.0, -1.0, float("nan")])
+def test_noise_q_outside_unit_interval_rejected(runner, q):
+    message = f"noise_q must be within [0, 1], got {q}"
+    rule = ifmsim.singlet_rule()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ifmsim.run_correlation_mc(ifmsim.STATE_Y, ifmsim.STATE_X, ifmsim.BASIS_SIGMA, rule,
+                                  noise_q=q)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ifmsim.run_flip_mc(ifmsim.STATE_Y, ifmsim.STATE_X, rule, noise_q=q)
+    for command in ("correlate", "flip"):
+        for mode in ("exact", "mc"):
+            result = runner.invoke(main, ["run", command, "--rule", "singlet", "--mode", mode,
+                                          "--noise-q", str(q)])
+            assert result.exit_code == 2, (command, mode)
+            assert message in result.output
+
+
+@pytest.mark.parametrize("command", [["audit"], ["run", "filter"]], ids=" ".join)
+def test_negative_seed_exits_2(runner, command):
+    result = runner.invoke(main, [*command, "--rule", "singlet", "--seed", "-1"])
+    assert result.exit_code == 2
+    assert "seed must be >= 0, got -1" in result.output
 
 
 def test_unknown_flag_rejected(runner):

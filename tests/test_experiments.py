@@ -301,6 +301,21 @@ def test_config_integer_fields_reject_bools_and_non_integers(cls, field, value):
     assert getattr(cls(**base, **{field: np.int64(1)}), field) == 1
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: AuditConfig(seed=-1),
+        lambda: FilterConfig(rule=singlet_rule(), seed=-3),
+        lambda: run_correlation_mc(STATE_Y, STATE_X, BASIS_SIGMA, singlet_rule(), seed=-2),
+        lambda: run_flip_mc(STATE_Y, STATE_X, singlet_rule(), seed=-2),
+    ],
+    ids=["AuditConfig", "FilterConfig", "run_correlation_mc", "run_flip_mc"],
+)
+def test_negative_seed_rejected(call):
+    with pytest.raises(ConfigError, match="^seed must be >= 0"):
+        call()
+
+
 @pytest.mark.parametrize("rule", [singlet_rule(), probe_rigid()], ids=lambda rule: rule.name)
 @pytest.mark.parametrize("q", [0.0, 0.3])
 @pytest.mark.parametrize(

@@ -1,107 +1,39 @@
-"""Two-qubit interaction-free coupling simulator and non-interaction rule audit."""
+"""Two-qubit interaction-free coupling simulator and non-interaction rule audit.
 
-from .audit import (
-    AuditConfig,
-    AuditReport,
-    CheckResult,
-    CHECK_IDS,
-    DegenerateDataError,
-    DimensionMismatchError,
-    audit_rule,
-    check_anti_alignment,
-    check_basis_covariance,
-    check_indistinguishability,
-    check_role_symmetry,
-    chi_square_two_sample,
-    tvd,
-)
+The package root exports the entry points of the command line, the example
+scripts and the benchmark; every other helper is imported from its module
+(``ifmsim.states``, ``ifmsim.rules``, ``ifmsim.experiments``, ``ifmsim.audit``).
+"""
+
+from .audit import AuditConfig, AuditReport, audit_rule, tvd
 from .experiments import (
     ConfigError,
-    CorrelationResult,
     FilterConfig,
-    FlipResult,
-    NoSurvivorsError,
-    OutcomeDistribution,
-    check_mode_equivalence,
-    derive_rng,
-    derive_seed,
     run_correlation,
     run_correlation_mc,
     run_filter,
     run_filter_exact,
-    run_filter_mc,
     run_flip,
     run_flip_mc,
-    run_role_swapped,
 )
 from .rules import (
-    ContractionViolationError,
-    Coupling,
-    CouplingOutcome,
     InvalidRuleError,
-    Rule,
-    RuleKind,
-    SWAP,
-    aligned_state,
-    apply_rule,
     builtin_rules,
-    coherent_projection,
+    contraction_slack,
     coupling_channel,
-    interaction_probability,
     load_rule_file,
-    object_rigid,
-    preferred_basis,
-    probe_rigid,
-    random_mix,
     rule_description,
     rule_from_name,
     singlet_rule,
-    swapped_channel,
-    swapped_coupling_channel,
     validate_custom_rule,
 )
 from .states import (
-    ATOL,
-    BASIS_DIAG,
     BASIS_SIGMA,
-    BASIS_XY,
-    Basis,
-    D_MINUS,
-    D_PLUS,
-    JointState,
-    ParseError,
-    QubitState,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    SINGLET,
     STATE_X,
     STATE_Y,
-    ZeroVectorError,
-    apply_unitary,
-    basis_change_unitary,
-    born_distribution,
-    change_basis,
-    density_of_ensemble,
-    eigenbasis_of,
-    entanglement_entropy,
-    fidelity,
-    from_bloch,
-    from_bloch_angles,
-    haar_unitary,
-    is_density,
-    joint_born_distribution,
-    make_state,
-    mutually_unbiased,
-    orthogonal_state,
-    overlap_probability,
     parse_basis_spec,
     parse_state_spec,
-    partial_trace,
-    random_state,
-    state_in_basis,
     state_label,
-    tensor_product,
-    to_bloch,
 )
 
 __version__ = "0.1.0"

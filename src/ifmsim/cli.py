@@ -144,6 +144,18 @@ def _pick(ctx, param_name: str, flag_value, doc: dict, doc_key: str):
     return flag_value
 
 
+def _nonnegative_seed(ctx, param, value):
+    if value < 0:
+        raise click.BadParameter(f"seed must be >= 0, got {value}", ctx=ctx, param=param)
+    return value
+
+
+# One --seed for every command, so a negative seed is refused in every mode.
+_seed_option = click.option("--seed", type=int, default=0, show_default=True, envvar="IFM_SEED",
+                            show_envvar=True, callback=_nonnegative_seed,
+                            help="Seed for every sampled quantity.")
+
+
 def _matrix_to_json(matrix):
     if matrix is None:
         return None
@@ -161,8 +173,7 @@ def main():
               show_default=True, help="Exact channel evaluation or Monte Carlo sampling.")
 @click.option("--trials", type=int, default=100_000, show_default=True,
               help="Monte Carlo trials per comparison.")
-@click.option("--seed", type=int, default=0, show_default=True, envvar="IFM_SEED",
-              show_envvar=True, help="Seed for every sampled quantity.")
+@_seed_option
 @click.option("--noise-q", type=float, default=None,
               help="Audit at this single fly-by probability (default: levels 0 and 0.5).")
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None,
@@ -239,8 +250,7 @@ def _filter_config_from_inputs(ctx, doc, rule_spec, source_mode, source_basis, o
 @click.option("--mode", "evaluation", type=click.Choice(["exact", "mc"]), default="exact",
               show_default=True)
 @click.option("--trials", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True, envvar="IFM_SEED",
-              show_envvar=True)
+@_seed_option
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
               help="Write a per-detector histogram CSV (outcome,count,probability).")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
@@ -292,8 +302,7 @@ def run_filter_cmd(ctx, rule_spec, source_mode, source_basis, object_state, anal
 @click.option("--mode", "evaluation", type=click.Choice(["exact", "mc"]), default="exact",
               show_default=True)
 @click.option("--trials", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True, envvar="IFM_SEED",
-              show_envvar=True)
+@_seed_option
 @_guarded
 def run_correlate_cmd(rule_spec, probe_state, object_state, basis, noise_q, evaluation,
                       trials, seed):
@@ -331,8 +340,7 @@ def run_correlate_cmd(rule_spec, probe_state, object_state, basis, noise_q, eval
 @click.option("--mode", "evaluation", type=click.Choice(["exact", "mc"]), default="exact",
               show_default=True)
 @click.option("--trials", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True, envvar="IFM_SEED",
-              show_envvar=True)
+@_seed_option
 @_guarded
 def run_flip_cmd(rule_spec, probe_state, object_state, noise_q, evaluation, trials, seed):
     """Measure the survivor's probe in XY and condition the object on the outcome."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .rules import Rule, apply_rule, coupling_channel
+from .rules import Rule, coupling_channel
 from .states import (
     ATOL,
     BASIS_SIGMA,
@@ -357,13 +357,12 @@ class CorrelationResult:
         }
 
 
-def _survivor_or_raise(rule: Rule, probe: QubitState, obj: QubitState, noise_q: float):
-    out = apply_rule(rule, probe, obj, noise_q)
-    if out.survive_state is None:
-        raise NoSurvivorsError(
-            "survive probability is zero for this input; nothing to measure"
-        )
-    return out
+def _survivor(rule: Rule, probe: QubitState, obj: QubitState, noise_q: float) -> np.ndarray:
+    """Survivor density of one input pair: row 0 of the coupling channel."""
+    out = coupling_channel(rule, probe.amps, obj.amps, noise_q)
+    if not out.alive[0]:
+        raise NoSurvivorsError("survive probability is zero for this input; nothing to measure")
+    return out.survivors[0]
 
 
 def _survivor_counts(seed, trials, noise_q, out, survivor_law, flyby_law):
@@ -390,8 +389,7 @@ def run_correlation(
     noise_q: float = 0.0,
 ) -> CorrelationResult:
     """Measure both survivors in ``basis`` and report the aligned-cell weight."""
-    out = _survivor_or_raise(rule, probe, obj, noise_q)
-    cells = joint_born_distribution(out.survive_state, basis, basis)
+    cells = joint_born_distribution(_survivor(rule, probe, obj, noise_q), basis, basis)
     return CorrelationResult(cells, float(cells[0] + cells[3]), basis.label)
 
 
@@ -442,8 +440,7 @@ def run_flip(
     noise_q: float = 0.0,
 ) -> FlipResult:
     """Measure the survivor's probe in XY and condition the object on the outcome."""
-    out = _survivor_or_raise(rule, probe, obj, noise_q)
-    rho = np.asarray(out.survive_state).reshape(2, 2, 2, 2)
+    rho = _survivor(rule, probe, obj, noise_q).reshape(2, 2, 2, 2)
     probs = np.empty(2)
     conditioned: list[np.ndarray | None] = []
     for k, outcome in enumerate((STATE_X, STATE_Y)):

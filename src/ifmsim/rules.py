@@ -27,9 +27,11 @@ which is precisely the kind of disagreement the audit battery exposes.
 Fly-by noise ``q`` is the probability that the coupling simply does not
 happen; the outcome then blends the untouched input with the rule's own
 survivor.  ``coupling_channel`` evaluates a whole batch of input pairs
-as arrays; ``apply_rule`` and ``swapped_channel`` are its single-pair
-forms.  All functions here are pure and deterministic; randomness lives
-only in the Monte Carlo engine.
+as arrays, and every experiment and audit check reads its rows.
+``apply_rule`` and ``swapped_channel`` are single-pair conveniences for
+library callers; the package itself no longer calls them.  All functions
+here are pure and deterministic; randomness lives only in the Monte Carlo
+engine.
 """
 
 from __future__ import annotations
@@ -406,7 +408,7 @@ def load_rule_file(path: str) -> Rule:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
             ):
                 raise InvalidRuleError(f"survive_operator[{r}][{c}]: expected an [re, im] number pair")
             if not all(math.isfinite(float(v)) for v in entry):

@@ -398,9 +398,12 @@ _EXPECTED_STATE_FORMS = (
 
 def _parse_float(text: str, token: str, offset: int, what: str) -> float:
     try:
-        return float(token.strip())
+        value = float(token.strip())
     except ValueError:
         raise ParseError(text, offset, f"invalid {what} {token.strip()!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(text, offset, f"{what} {token.strip()!r} is not finite")
+    return value
 
 
 def _parse_amp(text: str, token: str, offset: int) -> complex:
@@ -429,6 +432,8 @@ def parse_state_spec(text: str) -> QubitState:
         left, _, right = stripped.partition(";")
         a = _parse_amp(text, left, base)
         b = _parse_amp(text, right, base + len(left) + 1)
+        if not math.isfinite(abs(a) * abs(a) + abs(b) * abs(b)):
+            raise ParseError(text, base, "amplitudes are too large: their squared norm overflows")
         try:
             return make_state(a, b)
         except ZeroVectorError:

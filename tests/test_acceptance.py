@@ -6,42 +6,43 @@ criterion (each test also prints an explicit pass line, visible with -s).
 
 import numpy as np
 
-from ifmsim import (
-    AuditConfig,
+from ifmsim.audit import AuditConfig, audit_rule, chi_square_two_sample, tvd
+from ifmsim.experiments import (
+    FilterConfig,
+    derive_rng,
+    run_correlation,
+    run_filter_exact,
+    run_filter_mc,
+    run_flip,
+)
+from ifmsim.rules import (
+    aligned_state,
+    apply_rule,
+    builtin_rules,
+    coherent_projection,
+    interaction_probability,
+    object_rigid,
+    preferred_basis,
+    probe_rigid,
+    random_mix,
+    singlet_rule,
+    swapped_channel,
+)
+from ifmsim.states import (
     BASIS_SIGMA,
     BASIS_XY,
-    FilterConfig,
     SIGMA_MINUS,
     SIGMA_PLUS,
     SINGLET,
     STATE_X,
     STATE_Y,
-    aligned_state,
-    apply_rule,
-    audit_rule,
-    builtin_rules,
-    chi_square_two_sample,
-    coherent_projection,
     density_of_ensemble,
     entanglement_entropy,
     fidelity,
-    interaction_probability,
     joint_born_distribution,
-    object_rigid,
     orthogonal_state,
-    preferred_basis,
-    probe_rigid,
-    random_mix,
     random_state,
-    run_correlation,
-    run_filter_exact,
-    run_filter_mc,
-    run_flip,
-    singlet_rule,
-    swapped_channel,
-    tvd,
 )
-from ifmsim.experiments import derive_rng
 
 EXACT = 1e-12
 

@@ -2,34 +2,34 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ifmsim import (
+from ifmsim.audit import (
     AuditConfig,
     AuditReport,
-    BASIS_SIGMA,
-    BASIS_XY,
     CHECK_IDS,
     DegenerateDataError,
     DimensionMismatchError,
-    FilterConfig,
+    _chi_square_sf,
+    _mc_counts,
     audit_rule,
-    builtin_rules,
     check_anti_alignment,
     check_basis_covariance,
     check_indistinguishability,
     check_role_symmetry,
     chi_square_two_sample,
+    tvd,
+)
+from ifmsim.experiments import FilterConfig, derive_rng, run_filter_mc
+from ifmsim.rules import (
+    builtin_rules,
     coherent_projection,
     object_rigid,
     preferred_basis,
     probe_rigid,
     random_mix,
-    run_filter_mc,
     singlet_rule,
-    tvd,
     validate_custom_rule,
 )
-from ifmsim.audit import _chi_square_sf, _mc_counts
-from ifmsim.experiments import derive_rng
+from ifmsim.states import BASIS_SIGMA, BASIS_XY
 
 FAST_EXACT = AuditConfig(unitary_samples=25, input_samples=40, seed=11)
 FAST_MC = AuditConfig(

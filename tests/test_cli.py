@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -182,9 +183,20 @@ def test_noise_q_outside_unit_interval_rejected(runner, q):
             assert message in result.output
 
 
-@pytest.mark.parametrize("command", [["audit"], ["run", "filter"]], ids=" ".join)
+@pytest.mark.parametrize("command", [["audit"], ["run", "filter"], ["run", "correlate"],
+                                     ["run", "flip"]], ids=" ".join)
 def test_negative_seed_exits_2(runner, command):
     result = runner.invoke(main, [*command, "--rule", "singlet", "--seed", "-1"])
+    assert result.exit_code == 2
+    assert "seed must be >= 0, got -1" in result.output
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("command", [["audit"], ["run", "filter"], ["run", "correlate"],
+                                     ["run", "flip"]], ids=" ".join)
+def test_negative_seed_from_environment_exits_2(runner, command, mode):
+    result = runner.invoke(main, [*command, "--rule", "singlet", "--mode", mode],
+                           env={"IFM_SEED": "-1"})
     assert result.exit_code == 2
     assert "seed must be >= 0, got -1" in result.output
 
@@ -303,3 +315,17 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_root_exports_only_the_pinned_names():
+    exported = {name for name, value in vars(ifmsim).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == {
+        "AuditConfig", "AuditReport", "audit_rule", "tvd",
+        "ConfigError", "FilterConfig", "run_correlation", "run_correlation_mc", "run_filter",
+        "run_filter_exact", "run_flip", "run_flip_mc",
+        "InvalidRuleError", "builtin_rules", "contraction_slack", "coupling_channel",
+        "load_rule_file", "rule_description", "rule_from_name", "singlet_rule",
+        "validate_custom_rule",
+        "BASIS_SIGMA", "STATE_X", "STATE_Y", "parse_basis_spec", "parse_state_spec", "state_label",
+    }

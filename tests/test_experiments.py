@@ -1,26 +1,17 @@
 import numpy as np
 import pytest
 
-from ifmsim import (
-    AuditConfig,
-    BASIS_DIAG,
-    BASIS_SIGMA,
-    BASIS_XY,
+from ifmsim.audit import AuditConfig, tvd
+from ifmsim.experiments import (
+    CHUNK_ROWS,
     ConfigError,
-    D_PLUS,
     FilterConfig,
     NoSurvivorsError,
-    SIGMA_PLUS,
-    STATE_X,
-    STATE_Y,
+    _config_branches,
+    categorical_counts,
     check_mode_equivalence,
     derive_rng,
     derive_seed,
-    object_rigid,
-    preferred_basis,
-    probe_rigid,
-    random_mix,
-    random_state,
     run_correlation,
     run_correlation_mc,
     run_filter,
@@ -29,11 +20,26 @@ from ifmsim import (
     run_flip,
     run_flip_mc,
     run_role_swapped,
-    singlet_rule,
-    tvd,
 )
-from ifmsim.experiments import CHUNK_ROWS, _config_branches, categorical_counts
-from ifmsim.rules import builtin_rules, coherent_projection
+from ifmsim.rules import (
+    builtin_rules,
+    coherent_projection,
+    object_rigid,
+    preferred_basis,
+    probe_rigid,
+    random_mix,
+    singlet_rule,
+)
+from ifmsim.states import (
+    BASIS_DIAG,
+    BASIS_SIGMA,
+    BASIS_XY,
+    D_PLUS,
+    SIGMA_PLUS,
+    STATE_X,
+    STATE_Y,
+    random_state,
+)
 
 
 def exact_cfg(rule, mode, **kw):

@@ -4,52 +4,54 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ifmsim import (
+from ifmsim.experiments import derive_rng
+from ifmsim.rules import (
+    ContractionViolationError,
+    InvalidRuleError,
+    Rule,
+    RuleKind,
+    SWAP,
+    aligned_state,
+    apply_rule,
+    builtin_rules,
+    coherent_projection,
+    coupling_channel,
+    interaction_probability,
+    load_rule_file,
+    object_rigid,
+    preferred_basis,
+    probe_rigid,
+    random_mix,
+    rule_from_name,
+    singlet_rule,
+    swapped_channel,
+    swapped_coupling_channel,
+    validate_custom_rule,
+)
+from ifmsim.states import (
     BASIS_DIAG,
     BASIS_SIGMA,
     BASIS_XY,
     Basis,
-    ContractionViolationError,
     D_MINUS,
     D_PLUS,
-    InvalidRuleError,
-    Rule,
-    RuleKind,
+    PHASE_EPS,
     SIGMA_MINUS,
     SIGMA_PLUS,
     SINGLET,
     STATE_X,
     STATE_Y,
-    SWAP,
-    aligned_state,
-    apply_rule,
     apply_unitary,
-    builtin_rules,
-    coherent_projection,
-    coupling_channel,
     fidelity,
     haar_unitary,
-    interaction_probability,
     is_density,
     joint_born_distribution,
-    load_rule_file,
     make_state,
-    object_rigid,
     orthogonal_state,
     overlap_probability,
-    preferred_basis,
-    probe_rigid,
-    random_mix,
     random_state,
-    rule_from_name,
-    singlet_rule,
-    swapped_channel,
-    swapped_coupling_channel,
     tensor_product,
-    validate_custom_rule,
 )
-from ifmsim.experiments import derive_rng
-from ifmsim.states import PHASE_EPS
 
 CORNERS = (STATE_X, STATE_Y, SIGMA_PLUS, SIGMA_MINUS, D_PLUS, D_MINUS)
 UNIVERSAL = (probe_rigid(), object_rigid(), singlet_rule(), random_mix(), preferred_basis(BASIS_SIGMA))
@@ -451,6 +453,15 @@ def test_load_rule_file_cites_offending_entry(tmp_path):
     with pytest.raises(InvalidRuleError) as err:
         load_rule_file(str(path))
     assert "survive_operator[1][1]" in str(err.value)
+
+
+def test_load_rule_file_rejects_json_booleans(tmp_path):
+    rows = [[[1.0 if r == c else 0.0, 0.0] for c in range(4)] for r in range(4)]
+    rows[2][2] = [True, 0]
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({"name": "boolean", "survive_operator": rows}))
+    with pytest.raises(InvalidRuleError, match=r"survive_operator\[2\]\[2\]: expected an \[re, im\] number pair"):
+        load_rule_file(str(path))
 
 
 def test_load_rule_file_rejects_missing_name(tmp_path):

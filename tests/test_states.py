@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ifmsim import (
+from ifmsim.experiments import derive_rng
+from ifmsim.states import (
     BASIS_DIAG,
     BASIS_SIGMA,
     BASIS_XY,
@@ -27,6 +29,7 @@ from ifmsim import (
     fidelity,
     from_bloch,
     from_bloch_angles,
+    haar_unitaries,
     haar_unitary,
     is_density,
     joint_born_distribution,
@@ -42,9 +45,8 @@ from ifmsim import (
     state_label,
     tensor_product,
     to_bloch,
+    uniform_state_amps,
 )
-from ifmsim.experiments import derive_rng
-from ifmsim.states import haar_unitaries, uniform_state_amps
 
 CORNERS = (STATE_X, STATE_Y, SIGMA_PLUS, SIGMA_MINUS, D_PLUS, D_MINUS)
 
@@ -368,6 +370,19 @@ def test_parse_state_spec_errors_carry_position():
         parse_state_spec("diagonalish")
     with pytest.raises(ParseError):
         parse_state_spec("0,0;0,0")
+
+
+@pytest.mark.parametrize("spec, position, message", [
+    ("inf,0", 0, "theta 'inf' is not finite"),
+    ("0, nan", 2, "phi 'nan' is not finite"),
+    ("1,0;-inf,0", 4, "amplitude real part '-inf' is not finite"),
+    ("1e308,0;1e308,0", 0, "squared norm overflows"),
+    ("1e200,0;0,0", 0, "squared norm overflows"),
+])
+def test_parse_state_spec_rejects_non_finite_spellings(spec, position, message):
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        parse_state_spec(spec)
+    assert err.value.position == position
 
 
 def test_parse_basis_spec():

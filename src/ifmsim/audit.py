@@ -50,6 +50,7 @@ from .experiments import (
     derive_rng,
     filter_branches,
     filter_law,
+    sample_counts,
 )
 from .rules import Coupling, Rule, coupling_channel, swapped_coupling_channel
 from .states import (
@@ -513,23 +514,12 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
     return _exact_verdict(CHECK_IDS[0], float(views[n, k]), witness, evidence, config)
 
 
-def _mc_counts(config: AuditConfig, stream: int, side: int, laws) -> np.ndarray:
-    """Counts of ``mc_trials`` trials for each row law of ``laws`` (..., cells), one draw.
-
-    Rows are normalised to sum to 1, so rounding cannot trip the
-    multinomial's check on the cell probabilities.
-    """
-    laws = np.asarray(laws, dtype=float)
-    laws = laws / laws.sum(axis=-1, keepdims=True)
-    return derive_rng(config.seed, stream, side).multinomial(config.mc_trials, laws)
-
-
 def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
     cases = _mode_pair_cases(config, analyzers="object")
     if not cases:
         return _no_cases(CHECK_IDS[0], 1.0)
     laws = _mode_pair_laws(rule, cases)
-    d1, d2 = (_mc_counts(config, 11, m + 1, laws[:, m]) for m in (0, 1))
+    d1, d2 = (sample_counts(config.seed, config.mc_trials, laws[:, m], 11, m + 1) for m in (0, 1))
     # One column per view; the conditional one zeroes the scatter cell, which
     # the test then drops as a pooled-zero cell.
     views1, views2 = (np.stack([d, d * [1, 1, 0]], axis=1) for d in (d1, d2))
@@ -589,8 +579,10 @@ def _basis_laws(out: Coupling, bases) -> np.ndarray:
 
 def _mc_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, stream):
     """C2/C4 Monte Carlo: the two couplings' five-outcome laws compared in every basis."""
-    counts_a = _mc_counts(config, stream, 1, _basis_laws(out_a, config.bases))
-    counts_b = _mc_counts(config, stream, 2, _basis_laws(out_b, config.bases))
+    counts_a, counts_b = (
+        sample_counts(config.seed, config.mc_trials, _basis_laws(out, config.bases), stream, side)
+        for side, out in ((1, out_a), (2, out_b))
+    )
 
     def witness(row: int, k: int) -> str:
         return f"{label(row)} basis={config.bases[k].label}"
@@ -625,7 +617,7 @@ def _check_c3_mc(rule: Rule, config: AuditConfig) -> CheckResult:
         rule, config, _MC_CORNER_PAIRS, 31, config.mc_input_samples
     )
     threshold = 0.5 / config.mc_trials
-    counts = _mc_counts(config, 32, 1, _basis_laws(out, config.bases))
+    counts = sample_counts(config.seed, config.mc_trials, _basis_laws(out, config.bases), 32, 1)
     survivors = config.mc_trials - counts[..., 4]
     aligned_events = counts[..., 0] + counts[..., 3]
     if not survivors.any():

@@ -17,12 +17,10 @@ interrogates.  The analyzer always watches the source particle.
 
 PRNG contract: every stochastic run draws from a Philox generator keyed
 through ``numpy.random.SeedSequence(seed, spawn_key=stream)``, which is
-platform independent.  Per-trial randomness is taken row-wise from one
-``(trials, k)`` uniform block, so trial ``i`` is a pure function of
-``(seed, stream, i)`` and aggregation is order independent; identical
-seeds give bit-identical counts.  The block is drawn from the one
-generator in chunks of ``CHUNK_ROWS`` rows, which yields the same
-uniforms as one draw while bounding memory for any trial count.
+platform independent.  A run's counts are one multinomial draw of its
+exact law (``sample_counts``), so the work grows with the number of
+outcome cells, not with the number of trials, and identical seeds give
+bit-identical counts.
 """
 
 from __future__ import annotations
@@ -42,12 +40,10 @@ from .states import (
     QubitState,
     STATE_X,
     STATE_Y,
-    born_distribution,
     density_of_ensemble,
     eigenbasis_of,
     joint_born_distribution,
     partial_trace,
-    tensor_product,
 )
 
 
@@ -57,10 +53,6 @@ class ConfigError(ValueError):
 
 class NoSurvivorsError(ValueError):
     """The requested statistics condition on survivors, but none exist."""
-
-
-# Rows of the per-trial uniform block drawn at a time: 8 MB at the filter's width 4.
-CHUNK_ROWS = 1 << 18
 
 
 def check_integer_fields(config) -> None:
@@ -77,24 +69,21 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def derive_seed(seed: int, *stream: int) -> int:
-    """A stable 64-bit sub-seed for ``(seed, stream)``."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
-    return int(ss.generate_state(1, np.uint64)[0])
+def sample_counts(seed: int, trials: int, laws, *stream: int) -> np.ndarray:
+    """Counts of ``trials`` trials for each row law of ``laws`` (..., cells), one draw.
 
-
-def categorical_counts(law, u: np.ndarray) -> np.ndarray:
-    """Cell counts of the uniforms ``u`` drawn against the cumulative sum of ``law``.
-
-    Equal to ``np.bincount(np.searchsorted(cum, u, side="right"),
-    minlength=len(law))`` with the last bound ``cum[-1]`` raised to 1, so
-    every draw in [0, 1) lands in a cell.  Counting ``u >= cum[k]`` per
-    bound and differencing the totals gives the same counts in a few
-    linear passes instead of a binary search per draw.
+    Rows are normalised to sum to 1, so rounding cannot trip the
+    multinomial's check on the cell probabilities.
     """
-    bounds = np.cumsum(law)[:-1]
-    at_least = [u.size] + [np.count_nonzero(u >= b) for b in bounds] + [0]
-    return -np.diff(at_least)
+    if int(trials) < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials!r}")
+    if int(trials) > 2**63 - 1:  # the multinomial takes a C long
+        raise ConfigError(f"trials must be <= 2**63 - 1, got {trials!r}")
+    if int(seed) < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed!r}")
+    laws = np.asarray(laws, dtype=float)
+    laws = laws / laws.sum(axis=-1, keepdims=True)
+    return derive_rng(seed, *stream).multinomial(int(trials), laws)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,42 +218,6 @@ def conditional_clicks(law) -> tuple[np.ndarray, np.ndarray]:
     return clicks / np.where(defined[..., None], mass, 1.0), defined
 
 
-def sample_branches(seed: int, trials: int, q: float, p_scatter, survivor_laws, flyby_laws):
-    """Per-trial counts over one or two equally likely branches: outcome cells, then scatter.
-
-    Trial ``i`` is row ``i`` of one uniform block: a branch column (``u >=
-    1/2`` picks the second) when there are two, then fly-by (``u < q``),
-    scatter and outcome.  The block is drawn in chunks of ``CHUNK_ROWS``
-    rows from one generator, which gives the same rows as one draw.
-    """
-    rng = derive_rng(seed)
-    trials = int(trials)
-    width = len(p_scatter) + 2
-    return sum(
-        _block_counts(rng.random((min(CHUNK_ROWS, trials - start), width)), q, p_scatter,
-                      survivor_laws, flyby_laws)
-        for start in range(0, trials, CHUNK_ROWS)
-    )
-
-
-def _block_counts(u, q, p_scatter, survivor_laws, flyby_laws):
-    """``sample_branches`` counts of the trials in the uniform rows ``u``.
-
-    Outcomes are counted per (branch, fly-by) group.
-    """
-    n = len(p_scatter)
-    source = u[:, 0] >= 0.5 if n == 2 else np.zeros(len(u), dtype=bool)
-    flyby = u[:, -3] < q
-    scatter = ~flyby & (u[:, -2] < np.where(source, p_scatter[-1], p_scatter[0]))
-    outcome = u[:, -1]
-    counts = 0
-    for b in range(n):
-        branch = source == bool(b)
-        counts = counts + categorical_counts(flyby_laws[b], outcome[branch & flyby])
-        counts = counts + categorical_counts(survivor_laws[b], outcome[branch & ~flyby & ~scatter])
-    return np.append(counts, np.count_nonzero(scatter))
-
-
 def _config_branches(cfg: FilterConfig):
     """``filter_branches`` of the two source states of one run."""
     sources = [s.amps for s in cfg.resolved_source_basis().states()]
@@ -284,16 +237,11 @@ def run_filter_exact(cfg: FilterConfig) -> OutcomeDistribution:
 
 
 def run_filter_mc(cfg: FilterConfig) -> OutcomeDistribution:
-    """Trial-by-trial stochastic realization of one filter run.
-
-    Per trial: pick the source state, decide fly-by (probability q),
-    decide scatter versus survive, then sample the analyzer click from
-    the surviving particle's reduced state.
-    """
+    """Stochastic realization of one filter run: ``cfg.trials`` draws of its exact law."""
     if cfg.evaluation != "mc":
         raise ConfigError("run_filter_mc needs evaluation='mc'")
-    counts = sample_branches(cfg.seed, cfg.trials, float(cfg.noise_q), *_config_branches(cfg))
-    counts = tuple(int(c) for c in counts)
+    law = filter_law(cfg.noise_q, *_config_branches(cfg))
+    counts = tuple(int(c) for c in sample_counts(cfg.seed, cfg.trials, law))
     trials = int(cfg.trials)
     survived = counts[0] + counts[1]
     conditional = (counts[0] / survived, counts[1] / survived) if survived else None
@@ -365,15 +313,13 @@ def _survivor(rule: Rule, probe: QubitState, obj: QubitState, noise_q: float) ->
     return out.survivors[0]
 
 
-def _survivor_counts(seed, trials, noise_q, out, survivor_law, flyby_law):
-    """Outcome counts of the surviving trials of one input pair and their number; ``out`` at q = 0."""
-    if not 0.0 <= float(noise_q) <= 1.0:
-        raise ConfigError(f"noise_q must be within [0, 1], got {float(noise_q)}")
-    if int(trials) < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials!r}")
-    if int(seed) < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed!r}")
-    counts = sample_branches(seed, trials, float(noise_q), out.p_scatter, survivor_law, [flyby_law])
+def _survivor_counts(seed, trials, out, survivor_law):
+    """Outcome counts of the surviving trials of the one-row coupling ``out`` and their number.
+
+    One draw of the law ``((1 - p_scatter) * survivor_law, p_scatter)``, scatter cell dropped.
+    """
+    p_scatter = out.p_scatter[0]
+    counts = sample_counts(seed, trials, np.append((1.0 - p_scatter) * survivor_law, p_scatter))
     counts = counts[:-1]
     n_survivors = int(counts.sum())
     if n_survivors == 0:
@@ -402,15 +348,14 @@ def run_correlation_mc(
     trials: int = 100_000,
     seed: int = 0,
 ) -> CorrelationResult:
-    """Per-trial realization of the correlation experiment.
+    """Stochastic realization of the correlation experiment: ``trials`` draws of its exact law.
 
     Trials that scatter yield no pair to measure; cell statistics are
     reported over the surviving trials.
     """
-    out = coupling_channel(rule, probe.amps, obj.amps, 0.0)
-    flyby_cells = joint_born_distribution(tensor_product(probe, obj).density(), basis, basis)
+    out = coupling_channel(rule, probe.amps, obj.amps, noise_q)
     counts, n_survivors = _survivor_counts(
-        seed, trials, noise_q, out, joint_born_distribution(out.survivors, basis, basis), flyby_cells
+        seed, trials, out, joint_born_distribution(out.survivors[0], basis, basis)
     )
     cells = counts / n_survivors
     return CorrelationResult(
@@ -460,12 +405,8 @@ def run_flip_mc(
     trials: int = 100_000,
     seed: int = 0,
 ) -> FlipResult:
-    """Per-trial probe measurement counts; conditioned object states stay exact."""
+    """Sampled probe measurement counts; conditioned object states stay exact."""
     exact = run_flip(probe, obj, rule, noise_q)
-    out = coupling_channel(rule, probe.amps, obj.amps, 0.0)
-    counts, n_survivors = _survivor_counts(
-        seed, trials, noise_q, out,
-        born_distribution(partial_trace(out.survivors, "probe"), BASIS_XY),
-        born_distribution(probe.density(), BASIS_XY),
-    )
+    out = coupling_channel(rule, probe.amps, obj.amps, noise_q)
+    counts, n_survivors = _survivor_counts(seed, trials, out, exact.probe_probs)
     return FlipResult(counts / n_survivors, exact.object_given, counts=counts, trials=int(trials))

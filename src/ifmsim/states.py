@@ -147,7 +147,12 @@ def make_state(a_x: complex, a_y: complex) -> QubitState:
     raw = np.array([a_x, a_y], dtype=complex)
     if not np.all(np.isfinite(raw)):
         raise ValueError("amplitudes must be finite")
-    norm = np.linalg.norm(raw)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(raw)
+    if not np.isfinite(norm):
+        # the squared norm overflows: rescale by the largest real or imaginary part first
+        raw = raw / np.max(np.abs([raw.real, raw.imag]))
+        norm = np.linalg.norm(raw)
     if norm <= PHASE_EPS:
         raise ZeroVectorError("amplitude vector has (near) zero norm")
     return QubitState(raw / norm)

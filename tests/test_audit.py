@@ -9,7 +9,6 @@ from ifmsim.audit import (
     DegenerateDataError,
     DimensionMismatchError,
     _chi_square_sf,
-    _mc_counts,
     audit_rule,
     check_anti_alignment,
     check_basis_covariance,
@@ -18,7 +17,7 @@ from ifmsim.audit import (
     chi_square_two_sample,
     tvd,
 )
-from ifmsim.experiments import FilterConfig, derive_rng, run_filter_mc
+from ifmsim.experiments import FilterConfig, derive_rng, run_filter_mc, sample_counts
 from ifmsim.rules import (
     builtin_rules,
     coherent_projection,
@@ -433,7 +432,7 @@ def test_mc_counts_null_calibration():
     good = total = 0
     for seed in range(100):
         config = AuditConfig(evaluation="mc", seed=seed, mc_trials=100_000)
-        counts = _mc_counts(config, 22, 1, laws[None])[0]
+        counts = sample_counts(config.seed, config.mc_trials, laws[None], 22, 1)[0]
         assert counts.shape == laws.shape
         assert np.all(counts.sum(axis=1) == config.mc_trials)
         assert np.all(counts[laws == 0] == 0)

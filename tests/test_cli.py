@@ -191,6 +191,15 @@ def test_negative_seed_exits_2(runner, command):
     assert "seed must be >= 0, got -1" in result.output
 
 
+@pytest.mark.parametrize("command", [["audit"], ["run", "filter"], ["run", "correlate"],
+                                     ["run", "flip"]], ids=" ".join)
+def test_trials_above_int64_exit_2(runner, command):
+    result = runner.invoke(main, [*command, "--rule", "singlet", "--mode", "mc",
+                                  "--trials", str(2**63)])
+    assert result.exit_code == 2
+    assert f"trials must be <= 2**63 - 1, got {2**63}" in result.output
+
+
 @pytest.mark.parametrize("mode", ["exact", "mc"])
 @pytest.mark.parametrize("command", [["audit"], ["run", "filter"], ["run", "correlate"],
                                      ["run", "flip"]], ids=" ".join)

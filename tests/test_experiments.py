@@ -1,17 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ifmsim.audit import AuditConfig, tvd
+from ifmsim.audit import AuditConfig, _chi_square_sf, tvd
 from ifmsim.experiments import (
-    CHUNK_ROWS,
     ConfigError,
     FilterConfig,
     NoSurvivorsError,
-    _config_branches,
-    categorical_counts,
     check_mode_equivalence,
     derive_rng,
-    derive_seed,
     run_correlation,
     run_correlation_mc,
     run_filter,
@@ -24,6 +22,7 @@ from ifmsim.experiments import (
 from ifmsim.rules import (
     builtin_rules,
     coherent_projection,
+    coupling_channel,
     object_rigid,
     preferred_basis,
     probe_rigid,
@@ -152,6 +151,12 @@ def test_mc_counts_sum_to_trials():
     assert dist.trials == 1234
 
 
+def test_mc_counts_sum_to_trials_beyond_memory():
+    # one draw of the law, so 10**12 trials cost no more than ten
+    dist = run_filter_mc(mc_cfg(probe_rigid(), 2, trials=10**12, noise_q=0.3))
+    assert sum(dist.counts) == 10**12
+
+
 def test_mc_same_seed_bit_identical():
     a = run_filter_mc(mc_cfg(singlet_rule(), 1))
     b = run_filter_mc(mc_cfg(singlet_rule(), 1))
@@ -161,15 +166,50 @@ def test_mc_same_seed_bit_identical():
 
 
 def test_mc_counts_pinned_per_seed():
-    # counts of the per-trial sampler, fixed for these seeds
+    # one multinomial draw of each run's exact law, fixed for these seeds
     swapped = mc_cfg(probe_rigid(), 2, trials=20_000, seed=5, noise_q=0.3, swapped_roles=True)
-    assert run_filter_mc(swapped).counts == (3023, 9894, 7083)
+    assert run_filter_mc(swapped).counts == (3042, 9955, 7003)
     corr = run_correlation_mc(STATE_Y, SIGMA_PLUS, BASIS_XY, object_rigid(), 0.3,
                               trials=20_000, seed=3)
-    assert corr.counts.tolist() == [1686, 1775, 4794, 4774]
-    assert corr.survivors == 13_029
+    assert corr.counts.tolist() == [1744, 1693, 4635, 4849]
+    assert corr.survivors == 12_921
     flip = run_flip_mc(D_PLUS, STATE_X, probe_rigid(), 0.3, trials=20_000, seed=4)
-    assert flip.counts.tolist() == [6383, 6604]
+    assert flip.counts.tolist() == [6473, 6508]
+
+
+def _calibration_runs(seed):
+    """Per run: the observed counts (scatter last) and the exact law they are drawn from."""
+    trials = 20_000
+    for mode in (1, 2):
+        cfg = mc_cfg(probe_rigid(), mode, trials=trials, seed=seed, noise_q=0.3,
+                     swapped_roles=True)
+        exact = run_filter_exact(replace(cfg, evaluation="exact"))
+        yield np.array(run_filter_mc(cfg).counts), exact.probabilities()
+    p_scatter = coupling_channel(object_rigid(), STATE_Y.amps, SIGMA_PLUS.amps, 0.3).p_scatter[0]
+    corr = run_correlation_mc(STATE_Y, SIGMA_PLUS, BASIS_XY, object_rigid(), 0.3,
+                              trials=trials, seed=seed)
+    cells = run_correlation(STATE_Y, SIGMA_PLUS, BASIS_XY, object_rigid(), 0.3).cells
+    yield (np.append(corr.counts, trials - corr.survivors),
+           np.append((1.0 - p_scatter) * cells, p_scatter))
+    p_scatter = coupling_channel(probe_rigid(), D_PLUS.amps, STATE_X.amps, 0.3).p_scatter[0]
+    flip = run_flip_mc(D_PLUS, STATE_X, probe_rigid(), 0.3, trials=trials, seed=seed)
+    probs = run_flip(D_PLUS, STATE_X, probe_rigid(), 0.3).probe_probs
+    yield (np.append(flip.counts, trials - flip.counts.sum()),
+           np.append((1.0 - p_scatter) * probs, p_scatter))
+
+
+def test_mc_runs_null_calibration():
+    # every MC run's counts follow the exact law of its run, scatter included
+    good = total = 0
+    for seed in range(100):
+        for counts, law in _calibration_runs(seed):
+            assert np.all(counts[law == 0] == 0)
+            keep = law > 0
+            expected = counts.sum() * law[keep]
+            stat = float(np.sum((counts[keep] - expected) ** 2 / expected))
+            good += _chi_square_sf(stat, int(keep.sum()) - 1) > 0.01
+            total += 1
+    assert good >= 0.95 * total
 
 
 def test_mc_close_to_exact():
@@ -322,62 +362,9 @@ def test_negative_seed_rejected(call):
         call()
 
 
-@pytest.mark.parametrize("rule", [singlet_rule(), probe_rigid()], ids=lambda rule: rule.name)
-@pytest.mark.parametrize("q", [0.0, 0.3])
-@pytest.mark.parametrize(
-    "trials", [1, 1000, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 7, 2_000_000]
-)
-def test_sample_branches_chunks_match_one_block(rule, q, trials):
-    cfg = mc_cfg(rule, 2, trials=trials, seed=17, noise_q=q)
-    p_scatter, survivor, flyby = _config_branches(cfg)
-    # one (trials, 4) block: source branch, fly-by, scatter, outcome per trial
-    u = derive_rng(17).random((trials, 4))
-    branch = (u[:, 0] >= 0.5).astype(int)
-    fly = u[:, 1] < q
-    scatter = ~fly & (u[:, 2] < p_scatter[branch])
-    laws = np.where(fly[:, None], flyby[branch], survivor[branch])
-    cells = np.count_nonzero(u[~scatter, 3:] >= np.cumsum(laws[~scatter], axis=1)[:, :-1], axis=1)
-    want = np.append(np.bincount(cells, minlength=2), np.count_nonzero(scatter))
-    assert run_filter_mc(cfg).counts == tuple(int(c) for c in want)
-
-
 def test_derive_rng_streams_differ():
     a = derive_rng(1).random(4)
     b = derive_rng(1).random(4)
     assert np.array_equal(a, b)
     c = derive_rng(1, 7).random(4)
     assert not np.array_equal(a, c)
-    assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
-    assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
-
-
-@pytest.mark.parametrize(
-    "law",
-    [
-        pytest.param([0.0, 0.0, 0.0, 0.0, 1.0], id="all-scatter"),
-        pytest.param([0.5, 0.0, 0.0, 0.5, 0.0], id="zero-cells"),
-        pytest.param([0.0, 0.25, 0.0, 0.75], id="zero-first-and-third"),
-        pytest.param([0.1] * 10, id="cumsum-ends-below-1"),
-        pytest.param([0.3, 0.3, 0.3, 0.1 - 1e-12], id="mass-below-1"),
-    ],
-)
-def test_categorical_counts_match_searchsorted(law):
-    cum = np.cumsum(law)
-    cum[-1] = max(cum[-1], 1.0)
-    # random draws plus draws exactly on every bound, where side="right" matters
-    u = np.concatenate([derive_rng(70).random(50_000), [0.0], cum[:-1]])
-    u = u[u < 1.0]
-    want = np.bincount(np.searchsorted(cum, u, side="right"), minlength=len(law))
-    assert np.array_equal(categorical_counts(law, u), want)
-
-
-def test_categorical_counts_match_searchsorted_on_random_laws():
-    rng = derive_rng(71)
-    u = rng.random(20_000)
-    for _ in range(200):
-        law = rng.random(5) * (rng.random(5) < 0.7)
-        law = law / law.sum() if law.sum() > 0 else np.eye(5)[4]
-        cum = np.cumsum(law)
-        cum[-1] = max(cum[-1], 1.0)
-        want = np.bincount(np.searchsorted(cum, u, side="right"), minlength=5)
-        assert np.array_equal(categorical_counts(law, u), want)

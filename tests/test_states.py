@@ -72,6 +72,12 @@ def test_make_state_normalizes_and_fixes_phase():
     assert abs(s.a_y - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("amps, state", [((1e200, 0), STATE_X), ((1e200, 1e200j), SIGMA_PLUS),
+                                         ((-1.7e308, 1.7e308j), make_state(-1, 1j))])
+def test_make_state_rescales_when_the_norm_overflows(amps, state):
+    assert np.array_equal(make_state(*amps).amps, state.amps)
+
+
 def test_make_state_zero_vector():
     with pytest.raises(ZeroVectorError):
         make_state(0, 0)

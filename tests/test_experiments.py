@@ -362,6 +362,17 @@ def test_negative_seed_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("rule", [singlet_rule(), probe_rigid()], ids=lambda rule: rule.name)
+@pytest.mark.parametrize("q", [0.0, 0.3])
+@pytest.mark.parametrize("trials", [1, 1000, 262_144, 262_145, 786_439, 2_000_000])
+def test_sample_branches_chunks_match_one_block(rule, q, trials):
+    # at any trial count the counts are one multinomial block of the exact run's law
+    cfg = mc_cfg(rule, 2, trials=trials, seed=17, noise_q=q)
+    law = run_filter_exact(replace(cfg, evaluation="exact")).probabilities()
+    want = derive_rng(17).multinomial(trials, law / law.sum())
+    assert run_filter_mc(cfg).counts == tuple(int(c) for c in want)
+
+
 def test_derive_rng_streams_differ():
     a = derive_rng(1).random(4)
     b = derive_rng(1).random(4)

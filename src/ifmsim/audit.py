@@ -31,11 +31,16 @@ zero is not failed by a single unlucky case among many.  C3's Monte
 Carlo verdict demands zero aligned events among the coupled survivors.
 
 Every sampled quantity derives from ``AuditConfig.seed`` through fixed
-streams, so identical configs produce identical reports.
+streams, so identical configs produce identical reports.  Each check's
+rule-independent case grid is built once per configuration and reused
+across rules.  Its cache holds one read-only entry keyed on the values the
+grid reads, so memory stays that of one audit and reports do not depend
+on call order.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -91,6 +96,7 @@ CHECK_IDS = (
 )
 
 CORNER_STATES = (STATE_X, STATE_Y, SIGMA_PLUS, SIGMA_MINUS, D_PLUS, D_MINUS)
+_CORNER_PAIRS = tuple((a, b) for a in CORNER_STATES for b in CORNER_STATES)
 
 # Compact input set for Monte Carlo replays of C2/C4.
 _MC_CORNER_PAIRS = (
@@ -311,10 +317,6 @@ def _config_echo(config: AuditConfig) -> dict:
     return echo
 
 
-def _corner_pairs() -> list[tuple[QubitState, QubitState]]:
-    return [(a, b) for a in CORNER_STATES for b in CORNER_STATES]
-
-
 def _corner_unitaries(bases) -> list[tuple[str, np.ndarray]]:
     out = [("identity", np.eye(2, dtype=complex))]
     for src in bases:
@@ -369,17 +371,29 @@ def _exact_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Couplin
     return _exact_verdict(check_id, float(disc[row]), label(row), evidence, config)
 
 
-def _input_grid(corner_pairs, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Probe and object amplitudes: the corner pairs, then ``count`` uniform pairs from ``rng``."""
-    u = rng.random((count, 4))
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _input_grid(corner_pairs, seed: int, stream: int, count: int) -> tuple[np.ndarray, ...]:
+    """Probe and object amplitudes: the corner pairs, then ``count`` uniform pairs."""
+    u = derive_rng(seed, stream).random((count, 4))
     probes = np.concatenate([_amps(p for p, _ in corner_pairs), uniform_state_amps(u[:, 0:2])])
     objects = np.concatenate([_amps(o for _, o in corner_pairs), uniform_state_amps(u[:, 2:4])])
-    return probes, objects
+    return _read_only(probes, objects)
+
+
+# Each builder of a rule-independent grid keeps one entry, keyed on the values
+# it reads; C2 and C3 keep their own, as one audit draws both.
+_role_inputs = functools.lru_cache(maxsize=1)(_input_grid)
+_anti_alignment_inputs = functools.lru_cache(maxsize=1)(_input_grid)
 
 
 def _role_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, count: int):
     """C2 cases, input-major then noise level: row labeller, direct and mirrored couplings."""
-    probes, objects = _input_grid(corner_pairs, derive_rng(config.seed, stream), count)
+    probes, objects = _role_inputs(corner_pairs, config.seed, stream, count)
     levels = config.noise_levels
     direct = _by_input([coupling_channel(rule, probes, objects, q) for q in levels])
     mirrored = _by_input([swapped_coupling_channel(rule, probes, objects, q) for q in levels])
@@ -391,14 +405,15 @@ def _role_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, coun
     return label, direct, mirrored
 
 
-def _covariance_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, count: int):
-    """C4 cases, input-major then noise level: row labeller, rotated and conjugated couplings.
+@functools.lru_cache(maxsize=1)
+def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int, n_levels: int):
+    """C4 unitary names, inputs, rotated inputs, and the ``U (x) U`` stack per noise level.
 
     Inputs are every corner unitary on every corner pair, then ``count``
     Haar unitaries, each with a uniform pair, drawn from one stream.
     """
-    corners = _corner_unitaries(config.bases)
-    u = derive_rng(config.seed, stream).random((count, 7))
+    corners = _corner_unitaries(bases)
+    u = derive_rng(seed, stream).random((count, 7))
     names = [name for name, _ in corners for _ in corner_pairs]
     names += [f"haar[{i}]" for i in range(count)]
     unitaries = np.concatenate(
@@ -410,14 +425,22 @@ def _covariance_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int
     objects = np.concatenate([corner_objects, uniform_state_amps(u[:, 5:7])])
     rotated_probes = np.einsum("nij,nj->ni", unitaries, probes)
     rotated_objects = np.einsum("nij,nj->ni", unitaries, objects)
+    uu = np.repeat(
+        np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 4, 4), n_levels, axis=0
+    )
+    return tuple(names), *_read_only(probes, objects, rotated_probes, rotated_objects, uu)
+
+
+def _covariance_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, count: int):
+    """C4 cases, input-major then noise level: row labeller, rotated and conjugated couplings."""
     levels = config.noise_levels
+    names, probes, objects, rotated_probes, rotated_objects, uu = _covariance_grid(
+        tuple(config.bases), corner_pairs, config.seed, stream, count, len(levels)
+    )
     rotated = _by_input(
         [coupling_channel(rule, rotated_probes, rotated_objects, q) for q in levels]
     )
     base = _by_input([coupling_channel(rule, probes, objects, q) for q in levels])
-    uu = np.repeat(
-        np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 4, 4), len(levels), axis=0
-    )
     conjugated = base._replace(survivors=uu @ base.survivors @ uu.conj().swapaxes(-1, -2))
 
     def label(row: int) -> str:
@@ -429,7 +452,7 @@ def _covariance_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int
 
 def _anti_alignment_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, count: int):
     """C3 cases: the inputs whose q = 0 coupling can survive, as a labeller and their couplings."""
-    probes, objects = _input_grid(corner_pairs, derive_rng(config.seed, stream), count)
+    probes, objects = _anti_alignment_inputs(corner_pairs, config.seed, stream, count)
     out = coupling_channel(rule, probes, objects, 0.0)
     rows = np.flatnonzero(out.alive & (out.p_scatter < 1.0 - 1e-6))
 
@@ -439,53 +462,55 @@ def _anti_alignment_cases(rule: Rule, config: AuditConfig, corner_pairs, stream:
     return label, Coupling(*(field[rows] for field in out))
 
 
-def _mode_pair_cases(config: AuditConfig, analyzers: str):
-    """C1 case grid; ``analyzers`` is 'all' or 'object' (analyzer = object basis)."""
+@functools.lru_cache(maxsize=1)
+def _mode_pair_grid(bases, n_levels: int, analyzers: str):
+    """C1 cases ``(swapped, object_basis, analyzer, mode2_basis, noise level index)`` and rows.
+
+    ``analyzers`` is 'all' or 'object' (analyzer = object basis).  Mode 1
+    emits the object basis, mode 2 the mode-2 basis; each pair of the two is
+    checked once to share a density matrix.  Rows: ``filter_branches``
+    inputs, four per case (mode, then source state), and each level index.
+    """
     cases = []
     for swapped in (False, True):
-        for object_basis in config.bases:
-            analyzer_list = config.bases if analyzers == "all" else (object_basis,)
+        for object_basis in bases:
+            analyzer_list = bases if analyzers == "all" else (object_basis,)
             for analyzer in analyzer_list:
-                for mode2_basis in config.bases:
+                for mode2_basis in bases:
                     if mode2_basis is object_basis:
                         continue
                     if not mutually_unbiased(object_basis, mode2_basis):
                         continue
-                    for q in config.noise_levels:
-                        cases.append((swapped, object_basis, analyzer, mode2_basis, float(q)))
-    return cases
-
-
-def _mode_pair_laws(rule: Rule, cases) -> np.ndarray:
-    """Detector laws of the C1 cases over (case, source mode, outcome).
-
-    Mode 1 emits the object basis, mode 2 the mode-2 basis; each pair of
-    the two is checked once to share a density matrix.
-    """
+                    for k in range(n_levels):
+                        cases.append((swapped, object_basis, analyzer, mode2_basis, k))
     for object_basis, mode2_basis in dict.fromkeys((c[1], c[3]) for c in cases):
         check_mode_equivalence(object_basis, mode2_basis)
-    n = len(cases)
     sources = np.array([[_amps(c[1].states()), _amps(c[3].states())] for c in cases])
-    branches = filter_branches(
-        rule,
+    return tuple(cases), _read_only(
         sources.reshape(-1, 2),
         np.repeat(_amps(c[1].b1 for c in cases), 4, axis=0),
         np.repeat([c[0] for c in cases], 4),
         np.repeat([_amps(c[2].states()) for c in cases], 4, axis=0),
+        np.array([c[4] for c in cases]),
     )
-    q = np.array([c[4] for c in cases])[:, None]
-    return filter_law(q, *(x.reshape(n, 2, 2, *x.shape[1:]) for x in branches))
+
+
+def _mode_pair_laws(rule: Rule, config: AuditConfig, rows) -> np.ndarray:
+    """Detector laws of the C1 case rows over (case, source mode, outcome)."""
+    branches = filter_branches(rule, *rows[:4])
+    q = np.array([float(q) for q in config.noise_levels])[rows[4]][:, None]
+    return filter_law(q, *(x.reshape(len(q), 2, 2, *x.shape[1:]) for x in branches))
 
 
 # C1 compares the full detector law and the click law given survival.
 _C1_VIEWS = ("full", "conditional")
 
 
-def _case_label(swapped, object_basis, analyzer, mode2_basis, q) -> str:
+def _case_label(config: AuditConfig, swapped, object_basis, analyzer, mode2_basis, k) -> str:
     role = "swapped" if swapped else "normal"
     return (
         f"roles={role} object_basis={object_basis.label} analyzer={analyzer.label} "
-        f"mode2={mode2_basis.label} q={q:g}"
+        f"mode2={mode2_basis.label} q={float(config.noise_levels[k]):g}"
     )
 
 
@@ -493,10 +518,10 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
     """C1: mode-1 and mode-2 source statistics must be identical."""
     if config.evaluation == "mc":
         return _check_c1_mc(rule, config)
-    cases = _mode_pair_cases(config, analyzers="all")
+    cases, rows = _mode_pair_grid(tuple(config.bases), len(config.noise_levels), "all")
     if not cases:
         return _no_cases(CHECK_IDS[0], config.epsilon_exact)
-    laws = _mode_pair_laws(rule, cases)
+    laws = _mode_pair_laws(rule, config, rows)
     conditional, defined = conditional_clicks(laws)
     both = defined.all(axis=1)
     t_full = tvd(laws[:, 0], laws[:, 1])
@@ -510,22 +535,22 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
         "tvd_full": float(t_full[n]),
         "tvd_conditional": float(t_cond[n]) if both[n] else None,
     }
-    witness = _case_label(*cases[n]) + f" view={_C1_VIEWS[k]}"
+    witness = _case_label(config, *cases[n]) + f" view={_C1_VIEWS[k]}"
     return _exact_verdict(CHECK_IDS[0], float(views[n, k]), witness, evidence, config)
 
 
 def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
-    cases = _mode_pair_cases(config, analyzers="object")
+    cases, rows = _mode_pair_grid(tuple(config.bases), len(config.noise_levels), "object")
     if not cases:
         return _no_cases(CHECK_IDS[0], 1.0)
-    laws = _mode_pair_laws(rule, cases)
+    laws = _mode_pair_laws(rule, config, rows)
     d1, d2 = (sample_counts(config.seed, config.mc_trials, laws[:, m], 11, m + 1) for m in (0, 1))
     # One column per view; the conditional one zeroes the scatter cell, which
     # the test then drops as a pooled-zero cell.
     views1, views2 = (np.stack([d, d * [1, 1, 0]], axis=1) for d in (d1, d2))
 
     def witness(idx: int, view: int) -> str:
-        return _case_label(*cases[idx]) + f" view={_C1_VIEWS[view]}"
+        return _case_label(config, *cases[idx]) + f" view={_C1_VIEWS[view]}"
 
     def evidence(idx: int, view: int) -> dict:
         cells = slice(None) if view == 0 else slice(0, 2)
@@ -561,7 +586,7 @@ def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
     if config.evaluation == "mc":
         cases = _role_cases(rule, config, _MC_CORNER_PAIRS, 21, config.mc_input_samples)
         return _mc_pair_verdict(CHECK_IDS[1], config, *cases, 22)
-    cases = _role_cases(rule, config, _corner_pairs(), 2, config.input_samples)
+    cases = _role_cases(rule, config, _CORNER_PAIRS, 2, config.input_samples)
     return _exact_pair_verdict(CHECK_IDS[1], config, *cases, ("direct", "swapped"))
 
 
@@ -599,7 +624,7 @@ def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
     """
     if config.evaluation == "mc":
         return _check_c3_mc(rule, config)
-    label, out = _anti_alignment_cases(rule, config, _corner_pairs(), 3, config.input_samples)
+    label, out = _anti_alignment_cases(rule, config, _CORNER_PAIRS, 3, config.input_samples)
     if not out.alive.size:
         return _no_cases(CHECK_IDS[2], config.epsilon_exact)
     cells = np.stack(
@@ -638,7 +663,7 @@ def check_basis_covariance(rule: Rule, config: AuditConfig) -> CheckResult:
     if config.evaluation == "mc":
         cases = _covariance_cases(rule, config, _MC_CORNER_PAIRS, 41, config.mc_unitary_samples)
         return _mc_pair_verdict(CHECK_IDS[3], config, *cases, 42)
-    cases = _covariance_cases(rule, config, _corner_pairs(), 4, config.unitary_samples)
+    cases = _covariance_cases(rule, config, _CORNER_PAIRS, 4, config.unitary_samples)
     return _exact_pair_verdict(CHECK_IDS[3], config, *cases, ("rotated", "base"))
 
 

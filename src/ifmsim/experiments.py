@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .rules import Rule, coupling_channel
+from .rules import Coupling, Rule, coupling_channel
 from .states import (
     ATOL,
     BASIS_SIGMA,
@@ -55,12 +55,15 @@ class NoSurvivorsError(ValueError):
     """The requested statistics condition on survivors, but none exist."""
 
 
+def _check_integers(**values) -> None:
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def check_integer_fields(config) -> None:
     """Reject bools and non-integers in the ``int`` fields of a config dataclass."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+    _check_integers(**{f.name: getattr(config, f.name) for f in fields(config) if f.type == "int"})
 
 
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -73,8 +76,10 @@ def sample_counts(seed: int, trials: int, laws, *stream: int) -> np.ndarray:
     """Counts of ``trials`` trials for each row law of ``laws`` (..., cells), one draw.
 
     Rows are normalised to sum to 1, so rounding cannot trip the
-    multinomial's check on the cell probabilities.
+    multinomial's check on the cell probabilities.  ``trials`` and ``seed``
+    must be integers; bools are refused.
     """
+    _check_integers(trials=trials, seed=seed)
     if int(trials) < 1:
         raise ConfigError(f"trials must be >= 1, got {trials!r}")
     if int(trials) > 2**63 - 1:  # the multinomial takes a C long
@@ -305,9 +310,8 @@ class CorrelationResult:
         }
 
 
-def _survivor(rule: Rule, probe: QubitState, obj: QubitState, noise_q: float) -> np.ndarray:
-    """Survivor density of one input pair: row 0 of the coupling channel."""
-    out = coupling_channel(rule, probe.amps, obj.amps, noise_q)
+def _survivor(out: Coupling) -> np.ndarray:
+    """Survivor density of the one-row coupling ``out`` of an input pair."""
     if not out.alive[0]:
         raise NoSurvivorsError("survive probability is zero for this input; nothing to measure")
     return out.survivors[0]
@@ -335,7 +339,8 @@ def run_correlation(
     noise_q: float = 0.0,
 ) -> CorrelationResult:
     """Measure both survivors in ``basis`` and report the aligned-cell weight."""
-    cells = joint_born_distribution(_survivor(rule, probe, obj, noise_q), basis, basis)
+    out = coupling_channel(rule, probe.amps, obj.amps, noise_q)
+    cells = joint_born_distribution(_survivor(out), basis, basis)
     return CorrelationResult(cells, float(cells[0] + cells[3]), basis.label)
 
 
@@ -385,7 +390,12 @@ def run_flip(
     noise_q: float = 0.0,
 ) -> FlipResult:
     """Measure the survivor's probe in XY and condition the object on the outcome."""
-    rho = _survivor(rule, probe, obj, noise_q).reshape(2, 2, 2, 2)
+    return _flip(coupling_channel(rule, probe.amps, obj.amps, noise_q))
+
+
+def _flip(out: Coupling) -> FlipResult:
+    """``run_flip`` of the one-row coupling ``out``."""
+    rho = _survivor(out).reshape(2, 2, 2, 2)
     probs = np.empty(2)
     conditioned: list[np.ndarray | None] = []
     for k, outcome in enumerate((STATE_X, STATE_Y)):
@@ -406,7 +416,7 @@ def run_flip_mc(
     seed: int = 0,
 ) -> FlipResult:
     """Sampled probe measurement counts; conditioned object states stay exact."""
-    exact = run_flip(probe, obj, rule, noise_q)
     out = coupling_channel(rule, probe.amps, obj.amps, noise_q)
+    exact = _flip(out)
     counts, n_survivors = _survivor_counts(seed, trials, out, exact.probe_probs)
     return FlipResult(counts / n_survivors, exact.object_given, counts=counts, trials=int(trials))

@@ -177,6 +177,8 @@ NAMED_STATES = {
     "d+": D_PLUS,
     "d-": D_MINUS,
 }
+# state_label tests all named states at once: the same decision as isclose on each
+_NAMED_AMPS = np.array([known.amps for known in NAMED_STATES.values()])
 NAMED_BASES = {"xy": BASIS_XY, "sigma": BASIS_SIGMA, "diag": BASIS_DIAG}
 
 SINGLET = JointState(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0))
@@ -283,10 +285,10 @@ def joint_born_distribution(rho: np.ndarray, basis_probe: Basis, basis_object: B
 
     Leading axes of ``rho`` are kept: ``(..., 4, 4)`` maps to ``(..., 4)``.
     """
-    cells = np.array(
-        [np.kron(bp.amps, bo.amps) for bp in basis_probe.states() for bo in basis_object.states()]
-    )
-    return _expectations(rho, cells)
+    probe = np.array([basis_probe.b1.amps, basis_probe.b2.amps])
+    obj = np.array([basis_object.b1.amps, basis_object.b2.amps])
+    # row 2*k + l is the product of probe vector k and object vector l, as np.kron builds it
+    return _expectations(rho, (probe[:, None, :, None] * obj[None, :, None, :]).reshape(4, 4))
 
 
 def entanglement_entropy(s: JointState) -> float:
@@ -387,9 +389,9 @@ def eigenbasis_of(state: QubitState) -> Basis:
 
 def state_label(s: QubitState) -> str:
     """Short label: a named state when it matches, otherwise Bloch angles."""
-    for name, known in NAMED_STATES.items():
-        if s.isclose(known):
-            return name
+    match = np.flatnonzero((np.abs(s.amps - _NAMED_AMPS) <= ATOL).all(axis=1))
+    if match.size:
+        return list(NAMED_STATES)[match[0]]
     v = to_bloch(s)
     theta = math.acos(min(max(v[2], -1.0), 1.0))
     phi = math.atan2(v[1], v[0])

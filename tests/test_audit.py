@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ifmsim import audit
 from ifmsim.audit import (
     AuditConfig,
     AuditReport,
@@ -17,7 +18,7 @@ from ifmsim.audit import (
     chi_square_two_sample,
     tvd,
 )
-from ifmsim.experiments import FilterConfig, derive_rng, run_filter_mc, sample_counts
+from ifmsim.experiments import ConfigError, FilterConfig, derive_rng, run_filter_mc, sample_counts
 from ifmsim.rules import (
     builtin_rules,
     coherent_projection,
@@ -28,7 +29,7 @@ from ifmsim.rules import (
     singlet_rule,
     validate_custom_rule,
 )
-from ifmsim.states import BASIS_SIGMA, BASIS_XY
+from ifmsim.states import BASIS_SIGMA, BASIS_XY, Basis, STATE_X, make_state
 
 FAST_EXACT = AuditConfig(unitary_samples=25, input_samples=40, seed=11)
 FAST_MC = AuditConfig(
@@ -324,6 +325,83 @@ def test_audit_noise_levels_do_not_change_verdicts():
             report = audit_rule(rule, cfg)
             patterns.append(tuple(c.passed for c in report.checks))
         assert patterns[0] == patterns[1] == patterns[2]
+
+
+GRID_BUILDERS = (
+    audit._mode_pair_grid,
+    audit._role_inputs,
+    audit._anti_alignment_inputs,
+    audit._covariance_grid,
+)
+
+
+def _cold_report(rule, config) -> str:
+    for builder in GRID_BUILDERS:
+        builder.cache_clear()
+    return audit_rule(rule, config).to_json()
+
+
+@pytest.mark.parametrize("config", [FAST_EXACT, FAST_MC], ids=["exact", "mc"])
+def test_grids_are_built_once_per_config(config):
+    for builder in GRID_BUILDERS:
+        builder.cache_clear()
+    audit_rule(singlet_rule(), config)
+    audit_rule(probe_rigid(), config)
+    for builder in GRID_BUILDERS:
+        info = builder.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1), builder
+
+
+@pytest.mark.parametrize("evaluation", ["exact", "mc"])
+def test_grid_cache_reports_match_cold_cache(evaluation):
+    sizes = dict(evaluation=evaluation, input_samples=20, unitary_samples=10, mc_input_samples=3,
+                 mc_unitary_samples=2)
+    a = AuditConfig(seed=11, **sizes)
+    b = AuditConfig(seed=12, bases=(BASIS_SIGMA,), noise_levels=(0.3,), **sizes)
+    for rule in (probe_rigid(), singlet_rule()):
+        warm = [audit_rule(rule, config).to_json() for config in (a, b, a)]
+        assert warm == [_cold_report(rule, config) for config in (a, b, a)]
+
+
+def test_grid_cache_sees_noise_levels_mutated_in_place():
+    levels = [0.0, 0.5]
+    config = AuditConfig(input_samples=20, unitary_samples=10, noise_levels=levels)
+    first = audit_rule(probe_rigid(), config).to_json()
+    for mutate in (lambda: levels.__setitem__(1, 0.25), lambda: levels.append(1.0)):
+        mutate()
+        fresh = AuditConfig(input_samples=20, unitary_samples=10, noise_levels=tuple(levels))
+        assert audit_rule(probe_rigid(), config).to_json() == _cold_report(probe_rigid(), fresh)
+    assert _cold_report(probe_rigid(), config) != first
+
+
+def test_cached_grid_arrays_are_read_only():
+    pairs = audit._MC_CORNER_PAIRS
+    bases = (BASIS_XY, BASIS_SIGMA)
+    grids = [
+        audit._mode_pair_grid(bases, 2, "all")[1],
+        audit._role_inputs(pairs, 0, 21, 3),
+        audit._anti_alignment_inputs(pairs, 0, 31, 3),
+        audit._covariance_grid(bases, pairs, 0, 41, 2, 2)[1:],
+    ]
+    for grid in grids:
+        for array in grid:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
+def test_distinguishable_source_modes_raise_on_every_call():
+    # a near-orthogonal pair, built past the Basis check, whose 50/50 mixture
+    # is not I/2 although it is unbiased with SIGMA to within 1e-6
+    leaky = object.__new__(Basis)
+    for name, value in (("b1", STATE_X), ("b2", make_state(1e-7, 1)), ("label", "leaky")):
+        object.__setattr__(leaky, name, value)
+    bad = AuditConfig(bases=(leaky, BASIS_SIGMA), input_samples=5, unitary_samples=2)
+    for config in (bad, FAST_EXACT, bad, bad):
+        if config is bad:
+            with pytest.raises(ConfigError, match="distinguishable density matrices"):
+                audit_rule(singlet_rule(), config)
+        else:
+            audit_rule(singlet_rule(), config)
 
 
 def test_report_json_round_trip():

@@ -362,6 +362,25 @@ def test_negative_seed_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda **kw: run_correlation_mc(STATE_Y, STATE_X, BASIS_SIGMA, singlet_rule(), **kw),
+        lambda **kw: run_flip_mc(STATE_Y, STATE_X, singlet_rule(), **kw),
+    ],
+    ids=["run_correlation_mc", "run_flip_mc"],
+)
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", 2.5), ("trials", 1e3), ("trials", True), ("seed", True), ("seed", 1.0),
+     ("seed", "1")],
+)
+def test_mc_runs_reject_non_integer_trials_and_seed(run, field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+        run(**{field: value})
+    assert run(**{field: np.int64(1000)}).trials == (1000 if field == "trials" else 100_000)
+
+
 @pytest.mark.parametrize("rule", [singlet_rule(), probe_rigid()], ids=lambda rule: rule.name)
 @pytest.mark.parametrize("q", [0.0, 0.3])
 @pytest.mark.parametrize("trials", [1, 1000, 262_144, 262_145, 786_439, 2_000_000])

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from ifmsim.experiments import derive_rng
 from ifmsim.states import (
+    ATOL,
     BASIS_DIAG,
     BASIS_SIGMA,
     BASIS_XY,
@@ -14,7 +15,10 @@ from ifmsim.states import (
     D_MINUS,
     D_PLUS,
     JointState,
+    NAMED_BASES,
+    NAMED_STATES,
     ParseError,
+    QubitState,
     SIGMA_MINUS,
     SIGMA_PLUS,
     SINGLET,
@@ -46,6 +50,7 @@ from ifmsim.states import (
     tensor_product,
     to_bloch,
     uniform_state_amps,
+    _expectations,
 )
 
 CORNERS = (STATE_X, STATE_Y, SIGMA_PLUS, SIGMA_MINUS, D_PLUS, D_MINUS)
@@ -291,6 +296,63 @@ def test_uniform_block_matches_scalar_draws():
 def test_joint_born_product():
     rho = tensor_product(STATE_Y, STATE_X).density()
     assert np.allclose(joint_born_distribution(rho, BASIS_XY, BASIS_XY), [0, 0, 1, 0], atol=1e-12)
+
+
+def _kron_joint_born(rho, basis_probe, basis_object):
+    """The ``np.kron`` construction of the joint cell vectors, kept as the reference."""
+    cells = np.array(
+        [np.kron(bp.amps, bo.amps) for bp in basis_probe.states() for bo in basis_object.states()]
+    )
+    return _expectations(rho, cells)
+
+
+def test_joint_born_matches_kron_bit_for_bit():
+    rng = derive_rng(23)
+    block = rng.normal(size=(16, 4, 4)) + 1j * rng.normal(size=(16, 4, 4))
+    rho = block @ block.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+    random_bases = []
+    for _ in range(4):
+        s = random_state(rng)
+        random_bases.append(Basis(s, orthogonal_state(s)))
+    bases = list(NAMED_BASES.values()) + random_bases
+    for basis_probe in bases:
+        for basis_object in bases:
+            want = _kron_joint_born(rho, basis_probe, basis_object)
+            assert np.array_equal(joint_born_distribution(rho, basis_probe, basis_object), want)
+
+
+def _raw_state(amps) -> QubitState:
+    """A state with exactly these amplitudes, skipping normalisation and phase fixing."""
+    state = object.__new__(QubitState)
+    object.__setattr__(state, "amps", np.asarray(amps, dtype=complex))
+    return state
+
+
+def _allclose_match(state):
+    """The named state that ``isclose`` matches first, kept as the reference loop."""
+    for name, known in NAMED_STATES.items():
+        if np.allclose(state.amps, known.amps, rtol=0.0, atol=ATOL):
+            return name
+    return None
+
+
+def test_state_label_matches_allclose_loop():
+    states = [(state, name) for name, state in NAMED_STATES.items()]
+    for name, known in NAMED_STATES.items():
+        for k in (0, 1):
+            for unit in (1.0, 1j):
+                for factor in (0.9, -0.9, 1.1, -1.1):
+                    amps = known.amps.copy()
+                    amps[k] += factor * ATOL * unit
+                    states.append((_raw_state(amps), name if abs(factor) < 1 else None))
+    rng = derive_rng(29)
+    states += [(random_state(rng), None) for _ in range(200)]
+    for state, expected in states:
+        reference = _allclose_match(state)
+        assert reference == expected
+        label = state_label(state)
+        assert label == reference if reference else label.startswith("theta,phi=")
 
 
 def test_entanglement_entropy_values():

@@ -30,12 +30,16 @@ informative comparisons (Bonferroni), so a rule whose exact metric is
 zero is not failed by a single unlucky case among many.  C3's Monte
 Carlo verdict demands zero aligned events among the coupled survivors.
 
+Fly-by noise is one axis, blended in after the rule map (``coupling_channel``
+for C2/C4, ``filter_law`` for C1): each rule runs once per input pair, and
+a check's rows run case-major, then noise level.
+
 Every sampled quantity derives from ``AuditConfig.seed`` through fixed
 streams, so identical configs produce identical reports.  Each check's
 rule-independent case grid is built once per configuration and reused
 across rules.  Its cache holds one read-only entry keyed on the values the
-grid reads, so memory stays that of one audit and reports do not depend
-on call order.
+grid reads, none of them a noise level, so memory stays that of one audit
+and reports do not depend on call order.
 """
 
 from __future__ import annotations
@@ -113,13 +117,16 @@ def tvd(d1, d2):
     """Total variation distance ``0.5 * sum |d1 - d2|`` between distributions.
 
     A float for two vectors; for stacks ``(..., k)`` an array over the
-    leading axes, which broadcast.  Every row must sum to 1.
+    leading axes, which broadcast.  Entries must be finite and non-negative,
+    and every row must sum to 1.
     """
     a = np.asarray(d1, dtype=float)
     b = np.asarray(d2, dtype=float)
     if a.shape[-1:] != b.shape[-1:]:
         raise DimensionMismatchError(f"outcome spaces differ: {a.shape} vs {b.shape}")
     for name, dist in (("first", a), ("second", b)):
+        if not np.all(np.isfinite(dist) & (dist >= 0.0)):
+            raise ValueError(f"{name} distribution has a negative or non-finite entry")
         sums = dist.sum(axis=-1)
         bad = np.abs(sums - 1.0) > 1e-6
         if np.any(bad):
@@ -224,17 +231,21 @@ class AuditConfig:
 
     def __post_init__(self):
         check_integer_fields(self)
+        for f in fields(self):  # plain Python numbers, so numpy scalars still give a JSON report
+            cast = {"int": int, "float": float}.get(f.type)
+            if cast is not None:
+                object.__setattr__(self, f.name, cast(getattr(self, f.name)))
         if not self.bases:
             raise ConfigError("bases must not be empty")
-        if not 0.0 < float(self.epsilon_exact) < 1.0:
+        if not 0.0 < self.epsilon_exact < 1.0:
             raise ConfigError("epsilon_exact must lie in (0, 1)")
-        if not 0.0 < float(self.epsilon_mc) < 1.0:
+        if not 0.0 < self.epsilon_mc < 1.0:
             raise ConfigError("epsilon_mc must lie in (0, 1)")
         for count in (self.unitary_samples, self.input_samples, self.mc_trials,
                       self.mc_input_samples, self.mc_unitary_samples):
-            if int(count) < 1:
+            if count < 1:
                 raise ConfigError("sample counts must be positive")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if not self.noise_levels:
             raise ConfigError("noise_levels must not be empty")
@@ -346,13 +357,6 @@ def _exact_verdict(check_id: str, worst: float, witness: str, evidence, config) 
     )
 
 
-def _by_input(couplings: list[Coupling]) -> Coupling:
-    """One coupling per noise level, merged into rows ordered input-major, noise-minor."""
-    return Coupling(
-        *(np.stack(parts, axis=1).reshape(-1, *parts[0].shape[1:]) for parts in zip(*couplings))
-    )
-
-
 def _exact_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, names):
     """C2/C4 exact: the first row of worst max(scatter gap, 1 - fidelity of the survivors).
 
@@ -395,8 +399,8 @@ def _role_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, coun
     """C2 cases, input-major then noise level: row labeller, direct and mirrored couplings."""
     probes, objects = _role_inputs(corner_pairs, config.seed, stream, count)
     levels = config.noise_levels
-    direct = _by_input([coupling_channel(rule, probes, objects, q) for q in levels])
-    mirrored = _by_input([swapped_coupling_channel(rule, probes, objects, q) for q in levels])
+    direct = coupling_channel(rule, probes, objects, levels)
+    mirrored = swapped_coupling_channel(rule, probes, objects, levels)
 
     def label(row: int) -> str:
         n, k = divmod(row, len(levels))
@@ -406,8 +410,8 @@ def _role_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, coun
 
 
 @functools.lru_cache(maxsize=1)
-def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int, n_levels: int):
-    """C4 unitary names, inputs, rotated inputs, and the ``U (x) U`` stack per noise level.
+def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int):
+    """C4 unitary names, inputs, rotated inputs, and ``U (x) U`` per input as ``(N, 1, 4, 4)``.
 
     Inputs are every corner unitary on every corner pair, then ``count``
     Haar unitaries, each with a uniform pair, drawn from one stream.
@@ -425,9 +429,7 @@ def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int, n_
     objects = np.concatenate([corner_objects, uniform_state_amps(u[:, 5:7])])
     rotated_probes = np.einsum("nij,nj->ni", unitaries, probes)
     rotated_objects = np.einsum("nij,nj->ni", unitaries, objects)
-    uu = np.repeat(
-        np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 4, 4), n_levels, axis=0
-    )
+    uu = np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 1, 4, 4)
     return tuple(names), *_read_only(probes, objects, rotated_probes, rotated_objects, uu)
 
 
@@ -435,13 +437,12 @@ def _covariance_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int
     """C4 cases, input-major then noise level: row labeller, rotated and conjugated couplings."""
     levels = config.noise_levels
     names, probes, objects, rotated_probes, rotated_objects, uu = _covariance_grid(
-        tuple(config.bases), corner_pairs, config.seed, stream, count, len(levels)
+        tuple(config.bases), corner_pairs, config.seed, stream, count
     )
-    rotated = _by_input(
-        [coupling_channel(rule, rotated_probes, rotated_objects, q) for q in levels]
-    )
-    base = _by_input([coupling_channel(rule, probes, objects, q) for q in levels])
-    conjugated = base._replace(survivors=uu @ base.survivors @ uu.conj().swapaxes(-1, -2))
+    rotated = coupling_channel(rule, rotated_probes, rotated_objects, levels)
+    base = coupling_channel(rule, probes, objects, levels)
+    survivors = uu @ base.survivors.reshape(len(probes), -1, 4, 4) @ uu.conj().swapaxes(-1, -2)
+    conjugated = base._replace(survivors=survivors.reshape(-1, 4, 4))
 
     def label(row: int) -> str:
         n, k = divmod(row, len(levels))
@@ -463,13 +464,13 @@ def _anti_alignment_cases(rule: Rule, config: AuditConfig, corner_pairs, stream:
 
 
 @functools.lru_cache(maxsize=1)
-def _mode_pair_grid(bases, n_levels: int, analyzers: str):
-    """C1 cases ``(swapped, object_basis, analyzer, mode2_basis, noise level index)`` and rows.
+def _mode_pair_grid(bases, analyzers: str):
+    """C1 cases ``(swapped, object_basis, analyzer, mode2_basis)`` and their rows.
 
     ``analyzers`` is 'all' or 'object' (analyzer = object basis).  Mode 1
     emits the object basis, mode 2 the mode-2 basis; each pair of the two is
     checked once to share a density matrix.  Rows: ``filter_branches``
-    inputs, four per case (mode, then source state), and each level index.
+    inputs, four per case (mode, then source state).
     """
     cases = []
     for swapped in (False, True):
@@ -481,8 +482,7 @@ def _mode_pair_grid(bases, n_levels: int, analyzers: str):
                         continue
                     if not mutually_unbiased(object_basis, mode2_basis):
                         continue
-                    for k in range(n_levels):
-                        cases.append((swapped, object_basis, analyzer, mode2_basis, k))
+                    cases.append((swapped, object_basis, analyzer, mode2_basis))
     for object_basis, mode2_basis in dict.fromkeys((c[1], c[3]) for c in cases):
         check_mode_equivalence(object_basis, mode2_basis)
     sources = np.array([[_amps(c[1].states()), _amps(c[3].states())] for c in cases])
@@ -491,26 +491,28 @@ def _mode_pair_grid(bases, n_levels: int, analyzers: str):
         np.repeat(_amps(c[1].b1 for c in cases), 4, axis=0),
         np.repeat([c[0] for c in cases], 4),
         np.repeat([_amps(c[2].states()) for c in cases], 4, axis=0),
-        np.array([c[4] for c in cases]),
     )
 
 
 def _mode_pair_laws(rule: Rule, config: AuditConfig, rows) -> np.ndarray:
-    """Detector laws of the C1 case rows over (case, source mode, outcome)."""
-    branches = filter_branches(rule, *rows[:4])
-    q = np.array([float(q) for q in config.noise_levels])[rows[4]][:, None]
-    return filter_law(q, *(x.reshape(len(q), 2, 2, *x.shape[1:]) for x in branches))
+    """Detector laws of the C1 rows, case-major then noise level, over (source mode, outcome)."""
+    q = np.asarray(config.noise_levels, dtype=float)[:, None]
+    branches = (x.reshape(-1, 1, 2, 2, *x.shape[1:]) for x in filter_branches(rule, *rows))
+    return filter_law(q, *branches).reshape(-1, 2, 3)
 
 
 # C1 compares the full detector law and the click law given survival.
 _C1_VIEWS = ("full", "conditional")
 
 
-def _case_label(config: AuditConfig, swapped, object_basis, analyzer, mode2_basis, k) -> str:
+def _mode_pair_witness(config: AuditConfig, cases, row: int, view: int) -> str:
+    """Label of C1 row ``row`` (case-major, then noise level) in view ``view``."""
+    n, k = divmod(row, len(config.noise_levels))
+    swapped, object_basis, analyzer, mode2_basis = cases[n]
     role = "swapped" if swapped else "normal"
     return (
         f"roles={role} object_basis={object_basis.label} analyzer={analyzer.label} "
-        f"mode2={mode2_basis.label} q={float(config.noise_levels[k]):g}"
+        f"mode2={mode2_basis.label} q={float(config.noise_levels[k]):g} view={_C1_VIEWS[view]}"
     )
 
 
@@ -518,14 +520,14 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
     """C1: mode-1 and mode-2 source statistics must be identical."""
     if config.evaluation == "mc":
         return _check_c1_mc(rule, config)
-    cases, rows = _mode_pair_grid(tuple(config.bases), len(config.noise_levels), "all")
+    cases, rows = _mode_pair_grid(tuple(config.bases), "all")
     if not cases:
         return _no_cases(CHECK_IDS[0], config.epsilon_exact)
     laws = _mode_pair_laws(rule, config, rows)
     conditional, defined = conditional_clicks(laws)
     both = defined.all(axis=1)
     t_full = tvd(laws[:, 0], laws[:, 1])
-    t_cond = np.full(len(cases), -1.0)
+    t_cond = np.full(len(laws), -1.0)
     t_cond[both] = tvd(conditional[both, 0], conditional[both, 1])
     views = np.stack([t_full, t_cond], axis=1)
     n, k = divmod(int(np.argmax(views)), 2)
@@ -535,12 +537,12 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
         "tvd_full": float(t_full[n]),
         "tvd_conditional": float(t_cond[n]) if both[n] else None,
     }
-    witness = _case_label(config, *cases[n]) + f" view={_C1_VIEWS[k]}"
+    witness = _mode_pair_witness(config, cases, n, k)
     return _exact_verdict(CHECK_IDS[0], float(views[n, k]), witness, evidence, config)
 
 
 def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
-    cases, rows = _mode_pair_grid(tuple(config.bases), len(config.noise_levels), "object")
+    cases, rows = _mode_pair_grid(tuple(config.bases), "object")
     if not cases:
         return _no_cases(CHECK_IDS[0], 1.0)
     laws = _mode_pair_laws(rule, config, rows)
@@ -549,14 +551,12 @@ def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
     # the test then drops as a pooled-zero cell.
     views1, views2 = (np.stack([d, d * [1, 1, 0]], axis=1) for d in (d1, d2))
 
-    def witness(idx: int, view: int) -> str:
-        return _case_label(config, *cases[idx]) + f" view={_C1_VIEWS[view]}"
-
     def evidence(idx: int, view: int) -> dict:
         cells = slice(None) if view == 0 else slice(0, 2)
         return {"counts_mode1": list(map(int, d1[idx, cells])),
                 "counts_mode2": list(map(int, d2[idx, cells]))}
 
+    witness = functools.partial(_mode_pair_witness, config, cases)
     return _mc_verdict(CHECK_IDS[0], config, views1, views2, witness, evidence)
 
 
@@ -616,12 +616,7 @@ def _mc_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, 
 
 
 def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
-    """C3: coupled survivors carry zero aligned-cell weight in every basis.
-
-    Evaluated on the q = 0 survivor; fly-by trials pass the input product
-    state through untouched and are conditioned away (in Monte Carlo mode
-    only coupled trials are counted).
-    """
+    """C3: coupled (q = 0) survivors carry zero aligned-cell weight in every basis."""
     if config.evaluation == "mc":
         return _check_c3_mc(rule, config)
     label, out = _anti_alignment_cases(rule, config, _CORNER_PAIRS, 3, config.input_samples)

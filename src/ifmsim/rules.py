@@ -27,11 +27,11 @@ which is precisely the kind of disagreement the audit battery exposes.
 Fly-by noise ``q`` is the probability that the coupling simply does not
 happen; the outcome then blends the untouched input with the rule's own
 survivor.  ``coupling_channel`` evaluates a whole batch of input pairs
-as arrays, and every experiment and audit check reads its rows.
-``apply_rule`` and ``swapped_channel`` are single-pair conveniences for
-library callers; the package itself no longer calls them.  All functions
-here are pure and deterministic; randomness lives only in the Monte Carlo
-engine.
+as arrays, at one noise level or several, and every experiment and audit
+check reads its rows.  ``apply_rule`` and ``swapped_channel`` are
+single-pair conveniences for library callers; the package itself no
+longer calls them.  All functions here are pure and deterministic;
+randomness lives only in the Monte Carlo engine.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ def _universal_survivors(rule: Rule, probes, objects, inp) -> np.ndarray:
     raise InvalidRuleError(f"no survivor map for rule kind {rule.kind}")
 
 
-def coupling_channel(rule: Rule, probes, objects, noise_q: float = 0.0) -> Coupling:
+def coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupling:
     """Run one coupling per row of the ``(N, 2)`` probe and object amplitude arrays.
 
     With probability ``noise_q`` the coupling does not happen at all and
@@ -295,10 +295,16 @@ def coupling_channel(rule: Rule, probes, objects, noise_q: float = 0.0) -> Coupl
     probability.  Rows whose overall survive probability is negligible
     report certain scatter and are not ``alive``.  Amplitude rows must
     be normalized.
+
+    ``noise_q`` is one level or a 1-D sequence of ``L`` levels.  The rule
+    runs once per input pair; the fly-by blend then broadcasts over the
+    levels, and row ``n*L + k`` holds pair ``n`` at level ``k``, so one
+    level gives one row per pair.
     """
-    q = float(noise_q)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"noise_q must be within [0, 1], got {q}")
+    q = np.asarray(noise_q, dtype=float).reshape(-1)
+    outside = ~((0.0 <= q) & (q <= 1.0))
+    if outside.any():
+        raise ValueError(f"noise_q must be within [0, 1], got {float(q[outside][0])}")
     probes = np.asarray(probes, dtype=complex).reshape(-1, 2)
     objects = np.asarray(objects, dtype=complex).reshape(-1, 2)
     inp = _pair_amps(probes, objects)
@@ -314,16 +320,19 @@ def coupling_channel(rule: Rule, probes, objects, noise_q: float = 0.0) -> Coupl
         coupled = 1.0 - p_nn > PHASE_EPS
         survivor_nn = _universal_survivors(rule, probes, objects, inp)
 
+    p_nn, coupled = p_nn[:, None], coupled[:, None]  # axes (pair, level) from here on
     survive_mass = q + (1.0 - q) * (1.0 - p_nn)
     alive = survive_mass > PHASE_EPS
     weight = np.where(coupled, (1.0 - q) * (1.0 - p_nn), 0.0)
-    blended = q * _projectors(inp) + weight[:, None, None] * survivor_nn
+    blended = (q[:, None, None] * _projectors(inp)[:, None]
+               + weight[..., None, None] * survivor_nn[:, None])
     # dividing by an infinite mass zeroes the survivors of rows that are not alive
-    survivors = blended / np.where(alive, survive_mass, np.inf)[:, None, None]
-    return Coupling(np.where(alive, (1.0 - q) * p_nn, 1.0), survivors, alive)
+    survivors = blended / np.where(alive, survive_mass, np.inf)[..., None, None]
+    return Coupling(np.where(alive, (1.0 - q) * p_nn, 1.0).reshape(-1),
+                    survivors.reshape(-1, 4, 4), alive.reshape(-1))
 
 
-def swapped_coupling_channel(rule: Rule, probes, objects, noise_q: float = 0.0) -> Coupling:
+def swapped_coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupling:
     """``coupling_channel`` with the arguments exchanged, mapped back by SWAP.
 
     The survivors live on the same (probe slot, object slot) space as
@@ -335,27 +344,23 @@ def swapped_coupling_channel(rule: Rule, probes, objects, noise_q: float = 0.0) 
 
 
 def _single(out: Coupling) -> CouplingOutcome:
+    if len(out.alive) != 1:
+        raise ValueError(f"a single pair takes one noise level, got {len(out.alive)}")
     if not out.alive[0]:
         return CouplingOutcome(1.0, None)
     return CouplingOutcome(float(out.p_scatter[0]), out.survivors[0])
 
 
 def apply_rule(rule: Rule, probe: QubitState, obj: QubitState, noise_q: float = 0.0) -> CouplingOutcome:
-    """Run one coupling under ``rule`` with fly-by probability ``noise_q``.
+    """The single-pair form of ``coupling_channel`` at fly-by probability ``noise_q``.
 
-    The single-pair form of ``coupling_channel``; a pair that scatters
-    with certainty reports ``p_scatter == 1`` and omits the survivor.
+    A pair that scatters with certainty reports ``p_scatter == 1`` and omits the survivor.
     """
     return _single(coupling_channel(rule, probe.amps, obj.amps, noise_q))
 
 
 def swapped_channel(rule: Rule, probe: QubitState, obj: QubitState, noise_q: float = 0.0) -> CouplingOutcome:
-    """Apply ``rule`` with the arguments exchanged, mapped back by SWAP.
-
-    The output lives on the same (probe slot, object slot) space as
-    ``apply_rule(rule, probe, obj)``, so a role-symmetric rule gives an
-    identical outcome through both paths.
-    """
+    """The single-pair form of ``swapped_coupling_channel``, reported like ``apply_rule``."""
     return _single(swapped_coupling_channel(rule, probe.amps, obj.amps, noise_q))
 
 

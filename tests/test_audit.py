@@ -72,6 +72,12 @@ def test_tvd_dimension_mismatch():
 def test_tvd_rejects_non_distributions():
     with pytest.raises(ValueError):
         tvd([0.7, 0.7], [0.5, 0.5])
+    # a NaN sum and a negative entry both slip past a check on the row sums alone
+    for bad in ([np.nan, 1.0], [1.5, -0.5], [np.inf, -np.inf], [[0.5, 0.5], [1.5, -0.5]]):
+        with pytest.raises(ValueError, match="first distribution has a negative or non-finite"):
+            tvd(bad, [0.5, 0.5])
+        with pytest.raises(ValueError, match="second distribution has a negative or non-finite"):
+            tvd([0.5, 0.5], bad)
 
 
 @st.composite
@@ -378,10 +384,10 @@ def test_cached_grid_arrays_are_read_only():
     pairs = audit._MC_CORNER_PAIRS
     bases = (BASIS_XY, BASIS_SIGMA)
     grids = [
-        audit._mode_pair_grid(bases, 2, "all")[1],
+        audit._mode_pair_grid(bases, "all")[1],
         audit._role_inputs(pairs, 0, 21, 3),
         audit._anti_alignment_inputs(pairs, 0, 31, 3),
-        audit._covariance_grid(bases, pairs, 0, 41, 2, 2)[1:],
+        audit._covariance_grid(bases, pairs, 0, 41, 2)[1:],
     ]
     for grid in grids:
         for array in grid:
@@ -534,6 +540,23 @@ def test_audit_config_validation():
         AuditConfig(evaluation="sometimes")
 
 
+@pytest.mark.parametrize("numbers", [
+    dict(seed=np.int64(3)),
+    dict(mc_trials=np.int64(1000), evaluation="mc"),
+    dict(epsilon_exact=np.float32(1e-6), epsilon_mc=np.float32(1e-3)),
+], ids=["seed", "mc_trials", "epsilons"])
+def test_audit_config_numpy_scalars_give_a_json_report(numbers):
+    sizes = dict(input_samples=5, unitary_samples=2, mc_input_samples=2, mc_unitary_samples=2)
+    config = AuditConfig(**sizes, **numbers)
+    for name, value in numbers.items():
+        assert type(getattr(config, name)) is type(getattr(AuditConfig(), name)), name
+    text = audit_rule(singlet_rule(), config).to_json()
+    assert AuditReport.from_json(text).to_json() == text
+    plain = {name: value.item() if isinstance(value, np.generic) else value
+             for name, value in numbers.items()}
+    assert text == audit_rule(singlet_rule(), AuditConfig(**sizes, **plain)).to_json()
+
+
 def test_check_result_invariant_passed_iff_below_threshold():
     for rule in (singlet_rule(), object_rigid(), random_mix()):
         for config in (FAST_EXACT, FAST_MC):
@@ -576,3 +599,23 @@ def test_default_exact_audit_pinned(rule):
         else:
             value, tol = failing[check.check_id[:2]]
             assert check.metric == pytest.approx(value, abs=tol), check.check_id
+
+
+# Exact C2-C4 at seed 5: their witnesses and metrics come from the seed-5
+# draws, so a check that drew its random inputs at a fixed seed would show.
+SEED5_EXACT = [
+    (probe_rigid(), check_role_symmetry, 0.99994656105,
+     "input=(theta,phi=1.68885,-1.55043, theta,phi=1.62129,-1.39252) q=0"),
+    (preferred_basis(BASIS_SIGMA), check_anti_alignment, 0.5,
+     "input=(theta,phi=2.14866,-0.750574, "),
+    (preferred_basis(BASIS_SIGMA), check_basis_covariance, 0.778180357224, "unitary=haar[15] "),
+]
+
+
+@pytest.mark.parametrize("rule, check, metric, witness", SEED5_EXACT,
+                         ids=["C2-probe-rigid", "C3-preferred-basis", "C4-preferred-basis"])
+def test_exact_checks_pinned_at_seed_5(rule, check, metric, witness):
+    result = check(rule, AuditConfig(seed=5))
+    assert not result.passed
+    assert result.metric == pytest.approx(metric, abs=1e-8)
+    assert result.witness.startswith(witness), result.witness

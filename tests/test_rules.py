@@ -260,6 +260,41 @@ def test_coupling_channel_rows_match_single_pairs(rule):
                 )
 
 
+@pytest.mark.parametrize("levels", [(0.0, 0.3, 1.0), (0.5, 0.5)], ids=str)
+@pytest.mark.parametrize("channel", [coupling_channel, swapped_coupling_channel],
+                         ids=lambda f: f.__name__)
+def test_level_axis_matches_per_level_calls(channel, levels):
+    # a level sequence gives the per-level rows interleaved input-major, bit for bit
+    rng = derive_rng(211)
+    pairs = [(a, b) for a in CORNERS for b in CORNERS]
+    pairs += [(random_state(rng), random_state(rng)) for _ in range(20)]
+    probes = np.array([p.amps for p, _ in pairs])
+    objects = np.array([o.amps for _, o in pairs])
+    custom = validate_custom_rule(np.diag([0, 1, 1, 0]), name="remove-aligned-xy")
+    for rule in list(builtin_rules()) + [custom]:
+        stacked = channel(rule, probes, objects, levels)
+        per_level = [channel(rule, probes, objects, q) for q in levels]
+        for field, parts in zip(stacked, zip(*per_level)):
+            expected = np.stack(parts, axis=1).reshape(-1, *parts[0].shape[1:])
+            assert field.shape == expected.shape, rule
+            assert field.tobytes() == expected.tobytes(), rule
+
+
+def test_level_axis_rejects_any_level_outside_the_unit_interval():
+    for levels, shown in (((0.0, 1.5, 0.3), "1.5"), ([0.2, float("nan")], "nan"),
+                          (np.array([-0.25, 2.0]), "-0.25")):
+        with pytest.raises(ValueError, match=rf"noise_q must be within \[0, 1\], got {shown}$"):
+            coupling_channel(singlet_rule(), STATE_Y.amps, STATE_X.amps, levels)
+
+
+@pytest.mark.parametrize("single", [apply_rule, swapped_channel], ids=lambda f: f.__name__)
+def test_single_pair_forms_refuse_a_level_sequence(single):
+    # row 0 of a level sequence would silently answer at its first level only
+    with pytest.raises(ValueError, match="a single pair takes one noise level, got 2"):
+        single(singlet_rule(), STATE_X, STATE_X, (0.0, 0.5))
+    assert single(singlet_rule(), STATE_X, STATE_X, [0.5]).p_scatter == 0.5
+
+
 def test_only_linear_kinds_carry_a_survive_operator():
     assert np.allclose(
         coherent_projection(BASIS_XY).operator, aligned_projector_complement(), atol=1e-15

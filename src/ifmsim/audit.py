@@ -53,7 +53,7 @@ import numpy as np
 
 from .experiments import (
     ConfigError,
-    check_integer_fields,
+    check_fields,
     check_mode_equivalence,
     conditional_clicks,
     derive_rng,
@@ -230,11 +230,7 @@ class AuditConfig:
     mc_unitary_samples: int = 6
 
     def __post_init__(self):
-        check_integer_fields(self)
-        for f in fields(self):  # plain Python numbers, so numpy scalars still give a JSON report
-            cast = {"int": int, "float": float}.get(f.type)
-            if cast is not None:
-                object.__setattr__(self, f.name, cast(getattr(self, f.name)))
+        check_fields(self)  # plain Python numbers, so numpy scalars still give a JSON report
         if not self.bases:
             raise ConfigError("bases must not be empty")
         if not 0.0 < self.epsilon_exact < 1.0:

@@ -23,6 +23,7 @@ from .audit import AuditConfig, AuditReport, audit_rule
 from .experiments import (
     ConfigError,
     FilterConfig,
+    json_fits,
     run_correlation,
     run_correlation_mc,
     run_filter,
@@ -83,26 +84,8 @@ def _write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-# JSON types a config value may take, by the annotation of its config field;
-# rules, bases and states are spelled as strings and tuples as lists.
-_JSON_TYPES = {
-    "int": int, "float": (int, float), "bool": bool, "str": str, "Rule": str, "Basis": str,
-    "QubitState": str, "Basis | None": (str, type(None)),
-}
-
-
-def _json_fits(annotation: str, value) -> bool:
-    if annotation.startswith("tuple["):
-        item = annotation[len("tuple["):-len(", ...]")]
-        return isinstance(value, list) and all(_json_fits(item, v) for v in value)
-    # JSON true and false are no numbers, though Python's bool subclasses int
-    return isinstance(value, _JSON_TYPES[annotation]) and (
-        isinstance(value, bool) == (annotation == "bool")
-    )
-
-
-def _load_config_doc(path: str | None, config_cls, what: str) -> dict:
-    """The JSON config at ``path``, or {}; keys and types follow ``config_cls`` plus ``rule``."""
+def _load_config_doc(path: str | None, allowed: dict, what: str) -> dict:
+    """The JSON config at ``path``, or {}; ``allowed`` maps its keys to field annotations."""
     if path is None:
         return {}
     try:
@@ -114,7 +97,6 @@ def _load_config_doc(path: str | None, config_cls, what: str) -> dict:
         raise ConfigError(f"{what} config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} config must be a JSON object")
-    allowed = {"rule": "Rule"} | {f.name: f.type for f in fields(config_cls)}
     unknown = set(doc) - set(allowed)
     if unknown:
         raise ConfigError(
@@ -122,26 +104,44 @@ def _load_config_doc(path: str | None, config_cls, what: str) -> dict:
             f"allowed: {', '.join(sorted(allowed))}"
         )
     for key, value in doc.items():
-        if not _json_fits(allowed[key], value):
+        if not json_fits(allowed[key], value):
             raise ConfigError(
                 f"{what} config key {key!r}: expected {allowed[key]}, got {json.dumps(value)}"
             )
     return doc
 
 
-def _explicit(ctx, param_name: str) -> bool:
-    """Whether the flag was given on the command line or through its environment variable."""
-    source = ctx.get_parameter_source(param_name)
-    return source in (ParameterSource.COMMANDLINE, ParameterSource.ENVIRONMENT)
+# Config keys spelled as text.  They are parsed in this order, the rule first and
+# then in field order, so the first bad spelling is the one reported.
+_PARSERS = {
+    "rule": _resolve_rule,
+    "bases": lambda labels: tuple(parse_basis_spec(label) for label in labels),
+    "source_basis": parse_basis_spec,
+    "object_state": parse_state_spec,
+    "analyzer_basis": parse_basis_spec,
+}
 
 
-def _pick(ctx, param_name: str, flag_value, doc: dict, doc_key: str):
-    """CLI flag when given explicitly, else config value, else the flag default."""
-    if _explicit(ctx, param_name):
-        return flag_value
-    if doc_key in doc:
-        return doc[doc_key]
-    return flag_value
+def _config_values(ctx, config_cls, what: str) -> dict:
+    """The rule and the ``config_cls`` fields set for ``ctx``'s command, text spellings parsed.
+
+    Each flag is named after the config key it sets.  A flag given on the
+    command line or through its environment variable wins, then the
+    ``--config`` file; a key neither sets is left out, so its config
+    default applies.
+    """
+    allowed = {"rule": "Rule"} | {f.name: f.type for f in fields(config_cls)}
+    values = _load_config_doc(ctx.params["config_path"], allowed, what)
+    for key, value in ctx.params.items():
+        if key in allowed and ctx.get_parameter_source(key) in (ParameterSource.COMMANDLINE,
+                                                                 ParameterSource.ENVIRONMENT):
+            values[key] = value
+    if not values.get("rule"):
+        raise ConfigError("no rule given; pass --rule or put 'rule' in the config file")
+    for key, parse in _PARSERS.items():
+        if values.get(key) is not None:
+            values[key] = parse(values[key])
+    return values
 
 
 def _nonnegative_seed(ctx, param, value):
@@ -150,10 +150,25 @@ def _nonnegative_seed(ctx, param, value):
     return value
 
 
-# One --seed for every command, so a negative seed is refused in every mode.
+# Options several commands share, each declared once.  A negative seed is
+# refused in every mode.
+_rule_option = functools.partial(click.option, "--rule",
+                                 help="Built-in rule name or custom-rule JSON file.")
 _seed_option = click.option("--seed", type=int, default=0, show_default=True, envvar="IFM_SEED",
                             show_envvar=True, callback=_nonnegative_seed,
                             help="Seed for every sampled quantity.")
+_mode_option = click.option("--mode", "evaluation", type=click.Choice(["exact", "mc"]),
+                            default="exact", show_default=True,
+                            help="Exact channel evaluation or Monte Carlo sampling.")
+_trials_option = click.option("--trials", type=int, default=100_000, show_default=True,
+                              help="Monte Carlo trials.")
+_config_option = click.option("--config", "config_path",
+                              type=click.Path(exists=True, dir_okay=False), default=None,
+                              help="JSON config file; explicit flags and IFM_SEED override it.")
+_noise_q_option = click.option("--noise-q", type=float, default=0.0, show_default=True,
+                               help="Fly-by probability.")
+_probe_state_option = click.option("--probe-state", default="y", show_default=True)
+_object_state_option = click.option("--object-state", default="x", show_default=True)
 
 
 def _matrix_to_json(matrix):
@@ -168,45 +183,34 @@ def main():
 
 
 @main.command()
-@click.option("--rule", "rule_spec", default=None, help="Built-in rule name or custom-rule JSON file.")
-@click.option("--mode", "evaluation", type=click.Choice(["exact", "mc"]), default="exact",
-              show_default=True, help="Exact channel evaluation or Monte Carlo sampling.")
-@click.option("--trials", type=int, default=100_000, show_default=True,
+@_rule_option()
+@_mode_option
+@click.option("--trials", "mc_trials", type=int, default=100_000, show_default=True,
               help="Monte Carlo trials per comparison.")
 @_seed_option
-@click.option("--noise-q", type=float, default=None,
+@click.option("--noise-q", "noise_levels", type=float, default=None,
+              callback=lambda ctx, param, q: None if q is None else (q,),
               help="Audit at this single fly-by probability (default: levels 0 and 0.5).")
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None,
               help="Also write the JSON report to this path.")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="JSON audit config; explicit flags override it.")
+@_config_option
 @click.pass_context
 @_guarded
-def audit(ctx, rule_spec, evaluation, trials, seed, noise_q, report_path, config_path):
+def audit(ctx, report_path, **_):
     """Run the four-check audit battery against one rule."""
-    doc = _load_config_doc(config_path, AuditConfig, "audit")
-    rule_text = rule_spec if rule_spec is not None else doc.get("rule")
-    if not rule_text:
-        raise ConfigError("no rule given; pass --rule or put 'rule' in the config file")
-    rule = _resolve_rule(rule_text)
-
-    given = {key: value for key, value in doc.items() if key != "rule"}
-    if "bases" in given:
-        given["bases"] = tuple(parse_basis_spec(label) for label in given["bases"])
-    if "noise_levels" in given:
-        given["noise_levels"] = tuple(float(q) for q in given["noise_levels"])
-    if noise_q is not None:
-        given["noise_levels"] = (float(noise_q),)
-    flags = {"seed": ("seed", seed), "evaluation": ("evaluation", evaluation),
-             "trials": ("mc_trials", trials)}
-    for param, (key, value) in flags.items():
-        if _explicit(ctx, param):
-            given[key] = value
-    report = audit_rule(rule, AuditConfig(**given))
+    values = _config_values(ctx, AuditConfig, "audit")
+    report = audit_rule(values.pop("rule"), AuditConfig(**values))
     text = report.to_json()
     click.echo(text)
     if report_path:
         _write_text_atomic(report_path, text + "\n")
+
+
+def _run_config(evaluation, trials, seed, **inputs) -> dict:
+    """The ``config`` echo of a run: its inputs, the evaluation, and trials and seed if sampled."""
+    sampled = evaluation == "mc"
+    return {**inputs, "evaluation": evaluation, "trials": trials if sampled else None,
+            "seed": seed if sampled else None}
 
 
 @main.group()
@@ -214,28 +218,8 @@ def run():
     """Run a single experiment."""
 
 
-def _filter_config_from_inputs(ctx, doc, rule_spec, source_mode, source_basis, object_state,
-                               analyzer_basis, noise_q, swap_roles, evaluation, trials, seed):
-    rule_text = _pick(ctx, "rule_spec", rule_spec, doc, "rule")
-    if not rule_text:
-        raise ConfigError("no rule given; pass --rule or put 'rule' in the config file")
-    basis_spec = _pick(ctx, "source_basis", source_basis, doc, "source_basis")
-    return FilterConfig(
-        rule=_resolve_rule(rule_text),
-        source_mode=_pick(ctx, "source_mode", source_mode, doc, "source_mode"),
-        source_basis=None if basis_spec is None else parse_basis_spec(basis_spec),
-        object_state=parse_state_spec(_pick(ctx, "object_state", object_state, doc, "object_state")),
-        analyzer_basis=parse_basis_spec(_pick(ctx, "analyzer_basis", analyzer_basis, doc, "analyzer_basis")),
-        noise_q=float(_pick(ctx, "noise_q", noise_q, doc, "noise_q")),
-        swapped_roles=_pick(ctx, "swap_roles", swap_roles, doc, "swapped_roles"),
-        evaluation=_pick(ctx, "evaluation", evaluation, doc, "evaluation"),
-        trials=_pick(ctx, "trials", trials, doc, "trials"),
-        seed=_pick(ctx, "seed", seed, doc, "seed"),
-    )
-
-
 @run.command("filter")
-@click.option("--rule", "rule_spec", default=None, help="Built-in rule name or custom-rule JSON file.")
+@_rule_option()
 @click.option("--source-mode", type=click.IntRange(1, 2), default=1, show_default=True,
               help="1: source emits the filter particle's eigenbasis; 2: a conjugate basis.")
 @click.option("--source-basis", default=None, help="Override the source basis (xy|sigma|diag).")
@@ -243,43 +227,31 @@ def _filter_config_from_inputs(ctx, doc, rule_spec, source_mode, source_basis, o
               help="Filter particle state (stage B).")
 @click.option("--analyzer-basis", default="xy", show_default=True,
               help="Analyzer projection basis (stage C).")
-@click.option("--noise-q", type=float, default=0.0, show_default=True,
-              help="Fly-by probability.")
-@click.option("--swap-roles", is_flag=True, default=False,
+@_noise_q_option
+@click.option("--swap-roles", "swapped_roles", is_flag=True, default=False,
               help="Exchange which particle carries the probe role.")
-@click.option("--mode", "evaluation", type=click.Choice(["exact", "mc"]), default="exact",
-              show_default=True)
-@click.option("--trials", type=int, default=100_000, show_default=True)
+@_mode_option
+@_trials_option
 @_seed_option
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
               help="Write a per-detector histogram CSV (outcome,count,probability).")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="JSON filter config; explicit flags override it.")
+@_config_option
 @click.pass_context
 @_guarded
-def run_filter_cmd(ctx, rule_spec, source_mode, source_basis, object_state, analyzer_basis,
-                   noise_q, swap_roles, evaluation, trials, seed, csv_path, config_path):
+def run_filter_cmd(ctx, csv_path, **_):
     """Run the three-stage filter device once."""
-    doc = _load_config_doc(config_path, FilterConfig, "filter")
-    cfg = _filter_config_from_inputs(ctx, doc, rule_spec, source_mode, source_basis,
-                                     object_state, analyzer_basis, noise_q, swap_roles,
-                                     evaluation, trials, seed)
+    cfg = FilterConfig(**_config_values(ctx, FilterConfig, "filter"))
     dist = run_filter(cfg)
     labels = [state_label(cfg.analyzer_basis.b1), state_label(cfg.analyzer_basis.b2), "scatter"]
     payload = {
         "command": "run filter",
-        "config": {
-            "rule": cfg.rule.name,
-            "source_mode": cfg.source_mode,
-            "source_basis": cfg.resolved_source_basis().label.lower(),
-            "object_state": state_label(cfg.object_state),
-            "analyzer_basis": cfg.analyzer_basis.label.lower(),
-            "noise_q": cfg.noise_q,
-            "swapped_roles": cfg.swapped_roles,
-            "evaluation": cfg.evaluation,
-            "trials": cfg.trials if cfg.evaluation == "mc" else None,
-            "seed": cfg.seed if cfg.evaluation == "mc" else None,
-        },
+        "config": _run_config(
+            cfg.evaluation, cfg.trials, cfg.seed, rule=cfg.rule.name, source_mode=cfg.source_mode,
+            source_basis=cfg.resolved_source_basis().label.lower(),
+            object_state=state_label(cfg.object_state),
+            analyzer_basis=cfg.analyzer_basis.label.lower(), noise_q=cfg.noise_q,
+            swapped_roles=cfg.swapped_roles,
+        ),
         "outcomes": labels,
         "distribution": dist.to_dict(),
     }
@@ -293,21 +265,19 @@ def run_filter_cmd(ctx, rule_spec, source_mode, source_basis, object_state, anal
 
 
 @run.command("correlate")
-@click.option("--rule", "rule_spec", required=True, help="Built-in rule name or custom-rule JSON file.")
-@click.option("--probe-state", default="y", show_default=True)
-@click.option("--object-state", default="x", show_default=True)
+@_rule_option(required=True)
+@_probe_state_option
+@_object_state_option
 @click.option("--basis", default="sigma", show_default=True,
               help="Basis in which both survivors are measured.")
-@click.option("--noise-q", type=float, default=0.0, show_default=True)
-@click.option("--mode", "evaluation", type=click.Choice(["exact", "mc"]), default="exact",
-              show_default=True)
-@click.option("--trials", type=int, default=100_000, show_default=True)
+@_noise_q_option
+@_mode_option
+@_trials_option
 @_seed_option
 @_guarded
-def run_correlate_cmd(rule_spec, probe_state, object_state, basis, noise_q, evaluation,
-                      trials, seed):
+def run_correlate_cmd(rule, probe_state, object_state, basis, noise_q, evaluation, trials, seed):
     """Measure both survivors in one basis and report the aligned-cell weight."""
-    rule = _resolve_rule(rule_spec)
+    rule = _resolve_rule(rule)
     probe = parse_state_spec(probe_state)
     obj = parse_state_spec(object_state)
     chosen = parse_basis_spec(basis)
@@ -317,34 +287,26 @@ def run_correlate_cmd(rule_spec, probe_state, object_state, basis, noise_q, eval
         result = run_correlation_mc(probe, obj, chosen, rule, noise_q, trials=trials, seed=seed)
     payload = {
         "command": "run correlate",
-        "config": {
-            "rule": rule.name,
-            "probe_state": state_label(probe),
-            "object_state": state_label(obj),
-            "basis": chosen.label.lower(),
-            "noise_q": noise_q,
-            "evaluation": evaluation,
-            "trials": trials if evaluation == "mc" else None,
-            "seed": seed if evaluation == "mc" else None,
-        },
+        "config": _run_config(evaluation, trials, seed, rule=rule.name,
+                              probe_state=state_label(probe), object_state=state_label(obj),
+                              basis=chosen.label.lower(), noise_q=noise_q),
         "result": result.to_dict(),
     }
     click.echo(json.dumps(payload, indent=2))
 
 
 @run.command("flip")
-@click.option("--rule", "rule_spec", required=True, help="Built-in rule name or custom-rule JSON file.")
-@click.option("--probe-state", default="y", show_default=True)
-@click.option("--object-state", default="x", show_default=True)
-@click.option("--noise-q", type=float, default=0.0, show_default=True)
-@click.option("--mode", "evaluation", type=click.Choice(["exact", "mc"]), default="exact",
-              show_default=True)
-@click.option("--trials", type=int, default=100_000, show_default=True)
+@_rule_option(required=True)
+@_probe_state_option
+@_object_state_option
+@_noise_q_option
+@_mode_option
+@_trials_option
 @_seed_option
 @_guarded
-def run_flip_cmd(rule_spec, probe_state, object_state, noise_q, evaluation, trials, seed):
+def run_flip_cmd(rule, probe_state, object_state, noise_q, evaluation, trials, seed):
     """Measure the survivor's probe in XY and condition the object on the outcome."""
-    rule = _resolve_rule(rule_spec)
+    rule = _resolve_rule(rule)
     probe = parse_state_spec(probe_state)
     obj = parse_state_spec(object_state)
     if evaluation == "exact":
@@ -353,15 +315,9 @@ def run_flip_cmd(rule_spec, probe_state, object_state, noise_q, evaluation, tria
         result = run_flip_mc(probe, obj, rule, noise_q, trials=trials, seed=seed)
     payload = {
         "command": "run flip",
-        "config": {
-            "rule": rule.name,
-            "probe_state": state_label(probe),
-            "object_state": state_label(obj),
-            "noise_q": noise_q,
-            "evaluation": evaluation,
-            "trials": trials if evaluation == "mc" else None,
-            "seed": seed if evaluation == "mc" else None,
-        },
+        "config": _run_config(evaluation, trials, seed, rule=rule.name,
+                              probe_state=state_label(probe), object_state=state_label(obj),
+                              noise_q=noise_q),
         "probe_probs": {"x": float(result.probe_probs[0]), "y": float(result.probe_probs[1])},
         "object_given_x": _matrix_to_json(result.object_given[0]),
         "object_given_y": _matrix_to_json(result.object_given[1]),

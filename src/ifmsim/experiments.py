@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .rules import Coupling, Rule, coupling_channel
+from .rules import Coupling, Rule, coupling_channel, pair_channel
 from .states import (
     ATOL,
     BASIS_SIGMA,
@@ -55,15 +55,55 @@ class NoSurvivorsError(ValueError):
     """The requested statistics condition on survivors, but none exist."""
 
 
-def _check_integers(**values) -> None:
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+# Config field types by annotation: the Python types a config dataclass
+# accepts, the JSON types a ``--config`` file may use, the phrase an error
+# uses and the plain type a value is stored as (None: as given).  True and
+# false are no numbers, though bool subclasses int.  A tuple's items are
+# checked by the annotation inside it; the caller's sequence is kept, so a
+# list of audit levels may still change between audits.
+_FIELD_TYPES = {
+    "int": ((numbers.Integral,), (int,), "an integer", int),
+    "float": ((numbers.Real,), (int, float), "a number", float),
+    "bool": ((bool, np.bool_), (bool,), "a bool", bool),
+    "str": ((str,), (str,), "a string", str),
+    "Rule": ((Rule,), (str,), "a Rule", None),
+    "Basis": ((Basis,), (str,), "a Basis", None),
+    "QubitState": ((QubitState,), (str,), "a QubitState", None),
+    "Basis | None": ((Basis, type(None)), (str, type(None)), "a Basis or None", None),
+    "tuple[Basis, ...]": ((tuple, list), (list,), "a sequence of Basis", None),
+    "tuple[float, ...]": ((tuple, list), (list,), "a sequence of numbers", None),
+}
 
 
-def check_integer_fields(config) -> None:
-    """Reject bools and non-integers in the ``int`` fields of a config dataclass."""
-    _check_integers(**{f.name: getattr(config, f.name) for f in fields(config) if f.type == "int"})
+def _fits(annotation: str, value, column: int) -> bool:
+    """Whether ``value`` has a type of ``_FIELD_TYPES[annotation][column]`` (0: Python, 1: JSON)."""
+    if not isinstance(value, _FIELD_TYPES[annotation][column]):
+        return False
+    if annotation.startswith("tuple["):
+        return all(_fits(annotation[len("tuple["):-len(", ...]")], v, column) for v in value)
+    return annotation == "bool" or not isinstance(value, bool)
+
+
+def json_fits(annotation: str, value) -> bool:
+    """Whether a ``--config`` value has the JSON type of a field annotated ``annotation``."""
+    return _fits(annotation, value, 1)
+
+
+def _field_value(name: str, annotation: str, value):
+    """``value`` of the config field ``name``, a number, flag or text stored as its plain type.
+
+    Raises ``ConfigError`` naming the field when the type does not fit ``annotation``.
+    """
+    _, _, phrase, store = _FIELD_TYPES[annotation]
+    if not _fits(annotation, value, 0):
+        raise ConfigError(f"{name} must be {phrase}, got {value!r}")
+    return value if store is None else store(value)
+
+
+def check_fields(config) -> None:
+    """Type-check every field of a frozen config dataclass in place; see ``_field_value``."""
+    for f in fields(config):
+        object.__setattr__(config, f.name, _field_value(f.name, f.type, getattr(config, f.name)))
 
 
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -79,16 +119,16 @@ def sample_counts(seed: int, trials: int, laws, *stream: int) -> np.ndarray:
     multinomial's check on the cell probabilities.  ``trials`` and ``seed``
     must be integers; bools are refused.
     """
-    _check_integers(trials=trials, seed=seed)
-    if int(trials) < 1:
+    trials, seed = _field_value("trials", "int", trials), _field_value("seed", "int", seed)
+    if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials!r}")
-    if int(trials) > 2**63 - 1:  # the multinomial takes a C long
+    if trials > 2**63 - 1:  # the multinomial takes a C long
         raise ConfigError(f"trials must be <= 2**63 - 1, got {trials!r}")
-    if int(seed) < 0:
+    if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed!r}")
     laws = np.asarray(laws, dtype=float)
     laws = laws / laws.sum(axis=-1, keepdims=True)
-    return derive_rng(seed, *stream).multinomial(int(trials), laws)
+    return derive_rng(seed, *stream).multinomial(trials, laws)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,24 +147,16 @@ class FilterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integer_fields(self)
-        if not isinstance(self.rule, Rule):
-            raise ConfigError("rule must be a Rule")
+        check_fields(self)
         if self.source_mode not in (1, 2):
             raise ConfigError(f"source_mode must be 1 or 2, got {self.source_mode!r}")
-        if self.source_basis is not None and not isinstance(self.source_basis, Basis):
-            raise ConfigError("source_basis must be a Basis or None")
-        if not isinstance(self.object_state, QubitState):
-            raise ConfigError("object_state must be a QubitState")
-        if not isinstance(self.analyzer_basis, Basis):
-            raise ConfigError("analyzer_basis must be a Basis")
-        if not 0.0 <= float(self.noise_q) <= 1.0:
+        if not 0.0 <= self.noise_q <= 1.0:
             raise ConfigError(f"noise_q must be within [0, 1], got {self.noise_q!r}")
         if self.evaluation not in ("exact", "mc"):
             raise ConfigError(f"evaluation must be 'exact' or 'mc', got {self.evaluation!r}")
-        if int(self.trials) < 1:
+        if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials!r}")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
 
     def resolved_source_basis(self) -> Basis:
@@ -247,16 +279,15 @@ def run_filter_mc(cfg: FilterConfig) -> OutcomeDistribution:
         raise ConfigError("run_filter_mc needs evaluation='mc'")
     law = filter_law(cfg.noise_q, *_config_branches(cfg))
     counts = tuple(int(c) for c in sample_counts(cfg.seed, cfg.trials, law))
-    trials = int(cfg.trials)
     survived = counts[0] + counts[1]
     conditional = (counts[0] / survived, counts[1] / survived) if survived else None
     return OutcomeDistribution(
-        counts[0] / trials,
-        counts[1] / trials,
-        counts[2] / trials,
+        counts[0] / cfg.trials,
+        counts[1] / cfg.trials,
+        counts[2] / cfg.trials,
         conditional,
         counts=counts,
-        trials=trials,
+        trials=cfg.trials,
     )
 
 
@@ -339,7 +370,7 @@ def run_correlation(
     noise_q: float = 0.0,
 ) -> CorrelationResult:
     """Measure both survivors in ``basis`` and report the aligned-cell weight."""
-    out = coupling_channel(rule, probe.amps, obj.amps, noise_q)
+    out = pair_channel(rule, probe, obj, noise_q)
     cells = joint_born_distribution(_survivor(out), basis, basis)
     return CorrelationResult(cells, float(cells[0] + cells[3]), basis.label)
 
@@ -358,7 +389,7 @@ def run_correlation_mc(
     Trials that scatter yield no pair to measure; cell statistics are
     reported over the surviving trials.
     """
-    out = coupling_channel(rule, probe.amps, obj.amps, noise_q)
+    out = pair_channel(rule, probe, obj, noise_q)
     counts, n_survivors = _survivor_counts(
         seed, trials, out, joint_born_distribution(out.survivors[0], basis, basis)
     )
@@ -390,7 +421,7 @@ def run_flip(
     noise_q: float = 0.0,
 ) -> FlipResult:
     """Measure the survivor's probe in XY and condition the object on the outcome."""
-    return _flip(coupling_channel(rule, probe.amps, obj.amps, noise_q))
+    return _flip(pair_channel(rule, probe, obj, noise_q))
 
 
 def _flip(out: Coupling) -> FlipResult:
@@ -416,7 +447,7 @@ def run_flip_mc(
     seed: int = 0,
 ) -> FlipResult:
     """Sampled probe measurement counts; conditioned object states stay exact."""
-    out = coupling_channel(rule, probe.amps, obj.amps, noise_q)
+    out = pair_channel(rule, probe, obj, noise_q)
     exact = _flip(out)
     counts, n_survivors = _survivor_counts(seed, trials, out, exact.probe_probs)
     return FlipResult(counts / n_survivors, exact.object_given, counts=counts, trials=int(trials))

@@ -343,9 +343,16 @@ def swapped_coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupli
     return out._replace(survivors=SWAP @ out.survivors @ SWAP)
 
 
-def _single(out: Coupling) -> CouplingOutcome:
+def pair_channel(rule: Rule, probe: QubitState, obj: QubitState, noise_q=0.0,
+                 channel=coupling_channel) -> Coupling:
+    """The one-row ``channel`` output of one pair; a level sequence is refused, not read at row 0."""
+    out = channel(rule, probe.amps, obj.amps, noise_q)
     if len(out.alive) != 1:
         raise ValueError(f"a single pair takes one noise level, got {len(out.alive)}")
+    return out
+
+
+def _single(out: Coupling) -> CouplingOutcome:
     if not out.alive[0]:
         return CouplingOutcome(1.0, None)
     return CouplingOutcome(float(out.p_scatter[0]), out.survivors[0])
@@ -356,12 +363,12 @@ def apply_rule(rule: Rule, probe: QubitState, obj: QubitState, noise_q: float = 
 
     A pair that scatters with certainty reports ``p_scatter == 1`` and omits the survivor.
     """
-    return _single(coupling_channel(rule, probe.amps, obj.amps, noise_q))
+    return _single(pair_channel(rule, probe, obj, noise_q))
 
 
 def swapped_channel(rule: Rule, probe: QubitState, obj: QubitState, noise_q: float = 0.0) -> CouplingOutcome:
     """The single-pair form of ``swapped_coupling_channel``, reported like ``apply_rule``."""
-    return _single(swapped_coupling_channel(rule, probe.amps, obj.amps, noise_q))
+    return _single(pair_channel(rule, probe, obj, noise_q, swapped_coupling_channel))
 
 
 def rule_from_name(text: str) -> Rule:

@@ -12,7 +12,8 @@ from click.testing import CliRunner
 
 import ifmsim
 from ifmsim.audit import AuditReport
-from ifmsim.cli import _json_fits, load_report, main
+from ifmsim.cli import load_report, main
+from ifmsim.experiments import json_fits as _json_fits
 
 
 @pytest.fixture()
@@ -239,6 +240,45 @@ def test_filter_config_file_and_flag_override(runner, tmp_path):
     result = invoke(runner, "run", "filter", "--config", str(path), "--source-mode", "1")
     doc = json.loads(result.output)
     assert doc["config"]["source_mode"] == 1
+
+
+_SMALL_AUDIT = {"input_samples": 5, "unitary_samples": 2, "mc_input_samples": 2,
+                "mc_unitary_samples": 2}
+
+
+@pytest.mark.parametrize("flag, key, value", [
+    (["--rule", "singlet"], "rule", "singlet"),
+    (["--seed", "7"], "seed", 7),
+    (["--trials", "1000"], "mc_trials", 1000),
+    (["--mode", "mc"], "evaluation", "mc"),
+    (["--noise-q", "0.25"], "noise_levels", [0.25]),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_audit_flag_overrides_config_file(runner, tmp_path, flag, key, value):
+    cfg = {"rule": "probe-rigid", "seed": 3, "mc_trials": 2000, "evaluation": "exact",
+           "noise_levels": [0.0, 0.5], **_SMALL_AUDIT}
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(cfg))
+
+    def settings(*args):
+        doc = json.loads(invoke(runner, "audit", "--config", str(path), *args).output)
+        return {"rule": doc["rule"], **doc["config"]}
+
+    from_file = settings()
+    assert {k: from_file[k] for k in cfg} == cfg
+    assert settings(*flag) == {**from_file, key: value}
+
+
+@pytest.mark.parametrize("command", [["audit"], ["run", "filter"]], ids=" ".join)
+def test_seed_environment_overrides_config_file(runner, tmp_path, command):
+    sizes = {**_SMALL_AUDIT, "mc_trials": 1000} if command == ["audit"] else {"trials": 1000}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"rule": "singlet", "seed": 3, "evaluation": "mc", **sizes}))
+    args = [*command, "--config", str(path)]
+    from_file = invoke(runner, *args)
+    from_env = invoke(runner, *args, env={"IFM_SEED": "8"})
+    assert json.loads(from_file.output)["config"]["seed"] == 3
+    assert json.loads(from_env.output)["config"]["seed"] == 8
+    assert from_env.output == invoke(runner, *args, "--seed", "8").output
 
 
 def test_filter_config_rejects_unknown_keys(runner, tmp_path):

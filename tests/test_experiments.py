@@ -348,6 +348,33 @@ def test_config_integer_fields_reject_bools_and_non_integers(cls, field, value):
 
 
 @pytest.mark.parametrize(
+    "cls, field, wrong, accepted",
+    [
+        (AuditConfig, "bases", ("xy",), (BASIS_SIGMA,)),
+        (AuditConfig, "noise_levels", 0.5, (np.float32(0.5),)),
+        (AuditConfig, "noise_levels", (True,), [np.float64(0.25)]),
+        (AuditConfig, "epsilon_mc", "0.1", np.float32(0.125)),
+        (AuditConfig, "evaluation", b"mc", np.str_("mc")),
+        (AuditConfig, "seed", 2.0, np.uint16(2)),
+        (FilterConfig, "noise_q", True, np.int64(1)),
+        (FilterConfig, "noise_q", "0.5", np.float16(0.5)),
+        (FilterConfig, "swapped_roles", "no", np.bool_(True)),
+        (FilterConfig, "rule", "singlet", probe_rigid()),
+        (FilterConfig, "source_basis", "sigma", None),
+        (FilterConfig, "object_state", "y", STATE_Y),
+        (FilterConfig, "analyzer_basis", 0, BASIS_SIGMA),
+    ],
+)
+def test_config_fields_reject_wrong_types(cls, field, wrong, accepted):
+    base = {"rule": singlet_rule()} if cls is FilterConfig else {}
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
+        cls(**{**base, field: wrong})
+    stored = getattr(cls(**{**base, field: accepted}), field)
+    # numpy scalars are stored as plain Python values; anything else as given
+    assert stored is accepted or (stored == accepted and type(stored) in (int, float, bool, str))
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda: AuditConfig(seed=-1),

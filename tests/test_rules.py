@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ifmsim.experiments import derive_rng
+from ifmsim.experiments import (
+    derive_rng,
+    run_correlation,
+    run_correlation_mc,
+    run_flip,
+    run_flip_mc,
+)
 from ifmsim.rules import (
     ContractionViolationError,
     InvalidRuleError,
@@ -287,12 +293,23 @@ def test_level_axis_rejects_any_level_outside_the_unit_interval():
             coupling_channel(singlet_rule(), STATE_Y.amps, STATE_X.amps, levels)
 
 
-@pytest.mark.parametrize("single", [apply_rule, swapped_channel], ids=lambda f: f.__name__)
-def test_single_pair_forms_refuse_a_level_sequence(single):
+# Each single-pair form as (rule, probe, object, noise_q) -> one number it reports, and
+# that number for an aligned singlet pair at q = 0.5, where only fly-by |xx> survives.
+@pytest.mark.parametrize("single, at_half", [
+    (lambda *pair: apply_rule(*pair).p_scatter, 0.5),
+    (lambda *pair: swapped_channel(*pair).p_scatter, 0.5),
+    (lambda rule, p, o, q: run_correlation(p, o, BASIS_XY, rule, q).aligned_weight, 1.0),
+    (lambda rule, p, o, q: run_correlation_mc(p, o, BASIS_XY, rule, q, trials=99).aligned_weight,
+     1.0),
+    (lambda rule, p, o, q: run_flip(p, o, rule, q).probe_probs[0], 1.0),
+    (lambda rule, p, o, q: run_flip_mc(p, o, rule, q, trials=99).probe_probs[0], 1.0),
+], ids=["apply_rule", "swapped_channel", "run_correlation", "run_correlation_mc", "run_flip",
+        "run_flip_mc"])
+def test_single_pair_forms_refuse_a_level_sequence(single, at_half):
     # row 0 of a level sequence would silently answer at its first level only
     with pytest.raises(ValueError, match="a single pair takes one noise level, got 2"):
         single(singlet_rule(), STATE_X, STATE_X, (0.0, 0.5))
-    assert single(singlet_rule(), STATE_X, STATE_X, [0.5]).p_scatter == 0.5
+    assert single(singlet_rule(), STATE_X, STATE_X, [0.5]) == at_half
 
 
 def test_only_linear_kinds_carry_a_survive_operator():

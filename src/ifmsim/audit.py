@@ -9,15 +9,20 @@ statistical cross-check):
   distance between mode-1 and mode-2 statistics (full, including the
   scatter outcome, and conditional on survival).
 * C2 role symmetry - applying the rule with the partners exchanged and
-  mapping back through SWAP must reproduce the same outcome; metric is
-  the worst of (1 - fidelity) and the scatter-probability gap.
+  mapping back through SWAP must reproduce the same outcome; the exact
+  metric is the worst trace distance between the two outcomes, each the
+  sub-normalised operator ``p (+) (1 - p) rho`` of scatter probability and
+  survivor.  It is linear in the law, continuous in the rule, on C1's total
+  variation scale, and bounds the total variation distance of the
+  five-outcome law in every basis, which Monte Carlo samples.
 * C3 anti-alignment - survivors of an actual coupling must carry zero
   weight on the aligned cells of every configured basis; evaluated on
   the coupled (q = 0) survivor, since fly-by events leave the untouched
   product state behind by construction and would mask the signature of
   every rule equally.
 * C4 basis covariance - rotating both inputs by the same unitary must
-  commute with the rule; metric as in C2.
+  commute with the rule; metric as in C2, between the outcome of the rotated
+  inputs and the rotated outcome.
 
 Monte Carlo mode draws each comparison's counts at ``mc_trials`` trials
 as one multinomial draw of the case's exact law, the same law the exact
@@ -75,7 +80,6 @@ from .states import (
     STATE_X,
     STATE_Y,
     basis_change_unitary,
-    fidelity,
     haar_unitaries,
     joint_born_distribution,
     mutually_unbiased,
@@ -233,14 +237,15 @@ class AuditConfig:
         check_fields(self)  # plain Python numbers, so numpy scalars still give a JSON report
         if not self.bases:
             raise ConfigError("bases must not be empty")
-        if not 0.0 < self.epsilon_exact < 1.0:
-            raise ConfigError("epsilon_exact must lie in (0, 1)")
-        if not 0.0 < self.epsilon_mc < 1.0:
-            raise ConfigError("epsilon_mc must lie in (0, 1)")
-        for count in (self.unitary_samples, self.input_samples, self.mc_trials,
-                      self.mc_input_samples, self.mc_unitary_samples):
-            if count < 1:
-                raise ConfigError("sample counts must be positive")
+        for name in ("epsilon_exact", "epsilon_mc"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ConfigError(f"{name} must lie in (0, 1), got {value!r}")
+        for name in ("unitary_samples", "input_samples", "mc_trials", "mc_input_samples",
+                     "mc_unitary_samples"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if not self.noise_levels:
@@ -353,21 +358,29 @@ def _exact_verdict(check_id: str, worst: float, witness: str, evidence, config) 
     )
 
 
-def _exact_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, names):
-    """C2/C4 exact: the first row of worst max(scatter gap, 1 - fidelity of the survivors).
+def _outcome_distance(out_a: Coupling, out_b: Coupling) -> np.ndarray:
+    """Per row, the trace distance between the two sides' outcomes ``p (+) (1 - p) rho``.
 
-    A row where only one side survives has fidelity 0; where neither
-    does, fidelity 1, so only the scatter gap counts.  ``names`` name the
-    two sides in the evidence keys ``p_scatter_<name>``.
+    That is ``0.5 * (|p_a - p_b| + ||(1 - p_a) rho_a - (1 - p_b) rho_b||_1)``,
+    the trace norm being the sum of ``|eigvalsh|`` of the Hermitian
+    difference.  A row that is not ``alive`` has ``p = 1`` and a zero
+    survivor, so it needs no branch.
     """
-    both = out_a.alive & out_b.alive
-    f = np.where(both, fidelity(out_a.survivors, out_b.survivors),
-                 (out_a.alive == out_b.alive).astype(float))
-    disc = np.maximum(np.abs(out_a.p_scatter - out_b.p_scatter), 1.0 - f)
+    diff = ((1.0 - out_a.p_scatter)[:, None, None] * out_a.survivors
+            - (1.0 - out_b.p_scatter)[:, None, None] * out_b.survivors)
+    trace_norm = np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+    return 0.5 * (np.abs(out_a.p_scatter - out_b.p_scatter) + trace_norm)
+
+
+def _exact_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, names):
+    """C2/C4 exact: the first row of worst ``_outcome_distance`` of the two couplings.
+
+    ``names`` name the two sides in the evidence keys ``p_scatter_<name>``.
+    """
+    disc = _outcome_distance(out_a, out_b)
     row = int(np.argmax(disc))
     evidence = {f"p_scatter_{name}": float(out.p_scatter[row])
                 for name, out in zip(names, (out_a, out_b))}
-    evidence["fidelity"] = float(f[row])
     return _exact_verdict(check_id, float(disc[row]), label(row), evidence, config)
 
 
@@ -466,7 +479,10 @@ def _mode_pair_grid(bases, analyzers: str):
     ``analyzers`` is 'all' or 'object' (analyzer = object basis).  Mode 1
     emits the object basis, mode 2 the mode-2 basis; each pair of the two is
     checked once to share a density matrix.  Rows: ``filter_branches``
-    inputs, four per case (mode, then source state).
+    inputs.  The analyzer rows run four per case (mode, then source state);
+    each takes its coupling from one row per distinct ``(swapped,
+    object_basis, source state)``, as the analyzer only changes the click
+    projection.
     """
     cases = []
     for swapped in (False, True):
@@ -481,12 +497,15 @@ def _mode_pair_grid(bases, analyzers: str):
                     cases.append((swapped, object_basis, analyzer, mode2_basis))
     for object_basis, mode2_basis in dict.fromkeys((c[1], c[3]) for c in cases):
         check_mode_equivalence(object_basis, mode2_basis)
-    sources = np.array([[_amps(c[1].states()), _amps(c[3].states())] for c in cases])
+    # one key (swapped, object basis, source basis, source state) per analyzer row
+    keys = [(c[0], c[1], source, k) for c in cases for source in (c[1], c[3]) for k in (0, 1)]
+    couplings = {key: n for n, key in enumerate(dict.fromkeys(keys))}
     return tuple(cases), _read_only(
-        sources.reshape(-1, 2),
-        np.repeat(_amps(c[1].b1 for c in cases), 4, axis=0),
-        np.repeat([c[0] for c in cases], 4),
+        _amps(source.states()[k] for _, _, source, k in couplings),
+        _amps(object_basis.b1 for _, object_basis, _, _ in couplings),
+        np.array([swapped for swapped, *_ in couplings], dtype=bool),
         np.repeat([_amps(c[2].states()) for c in cases], 4, axis=0),
+        np.array([couplings[key] for key in keys], dtype=int),
     )
 
 

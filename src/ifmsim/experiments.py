@@ -201,13 +201,16 @@ class OutcomeDistribution:
         }
 
 
-def filter_branches(rule: Rule, sources, objects, swapped, analyzers):
+def filter_branches(rule: Rule, sources, objects, swapped, analyzers, take=slice(None)):
     """The filter device at q = 0, one row per emitted source state.
 
     Rows: ``(N, 2)`` source and object amplitudes, ``(N,)`` flags that feed
-    the source into the object slot, ``(N, 2, 2)`` analyzer basis vectors.
-    Returns per row the scatter probability and the source particle's click
-    laws when it survives (zero if it cannot) and when the coupling flies by.
+    the source into the object slot, ``(M, 2, 2)`` analyzer basis vectors.
+    ``take`` names, per analyzer row, the coupling row it projects (by
+    default row ``n`` projects row ``n``), so rows that differ only in the
+    analyzer share one coupling.  Returns per analyzer row the scatter
+    probability and the source particle's click laws when it survives (zero
+    if it cannot) and when the coupling flies by.
     """
     sources = np.asarray(sources, dtype=complex)
     objects = np.asarray(objects, dtype=complex)
@@ -221,7 +224,7 @@ def filter_branches(rule: Rule, sources, objects, swapped, analyzers):
         partial_trace(out.survivors, "probe"),
     )
     flyby = sources[:, :, None] * sources[:, None, :].conj()
-    return out.p_scatter, _clicks(reduced, analyzers), _clicks(flyby, analyzers)
+    return out.p_scatter[take], _clicks(reduced[take], analyzers), _clicks(flyby[take], analyzers)
 
 
 def _clicks(rho, analyzers) -> np.ndarray:

@@ -115,13 +115,19 @@ def test_acceptance_05_object_rigid_role_asymmetry():
     s2 = exact_dist(object_rigid(), 2, swapped_roles=True)
     assert abs(tvd(s1.probabilities(), s2.probabilities()) - 0.25) < EXACT
     assert abs(tvd(s1.conditional_on_survival, s2.conditional_on_survival) - 0.5) < EXACT
-    # role-symmetry failure with fidelity 1/4 at input (sigma+, x)
+    # role-symmetry failure with fidelity 1/4 at input (sigma+, x): both sides
+    # scatter with p = 1/2, so the outcomes lie at trace distance
+    # 0.5 * (1/2) * ||rho_direct - rho_mirrored||_1 = 0.5 * sqrt(1 - 1/4) = sqrt(3)/4
     direct = apply_rule(object_rigid(), SIGMA_PLUS, STATE_X)
     mirrored = swapped_channel(object_rigid(), SIGMA_PLUS, STATE_X)
     assert abs(fidelity(direct.survive_state, mirrored.survive_state) - 0.25) < EXACT
+    assert abs(direct.p_scatter - 0.5) < EXACT and abs(mirrored.p_scatter - 0.5) < EXACT
+    survivor_gap = 0.5 * (direct.survive_state - mirrored.survive_state)
+    distance = 0.5 * np.abs(np.linalg.eigvalsh(survivor_gap)).sum()
+    assert abs(distance - np.sqrt(3) / 4) < EXACT
     report = audit_rule(object_rigid())
     assert not report.check(C2).passed
-    assert report.check(C2).metric >= 0.75 - EXACT
+    assert report.check(C2).metric >= np.sqrt(3) / 4 - EXACT
     _PASS(5, "object-rigid role asymmetry")
 
 

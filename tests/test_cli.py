@@ -201,6 +201,12 @@ def test_trials_above_int64_exit_2(runner, command):
     assert f"trials must be <= 2**63 - 1, got {2**63}" in result.output
 
 
+def test_audit_zero_trials_names_mc_trials(runner):
+    result = runner.invoke(main, ["audit", "--rule", "singlet", "--mode", "mc", "--trials", "0"])
+    assert result.exit_code == 2
+    assert "mc_trials must be >= 1, got 0" in result.output
+
+
 @pytest.mark.parametrize("mode", ["exact", "mc"])
 @pytest.mark.parametrize("command", [["audit"], ["run", "filter"], ["run", "correlate"],
                                      ["run", "flip"]], ids=" ".join)

@@ -142,19 +142,20 @@ def tvd(d1, d2):
 def chi_square_two_sample(counts_a, counts_b):
     """Two-sample chi-square statistic and p-value over pooled expected counts.
 
-    Cells with pooled count zero are dropped; degrees of freedom are the
-    remaining cell count minus one; the p-value is the chi-square survival
-    function at the statistic.  Two vectors give floats, and a
-    ``DegenerateDataError`` when a sample is empty or fewer than two cells
-    remain.  Stacks ``(..., k)`` broadcast over the leading axes and give
-    arrays, NaN on such degenerate rows.
+    Counts must be finite and non-negative.  Cells with pooled count zero
+    are dropped; degrees of freedom are the remaining cell count minus one;
+    the p-value is the chi-square survival function at the statistic.  Two
+    vectors give floats, and a ``DegenerateDataError`` when a sample is
+    empty or fewer than two cells remain.  Stacks ``(..., k)`` broadcast
+    over the leading axes and give arrays, NaN on such degenerate rows.
     """
     a = np.asarray(counts_a, dtype=float)
     b = np.asarray(counts_b, dtype=float)
     if a.shape[-1:] != b.shape[-1:]:
         raise DimensionMismatchError(f"outcome spaces differ: {a.shape} vs {b.shape}")
-    if np.any(a < 0) or np.any(b < 0):
-        raise ValueError("counts must be non-negative")
+    for name, counts in (("first", a), ("second", b)):
+        if not np.all(np.isfinite(counts) & (counts >= 0.0)):
+            raise ValueError(f"{name} sample has a negative or non-finite count")
     a, b = np.broadcast_arrays(a, b)
     total_a, total_b = a.sum(axis=-1), b.sum(axis=-1)
     pooled = a + b
@@ -296,30 +297,6 @@ class AuditReport:
             ],
         }
         return json.dumps(payload, indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "AuditReport":
-        doc = json.loads(text)
-        checks = tuple(
-            CheckResult(
-                check_id=c["check_id"],
-                passed=bool(c["passed"]),
-                metric=float(c["metric"]),
-                threshold=float(c["threshold"]),
-                witness=str(c["witness"]),
-                evidence=c.get("evidence"),
-            )
-            for c in doc["checks"]
-        )
-        return AuditReport(
-            rule_name=doc["rule"],
-            checks=checks,
-            overall_pass=bool(doc["overall_pass"]),
-            evaluation=doc["evaluation"],
-            noise_levels=tuple(float(q) for q in doc["noise_levels"]),
-            seed=int(doc["seed"]),
-            config_echo=doc["config"],
-        )
 
 
 def _config_echo(config: AuditConfig) -> dict:

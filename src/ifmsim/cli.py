@@ -19,7 +19,7 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from .audit import AuditConfig, AuditReport, audit_rule
+from .audit import AuditConfig, audit_rule
 from .experiments import (
     ConfigError,
     FilterConfig,
@@ -71,17 +71,22 @@ def _resolve_rule(text: str):
 
 
 def _write_text_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file so partial output is never left behind."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ifmsim-", suffix=".tmp")
+    """Write via a sibling temp file so partial output is never left behind.
+
+    An OS failure is a ``ConfigError`` naming ``path`` and the reason.
+    """
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".ifmsim-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _load_config_doc(path: str | None, allowed: dict, what: str) -> dict:
@@ -144,24 +149,29 @@ def _config_values(ctx, config_cls, what: str) -> dict:
     return values
 
 
-def _nonnegative_seed(ctx, param, value):
-    if value < 0:
-        raise click.BadParameter(f"seed must be >= 0, got {value}", ctx=ctx, param=param)
-    return value
+def _at_least(least: int):
+    """Option callback refusing values below ``least``, in the config's words."""
+    def check(ctx, param, value):
+        if value < least:
+            raise click.BadParameter(f"{param.name} must be >= {least}, got {value}",
+                                     ctx=ctx, param=param)
+        return value
+
+    return check
 
 
-# Options several commands share, each declared once.  A negative seed is
-# refused in every mode.
+# Options several commands share, each declared once.  A negative seed and
+# fewer than one trial are refused in every mode.
 _rule_option = functools.partial(click.option, "--rule",
                                  help="Built-in rule name or custom-rule JSON file.")
 _seed_option = click.option("--seed", type=int, default=0, show_default=True, envvar="IFM_SEED",
-                            show_envvar=True, callback=_nonnegative_seed,
+                            show_envvar=True, callback=_at_least(0),
                             help="Seed for every sampled quantity.")
 _mode_option = click.option("--mode", "evaluation", type=click.Choice(["exact", "mc"]),
                             default="exact", show_default=True,
                             help="Exact channel evaluation or Monte Carlo sampling.")
 _trials_option = click.option("--trials", type=int, default=100_000, show_default=True,
-                              help="Monte Carlo trials.")
+                              callback=_at_least(1), help="Monte Carlo trials.")
 _config_option = click.option("--config", "config_path",
                               type=click.Path(exists=True, dir_okay=False), default=None,
                               help="JSON config file; explicit flags and IFM_SEED override it.")
@@ -355,12 +365,6 @@ def rules_validate(rule_file):
         f"OK {rule.name}: contraction bound satisfied "
         f"(min eigenvalue of I - K^dag K = {contraction_slack(rule.operator):.6g})"
     )
-
-
-def load_report(path: str) -> AuditReport:
-    """Re-read an audit report written by this CLI."""
-    with open(path, encoding="utf-8") as fh:
-        return AuditReport.from_json(fh.read())
 
 
 if __name__ == "__main__":

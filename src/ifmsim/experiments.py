@@ -26,7 +26,7 @@ bit-identical counts.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -299,11 +299,6 @@ def run_filter(cfg: FilterConfig) -> OutcomeDistribution:
     if cfg.evaluation == "exact":
         return run_filter_exact(cfg)
     return run_filter_mc(cfg)
-
-
-def run_role_swapped(cfg: FilterConfig) -> OutcomeDistribution:
-    """The same run with the probe/object roles exchanged, rule untouched."""
-    return run_filter(replace(cfg, swapped_roles=not cfg.swapped_roles))
 
 
 def check_mode_equivalence(basis_mode1: Basis, basis_mode2: Basis, atol: float = ATOL) -> None:

@@ -29,9 +29,9 @@ happen; the outcome then blends the untouched input with the rule's own
 survivor.  ``coupling_channel`` evaluates a whole batch of input pairs
 as arrays, at one noise level or several, and every experiment and audit
 check reads its rows.  ``apply_rule`` and ``swapped_channel`` are
-single-pair conveniences for library callers; the package itself no
-longer calls them.  All functions here are pure and deterministic;
-randomness lives only in the Monte Carlo engine.
+single-pair conveniences for library callers; they stay because the
+``ifmbench`` benchmark traces them.  All functions here are pure and
+deterministic; randomness lives only in the Monte Carlo engine.
 """
 
 from __future__ import annotations

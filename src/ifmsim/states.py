@@ -119,9 +119,6 @@ class JointState:
     def reduced(self, keep: str) -> np.ndarray:
         return partial_trace(self.density(), keep)
 
-    def isclose(self, other: "JointState", atol: float = ATOL) -> bool:
-        return bool(np.allclose(self.amps, other.amps, rtol=0.0, atol=atol))
-
 
 @dataclass(frozen=True, eq=False)
 class Basis:
@@ -201,34 +198,9 @@ def to_bloch(s: QubitState) -> np.ndarray:
     return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(s.a_x) ** 2 - abs(s.a_y) ** 2])
 
 
-def from_bloch(v) -> QubitState:
-    """State with Bloch vector ``v``; ``v`` must be a unit 3-vector."""
-    vec = np.asarray(v, dtype=float).reshape(-1)
-    if vec.shape != (3,):
-        raise ValueError("Bloch vector must have three components")
-    if abs(np.linalg.norm(vec) - 1.0) > ATOL:
-        raise ValueError("Bloch vector must have unit norm")
-    theta = math.acos(min(max(vec[2], -1.0), 1.0))
-    phi = math.atan2(vec[1], vec[0])
-    return from_bloch_angles(theta, phi)
-
-
 def from_bloch_angles(theta: float, phi: float) -> QubitState:
     """State at polar angle ``theta`` and azimuth ``phi`` (radians)."""
     return make_state(math.cos(theta / 2.0), cmath.exp(1j * phi) * math.sin(theta / 2.0))
-
-
-def change_basis(s: QubitState, target: Basis) -> np.ndarray:
-    """Coordinates ``(<b1|s>, <b2|s>)`` of ``s`` in ``target``."""
-    return np.array([target.b1.overlap(s), target.b2.overlap(s)])
-
-
-def state_in_basis(coords, basis: Basis) -> QubitState:
-    """Reassemble a state from its coordinates in ``basis``."""
-    c = np.asarray(coords, dtype=complex).reshape(-1)
-    if c.shape != (2,):
-        raise ValueError("expected two coordinates")
-    return make_state(*(c[0] * basis.b1.amps + c[1] * basis.b2.amps))
 
 
 def density_of_ensemble(members) -> np.ndarray:

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, strategies as st
 from ifmsim import audit, rules
 from ifmsim.audit import (
     AuditConfig,
-    AuditReport,
     CHECK_IDS,
     DegenerateDataError,
     DimensionMismatchError,
@@ -146,6 +146,20 @@ def test_chi_square_degenerate_data():
         chi_square_two_sample([5, 0], [3, 0])
     with pytest.raises(DimensionMismatchError):
         chi_square_two_sample([1, 2], [1, 2, 3])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "stacked"])
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_chi_square_refuses_non_finite_counts(side, stacked, bad):
+    good, worse = [[1.0, 2.0, 3.0]], [[1.0, bad, 3.0]]
+    if stacked:
+        good, worse = good * 2, [[4.0, 5.0, 6.0]] + worse
+    args = (worse, good) if side == "first" else (good, worse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic can warn
+        with pytest.raises(ValueError, match=f"{side} sample has a negative or non-finite count"):
+            chi_square_two_sample(*(a if stacked else a[0] for a in args))
 
 
 def test_chi_square_stacks_match_row_loop():
@@ -413,15 +427,6 @@ def test_distinguishable_source_modes_raise_on_every_call():
             audit_rule(singlet_rule(), config)
 
 
-def test_report_json_round_trip():
-    report = audit_rule(singlet_rule(), FAST_EXACT)
-    text = report.to_json()
-    back = AuditReport.from_json(text)
-    assert back.rule_name == report.rule_name
-    assert back.overall_pass == report.overall_pass
-    assert back.to_json() == text
-
-
 def test_mc_verdicts_match_exact_verdicts():
     # every exact metric in this battery is either ~0 or >= 0.05
     for rule in builtin_rules():
@@ -569,7 +574,6 @@ def test_audit_config_numpy_scalars_give_a_json_report(numbers):
     for name, value in numbers.items():
         assert type(getattr(config, name)) is type(getattr(AuditConfig(), name)), name
     text = audit_rule(singlet_rule(), config).to_json()
-    assert AuditReport.from_json(text).to_json() == text
     plain = {name: value.item() if isinstance(value, np.generic) else value
              for name, value in numbers.items()}
     assert text == audit_rule(singlet_rule(), AuditConfig(**sizes, **plain)).to_json()

@@ -1,6 +1,8 @@
+import ast
 import inspect
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -11,8 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import ifmsim
-from ifmsim.audit import AuditReport
-from ifmsim.cli import load_report, main
+from ifmsim.cli import main
 from ifmsim.experiments import json_fits as _json_fits
 
 
@@ -106,9 +107,29 @@ def test_audit_failing_rule_still_exit_zero(runner, tmp_path):
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["overall_pass"] is False
-    on_disk = load_report(str(report_path))
-    assert isinstance(on_disk, AuditReport)
-    assert on_disk.to_json() + "\n" == report_path.read_text()
+    assert report_path.read_text() == result.output
+
+
+@pytest.mark.parametrize("command", [["audit", "--report"], ["run", "filter", "--csv"]],
+                         ids=" ".join)
+def test_write_into_missing_directory_exits_2(runner, tmp_path, command):
+    target = tmp_path / "missing" / "out.json"
+    result = runner.invoke(main, [*command, str(target), "--rule", "singlet"])
+    assert result.exit_code == 2
+    assert f"error: cannot write {str(target)!r}: No such file or directory" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_no_temp_file(runner, tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    target = tmp_path / "out.json"
+    result = runner.invoke(main, ["audit", "--rule", "singlet", "--report", str(target)])
+    assert result.exit_code == 2
+    assert f"error: cannot write {str(target)!r}: Permission denied" in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_audit_report_bodies_byte_identical(runner, tmp_path):
@@ -199,6 +220,15 @@ def test_trials_above_int64_exit_2(runner, command):
                                   "--trials", str(2**63)])
     assert result.exit_code == 2
     assert f"trials must be <= 2**63 - 1, got {2**63}" in result.output
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("command", [["run", "filter"], ["run", "correlate"], ["run", "flip"]],
+                         ids=" ".join)
+def test_zero_trials_exit_2(runner, command, mode):
+    result = runner.invoke(main, [*command, "--rule", "singlet", "--mode", mode, "--trials", "0"])
+    assert result.exit_code == 2
+    assert "trials must be >= 1, got 0" in result.output
 
 
 def test_audit_zero_trials_names_mc_trials(runner):
@@ -384,3 +414,45 @@ def test_package_root_exports_only_the_pinned_names():
         "validate_custom_rule",
         "BASIS_SIGMA", "STATE_X", "STATE_Y", "parse_basis_spec", "parse_state_spec", "state_label",
     }
+
+
+# Public functions that only tests reach, each kept as an oracle for other code.
+_TEST_ORACLES = {
+    "is_density": "test_rules checks every survivor is a density with it",
+    "entanglement_entropy": "acceptance 06 checks the singlet carries one bit of entanglement",
+    "interaction_probability": "acceptance 12 checks aligned states always interact",
+}
+
+
+def _public_definitions(source: str, module: str):
+    """Public top-level functions and public methods; ``cli`` command callbacks are exempt."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if not (module == "cli.py" and node.decorator_list):
+                yield node.name
+        elif isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def _used_names(source: str):
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    defined = {name for path in (root / "src" / "ifmsim").glob("*.py")
+               for name in _public_definitions(path.read_text(encoding="utf-8"), path.name)}
+    used = {name for folder in ("src/ifmsim", "scripts", "ifmbench")
+            for path in (root / folder).rglob("*.py")
+            for name in _used_names(path.read_text(encoding="utf-8"))}
+    assert sorted(defined - used - set(_TEST_ORACLES)) == []
+    assert set(_TEST_ORACLES) <= defined - used

@@ -17,7 +17,6 @@ from ifmsim.experiments import (
     run_filter_mc,
     run_flip,
     run_flip_mc,
-    run_role_swapped,
 )
 from ifmsim.rules import (
     builtin_rules,
@@ -91,8 +90,8 @@ def test_object_rigid_role_asymmetry():
     assert np.allclose(d1.probabilities(), [0, 0.5, 0.5], atol=1e-12)
     assert np.allclose(d1.probabilities(), d2.probabilities(), atol=1e-12)
     # swapped roles: the modes separate
-    s1 = run_role_swapped(exact_cfg(object_rigid(), 1))
-    s2 = run_role_swapped(exact_cfg(object_rigid(), 2))
+    s1 = run_filter_exact(exact_cfg(object_rigid(), 1, swapped_roles=True))
+    s2 = run_filter_exact(exact_cfg(object_rigid(), 2, swapped_roles=True))
     assert np.allclose(s1.probabilities(), [0, 0.5, 0.5], atol=1e-12)
     assert np.allclose(s2.probabilities(), [0.25, 0.25, 0.5], atol=1e-12)
 

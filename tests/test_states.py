@@ -27,11 +27,9 @@ from ifmsim.states import (
     ZeroVectorError,
     apply_unitary,
     born_distribution,
-    change_basis,
     density_of_ensemble,
     entanglement_entropy,
     fidelity,
-    from_bloch,
     from_bloch_angles,
     haar_unitaries,
     haar_unitary,
@@ -45,7 +43,6 @@ from ifmsim.states import (
     parse_state_spec,
     partial_trace,
     random_state,
-    state_in_basis,
     state_label,
     tensor_product,
     to_bloch,
@@ -151,36 +148,8 @@ def test_overlap_bloch_identity_1000_pairs():
         assert abs(lhs - rhs) < 1e-9
 
 
-def test_from_bloch_round_trip():
-    rng = derive_rng(103)
-    for s in list(CORNERS) + [random_state(rng) for _ in range(100)]:
-        assert from_bloch(to_bloch(s)).isclose(s, atol=1e-9)
-
-
-def test_from_bloch_rejects_non_unit():
-    with pytest.raises(ValueError):
-        from_bloch([0, 0, 2])
-
-
 def test_from_bloch_angles_north_pole():
     assert from_bloch_angles(0.0, 0.0).isclose(STATE_X)
-
-
-def test_change_basis_examples():
-    coords = change_basis(SIGMA_PLUS, BASIS_XY)
-    assert np.allclose(coords, [1 / math.sqrt(2), 1j / math.sqrt(2)], atol=1e-12)
-    coords = change_basis(STATE_X, BASIS_SIGMA)
-    assert np.allclose(coords, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-12)
-    assert np.allclose(change_basis(STATE_X, BASIS_XY), [1, 0], atol=1e-12)
-
-
-def test_change_basis_round_trip():
-    rng = derive_rng(104)
-    for _ in range(100):
-        s = random_state(rng)
-        for basis in (BASIS_XY, BASIS_SIGMA, BASIS_DIAG):
-            back = state_in_basis(change_basis(s, basis), basis)
-            assert overlap_probability(back, s) >= 1 - 1e-12
 
 
 def test_density_of_ensemble_identity():

@@ -242,20 +242,11 @@ class AuditConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1), got {value!r}")
-        for name in ("unitary_samples", "input_samples", "mc_trials", "mc_input_samples",
-                     "mc_unitary_samples"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if not self.noise_levels:
             raise ConfigError("noise_levels must not be empty")
         for q in self.noise_levels:
             if not 0.0 <= float(q) <= 1.0:
                 raise ConfigError(f"noise level {q!r} outside [0, 1]")
-        if self.evaluation not in ("exact", "mc"):
-            raise ConfigError(f"evaluation must be 'exact' or 'mc', got {self.evaluation!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,9 +256,6 @@ class AuditReport:
     rule_name: str
     checks: tuple[CheckResult, ...]
     overall_pass: bool
-    evaluation: str
-    noise_levels: tuple[float, ...]
-    seed: int
     config_echo: dict
 
     def check(self, check_id: str) -> CheckResult:
@@ -280,9 +268,7 @@ class AuditReport:
         payload = {
             "rule": self.rule_name,
             "overall_pass": self.overall_pass,
-            "evaluation": self.evaluation,
-            "noise_levels": list(self.noise_levels),
-            "seed": self.seed,
+            **{key: self.config_echo[key] for key in ("evaluation", "noise_levels", "seed")},
             "config": self.config_echo,
             "checks": [
                 {
@@ -340,7 +326,7 @@ def _outcome_distance(out_a: Coupling, out_b: Coupling) -> np.ndarray:
 
     That is ``0.5 * (|p_a - p_b| + ||(1 - p_a) rho_a - (1 - p_b) rho_b||_1)``,
     the trace norm being the sum of ``|eigvalsh|`` of the Hermitian
-    difference.  A row that is not ``alive`` has ``p = 1`` and a zero
+    difference.  A row that scatters with certainty has ``p = 1`` and a zero
     survivor, so it needs no branch.
     """
     diff = ((1.0 - out_a.p_scatter)[:, None, None] * out_a.survivors
@@ -441,7 +427,7 @@ def _anti_alignment_cases(rule: Rule, config: AuditConfig, corner_pairs, stream:
     """C3 cases: the inputs whose q = 0 coupling can survive, as a labeller and their couplings."""
     probes, objects = _anti_alignment_inputs(corner_pairs, config.seed, stream, count)
     out = coupling_channel(rule, probes, objects, 0.0)
-    rows = np.flatnonzero(out.alive & (out.p_scatter < 1.0 - 1e-6))
+    rows = np.flatnonzero(out.p_scatter < 1.0 - 1e-6)
 
     def label(i: int) -> str:
         return _input_label(probes[rows[i]], objects[rows[i]])
@@ -612,7 +598,7 @@ def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
     if config.evaluation == "mc":
         return _check_c3_mc(rule, config)
     label, out = _anti_alignment_cases(rule, config, _CORNER_PAIRS, 3, config.input_samples)
-    if not out.alive.size:
+    if not out.p_scatter.size:
         return _no_cases(CHECK_IDS[2], config.epsilon_exact)
     cells = np.stack(
         [joint_born_distribution(out.survivors, b, b) for b in config.bases], axis=1
@@ -667,8 +653,5 @@ def audit_rule(rule: Rule, config: AuditConfig | None = None) -> AuditReport:
         rule_name=rule.name,
         checks=checks,
         overall_pass=all(c.passed for c in checks),
-        evaluation=cfg.evaluation,
-        noise_levels=tuple(float(q) for q in cfg.noise_levels),
-        seed=cfg.seed,
         config_echo=_config_echo(cfg),
     )

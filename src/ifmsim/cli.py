@@ -23,6 +23,7 @@ from .audit import AuditConfig, audit_rule
 from .experiments import (
     ConfigError,
     FilterConfig,
+    field_value,
     json_fits,
     run_correlation,
     run_correlation_mc,
@@ -59,12 +60,12 @@ def _guarded(fn):
 
 
 def _resolve_rule(text: str):
-    """A rule spelling is a built-in name or a path to a custom-rule file."""
-    if os.path.exists(text):
-        return load_rule_file(text)
+    """A rule spelling is a built-in name or else a path to a custom-rule file."""
     try:
         return rule_from_name(text)
     except InvalidRuleError:
+        if os.path.isfile(text):
+            return load_rule_file(text)
         if os.sep in text or text.endswith(".json"):
             raise InvalidRuleError(f"rule file {text!r} not found") from None
         raise
@@ -149,29 +150,26 @@ def _config_values(ctx, config_cls, what: str) -> dict:
     return values
 
 
-def _at_least(least: int):
-    """Option callback refusing values below ``least``, in the config's words."""
-    def check(ctx, param, value):
-        if value < least:
-            raise click.BadParameter(f"{param.name} must be >= {least}, got {value}",
-                                     ctx=ctx, param=param)
-        return value
-
-    return check
+def _in_bounds(ctx, param, value):
+    """Option callback refusing a seed or trial count outside its config field's bounds."""
+    try:
+        return field_value(param.name, "int", value)
+    except ConfigError as exc:
+        raise click.BadParameter(str(exc), ctx=ctx, param=param) from None
 
 
-# Options several commands share, each declared once.  A negative seed and
-# fewer than one trial are refused in every mode.
+# Options several commands share, each declared once.  A seed or trial count
+# out of bounds is refused in every mode.
 _rule_option = functools.partial(click.option, "--rule",
                                  help="Built-in rule name or custom-rule JSON file.")
 _seed_option = click.option("--seed", type=int, default=0, show_default=True, envvar="IFM_SEED",
-                            show_envvar=True, callback=_at_least(0),
+                            show_envvar=True, callback=_in_bounds,
                             help="Seed for every sampled quantity.")
 _mode_option = click.option("--mode", "evaluation", type=click.Choice(["exact", "mc"]),
                             default="exact", show_default=True,
                             help="Exact channel evaluation or Monte Carlo sampling.")
 _trials_option = click.option("--trials", type=int, default=100_000, show_default=True,
-                              callback=_at_least(1), help="Monte Carlo trials.")
+                              callback=_in_bounds, help="Monte Carlo trials.")
 _config_option = click.option("--config", "config_path",
                               type=click.Path(exists=True, dir_okay=False), default=None,
                               help="JSON config file; explicit flags and IFM_SEED override it.")
@@ -196,7 +194,7 @@ def main():
 @_rule_option()
 @_mode_option
 @click.option("--trials", "mc_trials", type=int, default=100_000, show_default=True,
-              help="Monte Carlo trials per comparison.")
+              callback=_in_bounds, help="Monte Carlo trials per comparison.")
 @_seed_option
 @click.option("--noise-q", "noise_levels", type=float, default=None,
               callback=lambda ctx, param, q: None if q is None else (q,),
@@ -211,9 +209,9 @@ def audit(ctx, report_path, **_):
     values = _config_values(ctx, AuditConfig, "audit")
     report = audit_rule(values.pop("rule"), AuditConfig(**values))
     text = report.to_json()
-    click.echo(text)
     if report_path:
         _write_text_atomic(report_path, text + "\n")
+    click.echo(text)
 
 
 def _run_config(evaluation, trials, seed, **inputs) -> dict:
@@ -265,13 +263,13 @@ def run_filter_cmd(ctx, csv_path, **_):
         "outcomes": labels,
         "distribution": dist.to_dict(),
     }
-    click.echo(json.dumps(payload, indent=2))
     if csv_path:
         counts = dist.counts if dist.counts is not None else ("", "", "")
         lines = ["outcome,count,probability"]
         for label, count, prob in zip(labels, counts, dist.probabilities()):
             lines.append(f"{label},{count},{float(prob)!r}")
         _write_text_atomic(csv_path, "\n".join(lines) + "\n")
+    click.echo(json.dumps(payload, indent=2))
 
 
 @run.command("correlate")

@@ -40,6 +40,7 @@ from .states import (
     QubitState,
     STATE_X,
     STATE_Y,
+    _expectations,
     density_of_ensemble,
     eigenbasis_of,
     joint_born_distribution,
@@ -74,6 +75,17 @@ _FIELD_TYPES = {
     "tuple[float, ...]": ((tuple, list), (list,), "a sequence of numbers", None),
 }
 
+# Bounds of the run parameters by field name: the least value, and the most
+# with the spelling messages use.  Trials are capped as the multinomial takes a
+# C long.  A field that names a choice lists its values in ``_CHOICES``.
+_TRIALS_RANGE = (1, 2**63 - 1, "2**63 - 1")
+_BOUNDS = {
+    "seed": (0, None, None), "trials": _TRIALS_RANGE, "mc_trials": _TRIALS_RANGE,
+    **dict.fromkeys(("unitary_samples", "input_samples", "mc_input_samples",
+                     "mc_unitary_samples"), (1, None, None)),
+}
+_CHOICES = {"evaluation": ("exact", "mc")}
+
 
 def _fits(annotation: str, value, column: int) -> bool:
     """Whether ``value`` has a type of ``_FIELD_TYPES[annotation][column]`` (0: Python, 1: JSON)."""
@@ -89,21 +101,30 @@ def json_fits(annotation: str, value) -> bool:
     return _fits(annotation, value, 1)
 
 
-def _field_value(name: str, annotation: str, value):
+def field_value(name: str, annotation: str, value):
     """``value`` of the config field ``name``, a number, flag or text stored as its plain type.
 
-    Raises ``ConfigError`` naming the field when the type does not fit ``annotation``.
+    Raises ``ConfigError`` naming the field when the type does not fit
+    ``annotation`` or the value is outside ``_BOUNDS`` or ``_CHOICES``.
     """
     _, _, phrase, store = _FIELD_TYPES[annotation]
     if not _fits(annotation, value, 0):
         raise ConfigError(f"{name} must be {phrase}, got {value!r}")
-    return value if store is None else store(value)
+    value = value if store is None else store(value)
+    least, most, spelled = _BOUNDS.get(name, (None, None, None))
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ConfigError(f"{name} must be <= {spelled}, got {value!r}")
+    if name in _CHOICES and value not in _CHOICES[name]:
+        raise ConfigError(f"{name} must be {' or '.join(map(repr, _CHOICES[name]))}, got {value!r}")
+    return value
 
 
 def check_fields(config) -> None:
-    """Type-check every field of a frozen config dataclass in place; see ``_field_value``."""
+    """Check every field of a frozen config dataclass in place; see ``field_value``."""
     for f in fields(config):
-        object.__setattr__(config, f.name, _field_value(f.name, f.type, getattr(config, f.name)))
+        object.__setattr__(config, f.name, field_value(f.name, f.type, getattr(config, f.name)))
 
 
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -117,15 +138,9 @@ def sample_counts(seed: int, trials: int, laws, *stream: int) -> np.ndarray:
 
     Rows are normalised to sum to 1, so rounding cannot trip the
     multinomial's check on the cell probabilities.  ``trials`` and ``seed``
-    must be integers; bools are refused.
+    must be integers within their ``_BOUNDS``; bools are refused.
     """
-    trials, seed = _field_value("trials", "int", trials), _field_value("seed", "int", seed)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials!r}")
-    if trials > 2**63 - 1:  # the multinomial takes a C long
-        raise ConfigError(f"trials must be <= 2**63 - 1, got {trials!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed!r}")
+    trials, seed = field_value("trials", "int", trials), field_value("seed", "int", seed)
     laws = np.asarray(laws, dtype=float)
     laws = laws / laws.sum(axis=-1, keepdims=True)
     return derive_rng(seed, *stream).multinomial(trials, laws)
@@ -152,12 +167,6 @@ class FilterConfig:
             raise ConfigError(f"source_mode must be 1 or 2, got {self.source_mode!r}")
         if not 0.0 <= self.noise_q <= 1.0:
             raise ConfigError(f"noise_q must be within [0, 1], got {self.noise_q!r}")
-        if self.evaluation not in ("exact", "mc"):
-            raise ConfigError(f"evaluation must be 'exact' or 'mc', got {self.evaluation!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
 
     def resolved_source_basis(self) -> Basis:
         """Explicit source basis, or the mode default.
@@ -224,13 +233,8 @@ def filter_branches(rule: Rule, sources, objects, swapped, analyzers, take=slice
         partial_trace(out.survivors, "probe"),
     )
     flyby = sources[:, :, None] * sources[:, None, :].conj()
-    return out.p_scatter[take], _clicks(reduced[take], analyzers), _clicks(flyby[take], analyzers)
-
-
-def _clicks(rho, analyzers) -> np.ndarray:
-    """Per row, ``<v|rho|v>`` for both analyzer vectors ``v``, clipped at zero."""
-    analyzers = np.asarray(analyzers, dtype=complex)
-    return np.clip(np.einsum("nki,nij,nkj->nk", analyzers.conj(), rho, analyzers).real, 0.0, None)
+    return (out.p_scatter[take], _expectations(reduced[take], analyzers),
+            _expectations(flyby[take], analyzers))
 
 
 def filter_law(q, p_scatter, survivor_clicks, flyby_clicks) -> np.ndarray:
@@ -301,11 +305,11 @@ def run_filter(cfg: FilterConfig) -> OutcomeDistribution:
     return run_filter_mc(cfg)
 
 
-def check_mode_equivalence(basis_mode1: Basis, basis_mode2: Basis, atol: float = ATOL) -> None:
+def check_mode_equivalence(basis_mode1: Basis, basis_mode2: Basis) -> None:
     """Assert the two 50/50 source ensembles share one density matrix."""
     rho1 = density_of_ensemble([(0.5, basis_mode1.b1), (0.5, basis_mode1.b2)])
     rho2 = density_of_ensemble([(0.5, basis_mode2.b1), (0.5, basis_mode2.b2)])
-    if not np.allclose(rho1, rho2, rtol=0.0, atol=atol):
+    if not np.allclose(rho1, rho2, rtol=0.0, atol=ATOL):
         raise ConfigError(
             f"source modes {basis_mode1.label} and {basis_mode2.label} "
             "have distinguishable density matrices"
@@ -341,7 +345,7 @@ class CorrelationResult:
 
 def _survivor(out: Coupling) -> np.ndarray:
     """Survivor density of the one-row coupling ``out`` of an input pair."""
-    if not out.alive[0]:
+    if out.p_scatter[0] == 1.0:
         raise NoSurvivorsError("survive probability is zero for this input; nothing to measure")
     return out.survivors[0]
 

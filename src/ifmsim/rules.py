@@ -223,21 +223,19 @@ def interaction_probability(probe: QubitState, obj: QubitState) -> float:
 
 def _aligned_projector(basis: Basis) -> np.ndarray:
     """Projector onto the aligned cells ``|b1 b1>``, ``|b2 b2>`` of ``basis``."""
-    v11 = np.kron(basis.b1.amps, basis.b1.amps)
-    v22 = np.kron(basis.b2.amps, basis.b2.amps)
-    return np.outer(v11, v11.conj()) + np.outer(v22, v22.conj())
+    vectors = np.array([basis.b1.amps, basis.b2.amps])
+    return _projectors(_pair_amps(vectors, vectors)).sum(axis=0)
 
 
 class Coupling(NamedTuple):
     """Outcomes of a batch of couplings; row ``n`` belongs to input pair ``n``.
 
-    ``alive`` is False where the pair scatters with certainty; those rows
-    carry ``p_scatter == 1`` and an all-zero survivor.
+    A pair that scatters with certainty carries ``p_scatter == 1`` exactly
+    and an all-zero survivor; every other row has ``p_scatter < 1``.
     """
 
     p_scatter: np.ndarray
     survivors: np.ndarray
-    alive: np.ndarray
 
 
 def _pair_amps(probes: np.ndarray, objects: np.ndarray) -> np.ndarray:
@@ -293,8 +291,7 @@ def coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupling:
     survive operator ``K`` scatters with the weight ``K`` removes and
     keeps ``K psi``; every other kind scatters with the interaction
     probability.  Rows whose overall survive probability is negligible
-    report certain scatter and are not ``alive``.  Amplitude rows must
-    be normalized.
+    report certain scatter.  Amplitude rows must be normalized.
 
     ``noise_q`` is one level or a 1-D sequence of ``L`` levels.  The rule
     runs once per input pair; the fly-by blend then broadcasts over the
@@ -326,10 +323,11 @@ def coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupling:
     weight = np.where(coupled, (1.0 - q) * (1.0 - p_nn), 0.0)
     blended = (q[:, None, None] * _projectors(inp)[:, None]
                + weight[..., None, None] * survivor_nn[:, None])
-    # dividing by an infinite mass zeroes the survivors of rows that are not alive
+    # dividing by an infinite mass zeroes the survivors of rows that are not alive;
+    # an alive row keeps p_scatter < 1, as (1 - q) * p_nn rounds to 1 only at q = 0, p_nn = 1
     survivors = blended / np.where(alive, survive_mass, np.inf)[..., None, None]
     return Coupling(np.where(alive, (1.0 - q) * p_nn, 1.0).reshape(-1),
-                    survivors.reshape(-1, 4, 4), alive.reshape(-1))
+                    survivors.reshape(-1, 4, 4))
 
 
 def swapped_coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupling:
@@ -347,13 +345,13 @@ def pair_channel(rule: Rule, probe: QubitState, obj: QubitState, noise_q=0.0,
                  channel=coupling_channel) -> Coupling:
     """The one-row ``channel`` output of one pair; a level sequence is refused, not read at row 0."""
     out = channel(rule, probe.amps, obj.amps, noise_q)
-    if len(out.alive) != 1:
-        raise ValueError(f"a single pair takes one noise level, got {len(out.alive)}")
+    if len(out.p_scatter) != 1:
+        raise ValueError(f"a single pair takes one noise level, got {len(out.p_scatter)}")
     return out
 
 
 def _single(out: Coupling) -> CouplingOutcome:
-    if not out.alive[0]:
+    if out.p_scatter[0] == 1.0:
         return CouplingOutcome(1.0, None)
     return CouplingOutcome(float(out.p_scatter[0]), out.survivors[0])
 

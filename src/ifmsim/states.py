@@ -55,27 +55,40 @@ def _canonical_phase(amps: np.ndarray) -> np.ndarray:
     raise ZeroVectorError("cannot fix the phase of a zero vector")
 
 
-def _validated_amps(raw, dim: int) -> np.ndarray:
-    amps = np.array(raw, dtype=complex).reshape(-1)
-    if amps.shape != (dim,):
-        raise ValueError(f"expected {dim} amplitudes, got shape {np.shape(raw)}")
-    if not np.all(np.isfinite(amps)):
-        raise ValueError("amplitudes must be finite")
-    if abs(np.linalg.norm(amps) - 1.0) > ATOL:
-        raise ValueError("amplitudes are not normalized")
-    amps = _canonical_phase(amps)
-    amps.setflags(write=False)
-    return amps
-
-
 @dataclass(frozen=True, eq=False)
-class QubitState:
-    """Normalized pure state of one two-level system, canonical global phase."""
+class _PureState:
+    """Normalized pure state of ``dim`` amplitudes, canonical global phase.
+
+    Each subclass sets ``dim`` as a plain class attribute, not a field.
+    """
 
     amps: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "amps", _validated_amps(self.amps, 2))
+        amps = np.array(self.amps, dtype=complex).reshape(-1)
+        if amps.shape != (self.dim,):
+            raise ValueError(f"expected {self.dim} amplitudes, got shape {np.shape(self.amps)}")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
+        if abs(np.linalg.norm(amps) - 1.0) > ATOL:
+            raise ValueError("amplitudes are not normalized")
+        amps = _canonical_phase(amps)
+        amps.setflags(write=False)
+        object.__setattr__(self, "amps", amps)
+
+    def overlap(self, other) -> complex:
+        """Inner product ``<self|other>``."""
+        return complex(np.vdot(self.amps, other.amps))
+
+    def density(self) -> np.ndarray:
+        """``dim`` x ``dim`` projector ``|s><s|``."""
+        return np.outer(self.amps, self.amps.conj())
+
+
+class QubitState(_PureState):
+    """Normalized pure state of one two-level system, canonical global phase."""
+
+    dim = 2
 
     @property
     def a_x(self) -> complex:
@@ -85,36 +98,17 @@ class QubitState:
     def a_y(self) -> complex:
         return complex(self.amps[1])
 
-    def overlap(self, other: "QubitState") -> complex:
-        """Inner product ``<self|other>``."""
-        return complex(np.vdot(self.amps, other.amps))
-
-    def density(self) -> np.ndarray:
-        """2x2 projector ``|s><s|``."""
-        return np.outer(self.amps, self.amps.conj())
-
-    def isclose(self, other: "QubitState", atol: float = ATOL) -> bool:
-        return bool(np.allclose(self.amps, other.amps, rtol=0.0, atol=atol))
+    def isclose(self, other: "QubitState") -> bool:
+        return bool(np.allclose(self.amps, other.amps, rtol=0.0, atol=ATOL))
 
     def __repr__(self) -> str:
         return f"QubitState({state_label(self)})"
 
 
-@dataclass(frozen=True, eq=False)
-class JointState:
+class JointState(_PureState):
     """Normalized pure state of the probe+object pair, index ``2*probe + object``."""
 
-    amps: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "amps", _validated_amps(self.amps, 4))
-
-    def overlap(self, other: "JointState") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
-    def density(self) -> np.ndarray:
-        """4x4 projector ``|s><s|``."""
-        return np.outer(self.amps, self.amps.conj())
+    dim = 4
 
     def reduced(self, keep: str) -> np.ndarray:
         return partial_trace(self.density(), keep)
@@ -241,9 +235,9 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
 
 
 def _expectations(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``<v|rho|v>`` for every row ``v`` of ``vectors``, clipped at zero, over leading axes."""
-    rho = np.asarray(rho, dtype=complex)
-    probs = np.einsum("ki,...ij,kj->...k", vectors.conj(), rho, vectors).real
+    """``<v|rho|v>`` for every row ``v`` of ``vectors``, clipped at zero; leading axes broadcast."""
+    rho, vectors = np.asarray(rho, dtype=complex), np.asarray(vectors, dtype=complex)
+    probs = np.einsum("...ki,...ij,...kj->...k", vectors.conj(), rho, vectors).real
     return np.clip(probs, 0.0, None)
 
 
@@ -299,10 +293,10 @@ def is_density(rho: np.ndarray, atol: float = ATOL) -> bool:
     return bool(np.linalg.eigvalsh(rho).min() >= -atol)
 
 
-def mutually_unbiased(a: Basis, b: Basis, atol: float = 1e-6) -> bool:
-    """True when every vector of one basis has overlap 1/2 with both of the other."""
+def mutually_unbiased(a: Basis, b: Basis) -> bool:
+    """True when every vector of one basis has overlap 1/2 with both of the other, within 1e-6."""
     return all(
-        abs(overlap_probability(sa, sb) - 0.5) <= atol
+        abs(overlap_probability(sa, sb) - 0.5) <= 1e-6
         for sa in a.states()
         for sb in b.states()
     )

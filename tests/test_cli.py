@@ -117,6 +117,7 @@ def test_write_into_missing_directory_exits_2(runner, tmp_path, command):
     result = runner.invoke(main, [*command, str(target), "--rule", "singlet"])
     assert result.exit_code == 2
     assert f"error: cannot write {str(target)!r}: No such file or directory" in result.output
+    assert result.stdout == ""
     assert list(tmp_path.iterdir()) == []
 
 
@@ -216,10 +217,19 @@ def test_negative_seed_exits_2(runner, command):
 @pytest.mark.parametrize("command", [["audit"], ["run", "filter"], ["run", "correlate"],
                                      ["run", "flip"]], ids=" ".join)
 def test_trials_above_int64_exit_2(runner, command):
-    result = runner.invoke(main, [*command, "--rule", "singlet", "--mode", "mc",
-                                  "--trials", str(2**63)])
+    for mode in ("mc", "exact"):
+        result = runner.invoke(main, [*command, "--rule", "singlet", "--mode", mode,
+                                      "--trials", str(2**63)])
+        assert result.exit_code == 2
+        assert f"trials must be <= 2**63 - 1, got {2**63}" in result.output
+
+
+def test_audit_config_file_trials_above_int64_exit_2(runner, tmp_path):
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps({"rule": "singlet", "evaluation": "exact", "mc_trials": 2**63}))
+    result = runner.invoke(main, ["audit", "--config", str(path)])
     assert result.exit_code == 2
-    assert f"trials must be <= 2**63 - 1, got {2**63}" in result.output
+    assert f"error: mc_trials must be <= 2**63 - 1, got {2**63}" in result.output
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])
@@ -262,6 +272,22 @@ def test_custom_rule_through_audit(runner, tmp_path):
     assert result.exit_code == 0
     dist = json.loads(result.output)["distribution"]
     assert dist["p_scatter"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_builtin_rule_names_win_over_paths_in_the_working_directory(runner, tmp_path,
+                                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "singlet").mkdir()
+    doc = {"name": "stray", "survive_operator": [[[float(i == j), 0.0] for j in range(4)]
+                                                 for i in range(4)]}
+    (tmp_path / "random-mix").write_text(json.dumps(doc))
+    for name in ("singlet", "random-mix"):
+        audited = invoke(runner, "audit", "--rule", name)
+        assert json.loads(audited.output)["rule"] == name
+        flipped = invoke(runner, "run", "flip", "--rule", name)
+        assert json.loads(flipped.output)["config"]["rule"] == name
+    from_file = invoke(runner, "run", "flip", "--rule", "./random-mix")
+    assert json.loads(from_file.output)["config"]["rule"] == "stray"
 
 
 def test_filter_config_file_and_flag_override(runner, tmp_path):

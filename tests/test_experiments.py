@@ -389,6 +389,19 @@ def test_negative_seed_rejected(call):
 
 
 @pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: AuditConfig(mc_trials=2**63), "mc_trials"),
+        (lambda: FilterConfig(rule=singlet_rule(), trials=2**63), "trials"),
+    ],
+    ids=["AuditConfig", "FilterConfig"],
+)
+def test_trials_above_int64_rejected_in_exact_mode(call, field):
+    with pytest.raises(ConfigError, match=rf"^{field} must be <= 2\*\*63 - 1, got {2**63}$"):
+        call()
+
+
+@pytest.mark.parametrize(
     "run",
     [
         lambda **kw: run_correlation_mc(STATE_Y, STATE_X, BASIS_SIGMA, singlet_rule(), **kw),

@@ -321,6 +321,12 @@ def _exact_verdict(check_id: str, worst: float, witness: str, evidence, config) 
     )
 
 
+def _survivor_difference(out_a: Coupling, out_b: Coupling) -> np.ndarray:
+    """Per row, ``(1 - p_a) rho_a - (1 - p_b) rho_b``, Hermitian up to rounding."""
+    return ((1.0 - out_a.p_scatter)[:, None, None] * out_a.survivors
+            - (1.0 - out_b.p_scatter)[:, None, None] * out_b.survivors)
+
+
 def _outcome_distance(out_a: Coupling, out_b: Coupling) -> np.ndarray:
     """Per row, the trace distance between the two sides' outcomes ``p (+) (1 - p) rho``.
 
@@ -329,22 +335,52 @@ def _outcome_distance(out_a: Coupling, out_b: Coupling) -> np.ndarray:
     difference.  A row that scatters with certainty has ``p = 1`` and a zero
     survivor, so it needs no branch.
     """
-    diff = ((1.0 - out_a.p_scatter)[:, None, None] * out_a.survivors
-            - (1.0 - out_b.p_scatter)[:, None, None] * out_b.survivors)
-    trace_norm = np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+    trace_norm = np.abs(np.linalg.eigvalsh(_survivor_difference(out_a, out_b))).sum(axis=-1)
     return 0.5 * (np.abs(out_a.p_scatter - out_b.p_scatter) + trace_norm)
+
+
+# eigvalsh reads the six entries below the diagonal, each standing for itself
+# and its mirror, and the real part of the four diagonal ones
+_TRIL = np.tril_indices(4, -1)
+_FROBENIUS_WEIGHTS = np.array([2.0] * 6 + [1.0] * 4)
+
+
+def _eigvalsh_frobenius(diff: np.ndarray) -> np.ndarray:
+    """Per row, the Frobenius norm of the Hermitian matrix ``eigvalsh`` reads from ``diff``.
+
+    Each row is scaled by its largest entry first, so that squares of tiny
+    differences do not underflow.
+    """
+    entries = np.concatenate([np.abs(diff[:, _TRIL[0], _TRIL[1]]),
+                              np.abs(np.diagonal(diff, axis1=1, axis2=2).real)], axis=1)
+    scale = entries.max(axis=1, keepdims=True)
+    unit = entries / np.where(scale > 0.0, scale, 1.0)
+    return scale[:, 0] * np.sqrt(unit ** 2 @ _FROBENIUS_WEIGHTS)
 
 
 def _exact_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, names):
     """C2/C4 exact: the first row of worst ``_outcome_distance`` of the two couplings.
 
     ``names`` name the two sides in the evidence keys ``p_scatter_<name>``.
+    Only rows that can be the worst get their trace norm.  A Hermitian 4x4
+    matrix of Frobenius norm ``F`` has trace norm in ``[F, 2F]``, so row ``n``
+    lies within ``0.5 * (gap_n + [F_n, 2 F_n])``, with ``gap = |p_a - p_b|``
+    and ``F`` taken of what ``eigvalsh`` reads (``_eigvalsh_frobenius``).
+    Rows whose upper end, widened by 1e-9 for rounding, reaches the largest
+    lower end, narrowed by as much, are the candidates.  Every row that ties
+    the worst is one, and ``eigvalsh`` works on each matrix alone, so the
+    first worst row and its value are those of all rows.
     """
-    disc = _outcome_distance(out_a, out_b)
-    row = int(np.argmax(disc))
+    gap = np.abs(out_a.p_scatter - out_b.p_scatter)
+    frobenius = _eigvalsh_frobenius(_survivor_difference(out_a, out_b))
+    rows = np.flatnonzero((gap + 2.0 * frobenius) * (1.0 + 1e-9)
+                          >= (gap + frobenius).max() * (1.0 - 1e-9))
+    disc = _outcome_distance(*(Coupling(*(field[rows] for field in out)) for out in (out_a, out_b)))
+    worst = int(np.argmax(disc))
+    row = int(rows[worst])
     evidence = {f"p_scatter_{name}": float(out.p_scatter[row])
                 for name, out in zip(names, (out_a, out_b))}
-    return _exact_verdict(check_id, float(disc[row]), label(row), evidence, config)
+    return _exact_verdict(check_id, float(disc[worst]), label(row), evidence, config)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -383,10 +419,14 @@ def _role_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, coun
 
 @functools.lru_cache(maxsize=1)
 def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int):
-    """C4 unitary names, inputs, rotated inputs, and ``U (x) U`` per input as ``(N, 1, 4, 4)``.
+    """C4 unitary names, distinct inputs, input index, rotated inputs and ``U (x) U``.
 
     Inputs are every corner unitary on every corner pair, then ``count``
-    Haar unitaries, each with a uniform pair, drawn from one stream.
+    Haar unitaries, each with a uniform pair, drawn from one stream.  The
+    corner pairs repeat once per corner unitary, so the distinct probe and
+    object amplitudes are the corner pairs then the uniform pairs, and input
+    ``n`` is distinct input ``index[n]``.  The rotated inputs and ``U (x) U``,
+    as ``(N, 1, 4, 4)``, run one row per input.
     """
     corners = _corner_unitaries(bases)
     u = derive_rng(seed, stream).random((count, 7))
@@ -395,30 +435,37 @@ def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int):
     unitaries = np.concatenate(
         [np.repeat([m for _, m in corners], len(corner_pairs), axis=0), haar_unitaries(u[:, 0:3])]
     )
-    corner_probes = np.tile(_amps(p for p, _ in corner_pairs), (len(corners), 1))
-    corner_objects = np.tile(_amps(o for _, o in corner_pairs), (len(corners), 1))
-    probes = np.concatenate([corner_probes, uniform_state_amps(u[:, 3:5])])
-    objects = np.concatenate([corner_objects, uniform_state_amps(u[:, 5:7])])
-    rotated_probes = np.einsum("nij,nj->ni", unitaries, probes)
-    rotated_objects = np.einsum("nij,nj->ni", unitaries, objects)
+    probes = np.concatenate([_amps(p for p, _ in corner_pairs), uniform_state_amps(u[:, 3:5])])
+    objects = np.concatenate([_amps(o for _, o in corner_pairs), uniform_state_amps(u[:, 5:7])])
+    index = np.concatenate([np.tile(np.arange(len(corner_pairs)), len(corners)),
+                            len(corner_pairs) + np.arange(count)])
+    rotated_probes = np.einsum("nij,nj->ni", unitaries, probes[index])
+    rotated_objects = np.einsum("nij,nj->ni", unitaries, objects[index])
     uu = np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 1, 4, 4)
-    return tuple(names), *_read_only(probes, objects, rotated_probes, rotated_objects, uu)
+    return tuple(names), *_read_only(probes, objects, index, rotated_probes, rotated_objects, uu)
 
 
 def _covariance_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, count: int):
-    """C4 cases, input-major then noise level: row labeller, rotated and conjugated couplings."""
+    """C4 cases, input-major then noise level: row labeller, rotated and conjugated couplings.
+
+    The base coupling runs once per distinct input; its rows are gathered
+    per input before the ``U (x) U`` conjugation.
+    """
     levels = config.noise_levels
-    names, probes, objects, rotated_probes, rotated_objects, uu = _covariance_grid(
+    names, probes, objects, index, rotated_probes, rotated_objects, uu = _covariance_grid(
         tuple(config.bases), corner_pairs, config.seed, stream, count
     )
     rotated = coupling_channel(rule, rotated_probes, rotated_objects, levels)
     base = coupling_channel(rule, probes, objects, levels)
-    survivors = uu @ base.survivors.reshape(len(probes), -1, 4, 4) @ uu.conj().swapaxes(-1, -2)
-    conjugated = base._replace(survivors=survivors.reshape(-1, 4, 4))
+    p_scatter = base.p_scatter.reshape(len(probes), -1)[index]
+    survivors = base.survivors.reshape(len(probes), -1, 4, 4)[index]
+    survivors = uu @ survivors @ uu.conj().swapaxes(-1, -2)
+    conjugated = Coupling(p_scatter.reshape(-1), survivors.reshape(-1, 4, 4))
 
     def label(row: int) -> str:
         n, k = divmod(row, len(levels))
-        return f"unitary={names[n]} {_input_label(probes[n], objects[n])} q={levels[k]:g}"
+        m = index[n]
+        return f"unitary={names[n]} {_input_label(probes[m], objects[m])} q={levels[k]:g}"
 
     return label, rotated, conjugated
 

@@ -77,12 +77,14 @@ _FIELD_TYPES = {
 
 # Bounds of the run parameters by field name: the least value, and the most
 # with the spelling messages use.  Trials are capped as the multinomial takes a
-# C long.  A field that names a choice lists its values in ``_CHOICES``.
+# C long.  The audit sample counts are capped so that an accepted config stays
+# within a few hundred MB per noise level: an audit builds its case grids whole.
+# A field that names a choice lists its values in ``_CHOICES``.
 _TRIALS_RANGE = (1, 2**63 - 1, "2**63 - 1")
 _BOUNDS = {
     "seed": (0, None, None), "trials": _TRIALS_RANGE, "mc_trials": _TRIALS_RANGE,
     **dict.fromkeys(("unitary_samples", "input_samples", "mc_input_samples",
-                     "mc_unitary_samples"), (1, None, None)),
+                     "mc_unitary_samples"), (1, 100_000, "100000")),
 }
 _CHOICES = {"evaluation": ("exact", "mc")}
 

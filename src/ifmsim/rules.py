@@ -65,6 +65,10 @@ SWAP = np.array(
     dtype=complex,
 )
 
+# SWAP as an index map, 2*i + j -> 2*j + i: flat entry 4*a + b of
+# SWAP @ rho @ SWAP is entry 4*_SWAP_INDEX[a] + _SWAP_INDEX[b] of rho.
+_SWAP_INDEX = np.array([0, 2, 1, 3])
+_SWAPPED_ENTRIES = (4 * _SWAP_INDEX[:, None] + _SWAP_INDEX).reshape(-1)
 _IDENTITY4 = np.eye(4, dtype=complex)
 _SINGLET_DENSITY = SINGLET.density()
 
@@ -335,10 +339,13 @@ def swapped_coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupli
 
     The survivors live on the same (probe slot, object slot) space as
     ``coupling_channel(rule, probes, objects)``, so a role-symmetric rule
-    gives identical rows through both paths.
+    gives identical rows through both paths.  SWAP is a permutation, so the
+    survivors are gathered, not multiplied: the values of ``SWAP @ rho @ SWAP``
+    in a C-ordered array.
     """
     out = coupling_channel(rule, objects, probes, noise_q)
-    return out._replace(survivors=SWAP @ out.survivors @ SWAP)
+    survivors = out.survivors.reshape(-1, 16).take(_SWAPPED_ENTRIES, axis=1)
+    return out._replace(survivors=survivors.reshape(-1, 4, 4))
 
 
 def pair_channel(rule: Rule, probe: QubitState, obj: QubitState, noise_q=0.0,

@@ -235,8 +235,12 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
 
 
 def _expectations(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``<v|rho|v>`` for every row ``v`` of ``vectors``, clipped at zero; leading axes broadcast."""
-    rho, vectors = np.asarray(rho, dtype=complex), np.asarray(vectors, dtype=complex)
+    """``<v|rho|v>`` for every row ``v`` of ``vectors``, clipped at zero; leading axes broadcast.
+
+    ``rho`` is read as a C-ordered copy when it is not one, as ``einsum`` can
+    round differently on other memory layouts.
+    """
+    rho, vectors = np.ascontiguousarray(rho, dtype=complex), np.asarray(vectors, dtype=complex)
     probs = np.einsum("...ki,...ij,...kj->...k", vectors.conj(), rho, vectors).real
     return np.clip(probs, 0.0, None)
 

@@ -31,7 +31,9 @@ from ifmsim.rules import (
     singlet_rule,
     validate_custom_rule,
 )
-from ifmsim.states import BASIS_SIGMA, BASIS_XY, Basis, SINGLET, STATE_X, STATE_Y, make_state
+from ifmsim.states import (
+    BASIS_DIAG, BASIS_SIGMA, BASIS_XY, Basis, SINGLET, STATE_X, STATE_Y, make_state,
+)
 
 FAST_EXACT = AuditConfig(unitary_samples=25, input_samples=40, seed=11)
 FAST_MC = AuditConfig(
@@ -563,6 +565,13 @@ def test_audit_config_errors_name_the_field(name):
         AuditConfig(**{name: value})
 
 
+def test_audit_sample_counts_are_capped():
+    for name in ("unitary_samples", "input_samples", "mc_input_samples", "mc_unitary_samples"):
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be <= 100000, got 100001")):
+            AuditConfig(**{name: 100_001})
+        assert getattr(AuditConfig(**{name: 100_000}), name) == 100_000
+
+
 @pytest.mark.parametrize("numbers", [
     dict(seed=np.int64(3)),
     dict(mc_trials=np.int64(1000), evaluation="mc"),
@@ -687,3 +696,107 @@ def test_outcome_distance_matches_nuclear_norm_and_bounds_basis_tvd(rule):
         basis_tvd = tvd(audit._basis_laws(out_a, config.bases),
                         audit._basis_laws(out_b, config.bases))
         assert np.all(distance[:, None] >= basis_tvd - 1e-12)
+
+
+def _all_rows_pair_verdict(check_id, config, label, out_a, out_b, names):
+    """Reference for ``audit._exact_pair_verdict``: the trace norm of every row, then argmax."""
+    disc = audit._outcome_distance(out_a, out_b)
+    row = int(np.argmax(disc))
+    evidence = {f"p_scatter_{name}": float(out.p_scatter[row])
+                for name, out in zip(names, (out_a, out_b))}
+    return audit._exact_verdict(check_id, float(disc[row]), label(row), evidence, config)
+
+
+def _result_fields(result):
+    return (result.check_id, result.passed, result.metric, result.threshold, result.witness,
+            result.evidence)
+
+
+def _assert_pair_checks_match_all_rows(rule, config):
+    role = audit._role_cases(rule, config, audit._CORNER_PAIRS, 2, config.input_samples)
+    covariance = audit._covariance_cases(rule, config, audit._CORNER_PAIRS, 4,
+                                         config.unitary_samples)
+    for check, check_id, cases, names in (
+        (check_role_symmetry, CHECK_IDS[1], role, ("direct", "swapped")),
+        (check_basis_covariance, CHECK_IDS[3], covariance, ("rotated", "base")),
+    ):
+        want = _all_rows_pair_verdict(check_id, config, *cases, names)
+        assert _result_fields(check(rule, config)) == _result_fields(want), (rule.name, check_id)
+
+
+PAIR_CHECK_RULES = list(builtin_rules()) + [
+    REMOVE_ALIGNED_XY,
+    validate_custom_rule(np.zeros((4, 4)), name="k-zero"),
+    preferred_basis(BASIS_XY),
+    coherent_projection(BASIS_DIAG),
+    coherent_projection(BASIS_SIGMA),
+]
+PAIR_CHECK_CONFIGS = {
+    **{f"seed-{seed}": AuditConfig(seed=seed) for seed in (0, 1, 2, 3, 77)},
+    "one-basis": AuditConfig(bases=(BASIS_SIGMA,), seed=5),
+    "two-basis-three-levels": AuditConfig(bases=(BASIS_XY, BASIS_DIAG),
+                                          noise_levels=(0.0, 0.3, 1.0), seed=9),
+    "one-level-q0.25": AuditConfig(noise_levels=(0.25,), seed=4),
+    "one-level-q0": AuditConfig(noise_levels=(0.0,), seed=4),
+}
+
+
+@pytest.mark.parametrize("config", PAIR_CHECK_CONFIGS.values(), ids=PAIR_CHECK_CONFIGS)
+def test_exact_pair_verdict_matches_every_row_reference(config):
+    # exact C2/C4 take trace norms only of rows that can be the worst; the
+    # verdict, metric, witness and evidence are those of all rows
+    for rule in PAIR_CHECK_RULES:
+        _assert_pair_checks_match_all_rows(rule, config)
+
+
+def test_exact_pair_verdict_matches_reference_on_symmetric_and_delta_rules(monkeypatch):
+    xy = np.kron(STATE_X.amps, STATE_Y.amps)
+    for delta in (1e-2, 1e-3, 1e-5):
+        operator = (SINGLET.density() + delta * np.outer(xy, xy.conj())) / (1.0 + delta)
+        _assert_pair_checks_match_all_rows(validate_custom_rule(operator), AuditConfig())
+    for t in (1e-9, 1e-6, 1e-2):
+        mixture = (1.0 - t) * SINGLET.density() + t * np.eye(4) / 4.0
+        monkeypatch.setattr(rules, "_universal_survivors",
+                            lambda rule, probes, objects, inp: np.broadcast_to(
+                                mixture, (len(inp), 4, 4)))
+        _assert_pair_checks_match_all_rows(singlet_rule(), AuditConfig())
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0, 1e-160, 1e-200])
+def test_exact_pair_verdict_matches_reference_on_synthetic_couplings(scale):
+    # differences near 1e-200 square to zero unless each row is scaled first;
+    # row 5 has the largest scatter gap and no survivor difference, and rows 10
+    # and 20 tie for the worst, so the first of them must be the witness
+    rng = derive_rng(31)
+    hermitian = rng.normal(size=(40, 4, 4)) + 1j * rng.normal(size=(40, 4, 4))
+    hermitian = hermitian + hermitian.conj().swapaxes(-1, -2)
+    hermitian[5] = 0.0
+    hermitian[10] = hermitian[20] = 3.0 * hermitian[10]
+    p_a = 0.01 * rng.random(40)
+    p_a[5] = 0.9
+    p_a[20] = p_a[10]
+    out_a = rules.Coupling(scale * p_a, scale * hermitian)
+    out_b = rules.Coupling(np.zeros(40), np.zeros((40, 4, 4), dtype=complex))
+    got = audit._exact_pair_verdict(CHECK_IDS[1], AuditConfig(), str, out_a, out_b, ("a", "b"))
+    want = _all_rows_pair_verdict(CHECK_IDS[1], AuditConfig(), str, out_a, out_b, ("a", "b"))
+    assert _result_fields(got) == _result_fields(want)
+    assert got.witness == ("0" if scale == 0.0 else "10")
+
+
+@pytest.mark.parametrize("pairs, stream, count", [
+    (audit._CORNER_PAIRS, 4, FAST_EXACT.unitary_samples),
+    (audit._MC_CORNER_PAIRS, 41, FAST_MC.mc_unitary_samples),
+], ids=["exact", "mc"])
+def test_covariance_cases_match_a_base_coupling_on_every_row(pairs, stream, count):
+    # the base coupling runs once per distinct input and is gathered per row
+    config = FAST_EXACT
+    _, probes, objects, index, *_, uu = audit._covariance_grid(
+        tuple(config.bases), pairs, config.seed, stream, count)
+    assert len(probes) == len(pairs) + count
+    for rule in PAIR_CHECK_RULES:
+        _, _, conjugated = audit._covariance_cases(rule, config, pairs, stream, count)
+        base = rules.coupling_channel(rule, probes[index], objects[index], config.noise_levels)
+        survivors = base.survivors.reshape(len(index), -1, 4, 4)
+        survivors = (uu @ survivors @ uu.conj().swapaxes(-1, -2)).reshape(-1, 4, 4)
+        assert conjugated.p_scatter.tobytes() == base.p_scatter.tobytes(), rule.name
+        assert conjugated.survivors.tobytes() == survivors.tobytes(), rule.name

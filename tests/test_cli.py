@@ -232,6 +232,14 @@ def test_audit_config_file_trials_above_int64_exit_2(runner, tmp_path):
     assert f"error: mc_trials must be <= 2**63 - 1, got {2**63}" in result.output
 
 
+def test_audit_config_file_sample_count_above_cap_exit_2(runner, tmp_path):
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps({"rule": "singlet", "input_samples": 100_000_000}))
+    result = runner.invoke(main, ["audit", "--config", str(path)])
+    assert result.exit_code == 2
+    assert "error: input_samples must be <= 100000, got 100000000" in result.output
+
+
 @pytest.mark.parametrize("mode", ["exact", "mc"])
 @pytest.mark.parametrize("command", [["run", "filter"], ["run", "correlate"], ["run", "flip"]],
                          ids=" ".join)

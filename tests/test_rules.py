@@ -522,3 +522,25 @@ def test_load_rule_file_rejects_missing_name(tmp_path):
     with pytest.raises(InvalidRuleError) as err:
         load_rule_file(str(path))
     assert "name" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    list(builtin_rules()) + [validate_custom_rule(np.diag([0, 1, 1, 0]), name="remove-aligned-xy")],
+    ids=lambda rule: rule.name,
+)
+def test_swapped_coupling_channel_survivors_equal_swap_conjugation(rule):
+    # SWAP is gathered as a permutation; adding 0.0 turns -0.0 into 0.0, the
+    # one difference a product with SWAP can make, so the bits must then agree
+    rng = derive_rng(212)
+    pairs = [(a, b) for a in CORNERS for b in CORNERS]
+    pairs += [(random_state(rng), random_state(rng)) for _ in range(40)]
+    probes = np.array([p.amps for p, _ in pairs])
+    objects = np.array([o.amps for _, o in pairs])
+    levels = (0.0, 0.5, 1.0)
+    mirrored = swapped_coupling_channel(rule, probes, objects, levels)
+    reverse = coupling_channel(rule, objects, probes, levels)
+    assert mirrored.survivors.flags.c_contiguous
+    assert mirrored.p_scatter.tobytes() == reverse.p_scatter.tobytes()
+    assert ((mirrored.survivors + 0.0).tobytes()
+            == (SWAP @ reverse.survivors @ SWAP + 0.0).tobytes())

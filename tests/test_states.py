@@ -434,3 +434,19 @@ def test_state_label_round_trip_for_names():
         assert state_label(state) == name
     label = state_label(from_bloch_angles(1.0, 2.0))
     assert label.startswith("theta,phi=")
+
+
+def test_born_distributions_do_not_depend_on_memory_layout():
+    # einsum may round differently on a strided stack, which would move Monte
+    # Carlo counts drawn from these laws
+    rhos = _random_pair_densities(derive_rng(61), 200)
+    batch_innermost = np.moveaxis(np.ascontiguousarray(np.moveaxis(rhos, 0, -1)), -1, 0)
+    for stack in (np.asfortranarray(rhos), batch_innermost):
+        assert np.array_equal(stack, rhos) and not stack.flags.c_contiguous
+        for basis_probe, basis_object in ((BASIS_XY, BASIS_SIGMA), (BASIS_SIGMA, BASIS_SIGMA),
+                                          (BASIS_DIAG, BASIS_XY)):
+            assert (joint_born_distribution(stack, basis_probe, basis_object).tobytes()
+                    == joint_born_distribution(rhos, basis_probe, basis_object).tobytes())
+        reduced = partial_trace(rhos, "probe")
+        assert (born_distribution(np.asfortranarray(reduced), BASIS_SIGMA).tobytes()
+                == born_distribution(reduced, BASIS_SIGMA).tobytes())

@@ -14,7 +14,8 @@ statistical cross-check):
   sub-normalised operator ``p (+) (1 - p) rho`` of scatter probability and
   survivor.  It is linear in the law, continuous in the rule, on C1's total
   variation scale, and bounds the total variation distance of the
-  five-outcome law in every basis, which Monte Carlo samples.
+  five-outcome law in every basis, which Monte Carlo samples.  Exact mode
+  evaluates it at the lowest noise level only (see below).
 * C3 anti-alignment - survivors of an actual coupling must carry zero
   weight on the aligned cells of every configured basis; evaluated on
   the coupled (q = 0) survivor, since fly-by events leave the untouched
@@ -22,7 +23,8 @@ statistical cross-check):
   every rule equally.
 * C4 basis covariance - rotating both inputs by the same unitary must
   commute with the rule; metric as in C2, between the outcome of the rotated
-  inputs and the rotated outcome.
+  inputs and the rotated outcome, and like C2 evaluated at the lowest noise
+  level only in exact mode.
 
 Monte Carlo mode draws each comparison's counts at ``mc_trials`` trials
 as one multinomial draw of the case's exact law, the same law the exact
@@ -37,7 +39,12 @@ Carlo verdict demands zero aligned events among the coupled survivors.
 
 Fly-by noise is one axis, blended in after the rule map (``coupling_channel``
 for C2/C4, ``filter_law`` for C1): each rule runs once per input pair, and
-a check's rows run case-major, then noise level.
+a check's rows run case-major, then noise level.  C1 and Monte Carlo C2/C4
+run every configured level.  Exact C2/C4 run the lowest level ``q_min``
+only: a fly-by leaves the untouched product input, which SWAP and
+``U (x) U`` map alike, so it cancels from the two sides' difference and a
+row at level ``q`` reads ``(1 - q) / (1 - q_min)`` times its ``q_min``
+value, never more.
 
 Every sampled quantity derives from ``AuditConfig.seed`` through fixed
 streams, so identical configs produce identical reports.  Each check's
@@ -218,6 +225,11 @@ class CheckResult:
     evidence: dict | None = None
 
 
+# C1 and the Monte Carlo C2/C4 grids grow with the level count, so it is capped
+# like the sample counts (``experiments._BOUNDS``).
+_MAX_NOISE_LEVELS = 16
+
+
 @dataclass(frozen=True, eq=False)
 class AuditConfig:
     """Knobs of the audit battery."""
@@ -244,6 +256,9 @@ class AuditConfig:
                 raise ConfigError(f"{name} must lie in (0, 1), got {value!r}")
         if not self.noise_levels:
             raise ConfigError("noise_levels must not be empty")
+        if len(self.noise_levels) > _MAX_NOISE_LEVELS:
+            raise ConfigError(f"noise_levels must hold at most {_MAX_NOISE_LEVELS} levels, "
+                              f"got {len(self.noise_levels)}")
         for q in self.noise_levels:
             if not 0.0 <= float(q) <= 1.0:
                 raise ConfigError(f"noise level {q!r} outside [0, 1]")
@@ -383,6 +398,18 @@ def _exact_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Couplin
     return _exact_verdict(check_id, float(disc[worst]), label(row), evidence, config)
 
 
+def _exact_pair_levels(config: AuditConfig) -> tuple[float]:
+    """The one noise level exact C2/C4 evaluate: the lowest configured one.
+
+    A fly-by leaves the product input, which SWAP and ``U (x) U`` map alike,
+    so it is the same on both sides and cancels from their difference: at
+    level ``q`` a row's distance is ``(1 - q)`` times its coupled one.  No
+    higher level can beat the lowest, so the worst row and the verdict are
+    those of every level.
+    """
+    return (min(config.noise_levels),)
+
+
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
@@ -403,10 +430,14 @@ _role_inputs = functools.lru_cache(maxsize=1)(_input_grid)
 _anti_alignment_inputs = functools.lru_cache(maxsize=1)(_input_grid)
 
 
-def _role_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, count: int):
-    """C2 cases, input-major then noise level: row labeller, direct and mirrored couplings."""
+def _role_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, count: int,
+                levels=None):
+    """C2 cases, input-major then noise level: row labeller, direct and mirrored couplings.
+
+    The levels are ``levels``, by default every configured one.
+    """
     probes, objects = _role_inputs(corner_pairs, config.seed, stream, count)
-    levels = config.noise_levels
+    levels = config.noise_levels if levels is None else levels
     direct = coupling_channel(rule, probes, objects, levels)
     mirrored = swapped_coupling_channel(rule, probes, objects, levels)
 
@@ -445,13 +476,15 @@ def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int):
     return tuple(names), *_read_only(probes, objects, index, rotated_probes, rotated_objects, uu)
 
 
-def _covariance_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, count: int):
+def _covariance_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, count: int,
+                      levels=None):
     """C4 cases, input-major then noise level: row labeller, rotated and conjugated couplings.
 
-    The base coupling runs once per distinct input; its rows are gathered
-    per input before the ``U (x) U`` conjugation.
+    The levels are ``levels``, by default every configured one.  The base
+    coupling runs once per distinct input; its rows are gathered per input
+    before the ``U (x) U`` conjugation.
     """
-    levels = config.noise_levels
+    levels = config.noise_levels if levels is None else levels
     names, probes, objects, index, rotated_probes, rotated_objects, uu = _covariance_grid(
         tuple(config.bases), corner_pairs, config.seed, stream, count
     )
@@ -607,11 +640,16 @@ def _mc_verdict(check_id: str, config: AuditConfig, counts_a, counts_b, witness,
 
 
 def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
-    """C2: exchanging the partners and SWAPping back must change nothing."""
+    """C2: exchanging the partners and SWAPping back must change nothing.
+
+    Exact mode evaluates the lowest noise level only, which no other level
+    can beat (``_exact_pair_levels``); Monte Carlo samples every level.
+    """
     if config.evaluation == "mc":
         cases = _role_cases(rule, config, _MC_CORNER_PAIRS, 21, config.mc_input_samples)
         return _mc_pair_verdict(CHECK_IDS[1], config, *cases, 22)
-    cases = _role_cases(rule, config, _CORNER_PAIRS, 2, config.input_samples)
+    cases = _role_cases(rule, config, _CORNER_PAIRS, 2, config.input_samples,
+                        _exact_pair_levels(config))
     return _exact_pair_verdict(CHECK_IDS[1], config, *cases, ("direct", "swapped"))
 
 
@@ -679,11 +717,16 @@ def _check_c3_mc(rule: Rule, config: AuditConfig) -> CheckResult:
 
 
 def check_basis_covariance(rule: Rule, config: AuditConfig) -> CheckResult:
-    """C4: the rule must commute with identical rotations of both inputs."""
+    """C4: the rule must commute with identical rotations of both inputs.
+
+    Levels as in ``check_role_symmetry``: the lowest in exact mode, every one
+    in Monte Carlo.
+    """
     if config.evaluation == "mc":
         cases = _covariance_cases(rule, config, _MC_CORNER_PAIRS, 41, config.mc_unitary_samples)
         return _mc_pair_verdict(CHECK_IDS[3], config, *cases, 42)
-    cases = _covariance_cases(rule, config, _CORNER_PAIRS, 4, config.unitary_samples)
+    cases = _covariance_cases(rule, config, _CORNER_PAIRS, 4, config.unitary_samples,
+                              _exact_pair_levels(config))
     return _exact_pair_verdict(CHECK_IDS[3], config, *cases, ("rotated", "base"))
 
 

@@ -77,8 +77,11 @@ _FIELD_TYPES = {
 
 # Bounds of the run parameters by field name: the least value, and the most
 # with the spelling messages use.  Trials are capped as the multinomial takes a
-# C long.  The audit sample counts are capped so that an accepted config stays
-# within a few hundred MB per noise level: an audit builds its case grids whole.
+# C long.  The audit sample counts are capped as an audit builds its case grids
+# whole.  Measured at these caps (``preferred-basis:sigma``): an exact audit peaks
+# near 280 MB whatever its level count, a Monte Carlo one near 410 MB at 2 noise
+# levels and 724 MB at 4, about 160 MB per level (``audit._MAX_NOISE_LEVELS``
+# caps the level count).
 # A field that names a choice lists its values in ``_CHOICES``.
 _TRIALS_RANGE = (1, 2**63 - 1, "2**63 - 1")
 _BOUNDS = {

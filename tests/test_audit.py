@@ -572,6 +572,14 @@ def test_audit_sample_counts_are_capped():
         assert getattr(AuditConfig(**{name: 100_000}), name) == 100_000
 
 
+def test_audit_noise_levels_are_capped():
+    assert len(AuditConfig(noise_levels=(0.0,) * 16).noise_levels) == 16
+    for count in (17, 500):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"noise_levels must hold at most 16 levels, got {count}")):
+            AuditConfig(noise_levels=(0.0,) * count)
+
+
 @pytest.mark.parametrize("numbers", [
     dict(seed=np.int64(3)),
     dict(mc_trials=np.int64(1000), evaluation="mc"),
@@ -713,9 +721,10 @@ def _result_fields(result):
 
 
 def _assert_pair_checks_match_all_rows(rule, config):
-    role = audit._role_cases(rule, config, audit._CORNER_PAIRS, 2, config.input_samples)
+    levels = audit._exact_pair_levels(config)
+    role = audit._role_cases(rule, config, audit._CORNER_PAIRS, 2, config.input_samples, levels)
     covariance = audit._covariance_cases(rule, config, audit._CORNER_PAIRS, 4,
-                                         config.unitary_samples)
+                                         config.unitary_samples, levels)
     for check, check_id, cases, names in (
         (check_role_symmetry, CHECK_IDS[1], role, ("direct", "swapped")),
         (check_basis_covariance, CHECK_IDS[3], covariance, ("rotated", "base")),
@@ -760,6 +769,59 @@ def test_exact_pair_verdict_matches_reference_on_symmetric_and_delta_rules(monke
                             lambda rule, probes, objects, inp: np.broadcast_to(
                                 mixture, (len(inp), 4, 4)))
         _assert_pair_checks_match_all_rows(singlet_rule(), AuditConfig())
+
+
+def _delta_rule(delta):
+    """``K = (|S><S| + delta |xy><xy|) / (1 + delta)``, off SWAP and ``U (x) U`` symmetry by delta."""
+    xy = np.kron(STATE_X.amps, STATE_Y.amps)
+    operator = (SINGLET.density() + delta * np.outer(xy, xy.conj())) / (1.0 + delta)
+    return validate_custom_rule(operator, name=f"singlet+{delta:g}xy")
+
+
+@pytest.mark.parametrize("rule", PAIR_CHECK_RULES + [_delta_rule(d) for d in (1e-2, 1e-5, 1e-7)],
+                         ids=lambda rule: rule.name)
+def test_pair_distance_at_level_q_is_one_minus_q_times_the_coupled_one(rule):
+    # a fly-by leaves the product input on both sides, so it cancels from
+    # every C2/C4 difference; exact C2/C4 rest on this to run one level
+    levels = (0.0, 0.3, 0.5, 1.0)
+    config = AuditConfig(noise_levels=levels)
+    for _, out_a, out_b in (
+        audit._role_cases(rule, config, audit._CORNER_PAIRS, 2, config.input_samples),
+        audit._covariance_cases(rule, config, audit._CORNER_PAIRS, 4, config.unitary_samples),
+    ):
+        distance = audit._outcome_distance(out_a, out_b).reshape(-1, len(levels))
+        scaled = np.multiply.outer(distance[:, 0], 1.0 - np.array(levels))
+        assert np.abs(distance - scaled).max() <= 1e-12, rule.name
+
+
+ALL_LEVEL_CONFIGS = {
+    **PAIR_CHECK_CONFIGS,
+    "levels-0.5-0": AuditConfig(noise_levels=(0.5, 0.0), seed=6),
+    "one-level-q1": AuditConfig(noise_levels=(1.0,), seed=6),
+}
+
+
+@pytest.mark.parametrize("config", ALL_LEVEL_CONFIGS.values(), ids=ALL_LEVEL_CONFIGS)
+def test_exact_pair_checks_match_the_reference_over_every_level(config):
+    # exact C2/C4 run the lowest level only; against every row at every
+    # configured level the verdict holds, the metric moves by rounding at
+    # most, and a failing check keeps its witness, metric and evidence
+    for rule in PAIR_CHECK_RULES:
+        for check, check_id, cases, names in (
+            (check_role_symmetry, CHECK_IDS[1],
+             audit._role_cases(rule, config, audit._CORNER_PAIRS, 2, config.input_samples),
+             ("direct", "swapped")),
+            (check_basis_covariance, CHECK_IDS[3],
+             audit._covariance_cases(rule, config, audit._CORNER_PAIRS, 4,
+                                     config.unitary_samples),
+             ("rotated", "base")),
+        ):
+            got = check(rule, config)
+            want = _all_rows_pair_verdict(check_id, config, *cases, names)
+            assert got.passed == want.passed, (rule.name, check_id)
+            assert abs(got.metric - want.metric) <= 1e-12, (rule.name, check_id)
+            if not want.passed:
+                assert _result_fields(got) == _result_fields(want), (rule.name, check_id)
 
 
 @pytest.mark.parametrize("scale", [0.0, 1.0, 1e-160, 1e-200])

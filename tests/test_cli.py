@@ -240,6 +240,14 @@ def test_audit_config_file_sample_count_above_cap_exit_2(runner, tmp_path):
     assert "error: input_samples must be <= 100000, got 100000000" in result.output
 
 
+def test_audit_config_file_noise_levels_above_cap_exit_2(runner, tmp_path):
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps({"rule": "singlet", "noise_levels": [0.0] * 17}))
+    result = runner.invoke(main, ["audit", "--config", str(path)])
+    assert result.exit_code == 2
+    assert "error: noise_levels must hold at most 16 levels, got 17" in result.output
+
+
 @pytest.mark.parametrize("mode", ["exact", "mc"])
 @pytest.mark.parametrize("command", [["run", "filter"], ["run", "correlate"], ["run", "flip"]],
                          ids=" ".join)

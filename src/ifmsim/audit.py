@@ -30,12 +30,14 @@ Monte Carlo mode draws each comparison's counts at ``mc_trials`` trials
 as one multinomial draw of the case's exact law, the same law the exact
 evaluator builds, so the work grows with the number of cells, not with
 the number of trials.  All cases of a check and side come from one Philox
-stream, ``derive_rng(seed, stream, side)``.  One stacked two-sample
-chi-square call per check compares all of its counts; the p-value
-threshold ``epsilon_mc`` is spent family-wise across the check's
-informative comparisons (Bonferroni), so a rule whose exact metric is
-zero is not failed by a single unlucky case among many.  C3's Monte
-Carlo verdict demands zero aligned events among the coupled survivors.
+stream, ``derive_rng(seed, stream, side)``, and one Born call reads the
+laws of every basis.  Each check takes the two-sample chi-square
+statistics of every comparison; the p-value only of those that can be
+worst.  The p-value threshold ``epsilon_mc`` is spent family-wise across
+the check's informative comparisons (Bonferroni), so a rule whose exact
+metric is zero is not failed by a single unlucky case among many.  C3's
+Monte Carlo verdict demands zero aligned events among the coupled
+survivors.
 
 Fly-by noise is one axis, blended in after the rule map (``coupling_channel``
 for C2/C4, ``filter_law`` for C1): each rule runs once per input pair, and
@@ -86,6 +88,8 @@ from .states import (
     SIGMA_PLUS,
     STATE_X,
     STATE_Y,
+    _expectations,
+    _joint_vectors,
     basis_change_unitary,
     haar_unitaries,
     joint_born_distribution,
@@ -156,6 +160,19 @@ def chi_square_two_sample(counts_a, counts_b):
     empty or fewer than two cells remain.  Stacks ``(..., k)`` broadcast
     over the leading axes and give arrays, NaN on such degenerate rows.
     """
+    stat, dof, valid = _chi_square_statistics(counts_a, counts_b)
+    if stat.ndim == 0:
+        return float(stat), _chi_square_sf(float(stat), int(dof))
+    p_value = np.full(stat.shape, np.nan)
+    p_value[valid] = np.vectorize(_chi_square_sf, otypes=[float])(stat[valid], dof[valid])
+    return stat, p_value
+
+
+def _chi_square_statistics(counts_a, counts_b):
+    """The statistic, degrees of freedom and informative mask of ``chi_square_two_sample``.
+
+    Raises the errors that function documents; the statistic is NaN where the mask is false.
+    """
     a = np.asarray(counts_a, dtype=float)
     b = np.asarray(counts_b, dtype=float)
     if a.shape[-1:] != b.shape[-1:]:
@@ -184,11 +201,7 @@ def chi_square_two_sample(counts_a, counts_b):
                          out=np.zeros_like(pooled), where=use).sum(axis=-1)
 
     stat = np.where(valid, squared_deviations(a, total_a) + squared_deviations(b, total_b), np.nan)
-    if stat.ndim == 0:
-        return float(stat), _chi_square_sf(float(stat), int(dof))
-    p_value = np.full(stat.shape, np.nan)
-    p_value[valid] = np.vectorize(_chi_square_sf, otypes=[float])(stat[valid], dof[valid])
-    return stat, p_value
+    return stat, dof, valid
 
 
 def _chi_square_sf(stat: float, dof: int) -> float:
@@ -254,14 +267,23 @@ class AuditConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1), got {value!r}")
-        if not self.noise_levels:
-            raise ConfigError("noise_levels must not be empty")
-        if len(self.noise_levels) > _MAX_NOISE_LEVELS:
-            raise ConfigError(f"noise_levels must hold at most {_MAX_NOISE_LEVELS} levels, "
-                              f"got {len(self.noise_levels)}")
-        for q in self.noise_levels:
-            if not 0.0 <= float(q) <= 1.0:
-                raise ConfigError(f"noise level {q!r} outside [0, 1]")
+        _check_noise_levels(self)
+
+
+def _check_noise_levels(config: AuditConfig) -> None:
+    """Refuse an empty, over-long or out-of-range level sequence.
+
+    ``AuditConfig`` keeps the caller's sequence, which may change after
+    construction, so each check calls this again before it builds rows.
+    """
+    if not config.noise_levels:
+        raise ConfigError("noise_levels must not be empty")
+    if len(config.noise_levels) > _MAX_NOISE_LEVELS:
+        raise ConfigError(f"noise_levels must hold at most {_MAX_NOISE_LEVELS} levels, "
+                          f"got {len(config.noise_levels)}")
+    for q in config.noise_levels:
+        if not 0.0 <= float(q) <= 1.0:
+            raise ConfigError(f"noise level {q!r} outside [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -576,6 +598,7 @@ def _mode_pair_witness(config: AuditConfig, cases, row: int, view: int) -> str:
 
 def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
     """C1: mode-1 and mode-2 source statistics must be identical."""
+    _check_noise_levels(config)
     if config.evaluation == "mc":
         return _check_c1_mc(rule, config)
     cases, rows = _mode_pair_grid(tuple(config.bases), "all")
@@ -618,22 +641,60 @@ def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
     return _mc_verdict(CHECK_IDS[0], config, views1, views2, witness, evidence)
 
 
+# A bound on the rounding error of ``1.0 - _chi_square_sf``, with room: against
+# mpmath it is at most 2e-16 for dof 1-4.  The computed tail is not monotone in
+# its last bit at dof 3 and 4, so the worst-comparison walk stops only below it.
+_SF_ROUNDING = 1e-12
+
+
+def _first_worst(stat: np.ndarray, dof: np.ndarray, informative: np.ndarray) -> tuple[int, float]:
+    """Flat index and p-value of the first informative comparison with the largest ``1 - p``.
+
+    ``1 - p`` does not decrease with the statistic at fixed ``dof``, so each
+    dof group is walked by descending statistic, ties in index order, taking
+    the p-value of each step.  Skipped without one: a step that ties the
+    statistic before it, as it ties its p-value at a larger index, and once
+    the worst is 1.0, the most there is, a step at a larger index than it.
+    The walk stops at the first ``1 - p`` below the running worst by more
+    than twice the rounding bound: no later step of the group can reach it.
+    """
+    best, best_score, best_p = -1, -1.0, math.nan
+    candidates = np.flatnonzero(informative)
+    for d in np.flatnonzero(np.bincount(dof[candidates])).tolist():
+        group = candidates[dof[candidates] == d]
+        previous = None
+        order = group[np.argsort(-stat[group], kind="stable")]
+        for n, s in zip(order.tolist(), stat[order].tolist()):
+            if s == previous or (best_score == 1.0 and n > best):
+                continue
+            previous = s
+            p = _chi_square_sf(s, d)
+            score = 1.0 - p
+            if score > best_score or (score == best_score and n < best):
+                best, best_score, best_p = n, score, p
+            elif score < best_score - 2.0 * _SF_ROUNDING:
+                break
+    return best, best_p
+
+
 def _mc_verdict(check_id: str, config: AuditConfig, counts_a, counts_b, witness,
                 evidence) -> CheckResult:
     """Family-wise verdict of one chi-square test over ``(rows, columns, cells)`` counts.
 
-    Every comparison with a p-value must clear the shared budget
-    ``epsilon_mc`` (Bonferroni).  Only the first worst one is labelled, by
-    ``witness(row, column)``, with ``evidence(row, column)`` and its p-value.
+    Every informative comparison must clear the shared budget ``epsilon_mc``
+    (Bonferroni), so the verdict reads only the family size and the largest
+    ``1 - p``.  It takes the statistics of every comparison and the p-value
+    only of those that can be the worst (``_first_worst``).  The first worst
+    one is labelled by ``witness(row, column)``, with ``evidence(row,
+    column)`` and its p-value.
     """
-    _, p_values = chi_square_two_sample(counts_a, counts_b)
-    informative = ~np.isnan(p_values)
-    if not informative.any():
+    stat, dof, informative = _chi_square_statistics(counts_a, counts_b)
+    family = int(informative.sum())
+    if not family:
         return _no_cases(check_id, 1.0)
-    threshold = 1.0 - config.epsilon_mc / int(informative.sum())
-    row, column = divmod(int(np.argmax(np.where(informative, 1.0 - p_values, -1.0))),
-                         p_values.shape[1])
-    p_value = float(p_values[row, column])
+    threshold = 1.0 - config.epsilon_mc / family
+    flat, p_value = _first_worst(stat.reshape(-1), dof.reshape(-1), informative.reshape(-1))
+    row, column = divmod(flat, stat.shape[1])
     worst = 1.0 - p_value
     return CheckResult(check_id, worst < threshold, worst, threshold, witness(row, column),
                        {**evidence(row, column), "p_value": p_value})
@@ -645,6 +706,7 @@ def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
     Exact mode evaluates the lowest noise level only, which no other level
     can beat (``_exact_pair_levels``); Monte Carlo samples every level.
     """
+    _check_noise_levels(config)
     if config.evaluation == "mc":
         cases = _role_cases(rule, config, _MC_CORNER_PAIRS, 21, config.mc_input_samples)
         return _mc_pair_verdict(CHECK_IDS[1], config, *cases, 22)
@@ -653,16 +715,16 @@ def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
     return _exact_pair_verdict(CHECK_IDS[1], config, *cases, ("direct", "swapped"))
 
 
-def _outcome_laws(out: Coupling, basis: Basis) -> np.ndarray:
-    """Per row, the five-outcome law: the four joint cells in ``basis`` plus scatter."""
-    cells = joint_born_distribution(out.survivors, basis, basis)
-    survive = 1.0 - out.p_scatter
-    return np.clip(np.column_stack([survive[:, None] * cells, out.p_scatter]), 0.0, None)
-
-
 def _basis_laws(out: Coupling, bases) -> np.ndarray:
-    """Five-outcome laws of every row in every basis, ``(rows, bases, 5)``."""
-    return np.stack([_outcome_laws(out, b) for b in bases], axis=1)
+    """Five-outcome laws of every row in every basis, ``(rows, bases, 5)``.
+
+    The law in a basis is its four joint cells, then scatter; one Born call
+    reads the cells of every basis.
+    """
+    cells = _expectations(out.survivors[:, None], np.stack([_joint_vectors(b, b) for b in bases]))
+    scatter = np.broadcast_to(out.p_scatter[:, None, None], (*cells.shape[:2], 1))
+    laws = np.concatenate([(1.0 - out.p_scatter)[:, None, None] * cells, scatter], axis=2)
+    return np.clip(laws, 0.0, None)
 
 
 def _mc_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, stream):
@@ -680,6 +742,7 @@ def _mc_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, 
 
 def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
     """C3: coupled (q = 0) survivors carry zero aligned-cell weight in every basis."""
+    _check_noise_levels(config)
     if config.evaluation == "mc":
         return _check_c3_mc(rule, config)
     label, out = _anti_alignment_cases(rule, config, _CORNER_PAIRS, 3, config.input_samples)
@@ -722,6 +785,7 @@ def check_basis_covariance(rule: Rule, config: AuditConfig) -> CheckResult:
     Levels as in ``check_role_symmetry``: the lowest in exact mode, every one
     in Monte Carlo.
     """
+    _check_noise_levels(config)
     if config.evaluation == "mc":
         cases = _covariance_cases(rule, config, _MC_CORNER_PAIRS, 41, config.mc_unitary_samples)
         return _mc_pair_verdict(CHECK_IDS[3], config, *cases, 42)

@@ -250,15 +250,20 @@ def born_distribution(rho: np.ndarray, basis: Basis) -> np.ndarray:
     return _expectations(rho, np.array([basis.b1.amps, basis.b2.amps]))
 
 
+def _joint_vectors(basis_probe: Basis, basis_object: Basis) -> np.ndarray:
+    """The four product vectors ``(4, 4)``: row ``2*k + l`` is probe vector k times object
+    vector l, as ``np.kron`` builds it."""
+    probe = np.array([basis_probe.b1.amps, basis_probe.b2.amps])
+    obj = np.array([basis_object.b1.amps, basis_object.b2.amps])
+    return (probe[:, None, :, None] * obj[None, :, None, :]).reshape(4, 4)
+
+
 def joint_born_distribution(rho: np.ndarray, basis_probe: Basis, basis_object: Basis) -> np.ndarray:
     """Joint outcome probabilities over (probe, object), flat index ``2*k + l``.
 
     Leading axes of ``rho`` are kept: ``(..., 4, 4)`` maps to ``(..., 4)``.
     """
-    probe = np.array([basis_probe.b1.amps, basis_probe.b2.amps])
-    obj = np.array([basis_object.b1.amps, basis_object.b2.amps])
-    # row 2*k + l is the product of probe vector k and object vector l, as np.kron builds it
-    return _expectations(rho, (probe[:, None, :, None] * obj[None, :, None, :]).reshape(4, 4))
+    return _expectations(rho, _joint_vectors(basis_probe, basis_object))
 
 
 def entanglement_entropy(s: JointState) -> float:

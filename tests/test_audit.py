@@ -1,10 +1,14 @@
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ifmsim
 from ifmsim import audit, rules
 from ifmsim.audit import (
     AuditConfig,
@@ -32,7 +36,8 @@ from ifmsim.rules import (
     validate_custom_rule,
 )
 from ifmsim.states import (
-    BASIS_DIAG, BASIS_SIGMA, BASIS_XY, Basis, SINGLET, STATE_X, STATE_Y, make_state,
+    BASIS_DIAG, BASIS_SIGMA, BASIS_XY, Basis, SINGLET, STATE_X, STATE_Y, joint_born_distribution,
+    make_state,
 )
 
 FAST_EXACT = AuditConfig(unitary_samples=25, input_samples=40, seed=11)
@@ -580,6 +585,26 @@ def test_audit_noise_levels_are_capped():
             AuditConfig(noise_levels=(0.0,) * count)
 
 
+@pytest.mark.parametrize("check", [check_indistinguishability, check_role_symmetry,
+                                   check_anti_alignment, check_basis_covariance])
+@pytest.mark.parametrize("evaluation", ["exact", "mc"])
+@pytest.mark.parametrize("mutate, message", [
+    (lambda levels: levels.extend([0.0] * 40), "noise_levels must hold at most 16 levels, got 41"),
+    (lambda levels: levels.append(2.0), "noise level 2.0 outside [0, 1]"),
+    (lambda levels: levels.clear(), "noise_levels must not be empty"),
+], ids=["41-levels", "level-2.0", "empty"])
+def test_noise_levels_mutated_after_construction_are_refused(check, evaluation, mutate, message):
+    # the config keeps the caller's list, so every check re-checks it before it builds rows
+    levels = [0.0]
+    config = AuditConfig(noise_levels=levels, input_samples=5, unitary_samples=5,
+                         evaluation=evaluation, mc_input_samples=2, mc_unitary_samples=2)
+    mutate(levels)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        check(singlet_rule(), config)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        audit_rule(singlet_rule(), config)
+
+
 @pytest.mark.parametrize("numbers", [
     dict(seed=np.int64(3)),
     dict(mc_trials=np.int64(1000), evaluation="mc"),
@@ -862,3 +887,114 @@ def test_covariance_cases_match_a_base_coupling_on_every_row(pairs, stream, coun
         survivors = (uu @ survivors @ uu.conj().swapaxes(-1, -2)).reshape(-1, 4, 4)
         assert conjugated.p_scatter.tobytes() == base.p_scatter.tobytes(), rule.name
         assert conjugated.survivors.tobytes() == survivors.tobytes(), rule.name
+
+
+# Trials per comparison of the random count stacks: few trials tie p-values
+# near 1; many saturate 1 - p at 1.0 once the sides differ.
+WALK_TRIALS = (1, 2, 3, 5, 10, 20, 1000, 100_000)
+
+
+def _count_stacks(rng, stacks: int, rows: int, columns: int, cells: int):
+    """Counts ``(stacks, rows, columns, cells)`` per side, each stack in one of five regimes."""
+    trials = rng.choice(WALK_TRIALS, stacks)[:, None, None]
+    regime = rng.integers(5, size=stacks)[:, None, None, None]
+    law_a, law_b = rng.dirichlet(np.ones(cells), size=(2, stacks, rows, columns))
+    # regime 1, disjoint supports: at many trials p underflows and every 1 - p is 1.0
+    split = np.arange(cells) < cells // 2
+    law_a, law_b = (np.where(regime == 1, law * side, law) for law, side in
+                    ((law_a, split), (law_b, ~split)))
+    law_a, law_b = (law / law.sum(axis=-1, keepdims=True) for law in (law_a, law_b))
+    a, b = rng.multinomial(trials, law_a), rng.multinomial(trials, law_b)
+    b = np.where(regime == 0, a, b)  # identical sides: p = 1 everywhere
+    zero = ((regime == 2) & (rng.random(a.shape) < 0.4)  # zeroed cells mix the dof in a stack
+            | (regime == 3) & (np.arange(cells) > 0))  # one pooled cell or an empty side
+    return np.where(zero, 0, a), np.where(zero, 0, b)
+
+
+def _every_comparison_verdicts(config, counts_a, counts_b):
+    """Reference for ``audit._mc_verdict`` per stack: every p-value, the Bonferroni
+    threshold, argmax of ``1 - p``."""
+    _, p_values = chi_square_two_sample(counts_a, counts_b)
+    flat = p_values.reshape(len(p_values), -1)
+    informative = ~np.isnan(flat)
+    worst = np.argmax(np.where(informative, 1.0 - flat, -1.0), axis=1)
+    for n, family in enumerate(informative.sum(axis=1).tolist()):
+        if not family:
+            yield audit._no_cases("C", 1.0)
+            continue
+        threshold = 1.0 - config.epsilon_mc / family
+        row, column = divmod(int(worst[n]), p_values.shape[2])
+        p_value = float(flat[n, worst[n]])
+        yield audit.CheckResult("C", 1.0 - p_value < threshold, 1.0 - p_value, threshold,
+                                f"{row},{column}", {"p_value": p_value})
+
+
+def test_mc_verdict_matches_the_every_comparison_reference():
+    config = AuditConfig(evaluation="mc")
+    rng = derive_rng(1616)
+    checked = no_cases = 0
+    for rows in range(1, 7):
+        for cells, columns in ((3, 2), (5, 3)):  # C1, and C2/C4 over three bases
+            a, b = _count_stacks(rng, 1700, rows, columns, cells)
+            for n, want in enumerate(_every_comparison_verdicts(config, a, b)):
+                got = audit._mc_verdict("C", config, a[n], b[n], lambda row, k: f"{row},{k}",
+                                        lambda row, k: {})
+                assert _result_fields(got) == _result_fields(want), (a[n].tolist(), b[n].tolist())
+                checked += 1
+                no_cases += got.witness == "no cases evaluated"
+    assert checked >= 20_000
+    assert 3000 < no_cases < 10_000
+
+
+def _rounding_step(dof: int, start: float):
+    """Three adjacent statistics below ``start`` whose computed ``1 - p`` steps back, then up."""
+    high = start
+    for _ in range(100_000):
+        step = float(np.nextafter(high, 0.0))
+        low = float(np.nextafter(step, 0.0))
+        score = [1.0 - _chi_square_sf(s, dof) for s in (high, step, low)]
+        if score[1] < score[0] <= score[2]:
+            return high, step, low
+        high = step
+    raise AssertionError(f"the computed tail at dof {dof} is monotone below {start}")
+
+
+def test_first_worst_walks_past_a_rounding_step_of_the_tail():
+    # At dof 4 the computed 1 - p is not monotone in the last bit; a walk that
+    # stopped at the step would keep index 1 where the first worst is index 0.
+    high, step, low = _rounding_step(4, 2.0)
+    stat = np.array([low, high, step])
+    p_values = [_chi_square_sf(s, 4) for s in stat]
+    want = int(np.argmax([1.0 - p for p in p_values]))
+    assert want == 0
+    assert audit._first_worst(stat, np.full(3, 4), np.ones(3, bool)) == (want, p_values[want])
+
+
+def test_basis_laws_equal_a_born_call_per_basis():
+    # one Born call over every basis gives the bits of one call per basis
+    config = FAST_EXACT
+    for rule in PAIR_CHECK_RULES:
+        _, direct, mirrored = audit._role_cases(rule, config, audit._CORNER_PAIRS, 2, 20)
+        for out in (direct, mirrored):
+            survive = 1.0 - out.p_scatter
+            want = np.stack([np.clip(np.column_stack(
+                [survive[:, None] * joint_born_distribution(out.survivors, b, b), out.p_scatter]),
+                0.0, None) for b in config.bases], axis=1)
+            assert audit._basis_laws(out, config.bases).tobytes() == want.tobytes(), rule.name
+
+
+def test_audits_load_no_numpy_ma():
+    # np.unique imports numpy.ma on first use, which adds to set-up time and memory
+    code = (
+        "import sys, ifmsim; "
+        "from ifmsim import AuditConfig, audit_rule; "
+        "from ifmsim.rules import probe_rigid; "
+        "[audit_rule(probe_rigid(), AuditConfig(evaluation=mode, input_samples=5, "
+        "unitary_samples=5)) for mode in ('exact', 'mc')]; "
+        "print('numpy.ma' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ifmsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

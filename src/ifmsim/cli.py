@@ -4,6 +4,10 @@ Exit codes: 0 for success (a rule failing its audit is a result, not an
 error), 2 for usage or validation problems, 3 for internal errors.
 Reports carry no timestamps, so identical invocations with identical
 seeds produce byte-identical output.
+
+Each command loads only the modules it runs: ``ifmsim.audit``, the largest,
+is imported inside the ``audit`` command, so every other command starts
+without it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from .audit import AuditConfig, audit_rule
 from .experiments import (
     ConfigError,
     FilterConfig,
@@ -52,8 +55,8 @@ def _guarded(fn):
         except ValueError as exc:  # every validation error of the package is one
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-        except Exception as exc:  # pragma: no cover - defensive catch-all
-            click.echo(f"internal error: {exc}", err=True)
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
             sys.exit(3)
 
     return wrapper
@@ -206,6 +209,8 @@ def main():
 @_guarded
 def audit(ctx, report_path, **_):
     """Run the four-check audit battery against one rule."""
+    from .audit import AuditConfig, audit_rule
+
     values = _config_values(ctx, AuditConfig, "audit")
     report = audit_rule(values.pop("rule"), AuditConfig(**values))
     text = report.to_json()

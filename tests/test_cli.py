@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import json
 import os
@@ -432,30 +433,81 @@ def test_help_documents_every_flag(runner):
             assert flag in result.output, (command, flag)
 
 
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's ``ifmsim``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ifmsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+
+
 def test_cli_import_loads_no_scipy():
     code = (
         "import sys, ifmsim.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ifmsim.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_python(code).stdout.strip() == "[]"
+
+
+def test_only_the_audit_command_loads_the_audit_module():
+    # markers go to stderr, the commands' output to stdout
+    code = "\n".join([
+        "import sys, ifmsim",
+        "print(sorted(m for m in sys.modules if m.startswith('ifmsim.')), file=sys.stderr)",
+        "from ifmsim.cli import main",
+        "main(['run', 'filter', '--rule', 'singlet', '--source-mode', '2', '--mode', 'mc',"
+        " '--trials', '1000'], standalone_mode=False)",
+        "print('ifmsim.audit' in sys.modules, file=sys.stderr)",
+        "main(['audit', '--rule', 'singlet'], standalone_mode=False)",
+        "print('ifmsim.audit' in sys.modules, file=sys.stderr)",
+    ])
+    proc = _fresh_python(code)
+    assert proc.stderr.splitlines() == ["[]", "False", "True"]
+    from ifmsim.audit import audit_rule
+    from ifmsim.rules import singlet_rule
+    assert proc.stdout.endswith("}\n" + audit_rule(singlet_rule()).to_json() + "\n")
+
+
+def test_internal_error_names_its_exception_type(runner, monkeypatch):
+    def boom(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("ifmsim.cli.run_filter", boom)
+    result = runner.invoke(main, ["run", "filter", "--rule", "singlet"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "internal error: RuntimeError: boom\n"
+
+
+_ROOT_EXPORTS = {
+    "audit": {"AuditConfig", "AuditReport", "audit_rule", "tvd"},
+    "experiments": {"ConfigError", "FilterConfig", "run_correlation", "run_correlation_mc",
+                    "run_filter", "run_filter_exact", "run_flip", "run_flip_mc"},
+    "rules": {"InvalidRuleError", "builtin_rules", "contraction_slack", "coupling_channel",
+              "load_rule_file", "rule_description", "rule_from_name", "singlet_rule",
+              "validate_custom_rule"},
+    "states": {"BASIS_SIGMA", "STATE_X", "STATE_Y", "parse_basis_spec", "parse_state_spec",
+               "state_label"},
+}
 
 
 def test_package_root_exports_only_the_pinned_names():
-    exported = {name for name, value in vars(ifmsim).items()
-                if not name.startswith("_") and not inspect.ismodule(value)}
-    assert exported == {
-        "AuditConfig", "AuditReport", "audit_rule", "tvd",
-        "ConfigError", "FilterConfig", "run_correlation", "run_correlation_mc", "run_filter",
-        "run_filter_exact", "run_flip", "run_flip_mc",
-        "InvalidRuleError", "builtin_rules", "contraction_slack", "coupling_channel",
-        "load_rule_file", "rule_description", "rule_from_name", "singlet_rule",
-        "validate_custom_rule",
-        "BASIS_SIGMA", "STATE_X", "STATE_Y", "parse_basis_spec", "parse_state_spec", "state_label",
-    }
+    pinned = set().union(*_ROOT_EXPORTS.values())
+    assert len(ifmsim.__all__) == len(pinned) == 27
+    assert set(ifmsim.__all__) == pinned
+    listed = {name for name in dir(ifmsim)
+              if not name.startswith("_") and not inspect.ismodule(getattr(ifmsim, name))}
+    assert listed == pinned
+    for module, names in _ROOT_EXPORTS.items():
+        home = importlib.import_module(f"ifmsim.{module}")
+        for name in names:
+            assert getattr(ifmsim, name) is getattr(home, name), name
+    for name in ("no_such_name", "apply_rule", "json_fits"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(ifmsim, name)
+    namespace = {}
+    exec("from ifmsim import *", namespace)
+    assert set(namespace) - {"__builtins__"} == pinned
 
 
 # Public functions that only tests reach, each kept as an oracle for other code.

@@ -31,13 +31,12 @@ as one multinomial draw of the case's exact law, the same law the exact
 evaluator builds, so the work grows with the number of cells, not with
 the number of trials.  All cases of a check and side come from one Philox
 stream, ``derive_rng(seed, stream, side)``, and one Born call reads the
-laws of every basis.  Each check takes the two-sample chi-square
-statistics of every comparison; the p-value only of those that can be
-worst.  The p-value threshold ``epsilon_mc`` is spent family-wise across
-the check's informative comparisons (Bonferroni), so a rule whose exact
-metric is zero is not failed by a single unlucky case among many.  C3's
-Monte Carlo verdict demands zero aligned events among the coupled
-survivors.
+laws of every basis.  Each check takes the two-sample chi-square p-value
+of every informative comparison in one elementwise call.  The p-value
+threshold ``epsilon_mc`` is spent family-wise across the check's
+informative comparisons (Bonferroni), so a rule whose exact metric is zero
+is not failed by a single unlucky case among many.  C3's Monte Carlo
+verdict demands zero aligned events among the coupled survivors.
 
 Fly-by noise is one axis, blended in after the rule map (``coupling_channel``
 for C2/C4, ``filter_law`` for C1): each rule runs once per input pair, and
@@ -92,7 +91,6 @@ from .states import (
     _joint_vectors,
     basis_change_unitary,
     haar_unitaries,
-    joint_born_distribution,
     mutually_unbiased,
     state_label,
     uniform_state_amps,
@@ -160,19 +158,6 @@ def chi_square_two_sample(counts_a, counts_b):
     empty or fewer than two cells remain.  Stacks ``(..., k)`` broadcast
     over the leading axes and give arrays, NaN on such degenerate rows.
     """
-    stat, dof, valid = _chi_square_statistics(counts_a, counts_b)
-    if stat.ndim == 0:
-        return float(stat), _chi_square_sf(float(stat), int(dof))
-    p_value = np.full(stat.shape, np.nan)
-    p_value[valid] = np.vectorize(_chi_square_sf, otypes=[float])(stat[valid], dof[valid])
-    return stat, p_value
-
-
-def _chi_square_statistics(counts_a, counts_b):
-    """The statistic, degrees of freedom and informative mask of ``chi_square_two_sample``.
-
-    Raises the errors that function documents; the statistic is NaN where the mask is false.
-    """
     a = np.asarray(counts_a, dtype=float)
     b = np.asarray(counts_b, dtype=float)
     if a.shape[-1:] != b.shape[-1:]:
@@ -201,29 +186,37 @@ def _chi_square_statistics(counts_a, counts_b):
                          out=np.zeros_like(pooled), where=use).sum(axis=-1)
 
     stat = np.where(valid, squared_deviations(a, total_a) + squared_deviations(b, total_b), np.nan)
-    return stat, dof, valid
+    # a NaN statistic gives a NaN p-value
+    return (float(stat) if stat.ndim == 0 else stat), _chi_square_sf(stat, dof)
 
 
-def _chi_square_sf(stat: float, dof: int) -> float:
-    """Upper tail ``P(X >= stat)`` of a chi-square law with integer ``dof >= 1``.
+# ``math.exp`` and ``math.erfc`` per element: ``np.exp`` differs from ``math.exp``
+# in the last bit on some inputs.
+_exp = np.frompyfunc(math.exp, 1, 1)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _chi_square_sf(stat, dof):
+    """Upper tail ``P(X >= stat)`` of chi-square laws with integer ``dof >= 1``, elementwise.
 
     Closed forms of Abramowitz & Stegun 26.4.4 (odd dof) and 26.4.5 (even
     dof): a finite series times ``exp(-stat/2)``, plus ``erfc`` for odd dof.
+    ``stat`` and ``dof`` broadcast; two scalars give a float.
     """
+    stat, dof = np.broadcast_arrays(np.asarray(stat, dtype=float), np.asarray(dof, dtype=int))
     half = stat / 2.0
-    if dof % 2 == 0:
-        term = math.exp(-half)
-        total = term
-        for r in range(1, dof // 2):
-            term *= half / r
-            total += term
-    else:
-        total = math.erfc(math.sqrt(half))
-        term = math.exp(-half) * math.sqrt(2.0 * stat / math.pi)
-        for r in range(1, (dof + 1) // 2):
-            total += term
-            term *= stat / (2 * r + 1)
-    return min(max(total, 0.0), 1.0)
+    odd = dof % 2 == 1
+    exp = np.asarray(_exp(-half), dtype=float)
+    term = np.where(odd, exp * np.sqrt(2.0 * stat / math.pi), exp)
+    erfc = np.asarray(_erfc(np.sqrt(half)), dtype=float)
+    total = np.where(odd, np.where(dof >= 3, erfc + term, erfc), exp)
+    # the scalar series' operations in its order, so each element has its bits
+    steps = (dof - 2) // 2
+    for r in range(1, int(steps.max(initial=0)) + 1):
+        term = np.where(steps >= r, term * np.where(odd, stat / (2 * r + 1), half / r), term)
+        total = np.where(steps >= r, total + term, total)
+    p_value = np.clip(total, 0.0, 1.0)
+    return float(p_value) if p_value.ndim == 0 else p_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -641,60 +634,25 @@ def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
     return _mc_verdict(CHECK_IDS[0], config, views1, views2, witness, evidence)
 
 
-# A bound on the rounding error of ``1.0 - _chi_square_sf``, with room: against
-# mpmath it is at most 2e-16 for dof 1-4.  The computed tail is not monotone in
-# its last bit at dof 3 and 4, so the worst-comparison walk stops only below it.
-_SF_ROUNDING = 1e-12
-
-
-def _first_worst(stat: np.ndarray, dof: np.ndarray, informative: np.ndarray) -> tuple[int, float]:
-    """Flat index and p-value of the first informative comparison with the largest ``1 - p``.
-
-    ``1 - p`` does not decrease with the statistic at fixed ``dof``, so each
-    dof group is walked by descending statistic, ties in index order, taking
-    the p-value of each step.  Skipped without one: a step that ties the
-    statistic before it, as it ties its p-value at a larger index, and once
-    the worst is 1.0, the most there is, a step at a larger index than it.
-    The walk stops at the first ``1 - p`` below the running worst by more
-    than twice the rounding bound: no later step of the group can reach it.
-    """
-    best, best_score, best_p = -1, -1.0, math.nan
-    candidates = np.flatnonzero(informative)
-    for d in np.flatnonzero(np.bincount(dof[candidates])).tolist():
-        group = candidates[dof[candidates] == d]
-        previous = None
-        order = group[np.argsort(-stat[group], kind="stable")]
-        for n, s in zip(order.tolist(), stat[order].tolist()):
-            if s == previous or (best_score == 1.0 and n > best):
-                continue
-            previous = s
-            p = _chi_square_sf(s, d)
-            score = 1.0 - p
-            if score > best_score or (score == best_score and n < best):
-                best, best_score, best_p = n, score, p
-            elif score < best_score - 2.0 * _SF_ROUNDING:
-                break
-    return best, best_p
-
-
 def _mc_verdict(check_id: str, config: AuditConfig, counts_a, counts_b, witness,
                 evidence) -> CheckResult:
     """Family-wise verdict of one chi-square test over ``(rows, columns, cells)`` counts.
 
     Every informative comparison must clear the shared budget ``epsilon_mc``
     (Bonferroni), so the verdict reads only the family size and the largest
-    ``1 - p``.  It takes the statistics of every comparison and the p-value
-    only of those that can be the worst (``_first_worst``).  The first worst
-    one is labelled by ``witness(row, column)``, with ``evidence(row,
-    column)`` and its p-value.
+    ``1 - p``.  It takes the p-value of every informative comparison; the
+    first worst one is labelled by ``witness(row, column)``, with
+    ``evidence(row, column)`` and its p-value.
     """
-    stat, dof, informative = _chi_square_statistics(counts_a, counts_b)
+    _, p_values = chi_square_two_sample(counts_a, counts_b)
+    informative = ~np.isnan(p_values)
     family = int(informative.sum())
     if not family:
         return _no_cases(check_id, 1.0)
     threshold = 1.0 - config.epsilon_mc / family
-    flat, p_value = _first_worst(stat.reshape(-1), dof.reshape(-1), informative.reshape(-1))
-    row, column = divmod(flat, stat.shape[1])
+    flat = int(np.argmax(np.where(informative, 1.0 - p_values, -1.0)))
+    row, column = divmod(flat, p_values.shape[1])
+    p_value = float(p_values[row, column])
     worst = 1.0 - p_value
     return CheckResult(check_id, worst < threshold, worst, threshold, witness(row, column),
                        {**evidence(row, column), "p_value": p_value})
@@ -715,13 +673,17 @@ def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
     return _exact_pair_verdict(CHECK_IDS[1], config, *cases, ("direct", "swapped"))
 
 
+def _basis_cells(survivors: np.ndarray, bases) -> np.ndarray:
+    """Joint cells of every survivor in every basis, ``(rows, bases, 4)``, from one Born call."""
+    return _expectations(survivors[:, None], np.stack([_joint_vectors(b, b) for b in bases]))
+
+
 def _basis_laws(out: Coupling, bases) -> np.ndarray:
     """Five-outcome laws of every row in every basis, ``(rows, bases, 5)``.
 
-    The law in a basis is its four joint cells, then scatter; one Born call
-    reads the cells of every basis.
+    The law in a basis is its four joint cells, then scatter.
     """
-    cells = _expectations(out.survivors[:, None], np.stack([_joint_vectors(b, b) for b in bases]))
+    cells = _basis_cells(out.survivors, bases)
     scatter = np.broadcast_to(out.p_scatter[:, None, None], (*cells.shape[:2], 1))
     laws = np.concatenate([(1.0 - out.p_scatter)[:, None, None] * cells, scatter], axis=2)
     return np.clip(laws, 0.0, None)
@@ -748,9 +710,7 @@ def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
     label, out = _anti_alignment_cases(rule, config, _CORNER_PAIRS, 3, config.input_samples)
     if not out.p_scatter.size:
         return _no_cases(CHECK_IDS[2], config.epsilon_exact)
-    cells = np.stack(
-        [joint_born_distribution(out.survivors, b, b) for b in config.bases], axis=1
-    )
+    cells = _basis_cells(out.survivors, config.bases)
     aligned = cells[..., 0] + cells[..., 3]
     n, k = np.unravel_index(np.argmax(aligned), aligned.shape)
     evidence = {"cells": [float(c) for c in cells[n, k]], "aligned_weight": float(aligned[n, k])}

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -946,28 +947,40 @@ def test_mc_verdict_matches_the_every_comparison_reference():
     assert 3000 < no_cases < 10_000
 
 
-def _rounding_step(dof: int, start: float):
-    """Three adjacent statistics below ``start`` whose computed ``1 - p`` steps back, then up."""
-    high = start
-    for _ in range(100_000):
-        step = float(np.nextafter(high, 0.0))
-        low = float(np.nextafter(step, 0.0))
-        score = [1.0 - _chi_square_sf(s, dof) for s in (high, step, low)]
-        if score[1] < score[0] <= score[2]:
-            return high, step, low
-        high = step
-    raise AssertionError(f"the computed tail at dof {dof} is monotone below {start}")
+def _scalar_chi_square_sf(stat: float, dof: int) -> float:
+    """Oracle: the A&S 26.4.4/26.4.5 series in scalar Python, one term at a time."""
+    half = stat / 2.0
+    if dof % 2 == 0:
+        term = math.exp(-half)
+        total = term
+        for r in range(1, dof // 2):
+            term *= half / r
+            total += term
+    else:
+        total = math.erfc(math.sqrt(half))
+        term = math.exp(-half) * math.sqrt(2.0 * stat / math.pi)
+        for r in range(1, (dof + 1) // 2):
+            total += term
+            term *= stat / (2 * r + 1)
+    return min(max(total, 0.0), 1.0)
 
 
-def test_first_worst_walks_past_a_rounding_step_of_the_tail():
-    # At dof 4 the computed 1 - p is not monotone in the last bit; a walk that
-    # stopped at the step would keep index 1 where the first worst is index 0.
-    high, step, low = _rounding_step(4, 2.0)
-    stat = np.array([low, high, step])
-    p_values = [_chi_square_sf(s, 4) for s in stat]
-    want = int(np.argmax([1.0 - p for p in p_values]))
-    assert want == 0
-    assert audit._first_worst(stat, np.full(3, 4), np.ones(3, bool)) == (want, p_values[want])
+def test_chi_square_sf_elementwise_equals_the_scalar_series_bit_for_bit():
+    rng = derive_rng(1818)
+    dof = np.arange(1, 41)
+    bulk = np.concatenate([rng.exponential(np.tile(dof, 5000).astype(float)),  # near the mean
+                           rng.random(40 * 2000) * 400.0,  # the far tail
+                           rng.random(40 * 1000) * 1e-6])  # near zero
+    edges = np.array([0.0, 5e-324, 1e-300, 700.0, 1400.0, 1e10, 1e300])
+    stat = np.concatenate([bulk, np.repeat(edges, len(dof))])
+    dofs = np.concatenate([np.tile(dof, len(bulk) // len(dof)), np.tile(dof, len(edges))])
+    assert len(stat) >= 300_000
+    got = _chi_square_sf(stat, dofs)
+    want = np.array([_scalar_chi_square_sf(s, d) for s, d in zip(stat.tolist(), dofs.tolist())])
+    assert got.tobytes() == want.tobytes()
+    # scalars give a float of the same bits
+    assert _chi_square_sf(float(stat[7]), int(dofs[7])) == want[7]
+    assert type(_chi_square_sf(3.0, 2)) is float
 
 
 def test_basis_laws_equal_a_born_call_per_basis():

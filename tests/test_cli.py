@@ -169,6 +169,18 @@ def test_rules_validate_contraction_violation(runner, tmp_path):
     assert "contraction" in result.output or "contraction" in (result.stderr or "")
 
 
+def test_rules_validate_refuses_an_overflowing_operator(runner, tmp_path):
+    doc = {"name": "huge",
+           "survive_operator": [[[1e200 if (r, c) == (0, 0) else 0.0, 0.0] for c in range(4)]
+                                for r in range(4)]}
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["rules", "validate", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "contraction bound" in result.stderr
+
+
 def test_rules_validate_cites_entry(runner, tmp_path):
     doc = {"name": "broken", "survive_operator": [[[1, 0]] * 4] * 3}
     path = tmp_path / "rule.json"

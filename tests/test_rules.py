@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ifmsim.rules import (
     apply_rule,
     builtin_rules,
     coherent_projection,
+    contraction_slack,
     coupling_channel,
     interaction_probability,
     load_rule_file,
@@ -432,6 +434,25 @@ def test_custom_contraction_violation():
     with pytest.raises(ContractionViolationError) as err:
         validate_custom_rule(2 * np.eye(4))
     assert err.value.min_eigenvalue == pytest.approx(-3.0, abs=1e-9)
+
+
+def test_overflowing_survive_operator_is_a_contraction_violation():
+    # K^dag K overflows here; the operator is refused without a warning or a NaN slack
+    corner, inner = np.zeros((2, 4, 4), dtype=complex)
+    corner[0, 0] = inner[1, 2] = 1e200
+    for op in (np.eye(4) * 1e160, corner, inner, inner * 1j, np.full((4, 4), 1.7e308 + 1.7e308j)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractionViolationError) as err:
+                validate_custom_rule(op)
+        assert err.value.min_eigenvalue == -np.inf
+    with pytest.raises(ContractionViolationError) as err:
+        validate_custom_rule(np.eye(4) * 1e100)
+    assert err.value.min_eigenvalue == pytest.approx(-1e200, rel=1e-12)
+    # parts up to 2, every valid rule among them, keep the unscaled slack to the bit
+    for op in (2 * np.eye(4), np.diag([0.0, 1.0, 1.0, 0.0]), 0.6 * SWAP + 0.4j * np.eye(4)):
+        want = float(np.linalg.eigvalsh(np.eye(4) - op.conj().T @ op).min())
+        assert contraction_slack(op) == want
 
 
 def test_swapped_channel_singlet_invariant():

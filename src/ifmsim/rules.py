@@ -149,15 +149,14 @@ class Rule:
 def contraction_slack(operator) -> float:
     """Most-negative eigenvalue of ``I - K^dag K``; ``K`` is a contraction when it is >= 0.
 
-    No entry of a contraction exceeds 1 in modulus.  An operator with a real
-    or imaginary part above 2 is divided by the largest one first, so that
-    ``K^dag K`` does not overflow; its slack is below -3, and ``-inf`` where
-    it lies beyond the float range.
+    No entry of a contraction exceeds 1 in modulus.  The operator is divided
+    by its largest real or imaginary part, when that exceeds 1, so that
+    ``K^dag K`` does not overflow; the slack is ``-inf`` where it lies beyond
+    the float range.  Every other operator, each valid rule among them, has
+    scale 1, so its slack is unscaled to the bit.
     """
     op = np.asarray(operator, dtype=complex)
-    scale = float(np.maximum(np.abs(op.real), np.abs(op.imag)).max())
-    if scale <= 2.0:
-        return float(np.linalg.eigvalsh(_IDENTITY4 - op.conj().T @ op).min())
+    scale = max(1.0, float(np.maximum(np.abs(op.real), np.abs(op.imag)).max()))
     unit = op / scale
     slack = float(np.linalg.eigvalsh(_IDENTITY4 / scale / scale - unit.conj().T @ unit).min())
     return slack * scale * scale

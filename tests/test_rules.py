@@ -449,7 +449,8 @@ def test_overflowing_survive_operator_is_a_contraction_violation():
     with pytest.raises(ContractionViolationError) as err:
         validate_custom_rule(np.eye(4) * 1e100)
     assert err.value.min_eigenvalue == pytest.approx(-1e200, rel=1e-12)
-    # parts up to 2, every valid rule among them, keep the unscaled slack to the bit
+    # parts up to 1, every valid rule among them, keep the unscaled slack to the bit;
+    # 2 * I is scaled to I, which gives exactly -3 too
     for op in (2 * np.eye(4), np.diag([0.0, 1.0, 1.0, 0.0]), 0.6 * SWAP + 0.4j * np.eye(4)):
         want = float(np.linalg.eigvalsh(np.eye(4) - op.conj().T @ op).min())
         assert contraction_slack(op) == want

@@ -40,19 +40,21 @@ verdict demands zero aligned events among the coupled survivors.
 
 Fly-by noise is one axis, blended in after the rule map (``coupling_channel``
 for C2/C4, ``filter_law`` for C1): each rule runs once per input pair, and
-a check's rows run case-major, then noise level.  C1 and Monte Carlo C2/C4
-run every configured level.  Exact C2/C4 run the lowest level ``q_min``
-only: a fly-by leaves the untouched product input, which SWAP and
-``U (x) U`` map alike, so it cancels from the two sides' difference and a
-row at level ``q`` reads ``(1 - q) / (1 - q_min)`` times its ``q_min``
-value, never more.
+a check's rows run case-major, then noise level.  A level of 0 adds no
+input term, so exact C2-C4 rows at ``q = 0`` hold only what the rule
+itself gives.  C1 and Monte Carlo C2/C4 run every configured level.
+Exact C2/C4 run the lowest level ``q_min`` only: a fly-by leaves the
+untouched product input, which SWAP and ``U (x) U`` map alike, so it
+cancels from the two sides' difference and a row at level ``q`` reads
+``(1 - q) / (1 - q_min)`` times its ``q_min`` value, never more.
 
 Every sampled quantity derives from ``AuditConfig.seed`` through fixed
 streams, so identical configs produce identical reports.  Each check's
 rule-independent case grid is built once per configuration and reused
-across rules.  Its cache holds one read-only entry keyed on the values the
-grid reads, none of them a noise level, so memory stays that of one audit
-and reports do not depend on call order.
+across rules, and so are the joint-basis vectors every Born call reads and
+C4's ``U (x) U`` adjoint.  Each cache holds one read-only entry keyed on
+the values it reads, none of them a noise level, so memory stays that of
+one audit and reports do not depend on call order.
 """
 
 from __future__ import annotations
@@ -157,6 +159,11 @@ def chi_square_two_sample(counts_a, counts_b):
     vectors give floats, and a ``DegenerateDataError`` when a sample is
     empty or fewer than two cells remain.  Stacks ``(..., k)`` broadcast
     over the leading axes and give arrays, NaN on such degenerate rows.
+
+    A row whose arithmetic leaves the float range, as ``total * pooled``
+    does for counts near 1e300, takes the scaled form of
+    ``_scaled_statistic``; every other row, each of counts below 2**63
+    among them, keeps the bits of the direct pooled-expectation form.
     """
     a = np.asarray(counts_a, dtype=float)
     b = np.asarray(counts_b, dtype=float)
@@ -166,28 +173,48 @@ def chi_square_two_sample(counts_a, counts_b):
         if not np.all(np.isfinite(counts) & (counts >= 0.0)):
             raise ValueError(f"{name} sample has a negative or non-finite count")
     a, b = np.broadcast_arrays(a, b)
-    total_a, total_b = a.sum(axis=-1), b.sum(axis=-1)
-    pooled = a + b
-    keep = pooled > 0
-    dof = keep.sum(axis=-1) - 1
-    filled = (total_a > 0) & (total_b > 0)
-    if a.ndim == 1 and not filled:
-        raise DegenerateDataError("each sample needs at least one count")
-    if a.ndim == 1 and dof < 1:
-        raise DegenerateDataError("fewer than 2 nonzero pooled cells")
-    valid = filled & (dof >= 1)
-    use = keep & valid[..., None]
-    grand_total = (total_a + total_b)[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total_a, total_b = a.sum(axis=-1), b.sum(axis=-1)
+        pooled = a + b
+        keep = pooled > 0
+        dof = keep.sum(axis=-1) - 1
+        filled = (total_a > 0) & (total_b > 0)
+        if a.ndim == 1 and not filled:
+            raise DegenerateDataError("each sample needs at least one count")
+        if a.ndim == 1 and dof < 1:
+            raise DegenerateDataError("fewer than 2 nonzero pooled cells")
+        valid = filled & (dof >= 1)
+        use = keep & valid[..., None]
+        grand_total = (total_a + total_b)[..., None]
 
-    def squared_deviations(x, total):
-        expected = np.divide(total[..., None] * pooled, grand_total,
-                             out=np.zeros_like(pooled), where=use)
-        return np.divide((x - expected) ** 2, expected,
-                         out=np.zeros_like(pooled), where=use).sum(axis=-1)
+        def squared_deviations(x, total):
+            expected = np.divide(total[..., None] * pooled, grand_total,
+                                 out=np.zeros_like(pooled), where=use)
+            return np.divide((x - expected) ** 2, expected,
+                             out=np.zeros_like(pooled), where=use).sum(axis=-1)
 
-    stat = np.where(valid, squared_deviations(a, total_a) + squared_deviations(b, total_b), np.nan)
+        stat = squared_deviations(a, total_a) + squared_deviations(b, total_b)
+        overflow = valid & ~np.isfinite(stat)
+        if overflow.any():
+            stat = np.where(overflow, _scaled_statistic(a, b, use), stat)
+    stat = np.where(valid, stat, np.nan)
     # a NaN statistic gives a NaN p-value
     return (float(stat) if stat.ndim == 0 else stat), _chi_square_sf(stat, dof)
+
+
+def _scaled_statistic(a: np.ndarray, b: np.ndarray, use: np.ndarray) -> np.ndarray:
+    """Per row, the two-sample statistic over the ``use`` cells, formed with no product of counts.
+
+    The statistic equals ``T_a T_b sum (a/T_a - b/T_b)^2 / (a + b)``, with
+    ``T`` the sample totals, and is homogeneous of degree 1 in the counts:
+    each row is divided by its largest count, so that no total overflows,
+    and its statistic multiplied back, reading ``inf`` beyond the float range.
+    """
+    scale = np.maximum(a.max(axis=-1), b.max(axis=-1))[..., None]
+    a, b = a / scale, b / scale
+    total_a, total_b = a.sum(axis=-1, keepdims=True), b.sum(axis=-1, keepdims=True)
+    terms = np.divide((a / total_a - b / total_b) ** 2, a + b, out=np.zeros_like(a), where=use)
+    return (terms.sum(axis=-1, keepdims=True) * total_a * total_b * scale)[..., 0]
 
 
 # ``math.exp`` and ``math.erfc`` per element: ``np.exp`` differs from ``math.exp``
@@ -201,9 +228,12 @@ def _chi_square_sf(stat, dof):
 
     Closed forms of Abramowitz & Stegun 26.4.4 (odd dof) and 26.4.5 (even
     dof): a finite series times ``exp(-stat/2)``, plus ``erfc`` for odd dof.
-    ``stat`` and ``dof`` broadcast; two scalars give a float.
+    ``stat`` and ``dof`` broadcast; two scalars give a float.  A statistic
+    above 1e300, whose tail is 0.0 like that of 1e300, is read as 1e300, so
+    that ``2 * stat`` stays finite.
     """
-    stat, dof = np.broadcast_arrays(np.asarray(stat, dtype=float), np.asarray(dof, dtype=int))
+    stat, dof = np.broadcast_arrays(np.minimum(np.asarray(stat, dtype=float), 1e300),
+                                    np.asarray(dof, dtype=int))
     half = stat / 2.0
     odd = dof % 2 == 1
     exp = np.asarray(_exp(-half), dtype=float)
@@ -365,8 +395,13 @@ def _outcome_distance(out_a: Coupling, out_b: Coupling) -> np.ndarray:
     difference.  A row that scatters with certainty has ``p = 1`` and a zero
     survivor, so it needs no branch.
     """
-    trace_norm = np.abs(np.linalg.eigvalsh(_survivor_difference(out_a, out_b))).sum(axis=-1)
-    return 0.5 * (np.abs(out_a.p_scatter - out_b.p_scatter) + trace_norm)
+    return 0.5 * (np.abs(out_a.p_scatter - out_b.p_scatter)
+                  + _trace_norm(_survivor_difference(out_a, out_b)))
+
+
+def _trace_norm(diff: np.ndarray) -> np.ndarray:
+    """Per row, the sum of ``|eigvalsh|`` of the Hermitian ``diff``."""
+    return np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
 
 
 # eigvalsh reads the six entries below the diagonal, each standing for itself
@@ -396,21 +431,27 @@ def _exact_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Couplin
     matrix of Frobenius norm ``F`` has trace norm in ``[F, 2F]``, so row ``n``
     lies within ``0.5 * (gap_n + [F_n, 2 F_n])``, with ``gap = |p_a - p_b|``
     and ``F`` taken of what ``eigvalsh`` reads (``_eigvalsh_frobenius``).
-    Rows whose upper end, widened by 1e-9 for rounding, reaches the largest
-    lower end, narrowed by as much, are the candidates.  Every row that ties
-    the worst is one, and ``eigvalsh`` works on each matrix alone, so the
-    first worst row and its value are those of all rows.
+    When the largest ``gap + F`` is 0, every row is zero as ``eigvalsh``
+    reads it, so row 0 is the worst at distance 0 and no ``eigvalsh`` runs.
+    Otherwise the rows whose upper end, widened by 1e-9 for rounding, reaches
+    the largest lower end, narrowed by as much, are the candidates, and their
+    trace norms are taken of the difference already screened.  Every row
+    that ties the worst is one, and ``eigvalsh`` works on each matrix alone,
+    so the first worst row and its value are those of all rows.
     """
     gap = np.abs(out_a.p_scatter - out_b.p_scatter)
-    frobenius = _eigvalsh_frobenius(_survivor_difference(out_a, out_b))
-    rows = np.flatnonzero((gap + 2.0 * frobenius) * (1.0 + 1e-9)
-                          >= (gap + frobenius).max() * (1.0 - 1e-9))
-    disc = _outcome_distance(*(Coupling(*(field[rows] for field in out)) for out in (out_a, out_b)))
-    worst = int(np.argmax(disc))
-    row = int(rows[worst])
+    diff = _survivor_difference(out_a, out_b)
+    frobenius = _eigvalsh_frobenius(diff)
+    top = (gap + frobenius).max()
+    row, distance = 0, 0.0
+    if top != 0.0:
+        rows = np.flatnonzero((gap + 2.0 * frobenius) * (1.0 + 1e-9) >= top * (1.0 - 1e-9))
+        disc = 0.5 * (gap[rows] + _trace_norm(diff[rows]))
+        worst = int(np.argmax(disc))
+        row, distance = int(rows[worst]), float(disc[worst])
     evidence = {f"p_scatter_{name}": float(out.p_scatter[row])
                 for name, out in zip(names, (out_a, out_b))}
-    return _exact_verdict(check_id, float(disc[worst]), label(row), evidence, config)
+    return _exact_verdict(check_id, distance, label(row), evidence, config)
 
 
 def _exact_pair_levels(config: AuditConfig) -> tuple[float]:
@@ -465,14 +506,15 @@ def _role_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, coun
 
 @functools.lru_cache(maxsize=1)
 def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int):
-    """C4 unitary names, distinct inputs, input index, rotated inputs and ``U (x) U``.
+    """C4 names, distinct inputs, input index, rotated inputs, ``(U (x) U)^dag`` and ``U (x) U``.
 
     Inputs are every corner unitary on every corner pair, then ``count``
     Haar unitaries, each with a uniform pair, drawn from one stream.  The
     corner pairs repeat once per corner unitary, so the distinct probe and
     object amplitudes are the corner pairs then the uniform pairs, and input
     ``n`` is distinct input ``index[n]``.  The rotated inputs and ``U (x) U``,
-    as ``(N, 1, 4, 4)``, run one row per input.
+    as ``(N, 1, 4, 4)``, run one row per input; its adjoint is the transposed
+    view of its conjugate.
     """
     corners = _corner_unitaries(bases)
     u = derive_rng(seed, stream).random((count, 7))
@@ -488,7 +530,8 @@ def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int):
     rotated_probes = np.einsum("nij,nj->ni", unitaries, probes[index])
     rotated_objects = np.einsum("nij,nj->ni", unitaries, objects[index])
     uu = np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 1, 4, 4)
-    return tuple(names), *_read_only(probes, objects, index, rotated_probes, rotated_objects, uu)
+    return tuple(names), *_read_only(probes, objects, index, rotated_probes, rotated_objects,
+                                     uu.conj().swapaxes(-1, -2), uu)
 
 
 def _covariance_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, count: int,
@@ -500,14 +543,13 @@ def _covariance_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int
     before the ``U (x) U`` conjugation.
     """
     levels = config.noise_levels if levels is None else levels
-    names, probes, objects, index, rotated_probes, rotated_objects, uu = _covariance_grid(
-        tuple(config.bases), corner_pairs, config.seed, stream, count
-    )
+    names, probes, objects, index, rotated_probes, rotated_objects, uu_dagger, uu = (
+        _covariance_grid(tuple(config.bases), corner_pairs, config.seed, stream, count))
     rotated = coupling_channel(rule, rotated_probes, rotated_objects, levels)
     base = coupling_channel(rule, probes, objects, levels)
     p_scatter = base.p_scatter.reshape(len(probes), -1)[index]
     survivors = base.survivors.reshape(len(probes), -1, 4, 4)[index]
-    survivors = uu @ survivors @ uu.conj().swapaxes(-1, -2)
+    survivors = uu @ survivors @ uu_dagger
     conjugated = Coupling(p_scatter.reshape(-1), survivors.reshape(-1, 4, 4))
 
     def label(row: int) -> str:
@@ -673,9 +715,15 @@ def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
     return _exact_pair_verdict(CHECK_IDS[1], config, *cases, ("direct", "swapped"))
 
 
+@functools.lru_cache(maxsize=1)
+def _basis_vectors(bases) -> np.ndarray:
+    """The joint vectors ``|b_k b_l>`` of every basis, ``(bases, 4, 4)``, read-only."""
+    return _read_only(np.stack([_joint_vectors(b, b) for b in bases]))[0]
+
+
 def _basis_cells(survivors: np.ndarray, bases) -> np.ndarray:
     """Joint cells of every survivor in every basis, ``(rows, bases, 4)``, from one Born call."""
-    return _expectations(survivors[:, None], np.stack([_joint_vectors(b, b) for b in bases]))
+    return _expectations(survivors[:, None], _basis_vectors(tuple(bases)))
 
 
 def _basis_laws(out: Coupling, bases) -> np.ndarray:

@@ -26,12 +26,13 @@ which is precisely the kind of disagreement the audit battery exposes.
 
 Fly-by noise ``q`` is the probability that the coupling simply does not
 happen; the outcome then blends the untouched input with the rule's own
-survivor.  ``coupling_channel`` evaluates a whole batch of input pairs
-as arrays, at one noise level or several, and every experiment and audit
-check reads its rows.  ``apply_rule`` and ``swapped_channel`` are
-single-pair conveniences for library callers; they stay because the
-``ifmbench`` benchmark traces them.  All functions here are pure and
-deterministic; randomness lives only in the Monte Carlo engine.
+survivor; a level of 0 adds no input term at all.  ``coupling_channel``
+evaluates a whole batch of input pairs as arrays, at one noise level or
+several, and every experiment and audit check reads its rows.
+``apply_rule`` and ``swapped_channel`` are single-pair conveniences for
+library callers; they stay because the ``ifmbench`` benchmark traces them.
+All functions here are pure and deterministic; randomness lives only in
+the Monte Carlo engine.
 """
 
 from __future__ import annotations
@@ -310,7 +311,10 @@ def coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupling:
     ``noise_q`` is one level or a 1-D sequence of ``L`` levels.  The rule
     runs once per input pair; the fly-by blend then broadcasts over the
     levels, and row ``n*L + k`` holds pair ``n`` at level ``k``, so one
-    level gives one row per pair.
+    level gives one row per pair.  The input projector ``q |in><in|``
+    enters only the levels above 0, and is built only when one is given,
+    so a level-0 row is the rule's own outcome and a stacked call gives
+    the rows of one call per level.
     """
     q = np.asarray(noise_q, dtype=float).reshape(-1)
     outside = ~((0.0 <= q) & (q <= 1.0))
@@ -335,8 +339,11 @@ def coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupling:
     survive_mass = q + (1.0 - q) * (1.0 - p_nn)
     alive = survive_mass > PHASE_EPS
     weight = np.where(coupled, (1.0 - q) * (1.0 - p_nn), 0.0)
-    blended = (q[:, None, None] * _projectors(inp)[:, None]
-               + weight[..., None, None] * survivor_nn[:, None])
+    blended = weight[..., None, None] * survivor_nn[:, None]
+    # only the levels above 0 add the untouched input
+    flyby = q > 0.0
+    if flyby.any():
+        blended[:, flyby] += q[flyby, None, None] * _projectors(inp)[:, None]
     # dividing by an infinite mass zeroes the survivors of rows that are not alive;
     # an alive row keeps p_scatter < 1, as (1 - q) * p_nn rounds to 1 only at q = 0, p_nn = 1
     survivors = blended / np.where(alive, survive_mass, np.inf)[..., None, None]

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -197,6 +198,59 @@ def test_chi_square_stacks_match_row_loop():
         chi_square_two_sample(a, b[..., :4])
 
 
+def _exact_chi_square(a, b) -> float:
+    """``sum (T_b a - T_a b)^2 / (T_a T_b (a + b))`` over nonzero pooled cells, in rationals."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    total_a, total_b = sum(a), sum(b)
+    return float(sum((total_b * x - total_a * y) ** 2 / (total_a * total_b * (x + y))
+                     for x, y in zip(a, b) if x + y))
+
+
+# (a, b, statistic): total * pooled overflows in each, and a sum of counts in the last two
+OVERFLOWING_COUNTS = [
+    ([1e300, 1e300], [1e300, 0.0], 7.5e299),
+    ([1e200, 0.0, 5.0], [0.0, 1.0, 5.0], None),
+    ([1e308, 1e308], [1e308, 0.0], 7.5e307),
+    ([1.7e308, 0.0], [0.0, 1.7e308], math.inf),  # the statistic, 3.4e308, is beyond the range
+]
+
+
+def test_chi_square_overflowing_counts_take_the_scaled_form():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b, want in OVERFLOWING_COUNTS:
+            stat, p = chi_square_two_sample(a, b)
+            if want is None:
+                want = _exact_chi_square(a, b)
+            assert stat == pytest.approx(want, rel=1e-12), (a, b)
+            assert p == 0.0, (a, b)
+        # tiny counts underflow the same product and scale up alike
+        stat, p = chi_square_two_sample([1e-300, 2e-300], [3e-300, 1e-300])
+        assert stat == pytest.approx(_exact_chi_square([1e-300, 2e-300], [3e-300, 1e-300]),
+                                     rel=1e-12)
+        assert p == 1.0
+
+
+def test_chi_square_overflowing_rows_of_a_stack_leave_the_others_alone():
+    # rows of counts below 2**63 keep the bits of the direct pooled-expectation form
+    small_a, small_b = derive_rng(19).integers(0, 2**62, (2, 4, 3)).astype(float)
+    a = np.concatenate([small_a, [[1e300, 1e300, 0.0], [1e200, 0.0, 5.0], [0.0, 0.0, 0.0]]])
+    b = np.concatenate([small_b, [[1e300, 0.0, 0.0], [0.0, 1.0, 5.0], [1.0, 2.0, 3.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stat, p = chi_square_two_sample(a, b)
+        rows = [chi_square_two_sample(a[n], b[n]) for n in range(6)]
+    total_a, total_b = small_a.sum(axis=-1)[:, None], small_b.sum(axis=-1)[:, None]
+    pooled, grand = small_a + small_b, total_a + total_b
+    direct = sum(((x - t * pooled / grand) ** 2 / (t * pooled / grand)).sum(axis=-1)
+                 for x, t in ((small_a, total_a), (small_b, total_b)))
+    assert stat[:4].tobytes() == direct.tobytes()
+    assert (stat[4], p[4]) == (pytest.approx(7.5e299, rel=1e-12), 0.0)
+    assert (stat[5], p[5]) == (pytest.approx(_exact_chi_square(a[5], b[5]), rel=1e-12), 0.0)
+    assert np.isnan(stat[6]) and np.isnan(p[6])
+    assert [tuple(x) for x in zip(stat[:6], p[:6])] == rows
+
+
 def test_chi_square_null_calibration():
     # independent seeds on an identical configuration: p should rarely be small
     base = dict(rule=singlet_rule(), source_mode=1, evaluation="mc", trials=100_000)
@@ -363,6 +417,7 @@ GRID_BUILDERS = (
     audit._role_inputs,
     audit._anti_alignment_inputs,
     audit._covariance_grid,
+    audit._basis_vectors,
 )
 
 
@@ -374,13 +429,17 @@ def _cold_report(rule, config) -> str:
 
 @pytest.mark.parametrize("config", [FAST_EXACT, FAST_MC], ids=["exact", "mc"])
 def test_grids_are_built_once_per_config(config):
+    # each entry is read once per audit, but the basis vectors by every Born
+    # call: C3's, and in Monte Carlo mode also both sides' of C2 and C4
+    reads = {audit._basis_vectors: 5 if config.evaluation == "mc" else 1}
     for builder in GRID_BUILDERS:
         builder.cache_clear()
     audit_rule(singlet_rule(), config)
     audit_rule(probe_rigid(), config)
     for builder in GRID_BUILDERS:
         info = builder.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1), builder
+        hits = 2 * reads.get(builder, 1) - 1
+        assert (info.misses, info.hits, info.currsize) == (1, hits, 1), builder
 
 
 @pytest.mark.parametrize("evaluation", ["exact", "mc"])
@@ -413,7 +472,10 @@ def test_cached_grid_arrays_are_read_only():
         audit._role_inputs(pairs, 0, 21, 3),
         audit._anti_alignment_inputs(pairs, 0, 31, 3),
         audit._covariance_grid(bases, pairs, 0, 41, 2)[1:],
+        (audit._basis_vectors(bases),),
     ]
+    *_, uu_dagger, uu = grids[3]
+    assert uu_dagger.tobytes() == uu.conj().swapaxes(-1, -2).tobytes()
     for grid in grids:
         for array in grid:
             with pytest.raises(ValueError, match="read-only"):
@@ -869,6 +931,25 @@ def test_exact_pair_verdict_matches_reference_on_synthetic_couplings(scale):
     want = _all_rows_pair_verdict(CHECK_IDS[1], AuditConfig(), str, out_a, out_b, ("a", "b"))
     assert _result_fields(got) == _result_fields(want)
     assert got.witness == ("0" if scale == 0.0 else "10")
+
+
+@pytest.mark.parametrize("rule", [coherent_projection(BASIS_XY), REMOVE_ALIGNED_XY],
+                         ids=lambda rule: rule.name)
+def test_exact_pair_verdict_runs_no_eigvalsh_when_every_row_is_zero(rule, monkeypatch):
+    # at level 0 these rules' C2 differences are exactly zero on every row,
+    # which the screen sees, so row 0 is the witness without a trace norm
+    config = AuditConfig()
+    cases = audit._role_cases(rule, config, audit._CORNER_PAIRS, 2, config.input_samples,
+                              audit._exact_pair_levels(config))
+    want = _all_rows_pair_verdict(CHECK_IDS[1], config, *cases, ("direct", "swapped"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    got = check_role_symmetry(rule, config)
+    assert (got.metric, got.witness) == (0.0, "input=(x, x) q=0")
+    assert _result_fields(got) == _result_fields(want)
 
 
 @pytest.mark.parametrize("pairs, stream, count", [

@@ -17,8 +17,7 @@ _HOMES = {
     "experiments": ("ConfigError", "FilterConfig", "run_correlation", "run_correlation_mc",
                     "run_filter", "run_filter_exact", "run_flip", "run_flip_mc"),
     "rules": ("InvalidRuleError", "builtin_rules", "contraction_slack", "coupling_channel",
-              "load_rule_file", "rule_description", "rule_from_name", "singlet_rule",
-              "validate_custom_rule"),
+              "load_rule_file", "rule_from_name", "singlet_rule", "validate_custom_rule"),
     "states": ("BASIS_SIGMA", "STATE_X", "STATE_Y", "parse_basis_spec", "parse_state_spec",
                "state_label"),
 }

@@ -209,11 +209,16 @@ def _scaled_statistic(a: np.ndarray, b: np.ndarray, use: np.ndarray) -> np.ndarr
     ``T`` the sample totals, and is homogeneous of degree 1 in the counts:
     each row is divided by its largest count, so that no total overflows,
     and its statistic multiplied back, reading ``inf`` beyond the float range.
+    A cell or sample total that underflows to 0 when scaled lies below float
+    resolution and adds 0; each term divides before it squares, so that a
+    small difference does not underflow.
     """
     scale = np.maximum(a.max(axis=-1), b.max(axis=-1))[..., None]
     a, b = a / scale, b / scale
     total_a, total_b = a.sum(axis=-1, keepdims=True), b.sum(axis=-1, keepdims=True)
-    terms = np.divide((a / total_a - b / total_b) ** 2, a + b, out=np.zeros_like(a), where=use)
+    deviation = (np.divide(a, total_a, out=np.zeros_like(a), where=total_a > 0)
+                 - np.divide(b, total_b, out=np.zeros_like(b), where=total_b > 0))
+    terms = deviation * np.divide(deviation, a + b, out=np.zeros_like(a), where=use & (a + b > 0))
     return (terms.sum(axis=-1, keepdims=True) * total_a * total_b * scale)[..., 0]
 
 
@@ -290,23 +295,14 @@ class AuditConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1), got {value!r}")
-        _check_noise_levels(self)
-
-
-def _check_noise_levels(config: AuditConfig) -> None:
-    """Refuse an empty, over-long or out-of-range level sequence.
-
-    ``AuditConfig`` keeps the caller's sequence, which may change after
-    construction, so each check calls this again before it builds rows.
-    """
-    if not config.noise_levels:
-        raise ConfigError("noise_levels must not be empty")
-    if len(config.noise_levels) > _MAX_NOISE_LEVELS:
-        raise ConfigError(f"noise_levels must hold at most {_MAX_NOISE_LEVELS} levels, "
-                          f"got {len(config.noise_levels)}")
-    for q in config.noise_levels:
-        if not 0.0 <= float(q) <= 1.0:
-            raise ConfigError(f"noise level {q!r} outside [0, 1]")
+        if not self.noise_levels:
+            raise ConfigError("noise_levels must not be empty")
+        if len(self.noise_levels) > _MAX_NOISE_LEVELS:
+            raise ConfigError(f"noise_levels must hold at most {_MAX_NOISE_LEVELS} levels, "
+                              f"got {len(self.noise_levels)}")
+        for q in self.noise_levels:
+            if not 0.0 <= q <= 1.0:
+                raise ConfigError(f"noise level {q!r} outside [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -544,7 +540,7 @@ def _covariance_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int
     """
     levels = config.noise_levels if levels is None else levels
     names, probes, objects, index, rotated_probes, rotated_objects, uu_dagger, uu = (
-        _covariance_grid(tuple(config.bases), corner_pairs, config.seed, stream, count))
+        _covariance_grid(config.bases, corner_pairs, config.seed, stream, count))
     rotated = coupling_channel(rule, rotated_probes, rotated_objects, levels)
     base = coupling_channel(rule, probes, objects, levels)
     p_scatter = base.p_scatter.reshape(len(probes), -1)[index]
@@ -633,10 +629,9 @@ def _mode_pair_witness(config: AuditConfig, cases, row: int, view: int) -> str:
 
 def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
     """C1: mode-1 and mode-2 source statistics must be identical."""
-    _check_noise_levels(config)
     if config.evaluation == "mc":
         return _check_c1_mc(rule, config)
-    cases, rows = _mode_pair_grid(tuple(config.bases), "all")
+    cases, rows = _mode_pair_grid(config.bases, "all")
     if not cases:
         return _no_cases(CHECK_IDS[0], config.epsilon_exact)
     laws = _mode_pair_laws(rule, config, rows)
@@ -658,7 +653,7 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
 
 
 def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
-    cases, rows = _mode_pair_grid(tuple(config.bases), "object")
+    cases, rows = _mode_pair_grid(config.bases, "object")
     if not cases:
         return _no_cases(CHECK_IDS[0], 1.0)
     laws = _mode_pair_laws(rule, config, rows)
@@ -706,7 +701,6 @@ def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
     Exact mode evaluates the lowest noise level only, which no other level
     can beat (``_exact_pair_levels``); Monte Carlo samples every level.
     """
-    _check_noise_levels(config)
     if config.evaluation == "mc":
         cases = _role_cases(rule, config, _MC_CORNER_PAIRS, 21, config.mc_input_samples)
         return _mc_pair_verdict(CHECK_IDS[1], config, *cases, 22)
@@ -723,7 +717,7 @@ def _basis_vectors(bases) -> np.ndarray:
 
 def _basis_cells(survivors: np.ndarray, bases) -> np.ndarray:
     """Joint cells of every survivor in every basis, ``(rows, bases, 4)``, from one Born call."""
-    return _expectations(survivors[:, None], _basis_vectors(tuple(bases)))
+    return _expectations(survivors[:, None], _basis_vectors(bases))
 
 
 def _basis_laws(out: Coupling, bases) -> np.ndarray:
@@ -752,7 +746,6 @@ def _mc_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, 
 
 def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
     """C3: coupled (q = 0) survivors carry zero aligned-cell weight in every basis."""
-    _check_noise_levels(config)
     if config.evaluation == "mc":
         return _check_c3_mc(rule, config)
     label, out = _anti_alignment_cases(rule, config, _CORNER_PAIRS, 3, config.input_samples)
@@ -793,7 +786,6 @@ def check_basis_covariance(rule: Rule, config: AuditConfig) -> CheckResult:
     Levels as in ``check_role_symmetry``: the lowest in exact mode, every one
     in Monte Carlo.
     """
-    _check_noise_levels(config)
     if config.evaluation == "mc":
         cases = _covariance_cases(rule, config, _MC_CORNER_PAIRS, 41, config.mc_unitary_samples)
         return _mc_pair_verdict(CHECK_IDS[3], config, *cases, 42)

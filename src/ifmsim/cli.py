@@ -39,7 +39,6 @@ from .rules import (
     builtin_rules,
     contraction_slack,
     load_rule_file,
-    rule_description,
     rule_from_name,
 )
 from .states import parse_basis_spec, parse_state_spec, state_label
@@ -350,7 +349,7 @@ def rules_group():
 def rules_list():
     """Enumerate the built-in rules with one-line descriptions."""
     for rule in builtin_rules():
-        click.echo(f"{rule.name:<24} {rule_description(rule)}")
+        click.echo(f"{rule.name:<24} {rule.description}")
     click.echo(f"{'custom (JSON file)':<24} survive operator K from a file; "
                "scatter probability is 1 - |K psi|^2")
     click.echo()

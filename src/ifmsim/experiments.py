@@ -60,8 +60,8 @@ class NoSurvivorsError(ValueError):
 # accepts, the JSON types a ``--config`` file may use, the phrase an error
 # uses and the plain type a value is stored as (None: as given).  True and
 # false are no numbers, though bool subclasses int.  A tuple's items are
-# checked by the annotation inside it; the caller's sequence is kept, so a
-# list of audit levels may still change between audits.
+# checked by the annotation inside it and stored as given in a tuple, so a
+# caller's list that changes later leaves the config as it was.
 _FIELD_TYPES = {
     "int": ((numbers.Integral,), (int,), "an integer", int),
     "float": ((numbers.Real,), (int, float), "a number", float),
@@ -71,8 +71,8 @@ _FIELD_TYPES = {
     "Basis": ((Basis,), (str,), "a Basis", None),
     "QubitState": ((QubitState,), (str,), "a QubitState", None),
     "Basis | None": ((Basis, type(None)), (str, type(None)), "a Basis or None", None),
-    "tuple[Basis, ...]": ((tuple, list), (list,), "a sequence of Basis", None),
-    "tuple[float, ...]": ((tuple, list), (list,), "a sequence of numbers", None),
+    "tuple[Basis, ...]": ((tuple, list), (list,), "a sequence of Basis", tuple),
+    "tuple[float, ...]": ((tuple, list), (list,), "a sequence of numbers", tuple),
 }
 
 # Bounds of the run parameters by field name: the least value, and the most
@@ -110,12 +110,16 @@ def field_value(name: str, annotation: str, value):
     """``value`` of the config field ``name``, a number, flag or text stored as its plain type.
 
     Raises ``ConfigError`` naming the field when the type does not fit
-    ``annotation`` or the value is outside ``_BOUNDS`` or ``_CHOICES``.
+    ``annotation``, a number lies beyond the float range, or the value is
+    outside ``_BOUNDS`` or ``_CHOICES``.
     """
     _, _, phrase, store = _FIELD_TYPES[annotation]
     if not _fits(annotation, value, 0):
         raise ConfigError(f"{name} must be {phrase}, got {value!r}")
-    value = value if store is None else store(value)
+    try:
+        value = value if store is None else store(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{name} must be {phrase} within the float range") from None
     least, most, spelled = _BOUNDS.get(name, (None, None, None))
     if least is not None and value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value!r}")

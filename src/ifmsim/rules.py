@@ -3,11 +3,13 @@
 A coupling event between an aligned-or-not probe/object pair ends one of
 two ways: the probe *scatters* (it is absorbed and dissipated, a terminal
 and opaque outcome) or the pair *survives* in some joint state.  A rule
-is exactly a prescription for that survivor state.
+is a name, a one-line description and a *law*: a map from arrays of
+input pairs to their noiseless scatter probabilities and survivor states.
+Each built-in factory builds all three in one place.
 
-All built-in rules except the linear-channel ones share the universal
-scatter law ``p_scatter = interaction_probability(probe, object)``; they
-differ only in what they claim survives:
+All built-in rules except the linear one share the universal scatter law
+``p_scatter = interaction_probability(probe, object)`` (``_universal_law``);
+they differ only in what they claim survives:
 
 * ``probe-rigid``    - the probe keeps its state, the object jumps to the
                        state orthogonal to the probe's aligned partner.
@@ -20,9 +22,10 @@ differ only in what they claim survives:
                        cells ``|b1 b2>``, ``|b2 b1>`` of basis B, with
                        weights taken from the input.
 
-``coherent-projection:B`` and ``custom`` are linear channels: they carry
-their own scatter law (the weight removed by their survive operator),
-which is precisely the kind of disagreement the audit battery exposes.
+``coherent-projection:B`` and custom rules are linear channels
+(``_linear_law``): they carry their own scatter law (the weight removed
+by their survive operator), which is precisely the kind of disagreement
+the audit battery exposes.
 
 Fly-by noise ``q`` is the probability that the coupling simply does not
 happen; the outcome then blends the untouched input with the rule's own
@@ -37,11 +40,10 @@ the Monte Carlo engine.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -89,59 +91,22 @@ class ContractionViolationError(InvalidRuleError):
         )
 
 
-class RuleKind(enum.Enum):
-    PROBE_RIGID = "probe-rigid"
-    OBJECT_RIGID = "object-rigid"
-    SINGLET = "singlet"
-    RANDOM_MIX = "random-mix"
-    PREFERRED_BASIS = "preferred-basis"
-    COHERENT_PROJECTION = "coherent-projection"
-    CUSTOM = "custom"
-
-
-_BASIS_KINDS = (RuleKind.PREFERRED_BASIS, RuleKind.COHERENT_PROJECTION)
-
-
 @dataclass(frozen=True, eq=False)
 class Rule:
-    """One candidate non-interaction rule.
+    """One candidate non-interaction rule: its name, a one-line description and its law.
 
-    ``operator`` is the survive operator ``K`` of the linear kinds: given
-    for ``custom``, and ``I - P_aligned(basis)`` for ``coherent-projection``.
+    ``law(probes, objects, inp)`` takes the ``(N, 2)`` probe and object
+    amplitudes and their ``(N, 4)`` product amplitudes, and returns the
+    noiseless rows ``(p_scatter, coupled, survivors)``: ``coupled`` marks
+    the rows that can survive, whose survivor densities are normalized;
+    ``coupling_channel`` zeroes the survivors of the others.  ``operator``
+    is the read-only survive operator ``K`` of a linear rule, else None.
     """
 
-    kind: RuleKind
-    basis: Basis | None = None
+    name: str
+    description: str
+    law: Callable
     operator: np.ndarray | None = None
-    name: str = ""
-
-    def __post_init__(self):
-        if self.kind in _BASIS_KINDS and self.basis is None:
-            raise InvalidRuleError(f"{self.kind.value} rule needs a basis")
-        if self.kind is RuleKind.CUSTOM:
-            if self.operator is None:
-                raise InvalidRuleError("custom rule needs a survive operator")
-            op = np.array(self.operator, dtype=complex)
-            if op.shape != (4, 4):
-                raise InvalidRuleError(f"survive operator must be 4x4, got shape {op.shape}")
-            if not np.all(np.isfinite(op)):
-                raise InvalidRuleError("survive operator entries must be finite")
-            slack = contraction_slack(op)
-            if slack < -ATOL:
-                raise ContractionViolationError(slack)
-            op.setflags(write=False)
-            object.__setattr__(self, "operator", op)
-        elif self.kind is RuleKind.COHERENT_PROJECTION:
-            op = _IDENTITY4 - _aligned_projector(self.basis)
-            op.setflags(write=False)
-            object.__setattr__(self, "operator", op)
-        elif self.operator is not None:
-            raise InvalidRuleError(f"{self.kind.value} rule takes no survive operator")
-        if not self.name:
-            name = self.kind.value
-            if self.basis is not None:
-                name = f"{name}:{self.basis.label.lower()}"
-            object.__setattr__(self, "name", name)
 
     def __repr__(self) -> str:
         return f"Rule({self.name})"
@@ -175,50 +140,6 @@ class CouplingOutcome:
             state = np.asarray(self.survive_state, dtype=complex)
             state.setflags(write=False)
             object.__setattr__(self, "survive_state", state)
-
-
-def probe_rigid() -> Rule:
-    return Rule(RuleKind.PROBE_RIGID)
-
-
-def object_rigid() -> Rule:
-    return Rule(RuleKind.OBJECT_RIGID)
-
-
-def singlet_rule() -> Rule:
-    return Rule(RuleKind.SINGLET)
-
-
-def random_mix() -> Rule:
-    return Rule(RuleKind.RANDOM_MIX)
-
-
-def preferred_basis(basis: Basis) -> Rule:
-    return Rule(RuleKind.PREFERRED_BASIS, basis=basis)
-
-
-def coherent_projection(basis: Basis) -> Rule:
-    return Rule(RuleKind.COHERENT_PROJECTION, basis=basis)
-
-
-def validate_custom_rule(operator, name: str = "custom") -> Rule:
-    """Check the contraction bound ``I - K^dag K >= 0`` and wrap ``K`` as a rule."""
-    op = np.asarray(operator, dtype=complex)
-    return Rule(RuleKind.CUSTOM, operator=op, name=name)
-
-
-def builtin_rules() -> tuple[Rule, ...]:
-    """The default audit battery, singlet plus the rejected alternatives."""
-    from .states import BASIS_SIGMA, BASIS_XY
-
-    return (
-        probe_rigid(),
-        object_rigid(),
-        singlet_rule(),
-        random_mix(),
-        preferred_basis(BASIS_SIGMA),
-        coherent_projection(BASIS_XY),
-    )
 
 
 def aligned_state(obj: QubitState) -> QubitState:
@@ -268,20 +189,61 @@ def _orthogonal(amps: np.ndarray) -> np.ndarray:
     return np.stack([-amps[:, 1].conj(), amps[:, 0].conj()], axis=1)
 
 
-def _universal_survivors(rule: Rule, probes, objects, inp) -> np.ndarray:
-    """Noiseless survivor densities of the kinds that obey the universal scatter law."""
-    n = len(inp)
-    if rule.kind is RuleKind.PROBE_RIGID:
-        return _projectors(_pair_amps(probes, _orthogonal(probes)))
-    if rule.kind is RuleKind.OBJECT_RIGID:
-        return _projectors(_pair_amps(_orthogonal(objects), objects))
-    if rule.kind is RuleKind.SINGLET:
-        return np.broadcast_to(_SINGLET_DENSITY, (n, 4, 4))
-    if rule.kind is RuleKind.RANDOM_MIX:
-        return np.broadcast_to(_IDENTITY4 / 4.0, (n, 4, 4))
-    if rule.kind is RuleKind.PREFERRED_BASIS:
-        v12 = np.kron(rule.basis.b1.amps, rule.basis.b2.amps)
-        v21 = np.kron(rule.basis.b2.amps, rule.basis.b1.amps)
+def _linear_law(operator: np.ndarray) -> Callable:
+    """The law of survive operator ``K``: scatter with the weight ``K`` removes, keep ``K psi``."""
+    def law(probes, objects, inp):
+        kept = inp @ operator.T
+        survive = np.sum(np.abs(kept) ** 2, axis=1)
+        coupled = survive > PHASE_EPS
+        return (np.clip(1.0 - survive, 0.0, 1.0), coupled,
+                _projectors(kept) / np.where(coupled, survive, 1.0)[:, None, None])
+    return law
+
+
+def _universal_law(survivors: Callable) -> Callable:
+    """The law that scatters with the interaction probability; ``survivors`` maps the inputs."""
+    def law(probes, objects, inp):
+        p_scatter = np.clip(np.abs(np.sum(probes.conj() * objects, axis=1)) ** 2, 0.0, 1.0)
+        return p_scatter, 1.0 - p_scatter > PHASE_EPS, survivors(probes, objects, inp)
+    return law
+
+
+def _fixed_survivor_law(density: np.ndarray) -> Callable:
+    """The universal law whose survivor is ``density`` whatever the input."""
+    return _universal_law(lambda probes, objects, inp: np.broadcast_to(density, (len(inp), 4, 4)))
+
+
+def probe_rigid() -> Rule:
+    return Rule("probe-rigid",
+                "probe keeps its state; the object jumps to the orthogonal partner state",
+                _universal_law(lambda probes, objects, inp:
+                               _projectors(_pair_amps(probes, _orthogonal(probes)))))
+
+
+def object_rigid() -> Rule:
+    return Rule("object-rigid",
+                "object keeps its state; the probe jumps to the orthogonal partner state",
+                _universal_law(lambda probes, objects, inp:
+                               _projectors(_pair_amps(_orthogonal(objects), objects))))
+
+
+def singlet_rule() -> Rule:
+    return Rule("singlet",
+                "survivor is the fixed maximally entangled anti-aligned pair, independent of input",
+                _fixed_survivor_law(_SINGLET_DENSITY))
+
+
+def random_mix() -> Rule:
+    return Rule("random-mix", "survivor is the maximally mixed two-particle state",
+                _fixed_survivor_law(_IDENTITY4 / 4.0))
+
+
+def preferred_basis(basis: Basis) -> Rule:
+    v12 = np.kron(basis.b1.amps, basis.b2.amps)
+    v21 = np.kron(basis.b2.amps, basis.b1.amps)
+    cell12, cell21 = np.outer(v12, v12.conj()), np.outer(v21, v21.conj())
+
+    def survivors(probes, objects, inp):
         w12 = np.abs(inp @ v12.conj()) ** 2
         w21 = np.abs(inp @ v21.conj()) ** 2
         total = w12 + w21
@@ -290,11 +252,38 @@ def _universal_survivors(rule: Rule, probes, objects, inp) -> np.ndarray:
         norm = np.where(degenerate, 1.0, total)
         w12 = np.where(degenerate, 0.5, w12 / norm)
         w21 = np.where(degenerate, 0.5, w21 / norm)
-        return (
-            w12[:, None, None] * np.outer(v12, v12.conj())
-            + w21[:, None, None] * np.outer(v21, v21.conj())
-        )
-    raise InvalidRuleError(f"no survivor map for rule kind {rule.kind}")
+        return w12[:, None, None] * cell12 + w21[:, None, None] * cell21
+
+    return Rule(f"preferred-basis:{basis.label.lower()}",
+                f"survivor dephases onto the anti-aligned cells of basis {basis.label}",
+                _universal_law(survivors))
+
+
+def coherent_projection(basis: Basis) -> Rule:
+    operator = _IDENTITY4 - _aligned_projector(basis)
+    operator.setflags(write=False)
+    return Rule(f"coherent-projection:{basis.label.lower()}",
+                f"linear channel removing the aligned components in basis {basis.label}; "
+                "scatter probability is the removed weight",
+                _linear_law(operator), operator)
+
+
+def validate_custom_rule(operator, name: str = "custom") -> Rule:
+    """Check that ``K`` is a finite 4x4 contraction, ``I - K^dag K >= 0``, and wrap it as a rule."""
+    try:
+        op = np.array(operator, dtype=complex)
+    except OverflowError:  # an integer beyond the float range
+        raise InvalidRuleError("survive operator entries must be finite") from None
+    if op.shape != (4, 4):
+        raise InvalidRuleError(f"survive operator must be 4x4, got shape {op.shape}")
+    if not np.all(np.isfinite(op)):
+        raise InvalidRuleError("survive operator entries must be finite")
+    slack = contraction_slack(op)
+    if slack < -ATOL:
+        raise ContractionViolationError(slack)
+    op.setflags(write=False)
+    return Rule(name or "custom", "custom survive operator K; scatter probability is 1 - |K psi|^2",
+                _linear_law(op), op)
 
 
 def coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupling:
@@ -302,11 +291,9 @@ def coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupling:
 
     With probability ``noise_q`` the coupling does not happen at all and
     the input product state passes through untouched.  Otherwise the
-    rule's own scatter law and survivor map apply: a linear rule with
-    survive operator ``K`` scatters with the weight ``K`` removes and
-    keeps ``K psi``; every other kind scatters with the interaction
-    probability.  Rows whose overall survive probability is negligible
-    report certain scatter.  Amplitude rows must be normalized.
+    rule's own law applies, once per input pair.  Rows whose overall
+    survive probability is negligible report certain scatter.  Amplitude
+    rows must be normalized.
 
     ``noise_q`` is one level or a 1-D sequence of ``L`` levels.  The rule
     runs once per input pair; the fly-by blend then broadcasts over the
@@ -324,16 +311,7 @@ def coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupling:
     objects = np.asarray(objects, dtype=complex).reshape(-1, 2)
     inp = _pair_amps(probes, objects)
 
-    if rule.operator is not None:
-        kept = inp @ rule.operator.T
-        survive_nn = np.sum(np.abs(kept) ** 2, axis=1)
-        p_nn = np.clip(1.0 - survive_nn, 0.0, 1.0)
-        coupled = survive_nn > PHASE_EPS
-        survivor_nn = _projectors(kept) / np.where(coupled, survive_nn, 1.0)[:, None, None]
-    else:
-        p_nn = np.clip(np.abs(np.sum(probes.conj() * objects, axis=1)) ** 2, 0.0, 1.0)
-        coupled = 1.0 - p_nn > PHASE_EPS
-        survivor_nn = _universal_survivors(rule, probes, objects, inp)
+    p_nn, coupled, survivor_nn = rule.law(probes, objects, inp)
 
     p_nn, coupled = p_nn[:, None], coupled[:, None]  # axes (pair, level) from here on
     survive_mass = q + (1.0 - q) * (1.0 - p_nn)
@@ -393,23 +371,41 @@ def swapped_channel(rule: Rule, probe: QubitState, obj: QubitState, noise_q: flo
     return _single(pair_channel(rule, probe, obj, noise_q, swapped_coupling_channel))
 
 
+def builtin_rules() -> tuple[Rule, ...]:
+    """The default audit battery, singlet plus the rejected alternatives."""
+    from .states import BASIS_SIGMA, BASIS_XY
+
+    return (
+        probe_rigid(),
+        object_rigid(),
+        singlet_rule(),
+        random_mix(),
+        preferred_basis(BASIS_SIGMA),
+        coherent_projection(BASIS_XY),
+    )
+
+
+# Built-in spellings: plain names, and names that take a basis as ``name:basis``.
+_PLAIN_BUILTINS = {"probe-rigid": probe_rigid, "object-rigid": object_rigid,
+                   "singlet": singlet_rule, "random-mix": random_mix}
+_BASIS_BUILTINS = {"preferred-basis": preferred_basis, "coherent-projection": coherent_projection}
+
+
 def rule_from_name(text: str) -> Rule:
     """Resolve a rule spelling like ``singlet`` or ``preferred-basis:sigma``."""
     if not isinstance(text, str) or not text.strip():
         raise InvalidRuleError("empty rule name")
-    spelled = text.strip().lower()
-    base, _, basis_label = spelled.partition(":")
-    builtins = [kind.value for kind in RuleKind if kind is not RuleKind.CUSTOM]
-    if base not in builtins:
-        known = ", ".join(sorted(builtins))
+    base, _, basis_label = text.strip().lower().partition(":")
+    if base in _BASIS_BUILTINS:
+        if not basis_label:
+            raise InvalidRuleError(f"rule {base!r} needs a basis, e.g. {base}:sigma")
+        return _BASIS_BUILTINS[base](parse_basis_spec(basis_label))
+    if base not in _PLAIN_BUILTINS:
+        known = ", ".join(sorted([*_PLAIN_BUILTINS, *_BASIS_BUILTINS]))
         raise InvalidRuleError(f"unknown rule {text.strip()!r}; built-ins: {known}")
-    kind = RuleKind(base)
-    needs_basis = kind in _BASIS_KINDS
-    if needs_basis and not basis_label:
-        raise InvalidRuleError(f"rule {base!r} needs a basis, e.g. {base}:sigma")
-    if not needs_basis and basis_label:
+    if basis_label:
         raise InvalidRuleError(f"rule {base!r} does not take a basis parameter")
-    return Rule(kind, basis=parse_basis_spec(basis_label) if basis_label else None)
+    return _PLAIN_BUILTINS[base]()
 
 
 def load_rule_file(path: str) -> Rule:
@@ -445,27 +441,10 @@ def load_rule_file(path: str) -> Rule:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
             ):
                 raise InvalidRuleError(f"survive_operator[{r}][{c}]: expected an [re, im] number pair")
-            if not all(math.isfinite(float(v)) for v in entry):
+            try:
+                op[r, c] = complex(float(entry[0]), float(entry[1]))
+            except OverflowError:  # an integer beyond the float range reads as infinite
+                op[r, c] = math.inf
+            if not np.isfinite(op[r, c]):
                 raise InvalidRuleError(f"survive_operator[{r}][{c}]: entries must be finite")
-            op[r, c] = complex(float(entry[0]), float(entry[1]))
     return validate_custom_rule(op, name=name)
-
-
-def rule_description(rule: Rule) -> str:
-    """One-line account of what the rule claims survives a non-interaction."""
-    if rule.kind is RuleKind.PROBE_RIGID:
-        return "probe keeps its state; the object jumps to the orthogonal partner state"
-    if rule.kind is RuleKind.OBJECT_RIGID:
-        return "object keeps its state; the probe jumps to the orthogonal partner state"
-    if rule.kind is RuleKind.SINGLET:
-        return "survivor is the fixed maximally entangled anti-aligned pair, independent of input"
-    if rule.kind is RuleKind.RANDOM_MIX:
-        return "survivor is the maximally mixed two-particle state"
-    if rule.kind is RuleKind.PREFERRED_BASIS:
-        return f"survivor dephases onto the anti-aligned cells of basis {rule.basis.label}"
-    if rule.kind is RuleKind.COHERENT_PROJECTION:
-        return (
-            f"linear channel removing the aligned components in basis {rule.basis.label}; "
-            "scatter probability is the removed weight"
-        )
-    return "custom survive operator K; scatter probability is 1 - |K psi|^2"

@@ -251,6 +251,27 @@ def test_chi_square_overflowing_rows_of_a_stack_leave_the_others_alone():
     assert [tuple(x) for x in zip(stat[:6], p[:6])] == rows
 
 
+# (a, b, dof): scaled by the row's largest count, a cell (first) or a whole
+# sample (second) underflows to 0, below float resolution
+UNDERFLOWING_COUNTS = [
+    ([1e300, 1e-300, 0.0], [1e300, 0.0, 5.0], 2),
+    ([1e-300, 0.0], [1e300, 1e300], 1),
+]
+
+
+def test_chi_square_cells_below_float_resolution_add_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b, dof in UNDERFLOWING_COUNTS:
+            stat, p = chi_square_two_sample(a, b)
+            assert stat == pytest.approx(_exact_chi_square(a, b), rel=1e-12, abs=1e-290), (a, b)
+            assert p == _chi_square_sf(stat, dof), (a, b)
+        stat, p = chi_square_two_sample([[1e300, 1e-300, 0.0], [1e-300, 0.0, 0.0]],
+                                        [[1e300, 0.0, 5.0], [1e300, 1e300, 0.0]])
+    assert [tuple(x) for x in zip(stat, p)] == [chi_square_two_sample(a, b)
+                                                for a, b, _ in UNDERFLOWING_COUNTS]
+
+
 def test_chi_square_null_calibration():
     # independent seeds on an identical configuration: p should rarely be small
     base = dict(rule=singlet_rule(), source_mode=1, evaluation="mc", trials=100_000)
@@ -453,17 +474,6 @@ def test_grid_cache_reports_match_cold_cache(evaluation):
         assert warm == [_cold_report(rule, config) for config in (a, b, a)]
 
 
-def test_grid_cache_sees_noise_levels_mutated_in_place():
-    levels = [0.0, 0.5]
-    config = AuditConfig(input_samples=20, unitary_samples=10, noise_levels=levels)
-    first = audit_rule(probe_rigid(), config).to_json()
-    for mutate in (lambda: levels.__setitem__(1, 0.25), lambda: levels.append(1.0)):
-        mutate()
-        fresh = AuditConfig(input_samples=20, unitary_samples=10, noise_levels=tuple(levels))
-        assert audit_rule(probe_rigid(), config).to_json() == _cold_report(probe_rigid(), fresh)
-    assert _cold_report(probe_rigid(), config) != first
-
-
 def test_cached_grid_arrays_are_read_only():
     pairs = audit._MC_CORNER_PAIRS
     bases = (BASIS_XY, BASIS_SIGMA)
@@ -657,15 +667,20 @@ def test_audit_noise_levels_are_capped():
     (lambda levels: levels.clear(), "noise_levels must not be empty"),
 ], ids=["41-levels", "level-2.0", "empty"])
 def test_noise_levels_mutated_after_construction_are_refused(check, evaluation, mutate, message):
-    # the config keeps the caller's list, so every check re-checks it before it builds rows
+    # the config stores its own tuple of the caller's levels: changing the list
+    # later changes neither the config, nor a check, nor the report, and a new
+    # config of the changed list is refused
     levels = [0.0]
     config = AuditConfig(noise_levels=levels, input_samples=5, unitary_samples=5,
                          evaluation=evaluation, mc_input_samples=2, mc_unitary_samples=2)
+    before = vars(check(singlet_rule(), config))
+    report = audit_rule(singlet_rule(), config).to_json()
     mutate(levels)
+    assert config.noise_levels == (0.0,)
+    assert vars(check(singlet_rule(), config)) == before
+    assert audit_rule(singlet_rule(), config).to_json() == report
     with pytest.raises(ConfigError, match=re.escape(message)):
-        check(singlet_rule(), config)
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        audit_rule(singlet_rule(), config)
+        AuditConfig(noise_levels=levels)
 
 
 @pytest.mark.parametrize("numbers", [
@@ -744,15 +759,20 @@ def test_exact_checks_pinned_at_seed_5(rule, check, config, metric, witness):
     assert result.witness.startswith(witness), result.witness
 
 
+def _survivor_mixture(t):
+    """The universal scatter law with survivor ``(1 - t)`` singlet ``+ t I/4`` on every input."""
+    mixture = (1.0 - t) * SINGLET.density() + t * np.eye(4) / 4.0
+    return rules.Rule(f"mixture-{t:g}", "", rules._universal_law(
+        lambda probes, objects, inp: np.broadcast_to(mixture, (len(inp), 4, 4))))
+
+
 @pytest.mark.parametrize("t", [1e-9, 1e-6, 1e-2])
-def test_symmetric_survivor_mixtures_pass_c2_and_c4(monkeypatch, t):
+def test_symmetric_survivor_mixtures_pass_c2_and_c4(t):
     # survivors (1 - t) singlet + t I/4 are SWAP- and U (x) U-invariant at every
     # t, so role symmetry and covariance hold exactly however small t is
-    mixture = (1.0 - t) * SINGLET.density() + t * np.eye(4) / 4.0
-    monkeypatch.setattr(rules, "_universal_survivors",
-                        lambda rule, probes, objects, inp: np.broadcast_to(mixture, (len(inp), 4, 4)))
+    rule = _survivor_mixture(t)
     for check in (check_role_symmetry, check_basis_covariance):
-        result = check(singlet_rule(), AuditConfig())
+        result = check(rule, AuditConfig())
         assert result.passed, (check.__name__, result.metric, result.witness)
 
 
@@ -846,17 +866,13 @@ def test_exact_pair_verdict_matches_every_row_reference(config):
         _assert_pair_checks_match_all_rows(rule, config)
 
 
-def test_exact_pair_verdict_matches_reference_on_symmetric_and_delta_rules(monkeypatch):
+def test_exact_pair_verdict_matches_reference_on_symmetric_and_delta_rules():
     xy = np.kron(STATE_X.amps, STATE_Y.amps)
     for delta in (1e-2, 1e-3, 1e-5):
         operator = (SINGLET.density() + delta * np.outer(xy, xy.conj())) / (1.0 + delta)
         _assert_pair_checks_match_all_rows(validate_custom_rule(operator), AuditConfig())
     for t in (1e-9, 1e-6, 1e-2):
-        mixture = (1.0 - t) * SINGLET.density() + t * np.eye(4) / 4.0
-        monkeypatch.setattr(rules, "_universal_survivors",
-                            lambda rule, probes, objects, inp: np.broadcast_to(
-                                mixture, (len(inp), 4, 4)))
-        _assert_pair_checks_match_all_rows(singlet_rule(), AuditConfig())
+        _assert_pair_checks_match_all_rows(_survivor_mixture(t), AuditConfig())
 
 
 def _delta_rule(delta):

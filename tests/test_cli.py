@@ -261,6 +261,36 @@ def test_audit_config_file_noise_levels_above_cap_exit_2(runner, tmp_path):
     assert "error: noise_levels must hold at most 16 levels, got 17" in result.output
 
 
+HUGE = 10**400  # an integer JSON number beyond the float range
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    (["run", "filter"], "noise_q", HUGE, "noise_q must be a number within the float range"),
+    (["audit"], "epsilon_mc", HUGE, "epsilon_mc must be a number within the float range"),
+    (["audit"], "noise_levels", [0.0, HUGE], f"noise level {HUGE} outside [0, 1]"),
+], ids=["filter-noise_q", "audit-epsilon_mc", "audit-noise_levels"])
+def test_config_file_integer_beyond_the_float_range_exits_2(runner, tmp_path, command, key,
+                                                            value, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"rule": "singlet", key: value}))
+    result = runner.invoke(main, [*command, "--config", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_rules_validate_refuses_an_integer_beyond_the_float_range(runner, tmp_path):
+    doc = {"name": "huge",
+           "survive_operator": [[[HUGE if (r, c) == (0, 1) else 0, 0] for c in range(4)]
+                                for r in range(4)]}
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["rules", "validate", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: survive_operator[0][1]: entries must be finite\n"
+
+
 @pytest.mark.parametrize("mode", ["exact", "mc"])
 @pytest.mark.parametrize("command", [["run", "filter"], ["run", "correlate"], ["run", "flip"]],
                          ids=" ".join)
@@ -496,8 +526,7 @@ _ROOT_EXPORTS = {
     "experiments": {"ConfigError", "FilterConfig", "run_correlation", "run_correlation_mc",
                     "run_filter", "run_filter_exact", "run_flip", "run_flip_mc"},
     "rules": {"InvalidRuleError", "builtin_rules", "contraction_slack", "coupling_channel",
-              "load_rule_file", "rule_description", "rule_from_name", "singlet_rule",
-              "validate_custom_rule"},
+              "load_rule_file", "rule_from_name", "singlet_rule", "validate_custom_rule"},
     "states": {"BASIS_SIGMA", "STATE_X", "STATE_Y", "parse_basis_spec", "parse_state_spec",
                "state_label"},
 }
@@ -505,7 +534,7 @@ _ROOT_EXPORTS = {
 
 def test_package_root_exports_only_the_pinned_names():
     pinned = set().union(*_ROOT_EXPORTS.values())
-    assert len(ifmsim.__all__) == len(pinned) == 27
+    assert len(ifmsim.__all__) == len(pinned) == 26
     assert set(ifmsim.__all__) == pinned
     listed = {name for name in dir(ifmsim)
               if not name.startswith("_") and not inspect.ismodule(getattr(ifmsim, name))}

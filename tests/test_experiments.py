@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -369,8 +370,24 @@ def test_config_fields_reject_wrong_types(cls, field, wrong, accepted):
     with pytest.raises(ConfigError, match=f"^{field} must be "):
         cls(**{**base, field: wrong})
     stored = getattr(cls(**{**base, field: accepted}), field)
-    # numpy scalars are stored as plain Python values; anything else as given
-    assert stored is accepted or (stored == accepted and type(stored) in (int, float, bool, str))
+    # numpy scalars are stored as plain Python values, sequences as tuples of
+    # their items; anything else as given
+    if isinstance(accepted, (tuple, list)):
+        assert type(stored) is tuple and all(x is y for x, y in zip(stored, accepted, strict=True))
+    else:
+        assert stored is accepted or (stored == accepted and type(stored) in (int, float, bool, str))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FilterConfig(rule=singlet_rule(), noise_q=10**400),
+     "noise_q must be a number within the float range"),
+    (lambda: AuditConfig(epsilon_exact=-10**400),
+     "epsilon_exact must be a number within the float range"),
+    (lambda: AuditConfig(noise_levels=(0.0, 10**400)), f"noise level {10**400} outside [0, 1]"),
+], ids=["noise_q", "epsilon_exact", "noise_levels"])
+def test_config_integer_beyond_the_float_range_is_a_config_error(make, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 @pytest.mark.parametrize(

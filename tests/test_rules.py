@@ -1,3 +1,4 @@
+import functools
 import json
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ifmsim import audit
 from ifmsim.experiments import (
     derive_rng,
     run_correlation,
@@ -15,8 +17,6 @@ from ifmsim.experiments import (
 from ifmsim.rules import (
     ContractionViolationError,
     InvalidRuleError,
-    Rule,
-    RuleKind,
     SWAP,
     aligned_state,
     apply_rule,
@@ -43,6 +43,7 @@ from ifmsim.states import (
     Basis,
     D_MINUS,
     D_PLUS,
+    NAMED_BASES,
     PHASE_EPS,
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -318,9 +319,7 @@ def test_only_linear_kinds_carry_a_survive_operator():
     assert np.allclose(
         coherent_projection(BASIS_XY).operator, aligned_projector_complement(), atol=1e-15
     )
-    assert singlet_rule().operator is None
-    with pytest.raises(InvalidRuleError):
-        Rule(RuleKind.SINGLET, operator=np.eye(4))
+    assert all(rule.operator is None for rule in UNIVERSAL)
 
 
 def test_singlet_output_is_input_independent():
@@ -481,9 +480,9 @@ def test_swapped_channel_random_mix_invariant():
 
 
 def test_rule_from_name():
-    assert rule_from_name("singlet").kind is RuleKind.SINGLET
-    assert rule_from_name("Preferred-Basis:sigma").basis is BASIS_SIGMA
-    assert rule_from_name("coherent-projection:xy").basis is BASIS_XY
+    assert rule_from_name("singlet").name == "singlet"
+    assert rule_from_name("Preferred-Basis:sigma").name == "preferred-basis:sigma"
+    assert rule_from_name("coherent-projection:xy").name == "coherent-projection:xy"
     with pytest.raises(InvalidRuleError):
         rule_from_name("telepathy")
     with pytest.raises(InvalidRuleError):
@@ -494,9 +493,29 @@ def test_rule_from_name():
         rule_from_name("custom")
 
 
-def test_rule_requires_basis_when_parameterized():
-    with pytest.raises(InvalidRuleError):
-        Rule(RuleKind.PREFERRED_BASIS)
+BUILTIN_SPELLINGS = [
+    ("probe-rigid", probe_rigid), ("object-rigid", object_rigid), ("singlet", singlet_rule),
+    ("random-mix", random_mix),
+    *[(f"{base}:{label}", functools.partial(factory, basis))
+      for base, factory in (("preferred-basis", preferred_basis),
+                            ("coherent-projection", coherent_projection))
+      for label, basis in NAMED_BASES.items()],
+]
+
+
+@pytest.mark.parametrize("name, factory", BUILTIN_SPELLINGS, ids=[n for n, _ in BUILTIN_SPELLINGS])
+def test_builtin_spellings_round_trip(name, factory):
+    # the spelled rule is its factory's: the same name and description, and
+    # the same coupling rows on the C2 grid, bit for bit
+    rule, built = rule_from_name(name), factory()
+    assert (rule.name, rule.description) == (name, built.description)
+    probes, objects = audit._role_inputs(audit._CORNER_PAIRS, 0, 2, 200)
+    levels = (0.0, 0.3, 1.0)
+    for channel in (coupling_channel, swapped_coupling_channel):
+        got = channel(rule, probes, objects, levels)
+        want = channel(built, probes, objects, levels)
+        assert got.p_scatter.tobytes() == want.p_scatter.tobytes()
+        assert got.survivors.tobytes() == want.survivors.tobytes()
 
 
 def test_load_rule_file_round_trip(tmp_path):
@@ -527,6 +546,17 @@ def test_load_rule_file_cites_offending_entry(tmp_path):
     with pytest.raises(InvalidRuleError) as err:
         load_rule_file(str(path))
     assert "survive_operator[1][1]" in str(err.value)
+
+
+def test_integer_beyond_the_float_range_is_an_invalid_rule(tmp_path):
+    huge = 10**400
+    with pytest.raises(InvalidRuleError, match="^survive operator entries must be finite$"):
+        validate_custom_rule([[huge, 0, 0, 0]] + [[0] * 4] * 3)
+    doc = {"name": "huge", "survive_operator": [[[0, 0]] * 4] * 3 + [[[0, 0]] * 3 + [[0, -huge]]]}
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidRuleError, match=r"^survive_operator\[3\]\[3\]: entries must be finite$"):
+        load_rule_file(str(path))
 
 
 def test_load_rule_file_rejects_json_booleans(tmp_path):

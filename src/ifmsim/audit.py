@@ -7,7 +7,8 @@ statistical cross-check):
   must stay indistinguishable for every role assignment, object/analyzer
   basis pairing and noise level; metric is the worst total variation
   distance between mode-1 and mode-2 statistics (full, including the
-  scatter outcome, and conditional on survival).
+  scatter outcome, and conditional on survival).  Monte Carlo samples the
+  cases of the exact grid whose analyzer is the object basis.
 * C2 role symmetry - applying the rule with the partners exchanged and
   mapping back through SWAP must reproduce the same outcome; the exact
   metric is the worst trace distance between the two outcomes, each the
@@ -51,10 +52,11 @@ cancels from the two sides' difference and a row at level ``q`` reads
 Every sampled quantity derives from ``AuditConfig.seed`` through fixed
 streams, so identical configs produce identical reports.  Each check's
 rule-independent case grid is built once per configuration and reused
-across rules, and so are the joint-basis vectors every Born call reads and
-C4's ``U (x) U`` adjoint.  Each cache holds one read-only entry keyed on
-the values it reads, none of them a noise level, so memory stays that of
-one audit and reports do not depend on call order.
+across rules, C1's across both modes too, and so are the joint-basis
+vectors every Born call reads and C4's ``U (x) U`` adjoint.  Each cache
+holds one read-only entry keyed on the values it reads, none of them a
+noise level, so memory stays that of one audit and reports do not depend
+on call order.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ import numpy as np
 from .experiments import (
     ConfigError,
     check_fields,
-    check_mode_equivalence,
     conditional_clicks,
     derive_rng,
     filter_branches,
@@ -303,6 +304,8 @@ class AuditConfig:
         for q in self.noise_levels:
             if not 0.0 <= q <= 1.0:
                 raise ConfigError(f"noise level {q!r} outside [0, 1]")
+        if min(self.noise_levels) == 1.0:
+            raise ConfigError("noise_levels must hold a level below 1: no pair couples at 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -569,40 +572,37 @@ def _anti_alignment_cases(rule: Rule, config: AuditConfig, corner_pairs, stream:
 
 
 @functools.lru_cache(maxsize=1)
-def _mode_pair_grid(bases, analyzers: str):
-    """C1 cases ``(swapped, object_basis, analyzer, mode2_basis)`` and their rows.
+def _mode_pair_grid(bases):
+    """C1 cases ``(swapped, object_basis, analyzer, mode2_basis)``, their rows and sampled cases.
 
-    ``analyzers`` is 'all' or 'object' (analyzer = object basis).  Mode 1
-    emits the object basis, mode 2 the mode-2 basis; each pair of the two is
-    checked once to share a density matrix.  Rows: ``filter_branches``
-    inputs.  The analyzer rows run four per case (mode, then source state);
-    each takes its coupling from one row per distinct ``(swapped,
-    object_basis, source state)``, as the analyzer only changes the click
-    projection.
+    Mode 1 emits the object basis, mode 2 any basis unbiased with it; both
+    are orthonormal (``Basis``), so each 50/50 ensemble is ``I/2``.  Rows:
+    ``filter_branches`` inputs, four analyzer rows per case (mode, then
+    source state), each taking its coupling from one row per distinct
+    ``(swapped, object_basis, source state)``, as the analyzer only changes
+    the click projection.  Monte Carlo samples the cases at the returned
+    positions, whose analyzer sits at the object basis's position.
     """
-    cases = []
+    cases, sampled = [], []
     for swapped in (False, True):
-        for object_basis in bases:
-            analyzer_list = bases if analyzers == "all" else (object_basis,)
-            for analyzer in analyzer_list:
-                for mode2_basis in bases:
-                    if mode2_basis is object_basis:
-                        continue
-                    if not mutually_unbiased(object_basis, mode2_basis):
-                        continue
-                    cases.append((swapped, object_basis, analyzer, mode2_basis))
-    for object_basis, mode2_basis in dict.fromkeys((c[1], c[3]) for c in cases):
-        check_mode_equivalence(object_basis, mode2_basis)
+        for i, obj in enumerate(bases):
+            mode2_bases = [b for b in bases if b is not obj and mutually_unbiased(obj, b)]
+            for j, analyzer in enumerate(bases):
+                if i == j:
+                    sampled += range(len(cases), len(cases) + len(mode2_bases))
+                cases += [(swapped, obj, analyzer, b) for b in mode2_bases]
     # one key (swapped, object basis, source basis, source state) per analyzer row
     keys = [(c[0], c[1], source, k) for c in cases for source in (c[1], c[3]) for k in (0, 1)]
     couplings = {key: n for n, key in enumerate(dict.fromkeys(keys))}
-    return tuple(cases), _read_only(
+    *rows, sampled = _read_only(
         _amps(source.states()[k] for _, _, source, k in couplings),
         _amps(object_basis.b1 for _, object_basis, _, _ in couplings),
         np.array([swapped for swapped, *_ in couplings], dtype=bool),
         np.repeat([_amps(c[2].states()) for c in cases], 4, axis=0),
         np.array([couplings[key] for key in keys], dtype=int),
+        np.array(sampled, dtype=int),
     )
+    return tuple(cases), tuple(rows), sampled
 
 
 def _mode_pair_laws(rule: Rule, config: AuditConfig, rows) -> np.ndarray:
@@ -631,7 +631,7 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
     """C1: mode-1 and mode-2 source statistics must be identical."""
     if config.evaluation == "mc":
         return _check_c1_mc(rule, config)
-    cases, rows = _mode_pair_grid(config.bases, "all")
+    cases, rows, _ = _mode_pair_grid(config.bases)
     if not cases:
         return _no_cases(CHECK_IDS[0], config.epsilon_exact)
     laws = _mode_pair_laws(rule, config, rows)
@@ -653,10 +653,11 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
 
 
 def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
-    cases, rows = _mode_pair_grid(config.bases, "object")
+    cases, rows, sampled = _mode_pair_grid(config.bases)
     if not cases:
         return _no_cases(CHECK_IDS[0], 1.0)
-    laws = _mode_pair_laws(rule, config, rows)
+    analyzer_rows = (4 * sampled[:, None] + np.arange(4)).reshape(-1)
+    laws = _mode_pair_laws(rule, config, (*rows[:3], *(x[analyzer_rows] for x in rows[3:])))
     d1, d2 = (sample_counts(config.seed, config.mc_trials, laws[:, m], 11, m + 1) for m in (0, 1))
     # One column per view; the conditional one zeroes the scatter cell, which
     # the test then drops as a pooled-zero cell.
@@ -667,7 +668,7 @@ def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
         return {"counts_mode1": list(map(int, d1[idx, cells])),
                 "counts_mode2": list(map(int, d2[idx, cells]))}
 
-    witness = functools.partial(_mode_pair_witness, config, cases)
+    witness = functools.partial(_mode_pair_witness, config, [cases[n] for n in sampled])
     return _mc_verdict(CHECK_IDS[0], config, views1, views2, witness, evidence)
 
 

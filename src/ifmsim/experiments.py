@@ -32,7 +32,6 @@ import numpy as np
 
 from .rules import Coupling, Rule, coupling_channel, pair_channel
 from .states import (
-    ATOL,
     BASIS_SIGMA,
     BASIS_XY,
     Basis,
@@ -41,7 +40,6 @@ from .states import (
     STATE_X,
     STATE_Y,
     _expectations,
-    density_of_ensemble,
     eigenbasis_of,
     joint_born_distribution,
     partial_trace,
@@ -312,17 +310,6 @@ def run_filter(cfg: FilterConfig) -> OutcomeDistribution:
     if cfg.evaluation == "exact":
         return run_filter_exact(cfg)
     return run_filter_mc(cfg)
-
-
-def check_mode_equivalence(basis_mode1: Basis, basis_mode2: Basis) -> None:
-    """Assert the two 50/50 source ensembles share one density matrix."""
-    rho1 = density_of_ensemble([(0.5, basis_mode1.b1), (0.5, basis_mode1.b2)])
-    rho2 = density_of_ensemble([(0.5, basis_mode2.b1), (0.5, basis_mode2.b2)])
-    if not np.allclose(rho1, rho2, rtol=0.0, atol=ATOL):
-        raise ConfigError(
-            f"source modes {basis_mode1.label} and {basis_mode2.label} "
-            "have distinguishable density matrices"
-        )
 
 
 @dataclass(frozen=True, eq=False)

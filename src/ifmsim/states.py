@@ -197,24 +197,6 @@ def from_bloch_angles(theta: float, phi: float) -> QubitState:
     return make_state(math.cos(theta / 2.0), cmath.exp(1j * phi) * math.sin(theta / 2.0))
 
 
-def density_of_ensemble(members) -> np.ndarray:
-    """``sum_i w_i |s_i><s_i|`` for ``members`` of ``(weight, state)`` pairs."""
-    members = list(members)
-    if not members:
-        raise ValueError("ensemble must not be empty")
-    total = 0.0
-    rho = np.zeros((2, 2), dtype=complex)
-    for weight, state in members:
-        w = float(weight)
-        if not 0.0 < w <= 1.0:
-            raise ValueError(f"ensemble weight {w} outside (0, 1]")
-        total += w
-        rho += w * state.density()
-    if abs(total - 1.0) > ATOL:
-        raise ValueError(f"ensemble weights sum to {total}, expected 1")
-    return rho
-
-
 def tensor_product(probe: QubitState, obj: QubitState) -> JointState:
     """Product state with ``amplitude(i, j) = probe_i * obj_j``."""
     return JointState(np.kron(probe.amps, obj.amps))

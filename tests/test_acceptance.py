@@ -36,7 +36,6 @@ from ifmsim.states import (
     SINGLET,
     STATE_X,
     STATE_Y,
-    density_of_ensemble,
     entanglement_entropy,
     fidelity,
     joint_born_distribution,
@@ -71,8 +70,8 @@ def mc_dist(rule, mode, seed, **kw):
 
 def test_acceptance_01_ensemble_identity():
     half_identity = np.eye(2) / 2
-    rho_xy = density_of_ensemble([(0.5, STATE_X), (0.5, STATE_Y)])
-    rho_sigma = density_of_ensemble([(0.5, SIGMA_PLUS), (0.5, SIGMA_MINUS)])
+    rho_xy = 0.5 * (BASIS_XY.b1.density() + BASIS_XY.b2.density())
+    rho_sigma = 0.5 * (BASIS_SIGMA.b1.density() + BASIS_SIGMA.b2.density())
     assert np.max(np.abs(rho_xy - half_identity)) < EXACT
     assert np.max(np.abs(rho_sigma - half_identity)) < EXACT
     _PASS(1, "ensemble identity")

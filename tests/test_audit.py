@@ -38,8 +38,8 @@ from ifmsim.rules import (
     validate_custom_rule,
 )
 from ifmsim.states import (
-    BASIS_DIAG, BASIS_SIGMA, BASIS_XY, Basis, SINGLET, STATE_X, STATE_Y, joint_born_distribution,
-    make_state,
+    BASIS_DIAG, BASIS_SIGMA, BASIS_XY, SINGLET, STATE_X, STATE_Y, joint_born_distribution,
+    mutually_unbiased,
 )
 
 FAST_EXACT = AuditConfig(unitary_samples=25, input_samples=40, seed=11)
@@ -448,37 +448,70 @@ def _cold_report(rule, config) -> str:
     return audit_rule(rule, config).to_json()
 
 
-@pytest.mark.parametrize("config", [FAST_EXACT, FAST_MC], ids=["exact", "mc"])
-def test_grids_are_built_once_per_config(config):
+# keyed on the bases alone, so both modes share them
+MODE_FREE_GRIDS = (audit._mode_pair_grid, audit._basis_vectors)
+
+
+@pytest.mark.parametrize("configs", [(FAST_EXACT,), (FAST_MC,), (FAST_EXACT, FAST_MC, FAST_EXACT)],
+                         ids=["exact", "mc", "exact-mc-exact"])
+def test_grids_are_built_once_per_config(configs):
     # each entry is read once per audit, but the basis vectors by every Born
-    # call: C3's, and in Monte Carlo mode also both sides' of C2 and C4
-    reads = {audit._basis_vectors: 5 if config.evaluation == "mc" else 1}
+    # call: C3's, and in Monte Carlo mode also both sides' of C2 and C4; the
+    # other grids are built once per change of mode
+    reads = dict.fromkeys(GRID_BUILDERS, 0)
     for builder in GRID_BUILDERS:
         builder.cache_clear()
-    audit_rule(singlet_rule(), config)
-    audit_rule(probe_rigid(), config)
+    for config in configs:
+        audit_rule(singlet_rule(), config)
+        audit_rule(probe_rigid(), config)
+        born_calls = 5 if config.evaluation == "mc" else 1
+        for builder in GRID_BUILDERS:
+            reads[builder] += 2 * (born_calls if builder is audit._basis_vectors else 1)
     for builder in GRID_BUILDERS:
+        misses = 1 if builder in MODE_FREE_GRIDS else len(configs)
         info = builder.cache_info()
-        hits = 2 * reads.get(builder, 1) - 1
-        assert (info.misses, info.hits, info.currsize) == (1, hits, 1), builder
+        assert (info.misses, info.hits, info.currsize) == (misses, reads[builder] - misses, 1), (
+            builder)
 
 
-@pytest.mark.parametrize("evaluation", ["exact", "mc"])
-def test_grid_cache_reports_match_cold_cache(evaluation):
-    sizes = dict(evaluation=evaluation, input_samples=20, unitary_samples=10, mc_input_samples=3,
-                 mc_unitary_samples=2)
-    a = AuditConfig(seed=11, **sizes)
-    b = AuditConfig(seed=12, bases=(BASIS_SIGMA,), noise_levels=(0.3,), **sizes)
+def _cache_config(evaluation, seed=11, **kwargs):
+    return AuditConfig(evaluation=evaluation, seed=seed, input_samples=20, unitary_samples=10,
+                       mc_input_samples=3, mc_unitary_samples=2, **kwargs)
+
+
+def _cache_configs(evaluation):
+    other = _cache_config(evaluation, seed=12, bases=(BASIS_SIGMA,), noise_levels=(0.3,))
+    return (_cache_config(evaluation), other, _cache_config(evaluation))
+
+
+@pytest.mark.parametrize("configs", [
+    _cache_configs("exact"),
+    _cache_configs("mc"),
+    (_cache_config("exact"), _cache_config("mc"), _cache_config("exact")),
+], ids=["exact", "mc", "exact-mc-exact"])
+def test_grid_cache_reports_match_cold_cache(configs):
     for rule in (probe_rigid(), singlet_rule()):
-        warm = [audit_rule(rule, config).to_json() for config in (a, b, a)]
-        assert warm == [_cold_report(rule, config) for config in (a, b, a)]
+        warm = [audit_rule(rule, config).to_json() for config in configs]
+        assert warm == [_cold_report(rule, config) for config in configs]
+
+
+def test_mode_pair_grid_samples_one_analyzer_per_object_basis_position():
+    # a repeated basis is one object twice, so the sampled cases are chosen by
+    # position in the bases: an identity test would sample both copies as analyzers
+    bases = (BASIS_XY, BASIS_XY, BASIS_SIGMA)
+    cases, _, sampled = audit._mode_pair_grid(bases)
+    want = [(swapped, obj, obj, mode2) for swapped in (False, True) for obj in bases
+            for mode2 in bases if mode2 is not obj and mutually_unbiased(obj, mode2)]
+    assert [cases[n] for n in sampled] == want
+    assert len(cases) == len(bases) * len(want)
 
 
 def test_cached_grid_arrays_are_read_only():
     pairs = audit._MC_CORNER_PAIRS
     bases = (BASIS_XY, BASIS_SIGMA)
+    _, c1_rows, c1_sampled = audit._mode_pair_grid(bases)
     grids = [
-        audit._mode_pair_grid(bases, "all")[1],
+        (*c1_rows, c1_sampled),
         audit._role_inputs(pairs, 0, 21, 3),
         audit._anti_alignment_inputs(pairs, 0, 31, 3),
         audit._covariance_grid(bases, pairs, 0, 41, 2)[1:],
@@ -490,21 +523,6 @@ def test_cached_grid_arrays_are_read_only():
         for array in grid:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
-
-
-def test_distinguishable_source_modes_raise_on_every_call():
-    # a near-orthogonal pair, built past the Basis check, whose 50/50 mixture
-    # is not I/2 although it is unbiased with SIGMA to within 1e-6
-    leaky = object.__new__(Basis)
-    for name, value in (("b1", STATE_X), ("b2", make_state(1e-7, 1)), ("label", "leaky")):
-        object.__setattr__(leaky, name, value)
-    bad = AuditConfig(bases=(leaky, BASIS_SIGMA), input_samples=5, unitary_samples=2)
-    for config in (bad, FAST_EXACT, bad, bad):
-        if config is bad:
-            with pytest.raises(ConfigError, match="distinguishable density matrices"):
-                audit_rule(singlet_rule(), config)
-        else:
-            audit_rule(singlet_rule(), config)
 
 
 def test_mc_verdicts_match_exact_verdicts():
@@ -615,6 +633,16 @@ def test_mc_counts_null_calibration():
             good += _chi_square_sf(stat, int(keep.sum()) - 1) > 0.01
             total += 1
     assert good >= 0.95 * total
+
+
+@pytest.mark.parametrize("levels", [(1.0,), (1.0, 1.0)])
+def test_audit_config_refuses_noise_levels_without_a_coupling(levels):
+    # at q = 1 every pair flies by: C1, C2 and C4 would pass every rule
+    message = "noise_levels must hold a level below 1: no pair couples at 1"
+    with pytest.raises(ConfigError, match=message):
+        AuditConfig(noise_levels=levels)
+    for valid in ((0.5, 0.0, 1.0), (0.0, 0.3, 1.0)):
+        assert AuditConfig(noise_levels=valid).noise_levels == valid
 
 
 def test_audit_config_validation():
@@ -901,7 +929,6 @@ def test_pair_distance_at_level_q_is_one_minus_q_times_the_coupled_one(rule):
 ALL_LEVEL_CONFIGS = {
     **PAIR_CHECK_CONFIGS,
     "levels-0.5-0": AuditConfig(noise_levels=(0.5, 0.0), seed=6),
-    "one-level-q1": AuditConfig(noise_levels=(1.0,), seed=6),
 }
 
 

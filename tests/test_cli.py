@@ -261,6 +261,13 @@ def test_audit_config_file_noise_levels_above_cap_exit_2(runner, tmp_path):
     assert "error: noise_levels must hold at most 16 levels, got 17" in result.output
 
 
+def test_audit_at_noise_level_one_only_exit_2(runner):
+    # at q = 1 every pair flies by, so C1, C2 and C4 would pass any rule
+    result = runner.invoke(main, ["audit", "--rule", "probe-rigid", "--noise-q", "1"])
+    assert result.exit_code == 2
+    assert "error: noise_levels must hold a level below 1: no pair couples at 1" in result.output
+
+
 HUGE = 10**400  # an integer JSON number beyond the float range
 
 

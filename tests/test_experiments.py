@@ -9,7 +9,6 @@ from ifmsim.experiments import (
     ConfigError,
     FilterConfig,
     NoSurvivorsError,
-    check_mode_equivalence,
     derive_rng,
     run_correlation,
     run_correlation_mc,
@@ -231,11 +230,6 @@ def test_mc_tvd_calibration_over_seeds():
         for seed in range(100)
     )
     assert close >= 99
-
-
-def test_source_mode_equivalence_precondition():
-    check_mode_equivalence(BASIS_XY, BASIS_SIGMA)
-    check_mode_equivalence(BASIS_SIGMA, BASIS_DIAG)
 
 
 def test_correlation_singlet():

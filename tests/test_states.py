@@ -27,7 +27,7 @@ from ifmsim.states import (
     ZeroVectorError,
     apply_unitary,
     born_distribution,
-    density_of_ensemble,
+    eigenbasis_of,
     entanglement_entropy,
     fidelity,
     from_bloch_angles,
@@ -152,31 +152,14 @@ def test_from_bloch_angles_north_pole():
     assert from_bloch_angles(0.0, 0.0).isclose(STATE_X)
 
 
-def test_density_of_ensemble_identity():
-    half = np.eye(2) / 2
-    for pair in ((STATE_X, STATE_Y), (SIGMA_PLUS, SIGMA_MINUS), (D_PLUS, D_MINUS)):
-        rho = density_of_ensemble([(0.5, pair[0]), (0.5, pair[1])])
-        assert np.allclose(rho, half, atol=1e-12)
-
-
-def test_density_of_ensemble_three_bases_agree_exactly():
-    rhos = [
-        density_of_ensemble([(0.5, a), (0.5, b)])
-        for a, b in ((STATE_X, STATE_Y), (SIGMA_PLUS, SIGMA_MINUS), (D_PLUS, D_MINUS))
-    ]
-    assert np.allclose(rhos[0], rhos[1], atol=1e-12)
-    assert np.allclose(rhos[0], rhos[2], atol=1e-12)
-
-
-def test_density_of_ensemble_pure():
-    assert np.allclose(density_of_ensemble([(1.0, STATE_X)]), STATE_X.density(), atol=1e-12)
-
-
-def test_density_of_ensemble_validates_weights():
-    with pytest.raises(ValueError):
-        density_of_ensemble([(0.5, STATE_X)])
-    with pytest.raises(ValueError):
-        density_of_ensemble([(1.5, STATE_X), (-0.5, STATE_Y)])
+def test_every_basis_mixes_to_half_identity():
+    # C1's premise: a 50/50 ensemble of any orthonormal pair is I/2, so the
+    # two source modes share one density matrix
+    rng = derive_rng(23)
+    bases = [*NAMED_BASES.values(), *(eigenbasis_of(random_state(rng)) for _ in range(50))]
+    for basis in bases:
+        rho = 0.5 * (basis.b1.density() + basis.b2.density())
+        assert np.abs(rho - np.eye(2) / 2).max() <= 1e-12, basis
 
 
 def test_tensor_product_examples():

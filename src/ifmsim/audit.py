@@ -32,12 +32,13 @@ as one multinomial draw of the case's exact law, the same law the exact
 evaluator builds, so the work grows with the number of cells, not with
 the number of trials.  All cases of a check and side come from one Philox
 stream, ``derive_rng(seed, stream, side)``, and one Born call reads the
-laws of every basis.  Each check takes the two-sample chi-square p-value
-of every informative comparison in one elementwise call.  The p-value
-threshold ``epsilon_mc`` is spent family-wise across the check's
-informative comparisons (Bonferroni), so a rule whose exact metric is zero
-is not failed by a single unlucky case among many.  C3's Monte Carlo
-verdict demands zero aligned events among the coupled survivors.
+laws of every basis, for both sides of C2/C4.  Each check takes the
+two-sample chi-square p-value of every informative comparison in one
+elementwise call.  The p-value threshold ``epsilon_mc`` is spent
+family-wise across the check's informative comparisons (Bonferroni), so a
+rule whose exact metric is zero is not failed by a single unlucky case
+among many.  C3's Monte Carlo verdict demands zero aligned events among
+the coupled survivors.
 
 Fly-by noise is one axis, blended in after the rule map (``coupling_channel``
 for C2/C4, ``filter_law`` for C1): each rule runs once per input pair, and
@@ -52,8 +53,10 @@ cancels from the two sides' difference and a row at level ``q`` reads
 Every sampled quantity derives from ``AuditConfig.seed`` through fixed
 streams, so identical configs produce identical reports.  Each check's
 rule-independent case grid is built once per configuration and reused
-across rules, C1's across both modes too, and so are the joint-basis
-vectors every Born call reads and C4's ``U (x) U`` adjoint.  Each cache
+across rules, C1's across both modes too, with its wiring and fly-by
+click laws, so a C1 audit runs only the rule's coupling at ``q = 0``, its
+partial traces and survivor click laws.  The joint-basis vectors every
+Born call reads and C4's ``U (x) U`` adjoint are cached alike.  Each cache
 holds one read-only entry keyed on the values it reads, none of them a
 noise level, so memory stays that of one audit and reports do not depend
 on call order.
@@ -65,6 +68,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,19 +77,22 @@ from .experiments import (
     check_fields,
     conditional_clicks,
     derive_rng,
-    filter_branches,
     filter_law,
+    flyby_clicks,
     sample_counts,
+    survivor_clicks,
 )
 from .rules import Coupling, Rule, coupling_channel, swapped_coupling_channel
 from .states import (
+    ATOL,
     BASIS_DIAG,
     BASIS_SIGMA,
     BASIS_XY,
     Basis,
     D_MINUS,
     D_PLUS,
-    QubitState,
+    NAMED_STATES,
+    PHASE_EPS,
     SIGMA_MINUS,
     SIGMA_PLUS,
     STATE_X,
@@ -95,7 +102,6 @@ from .states import (
     basis_change_unitary,
     haar_unitaries,
     mutually_unbiased,
-    state_label,
     uniform_state_amps,
 )
 
@@ -186,15 +192,13 @@ def chi_square_two_sample(counts_a, counts_b):
             raise DegenerateDataError("fewer than 2 nonzero pooled cells")
         valid = filled & (dof >= 1)
         use = keep & valid[..., None]
-        grand_total = (total_a + total_b)[..., None]
-
-        def squared_deviations(x, total):
-            expected = np.divide(total[..., None] * pooled, grand_total,
-                                 out=np.zeros_like(pooled), where=use)
-            return np.divide((x - expected) ** 2, expected,
-                             out=np.zeros_like(pooled), where=use).sum(axis=-1)
-
-        stat = squared_deviations(a, total_a) + squared_deviations(b, total_b)
+        # both samples' squared deviations in one pass, stacked on a new first axis
+        samples = np.stack([a, b])
+        expected = np.divide(np.stack([total_a, total_b])[..., None] * pooled,
+                             (total_a + total_b)[..., None], out=np.zeros_like(samples), where=use)
+        deviations = np.divide((samples - expected) ** 2, expected,
+                               out=np.zeros_like(samples), where=use).sum(axis=-1)
+        stat = deviations[0] + deviations[1]
         overflow = valid & ~np.isfinite(stat)
         if overflow.any():
             stat = np.where(overflow, _scaled_statistic(a, b, use), stat)
@@ -236,15 +240,18 @@ def _chi_square_sf(stat, dof):
     dof): a finite series times ``exp(-stat/2)``, plus ``erfc`` for odd dof.
     ``stat`` and ``dof`` broadcast; two scalars give a float.  A statistic
     above 1e300, whose tail is 0.0 like that of 1e300, is read as 1e300, so
-    that ``2 * stat`` stays finite.
+    that ``2 * stat`` stays finite.  A NaN statistic gives NaN; ``math.exp``
+    runs on the other statistics only, and ``math.erfc`` on those of odd dof.
     """
     stat, dof = np.broadcast_arrays(np.minimum(np.asarray(stat, dtype=float), 1e300),
                                     np.asarray(dof, dtype=int))
     half = stat / 2.0
     odd = dof % 2 == 1
-    exp = np.asarray(_exp(-half), dtype=float)
+    known = ~np.isnan(half)
+    exp, erfc = np.full(half.shape, np.nan), np.full(half.shape, np.nan)
+    exp[known] = _exp(-half[known])
+    erfc[known & odd] = _erfc(np.sqrt(half[known & odd]))
     term = np.where(odd, exp * np.sqrt(2.0 * stat / math.pi), exp)
-    erfc = np.asarray(_erfc(np.sqrt(half)), dtype=float)
     total = np.where(odd, np.where(dof >= 3, erfc + term, erfc), exp)
     # the scalar series' operations in its order, so each element has its bits
     steps = (dof - 2) // 2
@@ -365,7 +372,42 @@ def _amps(states) -> np.ndarray:
 
 
 def _input_label(probe: np.ndarray, obj: np.ndarray) -> str:
-    return f"input=({state_label(QubitState(probe))}, {state_label(QubitState(obj))})"
+    return f"input=({_state_label(*probe.tolist())}, {_state_label(*obj.tolist())})"
+
+
+# the named states as plain amplitude pairs, in state_label's order
+_NAMED_AMPS = tuple((name, *map(complex, state.amps)) for name, state in NAMED_STATES.items())
+
+
+def _state_label(a_x: complex, a_y: complex) -> str:
+    """``state_label(QubitState((a_x, a_y)))`` of normalised amplitudes, in plain Python.
+
+    The phase rule of ``states._canonical_phase``, with numpy's arithmetic:
+    a complex divided by a real is its real and imaginary parts, each plus
+    a zero product, times the reciprocal.  Then the named-state match at
+    ``ATOL`` and the angles of ``to_bloch``.  The text is that of
+    ``state_label``; its amplitudes can differ in the last bit where numpy
+    fuses a multiply and an add, which moves a ``.6g`` digit only on a
+    rounding boundary.
+    """
+    rotate_x = abs(a_x) > PHASE_EPS
+    anchor = a_x if rotate_x else a_y
+    size = abs(anchor)
+    conj, scale = anchor.conjugate(), 1.0 / size
+    re, im = (conj.real + conj.imag * 0.0) * scale, (conj.imag - conj.real * 0.0) * scale
+    if rotate_x:
+        a_x, a_y = complex(size, 0.0), complex(a_y.real * re - a_y.imag * im,
+                                               a_y.real * im + a_y.imag * re)
+    else:
+        a_x, a_y = complex(a_x.real * re - a_x.imag * im,
+                           a_x.real * im + a_x.imag * re), complex(size, 0.0)
+    for name, n_x, n_y in _NAMED_AMPS:
+        if abs(a_x - n_x) <= ATOL and abs(a_y - n_y) <= ATOL:
+            return name
+    cross = a_x.conjugate() * a_y
+    theta = math.acos(min(max(abs(a_x) ** 2 - abs(a_y) ** 2, -1.0), 1.0))
+    phi = math.atan2(2.0 * cross.imag, 2.0 * cross.real)
+    return f"theta,phi={theta:.6g},{phi:.6g}"
 
 
 def _no_cases(check_id: str, threshold: float) -> CheckResult:
@@ -571,17 +613,45 @@ def _anti_alignment_cases(rule: Rule, config: AuditConfig, corner_pairs, stream:
     return label, Coupling(*(field[rows] for field in out))
 
 
+class _ModePairRows(NamedTuple):
+    """One evaluator's C1 rows: its cases, their analyzer rows, coupling rows and fly-by laws.
+
+    Four analyzer rows per case (mode, then source state): the analyzer
+    basis vectors, the coupling row each projects (``take``) and the source
+    particle's click law when the coupling flies by.
+    """
+
+    cases: tuple
+    analyzers: np.ndarray
+    take: np.ndarray
+    flyby: np.ndarray
+
+
+class _ModePairGrid(NamedTuple):
+    """C1's rule-independent arrays: the coupling rows, and the rows exact and Monte Carlo read.
+
+    One coupling row per distinct ``(swapped, object_basis, source state)``:
+    its probe-slot and object-slot amplitudes after the role swap, and
+    whether the source particle sits in the object slot.
+    """
+
+    probes: np.ndarray
+    objects: np.ndarray
+    swapped: np.ndarray
+    exact: _ModePairRows
+    mc: _ModePairRows
+
+
 @functools.lru_cache(maxsize=1)
-def _mode_pair_grid(bases):
-    """C1 cases ``(swapped, object_basis, analyzer, mode2_basis)``, their rows and sampled cases.
+def _mode_pair_grid(bases) -> _ModePairGrid:
+    """C1 cases ``(swapped, object_basis, analyzer, mode2_basis)`` and their rows, read-only.
 
     Mode 1 emits the object basis, mode 2 any basis unbiased with it; both
-    are orthonormal (``Basis``), so each 50/50 ensemble is ``I/2``.  Rows:
-    ``filter_branches`` inputs, four analyzer rows per case (mode, then
-    source state), each taking its coupling from one row per distinct
-    ``(swapped, object_basis, source state)``, as the analyzer only changes
-    the click projection.  Monte Carlo samples the cases at the returned
-    positions, whose analyzer sits at the object basis's position.
+    are orthonormal (``Basis``), so each 50/50 ensemble is ``I/2``.  Exact
+    rows run every case; Monte Carlo rows run the cases whose analyzer sits
+    at the object basis's position in the bases.  Each analyzer row takes
+    its coupling from one row per distinct ``(swapped, object_basis, source
+    state)``, as the analyzer only changes the click projection.
     """
     cases, sampled = [], []
     for swapped in (False, True):
@@ -594,21 +664,33 @@ def _mode_pair_grid(bases):
     # one key (swapped, object basis, source basis, source state) per analyzer row
     keys = [(c[0], c[1], source, k) for c in cases for source in (c[1], c[3]) for k in (0, 1)]
     couplings = {key: n for n, key in enumerate(dict.fromkeys(keys))}
-    *rows, sampled = _read_only(
-        _amps(source.states()[k] for _, _, source, k in couplings),
-        _amps(object_basis.b1 for _, object_basis, _, _ in couplings),
-        np.array([swapped for swapped, *_ in couplings], dtype=bool),
-        np.repeat([_amps(c[2].states()) for c in cases], 4, axis=0),
-        np.array([couplings[key] for key in keys], dtype=int),
-        np.array(sampled, dtype=int),
+    sources = _amps(source.states()[k] for _, _, source, k in couplings)
+    objects = _amps(object_basis.b1 for _, object_basis, _, _ in couplings)
+    swapped = np.array([swapped for swapped, *_ in couplings], dtype=bool)
+    analyzers = np.repeat(np.array([_amps(c[2].states()) for c in cases]).reshape(-1, 2, 2), 4,
+                          axis=0)
+    take = np.array([couplings[key] for key in keys], dtype=int)
+    mc_rows = (4 * np.array(sampled, dtype=int)[:, None] + np.arange(4)).reshape(-1)
+
+    def rows(view_cases, analyzers, take) -> _ModePairRows:
+        return _ModePairRows(tuple(view_cases), *_read_only(
+            analyzers, take, flyby_clicks(sources, analyzers, take)))
+
+    return _ModePairGrid(
+        *_read_only(np.where(swapped[:, None], objects, sources),
+                    np.where(swapped[:, None], sources, objects), swapped),
+        rows(cases, analyzers, take),
+        rows((cases[n] for n in sampled), analyzers[mc_rows], take[mc_rows]),
     )
-    return tuple(cases), tuple(rows), sampled
 
 
-def _mode_pair_laws(rule: Rule, config: AuditConfig, rows) -> np.ndarray:
-    """Detector laws of the C1 rows, case-major then noise level, over (source mode, outcome)."""
+def _mode_pair_laws(rule: Rule, config: AuditConfig, grid: _ModePairGrid,
+                    rows: _ModePairRows) -> np.ndarray:
+    """Detector laws of the C1 ``rows``, case-major then noise level, over (source mode, outcome)."""
     q = np.asarray(config.noise_levels, dtype=float)[:, None]
-    branches = (x.reshape(-1, 1, 2, 2, *x.shape[1:]) for x in filter_branches(rule, *rows))
+    p_scatter, clicks = survivor_clicks(rule, grid.probes, grid.objects, grid.swapped,
+                                        rows.analyzers, rows.take)
+    branches = (x.reshape(-1, 1, 2, 2, *x.shape[1:]) for x in (p_scatter, clicks, rows.flyby))
     return filter_law(q, *branches).reshape(-1, 2, 3)
 
 
@@ -631,10 +713,10 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
     """C1: mode-1 and mode-2 source statistics must be identical."""
     if config.evaluation == "mc":
         return _check_c1_mc(rule, config)
-    cases, rows, _ = _mode_pair_grid(config.bases)
-    if not cases:
+    grid = _mode_pair_grid(config.bases)
+    if not grid.exact.cases:
         return _no_cases(CHECK_IDS[0], config.epsilon_exact)
-    laws = _mode_pair_laws(rule, config, rows)
+    laws = _mode_pair_laws(rule, config, grid, grid.exact)
     conditional, defined = conditional_clicks(laws)
     both = defined.all(axis=1)
     t_full = tvd(laws[:, 0], laws[:, 1])
@@ -648,16 +730,15 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
         "tvd_full": float(t_full[n]),
         "tvd_conditional": float(t_cond[n]) if both[n] else None,
     }
-    witness = _mode_pair_witness(config, cases, n, k)
+    witness = _mode_pair_witness(config, grid.exact.cases, n, k)
     return _exact_verdict(CHECK_IDS[0], float(views[n, k]), witness, evidence, config)
 
 
 def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
-    cases, rows, sampled = _mode_pair_grid(config.bases)
-    if not cases:
+    grid = _mode_pair_grid(config.bases)
+    if not grid.mc.cases:
         return _no_cases(CHECK_IDS[0], 1.0)
-    analyzer_rows = (4 * sampled[:, None] + np.arange(4)).reshape(-1)
-    laws = _mode_pair_laws(rule, config, (*rows[:3], *(x[analyzer_rows] for x in rows[3:])))
+    laws = _mode_pair_laws(rule, config, grid, grid.mc)
     d1, d2 = (sample_counts(config.seed, config.mc_trials, laws[:, m], 11, m + 1) for m in (0, 1))
     # One column per view; the conditional one zeroes the scatter cell, which
     # the test then drops as a pooled-zero cell.
@@ -668,7 +749,7 @@ def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
         return {"counts_mode1": list(map(int, d1[idx, cells])),
                 "counts_mode2": list(map(int, d2[idx, cells]))}
 
-    witness = functools.partial(_mode_pair_witness, config, [cases[n] for n in sampled])
+    witness = functools.partial(_mode_pair_witness, config, grid.mc.cases)
     return _mc_verdict(CHECK_IDS[0], config, views1, views2, witness, evidence)
 
 
@@ -733,10 +814,15 @@ def _basis_laws(out: Coupling, bases) -> np.ndarray:
 
 
 def _mc_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, stream):
-    """C2/C4 Monte Carlo: the two couplings' five-outcome laws compared in every basis."""
+    """C2/C4 Monte Carlo: the two couplings' five-outcome laws compared in every basis.
+
+    One Born call reads the laws of both sides' rows, stacked side 1 first.
+    """
+    laws = _basis_laws(Coupling(*map(np.concatenate, zip(out_a, out_b))), config.bases)
+    rows = len(out_a.p_scatter)
     counts_a, counts_b = (
-        sample_counts(config.seed, config.mc_trials, _basis_laws(out, config.bases), stream, side)
-        for side, out in ((1, out_a), (2, out_b))
+        sample_counts(config.seed, config.mc_trials, side_laws, stream, side)
+        for side, side_laws in ((1, laws[:rows]), (2, laws[rows:]))
     )
 
     def witness(row: int, k: int) -> str:

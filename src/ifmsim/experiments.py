@@ -16,15 +16,18 @@ rule itself is left untouched, which is exactly the symmetry the audit
 interrogates.  The analyzer always watches the source particle.
 
 PRNG contract: every stochastic run draws from a Philox generator keyed
-through ``numpy.random.SeedSequence(seed, spawn_key=stream)``, which is
-platform independent.  A run's counts are one multinomial draw of its
-exact law (``sample_counts``), so the work grows with the number of
+by the words ``numpy.random.SeedSequence(seed, spawn_key=stream)``
+generates, which are platform independent; ``derive_rng`` hashes them once
+per ``(seed, stream)`` and process, and the streams are those of a
+``SeedSequence`` keyed generator.  A run's counts are one multinomial draw
+of its exact law (``sample_counts``), so the work grows with the number of
 outcome cells, not with the number of trials, and identical seeds give
 bit-identical counts.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, fields
 
@@ -135,9 +138,42 @@ def check_fields(config) -> None:
 
 
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Philox generator for ``(seed, stream)``; see the module docstring."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
-    return np.random.Generator(np.random.Philox(ss))
+    """Philox generator for ``(seed, stream)``; see the module docstring.
+
+    It draws what a generator keyed by ``SeedSequence(seed, spawn_key=stream)``
+    draws, but its key words are hashed once per process (``_SeedWords``),
+    and so it cannot spawn: ``Generator.spawn`` raises ``TypeError``.
+    """
+    words = _seed_words(int(seed), tuple(int(s) for s in stream))
+    return np.random.Generator(np.random.Philox(words))
+
+
+class _SeedWords:
+    """The words ``SeedSequence(seed, spawn_key=stream)`` generates, each request hashed once.
+
+    Served read-only, so that no generator can change what the next one reads.
+    """
+
+    def __init__(self, seed: int, stream: tuple[int, ...]):
+        self._sequence = np.random.SeedSequence(entropy=seed, spawn_key=stream)
+        self._words = {}
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        key = (int(n_words), np.dtype(dtype))
+        if key not in self._words:
+            words = self._sequence.generate_state(*key)
+            words.setflags(write=False)
+            self._words[key] = words
+        return self._words[key]
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_words(seed: int, stream: tuple[int, ...]) -> _SeedWords:
+    # imported on the first draw, so that importing the package loads no numpy.random
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
+    return _SeedWords(seed, stream)
 
 
 def sample_counts(seed: int, trials: int, laws, *stream: int) -> np.ndarray:
@@ -217,37 +253,40 @@ class OutcomeDistribution:
         }
 
 
-def filter_branches(rule: Rule, sources, objects, swapped, analyzers, take=slice(None)):
-    """The filter device at q = 0, one row per emitted source state.
+def survivor_clicks(rule: Rule, probes, objects, swapped, analyzers, take=slice(None)):
+    """The filter device's coupling at q = 0, one row per emitted source state.
 
-    Rows: ``(N, 2)`` source and object amplitudes, ``(N,)`` flags that feed
-    the source into the object slot, ``(M, 2, 2)`` analyzer basis vectors.
-    ``take`` names, per analyzer row, the coupling row it projects (by
-    default row ``n`` projects row ``n``), so rows that differ only in the
-    analyzer share one coupling.  Returns per analyzer row the scatter
-    probability and the source particle's click laws when it survives (zero
-    if it cannot) and when the coupling flies by.
+    Rows: ``(N, 2)`` probe-slot and object-slot amplitudes, ``(N,)`` flags
+    marking the rows whose source particle sits in the object slot, and
+    ``(M, 2, 2)`` analyzer basis vectors.  ``take`` names, per analyzer row,
+    the coupling row it projects (by default row ``n`` projects row ``n``),
+    so rows that differ only in the analyzer share one coupling.  Returns per
+    analyzer row the scatter probability and the source particle's click law
+    when it survives (zero if it cannot).
+    """
+    swapped = np.asarray(swapped, dtype=bool)[:, None, None]
+    out = coupling_channel(rule, probes, objects, 0.0)
+    reduced = np.where(swapped, partial_trace(out.survivors, "object"),
+                       partial_trace(out.survivors, "probe"))
+    return out.p_scatter[take], _expectations(reduced[take], analyzers)
+
+
+def flyby_clicks(sources, analyzers, take=slice(None)) -> np.ndarray:
+    """The source particle's click law when the coupling flies by, one row per analyzer row.
+
+    ``sources`` holds the ``(N, 2)`` source particle amplitudes; ``analyzers``
+    and ``take`` are those of ``survivor_clicks``.
     """
     sources = np.asarray(sources, dtype=complex)
-    objects = np.asarray(objects, dtype=complex)
-    swapped = np.asarray(swapped, dtype=bool)[:, None]
-    out = coupling_channel(
-        rule, np.where(swapped, objects, sources), np.where(swapped, sources, objects), 0.0
-    )
-    reduced = np.where(
-        swapped[:, :, None],
-        partial_trace(out.survivors, "object"),
-        partial_trace(out.survivors, "probe"),
-    )
     flyby = sources[:, :, None] * sources[:, None, :].conj()
-    return (out.p_scatter[take], _expectations(reduced[take], analyzers),
-            _expectations(flyby[take], analyzers))
+    return _expectations(flyby[take], analyzers)
 
 
 def filter_law(q, p_scatter, survivor_clicks, flyby_clicks) -> np.ndarray:
     """Detector law ``(click b1, click b2, scatter)`` of two equally likely source branches.
 
-    Inputs are ``filter_branches`` rows reshaped to ``(..., 2)`` branches;
+    Inputs are ``survivor_clicks`` and ``flyby_clicks`` rows reshaped to
+    ``(..., 2)`` branches;
     ``q`` broadcasts over the leading axes.  Terms add up in source order,
     so a case gives the same bits alone and within a grid.
     """
@@ -270,11 +309,13 @@ def conditional_clicks(law) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _config_branches(cfg: FilterConfig):
-    """``filter_branches`` of the two source states of one run."""
-    sources = [s.amps for s in cfg.resolved_source_basis().states()]
+    """Scatter probability, survivor and fly-by click laws of the two source states of one run."""
+    sources = np.array([s.amps for s in cfg.resolved_source_basis().states()])
+    objects = np.array([cfg.object_state.amps] * 2)
+    slots = (objects, sources) if cfg.swapped_roles else (sources, objects)
     analyzer = [cfg.analyzer_basis.b1.amps, cfg.analyzer_basis.b2.amps]
-    return filter_branches(cfg.rule, sources, [cfg.object_state.amps] * 2, [cfg.swapped_roles] * 2,
-                           [analyzer] * 2)
+    return (*survivor_clicks(cfg.rule, *slots, [cfg.swapped_roles] * 2, [analyzer] * 2),
+            flyby_clicks(sources, [analyzer] * 2))
 
 
 def run_filter_exact(cfg: FilterConfig) -> OutcomeDistribution:

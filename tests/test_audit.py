@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ifmsim
-from ifmsim import audit, rules
+from ifmsim import audit, experiments, rules
 from ifmsim.audit import (
     AuditConfig,
     CHECK_IDS,
@@ -26,7 +26,9 @@ from ifmsim.audit import (
     chi_square_two_sample,
     tvd,
 )
-from ifmsim.experiments import ConfigError, FilterConfig, derive_rng, run_filter_mc, sample_counts
+from ifmsim.experiments import (
+    ConfigError, FilterConfig, derive_rng, run_filter_exact, run_filter_mc, sample_counts,
+)
 from ifmsim.rules import (
     builtin_rules,
     coherent_projection,
@@ -38,8 +40,8 @@ from ifmsim.rules import (
     validate_custom_rule,
 )
 from ifmsim.states import (
-    BASIS_DIAG, BASIS_SIGMA, BASIS_XY, SINGLET, STATE_X, STATE_Y, joint_born_distribution,
-    mutually_unbiased,
+    BASIS_DIAG, BASIS_SIGMA, BASIS_XY, NAMED_STATES, SINGLET, STATE_X, STATE_Y, QubitState,
+    joint_born_distribution, mutually_unbiased, orthogonal_state, state_label, uniform_state_amps,
 )
 
 FAST_EXACT = AuditConfig(unitary_samples=25, input_samples=40, seed=11)
@@ -445,6 +447,7 @@ GRID_BUILDERS = (
 def _cold_report(rule, config) -> str:
     for builder in GRID_BUILDERS:
         builder.cache_clear()
+    experiments._seed_words.cache_clear()
     return audit_rule(rule, config).to_json()
 
 
@@ -456,15 +459,15 @@ MODE_FREE_GRIDS = (audit._mode_pair_grid, audit._basis_vectors)
                          ids=["exact", "mc", "exact-mc-exact"])
 def test_grids_are_built_once_per_config(configs):
     # each entry is read once per audit, but the basis vectors by every Born
-    # call: C3's, and in Monte Carlo mode also both sides' of C2 and C4; the
-    # other grids are built once per change of mode
+    # call: C3's, and in Monte Carlo mode also C2's and C4's, one for both
+    # sides; the other grids are built once per change of mode
     reads = dict.fromkeys(GRID_BUILDERS, 0)
     for builder in GRID_BUILDERS:
         builder.cache_clear()
     for config in configs:
         audit_rule(singlet_rule(), config)
         audit_rule(probe_rigid(), config)
-        born_calls = 5 if config.evaluation == "mc" else 1
+        born_calls = 3 if config.evaluation == "mc" else 1
         for builder in GRID_BUILDERS:
             reads[builder] += 2 * (born_calls if builder is audit._basis_vectors else 1)
     for builder in GRID_BUILDERS:
@@ -499,19 +502,19 @@ def test_mode_pair_grid_samples_one_analyzer_per_object_basis_position():
     # a repeated basis is one object twice, so the sampled cases are chosen by
     # position in the bases: an identity test would sample both copies as analyzers
     bases = (BASIS_XY, BASIS_XY, BASIS_SIGMA)
-    cases, _, sampled = audit._mode_pair_grid(bases)
+    grid = audit._mode_pair_grid(bases)
     want = [(swapped, obj, obj, mode2) for swapped in (False, True) for obj in bases
             for mode2 in bases if mode2 is not obj and mutually_unbiased(obj, mode2)]
-    assert [cases[n] for n in sampled] == want
-    assert len(cases) == len(bases) * len(want)
+    assert list(grid.mc.cases) == want
+    assert len(grid.exact.cases) == len(bases) * len(want)
 
 
 def test_cached_grid_arrays_are_read_only():
     pairs = audit._MC_CORNER_PAIRS
     bases = (BASIS_XY, BASIS_SIGMA)
-    _, c1_rows, c1_sampled = audit._mode_pair_grid(bases)
+    c1 = audit._mode_pair_grid(bases)
     grids = [
-        (*c1_rows, c1_sampled),
+        (*c1[:3], *c1.exact[1:], *c1.mc[1:]),
         audit._role_inputs(pairs, 0, 21, 3),
         audit._anti_alignment_inputs(pairs, 0, 31, 3),
         audit._covariance_grid(bases, pairs, 0, 41, 2)[1:],
@@ -1108,7 +1111,8 @@ def test_chi_square_sf_elementwise_equals_the_scalar_series_bit_for_bit():
 
 
 def test_basis_laws_equal_a_born_call_per_basis():
-    # one Born call over every basis gives the bits of one call per basis
+    # one Born call over every basis gives the bits of one call per basis, and
+    # one call over both sides' rows, as Monte Carlo C2/C4 make, those of each side
     config = FAST_EXACT
     for rule in PAIR_CHECK_RULES:
         _, direct, mirrored = audit._role_cases(rule, config, audit._CORNER_PAIRS, 2, 20)
@@ -1118,6 +1122,9 @@ def test_basis_laws_equal_a_born_call_per_basis():
                 [survive[:, None] * joint_born_distribution(out.survivors, b, b), out.p_scatter]),
                 0.0, None) for b in config.bases], axis=1)
             assert audit._basis_laws(out, config.bases).tobytes() == want.tobytes(), rule.name
+        both = rules.Coupling(*map(np.concatenate, zip(direct, mirrored)))
+        sides = [audit._basis_laws(out, config.bases) for out in (direct, mirrored)]
+        assert audit._basis_laws(both, config.bases).tobytes() == np.concatenate(sides).tobytes()
 
 
 def test_audits_load_no_numpy_ma():
@@ -1135,3 +1142,100 @@ def test_audits_load_no_numpy_ma():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_chi_square_sf_gives_nan_for_nan_and_keeps_the_other_bits():
+    rng = derive_rng(1819)
+    stat = rng.exponential(5.0, 400)
+    stat[::7] = np.nan
+    stat[1:4] = (0.0, 1e10, 1e300)
+    dofs = rng.integers(1, 9, 400)
+    got = _chi_square_sf(stat, dofs)
+    known = ~np.isnan(stat)
+    assert np.isnan(got[~known]).all()
+    want = [_scalar_chi_square_sf(s, d) for s, d in zip(stat[known].tolist(), dofs[known].tolist())]
+    assert got[known].tobytes() == np.array(want).tobytes()
+    assert math.isnan(_chi_square_sf(math.nan, 3))
+
+
+def test_chi_square_statistic_has_the_bits_of_one_pass_per_sample():
+    a, b = (x.astype(float) for x in _count_stacks(derive_rng(1820), 3, 40, 3, 5))
+    a[0, :5], b[0, :5] = 0.0, 0.0  # empty samples: no statistic
+    a[1, :5, 2:] = b[1, :5, 2:] = 0.0  # pooled-zero cells
+    stat, _ = chi_square_two_sample(a, b)
+    total_a, total_b = a.sum(axis=-1), b.sum(axis=-1)
+    pooled = a + b
+    valid = (total_a > 0) & (total_b > 0) & ((pooled > 0).sum(axis=-1) >= 2)
+    use = (pooled > 0) & valid[..., None]
+
+    def squared_deviations(x, total):
+        expected = np.divide(total[..., None] * pooled, (total_a + total_b)[..., None],
+                             out=np.zeros_like(pooled), where=use)
+        return np.divide((x - expected) ** 2, expected, out=np.zeros_like(pooled),
+                         where=use).sum(axis=-1)
+
+    want = squared_deviations(a, total_a) + squared_deviations(b, total_b)
+    assert (~np.isnan(stat) == valid).all()
+    assert not valid[0, :5].any() and valid.sum() > 100
+    assert stat[valid].tobytes() == want[valid].tobytes()
+
+
+def _label_reference(amps) -> str:
+    return state_label(QubitState(amps))
+
+
+def _grid_states(seed: int) -> np.ndarray:
+    bases = AuditConfig().bases
+    grids = [audit._input_grid(pairs, seed, stream, count)
+             for pairs, stream, count in ((audit._CORNER_PAIRS, 2, 200), (audit._CORNER_PAIRS, 3, 200),
+                                          (audit._MC_CORNER_PAIRS, 21, 12),
+                                          (audit._MC_CORNER_PAIRS, 31, 12))]
+    grids += [audit._covariance_grid.__wrapped__(bases, pairs, seed, stream, count)[1:3]
+              for pairs, stream, count in ((audit._CORNER_PAIRS, 4, 100),
+                                           (audit._MC_CORNER_PAIRS, 41, 6))]
+    return np.concatenate([states for grid in grids for states in grid])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_input_labels_equal_state_labels_on_every_grid_row(seed):
+    states = _grid_states(seed)
+    assert len(states) > 1000
+    for probe, obj in zip(states[:-1], states[1:]):
+        assert audit._input_label(probe, obj) == (
+            f"input=({_label_reference(probe)}, {_label_reference(obj)})")
+
+
+def test_state_labels_from_amplitudes_equal_state_labels():
+    rng = derive_rng(1821)
+    u = rng.random((100_000, 3))
+    states = uniform_state_amps(u[:, :2]) * np.exp(2j * math.pi * u[:, 2:])
+    named = np.array([s.amps for s in NAMED_STATES.values()])
+    # two corner states times global phases, then points 0.5e-9 and 2e-9 from
+    # a named state, on either side of the ATOL match
+    corners = (named[:, None, :] * np.array([1, 1j, -1, np.exp(1j * math.pi / 3)])[:, None])
+    orthogonal = np.array([orthogonal_state(s).amps for s in NAMED_STATES.values()])
+    near = [(named + d * orthogonal) / math.hypot(1.0, d) for d in (0.5e-9, 2e-9)]
+    near = [s * phase for s in near for phase in (1, 1j, -1)]
+    probes = np.concatenate([states, corners.reshape(-1, 2), *near])
+    for probe in probes:
+        assert audit._state_label(*probe.tolist()) == _label_reference(probe), probe
+    assert [audit._state_label(*s.tolist()) for s in near[0][:6]] == list(NAMED_STATES)
+    assert all(audit._state_label(*s.tolist()).startswith("theta,phi=") for s in near[3])
+
+
+@pytest.mark.parametrize("evaluation", ["exact", "mc"])
+def test_mode_pair_laws_equal_filter_runs_of_their_cases(evaluation):
+    # C1's cached wiring and fly-by laws give the laws run_filter computes per case
+    config = AuditConfig(evaluation=evaluation, noise_levels=(0.0, 0.3))
+    grid = audit._mode_pair_grid(config.bases)
+    rows = grid.mc if evaluation == "mc" else grid.exact
+    for rule in PAIR_CHECK_RULES:
+        laws = audit._mode_pair_laws(rule, config, grid, rows)
+        for n, (swapped, obj, analyzer, mode2) in enumerate(rows.cases):
+            for k, q in enumerate(config.noise_levels):
+                for m, source in enumerate((obj, mode2)):
+                    run = run_filter_exact(FilterConfig(
+                        rule=rule, source_basis=source, object_state=obj.b1, analyzer_basis=analyzer,
+                        noise_q=q, swapped_roles=swapped))
+                    want = run.probabilities()
+                    assert laws[n * 2 + k, m].tobytes() == want.tobytes(), (rule.name, n, k, m)

@@ -498,6 +498,12 @@ def test_cli_import_loads_no_scipy():
     assert _fresh_python(code).stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_numpy_random():
+    # the first draw loads numpy.random, so commands that draw nothing skip it
+    code = "import sys, ifmsim.cli; print('numpy.random' in sys.modules)"
+    assert _fresh_python(code).stdout.strip() == "False"
+
+
 def test_only_the_audit_command_loads_the_audit_module():
     # markers go to stderr, the commands' output to stdout
     code = "\n".join([

@@ -448,3 +448,23 @@ def test_derive_rng_streams_differ():
     assert np.array_equal(a, b)
     c = derive_rng(1, 7).random(4)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
+def test_derive_rng_draws_what_a_seed_sequence_generator_draws(seed):
+    # the key words are hashed once per (seed, stream); a second call, after
+    # the first generator has drawn, reads the same words
+    for stream in ((), (1,), (11, 2), (42, 1), (3, 4, 5)):
+        for _ in range(2):
+            got = derive_rng(seed, *stream)
+            want = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=stream)))
+            assert got.random(8).tobytes() == want.random(8).tobytes()
+            law = [0.2, 0.3, 0.5]
+            assert np.array_equal(got.multinomial(10**6, law, size=3), want.multinomial(10**6, law, size=3))
+            assert got.integers(0, 2**63, 8).tobytes() == want.integers(0, 2**63, 8).tobytes()
+
+
+def test_derived_generators_do_not_spawn():
+    # spawning would need the SeedSequence itself; nothing in the package spawns
+    with pytest.raises(TypeError, match="spawning"):
+        derive_rng(0, 1).spawn(1)

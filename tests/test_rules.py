@@ -60,6 +60,7 @@ from ifmsim.states import (
     overlap_probability,
     random_state,
     tensor_product,
+    uniform_state_amps,
 )
 
 CORNERS = (STATE_X, STATE_Y, SIGMA_PLUS, SIGMA_MINUS, D_PLUS, D_MINUS)
@@ -596,3 +597,35 @@ def test_swapped_coupling_channel_survivors_equal_swap_conjugation(rule):
     assert mirrored.p_scatter.tobytes() == reverse.p_scatter.tobytes()
     assert ((mirrored.survivors + 0.0).tobytes()
             == (SWAP @ reverse.survivors @ SWAP + 0.0).tobytes())
+
+
+def _dense_contractions(rng, count: int):
+    for i in range(count):
+        k = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        yield validate_custom_rule(k / (1.01 * np.linalg.norm(k, 2)), name=f"dense-{i}")
+
+
+@pytest.mark.parametrize("levels", [0.0, (0.0, 0.5)], ids=["q0", "q0-q05"])
+def test_coupling_rows_do_not_depend_on_their_batch(levels):
+    # the grid caches and the report bytes rest on this: a block of two or more
+    # rows gives the bits it has within any batch; a dense complex survive
+    # operator takes another BLAS path for a single row, one rounding apart
+    rng = derive_rng(2323)
+    u = rng.random((352, 4))
+    probes, objects = uniform_state_amps(u[:, 0:2]), uniform_state_amps(u[:, 2:4])
+    rules = [coherent_projection(BASIS_SIGMA), coherent_projection(BASIS_DIAG),
+             *_dense_contractions(rng, 2), preferred_basis(BASIS_SIGMA), probe_rigid()]
+    width = len(np.atleast_1d(levels))
+    for rule in rules:
+        full = coupling_channel(rule, probes, objects, levels)
+        for size in (1, 2, 3, 7, 17, 18, 40, 236):
+            for start in (0, 5, 352 - size):
+                block = coupling_channel(rule, probes[start:start + size], objects[start:start + size],
+                                         levels)
+                rows = slice(width * start, width * (start + size))
+                if size == 1:
+                    assert np.abs(block.p_scatter - full.p_scatter[rows]).max() <= 1e-15
+                    assert np.abs(block.survivors - full.survivors[rows]).max() <= 1e-15
+                else:
+                    assert block.p_scatter.tobytes() == full.p_scatter[rows].tobytes(), rule.name
+                    assert block.survivors.tobytes() == full.survivors[rows].tobytes(), rule.name

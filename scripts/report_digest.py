@@ -1,0 +1,46 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 over a fixed grid of 720 audit reports.
+
+The grid crosses ten rules (the six built-ins, ``remove-aligned-xy``,
+K = 0, ``coherent-projection:sigma`` and ``preferred-basis:xy``), seeds
+0-3, the noise levels (0, 0.5), (0.3) and (0, 0.3, 1), the default bases
+and (xy, sigma), and three evaluations: exact, and Monte Carlo at 1e5 and
+at 5 trials.  A change meant to keep every report byte must print the same
+line before and after it.  Report floats can differ between CPUs, so
+compare digests taken on one machine.
+"""
+
+import hashlib
+
+import numpy as np
+
+from ifmsim import AuditConfig, audit_rule, builtin_rules, rule_from_name, validate_custom_rule
+from ifmsim.states import BASIS_SIGMA, BASIS_XY
+
+RULES = (*builtin_rules(),
+         validate_custom_rule(np.diag([0, 1, 1, 0]), name="remove-aligned-xy"),
+         validate_custom_rule(np.zeros((4, 4)), name="k-zero"),
+         rule_from_name("coherent-projection:sigma"),
+         rule_from_name("preferred-basis:xy"))
+SEEDS = range(4)
+LEVELS = ((0.0, 0.5), (0.3,), (0.0, 0.3, 1.0))
+BASES = (AuditConfig().bases, (BASIS_XY, BASIS_SIGMA))
+MODES = (("exact", 100_000), ("mc", 100_000), ("mc", 5))
+
+
+def main() -> None:
+    digest, count = hashlib.sha256(), 0
+    for evaluation, trials in MODES:
+        for bases in BASES:
+            for levels in LEVELS:
+                for seed in SEEDS:
+                    config = AuditConfig(bases=bases, noise_levels=levels, seed=seed,
+                                         evaluation=evaluation, mc_trials=trials)
+                    for rule in RULES:
+                        digest.update(audit_rule(rule, config).to_json().encode() + b"\n")
+                        count += 1
+    print(f"{digest.hexdigest()}  {count} reports")
+
+
+if __name__ == "__main__":
+    main()

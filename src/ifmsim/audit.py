@@ -51,7 +51,9 @@ cancels from the two sides' difference and a row at level ``q`` reads
 ``(1 - q) / (1 - q_min)`` times its ``q_min`` value, never more.
 
 Every sampled quantity derives from ``AuditConfig.seed`` through fixed
-streams, so identical configs produce identical reports.  Each check's
+streams, so identical configs produce identical reports: exact check ``s``
+draws its grid from stream ``s``, Monte Carlo its cases from ``10 s + 1`` and
+its counts from ``10 s + 2``, and Monte Carlo C1 its counts from 11.  Each check's
 rule-independent case grid is built once per configuration and reused
 across rules, C1's across both modes too, with its wiring and fly-by
 click laws, so a C1 audit runs only the rule's coupling at ``q = 0``, its
@@ -82,21 +84,20 @@ from .experiments import (
     sample_counts,
     survivor_clicks,
 )
-from .rules import Coupling, Rule, coupling_channel, swapped_coupling_channel
+from .rules import Coupling, Rule, coupling_channel, swap_back
 from .states import (
-    ATOL,
     BASIS_DIAG,
     BASIS_SIGMA,
     BASIS_XY,
     Basis,
     D_MINUS,
     D_PLUS,
-    NAMED_STATES,
     PHASE_EPS,
     SIGMA_MINUS,
     SIGMA_PLUS,
     STATE_X,
     STATE_Y,
+    _amps_label,
     _expectations,
     _joint_vectors,
     basis_change_unitary,
@@ -375,20 +376,15 @@ def _input_label(probe: np.ndarray, obj: np.ndarray) -> str:
     return f"input=({_state_label(*probe.tolist())}, {_state_label(*obj.tolist())})"
 
 
-# the named states as plain amplitude pairs, in state_label's order
-_NAMED_AMPS = tuple((name, *map(complex, state.amps)) for name, state in NAMED_STATES.items())
-
-
 def _state_label(a_x: complex, a_y: complex) -> str:
     """``state_label(QubitState((a_x, a_y)))`` of normalised amplitudes, in plain Python.
 
     The phase rule of ``states._canonical_phase``, with numpy's arithmetic:
     a complex divided by a real is its real and imaginary parts, each plus
-    a zero product, times the reciprocal.  Then the named-state match at
-    ``ATOL`` and the angles of ``to_bloch``.  The text is that of
-    ``state_label``; its amplitudes can differ in the last bit where numpy
-    fuses a multiply and an add, which moves a ``.6g`` digit only on a
-    rounding boundary.
+    a zero product, times the reciprocal.  Then ``state_label``'s formatter.
+    The text is that of ``state_label``; its amplitudes can differ in the
+    last bit where numpy fuses a multiply and an add, which moves a ``.6g``
+    digit only on a rounding boundary.
     """
     rotate_x = abs(a_x) > PHASE_EPS
     anchor = a_x if rotate_x else a_y
@@ -401,13 +397,7 @@ def _state_label(a_x: complex, a_y: complex) -> str:
     else:
         a_x, a_y = complex(a_x.real * re - a_x.imag * im,
                            a_x.real * im + a_x.imag * re), complex(size, 0.0)
-    for name, n_x, n_y in _NAMED_AMPS:
-        if abs(a_x - n_x) <= ATOL and abs(a_y - n_y) <= ATOL:
-            return name
-    cross = a_x.conjugate() * a_y
-    theta = math.acos(min(max(abs(a_x) ** 2 - abs(a_y) ** 2, -1.0), 1.0))
-    phi = math.atan2(2.0 * cross.imag, 2.0 * cross.real)
-    return f"theta,phi={theta:.6g},{phi:.6g}"
+    return _amps_label(a_x, a_y)
 
 
 def _no_cases(check_id: str, threshold: float) -> CheckResult:
@@ -495,16 +485,17 @@ def _exact_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Couplin
     return _exact_verdict(check_id, distance, label(row), evidence, config)
 
 
-def _exact_pair_levels(config: AuditConfig) -> tuple[float]:
-    """The one noise level exact C2/C4 evaluate: the lowest configured one.
+def _grid_args(config: AuditConfig, stream: int, count: int, mc_count: int):
+    """A check's corner pairs, case stream, sample count and C2/C4 levels in the config's mode.
 
-    A fly-by leaves the product input, which SWAP and ``U (x) U`` map alike,
-    so it is the same on both sides and cancels from their difference: at
-    level ``q`` a row's distance is ``(1 - q)`` times its coupled one.  No
-    higher level can beat the lowest, so the worst row and the verdict are
-    those of every level.
+    Exact: every corner pair, ``count`` samples from ``stream`` and the lowest
+    level, which no other level can beat (module docstring).  Monte Carlo: the
+    compact corner set, ``mc_count`` samples from ``10 * stream + 1`` and every
+    level; its counts come from the next stream.
     """
-    return (min(config.noise_levels),)
+    if config.evaluation == "mc":
+        return _MC_CORNER_PAIRS, 10 * stream + 1, mc_count, config.noise_levels
+    return _CORNER_PAIRS, stream, count, (min(config.noise_levels),)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -513,6 +504,8 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+# C2 and C3 each read one entry, keyed on the values it reads.
+@functools.lru_cache(maxsize=2)
 def _input_grid(corner_pairs, seed: int, stream: int, count: int) -> tuple[np.ndarray, ...]:
     """Probe and object amplitudes: the corner pairs, then ``count`` uniform pairs."""
     u = derive_rng(seed, stream).random((count, 4))
@@ -521,28 +514,26 @@ def _input_grid(corner_pairs, seed: int, stream: int, count: int) -> tuple[np.nd
     return _read_only(probes, objects)
 
 
-# Each builder of a rule-independent grid keeps one entry, keyed on the values
-# it reads; C2 and C3 keep their own, as one audit draws both.
-_role_inputs = functools.lru_cache(maxsize=1)(_input_grid)
-_anti_alignment_inputs = functools.lru_cache(maxsize=1)(_input_grid)
+def _pair_cases(rule: Rule, levels, inputs_a, inputs_b, map_b, input_label):
+    """C2/C4 cases, input-major then noise level: row labeller and the two sides' couplings.
 
-
-def _role_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, count: int,
-                levels=None):
-    """C2 cases, input-major then noise level: row labeller, direct and mirrored couplings.
-
-    The levels are ``levels``, by default every configured one.
+    Side a couples ``inputs_a``; side b couples ``inputs_b`` and maps the
+    outcome back by ``map_b``, row for row onto side a.  ``input_label(n)``
+    names input ``n``.
     """
-    probes, objects = _role_inputs(corner_pairs, config.seed, stream, count)
-    levels = config.noise_levels if levels is None else levels
-    direct = coupling_channel(rule, probes, objects, levels)
-    mirrored = swapped_coupling_channel(rule, probes, objects, levels)
-
     def label(row: int) -> str:
         n, k = divmod(row, len(levels))
-        return f"{_input_label(probes[n], objects[n])} q={levels[k]:g}"
+        return f"{input_label(n)} q={levels[k]:g}"
 
-    return label, direct, mirrored
+    return (label, coupling_channel(rule, *inputs_a, levels),
+            map_b(coupling_channel(rule, *inputs_b, levels)))
+
+
+def _swap_action(config: AuditConfig, corner_pairs, stream: int, count: int):
+    """C2's ``_pair_cases`` arguments: the inputs, the exchanged inputs, SWAP back, the labeller."""
+    probes, objects = _input_grid(corner_pairs, config.seed, stream, count)
+    return ((probes, objects), (objects, probes), swap_back,
+            lambda n: _input_label(probes[n], objects[n]))
 
 
 @functools.lru_cache(maxsize=1)
@@ -575,35 +566,29 @@ def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int):
                                      uu.conj().swapaxes(-1, -2), uu)
 
 
-def _covariance_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, count: int,
-                      levels=None):
-    """C4 cases, input-major then noise level: row labeller, rotated and conjugated couplings.
+def _rotation_action(config: AuditConfig, corner_pairs, stream: int, count: int):
+    """C4's ``_pair_cases`` arguments: rotated inputs, distinct inputs, ``U (x) U``, the labeller.
 
-    The levels are ``levels``, by default every configured one.  The base
-    coupling runs once per distinct input; its rows are gathered per input
-    before the ``U (x) U`` conjugation.
+    The base coupling runs once per distinct input; its rows are gathered
+    per input before the ``U (x) U`` conjugation.
     """
-    levels = config.noise_levels if levels is None else levels
     names, probes, objects, index, rotated_probes, rotated_objects, uu_dagger, uu = (
         _covariance_grid(config.bases, corner_pairs, config.seed, stream, count))
-    rotated = coupling_channel(rule, rotated_probes, rotated_objects, levels)
-    base = coupling_channel(rule, probes, objects, levels)
-    p_scatter = base.p_scatter.reshape(len(probes), -1)[index]
-    survivors = base.survivors.reshape(len(probes), -1, 4, 4)[index]
-    survivors = uu @ survivors @ uu_dagger
-    conjugated = Coupling(p_scatter.reshape(-1), survivors.reshape(-1, 4, 4))
 
-    def label(row: int) -> str:
-        n, k = divmod(row, len(levels))
-        m = index[n]
-        return f"unitary={names[n]} {_input_label(probes[m], objects[m])} q={levels[k]:g}"
+    def rotate(base: Coupling) -> Coupling:
+        p_scatter = base.p_scatter.reshape(len(probes), -1)[index]
+        survivors = base.survivors.reshape(len(probes), -1, 4, 4)[index]
+        return Coupling(p_scatter.reshape(-1), (uu @ survivors @ uu_dagger).reshape(-1, 4, 4))
 
-    return label, rotated, conjugated
+    def input_label(n: int) -> str:
+        return f"unitary={names[n]} {_input_label(probes[index[n]], objects[index[n]])}"
+
+    return (rotated_probes, rotated_objects), (probes, objects), rotate, input_label
 
 
 def _anti_alignment_cases(rule: Rule, config: AuditConfig, corner_pairs, stream: int, count: int):
     """C3 cases: the inputs whose q = 0 coupling can survive, as a labeller and their couplings."""
-    probes, objects = _anti_alignment_inputs(corner_pairs, config.seed, stream, count)
+    probes, objects = _input_grid(corner_pairs, config.seed, stream, count)
     out = coupling_channel(rule, probes, objects, 0.0)
     rows = np.flatnonzero(out.p_scatter < 1.0 - 1e-6)
 
@@ -739,7 +724,7 @@ def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
     if not grid.mc.cases:
         return _no_cases(CHECK_IDS[0], 1.0)
     laws = _mode_pair_laws(rule, config, grid, grid.mc)
-    d1, d2 = (sample_counts(config.seed, config.mc_trials, laws[:, m], 11, m + 1) for m in (0, 1))
+    d1, d2 = _mc_sides(config, laws[:, 0], laws[:, 1], 11)
     # One column per view; the conditional one zeroes the scatter cell, which
     # the test then drops as a pooled-zero cell.
     views1, views2 = (np.stack([d, d * [1, 1, 0]], axis=1) for d in (d1, d2))
@@ -751,6 +736,12 @@ def _check_c1_mc(rule: Rule, config: AuditConfig) -> CheckResult:
 
     witness = functools.partial(_mode_pair_witness, config, grid.mc.cases)
     return _mc_verdict(CHECK_IDS[0], config, views1, views2, witness, evidence)
+
+
+def _mc_sides(config: AuditConfig, laws_a, laws_b, stream: int):
+    """Counts of both sides' laws at ``mc_trials`` trials, from sides 1 and 2 of ``stream``."""
+    return (sample_counts(config.seed, config.mc_trials, laws_a, stream, 1),
+            sample_counts(config.seed, config.mc_trials, laws_b, stream, 2))
 
 
 def _mc_verdict(check_id: str, config: AuditConfig, counts_a, counts_b, witness,
@@ -778,17 +769,22 @@ def _mc_verdict(check_id: str, config: AuditConfig, counts_a, counts_b, witness,
 
 
 def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
-    """C2: exchanging the partners and SWAPping back must change nothing.
+    """C2: exchanging the partners and SWAPping back must change nothing."""
+    pairs, stream, count, levels = _grid_args(config, 2, config.input_samples,
+                                              config.mc_input_samples)
+    cases = _pair_cases(rule, levels, *_swap_action(config, pairs, stream, count))
+    return _pair_verdict(CHECK_IDS[1], config, cases, ("direct", "swapped"), stream)
 
-    Exact mode evaluates the lowest noise level only, which no other level
-    can beat (``_exact_pair_levels``); Monte Carlo samples every level.
+
+def _pair_verdict(check_id: str, config: AuditConfig, cases, names, stream: int) -> CheckResult:
+    """C2/C4 verdict of ``_pair_cases`` by the config's evaluator.
+
+    ``names`` name the sides in the exact evidence; Monte Carlo draws its
+    counts from the stream after the case stream ``stream``.
     """
     if config.evaluation == "mc":
-        cases = _role_cases(rule, config, _MC_CORNER_PAIRS, 21, config.mc_input_samples)
-        return _mc_pair_verdict(CHECK_IDS[1], config, *cases, 22)
-    cases = _role_cases(rule, config, _CORNER_PAIRS, 2, config.input_samples,
-                        _exact_pair_levels(config))
-    return _exact_pair_verdict(CHECK_IDS[1], config, *cases, ("direct", "swapped"))
+        return _mc_pair_verdict(check_id, config, *cases, stream + 1)
+    return _exact_pair_verdict(check_id, config, *cases, names)
 
 
 @functools.lru_cache(maxsize=1)
@@ -820,10 +816,7 @@ def _mc_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, 
     """
     laws = _basis_laws(Coupling(*map(np.concatenate, zip(out_a, out_b))), config.bases)
     rows = len(out_a.p_scatter)
-    counts_a, counts_b = (
-        sample_counts(config.seed, config.mc_trials, side_laws, stream, side)
-        for side, side_laws in ((1, laws[:rows]), (2, laws[rows:]))
-    )
+    counts_a, counts_b = _mc_sides(config, laws[:rows], laws[rows:], stream)
 
     def witness(row: int, k: int) -> str:
         return f"{label(row)} basis={config.bases[k].label}"
@@ -833,9 +826,10 @@ def _mc_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, 
 
 def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
     """C3: coupled (q = 0) survivors carry zero aligned-cell weight in every basis."""
+    pairs, stream, count, _ = _grid_args(config, 3, config.input_samples, config.mc_input_samples)
+    label, out = _anti_alignment_cases(rule, config, pairs, stream, count)
     if config.evaluation == "mc":
-        return _check_c3_mc(rule, config)
-    label, out = _anti_alignment_cases(rule, config, _CORNER_PAIRS, 3, config.input_samples)
+        return _check_c3_mc(config, label, out, stream + 1)
     if not out.p_scatter.size:
         return _no_cases(CHECK_IDS[2], config.epsilon_exact)
     cells = _basis_cells(out.survivors, config.bases)
@@ -846,12 +840,9 @@ def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
     return _exact_verdict(CHECK_IDS[2], float(aligned[n, k]), witness, evidence, config)
 
 
-def _check_c3_mc(rule: Rule, config: AuditConfig) -> CheckResult:
-    label, out = _anti_alignment_cases(
-        rule, config, _MC_CORNER_PAIRS, 31, config.mc_input_samples
-    )
+def _check_c3_mc(config: AuditConfig, label, out: Coupling, stream: int) -> CheckResult:
     threshold = 0.5 / config.mc_trials
-    counts = sample_counts(config.seed, config.mc_trials, _basis_laws(out, config.bases), 32, 1)
+    counts = sample_counts(config.seed, config.mc_trials, _basis_laws(out, config.bases), stream, 1)
     survivors = config.mc_trials - counts[..., 4]
     aligned_events = counts[..., 0] + counts[..., 3]
     if not survivors.any():
@@ -868,17 +859,11 @@ def _check_c3_mc(rule: Rule, config: AuditConfig) -> CheckResult:
 
 
 def check_basis_covariance(rule: Rule, config: AuditConfig) -> CheckResult:
-    """C4: the rule must commute with identical rotations of both inputs.
-
-    Levels as in ``check_role_symmetry``: the lowest in exact mode, every one
-    in Monte Carlo.
-    """
-    if config.evaluation == "mc":
-        cases = _covariance_cases(rule, config, _MC_CORNER_PAIRS, 41, config.mc_unitary_samples)
-        return _mc_pair_verdict(CHECK_IDS[3], config, *cases, 42)
-    cases = _covariance_cases(rule, config, _CORNER_PAIRS, 4, config.unitary_samples,
-                              _exact_pair_levels(config))
-    return _exact_pair_verdict(CHECK_IDS[3], config, *cases, ("rotated", "base"))
+    """C4: the rule must commute with identical rotations of both inputs."""
+    pairs, stream, count, levels = _grid_args(config, 4, config.unitary_samples,
+                                              config.mc_unitary_samples)
+    cases = _pair_cases(rule, levels, *_rotation_action(config, pairs, stream, count))
+    return _pair_verdict(CHECK_IDS[3], config, cases, ("rotated", "base"), stream)
 
 
 def audit_rule(rule: Rule, config: AuditConfig | None = None) -> AuditReport:

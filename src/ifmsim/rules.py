@@ -31,7 +31,8 @@ Fly-by noise ``q`` is the probability that the coupling simply does not
 happen; the outcome then blends the untouched input with the rule's own
 survivor; a level of 0 adds no input term at all.  ``coupling_channel``
 evaluates a whole batch of input pairs as arrays, at one noise level or
-several, and every experiment and audit check reads its rows.
+several, and every experiment and audit check reads its rows;
+``swap_back`` maps the rows of exchanged inputs back through SWAP.
 ``apply_rule`` and ``swapped_channel`` are single-pair conveniences for
 library callers; they stay because the ``ifmbench`` benchmark traces them.
 All functions here are pure and deterministic; randomness lives only in
@@ -329,24 +330,19 @@ def coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupling:
                     survivors.reshape(-1, 4, 4))
 
 
-def swapped_coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupling:
-    """``coupling_channel`` with the arguments exchanged, mapped back by SWAP.
+def swap_back(out: Coupling) -> Coupling:
+    """Couplings of exchanged inputs mapped back by SWAP onto the (probe slot, object slot) space.
 
-    The survivors live on the same (probe slot, object slot) space as
-    ``coupling_channel(rule, probes, objects)``, so a role-symmetric rule
-    gives identical rows through both paths.  SWAP is a permutation, so the
-    survivors are gathered, not multiplied: the values of ``SWAP @ rho @ SWAP``
-    in a C-ordered array.
+    SWAP is a permutation, so the survivors are gathered, not multiplied: the
+    values of ``SWAP @ rho @ SWAP`` in a C-ordered array.
     """
-    out = coupling_channel(rule, objects, probes, noise_q)
     survivors = out.survivors.reshape(-1, 16).take(_SWAPPED_ENTRIES, axis=1)
     return out._replace(survivors=survivors.reshape(-1, 4, 4))
 
 
-def pair_channel(rule: Rule, probe: QubitState, obj: QubitState, noise_q=0.0,
-                 channel=coupling_channel) -> Coupling:
-    """The one-row ``channel`` output of one pair; a level sequence is refused, not read at row 0."""
-    out = channel(rule, probe.amps, obj.amps, noise_q)
+def pair_channel(rule: Rule, probe: QubitState, obj: QubitState, noise_q=0.0) -> Coupling:
+    """The one-row ``coupling_channel`` of one pair; a level sequence is refused, not read at row 0."""
+    out = coupling_channel(rule, probe.amps, obj.amps, noise_q)
     if len(out.p_scatter) != 1:
         raise ValueError(f"a single pair takes one noise level, got {len(out.p_scatter)}")
     return out
@@ -367,8 +363,8 @@ def apply_rule(rule: Rule, probe: QubitState, obj: QubitState, noise_q: float = 
 
 
 def swapped_channel(rule: Rule, probe: QubitState, obj: QubitState, noise_q: float = 0.0) -> CouplingOutcome:
-    """The single-pair form of ``swapped_coupling_channel``, reported like ``apply_rule``."""
-    return _single(pair_channel(rule, probe, obj, noise_q, swapped_coupling_channel))
+    """``apply_rule`` with the partners exchanged, mapped back by ``swap_back``."""
+    return _single(swap_back(pair_channel(rule, obj, probe, noise_q)))
 
 
 def builtin_rules() -> tuple[Rule, ...]:

@@ -168,8 +168,8 @@ NAMED_STATES = {
     "d+": D_PLUS,
     "d-": D_MINUS,
 }
-# state_label tests all named states at once: the same decision as isclose on each
-_NAMED_AMPS = np.array([known.amps for known in NAMED_STATES.values()])
+# the named states as plain amplitude pairs, in state_label's order
+_NAMED_AMPS = tuple((name, *map(complex, known.amps)) for name, known in NAMED_STATES.items())
 NAMED_BASES = {"xy": BASIS_XY, "sigma": BASIS_SIGMA, "diag": BASIS_DIAG}
 
 SINGLET = JointState(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0))
@@ -186,10 +186,10 @@ def orthogonal_state(s: QubitState) -> QubitState:
     return make_state(-s.a_y.conjugate(), s.a_x.conjugate())
 
 
-def to_bloch(s: QubitState) -> np.ndarray:
-    """Unit Bloch vector of ``s``; ``|x>`` maps to (0, 0, 1)."""
-    cross = s.a_x.conjugate() * s.a_y
-    return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(s.a_x) ** 2 - abs(s.a_y) ** 2])
+def _bloch(a_x: complex, a_y: complex) -> tuple[float, float, float]:
+    """Unit Bloch vector of normalised amplitudes; ``|x>`` maps to (0, 0, 1)."""
+    cross = a_x.conjugate() * a_y
+    return 2.0 * cross.real, 2.0 * cross.imag, abs(a_x) ** 2 - abs(a_y) ** 2
 
 
 def from_bloch_angles(theta: float, phi: float) -> QubitState:
@@ -346,12 +346,17 @@ def eigenbasis_of(state: QubitState) -> Basis:
 
 def state_label(s: QubitState) -> str:
     """Short label: a named state when it matches, otherwise Bloch angles."""
-    match = np.flatnonzero((np.abs(s.amps - _NAMED_AMPS) <= ATOL).all(axis=1))
-    if match.size:
-        return list(NAMED_STATES)[match[0]]
-    v = to_bloch(s)
-    theta = math.acos(min(max(v[2], -1.0), 1.0))
-    phi = math.atan2(v[1], v[0])
+    return _amps_label(s.a_x, s.a_y)
+
+
+def _amps_label(a_x: complex, a_y: complex) -> str:
+    """``state_label`` of canonical-phase amplitudes: a named state within ``ATOL``, else angles."""
+    for name, n_x, n_y in _NAMED_AMPS:
+        if abs(a_x - n_x) <= ATOL and abs(a_y - n_y) <= ATOL:
+            return name
+    x, y, z = _bloch(a_x, a_y)
+    theta = math.acos(min(max(z, -1.0), 1.0))
+    phi = math.atan2(y, x)
     return f"theta,phi={theta:.6g},{phi:.6g}"
 
 

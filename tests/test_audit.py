@@ -437,11 +437,12 @@ def test_audit_noise_levels_do_not_change_verdicts():
 
 GRID_BUILDERS = (
     audit._mode_pair_grid,
-    audit._role_inputs,
-    audit._anti_alignment_inputs,
+    audit._input_grid,
     audit._covariance_grid,
     audit._basis_vectors,
 )
+# C2 and C3 each keep one entry of the input grid cache
+GRID_ENTRIES = {audit._input_grid: 2}
 
 
 def _cold_report(rule, config) -> str:
@@ -469,12 +470,14 @@ def test_grids_are_built_once_per_config(configs):
         audit_rule(probe_rigid(), config)
         born_calls = 3 if config.evaluation == "mc" else 1
         for builder in GRID_BUILDERS:
-            reads[builder] += 2 * (born_calls if builder is audit._basis_vectors else 1)
+            entries = GRID_ENTRIES.get(builder, 1)
+            reads[builder] += 2 * (born_calls if builder is audit._basis_vectors else entries)
     for builder in GRID_BUILDERS:
-        misses = 1 if builder in MODE_FREE_GRIDS else len(configs)
+        entries = GRID_ENTRIES.get(builder, 1)
+        misses = entries * (1 if builder in MODE_FREE_GRIDS else len(configs))
         info = builder.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (misses, reads[builder] - misses, 1), (
-            builder)
+        assert (info.misses, info.hits, info.currsize) == (misses, reads[builder] - misses,
+                                                           entries), builder
 
 
 def _cache_config(evaluation, seed=11, **kwargs):
@@ -515,8 +518,8 @@ def test_cached_grid_arrays_are_read_only():
     c1 = audit._mode_pair_grid(bases)
     grids = [
         (*c1[:3], *c1.exact[1:], *c1.mc[1:]),
-        audit._role_inputs(pairs, 0, 21, 3),
-        audit._anti_alignment_inputs(pairs, 0, 31, 3),
+        audit._input_grid(pairs, 0, 21, 3),
+        audit._input_grid(pairs, 0, 31, 3),
         audit._covariance_grid(bases, pairs, 0, 41, 2)[1:],
         (audit._basis_vectors(bases),),
     ]
@@ -582,14 +585,17 @@ def test_mc_c3_evidence_counts_are_nested(rule):
     assert result.metric == pytest.approx(check_anti_alignment(rule, FAST_EXACT).metric, abs=0.02)
 
 
-# Witness, metric, threshold and p-value of C1, C2 and C4 in the FAST_MC audit;
-# the thresholds pin the Bonferroni family sizes (probe-rigid C1 has fewer
-# informative comparisons than singlet C1).
+# Witness, metric, threshold and p-value of C1, C2 and C4 in the FAST_MC audit,
+# and C3's witness, metric, threshold and evidence; the C1, C2 and C4 thresholds
+# pin the Bonferroni family sizes (probe-rigid C1 has fewer informative
+# comparisons than singlet C1).
 FAST_MC_PINNED = {
     "probe-rigid": {
         "C1": ("roles=normal object_basis=XY analyzer=XY mode2=SIGMA q=0 view=full",
                1.0, 0.9999761904761905, 0.0),
         "C2": ("input=(sigma+, x) q=0 basis=XY", 1.0, 0.9999838709677419, 0.0),
+        "C3": ("input=(sigma+, sigma-) basis=XY", 0.50378, 5e-06,
+               {"aligned_events": 50378, "survivors": 100000}),
         "C4": ("unitary=haar[0] input=(theta,phi=2.43402,2.533, theta,phi=1.52845,-0.886317)"
                " q=0 basis=SIGMA", 0.9995524174421984, 0.999995, 0.0004475825578015875),
     },
@@ -598,6 +604,7 @@ FAST_MC_PINNED = {
                0.9861892337831718, 0.9999791666666666, 0.01381076621682824),
         "C2": ("input=(d+, sigma-) q=0 basis=XY", 0.9908387941735957, 0.9999848484848485,
                0.00916120582640437),
+        "C3": ("no aligned events observed", 0.0, 5e-06, None),
         "C4": ("unitary=DIAG->SIGMA input=(d+, sigma-) q=0 basis=XY", 0.9940069403463665,
                0.9999956140350877, 0.005993059653633468),
     },
@@ -609,8 +616,54 @@ def test_mc_evidence_pinned(rule):
     report = audit_rule(rule, FAST_MC)
     for check_id, pinned in FAST_MC_PINNED[rule.name].items():
         check = next(c for c in report.checks if c.check_id.startswith(check_id))
-        assert (check.witness, check.metric, check.threshold, check.evidence["p_value"]) == pinned
+        # C3 reads no p-value, so its pin holds the whole evidence
+        last = check.evidence if check_id == "C3" else check.evidence["p_value"]
+        assert (check.witness, check.metric, check.threshold, last) == pinned
         assert check.passed == (rule.name == "singlet" or check_id == "C4")
+
+
+# Each sample-count field and the (mode, check) grids it sizes.
+SAMPLE_FIELDS = {
+    "input_samples": {("exact", "C2"), ("exact", "C3")},
+    "unitary_samples": {("exact", "C4")},
+    "mc_input_samples": {("mc", "C2"), ("mc", "C3")},
+    "mc_unitary_samples": {("mc", "C4")},
+}
+CHECKS = {"C1": check_indistinguishability, "C2": check_role_symmetry,
+          "C3": check_anti_alignment, "C4": check_basis_covariance}
+
+
+def _grid_lengths(config, monkeypatch) -> dict:
+    """Per check, the number of inputs of every grid it couples."""
+    lengths, coupling_channel = [], audit.coupling_channel
+
+    def record(rule, probes, objects, noise_q=0.0):
+        lengths.append(len(probes))
+        return coupling_channel(rule, probes, objects, noise_q)
+
+    monkeypatch.setattr(audit, "coupling_channel", record)
+    out = {}
+    for name, check in CHECKS.items():
+        lengths.clear()
+        check(probe_rigid(), config)
+        out[name] = tuple(lengths)
+    monkeypatch.undo()
+    return out
+
+
+def test_each_sample_count_field_sizes_only_the_grids_it_names(monkeypatch):
+    sizes = {"input_samples": 20, "unitary_samples": 10, "mc_input_samples": 3,
+             "mc_unitary_samples": 2}
+    for field, named in SAMPLE_FIELDS.items():
+        for evaluation in ("exact", "mc"):
+            before = _grid_lengths(AuditConfig(evaluation=evaluation, **sizes), monkeypatch)
+            after = _grid_lengths(AuditConfig(evaluation=evaluation,
+                                              **{**sizes, field: sizes[field] + 1}), monkeypatch)
+            for name in CHECKS:
+                grows = (evaluation, name) in named
+                assert not grows or before[name], (field, evaluation, name)
+                assert after[name] == tuple(n + grows for n in before[name]), (
+                    field, evaluation, name)
 
 
 def test_mc_counts_null_calibration():
@@ -823,14 +876,25 @@ def test_symmetry_breaking_metric_falls_with_delta():
     assert np.all(np.diff(metrics, axis=0) < 0), metrics
 
 
+def _exact_pair_cases(rule, config, levels=None):
+    """Exact C2 and C4 ``_pair_cases`` at ``levels``, by default every configured level."""
+    levels = config.noise_levels if levels is None else levels
+    actions = ((audit._swap_action, 2, config.input_samples),
+               (audit._rotation_action, 4, config.unitary_samples))
+    return tuple(audit._pair_cases(rule, levels, *action(config, audit._CORNER_PAIRS, stream, count))
+                 for action, stream, count in actions)
+
+
+def _exact_pair_levels(config):
+    """The levels exact C2 and C4 pick: the lowest configured one."""
+    return audit._grid_args(config, 2, config.input_samples, config.mc_input_samples)[3]
+
+
 @pytest.mark.parametrize("rule", list(builtin_rules()) + [REMOVE_ALIGNED_XY],
                          ids=lambda rule: rule.name)
 def test_outcome_distance_matches_nuclear_norm_and_bounds_basis_tvd(rule):
     config = AuditConfig(input_samples=30, unitary_samples=15, seed=7)
-    role = audit._role_cases(rule, config, audit._CORNER_PAIRS, 2, config.input_samples)
-    covariance = audit._covariance_cases(rule, config, audit._CORNER_PAIRS, 4,
-                                         config.unitary_samples)
-    for _, out_a, out_b in (role, covariance):
+    for _, out_a, out_b in _exact_pair_cases(rule, config):
         distance = audit._outcome_distance(out_a, out_b)
         diff = ((1.0 - out_a.p_scatter)[:, None, None] * out_a.survivors
                 - (1.0 - out_b.p_scatter)[:, None, None] * out_b.survivors)
@@ -860,10 +924,7 @@ def _result_fields(result):
 
 
 def _assert_pair_checks_match_all_rows(rule, config):
-    levels = audit._exact_pair_levels(config)
-    role = audit._role_cases(rule, config, audit._CORNER_PAIRS, 2, config.input_samples, levels)
-    covariance = audit._covariance_cases(rule, config, audit._CORNER_PAIRS, 4,
-                                         config.unitary_samples, levels)
+    role, covariance = _exact_pair_cases(rule, config, _exact_pair_levels(config))
     for check, check_id, cases, names in (
         (check_role_symmetry, CHECK_IDS[1], role, ("direct", "swapped")),
         (check_basis_covariance, CHECK_IDS[3], covariance, ("rotated", "base")),
@@ -920,10 +981,7 @@ def test_pair_distance_at_level_q_is_one_minus_q_times_the_coupled_one(rule):
     # every C2/C4 difference; exact C2/C4 rest on this to run one level
     levels = (0.0, 0.3, 0.5, 1.0)
     config = AuditConfig(noise_levels=levels)
-    for _, out_a, out_b in (
-        audit._role_cases(rule, config, audit._CORNER_PAIRS, 2, config.input_samples),
-        audit._covariance_cases(rule, config, audit._CORNER_PAIRS, 4, config.unitary_samples),
-    ):
+    for _, out_a, out_b in _exact_pair_cases(rule, config):
         distance = audit._outcome_distance(out_a, out_b).reshape(-1, len(levels))
         scaled = np.multiply.outer(distance[:, 0], 1.0 - np.array(levels))
         assert np.abs(distance - scaled).max() <= 1e-12, rule.name
@@ -941,14 +999,10 @@ def test_exact_pair_checks_match_the_reference_over_every_level(config):
     # configured level the verdict holds, the metric moves by rounding at
     # most, and a failing check keeps its witness, metric and evidence
     for rule in PAIR_CHECK_RULES:
+        role, covariance = _exact_pair_cases(rule, config)
         for check, check_id, cases, names in (
-            (check_role_symmetry, CHECK_IDS[1],
-             audit._role_cases(rule, config, audit._CORNER_PAIRS, 2, config.input_samples),
-             ("direct", "swapped")),
-            (check_basis_covariance, CHECK_IDS[3],
-             audit._covariance_cases(rule, config, audit._CORNER_PAIRS, 4,
-                                     config.unitary_samples),
-             ("rotated", "base")),
+            (check_role_symmetry, CHECK_IDS[1], role, ("direct", "swapped")),
+            (check_basis_covariance, CHECK_IDS[3], covariance, ("rotated", "base")),
         ):
             got = check(rule, config)
             want = _all_rows_pair_verdict(check_id, config, *cases, names)
@@ -985,8 +1039,7 @@ def test_exact_pair_verdict_runs_no_eigvalsh_when_every_row_is_zero(rule, monkey
     # at level 0 these rules' C2 differences are exactly zero on every row,
     # which the screen sees, so row 0 is the witness without a trace norm
     config = AuditConfig()
-    cases = audit._role_cases(rule, config, audit._CORNER_PAIRS, 2, config.input_samples,
-                              audit._exact_pair_levels(config))
+    cases = _exact_pair_cases(rule, config, _exact_pair_levels(config))[0]
     want = _all_rows_pair_verdict(CHECK_IDS[1], config, *cases, ("direct", "swapped"))
 
     def refuse(*args, **kwargs):
@@ -1009,7 +1062,8 @@ def test_covariance_cases_match_a_base_coupling_on_every_row(pairs, stream, coun
         tuple(config.bases), pairs, config.seed, stream, count)
     assert len(probes) == len(pairs) + count
     for rule in PAIR_CHECK_RULES:
-        _, _, conjugated = audit._covariance_cases(rule, config, pairs, stream, count)
+        _, _, conjugated = audit._pair_cases(rule, config.noise_levels,
+                                             *audit._rotation_action(config, pairs, stream, count))
         base = rules.coupling_channel(rule, probes[index], objects[index], config.noise_levels)
         survivors = base.survivors.reshape(len(index), -1, 4, 4)
         survivors = (uu @ survivors @ uu.conj().swapaxes(-1, -2)).reshape(-1, 4, 4)
@@ -1115,7 +1169,8 @@ def test_basis_laws_equal_a_born_call_per_basis():
     # one call over both sides' rows, as Monte Carlo C2/C4 make, those of each side
     config = FAST_EXACT
     for rule in PAIR_CHECK_RULES:
-        _, direct, mirrored = audit._role_cases(rule, config, audit._CORNER_PAIRS, 2, 20)
+        _, direct, mirrored = audit._pair_cases(
+            rule, config.noise_levels, *audit._swap_action(config, audit._CORNER_PAIRS, 2, 20))
         for out in (direct, mirrored):
             survive = 1.0 - out.p_scatter
             want = np.stack([np.clip(np.column_stack(

@@ -32,8 +32,8 @@ from ifmsim.rules import (
     random_mix,
     rule_from_name,
     singlet_rule,
+    swap_back,
     swapped_channel,
-    swapped_coupling_channel,
     validate_custom_rule,
 )
 from ifmsim.states import (
@@ -65,6 +65,11 @@ from ifmsim.states import (
 
 CORNERS = (STATE_X, STATE_Y, SIGMA_PLUS, SIGMA_MINUS, D_PLUS, D_MINUS)
 UNIVERSAL = (probe_rigid(), object_rigid(), singlet_rule(), random_mix(), preferred_basis(BASIS_SIGMA))
+
+
+def swapped_coupling_channel(rule, probes, objects, noise_q=0.0):
+    """The coupling of the exchanged partners mapped back by ``swap_back``, as C2 runs it."""
+    return swap_back(coupling_channel(rule, objects, probes, noise_q))
 
 
 def aligned_projector_complement():
@@ -510,7 +515,7 @@ def test_builtin_spellings_round_trip(name, factory):
     # the same coupling rows on the C2 grid, bit for bit
     rule, built = rule_from_name(name), factory()
     assert (rule.name, rule.description) == (name, built.description)
-    probes, objects = audit._role_inputs(audit._CORNER_PAIRS, 0, 2, 200)
+    probes, objects = audit._input_grid(audit._CORNER_PAIRS, 0, 2, 200)
     levels = (0.0, 0.3, 1.0)
     for channel in (coupling_channel, swapped_coupling_channel):
         got = channel(rule, probes, objects, levels)

@@ -45,12 +45,17 @@ from ifmsim.states import (
     random_state,
     state_label,
     tensor_product,
-    to_bloch,
     uniform_state_amps,
+    _bloch,
     _expectations,
 )
 
 CORNERS = (STATE_X, STATE_Y, SIGMA_PLUS, SIGMA_MINUS, D_PLUS, D_MINUS)
+
+
+def to_bloch(s: QubitState) -> np.ndarray:
+    """The Bloch vector ``state_label`` reads its angles from."""
+    return np.array(_bloch(s.a_x, s.a_y))
 
 finite_amp = st.complex_numbers(
     min_magnitude=0, max_magnitude=10, allow_nan=False, allow_infinity=False

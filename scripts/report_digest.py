@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over a fixed grid of 720 audit reports.
+"""Print one SHA-256 over a fixed grid of 720 audit reports, then one over their verdicts.
 
 The grid crosses ten rules (the six built-ins, ``remove-aligned-xy``,
 K = 0, ``coherent-projection:sigma`` and ``preferred-basis:xy``), seeds
 0-3, the noise levels (0, 0.5), (0.3) and (0, 0.3, 1), the default bases
 and (xy, sigma), and three evaluations: exact, and Monte Carlo at 1e5 and
 at 5 trials.  A change meant to keep every report byte must print the same
-line before and after it.  Report floats can differ between CPUs, so
-compare digests taken on one machine.
+first line before and after it.  Report floats can differ between CPUs,
+so compare report digests taken on one machine.  The second line hashes
+the verdict rows alone, one ``P``/``F`` per check (``PPFF``) and report,
+which should not depend on the CPU.
 """
 
 import hashlib
@@ -29,7 +31,7 @@ MODES = (("exact", 100_000), ("mc", 100_000), ("mc", 5))
 
 
 def main() -> None:
-    digest, count = hashlib.sha256(), 0
+    digest, verdicts, count = hashlib.sha256(), hashlib.sha256(), 0
     for evaluation, trials in MODES:
         for bases in BASES:
             for levels in LEVELS:
@@ -37,9 +39,12 @@ def main() -> None:
                     config = AuditConfig(bases=bases, noise_levels=levels, seed=seed,
                                          evaluation=evaluation, mc_trials=trials)
                     for rule in RULES:
-                        digest.update(audit_rule(rule, config).to_json().encode() + b"\n")
+                        report = audit_rule(rule, config)
+                        digest.update(report.to_json().encode() + b"\n")
+                        verdicts.update("".join("PF"[not c.passed] for c in report.checks).encode() + b"\n")
                         count += 1
     print(f"{digest.hexdigest()}  {count} reports")
+    print(f"{verdicts.hexdigest()}  {count} verdict rows")
 
 
 if __name__ == "__main__":

@@ -61,7 +61,10 @@ partial traces and survivor click laws.  The joint-basis vectors every
 Born call reads and C4's ``U (x) U`` adjoint are cached alike.  Each cache
 holds one read-only entry keyed on the values it reads, none of them a
 noise level, so memory stays that of one audit and reports do not depend
-on call order.
+on call order.  Report floats can differ between CPUs in their last bits;
+verdicts should not, and ``scripts/report_digest.py`` hashes them apart.
+A witness label is ``state_label`` of its amplitudes, taken through
+``states._canonical_phase`` and ``_amps_label`` without building a state.
 """
 
 from __future__ import annotations
@@ -92,12 +95,12 @@ from .states import (
     Basis,
     D_MINUS,
     D_PLUS,
-    PHASE_EPS,
     SIGMA_MINUS,
     SIGMA_PLUS,
     STATE_X,
     STATE_Y,
     _amps_label,
+    _canonical_phase,
     _expectations,
     _joint_vectors,
     basis_change_unitary,
@@ -373,31 +376,8 @@ def _amps(states) -> np.ndarray:
 
 
 def _input_label(probe: np.ndarray, obj: np.ndarray) -> str:
-    return f"input=({_state_label(*probe.tolist())}, {_state_label(*obj.tolist())})"
-
-
-def _state_label(a_x: complex, a_y: complex) -> str:
-    """``state_label(QubitState((a_x, a_y)))`` of normalised amplitudes, in plain Python.
-
-    The phase rule of ``states._canonical_phase``, with numpy's arithmetic:
-    a complex divided by a real is its real and imaginary parts, each plus
-    a zero product, times the reciprocal.  Then ``state_label``'s formatter.
-    The text is that of ``state_label``; its amplitudes can differ in the
-    last bit where numpy fuses a multiply and an add, which moves a ``.6g``
-    digit only on a rounding boundary.
-    """
-    rotate_x = abs(a_x) > PHASE_EPS
-    anchor = a_x if rotate_x else a_y
-    size = abs(anchor)
-    conj, scale = anchor.conjugate(), 1.0 / size
-    re, im = (conj.real + conj.imag * 0.0) * scale, (conj.imag - conj.real * 0.0) * scale
-    if rotate_x:
-        a_x, a_y = complex(size, 0.0), complex(a_y.real * re - a_y.imag * im,
-                                               a_y.real * im + a_y.imag * re)
-    else:
-        a_x, a_y = complex(a_x.real * re - a_x.imag * im,
-                           a_x.real * im + a_x.imag * re), complex(size, 0.0)
-    return _amps_label(a_x, a_y)
+    probe_label, obj_label = (_amps_label(*_canonical_phase(s.tolist())) for s in (probe, obj))
+    return f"input=({probe_label}, {obj_label})"
 
 
 def _no_cases(check_id: str, threshold: float) -> CheckResult:

@@ -76,12 +76,16 @@ def _resolve_rule(text: str):
 def _write_text_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file so partial output is never left behind.
 
-    An OS failure is a ``ConfigError`` naming ``path`` and the reason.
+    The file gets the mode ``open(path, "w")`` gives a new file.  An OS
+    failure is a ``ConfigError`` naming ``path`` and the reason.
     """
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=".ifmsim-", suffix=".tmp")
+        umask = os.umask(0o077)  # read by setting; restored at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

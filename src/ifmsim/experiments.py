@@ -43,6 +43,7 @@ from .states import (
     STATE_X,
     STATE_Y,
     _expectations,
+    _projectors,
     eigenbasis_of,
     joint_born_distribution,
     partial_trace,
@@ -277,9 +278,7 @@ def flyby_clicks(sources, analyzers, take=slice(None)) -> np.ndarray:
     ``sources`` holds the ``(N, 2)`` source particle amplitudes; ``analyzers``
     and ``take`` are those of ``survivor_clicks``.
     """
-    sources = np.asarray(sources, dtype=complex)
-    flyby = sources[:, :, None] * sources[:, None, :].conj()
-    return _expectations(flyby[take], analyzers)
+    return _expectations(_projectors(np.asarray(sources, dtype=complex))[take], analyzers)
 
 
 def filter_law(q, p_scatter, survivor_clicks, flyby_clicks) -> np.ndarray:

@@ -54,6 +54,8 @@ from .states import (
     Basis,
     QubitState,
     SINGLET,
+    _pair_amps,
+    _projectors,
     overlap_probability,
     parse_basis_spec,
 )
@@ -175,16 +177,6 @@ class Coupling(NamedTuple):
     survivors: np.ndarray
 
 
-def _pair_amps(probes: np.ndarray, objects: np.ndarray) -> np.ndarray:
-    """Product amplitudes ``probe_i * object_j`` at flat index ``2*i + j``, per row."""
-    return (probes[:, :, None] * objects[:, None, :]).reshape(-1, 4)
-
-
-def _projectors(amps: np.ndarray) -> np.ndarray:
-    """``|v><v|`` for every row ``v`` of ``amps``."""
-    return amps[:, :, None] * amps[:, None, :].conj()
-
-
 def _orthogonal(amps: np.ndarray) -> np.ndarray:
     """Per row, the state orthogonal to ``amps``: ``(-conj(a_y), conj(a_x))``."""
     return np.stack([-amps[:, 1].conj(), amps[:, 0].conj()], axis=1)
@@ -240,9 +232,9 @@ def random_mix() -> Rule:
 
 
 def preferred_basis(basis: Basis) -> Rule:
-    v12 = np.kron(basis.b1.amps, basis.b2.amps)
-    v21 = np.kron(basis.b2.amps, basis.b1.amps)
-    cell12, cell21 = np.outer(v12, v12.conj()), np.outer(v21, v21.conj())
+    b1, b2 = basis.b1.amps, basis.b2.amps
+    v12, v21 = _pair_amps(np.array([b1, b2]), np.array([b2, b1]))
+    cell12, cell21 = _projectors(np.array([v12, v21]))
 
     def survivors(probes, objects, inp):
         w12 = np.abs(inp @ v12.conj()) ** 2

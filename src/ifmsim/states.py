@@ -9,12 +9,14 @@ Conventions used across the package:
 * Joint amplitudes: ``amplitude(i, j)`` of the pair sits at flat index
   ``2*i + j``, where ``i`` indexes the probe and ``j`` the object.  The
   same index convention applies to 4x4 densities and to the custom-rule
-  file format.
+  file format.  ``_pair_amps`` and ``_projectors`` build every product
+  state and projector ``|v><v|`` of the package.
 * Bloch sphere: ``|x>`` maps to ``(0, 0, 1)``; orthogonal states map to
   antipodal vectors.
 * Global phase: the first amplitude with magnitude above ``PHASE_EPS``
   is made real and non-negative, so states that differ only by a global
-  phase compare equal.
+  phase compare equal.  ``_canonical_phase`` is the one implementation,
+  for states and witness labels alike; its bits do not depend on the CPU.
 
 Every value is immutable after construction and every function is pure,
 so everything here is safe for concurrent use.
@@ -45,14 +47,33 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {position} in {text!r})")
 
 
-def _canonical_phase(amps: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first significant amplitude is real >= 0."""
+def _canonical_phase(amps) -> list[complex]:
+    """Rotate the global phase so the first significant amplitude is real >= 0.
+
+    Plain Python, one rounding per float operation, so no CPU fuses a
+    multiply and an add: ``conj(a) / |a|`` as numpy divides a complex by a
+    real, a textbook complex product per amplitude, the anchor ``|a|`` exactly.
+    """
+    amps = [complex(a) for a in amps]
     for k, a in enumerate(amps):
-        if abs(a) > PHASE_EPS:
-            out = amps * (a.conjugate() / abs(a))
-            out[k] = abs(a)  # the rotated anchor is |a| exactly; kill rounding dust
+        size = abs(a)
+        if size > PHASE_EPS:
+            conj, scale = a.conjugate(), 1.0 / size
+            re, im = (conj.real + conj.imag * 0.0) * scale, (conj.imag - conj.real * 0.0) * scale
+            out = [complex(b.real * re - b.imag * im, b.real * im + b.imag * re) for b in amps]
+            out[k] = complex(size, 0.0)
             return out
     raise ZeroVectorError("cannot fix the phase of a zero vector")
+
+
+def _pair_amps(probes: np.ndarray, objects: np.ndarray) -> np.ndarray:
+    """Product amplitudes ``probe_i * object_j`` at flat index ``2*i + j``, per row."""
+    return (probes[:, :, None] * objects[:, None, :]).reshape(-1, 4)
+
+
+def _projectors(amps: np.ndarray) -> np.ndarray:
+    """``|v><v|`` for every row ``v`` of ``amps``."""
+    return amps[:, :, None] * amps[:, None, :].conj()
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +93,7 @@ class _PureState:
             raise ValueError("amplitudes must be finite")
         if abs(np.linalg.norm(amps) - 1.0) > ATOL:
             raise ValueError("amplitudes are not normalized")
-        amps = _canonical_phase(amps)
+        amps = np.array(_canonical_phase(amps))
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -82,7 +103,7 @@ class _PureState:
 
     def density(self) -> np.ndarray:
         """``dim`` x ``dim`` projector ``|s><s|``."""
-        return np.outer(self.amps, self.amps.conj())
+        return _projectors(self.amps[None])[0]
 
 
 class QubitState(_PureState):
@@ -199,7 +220,7 @@ def from_bloch_angles(theta: float, phi: float) -> QubitState:
 
 def tensor_product(probe: QubitState, obj: QubitState) -> JointState:
     """Product state with ``amplitude(i, j) = probe_i * obj_j``."""
-    return JointState(np.kron(probe.amps, obj.amps))
+    return JointState(_pair_amps(probe.amps[None], obj.amps[None])[0])
 
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
@@ -234,10 +255,10 @@ def born_distribution(rho: np.ndarray, basis: Basis) -> np.ndarray:
 
 def _joint_vectors(basis_probe: Basis, basis_object: Basis) -> np.ndarray:
     """The four product vectors ``(4, 4)``: row ``2*k + l`` is probe vector k times object
-    vector l, as ``np.kron`` builds it."""
+    vector l."""
     probe = np.array([basis_probe.b1.amps, basis_probe.b2.amps])
     obj = np.array([basis_object.b1.amps, basis_object.b2.amps])
-    return (probe[:, None, :, None] * obj[None, :, None, :]).reshape(4, 4)
+    return _pair_amps(probe.repeat(2, axis=0), np.tile(obj, (2, 1)))
 
 
 def joint_born_distribution(rho: np.ndarray, basis_probe: Basis, basis_object: Basis) -> np.ndarray:

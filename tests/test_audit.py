@@ -40,8 +40,9 @@ from ifmsim.rules import (
     validate_custom_rule,
 )
 from ifmsim.states import (
-    BASIS_DIAG, BASIS_SIGMA, BASIS_XY, NAMED_STATES, SINGLET, STATE_X, STATE_Y, QubitState,
-    joint_born_distribution, mutually_unbiased, orthogonal_state, state_label, uniform_state_amps,
+    BASIS_DIAG, BASIS_SIGMA, BASIS_XY, NAMED_STATES, PHASE_EPS, SINGLET, STATE_X, STATE_Y,
+    QubitState, _canonical_phase, _pair_amps, joint_born_distribution, mutually_unbiased,
+    orthogonal_state, state_label, uniform_state_amps,
 )
 
 FAST_EXACT = AuditConfig(unitary_samples=25, input_samples=40, seed=11)
@@ -1260,7 +1261,29 @@ def test_input_labels_equal_state_labels_on_every_grid_row(seed):
             f"input=({_label_reference(probe)}, {_label_reference(obj)})")
 
 
-def test_state_labels_from_amplitudes_equal_state_labels():
+def _phase_oracle(amps) -> list[tuple[float, float]]:
+    """The phase rule as explicit float operations, one rounding each.
+
+    The factor ``conj(a) / |a|`` of the first amplitude above ``PHASE_EPS``
+    follows numpy's complex division by ``|a| + 0j`` (Smith's rule); each
+    amplitude is then the textbook complex product with it, and the anchor
+    is ``|a|``.  ``|a|`` is C's ``hypot``, as numpy's ``abs`` takes it
+    (``math.hypot`` rounds differently).
+    """
+    parts = [(float(a.real), float(a.imag)) for a in amps]
+    sizes = [abs(complex(re, im)) for re, im in parts]
+    k = next(k for k, size in enumerate(sizes) if size > PHASE_EPS)
+    size = sizes[k]
+    ratio = 0.0 / size
+    scale = 1.0 / (size + 0.0 * ratio)
+    conj_re, conj_im = parts[k][0], -parts[k][1]
+    f_re, f_im = (conj_re + conj_im * ratio) * scale, (conj_im - conj_re * ratio) * scale
+    out = [(re * f_re - im * f_im, re * f_im + im * f_re) for re, im in parts]
+    out[k] = (size, 0.0)
+    return out
+
+
+def test_canonical_phase_is_the_unfused_float_rotation():
     rng = derive_rng(1821)
     u = rng.random((100_000, 3))
     states = uniform_state_amps(u[:, :2]) * np.exp(2j * math.pi * u[:, 2:])
@@ -1272,10 +1295,17 @@ def test_state_labels_from_amplitudes_equal_state_labels():
     near = [(named + d * orthogonal) / math.hypot(1.0, d) for d in (0.5e-9, 2e-9)]
     near = [s * phase for s in near for phase in (1, 1j, -1)]
     probes = np.concatenate([states, corners.reshape(-1, 2), *near])
-    for probe in probes:
-        assert audit._state_label(*probe.tolist()) == _label_reference(probe), probe
-    assert [audit._state_label(*s.tolist()) for s in near[0][:6]] == list(NAMED_STATES)
-    assert all(audit._state_label(*s.tolist()).startswith("theta,phi=") for s in near[3])
+    # dimension 4: each row times its neighbour, so products with y lead with zeros
+    pairs = _pair_amps(probes, np.roll(probes, 1, axis=0))
+    assert {int(np.argmax(np.abs(v) > PHASE_EPS)) for v in pairs} == {0, 1, 2, 3}
+    for rows in (probes, pairs):
+        got = np.array([[(a.real, a.imag) for a in _canonical_phase(amps)] for amps in rows])
+        want = np.array([_phase_oracle(amps) for amps in rows])
+        differ = (got.view(np.int64) != want.view(np.int64)).any(axis=(1, 2))
+        assert not differ.any(), rows[differ][:3]
+    # witness labels take the same rule: a named state 0.5e-9 away reads as its name, 2e-9 away not
+    assert [audit._input_label(s, s) for s in near[0][:6]] == [f"input=({n}, {n})" for n in NAMED_STATES]
+    assert all(audit._input_label(s, s).startswith("input=(theta,phi=") for s in near[3])
 
 
 @pytest.mark.parametrize("evaluation", ["exact", "mc"])

@@ -134,6 +134,23 @@ def test_failed_write_leaves_no_temp_file(runner, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o002])
+@pytest.mark.parametrize("args", [
+    ("audit", "--rule", "singlet", "--report"),
+    ("run", "filter", "--rule", "singlet", "--mode", "mc", "--trials", "100", "--csv"),
+])
+def test_report_and_csv_files_get_the_mode_of_a_plain_open(runner, tmp_path, umask, args):
+    previous = os.umask(umask)
+    try:
+        invoke(runner, *args, str(tmp_path / "out"))
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    mode = (tmp_path / "out").stat().st_mode & 0o777
+    assert mode == (tmp_path / "plain").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_audit_report_bodies_byte_identical(runner, tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     invoke(runner, "audit", "--rule", "object-rigid", "--seed", "5", "--report", str(p1))

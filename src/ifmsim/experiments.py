@@ -254,19 +254,18 @@ class OutcomeDistribution:
         }
 
 
-def survivor_clicks(rule: Rule, probes, objects, swapped, analyzers, take=slice(None)):
-    """The filter device's coupling at q = 0, one row per emitted source state.
+def survivor_clicks(out: Coupling, swapped, analyzers, take=slice(None)):
+    """The filter device's survivor click laws, one row per analyzer row.
 
-    Rows: ``(N, 2)`` probe-slot and object-slot amplitudes, ``(N,)`` flags
-    marking the rows whose source particle sits in the object slot, and
-    ``(M, 2, 2)`` analyzer basis vectors.  ``take`` names, per analyzer row,
-    the coupling row it projects (by default row ``n`` projects row ``n``),
-    so rows that differ only in the analyzer share one coupling.  Returns per
-    analyzer row the scatter probability and the source particle's click law
-    when it survives (zero if it cannot).
+    ``out`` holds the q = 0 coupling rows of the wiring and ``swapped`` their
+    ``(N,)`` flags marking the rows whose source particle sits in the object
+    slot; ``analyzers`` holds ``(M, 2, 2)`` analyzer basis vectors.  ``take``
+    names, per analyzer row, the coupling row it projects (by default row
+    ``n`` projects row ``n``), so rows that differ only in the analyzer share
+    one coupling.  Returns per analyzer row the scatter probability and the
+    source particle's click law when it survives (zero if it cannot).
     """
     swapped = np.asarray(swapped, dtype=bool)[:, None, None]
-    out = coupling_channel(rule, probes, objects, 0.0)
     reduced = np.where(swapped, partial_trace(out.survivors, "object"),
                        partial_trace(out.survivors, "probe"))
     return out.p_scatter[take], _expectations(reduced[take], analyzers)
@@ -313,7 +312,8 @@ def _config_branches(cfg: FilterConfig):
     objects = np.array([cfg.object_state.amps] * 2)
     slots = (objects, sources) if cfg.swapped_roles else (sources, objects)
     analyzer = [cfg.analyzer_basis.b1.amps, cfg.analyzer_basis.b2.amps]
-    return (*survivor_clicks(cfg.rule, *slots, [cfg.swapped_roles] * 2, [analyzer] * 2),
+    out = coupling_channel(cfg.rule, *slots, 0.0)
+    return (*survivor_clicks(out, [cfg.swapped_roles] * 2, [analyzer] * 2),
             flyby_clicks(sources, [analyzer] * 2))
 
 

@@ -36,6 +36,7 @@ from ifmsim.rules import (
     preferred_basis,
     probe_rigid,
     random_mix,
+    rule_from_name,
     singlet_rule,
     validate_custom_rule,
 )
@@ -441,13 +442,14 @@ GRID_BUILDERS = (
     audit._input_grid,
     audit._covariance_grid,
     audit._basis_vectors,
+    audit._mc_grid,
 )
 # C2 and C3 each keep one entry of the input grid cache
 GRID_ENTRIES = {audit._input_grid: 2}
 
 
 def _cold_report(rule, config) -> str:
-    for builder in GRID_BUILDERS:
+    for builder in (*GRID_BUILDERS, audit._mc_pass):
         builder.cache_clear()
     experiments._seed_words.cache_clear()
     return audit_rule(rule, config).to_json()
@@ -455,30 +457,42 @@ def _cold_report(rule, config) -> str:
 
 # keyed on the bases alone, so both modes share them
 MODE_FREE_GRIDS = (audit._mode_pair_grid, audit._basis_vectors)
+# Reads of each grid per audit: exact checks read their own grids and C3's Born
+# call the basis vectors; the Monte Carlo pass reads the stacked grid, C1's
+# and C4's grids and, in its one Born call, the basis vectors.  Building the
+# stacked grid reads C1's, C2's, C3's and C4's grids once more.
+AUDIT_READS = {
+    "exact": {audit._mode_pair_grid: 1, audit._input_grid: 2, audit._covariance_grid: 1,
+              audit._basis_vectors: 1},
+    "mc": {audit._mode_pair_grid: 1, audit._covariance_grid: 1, audit._basis_vectors: 1,
+           audit._mc_grid: 1},
+}
+STACKED_GRID_READS = {audit._mode_pair_grid: 1, audit._input_grid: 2, audit._covariance_grid: 1}
 
 
 @pytest.mark.parametrize("configs", [(FAST_EXACT,), (FAST_MC,), (FAST_EXACT, FAST_MC, FAST_EXACT)],
                          ids=["exact", "mc", "exact-mc-exact"])
 def test_grids_are_built_once_per_config(configs):
-    # each entry is read once per audit, but the basis vectors by every Born
-    # call: C3's, and in Monte Carlo mode also C2's and C4's, one for both
-    # sides; the other grids are built once per change of mode
+    # each grid is built once per change of mode, the mode-free ones once
     reads = dict.fromkeys(GRID_BUILDERS, 0)
-    for builder in GRID_BUILDERS:
+    for builder in (*GRID_BUILDERS, audit._mc_pass):
         builder.cache_clear()
     for config in configs:
         audit_rule(singlet_rule(), config)
         audit_rule(probe_rigid(), config)
-        born_calls = 3 if config.evaluation == "mc" else 1
-        for builder in GRID_BUILDERS:
-            entries = GRID_ENTRIES.get(builder, 1)
-            reads[builder] += 2 * (born_calls if builder is audit._basis_vectors else entries)
+        for builder, count in AUDIT_READS[config.evaluation].items():
+            reads[builder] += 2 * count
+        if config.evaluation == "mc":
+            for builder, count in STACKED_GRID_READS.items():
+                reads[builder] += count
+    mc_configs = sum(config.evaluation == "mc" for config in configs)
     for builder in GRID_BUILDERS:
         entries = GRID_ENTRIES.get(builder, 1)
-        misses = entries * (1 if builder in MODE_FREE_GRIDS else len(configs))
+        built = mc_configs if builder is audit._mc_grid else len(configs)
+        misses = entries * (1 if builder in MODE_FREE_GRIDS else built)
         info = builder.cache_info()
         assert (info.misses, info.hits, info.currsize) == (misses, reads[builder] - misses,
-                                                           entries), builder
+                                                           entries if misses else 0), builder
 
 
 def _cache_config(evaluation, seed=11, **kwargs):
@@ -634,8 +648,17 @@ CHECKS = {"C1": check_indistinguishability, "C2": check_role_symmetry,
           "C3": check_anti_alignment, "C4": check_basis_covariance}
 
 
+# The blocks of the stacked Monte Carlo grid each check couples.
+MC_BLOCKS = {"C1": (audit._C1,), "C2": (audit._C2A, audit._C2B), "C3": (audit._C3,),
+             "C4": (audit._C4A, audit._C4B)}
+
+
 def _grid_lengths(config, monkeypatch) -> dict:
-    """Per check, the number of inputs of every grid it couples."""
+    """Per check, the number of inputs of every grid it couples.
+
+    A Monte Carlo check, called alone, makes the pass's one coupling call
+    over the whole stacked grid; its grids are its blocks of that grid.
+    """
     lengths, coupling_channel = [], audit.coupling_channel
 
     def record(rule, probes, objects, noise_q=0.0):
@@ -649,6 +672,12 @@ def _grid_lengths(config, monkeypatch) -> dict:
         check(probe_rigid(), config)
         out[name] = tuple(lengths)
     monkeypatch.undo()
+    if config.evaluation == "mc":
+        grid = audit._mc_grid(config.bases, config.seed, config.mc_input_samples,
+                              config.mc_unitary_samples)
+        assert set(out.values()) == {(len(grid.probes),)}
+        out = {name: tuple(grid.blocks[b].stop - grid.blocks[b].start for b in blocks)
+               for name, blocks in MC_BLOCKS.items()}
     return out
 
 
@@ -888,7 +917,7 @@ def _exact_pair_cases(rule, config, levels=None):
 
 def _exact_pair_levels(config):
     """The levels exact C2 and C4 pick: the lowest configured one."""
-    return audit._grid_args(config, 2, config.input_samples, config.mc_input_samples)[3]
+    return audit._lowest_level(config)
 
 
 @pytest.mark.parametrize("rule", list(builtin_rules()) + [REMOVE_ALIGNED_XY],
@@ -1120,7 +1149,8 @@ def test_mc_verdict_matches_the_every_comparison_reference():
         for cells, columns in ((3, 2), (5, 3)):  # C1, and C2/C4 over three bases
             a, b = _count_stacks(rng, 1700, rows, columns, cells)
             for n, want in enumerate(_every_comparison_verdicts(config, a, b)):
-                got = audit._mc_verdict("C", config, a[n], b[n], lambda row, k: f"{row},{k}",
+                _, p_values = chi_square_two_sample(a[n], b[n])
+                got = audit._mc_verdict("C", config, p_values, lambda row, k: f"{row},{k}",
                                         lambda row, k: {})
                 assert _result_fields(got) == _result_fields(want), (a[n].tolist(), b[n].tolist())
                 checked += 1
@@ -1315,7 +1345,8 @@ def test_mode_pair_laws_equal_filter_runs_of_their_cases(evaluation):
     grid = audit._mode_pair_grid(config.bases)
     rows = grid.mc if evaluation == "mc" else grid.exact
     for rule in PAIR_CHECK_RULES:
-        laws = audit._mode_pair_laws(rule, config, grid, rows)
+        coupled = rules.coupling_channel(rule, grid.probes, grid.objects, 0.0)
+        laws = audit._mode_pair_laws(coupled, config, grid, rows)
         for n, (swapped, obj, analyzer, mode2) in enumerate(rows.cases):
             for k, q in enumerate(config.noise_levels):
                 for m, source in enumerate((obj, mode2)):
@@ -1324,3 +1355,185 @@ def test_mode_pair_laws_equal_filter_runs_of_their_cases(evaluation):
                         noise_q=q, swapped_roles=swapped))
                     want = run.probabilities()
                     assert laws[n * 2 + k, m].tobytes() == want.tobytes(), (rule.name, n, k, m)
+
+
+def _chi_square_parts(counts_a, counts_b, monkeypatch):
+    """Statistic, dof and p-value bits of one ``chi_square_two_sample`` call."""
+    seen, sf = [], audit._chi_square_sf
+
+    def record(stat, dof):
+        seen.append(np.asarray(dof))
+        return sf(stat, dof)
+
+    monkeypatch.setattr(audit, "_chi_square_sf", record)
+    stat, p_value = chi_square_two_sample(counts_a, counts_b)
+    monkeypatch.undo()
+    return np.asarray(stat), seen[0], np.asarray(p_value)
+
+
+@pytest.mark.parametrize("trials", [5, 100_000])
+def test_chi_square_rows_keep_their_bits_alone_stacked_and_padded(trials, monkeypatch):
+    # the Monte Carlo pass takes every comparison of C1, C2 and C4 in one call,
+    # C1's three cells padded with two zero cells: each comparison must keep
+    # the statistic, dof and p-value bits it has alone, NaN rows among them
+    rng = derive_rng(2601)
+    a, b = rng.multinomial(trials, rng.dirichlet(np.ones(3), size=(2, 90)))
+    b[:10] = a[:10]  # identical sides
+    a[10:20, 1:], b[10:20, 1:] = 0, 0  # one pooled cell: NaN
+    b[20:25] = 0  # an empty side: NaN
+    a[25:40, 2], b[25:40, 2] = 0, 0  # a pooled-zero cell
+    assert np.isnan(chi_square_two_sample(a, b)[1]).sum() >= 15
+    alone = [_chi_square_parts(a[n:n + 1], b[n:n + 1], monkeypatch) for n in range(len(a))]
+    alone = [np.concatenate(part) for part in zip(*alone)]
+    pad = np.zeros((len(a), 2), dtype=a.dtype)
+    others = rng.multinomial(trials, rng.dirichlet(np.ones(5), size=(2, 50)))
+    forms = {
+        "stacked": _chi_square_parts(a, b, monkeypatch),
+        "padded": [part[:len(a)] for part in _chi_square_parts(
+            np.concatenate([np.hstack([a, pad]), others[0]]),
+            np.concatenate([np.hstack([b, pad]), others[1]]), monkeypatch)],
+    }
+    for name, parts in forms.items():
+        for part, want in zip(parts, alone):
+            assert part.tobytes() == want.tobytes(), name
+    for n in np.flatnonzero(~np.isnan(alone[2])):  # two vectors give the same floats
+        stat, p_value = chi_square_two_sample(a[n], b[n])
+        assert (stat, p_value) == (alone[0][n], alone[2][n])
+
+
+def _dense_contraction(seed: int):
+    rng = derive_rng(seed)
+    k = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return validate_custom_rule(k / (1.01 * np.linalg.norm(k, 2)), name=f"dense-{seed}")
+
+
+BLOCK_RULES = [*builtin_rules(), rule_from_name("coherent-projection:sigma"),
+               _dense_contraction(2602)]
+
+
+@pytest.mark.parametrize("levels", [(0.0, 0.5), (0.3,)])
+@pytest.mark.parametrize("rule", BLOCK_RULES, ids=lambda rule: rule.name)
+def test_stacked_grid_blocks_keep_the_bits_of_their_own_calls(rule, levels):
+    # the Monte Carlo pass couples every block of the stacked grid in one call
+    # at the levels (0, *levels); a block of two or more rows keeps the bits of
+    # its own calls at level 0 and at the configured levels.  A single row of a
+    # dense survive operator takes another BLAS path and can differ by up to
+    # 2.2e-16, so that is not asserted; no block holds one row, as every
+    # nonempty block starts with the corner pairs or C1's coupling rows.
+    configs = (AuditConfig(evaluation="mc", noise_levels=levels),
+               AuditConfig(evaluation="mc", noise_levels=levels, bases=(BASIS_XY, BASIS_SIGMA),
+                           seed=3, mc_input_samples=1, mc_unitary_samples=1))
+    for config in configs:
+        grid = audit._mc_grid(config.bases, config.seed, config.mc_input_samples,
+                              config.mc_unitary_samples)
+        stacked = rules.coupling_channel(rule, grid.probes, grid.objects, (0.0, *levels))
+        per_pair = [x.reshape(len(grid.probes), len(levels) + 1, -1) for x in stacked]
+        assert grid.blocks[-1].stop == len(grid.probes)
+        for rows in grid.blocks:
+            assert rows.stop - rows.start >= 2
+            inputs = grid.probes[rows], grid.objects[rows]
+            coupled = rules.coupling_channel(rule, *inputs, 0.0)
+            noisy = rules.coupling_channel(rule, *inputs, levels)
+            for got, want_coupled, want_noisy in zip(per_pair, coupled, noisy):
+                assert got[rows, 0].tobytes() == want_coupled.tobytes(), rows
+                assert got[rows, 1:].tobytes() == want_noisy.tobytes(), rows
+
+
+def test_each_audit_runs_its_own_mc_pass(monkeypatch):
+    # the four checks of one audit share one pass and its one coupling call;
+    # two audits of the same rule and config share none
+    calls, coupling_channel = [], audit.coupling_channel
+
+    def record(*args):
+        calls.append(len(args[1]))
+        return coupling_channel(*args)
+
+    monkeypatch.setattr(audit, "coupling_channel", record)
+    rule = probe_rigid()
+    reports = [audit_rule(rule, FAST_MC).to_json() for _ in range(2)]
+    assert len(calls) == 2 and reports[0] == reports[1]
+    info = audit._mc_pass.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+K_ZERO = validate_custom_rule(np.zeros((4, 4)), name="k-zero")
+MC_ALONE_CONFIGS = {
+    "unsorted-levels": AuditConfig(evaluation="mc", noise_levels=(0.5, 0.0, 1.0), seed=5),
+    "repeated-basis": AuditConfig(evaluation="mc", bases=(BASIS_XY, BASIS_XY, BASIS_SIGMA), seed=6),
+    "one-basis": AuditConfig(evaluation="mc", bases=(BASIS_XY,), seed=7),
+    "level-0": AuditConfig(evaluation="mc", noise_levels=(0.0,), seed=8),
+}
+
+
+@pytest.mark.parametrize("config", MC_ALONE_CONFIGS.values(), ids=MC_ALONE_CONFIGS)
+def test_mc_checks_called_alone_match_the_audit(config):
+    # each check reads its entry of the one Monte Carlo pass: alone, with a
+    # cold pass cache, it gives field for field the result of the whole audit,
+    # and a caller's change to one result's evidence reaches no later call
+    for rule in (probe_rigid(), singlet_rule(), coherent_projection(BASIS_SIGMA), K_ZERO):
+        report = audit_rule(rule, config)
+        for check, check_id in zip(CHECKS.values(), CHECK_IDS):
+            audit._mc_pass.cache_clear()
+            alone = check(rule, config)
+            assert _result_fields(alone) == _result_fields(report.check(check_id)), (
+                rule.name, check_id)
+            if alone.evidence is not None:
+                alone.evidence["p_value"] = "changed"
+                assert _result_fields(check(rule, config)) == _result_fields(
+                    report.check(check_id))
+    if config.noise_levels == (0.0,):
+        # every K = 0 pair scatters at level 0, so no comparison is informative
+        assert [c.witness for c in audit_rule(K_ZERO, config).checks] == [
+            "no cases evaluated"] * 4
+
+
+def _mc_checks_one_call_each(rule, config):
+    """Reference for the Monte Carlo pass: each check couples its own grid,
+    reads its own Born laws and makes its own chi-square call."""
+    bases, levels = config.bases, config.noise_levels
+    grid = audit._mode_pair_grid(bases)
+    laws = audit._mode_pair_laws(rules.coupling_channel(rule, grid.probes, grid.objects, 0.0),
+                                 config, grid, grid.mc)
+    mode1, mode2 = audit._mc_sides(config, laws[:, 0], laws[:, 1], 11)
+    views = [np.stack([d, d * [1, 1, 0]], axis=1) for d in (mode1, mode2)]
+    results = [audit._mc_verdict(
+        CHECK_IDS[0], config, chi_square_two_sample(*views)[1],
+        lambda row, view: audit._mode_pair_witness(config, grid.mc.cases, row, view),
+        lambda row, view: audit._c1_evidence(mode1, mode2, row, view))]
+    for check_id, action, stream, count in (
+            (CHECK_IDS[1], audit._swap_action, 21, config.mc_input_samples),
+            (CHECK_IDS[3], audit._rotation_action, 41, config.mc_unitary_samples)):
+        label, out_a, out_b = audit._pair_cases(
+            rule, levels, *action(config, audit._MC_CORNER_PAIRS, stream, count))
+        counts = audit._mc_sides(config, audit._basis_laws(out_a, bases),
+                                 audit._basis_laws(out_b, bases), stream + 1)
+        results.append(audit._mc_verdict(
+            check_id, config, chi_square_two_sample(*counts)[1],
+            lambda row, k, label=label: f"{label(row)} basis={bases[k].label}",
+            lambda row, k: {}))
+    probes, objects = audit._input_grid(audit._MC_CORNER_PAIRS, config.seed, 31,
+                                        config.mc_input_samples)
+    label, out = audit._anti_alignment_cases(rules.coupling_channel(rule, probes, objects, 0.0),
+                                             probes, objects)
+    counts = sample_counts(config.seed, config.mc_trials, audit._basis_laws(out, bases), 32, 1)
+    results.insert(2, audit._mc_aligned_verdict(config, label, counts))
+    return results
+
+
+MC_PASS_CONFIGS = {
+    **MC_ALONE_CONFIGS,
+    "fast": FAST_MC,
+    "five-trials": AuditConfig(evaluation="mc", mc_trials=5, seed=2),
+    "two-bases-three-levels": AuditConfig(evaluation="mc", bases=(BASIS_XY, BASIS_SIGMA),
+                                          noise_levels=(0.0, 0.3, 1.0), seed=3),
+}
+
+
+@pytest.mark.parametrize("config", MC_PASS_CONFIGS.values(), ids=MC_PASS_CONFIGS)
+def test_mc_pass_matches_one_call_per_check(config):
+    # one coupling, Born and chi-square call per rule gives every report field
+    # the bits of one call per check
+    for rule in BLOCK_RULES + [REMOVE_ALIGNED_XY, validate_custom_rule(np.zeros((4, 4)))]:
+        got = audit_rule(rule, config).checks
+        want = _mc_checks_one_call_each(rule, config)
+        assert [_result_fields(c) for c in got] == [_result_fields(c) for c in want], rule.name

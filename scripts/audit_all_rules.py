@@ -8,7 +8,7 @@ also write one JSON report per rule.
 import argparse
 import os
 
-from ifmsim import AuditConfig, audit_rule, builtin_rules
+from ifmsim import AuditConfig, ConfigError, audit_rule, builtin_rules
 
 
 def main() -> None:
@@ -20,7 +20,10 @@ def main() -> None:
     parser.add_argument("--out", default=None, help="directory for JSON reports")
     args = parser.parse_args()
 
-    config = AuditConfig(evaluation=args.mode, mc_trials=args.trials, seed=args.seed)
+    try:
+        config = AuditConfig(evaluation=args.mode, mc_trials=args.trials, seed=args.seed)
+    except ConfigError as exc:
+        parser.error(str(exc))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
 

@@ -65,15 +65,18 @@ its counts from ``10 s + 2``, and Monte Carlo C1 its counts from 11.  Each check
 rule-independent case grid is built once per configuration and reused
 across rules, C1's across both modes too, with its wiring and fly-by
 click laws, so a C1 audit runs only the rule's coupling at ``q = 0``, its
-partial traces and survivor click laws.  The stacked Monte Carlo grid, the
-joint-basis vectors every Born call reads and C4's ``U (x) U`` adjoint are
-cached alike.  Each cache holds one read-only entry keyed on the values it
-reads, none of them a noise level, so memory stays that of one audit and
-reports do not depend on call order.  The Monte Carlo pass is cached on
-the rule and config objects, so that the four checks of one audit share
-it; ``audit_rule`` clears that cache first, so each audit runs its own.
-Report floats can differ between CPUs in their last bits; verdicts should
-not, and ``scripts/report_digest.py`` hashes them apart.
+partial traces and survivor click laws.  C2 and C4 each build one
+``_PairGrid`` (both sides' inputs, side b's map back by SWAP or by the
+gather and ``U (x) U`` conjugation, and the input labeller), which exact
+mode reads and Monte Carlo stacks into one grid that carries them.  Each
+such cache, and that of the joint-basis vectors every Born call reads,
+holds one read-only entry keyed on the values it reads, none of them a
+noise level, so memory stays that of one audit and reports do not depend
+on call order.  The Monte Carlo pass is cached on the rule and config
+objects, so that the four checks of one audit share it; ``audit_rule``
+clears that cache first, so each audit runs its own.  Report floats can
+differ between CPUs in their last bits; verdicts should not, and
+``scripts/report_digest.py`` hashes them apart.
 A witness label is ``state_label`` of its amplitudes, taken through
 ``states._canonical_phase`` and ``_amps_label`` without building a state.
 """
@@ -84,7 +87,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -501,33 +504,49 @@ def _pair_label(levels, input_label):
     return label
 
 
-def _pair_cases(rule: Rule, levels, inputs_a, inputs_b, map_b, input_label):
-    """Exact C2/C4 cases, input-major then noise level: row labeller and the two sides' couplings.
+class _PairGrid(NamedTuple):
+    """A C2/C4 grid: side a couples ``a``; side b couples ``b``, mapped back onto a by ``map_b``.
 
-    Side a couples ``inputs_a``; side b couples ``inputs_b`` and maps the
-    outcome back by ``map_b``, row for row onto side a.
+    ``label(n)`` names input n.  Exact mode reads the grid, Monte Carlo stacks it.
     """
-    return (_pair_label(levels, input_label), coupling_channel(rule, *inputs_a, levels),
-            map_b(coupling_channel(rule, *inputs_b, levels)))
+
+    a: tuple[np.ndarray, np.ndarray]
+    b: tuple[np.ndarray, np.ndarray]
+    map_b: Callable[[Coupling], Coupling]
+    label: Callable[[int], str]
 
 
-def _swap_action(config: AuditConfig, corner_pairs, stream: int, count: int):
-    """C2's ``_pair_cases`` arguments: the inputs, the exchanged inputs, SWAP back, the labeller."""
-    probes, objects = _input_grid(corner_pairs, config.seed, stream, count)
-    return ((probes, objects), (objects, probes), swap_back,
-            lambda n: _input_label(probes[n], objects[n]))
+def _pair_cases(rule: Rule, levels, grid: _PairGrid):
+    """Exact C2/C4 cases of ``grid``, input-major then level: the row labeller, both couplings."""
+    return (_pair_label(levels, grid.label), coupling_channel(rule, *grid.a, levels),
+            grid.map_b(coupling_channel(rule, *grid.b, levels)))
+
+
+def _role_grid(corner_pairs, seed: int, stream: int, count: int) -> _PairGrid:
+    """C2's grid: the inputs, the exchanged inputs and SWAP back."""
+    probes, objects = _input_grid(corner_pairs, seed, stream, count)
+    return _PairGrid((probes, objects), (objects, probes), swap_back,
+                     lambda n: _input_label(probes[n], objects[n]))
+
+
+def _rotate(distinct: int, index, uu, uu_dagger, base: Coupling) -> Coupling:
+    """C4's side b: the coupling ``base`` of ``distinct`` inputs, gathered per input, conjugated."""
+    p_scatter = base.p_scatter.reshape(distinct, -1)[index]
+    survivors = base.survivors.reshape(distinct, -1, 4, 4)[index]
+    return Coupling(p_scatter.reshape(-1), (uu @ survivors @ uu_dagger).reshape(-1, 4, 4))
 
 
 @functools.lru_cache(maxsize=1)
-def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int):
-    """C4 names, distinct inputs, input index, rotated inputs, ``(U (x) U)^dag`` and ``U (x) U``.
+def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int) -> _PairGrid:
+    """C4's grid: the rotated inputs, the distinct inputs and the gather and ``U (x) U`` back.
 
     Inputs are every corner unitary on every corner pair, then ``count``
     Haar unitaries, each with a uniform pair, drawn from one stream.  The
     corner pairs repeat once per corner unitary, so the distinct probe and
     object amplitudes are the corner pairs then the uniform pairs, and input
-    ``n`` is distinct input ``index[n]``.  The rotated inputs and ``U (x) U``,
-    as ``(N, 1, 4, 4)``, run one row per input; its adjoint is the transposed
+    ``n`` is distinct input ``index[n]``: side b couples the distinct inputs,
+    and ``map_b`` gathers its rows per input before the conjugation by
+    ``U (x) U``, of shape ``(N, 1, 4, 4)``, and its adjoint, the transposed
     view of its conjugate.
     """
     corners = _corner_unitaries(bases)
@@ -544,28 +563,14 @@ def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int):
     rotated_probes = np.einsum("nij,nj->ni", unitaries, probes[index])
     rotated_objects = np.einsum("nij,nj->ni", unitaries, objects[index])
     uu = np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 1, 4, 4)
-    return tuple(names), *_read_only(probes, objects, index, rotated_probes, rotated_objects,
-                                     uu.conj().swapaxes(-1, -2), uu)
+    uu_dagger = uu.conj().swapaxes(-1, -2)
+    _read_only(probes, objects, index, rotated_probes, rotated_objects, uu, uu_dagger)
 
-
-def _rotation_action(config: AuditConfig, corner_pairs, stream: int, count: int):
-    """C4's ``_pair_cases`` arguments: rotated inputs, distinct inputs, ``U (x) U``, the labeller.
-
-    The base coupling runs once per distinct input; its rows are gathered
-    per input before the ``U (x) U`` conjugation.
-    """
-    names, probes, objects, index, rotated_probes, rotated_objects, uu_dagger, uu = (
-        _covariance_grid(config.bases, corner_pairs, config.seed, stream, count))
-
-    def rotate(base: Coupling) -> Coupling:
-        p_scatter = base.p_scatter.reshape(len(probes), -1)[index]
-        survivors = base.survivors.reshape(len(probes), -1, 4, 4)[index]
-        return Coupling(p_scatter.reshape(-1), (uu @ survivors @ uu_dagger).reshape(-1, 4, 4))
-
-    def input_label(n: int) -> str:
+    def label(n: int) -> str:
         return f"unitary={names[n]} {_input_label(probes[index[n]], objects[index[n]])}"
 
-    return (rotated_probes, rotated_objects), (probes, objects), rotate, input_label
+    return _PairGrid((rotated_probes, rotated_objects), (probes, objects),
+                     functools.partial(_rotate, len(probes), index, uu, uu_dagger), label)
 
 
 def _anti_alignment_cases(out: Coupling, probes, objects):
@@ -709,8 +714,8 @@ def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
     """C2: exchanging the partners and SWAPping back must change nothing."""
     if config.evaluation == "mc":
         return _mc_pass(rule, config)[1]()
-    action = _swap_action(config, _CORNER_PAIRS, 2, config.input_samples)
-    cases = _pair_cases(rule, _lowest_level(config), *action)
+    grid = _role_grid(_CORNER_PAIRS, config.seed, 2, config.input_samples)
+    cases = _pair_cases(rule, _lowest_level(config), grid)
     return _exact_pair_verdict(CHECK_IDS[1], config, *cases, ("direct", "swapped"))
 
 
@@ -762,21 +767,24 @@ def check_basis_covariance(rule: Rule, config: AuditConfig) -> CheckResult:
     """C4: the rule must commute with identical rotations of both inputs."""
     if config.evaluation == "mc":
         return _mc_pass(rule, config)[3]()
-    action = _rotation_action(config, _CORNER_PAIRS, 4, config.unitary_samples)
-    cases = _pair_cases(rule, _lowest_level(config), *action)
+    grid = _covariance_grid(config.bases, _CORNER_PAIRS, config.seed, 4, config.unitary_samples)
+    cases = _pair_cases(rule, _lowest_level(config), grid)
     return _exact_pair_verdict(CHECK_IDS[3], config, *cases, ("rotated", "base"))
 
 
 class _StackedGrid(NamedTuple):
-    """The inputs of every Monte Carlo check in one stack; block ``b`` is rows ``blocks[b]``."""
+    """The Monte Carlo checks' grids and their stacked inputs, block ``b`` rows ``blocks[b]``."""
 
     probes: np.ndarray
     objects: np.ndarray
     blocks: tuple[slice, ...]
+    c1: _ModePairGrid
+    role: _PairGrid
+    alignment: tuple[np.ndarray, np.ndarray]
+    covariance: _PairGrid
 
 
-# Blocks of the stacked grid: C1's coupling rows, C2's inputs and exchanged
-# inputs, C3's inputs, C4's rotated and distinct inputs.
+# Blocks of the stacked grid: C1's coupling rows, then C2's, C3's and C4's sides.
 _C1, _C2A, _C2B, _C3, _C4A, _C4B = range(6)
 
 
@@ -788,15 +796,13 @@ def _mc_grid(bases, seed: int, input_count: int, unitary_count: int) -> _Stacked
     corner set; C2 and C3 take ``input_count`` samples, C4 ``unitary_count``.
     """
     c1 = _mode_pair_grid(bases)
-    role = _input_grid(_MC_CORNER_PAIRS, seed, 21, input_count)
+    role = _role_grid(_MC_CORNER_PAIRS, seed, 21, input_count)
     alignment = _input_grid(_MC_CORNER_PAIRS, seed, 31, input_count)
-    _, probes, objects, _, rotated_probes, rotated_objects, _, _ = _covariance_grid(
-        bases, _MC_CORNER_PAIRS, seed, 41, unitary_count)
-    blocks = ((c1.probes, c1.objects), role, role[::-1], alignment,
-              (rotated_probes, rotated_objects), (probes, objects))
+    covariance = _covariance_grid(bases, _MC_CORNER_PAIRS, seed, 41, unitary_count)
+    blocks = ((c1.probes, c1.objects), role.a, role.b, alignment, covariance.a, covariance.b)
     starts = np.cumsum([0] + [len(block[0]) for block in blocks]).tolist()
     return _StackedGrid(*_read_only(*(np.concatenate(side) for side in zip(*blocks))),
-                        tuple(map(slice, starts[:-1], starts[1:])))
+                        tuple(map(slice, starts[:-1], starts[1:])), c1, role, alignment, covariance)
 
 
 @functools.lru_cache(maxsize=1)
@@ -821,18 +827,12 @@ def _mc_pass(rule: Rule, config: AuditConfig) -> tuple:
         columns = 0 if coupled else slice(1, None)
         return Coupling(*(x[grid.blocks[b], columns].reshape(-1, *x.shape[2:]) for x in per_pair))
 
-    def inputs(b: int) -> tuple[np.ndarray, np.ndarray]:
-        return grid.probes[grid.blocks[b]], grid.objects[grid.blocks[b]]
-
-    c1 = _mode_pair_grid(config.bases)
-    laws = _mode_pair_laws(block(_C1, True), config, c1, c1.mc)
+    laws = _mode_pair_laws(block(_C1, True), config, grid.c1, grid.c1.mc)
     mode1, mode2 = _mc_sides(config, laws[:, 0], laws[:, 1], 11)
 
-    aligned_label, aligned = _anti_alignment_cases(block(_C3, True), *inputs(_C3))
-    _, _, rotate, rotation_label = _rotation_action(config, _MC_CORNER_PAIRS, 41,
-                                                    config.mc_unitary_samples)
-    sides = (block(_C2A, False), swap_back(block(_C2B, False)), aligned,
-             block(_C4A, False), rotate(block(_C4B, False)))
+    aligned_label, aligned = _anti_alignment_cases(block(_C3, True), *grid.alignment)
+    sides = (block(_C2A, False), grid.role.map_b(block(_C2B, False)), aligned,
+             block(_C4A, False), grid.covariance.map_b(block(_C4B, False)))
     laws = _unstack(_basis_laws(Coupling(*map(np.concatenate, zip(*sides))), config.bases),
                     [side.p_scatter.shape for side in sides])
     role = _mc_sides(config, laws[0], laws[1], 22)
@@ -845,18 +845,15 @@ def _mc_pass(rule: Rule, config: AuditConfig) -> tuple:
         np.concatenate([c[side].reshape(-1, 5) for c in comparisons]) for side in (0, 1)))
     p_c1, p_role, p_covariance = _unstack(p_values, [c[0].shape[:-1] for c in comparisons])
 
-    role_probes, role_objects = inputs(_C2A)
-    role_label = _pair_label(levels, lambda n: _input_label(role_probes[n], role_objects[n]))
     return (
         functools.partial(_mc_verdict, CHECK_IDS[0], config, p_c1,
-                          functools.partial(_mode_pair_witness, config, c1.mc.cases),
+                          functools.partial(_mode_pair_witness, config, grid.c1.mc.cases),
                           functools.partial(_c1_evidence, mode1, mode2)),
         functools.partial(_mc_verdict, CHECK_IDS[1], config, p_role,
-                          _basis_witness(config, role_label), _no_evidence),
+                          _basis_witness(config, grid.role.label), _no_evidence),
         functools.partial(_mc_aligned_verdict, config, aligned_label, aligned_counts),
         functools.partial(_mc_verdict, CHECK_IDS[3], config, p_covariance,
-                          _basis_witness(config, _pair_label(levels, rotation_label)),
-                          _no_evidence),
+                          _basis_witness(config, grid.covariance.label), _no_evidence),
     )
 
 
@@ -887,8 +884,9 @@ def _c1_evidence(mode1: np.ndarray, mode2: np.ndarray, row: int, view: int) -> d
             "counts_mode2": list(map(int, mode2[row, cells]))}
 
 
-def _basis_witness(config: AuditConfig, label):
-    """Witness of C2/C4 comparison ``(row, basis)``: the row's ``label``, then the basis."""
+def _basis_witness(config: AuditConfig, input_label):
+    """Witness of C2/C4 comparison ``(row, basis)``: the row's ``_pair_label``, then the basis."""
+    label = _pair_label(config.noise_levels, input_label)
     return lambda row, k: f"{label(row)} basis={config.bases[k].label}"
 
 

@@ -42,8 +42,8 @@ from ifmsim.rules import (
 )
 from ifmsim.states import (
     BASIS_DIAG, BASIS_SIGMA, BASIS_XY, NAMED_STATES, PHASE_EPS, SINGLET, STATE_X, STATE_Y,
-    QubitState, _canonical_phase, _pair_amps, joint_born_distribution, mutually_unbiased,
-    orthogonal_state, state_label, uniform_state_amps,
+    QubitState, _canonical_phase, _pair_amps, haar_unitaries, joint_born_distribution,
+    mutually_unbiased, orthogonal_state, state_label, uniform_state_amps,
 )
 
 FAST_EXACT = AuditConfig(unitary_samples=25, input_samples=40, seed=11)
@@ -458,14 +458,13 @@ def _cold_report(rule, config) -> str:
 # keyed on the bases alone, so both modes share them
 MODE_FREE_GRIDS = (audit._mode_pair_grid, audit._basis_vectors)
 # Reads of each grid per audit: exact checks read their own grids and C3's Born
-# call the basis vectors; the Monte Carlo pass reads the stacked grid, C1's
-# and C4's grids and, in its one Born call, the basis vectors.  Building the
-# stacked grid reads C1's, C2's, C3's and C4's grids once more.
+# call the basis vectors; the Monte Carlo pass reads the stacked grid, which
+# carries the check grids it stacks, and, in its one Born call, the basis
+# vectors.  Building the stacked grid reads C1's, C2's, C3's and C4's grids.
 AUDIT_READS = {
     "exact": {audit._mode_pair_grid: 1, audit._input_grid: 2, audit._covariance_grid: 1,
               audit._basis_vectors: 1},
-    "mc": {audit._mode_pair_grid: 1, audit._covariance_grid: 1, audit._basis_vectors: 1,
-           audit._mc_grid: 1},
+    "mc": {audit._basis_vectors: 1, audit._mc_grid: 1},
 }
 STACKED_GRID_READS = {audit._mode_pair_grid: 1, audit._input_grid: 2, audit._covariance_grid: 1}
 
@@ -528,18 +527,26 @@ def test_mode_pair_grid_samples_one_analyzer_per_object_basis_position():
 
 
 def test_cached_grid_arrays_are_read_only():
-    pairs = audit._MC_CORNER_PAIRS
     bases = (BASIS_XY, BASIS_SIGMA)
     c1 = audit._mode_pair_grid(bases)
+    stacked = audit._mc_grid(bases, 0, 3, 2)
+    # C2's and C4's grids as exact mode reads them and as Monte Carlo stacks them;
+    # C4's map_b reads the input index, U (x) U and its adjoint
+    role_grids = (audit._role_grid(audit._CORNER_PAIRS, 0, 2, 3), stacked.role)
+    covariance_grids = (audit._covariance_grid(bases, audit._CORNER_PAIRS, 0, 4, 2),
+                        stacked.covariance)
     grids = [
         (*c1[:3], *c1.exact[1:], *c1.mc[1:]),
-        audit._input_grid(pairs, 0, 21, 3),
-        audit._input_grid(pairs, 0, 31, 3),
-        audit._covariance_grid(bases, pairs, 0, 41, 2)[1:],
+        audit._input_grid(audit._MC_CORNER_PAIRS, 0, 31, 3),
+        stacked[:2],
+        stacked.alignment,
+        *((*grid.a, *grid.b) for grid in role_grids + covariance_grids),
+        *(grid.map_b.args[1:] for grid in covariance_grids),
         (audit._basis_vectors(bases),),
     ]
-    *_, uu_dagger, uu = grids[3]
-    assert uu_dagger.tobytes() == uu.conj().swapaxes(-1, -2).tobytes()
+    for grid in covariance_grids:
+        _, _, uu, uu_dagger = grid.map_b.args
+        assert uu_dagger.tobytes() == uu.conj().swapaxes(-1, -2).tobytes()
     for grid in grids:
         for array in grid:
             with pytest.raises(ValueError, match="read-only"):
@@ -909,10 +916,10 @@ def test_symmetry_breaking_metric_falls_with_delta():
 def _exact_pair_cases(rule, config, levels=None):
     """Exact C2 and C4 ``_pair_cases`` at ``levels``, by default every configured level."""
     levels = config.noise_levels if levels is None else levels
-    actions = ((audit._swap_action, 2, config.input_samples),
-               (audit._rotation_action, 4, config.unitary_samples))
-    return tuple(audit._pair_cases(rule, levels, *action(config, audit._CORNER_PAIRS, stream, count))
-                 for action, stream, count in actions)
+    grids = (audit._role_grid(audit._CORNER_PAIRS, config.seed, 2, config.input_samples),
+             audit._covariance_grid(config.bases, audit._CORNER_PAIRS, config.seed, 4,
+                                    config.unitary_samples))
+    return tuple(audit._pair_cases(rule, levels, grid) for grid in grids)
 
 
 def _exact_pair_levels(config):
@@ -1088,12 +1095,21 @@ def test_exact_pair_verdict_runs_no_eigvalsh_when_every_row_is_zero(rule, monkey
 def test_covariance_cases_match_a_base_coupling_on_every_row(pairs, stream, count):
     # the base coupling runs once per distinct input and is gathered per row
     config = FAST_EXACT
-    _, probes, objects, index, *_, uu = audit._covariance_grid(
-        tuple(config.bases), pairs, config.seed, stream, count)
+    grid = audit._covariance_grid(tuple(config.bases), pairs, config.seed, stream, count)
+    probes, objects = grid.b
     assert len(probes) == len(pairs) + count
+    # each input's U and distinct input, and U (x) U, rebuilt from the grid's stream draw
+    corners = audit._corner_unitaries(config.bases)
+    draw = derive_rng(config.seed, stream).random((count, 7))
+    unitaries = np.concatenate([np.repeat([m for _, m in corners], len(pairs), axis=0),
+                                haar_unitaries(draw[:, 0:3])])
+    index = np.concatenate([np.tile(np.arange(len(pairs)), len(corners)),
+                            len(pairs) + np.arange(count)])
+    uu = np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 1, 4, 4)
+    for rotated, distinct in zip(grid.a, grid.b):
+        assert rotated.tobytes() == np.einsum("nij,nj->ni", unitaries, distinct[index]).tobytes()
     for rule in PAIR_CHECK_RULES:
-        _, _, conjugated = audit._pair_cases(rule, config.noise_levels,
-                                             *audit._rotation_action(config, pairs, stream, count))
+        _, _, conjugated = audit._pair_cases(rule, config.noise_levels, grid)
         base = rules.coupling_channel(rule, probes[index], objects[index], config.noise_levels)
         survivors = base.survivors.reshape(len(index), -1, 4, 4)
         survivors = (uu @ survivors @ uu.conj().swapaxes(-1, -2)).reshape(-1, 4, 4)
@@ -1201,7 +1217,7 @@ def test_basis_laws_equal_a_born_call_per_basis():
     config = FAST_EXACT
     for rule in PAIR_CHECK_RULES:
         _, direct, mirrored = audit._pair_cases(
-            rule, config.noise_levels, *audit._swap_action(config, audit._CORNER_PAIRS, 2, 20))
+            rule, config.noise_levels, audit._role_grid(audit._CORNER_PAIRS, config.seed, 2, 20))
         for out in (direct, mirrored):
             survive = 1.0 - out.p_scatter
             want = np.stack([np.clip(np.column_stack(
@@ -1276,7 +1292,7 @@ def _grid_states(seed: int) -> np.ndarray:
              for pairs, stream, count in ((audit._CORNER_PAIRS, 2, 200), (audit._CORNER_PAIRS, 3, 200),
                                           (audit._MC_CORNER_PAIRS, 21, 12),
                                           (audit._MC_CORNER_PAIRS, 31, 12))]
-    grids += [audit._covariance_grid.__wrapped__(bases, pairs, seed, stream, count)[1:3]
+    grids += [audit._covariance_grid.__wrapped__(bases, pairs, seed, stream, count).b
               for pairs, stream, count in ((audit._CORNER_PAIRS, 4, 100),
                                            (audit._MC_CORNER_PAIRS, 41, 6))]
     return np.concatenate([states for grid in grids for states in grid])
@@ -1500,11 +1516,12 @@ def _mc_checks_one_call_each(rule, config):
         CHECK_IDS[0], config, chi_square_two_sample(*views)[1],
         lambda row, view: audit._mode_pair_witness(config, grid.mc.cases, row, view),
         lambda row, view: audit._c1_evidence(mode1, mode2, row, view))]
-    for check_id, action, stream, count in (
-            (CHECK_IDS[1], audit._swap_action, 21, config.mc_input_samples),
-            (CHECK_IDS[3], audit._rotation_action, 41, config.mc_unitary_samples)):
-        label, out_a, out_b = audit._pair_cases(
-            rule, levels, *action(config, audit._MC_CORNER_PAIRS, stream, count))
+    pairs = audit._MC_CORNER_PAIRS
+    for check_id, grid, stream in (
+            (CHECK_IDS[1], audit._role_grid(pairs, config.seed, 21, config.mc_input_samples), 21),
+            (CHECK_IDS[3], audit._covariance_grid(bases, pairs, config.seed, 41,
+                                                  config.mc_unitary_samples), 41)):
+        label, out_a, out_b = audit._pair_cases(rule, levels, grid)
         counts = audit._mc_sides(config, audit._basis_laws(out_a, bases),
                                  audit._basis_laws(out_b, bases), stream + 1)
         results.append(audit._mc_verdict(

@@ -499,12 +499,29 @@ def test_help_documents_every_flag(runner):
             assert flag in result.output, (command, flag)
 
 
+def _checkout_env() -> dict:
+    """The environment of a new interpreter that imports this checkout's ``ifmsim``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ifmsim.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a new interpreter that imports this checkout's ``ifmsim``."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ifmsim.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
+                          env=_checkout_env(), timeout=120, check=True)
+
+
+@pytest.mark.parametrize("flag, value, field", [("--trials", "0", "mc_trials"),
+                                               ("--seed", "-1", "seed")])
+def test_audit_all_rules_script_refuses_a_bad_config_with_a_usage_error(flag, value, field):
+    # argparse's usage error: the message and exit status 2, no traceback
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "audit_all_rules.py"
+    proc = subprocess.run([sys.executable, str(script), flag, value], capture_output=True,
+                          text=True, env=_checkout_env(), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"error: {field} must be >= " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_import_loads_no_scipy():

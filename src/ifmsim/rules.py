@@ -5,7 +5,8 @@ two ways: the probe *scatters* (it is absorbed and dissipated, a terminal
 and opaque outcome) or the pair *survives* in some joint state.  A rule
 is a name, a one-line description and a *law*: a map from arrays of
 input pairs to their noiseless scatter probabilities and survivor states.
-Each built-in factory builds all three in one place.
+Each built-in factory builds its law, and takes its name and description
+from the numpy-free table ``catalog.BUILTINS``.
 
 All built-in rules except the linear one share the universal scatter law
 ``p_scatter = interaction_probability(probe, object)`` (``_universal_law``);
@@ -48,6 +49,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .catalog import BUILTINS, spelled
 from .states import (
     ATOL,
     PHASE_EPS,
@@ -206,29 +208,29 @@ def _fixed_survivor_law(density: np.ndarray) -> Callable:
     return _universal_law(lambda probes, objects, inp: np.broadcast_to(density, (len(inp), 4, 4)))
 
 
+def _builtin(base: str, law: Callable, basis: Basis | None = None, operator=None) -> Rule:
+    """Built-in ``base`` with ``law``, named and described by ``catalog.BUILTINS``."""
+    return Rule(*spelled(base, None if basis is None else basis.label), law, operator)
+
+
 def probe_rigid() -> Rule:
-    return Rule("probe-rigid",
-                "probe keeps its state; the object jumps to the orthogonal partner state",
-                _universal_law(lambda probes, objects, inp:
-                               _projectors(_pair_amps(probes, _orthogonal(probes)))))
+    return _builtin("probe-rigid",
+                    _universal_law(lambda probes, objects, inp:
+                                   _projectors(_pair_amps(probes, _orthogonal(probes)))))
 
 
 def object_rigid() -> Rule:
-    return Rule("object-rigid",
-                "object keeps its state; the probe jumps to the orthogonal partner state",
-                _universal_law(lambda probes, objects, inp:
-                               _projectors(_pair_amps(_orthogonal(objects), objects))))
+    return _builtin("object-rigid",
+                    _universal_law(lambda probes, objects, inp:
+                                   _projectors(_pair_amps(_orthogonal(objects), objects))))
 
 
 def singlet_rule() -> Rule:
-    return Rule("singlet",
-                "survivor is the fixed maximally entangled anti-aligned pair, independent of input",
-                _fixed_survivor_law(_SINGLET_DENSITY))
+    return _builtin("singlet", _fixed_survivor_law(_SINGLET_DENSITY))
 
 
 def random_mix() -> Rule:
-    return Rule("random-mix", "survivor is the maximally mixed two-particle state",
-                _fixed_survivor_law(_IDENTITY4 / 4.0))
+    return _builtin("random-mix", _fixed_survivor_law(_IDENTITY4 / 4.0))
 
 
 def preferred_basis(basis: Basis) -> Rule:
@@ -247,18 +249,13 @@ def preferred_basis(basis: Basis) -> Rule:
         w21 = np.where(degenerate, 0.5, w21 / norm)
         return w12[:, None, None] * cell12 + w21[:, None, None] * cell21
 
-    return Rule(f"preferred-basis:{basis.label.lower()}",
-                f"survivor dephases onto the anti-aligned cells of basis {basis.label}",
-                _universal_law(survivors))
+    return _builtin("preferred-basis", _universal_law(survivors), basis)
 
 
 def coherent_projection(basis: Basis) -> Rule:
     operator = _IDENTITY4 - _aligned_projector(basis)
     operator.setflags(write=False)
-    return Rule(f"coherent-projection:{basis.label.lower()}",
-                f"linear channel removing the aligned components in basis {basis.label}; "
-                "scatter probability is the removed weight",
-                _linear_law(operator), operator)
+    return _builtin("coherent-projection", _linear_law(operator), basis, operator)
 
 
 def validate_custom_rule(operator, name: str = "custom") -> Rule:
@@ -359,24 +356,17 @@ def swapped_channel(rule: Rule, probe: QubitState, obj: QubitState, noise_q: flo
     return _single(swap_back(pair_channel(rule, obj, probe, noise_q)))
 
 
+# Each built-in's factory; a rule that takes a basis takes it as ``name:basis``.
+_FACTORIES = {"probe-rigid": probe_rigid, "object-rigid": object_rigid, "singlet": singlet_rule,
+              "random-mix": random_mix, "preferred-basis": preferred_basis,
+              "coherent-projection": coherent_projection}
+
+
 def builtin_rules() -> tuple[Rule, ...]:
-    """The default audit battery, singlet plus the rejected alternatives."""
-    from .states import BASIS_SIGMA, BASIS_XY
-
-    return (
-        probe_rigid(),
-        object_rigid(),
-        singlet_rule(),
-        random_mix(),
-        preferred_basis(BASIS_SIGMA),
-        coherent_projection(BASIS_XY),
-    )
-
-
-# Built-in spellings: plain names, and names that take a basis as ``name:basis``.
-_PLAIN_BUILTINS = {"probe-rigid": probe_rigid, "object-rigid": object_rigid,
-                   "singlet": singlet_rule, "random-mix": random_mix}
-_BASIS_BUILTINS = {"preferred-basis": preferred_basis, "coherent-projection": coherent_projection}
+    """The default audit battery, singlet plus the rejected alternatives, in ``BUILTINS`` order."""
+    return tuple(_FACTORIES[base]() if entry.basis is None
+                 else _FACTORIES[base](parse_basis_spec(entry.basis))
+                 for base, entry in BUILTINS.items())
 
 
 def rule_from_name(text: str) -> Rule:
@@ -384,16 +374,16 @@ def rule_from_name(text: str) -> Rule:
     if not isinstance(text, str) or not text.strip():
         raise InvalidRuleError("empty rule name")
     base, _, basis_label = text.strip().lower().partition(":")
-    if base in _BASIS_BUILTINS:
-        if not basis_label:
-            raise InvalidRuleError(f"rule {base!r} needs a basis, e.g. {base}:sigma")
-        return _BASIS_BUILTINS[base](parse_basis_spec(basis_label))
-    if base not in _PLAIN_BUILTINS:
-        known = ", ".join(sorted([*_PLAIN_BUILTINS, *_BASIS_BUILTINS]))
+    if base not in BUILTINS:
+        known = ", ".join(sorted(BUILTINS))
         raise InvalidRuleError(f"unknown rule {text.strip()!r}; built-ins: {known}")
-    if basis_label:
-        raise InvalidRuleError(f"rule {base!r} does not take a basis parameter")
-    return _PLAIN_BUILTINS[base]()
+    if BUILTINS[base].basis is None:
+        if basis_label:
+            raise InvalidRuleError(f"rule {base!r} does not take a basis parameter")
+        return _FACTORIES[base]()
+    if not basis_label:
+        raise InvalidRuleError(f"rule {base!r} needs a basis, e.g. {base}:sigma")
+    return _FACTORIES[base](parse_basis_spec(basis_label))
 
 
 def load_rule_file(path: str) -> Rule:

@@ -524,6 +524,59 @@ def test_audit_all_rules_script_refuses_a_bad_config_with_a_usage_error(flag, va
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("level", ["2", "-0.5"])
+def test_filter_demo_script_refuses_a_level_outside_the_unit_interval_with_a_usage_error(level):
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "filter_device_demo.py"
+    proc = subprocess.run([sys.executable, str(script), "--noise-q", level], capture_output=True,
+                          text=True, env=_checkout_env(), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"error: noise_q must be within [0, 1], got {float(level)}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _modules_after(args: list[str]) -> list[str]:
+    """The numpy and ``ifmsim`` modules a fresh interpreter holds after running ``args``."""
+    code = "\n".join([
+        "import sys",
+        "from ifmsim.cli import main",
+        f"main({args!r}, standalone_mode=False)",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'ifmsim')),"
+        " file=sys.stderr)",
+    ])
+    return ast.literal_eval(_fresh_python(code).stderr)
+
+
+@pytest.mark.parametrize("args", [["rules", "list"], ["--help"], ["rules", "--help"],
+                                  ["run", "filter", "--help"], ["audit", "--help"]])
+def test_commands_that_do_no_numerics_load_no_numpy(args):
+    # the numpy-free modules: the package root, the CLI and the built-in table
+    assert _modules_after(args) == ["ifmsim", "ifmsim.catalog", "ifmsim.cli"]
+
+
+def test_rules_validate_loads_neither_experiments_nor_audit(tmp_path):
+    doc = {"name": "pass-through",
+           "survive_operator": [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]}
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(doc))
+    loaded = _modules_after(["rules", "validate", str(path)])
+    assert "ifmsim.rules" in loaded
+    assert "ifmsim.experiments" not in loaded
+    assert "ifmsim.audit" not in loaded
+
+
+def test_rules_list_prints_the_builtin_rules_factories_build():
+    from ifmsim.rules import builtin_rules
+    lines = [f"{rule.name:<24} {rule.description}" for rule in builtin_rules()]
+    lines += [f"{'custom (JSON file)':<24} survive operator K from a file; "
+              "scatter probability is 1 - |K psi|^2",
+              "",
+              "preferred-basis and coherent-projection take a basis parameter: "
+              ":xy, :sigma or :diag"]
+    code = "from ifmsim.cli import main; main(['rules', 'list'], standalone_mode=False)"
+    assert _fresh_python(code).stdout == "\n".join(lines) + "\n"
+
+
 def test_cli_import_loads_no_scipy():
     code = (
         "import sys, ifmsim.cli; "
@@ -561,7 +614,7 @@ def test_internal_error_names_its_exception_type(runner, monkeypatch):
     def boom(cfg):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("ifmsim.cli.run_filter", boom)
+    monkeypatch.setattr("ifmsim.experiments.run_filter", boom)
     result = runner.invoke(main, ["run", "filter", "--rule", "singlet"])
     assert result.exit_code == 3
     assert result.stdout == ""

@@ -15,8 +15,8 @@ statistical cross-check):
   sub-normalised operator ``p (+) (1 - p) rho`` of scatter probability and
   survivor.  It is linear in the law, continuous in the rule, on C1's total
   variation scale, and bounds the total variation distance of the
-  five-outcome law in every basis, which Monte Carlo samples.  Exact mode
-  evaluates it at the lowest noise level only (see below).
+  five-outcome law in every basis, which Monte Carlo samples.  Both modes
+  evaluate it at the lowest noise level only (see below).
 * C3 anti-alignment - survivors of an actual coupling must carry zero
   weight on the aligned cells of every configured basis; evaluated on
   the coupled (q = 0) survivor, since fly-by events leave the untouched
@@ -25,7 +25,7 @@ statistical cross-check):
 * C4 basis covariance - rotating both inputs by the same unitary must
   commute with the rule; metric as in C2, between the outcome of the rotated
   inputs and the rotated outcome, and like C2 evaluated at the lowest noise
-  level only in exact mode.
+  level only.
 
 Monte Carlo mode draws each comparison's counts at ``mc_trials`` trials
 as one multinomial draw of the case's exact law, the same law the exact
@@ -33,15 +33,16 @@ evaluator builds, so the work grows with the number of cells, not with
 the number of trials.  All cases of a check and side come from one Philox
 stream, ``derive_rng(seed, stream, side)``.  The four checks run as one
 pass per rule (``_mc_pass``) over one stacked grid of every check's
-inputs: one ``coupling_channel`` call at the levels ``(0, *noise_levels)``,
-one Born call for the laws of C2's, C3's and C4's rows in every basis, and
-one two-sample chi-square call over every comparison of C1, C2 and C4, C1's
+inputs: one ``coupling_channel`` call at level 0 and the lowest level, one
+Born call for the laws of C2's, C3's and C4's rows in every basis, and one
+two-sample chi-square call over every comparison of C1, C2 and C4, C1's
 padded with zero cells; each gives a check's rows the bits of the check's
 own call.  Each check keeps its own streams, family, witness and verdict.  The
-p-value threshold ``epsilon_mc`` is spent family-wise across the check's
-informative comparisons (Bonferroni), so a rule whose exact metric is zero
-is not failed by a single unlucky case among many.  C3's Monte Carlo
-verdict demands zero aligned events among the coupled survivors.
+p-value threshold ``epsilon_mc`` is spent family-wise (Bonferroni) across the
+check's informative comparisons, those with a p-value and those whose two
+nonempty samples fill one and the same cell, at p = 1, so a rule whose exact
+metric is zero is not failed by a single unlucky case among many.  C3's Monte
+Carlo verdict demands zero aligned events among the coupled survivors.
 
 Exact mode stays one evaluation per check: a prototype serving the exact
 checks from one stacked call of 1232 rows took 3.30 ms per warm default
@@ -52,11 +53,11 @@ Fly-by noise is one axis, blended in after the rule map (``coupling_channel``
 for C2/C4, ``filter_law`` for C1): each rule runs once per input pair, and
 a check's rows run case-major, then noise level.  A level of 0 adds no
 input term, so exact C2-C4 rows at ``q = 0`` hold only what the rule
-itself gives.  C1 and Monte Carlo C2/C4 run every configured level.
-Exact C2/C4 run the lowest level ``q_min`` only: a fly-by leaves the
-untouched product input, which SWAP and ``U (x) U`` map alike, so it
-cancels from the two sides' difference and a row at level ``q`` reads
-``(1 - q) / (1 - q_min)`` times its ``q_min`` value, never more.
+itself gives.  C1 runs every configured level, C2/C4 in both modes the
+lowest level ``q_min`` only: a fly-by leaves the untouched product input,
+which SWAP and ``U (x) U`` map alike, so it cancels from the two sides'
+difference and a row at level ``q`` reads ``(1 - q) / (1 - q_min)`` times
+its ``q_min`` value, never more.
 
 Every sampled quantity derives from ``AuditConfig.seed`` through fixed
 streams, so identical configs produce identical reports: exact check ``s``
@@ -292,8 +293,7 @@ class CheckResult:
     evidence: dict | None = None
 
 
-# C1 and the Monte Carlo C2/C4 grids grow with the level count, so it is capped
-# like the sample counts (``experiments._BOUNDS``).
+# C1's rows grow with the level count, so it is capped like the sample counts.
 _MAX_NOISE_LEVELS = 16
 
 
@@ -720,7 +720,7 @@ def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
 
 
 def _lowest_level(config: AuditConfig) -> tuple[float]:
-    """The one level exact C2/C4 run: no other level can beat it (module docstring)."""
+    """The one level C2/C4 run: no other level can beat it (module docstring)."""
     return (min(config.noise_levels),)
 
 
@@ -809,23 +809,22 @@ def _mc_grid(bases, seed: int, input_count: int, unitary_count: int) -> _Stacked
 def _mc_pass(rule: Rule, config: AuditConfig) -> tuple:
     """Monte Carlo C1-C4 of ``rule``: per check, a callable giving its ``CheckResult``.
 
-    One ``coupling_channel`` call runs the stacked grid at the levels
-    ``(0, *noise_levels)``, as it gives the rows of one call per level: C1
-    and C3 read level 0, C2 and C4 the configured levels.  One Born call
-    reads the laws of C2's, C3's and C4's rows, each check draws its counts
-    from its own streams, and one chi-square call takes C1's comparisons,
-    padded to five cells, with C2's and C4's.  Each callable builds a new
-    result, so that no caller can change what another reads.
+    One ``coupling_channel`` call runs the stacked grid at the distinct levels
+    of ``(0, q_min)``, as it gives the rows of one call per level: C1 and C3
+    read level 0, C2 and C4 ``q_min``.  One Born call reads the laws of C2's,
+    C3's and C4's rows, each check draws its counts from its own streams, and
+    one chi-square call takes C1's comparisons, padded to five cells, with
+    C2's and C4's; two samples that fill one and the same cell agree, at p = 1.
+    Each callable builds a new result, so no caller changes what another reads.
     """
     grid = _mc_grid(config.bases, config.seed, config.mc_input_samples, config.mc_unitary_samples)
-    levels = config.noise_levels
-    out = coupling_channel(rule, grid.probes, grid.objects, (0.0, *levels))
-    per_pair = [x.reshape(len(grid.probes), len(levels) + 1, *x.shape[1:]) for x in out]
+    levels = tuple(dict.fromkeys((0.0, *_lowest_level(config))))
+    out = coupling_channel(rule, grid.probes, grid.objects, levels)
+    per_pair = [x.reshape(len(grid.probes), len(levels), *x.shape[1:]) for x in out]
 
     def block(b: int, coupled: bool) -> Coupling:
-        """Block ``b``'s rows at level 0 when ``coupled``, else at the configured levels."""
-        columns = 0 if coupled else slice(1, None)
-        return Coupling(*(x[grid.blocks[b], columns].reshape(-1, *x.shape[2:]) for x in per_pair))
+        """Block ``b``'s rows at level 0 when ``coupled``, else at the lowest level."""
+        return Coupling(*(x[grid.blocks[b], 0 if coupled else -1] for x in per_pair))
 
     laws = _mode_pair_laws(block(_C1, True), config, grid.c1, grid.c1.mc)
     mode1, mode2 = _mc_sides(config, laws[:, 0], laws[:, 1], 11)
@@ -841,8 +840,9 @@ def _mc_pass(rule: Rule, config: AuditConfig) -> tuple:
 
     # per check, both sides' (rows, columns, 5) counts; one p-value per (row, column)
     comparisons = ((_c1_views(mode1), _c1_views(mode2)), role, covariance)
-    _, p_values = chi_square_two_sample(*(
-        np.concatenate([c[side].reshape(-1, 5) for c in comparisons]) for side in (0, 1)))
+    a, b = (np.concatenate([c[side].reshape(-1, 5) for c in comparisons]) for side in (0, 1))
+    _, p_values = chi_square_two_sample(a, b)
+    p_values[((a + b > 0).sum(axis=1) == 1) & a.any(axis=1) & b.any(axis=1)] = 1.0
     p_c1, p_role, p_covariance = _unstack(p_values, [c[0].shape[:-1] for c in comparisons])
 
     return (
@@ -886,7 +886,7 @@ def _c1_evidence(mode1: np.ndarray, mode2: np.ndarray, row: int, view: int) -> d
 
 def _basis_witness(config: AuditConfig, input_label):
     """Witness of C2/C4 comparison ``(row, basis)``: the row's ``_pair_label``, then the basis."""
-    label = _pair_label(config.noise_levels, input_label)
+    label = _pair_label(_lowest_level(config), input_label)
     return lambda row, k: f"{label(row)} basis={config.bases[k].label}"
 
 

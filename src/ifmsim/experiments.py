@@ -80,10 +80,10 @@ _FIELD_TYPES = {
 # Bounds of the run parameters by field name: the least value, and the most
 # with the spelling messages use.  Trials are capped as the multinomial takes a
 # C long.  The audit sample counts are capped as an audit builds its case grids
-# whole.  Measured at these caps (``preferred-basis:sigma``): an exact audit peaks
-# near 280 MB whatever its level count, a Monte Carlo one near 410 MB at 2 noise
-# levels and 724 MB at 4, about 160 MB per level (``audit._MAX_NOISE_LEVELS``
-# caps the level count).
+# whole.  Measured at these caps (``preferred-basis:sigma``, peak RSS): an exact
+# audit peaks near 281 MB at 2 noise levels, a Monte Carlo one near 795 MB at 2, 4
+# and 16 levels alike, as only C1 grows with the level count
+# (``audit._MAX_NOISE_LEVELS`` caps it).
 # A field that names a choice lists its values in ``_CHOICES``.
 _TRIALS_RANGE = (1, 2**63 - 1, "2**63 - 1")
 _BOUNDS = {

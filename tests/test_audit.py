@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -609,26 +610,26 @@ def test_mc_c3_evidence_counts_are_nested(rule):
 
 # Witness, metric, threshold and p-value of C1, C2 and C4 in the FAST_MC audit,
 # and C3's witness, metric, threshold and evidence; the C1, C2 and C4 thresholds
-# pin the Bonferroni family sizes (probe-rigid C1 has fewer informative
-# comparisons than singlet C1).
+# pin the Bonferroni family sizes (C1 counts probe-rigid's one-cell comparisons,
+# so both rules' C1 families hold all 48; C2 and C4 run the lowest level only).
 FAST_MC_PINNED = {
     "probe-rigid": {
         "C1": ("roles=normal object_basis=XY analyzer=XY mode2=SIGMA q=0 view=full",
-               1.0, 0.9999761904761905, 0.0),
-        "C2": ("input=(sigma+, x) q=0 basis=XY", 1.0, 0.9999838709677419, 0.0),
+               1.0, 0.9999791666666666, 0.0),
+        "C2": ("input=(sigma+, x) q=0 basis=XY", 1.0, 0.9999722222222223, 0.0),
         "C3": ("input=(sigma+, sigma-) basis=XY", 0.50378, 5e-06,
                {"aligned_events": 50378, "survivors": 100000}),
-        "C4": ("unitary=haar[0] input=(theta,phi=2.43402,2.533, theta,phi=1.52845,-0.886317)"
-               " q=0 basis=SIGMA", 0.9995524174421984, 0.999995, 0.0004475825578015875),
+        "C4": ("unitary=DIAG->SIGMA input=(y, x) q=0 basis=DIAG", 0.9542459161593924,
+               0.9999925925925925, 0.04575408384060761),
     },
     "singlet": {
         "C1": ("roles=swapped object_basis=SIGMA analyzer=SIGMA mode2=XY q=0.5 view=full",
                0.9861892337831718, 0.9999791666666666, 0.01381076621682824),
-        "C2": ("input=(d+, sigma-) q=0 basis=XY", 0.9908387941735957, 0.9999848484848485,
-               0.00916120582640437),
+        "C2": ("input=(theta,phi=1.22831,-0.0149869, theta,phi=2.19804,0.513273) q=0 basis=DIAG",
+               0.9808942058940981, 0.9999722222222223, 0.01910579410590186),
         "C3": ("no aligned events observed", 0.0, 5e-06, None),
-        "C4": ("unitary=DIAG->SIGMA input=(d+, sigma-) q=0 basis=XY", 0.9940069403463665,
-               0.9999956140350877, 0.005993059653633468),
+        "C4": ("unitary=SIGMA->DIAG input=(y, x) q=0 basis=DIAG", 0.9715733700717815,
+               0.9999925925925925, 0.028426629928218514),
     },
 }
 
@@ -1498,22 +1499,32 @@ def test_mc_checks_called_alone_match_the_audit(config):
                 assert _result_fields(check(rule, config)) == _result_fields(
                     report.check(check_id))
     if config.noise_levels == (0.0,):
-        # every K = 0 pair scatters at level 0, so no comparison is informative
-        assert [c.witness for c in audit_rule(K_ZERO, config).checks] == [
-            "no cases evaluated"] * 4
+        # every K = 0 pair scatters at level 0: C1's full view and C2/C4 compare
+        # two samples that fill the scatter cell alone, and only C3 has no case
+        assert [c.witness == "no cases evaluated" for c in audit_rule(K_ZERO, config).checks] == [
+            False, False, True, False]
+
+
+def _one_cell_p_values(counts_a, counts_b):
+    """Chi-square p-values, with p = 1 where two nonempty samples fill one and the same cell."""
+    _, p_values = chi_square_two_sample(counts_a, counts_b)
+    cells = ((counts_a + counts_b) > 0).sum(axis=-1)
+    filled = (counts_a.sum(axis=-1) > 0) & (counts_b.sum(axis=-1) > 0)
+    return np.where((cells == 1) & filled, 1.0, p_values)
 
 
 def _mc_checks_one_call_each(rule, config):
     """Reference for the Monte Carlo pass: each check couples its own grid,
-    reads its own Born laws and makes its own chi-square call."""
-    bases, levels = config.bases, config.noise_levels
+    reads its own Born laws and makes its own chi-square call; C2 and C4 run
+    the lowest level alone."""
+    bases, levels = config.bases, (min(config.noise_levels),)
     grid = audit._mode_pair_grid(bases)
     laws = audit._mode_pair_laws(rules.coupling_channel(rule, grid.probes, grid.objects, 0.0),
                                  config, grid, grid.mc)
     mode1, mode2 = audit._mc_sides(config, laws[:, 0], laws[:, 1], 11)
     views = [np.stack([d, d * [1, 1, 0]], axis=1) for d in (mode1, mode2)]
     results = [audit._mc_verdict(
-        CHECK_IDS[0], config, chi_square_two_sample(*views)[1],
+        CHECK_IDS[0], config, _one_cell_p_values(*views),
         lambda row, view: audit._mode_pair_witness(config, grid.mc.cases, row, view),
         lambda row, view: audit._c1_evidence(mode1, mode2, row, view))]
     pairs = audit._MC_CORNER_PAIRS
@@ -1525,7 +1536,7 @@ def _mc_checks_one_call_each(rule, config):
         counts = audit._mc_sides(config, audit._basis_laws(out_a, bases),
                                  audit._basis_laws(out_b, bases), stream + 1)
         results.append(audit._mc_verdict(
-            check_id, config, chi_square_two_sample(*counts)[1],
+            check_id, config, _one_cell_p_values(*counts),
             lambda row, k, label=label: f"{label(row)} basis={bases[k].label}",
             lambda row, k: {}))
     probes, objects = audit._input_grid(audit._MC_CORNER_PAIRS, config.seed, 31,
@@ -1554,3 +1565,42 @@ def test_mc_pass_matches_one_call_per_check(config):
         got = audit_rule(rule, config).checks
         want = _mc_checks_one_call_each(rule, config)
         assert [_result_fields(c) for c in got] == [_result_fields(c) for c in want], rule.name
+
+
+@pytest.mark.parametrize("levels", [(0.0, 0.5), (0.0,), (0.3,)])
+def test_k_zero_reads_one_row_in_both_modes(levels):
+    # at level 0 every K = 0 pair scatters, so both samples of every C2/C4
+    # comparison fill the scatter cell alone: they agree, at p = 1
+    rows = {mode: "".join("P" if c.passed else "F" for c in audit_rule(
+        K_ZERO, AuditConfig(evaluation=mode, noise_levels=levels)).checks)
+        for mode in ("exact", "mc")}
+    assert rows == {"exact": "PPFP", "mc": "PPFP"}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("lowest, levels", [((0.0,), (0.0, 0.5)), ((0.3,), (0.7, 0.3, 1.0))])
+def test_levels_above_the_lowest_leave_mc_pair_checks_alone(lowest, levels, seed):
+    # a fly-by cancels from C2's and C4's two sides, so Monte Carlo samples the lowest level alone
+    for rule in [*builtin_rules(), K_ZERO]:
+        got = [audit_rule(rule, AuditConfig(evaluation="mc", noise_levels=q, seed=seed))
+               for q in (lowest, levels)]
+        for check_id in CHECK_IDS[1::2]:
+            assert _result_fields(got[0].check(check_id)) == _result_fields(
+                got[1].check(check_id)), (rule.name, check_id)
+
+
+def test_mc_audit_memory_is_flat_in_the_level_count():
+    rule = rule_from_name("preferred-basis:sigma")
+    configs = [AuditConfig(evaluation="mc", mc_input_samples=2000, mc_unitary_samples=2000,
+                           noise_levels=tuple(k / count for k in range(count)))
+               for count in (2, 16)]
+    audit_rule(rule, configs[0])  # the grids, which no level reads, are built untraced
+    peaks = []
+    for config in configs:
+        tracemalloc.start()
+        try:
+            audit_rule(rule, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks

@@ -12,8 +12,8 @@ statistical cross-check):
 * C2 role symmetry - applying the rule with the partners exchanged and
   mapping back through SWAP must reproduce the same outcome; the exact
   metric is the worst trace distance between the two outcomes, each the
-  sub-normalised operator ``p (+) (1 - p) rho`` of scatter probability and
-  survivor.  It is linear in the law, continuous in the rule, on C1's total
+  scatter probability ``p`` and survive branch ``sigma = (1 - p) rho`` the
+  coupling returns.  It is linear in the law, continuous in the rule, on C1's total
   variation scale, and bounds the total variation distance of the
   five-outcome law in every basis, which Monte Carlo samples.  Both modes
   evaluate it at the lowest noise level only (see below).
@@ -44,10 +44,8 @@ nonempty samples fill one and the same cell, at p = 1, so a rule whose exact
 metric is zero is not failed by a single unlucky case among many.  C3's Monte
 Carlo verdict demands zero aligned events among the coupled survivors.
 
-Exact mode stays one evaluation per check: a prototype serving the exact
-checks from one stacked call of 1232 rows took 3.30 ms per warm default
-exact audit against 3.01 ms, and 1.3 MB more peak memory, measured
-in-process on a 2-CPU x86-64 host with one BLAS thread.
+Exact mode makes one evaluation per check, C2's and C4's one coupling call
+over both sides' stacked inputs; one call for every exact check was slower.
 
 Fly-by noise is one axis, blended in after the rule map (``coupling_channel``
 for C2/C4, ``filter_law`` for C1): each rule runs once per input pair, and
@@ -406,22 +404,16 @@ def _exact_verdict(check_id: str, worst: float, witness: str, evidence, config) 
     )
 
 
-def _survivor_difference(out_a: Coupling, out_b: Coupling) -> np.ndarray:
-    """Per row, ``(1 - p_a) rho_a - (1 - p_b) rho_b``, Hermitian up to rounding."""
-    return ((1.0 - out_a.p_scatter)[:, None, None] * out_a.survivors
-            - (1.0 - out_b.p_scatter)[:, None, None] * out_b.survivors)
-
-
 def _outcome_distance(out_a: Coupling, out_b: Coupling) -> np.ndarray:
-    """Per row, the trace distance between the two sides' outcomes ``p (+) (1 - p) rho``.
+    """Per row, the trace distance between the two sides' outcomes ``p (+) sigma``.
 
-    That is ``0.5 * (|p_a - p_b| + ||(1 - p_a) rho_a - (1 - p_b) rho_b||_1)``,
-    the trace norm being the sum of ``|eigvalsh|`` of the Hermitian
-    difference.  A row that scatters with certainty has ``p = 1`` and a zero
-    survivor, so it needs no branch.
+    That is ``0.5 * (|p_a - p_b| + ||sigma_a - sigma_b||_1)``, the trace
+    norm being the sum of ``|eigvalsh|`` of the Hermitian difference.  A row
+    that scatters with certainty has ``p = 1`` and ``sigma = 0``, so it
+    needs no branch.
     """
     return 0.5 * (np.abs(out_a.p_scatter - out_b.p_scatter)
-                  + _trace_norm(_survivor_difference(out_a, out_b)))
+                  + _trace_norm(out_a.survived - out_b.survived))
 
 
 def _trace_norm(diff: np.ndarray) -> np.ndarray:
@@ -465,7 +457,7 @@ def _exact_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Couplin
     so the first worst row and its value are those of all rows.
     """
     gap = np.abs(out_a.p_scatter - out_b.p_scatter)
-    diff = _survivor_difference(out_a, out_b)
+    diff = out_a.survived - out_b.survived
     frobenius = _eigvalsh_frobenius(diff)
     top = (gap + frobenius).max()
     row, distance = 0, 0.0
@@ -485,8 +477,8 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-# C2 and C3 each read one entry, keyed on the values it reads.
-@functools.lru_cache(maxsize=2)
+# C3's grid, keyed on the values it reads; C2's grid draws its own inputs.
+@functools.lru_cache(maxsize=1)
 def _input_grid(corner_pairs, seed: int, stream: int, count: int) -> tuple[np.ndarray, ...]:
     """Probe and object amplitudes: the corner pairs, then ``count`` uniform pairs."""
     u = derive_rng(seed, stream).random((count, 4))
@@ -505,35 +497,44 @@ def _pair_label(levels, input_label):
 
 
 class _PairGrid(NamedTuple):
-    """A C2/C4 grid: side a couples ``a``; side b couples ``b``, mapped back onto a by ``map_b``.
+    """A C2/C4 grid: side a's ``split`` inputs, then side b's, mapped back onto a by ``map_b``.
 
     ``label(n)`` names input n.  Exact mode reads the grid, Monte Carlo stacks it.
     """
 
-    a: tuple[np.ndarray, np.ndarray]
-    b: tuple[np.ndarray, np.ndarray]
+    probes: np.ndarray
+    objects: np.ndarray
+    split: int
     map_b: Callable[[Coupling], Coupling]
     label: Callable[[int], str]
 
 
+def _pair_sides(grid: _PairGrid, out: Coupling) -> tuple[Coupling, Coupling]:
+    """Side a's rows of ``out``, the coupling of the grid's inputs, and side b's mapped back."""
+    cut = grid.split * (len(out.p_scatter) // len(grid.probes))
+    return Coupling(*(x[:cut] for x in out)), grid.map_b(Coupling(*(x[cut:] for x in out)))
+
+
 def _pair_cases(rule: Rule, levels, grid: _PairGrid):
     """Exact C2/C4 cases of ``grid``, input-major then level: the row labeller, both couplings."""
-    return (_pair_label(levels, grid.label), coupling_channel(rule, *grid.a, levels),
-            grid.map_b(coupling_channel(rule, *grid.b, levels)))
+    return (_pair_label(levels, grid.label),
+            *_pair_sides(grid, coupling_channel(rule, grid.probes, grid.objects, levels)))
 
 
+@functools.lru_cache(maxsize=1)
 def _role_grid(corner_pairs, seed: int, stream: int, count: int) -> _PairGrid:
-    """C2's grid: the inputs, the exchanged inputs and SWAP back."""
-    probes, objects = _input_grid(corner_pairs, seed, stream, count)
-    return _PairGrid((probes, objects), (objects, probes), swap_back,
-                     lambda n: _input_label(probes[n], objects[n]))
+    """C2's grid: the inputs, the exchanged inputs and SWAP back; it keeps no other copy."""
+    probes, objects = _input_grid.__wrapped__(corner_pairs, seed, stream, count)
+    stacked = _read_only(np.concatenate([probes, objects]), np.concatenate([objects, probes]))
+    return _PairGrid(*stacked, len(probes), swap_back,
+                     lambda n: _input_label(stacked[0][n], stacked[1][n]))
 
 
 def _rotate(distinct: int, index, uu, uu_dagger, base: Coupling) -> Coupling:
     """C4's side b: the coupling ``base`` of ``distinct`` inputs, gathered per input, conjugated."""
     p_scatter = base.p_scatter.reshape(distinct, -1)[index]
-    survivors = base.survivors.reshape(distinct, -1, 4, 4)[index]
-    return Coupling(p_scatter.reshape(-1), (uu @ survivors @ uu_dagger).reshape(-1, 4, 4))
+    survived = base.survived.reshape(distinct, -1, 4, 4)[index]
+    return Coupling(p_scatter.reshape(-1), (uu @ survived @ uu_dagger).reshape(-1, 4, 4))
 
 
 @functools.lru_cache(maxsize=1)
@@ -560,16 +561,17 @@ def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int) ->
     objects = np.concatenate([_amps(o for _, o in corner_pairs), uniform_state_amps(u[:, 5:7])])
     index = np.concatenate([np.tile(np.arange(len(corner_pairs)), len(corners)),
                             len(corner_pairs) + np.arange(count)])
-    rotated_probes = np.einsum("nij,nj->ni", unitaries, probes[index])
-    rotated_objects = np.einsum("nij,nj->ni", unitaries, objects[index])
+    stacked_probes = np.concatenate([np.einsum("nij,nj->ni", unitaries, probes[index]), probes])
+    stacked_objects = np.concatenate([np.einsum("nij,nj->ni", unitaries, objects[index]), objects])
     uu = np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 1, 4, 4)
     uu_dagger = uu.conj().swapaxes(-1, -2)
-    _read_only(probes, objects, index, rotated_probes, rotated_objects, uu, uu_dagger)
+    _read_only(index, stacked_probes, stacked_objects, uu, uu_dagger)
 
     def label(n: int) -> str:
-        return f"unitary={names[n]} {_input_label(probes[index[n]], objects[index[n]])}"
+        m = len(index) + index[n]  # distinct input index[n], in the stacked inputs the grid keeps
+        return f"unitary={names[n]} {_input_label(stacked_probes[m], stacked_objects[m])}"
 
-    return _PairGrid((rotated_probes, rotated_objects), (probes, objects),
+    return _PairGrid(stacked_probes, stacked_objects, len(index),
                      functools.partial(_rotate, len(probes), index, uu, uu_dagger), label)
 
 
@@ -695,16 +697,16 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
     laws = _mode_pair_laws(coupled, config, grid, grid.exact)
     conditional, defined = conditional_clicks(laws)
     both = defined.all(axis=1)
-    t_full = tvd(laws[:, 0], laws[:, 1])
-    t_cond = np.full(len(laws), -1.0)
-    t_cond[both] = tvd(conditional[both, 0], conditional[both, 1])
-    views = np.stack([t_full, t_cond], axis=1)
+    # both views in one call; where the view given survival is not defined, both sides
+    # read all scatter, a distance of 0 that never beats row 0's full view
+    given = np.where(both[:, None, None], conditional, [0.0, 0.0, 1.0])
+    views = tvd(*np.stack([laws, given], axis=2).swapaxes(0, 1))
     n, k = divmod(int(np.argmax(views)), 2)
     evidence = {
         "mode1": [float(x) for x in laws[n, 0]],
         "mode2": [float(x) for x in laws[n, 1]],
-        "tvd_full": float(t_full[n]),
-        "tvd_conditional": float(t_cond[n]) if both[n] else None,
+        "tvd_full": float(views[n, 0]),
+        "tvd_conditional": float(views[n, 1]) if both[n] else None,
     }
     witness = _mode_pair_witness(config, grid.exact.cases, n, k)
     return _exact_verdict(CHECK_IDS[0], float(views[n, k]), witness, evidence, config)
@@ -738,12 +740,11 @@ def _basis_cells(survivors: np.ndarray, bases) -> np.ndarray:
 def _basis_laws(out: Coupling, bases) -> np.ndarray:
     """Five-outcome laws of every row in every basis, ``(rows, bases, 5)``.
 
-    The law in a basis is its four joint cells, then scatter.
+    The law in a basis is the four joint cells of the survive branch, then scatter.
     """
-    cells = _basis_cells(out.survivors, bases)
+    cells = _basis_cells(out.survived, bases)
     scatter = np.broadcast_to(out.p_scatter[:, None, None], (*cells.shape[:2], 1))
-    laws = np.concatenate([(1.0 - out.p_scatter)[:, None, None] * cells, scatter], axis=2)
-    return np.clip(laws, 0.0, None)
+    return np.concatenate([cells, scatter], axis=2)
 
 
 def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
@@ -755,7 +756,7 @@ def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
                                        probes, objects)
     if not out.p_scatter.size:
         return _no_cases(CHECK_IDS[2], config.epsilon_exact)
-    cells = _basis_cells(out.survivors, config.bases)
+    cells = _basis_cells(out.survived / (1.0 - out.p_scatter)[:, None, None], config.bases)
     aligned = cells[..., 0] + cells[..., 3]
     n, k = np.unravel_index(np.argmax(aligned), aligned.shape)
     evidence = {"cells": [float(c) for c in cells[n, k]], "aligned_weight": float(aligned[n, k])}
@@ -784,8 +785,8 @@ class _StackedGrid(NamedTuple):
     covariance: _PairGrid
 
 
-# Blocks of the stacked grid: C1's coupling rows, then C2's, C3's and C4's sides.
-_C1, _C2A, _C2B, _C3, _C4A, _C4B = range(6)
+# Blocks of the stacked grid: C1's coupling rows, then C2's, C3's and C4's inputs.
+_C1, _C2, _C3, _C4 = range(4)
 
 
 @functools.lru_cache(maxsize=1)
@@ -799,7 +800,7 @@ def _mc_grid(bases, seed: int, input_count: int, unitary_count: int) -> _Stacked
     role = _role_grid(_MC_CORNER_PAIRS, seed, 21, input_count)
     alignment = _input_grid(_MC_CORNER_PAIRS, seed, 31, input_count)
     covariance = _covariance_grid(bases, _MC_CORNER_PAIRS, seed, 41, unitary_count)
-    blocks = ((c1.probes, c1.objects), role.a, role.b, alignment, covariance.a, covariance.b)
+    blocks = ((c1.probes, c1.objects), role[:2], alignment, covariance[:2])
     starts = np.cumsum([0] + [len(block[0]) for block in blocks]).tolist()
     return _StackedGrid(*_read_only(*(np.concatenate(side) for side in zip(*blocks))),
                         tuple(map(slice, starts[:-1], starts[1:])), c1, role, alignment, covariance)
@@ -830,8 +831,8 @@ def _mc_pass(rule: Rule, config: AuditConfig) -> tuple:
     mode1, mode2 = _mc_sides(config, laws[:, 0], laws[:, 1], 11)
 
     aligned_label, aligned = _anti_alignment_cases(block(_C3, True), *grid.alignment)
-    sides = (block(_C2A, False), grid.role.map_b(block(_C2B, False)), aligned,
-             block(_C4A, False), grid.covariance.map_b(block(_C4B, False)))
+    sides = (*_pair_sides(grid.role, block(_C2, False)), aligned,
+             *_pair_sides(grid.covariance, block(_C4, False)))
     laws = _unstack(_basis_laws(Coupling(*map(np.concatenate, zip(*sides))), config.bases),
                     [side.p_scatter.shape for side in sides])
     role = _mc_sides(config, laws[0], laws[1], 22)

@@ -81,8 +81,8 @@ _FIELD_TYPES = {
 # with the spelling messages use.  Trials are capped as the multinomial takes a
 # C long.  The audit sample counts are capped as an audit builds its case grids
 # whole.  Measured at these caps (``preferred-basis:sigma``, peak RSS): an exact
-# audit peaks near 281 MB at 2 noise levels, a Monte Carlo one near 795 MB at 2, 4
-# and 16 levels alike, as only C1 grows with the level count
+# audit peaks near 274 MB at 2 and 16 noise levels, a Monte Carlo one near 806 MB at
+# 2 and 16 levels alike, as only C1 grows with the level count
 # (``audit._MAX_NOISE_LEVELS`` caps it).
 # A field that names a choice lists its values in ``_CHOICES``.
 _TRIALS_RANGE = (1, 2**63 - 1, "2**63 - 1")
@@ -255,7 +255,7 @@ class OutcomeDistribution:
 
 
 def survivor_clicks(out: Coupling, swapped, analyzers, take=slice(None)):
-    """The filter device's survivor click laws, one row per analyzer row.
+    """The filter device's survivor click weights, one row per analyzer row.
 
     ``out`` holds the q = 0 coupling rows of the wiring and ``swapped`` their
     ``(N,)`` flags marking the rows whose source particle sits in the object
@@ -263,11 +263,11 @@ def survivor_clicks(out: Coupling, swapped, analyzers, take=slice(None)):
     names, per analyzer row, the coupling row it projects (by default row
     ``n`` projects row ``n``), so rows that differ only in the analyzer share
     one coupling.  Returns per analyzer row the scatter probability and the
-    source particle's click law when it survives (zero if it cannot).
+    source particle's click law when it survives times ``1 - p_scatter``.
     """
     swapped = np.asarray(swapped, dtype=bool)[:, None, None]
-    reduced = np.where(swapped, partial_trace(out.survivors, "object"),
-                       partial_trace(out.survivors, "probe"))
+    reduced = np.where(swapped, partial_trace(out.survived, "object"),
+                       partial_trace(out.survived, "probe"))
     return out.p_scatter[take], _expectations(reduced[take], analyzers)
 
 
@@ -284,26 +284,24 @@ def filter_law(q, p_scatter, survivor_clicks, flyby_clicks) -> np.ndarray:
     """Detector law ``(click b1, click b2, scatter)`` of two equally likely source branches.
 
     Inputs are ``survivor_clicks`` and ``flyby_clicks`` rows reshaped to
-    ``(..., 2)`` branches;
-    ``q`` broadcasts over the leading axes.  Terms add up in source order,
-    so a case gives the same bits alone and within a grid.
+    ``(..., 2)`` branches; the survivor clicks already carry the survive
+    probability.  ``q`` broadcasts over the leading axes.  Terms add up in
+    source order, so a case gives the same bits alone and within a grid.
     """
     q = np.asarray(q, dtype=float)[..., None]
     clicks = scatter = 0.0
     for b in (0, 1):
-        p = p_scatter[..., b, None]
-        scatter = scatter + 0.5 * (1.0 - q) * p
+        scatter = scatter + 0.5 * (1.0 - q) * p_scatter[..., b, None]
         clicks = clicks + 0.5 * q * flyby_clicks[..., b, :]
-        clicks = clicks + 0.5 * (1.0 - q) * (1.0 - p) * survivor_clicks[..., b, :]
+        clicks = clicks + 0.5 * (1.0 - q) * survivor_clicks[..., b, :]
     return np.concatenate([clicks, scatter], axis=-1)
 
 
 def conditional_clicks(law) -> tuple[np.ndarray, np.ndarray]:
-    """Click law given survival of the ``(..., 3)`` detector laws, and where it is defined."""
-    clicks = law[..., :2]
-    mass = clicks.sum(axis=-1, keepdims=True)
+    """The ``(..., 3)`` detector laws given survival, scatter cell 0, and where each is defined."""
+    mass = law[..., :2].sum(axis=-1, keepdims=True)
     defined = mass[..., 0] > PHASE_EPS
-    return clicks / np.where(defined[..., None], mass, 1.0), defined
+    return law * [1.0, 1.0, 0.0] / np.where(defined[..., None], mass, 1.0), defined
 
 
 def _config_branches(cfg: FilterConfig):
@@ -380,20 +378,18 @@ class CorrelationResult:
 
 
 def _survivor(out: Coupling) -> np.ndarray:
-    """Survivor density of the one-row coupling ``out`` of an input pair."""
+    """Survivor density of the one-row coupling ``out`` of an input pair: its normalised branch."""
     if out.p_scatter[0] == 1.0:
         raise NoSurvivorsError("survive probability is zero for this input; nothing to measure")
-    return out.survivors[0]
+    return out.survived[0] / (1.0 - out.p_scatter[0])
 
 
-def _survivor_counts(seed, trials, out, survivor_law):
+def _survivor_counts(seed, trials, out, survived_law):
     """Outcome counts of the surviving trials of the one-row coupling ``out`` and their number.
 
-    One draw of the law ``((1 - p_scatter) * survivor_law, p_scatter)``, scatter cell dropped.
+    One draw of the survive branch's outcome weights ``survived_law`` and ``p_scatter``.
     """
-    p_scatter = out.p_scatter[0]
-    counts = sample_counts(seed, trials, np.append((1.0 - p_scatter) * survivor_law, p_scatter))
-    counts = counts[:-1]
+    counts = sample_counts(seed, trials, np.append(survived_law, out.p_scatter[0]))[:-1]
     n_survivors = int(counts.sum())
     if n_survivors == 0:
         raise NoSurvivorsError("all trials scattered; nothing to measure")
@@ -429,7 +425,7 @@ def run_correlation_mc(
     """
     out = pair_channel(rule, probe, obj, noise_q)
     counts, n_survivors = _survivor_counts(
-        seed, trials, out, joint_born_distribution(out.survivors[0], basis, basis)
+        seed, trials, out, joint_born_distribution(out.survived[0], basis, basis)
     )
     cells = counts / n_survivors
     return CorrelationResult(
@@ -487,5 +483,6 @@ def run_flip_mc(
     """Sampled probe measurement counts; conditioned object states stay exact."""
     out = pair_channel(rule, probe, obj, noise_q)
     exact = _flip(out)
-    counts, n_survivors = _survivor_counts(seed, trials, out, exact.probe_probs)
+    counts, n_survivors = _survivor_counts(seed, trials, out,
+                                           (1.0 - out.p_scatter[0]) * exact.probe_probs)
     return FlipResult(counts / n_survivors, exact.object_given, counts=counts, trials=int(trials))

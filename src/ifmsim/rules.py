@@ -32,7 +32,9 @@ Fly-by noise ``q`` is the probability that the coupling simply does not
 happen; the outcome then blends the untouched input with the rule's own
 survivor; a level of 0 adds no input term at all.  ``coupling_channel``
 evaluates a whole batch of input pairs as arrays, at one noise level or
-several, and every experiment and audit check reads its rows;
+several, and every experiment and audit check reads its rows, each the
+outcome ``p (+) sigma`` of scatter probability and survive branch (C3, the
+single-pair forms and the correlation and flip runs normalise ``sigma``);
 ``swap_back`` maps the rows of exchanged inputs back through SWAP.
 ``apply_rule`` and ``swapped_channel`` are single-pair conveniences for
 library callers; they stay because the ``ifmbench`` benchmark traces them.
@@ -104,7 +106,7 @@ class Rule:
     amplitudes and their ``(N, 4)`` product amplitudes, and returns the
     noiseless rows ``(p_scatter, coupled, survivors)``: ``coupled`` marks
     the rows that can survive, whose survivor densities are normalized;
-    ``coupling_channel`` zeroes the survivors of the others.  ``operator``
+    ``coupling_channel`` weights them by their survive probability.  ``operator``
     is the read-only survive operator ``K`` of a linear rule, else None.
     """
 
@@ -171,12 +173,13 @@ def _aligned_projector(basis: Basis) -> np.ndarray:
 class Coupling(NamedTuple):
     """Outcomes of a batch of couplings; row ``n`` belongs to input pair ``n``.
 
+    ``survived`` holds each row's survive branch ``sigma`` of trace ``1 - p_scatter``.
     A pair that scatters with certainty carries ``p_scatter == 1`` exactly
-    and an all-zero survivor; every other row has ``p_scatter < 1``.
+    and ``sigma == 0``; every other row has ``p_scatter < 1``.
     """
 
     p_scatter: np.ndarray
-    survivors: np.ndarray
+    survived: np.ndarray
 
 
 def _orthogonal(amps: np.ndarray) -> np.ndarray:
@@ -281,9 +284,11 @@ def coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupling:
 
     With probability ``noise_q`` the coupling does not happen at all and
     the input product state passes through untouched.  Otherwise the
-    rule's own law applies, once per input pair.  Rows whose overall
-    survive probability is negligible report certain scatter.  Amplitude
-    rows must be normalized.
+    rule's own law applies, once per input pair.  Each row holds the scatter
+    probability ``p`` and the survive branch ``(1 - q)(1 - p_rule) rho + q
+    |in><in|`` of trace ``1 - p``, not divided by it.  Rows whose survive
+    probability is negligible report certain scatter and a zero branch.
+    Amplitude rows must be normalized.
 
     ``noise_q`` is one level or a 1-D sequence of ``L`` levels.  The rule
     runs once per input pair; the fly-by blend then broadcasts over the
@@ -304,29 +309,26 @@ def coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupling:
     p_nn, coupled, survivor_nn = rule.law(probes, objects, inp)
 
     p_nn, coupled = p_nn[:, None], coupled[:, None]  # axes (pair, level) from here on
-    survive_mass = q + (1.0 - q) * (1.0 - p_nn)
-    alive = survive_mass > PHASE_EPS
-    weight = np.where(coupled, (1.0 - q) * (1.0 - p_nn), 0.0)
-    blended = weight[..., None, None] * survivor_nn[:, None]
-    # only the levels above 0 add the untouched input
+    # an alive row keeps p_scatter < 1, as (1 - q) * p_nn rounds to 1 only at q = 0, p_nn = 1
+    alive = q + (1.0 - q) * (1.0 - p_nn) > PHASE_EPS
+    weight = np.where(coupled & alive, (1.0 - q) * (1.0 - p_nn), 0.0)
+    survived = weight[..., None, None] * survivor_nn[:, None]
+    # only the levels above 0 add the untouched input, and only to the rows that are alive
     flyby = q > 0.0
     if flyby.any():
-        blended[:, flyby] += q[flyby, None, None] * _projectors(inp)[:, None]
-    # dividing by an infinite mass zeroes the survivors of rows that are not alive;
-    # an alive row keeps p_scatter < 1, as (1 - q) * p_nn rounds to 1 only at q = 0, p_nn = 1
-    survivors = blended / np.where(alive, survive_mass, np.inf)[..., None, None]
+        survived[:, flyby] += np.where(alive, q, 0.0)[:, flyby, None, None] * _projectors(inp)[:, None]
     return Coupling(np.where(alive, (1.0 - q) * p_nn, 1.0).reshape(-1),
-                    survivors.reshape(-1, 4, 4))
+                    survived.reshape(-1, 4, 4))
 
 
 def swap_back(out: Coupling) -> Coupling:
     """Couplings of exchanged inputs mapped back by SWAP onto the (probe slot, object slot) space.
 
-    SWAP is a permutation, so the survivors are gathered, not multiplied: the
-    values of ``SWAP @ rho @ SWAP`` in a C-ordered array.
+    SWAP is a permutation, so the survive branches are gathered, not
+    multiplied: the values of ``SWAP @ sigma @ SWAP`` in a C-ordered array.
     """
-    survivors = out.survivors.reshape(-1, 16).take(_SWAPPED_ENTRIES, axis=1)
-    return out._replace(survivors=survivors.reshape(-1, 4, 4))
+    survived = out.survived.reshape(-1, 16).take(_SWAPPED_ENTRIES, axis=1)
+    return out._replace(survived=survived.reshape(-1, 4, 4))
 
 
 def pair_channel(rule: Rule, probe: QubitState, obj: QubitState, noise_q=0.0) -> Coupling:
@@ -340,7 +342,7 @@ def pair_channel(rule: Rule, probe: QubitState, obj: QubitState, noise_q=0.0) ->
 def _single(out: Coupling) -> CouplingOutcome:
     if out.p_scatter[0] == 1.0:
         return CouplingOutcome(1.0, None)
-    return CouplingOutcome(float(out.p_scatter[0]), out.survivors[0])
+    return CouplingOutcome(float(out.p_scatter[0]), out.survived[0] / (1.0 - out.p_scatter[0]))
 
 
 def apply_rule(rule: Rule, probe: QubitState, obj: QubitState, noise_q: float = 0.0) -> CouplingOutcome:

@@ -441,12 +441,11 @@ def test_audit_noise_levels_do_not_change_verdicts():
 GRID_BUILDERS = (
     audit._mode_pair_grid,
     audit._input_grid,
+    audit._role_grid,
     audit._covariance_grid,
     audit._basis_vectors,
     audit._mc_grid,
 )
-# C2 and C3 each keep one entry of the input grid cache
-GRID_ENTRIES = {audit._input_grid: 2}
 
 
 def _cold_report(rule, config) -> str:
@@ -463,11 +462,12 @@ MODE_FREE_GRIDS = (audit._mode_pair_grid, audit._basis_vectors)
 # carries the check grids it stacks, and, in its one Born call, the basis
 # vectors.  Building the stacked grid reads C1's, C2's, C3's and C4's grids.
 AUDIT_READS = {
-    "exact": {audit._mode_pair_grid: 1, audit._input_grid: 2, audit._covariance_grid: 1,
-              audit._basis_vectors: 1},
+    "exact": {audit._mode_pair_grid: 1, audit._input_grid: 1, audit._role_grid: 1,
+              audit._covariance_grid: 1, audit._basis_vectors: 1},
     "mc": {audit._basis_vectors: 1, audit._mc_grid: 1},
 }
-STACKED_GRID_READS = {audit._mode_pair_grid: 1, audit._input_grid: 2, audit._covariance_grid: 1}
+STACKED_GRID_READS = {audit._mode_pair_grid: 1, audit._input_grid: 1, audit._role_grid: 1,
+                      audit._covariance_grid: 1}
 
 
 @pytest.mark.parametrize("configs", [(FAST_EXACT,), (FAST_MC,), (FAST_EXACT, FAST_MC, FAST_EXACT)],
@@ -486,13 +486,12 @@ def test_grids_are_built_once_per_config(configs):
             for builder, count in STACKED_GRID_READS.items():
                 reads[builder] += count
     mc_configs = sum(config.evaluation == "mc" for config in configs)
-    for builder in GRID_BUILDERS:
-        entries = GRID_ENTRIES.get(builder, 1)
+    for builder in GRID_BUILDERS:  # each keeps one entry
         built = mc_configs if builder is audit._mc_grid else len(configs)
-        misses = entries * (1 if builder in MODE_FREE_GRIDS else built)
+        misses = 1 if builder in MODE_FREE_GRIDS else built
         info = builder.cache_info()
         assert (info.misses, info.hits, info.currsize) == (misses, reads[builder] - misses,
-                                                           entries if misses else 0), builder
+                                                           1 if misses else 0), builder
 
 
 def _cache_config(evaluation, seed=11, **kwargs):
@@ -541,7 +540,7 @@ def test_cached_grid_arrays_are_read_only():
         audit._input_grid(audit._MC_CORNER_PAIRS, 0, 31, 3),
         stacked[:2],
         stacked.alignment,
-        *((*grid.a, *grid.b) for grid in role_grids + covariance_grids),
+        *(grid[:2] for grid in role_grids + covariance_grids),
         *(grid.map_b.args[1:] for grid in covariance_grids),
         (audit._basis_vectors(bases),),
     ]
@@ -656,9 +655,11 @@ CHECKS = {"C1": check_indistinguishability, "C2": check_role_symmetry,
           "C3": check_anti_alignment, "C4": check_basis_covariance}
 
 
-# The blocks of the stacked Monte Carlo grid each check couples.
-MC_BLOCKS = {"C1": (audit._C1,), "C2": (audit._C2A, audit._C2B), "C3": (audit._C3,),
-             "C4": (audit._C4A, audit._C4B)}
+# The block of the stacked Monte Carlo grid each check couples.
+MC_BLOCKS = {"C1": (audit._C1,), "C2": (audit._C2,), "C3": (audit._C3,), "C4": (audit._C4,)}
+# The sides each check's grid stacks: a C2/C4 grid stacks both sides' inputs,
+# so each sample adds one input to each side.
+GRID_SIDES = {"C1": 1, "C2": 2, "C3": 1, "C4": 2}
 
 
 def _grid_lengths(config, monkeypatch) -> dict:
@@ -700,7 +701,7 @@ def test_each_sample_count_field_sizes_only_the_grids_it_names(monkeypatch):
             for name in CHECKS:
                 grows = (evaluation, name) in named
                 assert not grows or before[name], (field, evaluation, name)
-                assert after[name] == tuple(n + grows for n in before[name]), (
+                assert after[name] == tuple(n + grows * GRID_SIDES[name] for n in before[name]), (
                     field, evaluation, name)
 
 
@@ -934,8 +935,7 @@ def test_outcome_distance_matches_nuclear_norm_and_bounds_basis_tvd(rule):
     config = AuditConfig(input_samples=30, unitary_samples=15, seed=7)
     for _, out_a, out_b in _exact_pair_cases(rule, config):
         distance = audit._outcome_distance(out_a, out_b)
-        diff = ((1.0 - out_a.p_scatter)[:, None, None] * out_a.survivors
-                - (1.0 - out_b.p_scatter)[:, None, None] * out_b.survivors)
+        diff = out_a.survived - out_b.survived
         rows = derive_rng(7).choice(len(distance), size=40, replace=False)
         for n in rows:
             nuclear = np.linalg.svd(diff[n], compute_uv=False).sum()
@@ -1097,7 +1097,7 @@ def test_covariance_cases_match_a_base_coupling_on_every_row(pairs, stream, coun
     # the base coupling runs once per distinct input and is gathered per row
     config = FAST_EXACT
     grid = audit._covariance_grid(tuple(config.bases), pairs, config.seed, stream, count)
-    probes, objects = grid.b
+    probes, objects = (inputs[grid.split:] for inputs in grid[:2])
     assert len(probes) == len(pairs) + count
     # each input's U and distinct input, and U (x) U, rebuilt from the grid's stream draw
     corners = audit._corner_unitaries(config.bases)
@@ -1107,15 +1107,68 @@ def test_covariance_cases_match_a_base_coupling_on_every_row(pairs, stream, coun
     index = np.concatenate([np.tile(np.arange(len(pairs)), len(corners)),
                             len(pairs) + np.arange(count)])
     uu = np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 1, 4, 4)
-    for rotated, distinct in zip(grid.a, grid.b):
+    for inputs, distinct in zip(grid[:2], (probes, objects)):
+        rotated = inputs[:grid.split]
         assert rotated.tobytes() == np.einsum("nij,nj->ni", unitaries, distinct[index]).tobytes()
     for rule in PAIR_CHECK_RULES:
         _, _, conjugated = audit._pair_cases(rule, config.noise_levels, grid)
         base = rules.coupling_channel(rule, probes[index], objects[index], config.noise_levels)
-        survivors = base.survivors.reshape(len(index), -1, 4, 4)
-        survivors = (uu @ survivors @ uu.conj().swapaxes(-1, -2)).reshape(-1, 4, 4)
+        survived = base.survived.reshape(len(index), -1, 4, 4)
+        survived = (uu @ survived @ uu.conj().swapaxes(-1, -2)).reshape(-1, 4, 4)
         assert conjugated.p_scatter.tobytes() == base.p_scatter.tobytes(), rule.name
-        assert conjugated.survivors.tobytes() == survivors.tobytes(), rule.name
+        assert conjugated.survived.tobytes() == survived.tobytes(), rule.name
+
+
+@pytest.mark.parametrize("levels", [(0.0,), (0.3,), (0.0, 0.5)], ids=str)
+def test_pair_cases_sides_equal_a_coupling_call_per_side(levels):
+    # one coupling call over both sides' stacked inputs gives each side the
+    # bytes of its own call, side b mapped back as the grid maps it
+    config = FAST_EXACT
+    grids = (audit._role_grid(audit._CORNER_PAIRS, config.seed, 2, config.input_samples),
+             audit._covariance_grid(config.bases, audit._CORNER_PAIRS, config.seed, 4,
+                                    config.unitary_samples),
+             audit._role_grid(audit._MC_CORNER_PAIRS, config.seed, 21, 1),
+             audit._covariance_grid(config.bases, audit._MC_CORNER_PAIRS, config.seed, 41, 1))
+    for grid in grids:
+        sides = [(inputs[:grid.split], inputs[grid.split:]) for inputs in grid[:2]]
+        for rule in PAIR_CHECK_RULES:
+            _, got_a, got_b = audit._pair_cases(rule, levels, grid)
+            want_a = rules.coupling_channel(rule, sides[0][0], sides[1][0], levels)
+            want_b = grid.map_b(rules.coupling_channel(rule, sides[0][1], sides[1][1], levels))
+            for got, want in ((got_a, want_a), (got_b, want_b)):
+                for field, expected in zip(got, want):
+                    assert field.shape == expected.shape, rule.name
+                    assert field.tobytes() == expected.tobytes(), rule.name
+
+
+def _two_call_c1(rule, config):
+    """Reference for exact C1: the full view and the view given survival in two ``tvd`` calls."""
+    grid = audit._mode_pair_grid(config.bases)
+    if not grid.exact.cases:
+        return audit._no_cases(CHECK_IDS[0], config.epsilon_exact)
+    laws = audit._mode_pair_laws(rules.coupling_channel(rule, grid.probes, grid.objects, 0.0),
+                                 config, grid, grid.exact)
+    conditional, defined = experiments.conditional_clicks(laws)
+    both = defined.all(axis=1)
+    t_full = tvd(laws[:, 0], laws[:, 1])
+    t_cond = np.full(len(laws), -1.0)
+    t_cond[both] = tvd(conditional[both, 0, :2], conditional[both, 1, :2])
+    views = np.stack([t_full, t_cond], axis=1)
+    n, k = divmod(int(np.argmax(views)), 2)
+    evidence = {"mode1": [float(x) for x in laws[n, 0]], "mode2": [float(x) for x in laws[n, 1]],
+                "tvd_full": float(t_full[n]),
+                "tvd_conditional": float(t_cond[n]) if both[n] else None}
+    witness = audit._mode_pair_witness(config, grid.exact.cases, n, k)
+    return audit._exact_verdict(CHECK_IDS[0], float(views[n, k]), witness, evidence, config)
+
+
+@pytest.mark.parametrize("config", PAIR_CHECK_CONFIGS.values(), ids=PAIR_CHECK_CONFIGS)
+def test_exact_c1_one_tvd_call_matches_two_calls(config):
+    # both views in one call keep the witness, metric and evidence bits of two
+    # calls; K = 0 leaves no view given survival at level 0
+    for rule in PAIR_CHECK_RULES:
+        got, want = check_indistinguishability(rule, config), _two_call_c1(rule, config)
+        assert repr(_result_fields(got)) == repr(_result_fields(want)), rule.name
 
 
 # Trials per comparison of the random count stacks: few trials tie p-values
@@ -1220,10 +1273,8 @@ def test_basis_laws_equal_a_born_call_per_basis():
         _, direct, mirrored = audit._pair_cases(
             rule, config.noise_levels, audit._role_grid(audit._CORNER_PAIRS, config.seed, 2, 20))
         for out in (direct, mirrored):
-            survive = 1.0 - out.p_scatter
-            want = np.stack([np.clip(np.column_stack(
-                [survive[:, None] * joint_born_distribution(out.survivors, b, b), out.p_scatter]),
-                0.0, None) for b in config.bases], axis=1)
+            want = np.stack([np.column_stack([joint_born_distribution(out.survived, b, b),
+                                              out.p_scatter]) for b in config.bases], axis=1)
             assert audit._basis_laws(out, config.bases).tobytes() == want.tobytes(), rule.name
         both = rules.Coupling(*map(np.concatenate, zip(direct, mirrored)))
         sides = [audit._basis_laws(out, config.bases) for out in (direct, mirrored)]
@@ -1293,9 +1344,10 @@ def _grid_states(seed: int) -> np.ndarray:
              for pairs, stream, count in ((audit._CORNER_PAIRS, 2, 200), (audit._CORNER_PAIRS, 3, 200),
                                           (audit._MC_CORNER_PAIRS, 21, 12),
                                           (audit._MC_CORNER_PAIRS, 31, 12))]
-    grids += [audit._covariance_grid.__wrapped__(bases, pairs, seed, stream, count).b
-              for pairs, stream, count in ((audit._CORNER_PAIRS, 4, 100),
-                                           (audit._MC_CORNER_PAIRS, 41, 6))]
+    grids += [[inputs[grid.split:] for inputs in grid[:2]]
+              for grid in (audit._covariance_grid.__wrapped__(bases, pairs, seed, stream, count)
+                           for pairs, stream, count in ((audit._CORNER_PAIRS, 4, 100),
+                                                        (audit._MC_CORNER_PAIRS, 41, 6)))]
     return np.concatenate([states for grid in grids for states in grid])
 
 

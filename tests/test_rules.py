@@ -232,8 +232,9 @@ def test_coupling_channel_pinned_rows(rule, probe, obj, q, p_scatter, survivor):
     out = coupling_channel(rule, probes, objects, q)
     assert out.p_scatter[1] == pytest.approx(p_scatter, abs=1e-12)
     assert (out.p_scatter[1] < 1.0) == (survivor is not None)
-    expected = np.zeros((4, 4)) if survivor is None else survivor
-    assert np.allclose(out.survivors[1], expected, atol=1e-12)
+    # the row holds the survive branch, the survivor weighted by 1 - p_scatter
+    expected = np.zeros((4, 4)) if survivor is None else (1.0 - p_scatter) * survivor
+    assert np.allclose(out.survived[1], expected, atol=1e-12)
     single = apply_rule(rule, probe, obj, q)
     assert single.p_scatter == pytest.approx(p_scatter, abs=1e-12)
     if survivor is None:
@@ -243,8 +244,9 @@ def test_coupling_channel_pinned_rows(rule, probe, obj, q, p_scatter, survivor):
     for row, (p, o) in zip((0, 2), others):
         ref = apply_rule(rule, p, o, q)
         assert out.p_scatter[row] == pytest.approx(ref.p_scatter, abs=1e-15)
-        ref_survivor = np.zeros((4, 4)) if ref.survive_state is None else ref.survive_state
-        assert np.allclose(out.survivors[row], ref_survivor, atol=1e-15)
+        ref_survived = (np.zeros((4, 4)) if ref.survive_state is None
+                        else (1.0 - ref.p_scatter) * ref.survive_state)
+        assert np.allclose(out.survived[row], ref_survived, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -266,12 +268,14 @@ def test_coupling_channel_rows_match_single_pairs(rule):
             assert out.p_scatter[n] == pytest.approx(single.p_scatter, abs=1e-15)
             assert (out.p_scatter[n] < 1.0) == (single.survive_state is not None)
             if single.survive_state is not None:
-                assert np.allclose(out.survivors[n], single.survive_state, atol=1e-15)
+                assert np.allclose(out.survived[n], (1.0 - single.p_scatter) * single.survive_state,
+                                   atol=1e-15)
             reverse = apply_rule(rule, obj, probe, q)
             assert mirrored.p_scatter[n] == pytest.approx(reverse.p_scatter, abs=1e-15)
             if reverse.survive_state is not None:
                 assert np.allclose(
-                    mirrored.survivors[n], SWAP @ reverse.survive_state @ SWAP, atol=1e-15
+                    mirrored.survived[n],
+                    (1.0 - reverse.p_scatter) * SWAP @ reverse.survive_state @ SWAP, atol=1e-15
                 )
 
 
@@ -521,7 +525,7 @@ def test_builtin_spellings_round_trip(name, factory):
         got = channel(rule, probes, objects, levels)
         want = channel(built, probes, objects, levels)
         assert got.p_scatter.tobytes() == want.p_scatter.tobytes()
-        assert got.survivors.tobytes() == want.survivors.tobytes()
+        assert got.survived.tobytes() == want.survived.tobytes()
 
 
 def test_load_rule_file_round_trip(tmp_path):
@@ -598,10 +602,10 @@ def test_swapped_coupling_channel_survivors_equal_swap_conjugation(rule):
     levels = (0.0, 0.5, 1.0)
     mirrored = swapped_coupling_channel(rule, probes, objects, levels)
     reverse = coupling_channel(rule, objects, probes, levels)
-    assert mirrored.survivors.flags.c_contiguous
+    assert mirrored.survived.flags.c_contiguous
     assert mirrored.p_scatter.tobytes() == reverse.p_scatter.tobytes()
-    assert ((mirrored.survivors + 0.0).tobytes()
-            == (SWAP @ reverse.survivors @ SWAP + 0.0).tobytes())
+    assert ((mirrored.survived + 0.0).tobytes()
+            == (SWAP @ reverse.survived @ SWAP + 0.0).tobytes())
 
 
 def _dense_contractions(rng, count: int):
@@ -630,7 +634,30 @@ def test_coupling_rows_do_not_depend_on_their_batch(levels):
                 rows = slice(width * start, width * (start + size))
                 if size == 1:
                     assert np.abs(block.p_scatter - full.p_scatter[rows]).max() <= 1e-15
-                    assert np.abs(block.survivors - full.survivors[rows]).max() <= 1e-15
+                    assert np.abs(block.survived - full.survived[rows]).max() <= 1e-15
                 else:
                     assert block.p_scatter.tobytes() == full.p_scatter[rows].tobytes(), rule.name
-                    assert block.survivors.tobytes() == full.survivors[rows].tobytes(), rule.name
+                    assert block.survived.tobytes() == full.survived[rows].tobytes(), rule.name
+
+
+@pytest.mark.parametrize("levels", [(0.0,), (0.3,), (0.0, 0.5, 1.0)], ids=str)
+def test_every_coupling_row_is_a_survive_branch(levels):
+    # each row's survive branch sigma is Hermitian and positive (up to rounding),
+    # has trace 1 - p_scatter, and is exactly zero where the pair scatters with certainty
+    rng = derive_rng(3001)
+    pairs = [(a, b) for a in CORNERS for b in CORNERS]
+    probes = np.concatenate([[p.amps for p, _ in pairs], uniform_state_amps(rng.random((60, 2)))])
+    objects = np.concatenate([[o.amps for _, o in pairs], uniform_state_amps(rng.random((60, 2)))])
+    rules = [*builtin_rules(), validate_custom_rule(np.zeros((4, 4)), name="k-zero"),
+             *_dense_contractions(rng, 3)]
+    for rule in rules:
+        out = coupling_channel(rule, probes, objects, levels)
+        sigma = out.survived
+        assert np.abs(sigma - sigma.conj().swapaxes(-1, -2)).max() <= 1e-12, rule.name
+        assert np.linalg.eigvalsh(sigma).min() >= -1e-12, rule.name
+        trace = np.trace(sigma, axis1=1, axis2=2)
+        assert np.abs(trace - (1.0 - out.p_scatter)).max() <= 1e-12, rule.name
+        certain = out.p_scatter == 1.0
+        assert np.all(sigma[certain] == 0.0), rule.name
+        if rule.name == "k-zero" and 0.0 in levels:
+            assert certain.any()

@@ -4,28 +4,32 @@ Checks (exact evaluation is the verdict of record; Monte Carlo is a
 statistical cross-check):
 
 * C1 indistinguishability - the two source modes of the filter device
-  must stay indistinguishable for every role assignment, object/analyzer
-  basis pairing and noise level; metric is the worst total variation
-  distance between mode-1 and mode-2 statistics (full, including the
-  scatter outcome, and conditional on survival).  Monte Carlo samples the
-  cases of the exact grid whose analyzer is the object basis.
+  must stay indistinguishable for every role assignment and object/analyzer
+  basis pairing; metric is the worst total variation distance between the
+  mode-1 and mode-2 detector laws, scatter outcome included.  The evidence
+  adds the distance of the click laws given survival.  Monte Carlo samples
+  the cases of the exact grid whose analyzer is the object basis.
 * C2 role symmetry - applying the rule with the partners exchanged and
   mapping back through SWAP must reproduce the same outcome; the exact
   metric is the worst trace distance between the two outcomes, each the
   scatter probability ``p`` and survive branch ``sigma = (1 - p) rho`` the
   coupling returns.  It is linear in the law, continuous in the rule, on C1's total
   variation scale, and bounds the total variation distance of the
-  five-outcome law in every basis, which Monte Carlo samples.  Both modes
-  evaluate it at the lowest noise level only (see below).
-* C3 anti-alignment - survivors of an actual coupling must carry zero
-  weight on the aligned cells of every configured basis; evaluated on
-  the coupled (q = 0) survivor, since fly-by events leave the untouched
-  product state behind by construction and would mask the signature of
-  every rule equally.
+  five-outcome law in every basis, which Monte Carlo samples.
+* C3 anti-alignment - survivors of a coupling must carry zero weight on
+  the aligned cells of every configured basis; the exact metric is the
+  worst aligned weight of the survive branch ``sigma``, on the same joint
+  scale as the other checks, over the inputs that can survive.
 * C4 basis covariance - rotating both inputs by the same unitary must
   commute with the rule; metric as in C2, between the outcome of the rotated
-  inputs and the rotated outcome, and like C2 evaluated at the lowest noise
-  level only.
+  inputs and the rotated outcome.
+
+Every check couples at fly-by level 0.  A fly-by leaves the untouched
+product input, which both C1 source modes turn into the click law of
+``I/2`` and which SWAP and ``U (x) U`` map alike, so at level ``q`` every
+C1, C2 and C4 metric is ``(1 - q)`` times its level-0 value, and C3 reads
+the rule's own survive branch, which a fly-by only blends with the input:
+the level-0 verdict is the verdict for every level in [0, 1).
 
 Monte Carlo mode draws each comparison's counts at ``mc_trials`` trials
 as one multinomial draw of the case's exact law, the same law the exact
@@ -33,44 +37,34 @@ evaluator builds, so the work grows with the number of cells, not with
 the number of trials.  All cases of a check and side come from one Philox
 stream, ``derive_rng(seed, stream, side)``.  The four checks run as one
 pass per rule (``_mc_pass``) over one stacked grid of every check's
-inputs: one ``coupling_channel`` call at level 0 and the lowest level, one
-Born call for the laws of C2's, C3's and C4's rows in every basis, and one
-two-sample chi-square call over every comparison of C1, C2 and C4, C1's
-padded with zero cells; each gives a check's rows the bits of the check's
-own call.  Each check keeps its own streams, family, witness and verdict.  The
+inputs: one ``coupling_channel`` call, one Born call for the laws of C2's,
+C3's and C4's rows in every basis, and one two-sample chi-square call over
+every comparison of C1, C2 and C4, C1's padded with zero cells; each gives
+a check's rows the bits of the check's own call.  Each check keeps its own
+streams, family, witness and verdict.  The
 p-value threshold ``epsilon_mc`` is spent family-wise (Bonferroni) across the
 check's informative comparisons, those with a p-value and those whose two
 nonempty samples fill one and the same cell, at p = 1, so a rule whose exact
 metric is zero is not failed by a single unlucky case among many.  C3's Monte
-Carlo verdict demands zero aligned events among the coupled survivors.
+Carlo verdict demands zero aligned events among the survivors.
 
 Exact mode makes one evaluation per check, C2's and C4's one coupling call
 over both sides' stacked inputs; one call for every exact check was slower.
-
-Fly-by noise is one axis, blended in after the rule map (``coupling_channel``
-for C2/C4, ``filter_law`` for C1): each rule runs once per input pair, and
-a check's rows run case-major, then noise level.  A level of 0 adds no
-input term, so exact C2-C4 rows at ``q = 0`` hold only what the rule
-itself gives.  C1 runs every configured level, C2/C4 in both modes the
-lowest level ``q_min`` only: a fly-by leaves the untouched product input,
-which SWAP and ``U (x) U`` map alike, so it cancels from the two sides'
-difference and a row at level ``q`` reads ``(1 - q) / (1 - q_min)`` times
-its ``q_min`` value, never more.
 
 Every sampled quantity derives from ``AuditConfig.seed`` through fixed
 streams, so identical configs produce identical reports: exact check ``s``
 draws its grid from stream ``s``, Monte Carlo its cases from ``10 s + 1`` and
 its counts from ``10 s + 2``, and Monte Carlo C1 its counts from 11.  Each check's
 rule-independent case grid is built once per configuration and reused
-across rules, C1's across both modes too, with its wiring and fly-by
-click laws, so a C1 audit runs only the rule's coupling at ``q = 0``, its
-partial traces and survivor click laws.  C2 and C4 each build one
+across rules, C1's across both modes too, with its wiring, so a C1 audit
+runs only the rule's coupling, its partial traces and survivor click laws.
+C2 and C4 each build one
 ``_PairGrid`` (both sides' inputs, side b's map back by SWAP or by the
 gather and ``U (x) U`` conjugation, and the input labeller), which exact
 mode reads and Monte Carlo stacks into one grid that carries them.  Each
 such cache, and that of the joint-basis vectors every Born call reads,
-holds one read-only entry keyed on the values it reads, none of them a
-noise level, so memory stays that of one audit and reports do not depend
+holds one read-only entry keyed on the values it reads, so memory stays
+that of one audit and reports do not depend
 on call order.  The Monte Carlo pass is cached on the rule and config
 objects, so that the four checks of one audit share it; ``audit_rule``
 clears that cache first, so each audit runs its own.  Report floats can
@@ -96,7 +90,6 @@ from .experiments import (
     conditional_clicks,
     derive_rng,
     filter_law,
-    flyby_clicks,
     sample_counts,
     survivor_clicks,
 )
@@ -291,10 +284,6 @@ class CheckResult:
     evidence: dict | None = None
 
 
-# C1's rows grow with the level count, so it is capped like the sample counts.
-_MAX_NOISE_LEVELS = 16
-
-
 @dataclass(frozen=True, eq=False)
 class AuditConfig:
     """Knobs of the audit battery."""
@@ -304,7 +293,6 @@ class AuditConfig:
     epsilon_mc: float = 1e-3
     unitary_samples: int = 100
     input_samples: int = 200
-    noise_levels: tuple[float, ...] = (0.0, 0.5)
     seed: int = 0
     evaluation: str = "exact"
     mc_trials: int = 100_000
@@ -319,16 +307,6 @@ class AuditConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1), got {value!r}")
-        if not self.noise_levels:
-            raise ConfigError("noise_levels must not be empty")
-        if len(self.noise_levels) > _MAX_NOISE_LEVELS:
-            raise ConfigError(f"noise_levels must hold at most {_MAX_NOISE_LEVELS} levels, "
-                              f"got {len(self.noise_levels)}")
-        for q in self.noise_levels:
-            if not 0.0 <= q <= 1.0:
-                raise ConfigError(f"noise level {q!r} outside [0, 1]")
-        if min(self.noise_levels) == 1.0:
-            raise ConfigError("noise_levels must hold a level below 1: no pair couples at 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,7 +328,7 @@ class AuditReport:
         payload = {
             "rule": self.rule_name,
             "overall_pass": self.overall_pass,
-            **{key: self.config_echo[key] for key in ("evaluation", "noise_levels", "seed")},
+            **{key: self.config_echo[key] for key in ("evaluation", "seed")},
             "config": self.config_echo,
             "checks": [
                 {
@@ -370,7 +348,6 @@ class AuditReport:
 def _config_echo(config: AuditConfig) -> dict:
     echo = {f.name: getattr(config, f.name) for f in fields(config)}
     echo["bases"] = [b.label.lower() for b in config.bases]
-    echo["noise_levels"] = [float(q) for q in config.noise_levels]
     return echo
 
 
@@ -487,15 +464,6 @@ def _input_grid(corner_pairs, seed: int, stream: int, count: int) -> tuple[np.nd
     return _read_only(probes, objects)
 
 
-def _pair_label(levels, input_label):
-    """Labeller of C2/C4 rows, input-major then noise level; ``input_label(n)`` names input n."""
-    def label(row: int) -> str:
-        n, k = divmod(row, len(levels))
-        return f"{input_label(n)} q={levels[k]:g}"
-
-    return label
-
-
 class _PairGrid(NamedTuple):
     """A C2/C4 grid: side a's ``split`` inputs, then side b's, mapped back onto a by ``map_b``.
 
@@ -511,14 +479,13 @@ class _PairGrid(NamedTuple):
 
 def _pair_sides(grid: _PairGrid, out: Coupling) -> tuple[Coupling, Coupling]:
     """Side a's rows of ``out``, the coupling of the grid's inputs, and side b's mapped back."""
-    cut = grid.split * (len(out.p_scatter) // len(grid.probes))
-    return Coupling(*(x[:cut] for x in out)), grid.map_b(Coupling(*(x[cut:] for x in out)))
+    return (Coupling(*(x[:grid.split] for x in out)),
+            grid.map_b(Coupling(*(x[grid.split:] for x in out))))
 
 
-def _pair_cases(rule: Rule, levels, grid: _PairGrid):
-    """Exact C2/C4 cases of ``grid``, input-major then level: the row labeller, both couplings."""
-    return (_pair_label(levels, grid.label),
-            *_pair_sides(grid, coupling_channel(rule, grid.probes, grid.objects, levels)))
+def _pair_cases(rule: Rule, grid: _PairGrid):
+    """Exact C2/C4 cases of ``grid``: the row labeller and both sides' couplings."""
+    return grid.label, *_pair_sides(grid, coupling_channel(rule, grid.probes, grid.objects))
 
 
 @functools.lru_cache(maxsize=1)
@@ -530,11 +497,9 @@ def _role_grid(corner_pairs, seed: int, stream: int, count: int) -> _PairGrid:
                      lambda n: _input_label(stacked[0][n], stacked[1][n]))
 
 
-def _rotate(distinct: int, index, uu, uu_dagger, base: Coupling) -> Coupling:
-    """C4's side b: the coupling ``base`` of ``distinct`` inputs, gathered per input, conjugated."""
-    p_scatter = base.p_scatter.reshape(distinct, -1)[index]
-    survived = base.survived.reshape(distinct, -1, 4, 4)[index]
-    return Coupling(p_scatter.reshape(-1), (uu @ survived @ uu_dagger).reshape(-1, 4, 4))
+def _rotate(index, uu, uu_dagger, base: Coupling) -> Coupling:
+    """C4's side b: the coupling ``base`` of the distinct inputs, gathered per input, conjugated."""
+    return Coupling(base.p_scatter[index], uu @ base.survived[index] @ uu_dagger)
 
 
 @functools.lru_cache(maxsize=1)
@@ -547,7 +512,7 @@ def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int) ->
     object amplitudes are the corner pairs then the uniform pairs, and input
     ``n`` is distinct input ``index[n]``: side b couples the distinct inputs,
     and ``map_b`` gathers its rows per input before the conjugation by
-    ``U (x) U``, of shape ``(N, 1, 4, 4)``, and its adjoint, the transposed
+    ``U (x) U``, of shape ``(N, 4, 4)``, and its adjoint, the transposed
     view of its conjugate.
     """
     corners = _corner_unitaries(bases)
@@ -563,7 +528,7 @@ def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int) ->
                             len(corner_pairs) + np.arange(count)])
     stacked_probes = np.concatenate([np.einsum("nij,nj->ni", unitaries, probes[index]), probes])
     stacked_objects = np.concatenate([np.einsum("nij,nj->ni", unitaries, objects[index]), objects])
-    uu = np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 1, 4, 4)
+    uu = np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 4, 4)
     uu_dagger = uu.conj().swapaxes(-1, -2)
     _read_only(index, stacked_probes, stacked_objects, uu, uu_dagger)
 
@@ -572,15 +537,15 @@ def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int) ->
         return f"unitary={names[n]} {_input_label(stacked_probes[m], stacked_objects[m])}"
 
     return _PairGrid(stacked_probes, stacked_objects, len(index),
-                     functools.partial(_rotate, len(probes), index, uu, uu_dagger), label)
+                     functools.partial(_rotate, index, uu, uu_dagger), label)
 
 
 def _anti_alignment_cases(out: Coupling, probes, objects):
-    """C3 cases of the q = 0 coupling ``out`` of the inputs: those that can survive.
+    """C3 cases of the coupling ``out`` of the inputs: those that can survive, ``p_scatter < 1``.
 
     Returns a labeller of the kept rows and their couplings.
     """
-    rows = np.flatnonzero(out.p_scatter < 1.0 - 1e-6)
+    rows = np.flatnonzero(out.p_scatter < 1.0)
 
     def label(i: int) -> str:
         return _input_label(probes[rows[i]], objects[rows[i]])
@@ -589,17 +554,15 @@ def _anti_alignment_cases(out: Coupling, probes, objects):
 
 
 class _ModePairRows(NamedTuple):
-    """One evaluator's C1 rows: its cases, their analyzer rows, coupling rows and fly-by laws.
+    """One evaluator's C1 rows: its cases, their analyzer rows and the coupling rows they project.
 
     Four analyzer rows per case (mode, then source state): the analyzer
-    basis vectors, the coupling row each projects (``take``) and the source
-    particle's click law when the coupling flies by.
+    basis vectors and the coupling row each projects (``take``).
     """
 
     cases: tuple
     analyzers: np.ndarray
     take: np.ndarray
-    flyby: np.ndarray
 
 
 class _ModePairGrid(NamedTuple):
@@ -648,8 +611,7 @@ def _mode_pair_grid(bases) -> _ModePairGrid:
     mc_rows = (4 * np.array(sampled, dtype=int)[:, None] + np.arange(4)).reshape(-1)
 
     def rows(view_cases, analyzers, take) -> _ModePairRows:
-        return _ModePairRows(tuple(view_cases), *_read_only(
-            analyzers, take, flyby_clicks(sources, analyzers, take)))
+        return _ModePairRows(tuple(view_cases), *_read_only(analyzers, take))
 
     return _ModePairGrid(
         *_read_only(np.where(swapped[:, None], objects, sources),
@@ -659,31 +621,21 @@ def _mode_pair_grid(bases) -> _ModePairGrid:
     )
 
 
-def _mode_pair_laws(coupled: Coupling, config: AuditConfig, grid: _ModePairGrid,
-                    rows: _ModePairRows) -> np.ndarray:
-    """Detector laws of the C1 ``rows``, case-major then noise level, over (source mode, outcome).
+def _mode_pair_laws(coupled: Coupling, grid: _ModePairGrid, rows: _ModePairRows) -> np.ndarray:
+    """Detector laws of the C1 ``rows``, one per case, over (source mode, outcome).
 
-    ``coupled`` holds the q = 0 coupling of the grid's coupling rows.
+    ``coupled`` holds the coupling of the grid's coupling rows.
     """
-    q = np.asarray(config.noise_levels, dtype=float)[:, None]
     p_scatter, clicks = survivor_clicks(coupled, grid.swapped, rows.analyzers, rows.take)
-    branches = (x.reshape(-1, 1, 2, 2, *x.shape[1:]) for x in (p_scatter, clicks, rows.flyby))
-    return filter_law(q, *branches).reshape(-1, 2, 3)
+    return filter_law(0.0, *(x.reshape(-1, 2, 2, *x.shape[1:]) for x in (p_scatter, clicks)))
 
 
-# C1 compares the full detector law and the click law given survival.
-_C1_VIEWS = ("full", "conditional")
-
-
-def _mode_pair_witness(config: AuditConfig, cases, row: int, view: int) -> str:
-    """Label of C1 row ``row`` (case-major, then noise level) in view ``view``."""
-    n, k = divmod(row, len(config.noise_levels))
-    swapped, object_basis, analyzer, mode2_basis = cases[n]
+def _mode_pair_witness(cases, row: int) -> str:
+    """Label of C1 case ``row``."""
+    swapped, object_basis, analyzer, mode2_basis = cases[row]
     role = "swapped" if swapped else "normal"
-    return (
-        f"roles={role} object_basis={object_basis.label} analyzer={analyzer.label} "
-        f"mode2={mode2_basis.label} q={float(config.noise_levels[k]):g} view={_C1_VIEWS[view]}"
-    )
+    return (f"roles={role} object_basis={object_basis.label} analyzer={analyzer.label} "
+            f"mode2={mode2_basis.label}")
 
 
 def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
@@ -693,23 +645,22 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
     grid = _mode_pair_grid(config.bases)
     if not grid.exact.cases:
         return _no_cases(CHECK_IDS[0], config.epsilon_exact)
-    coupled = coupling_channel(rule, grid.probes, grid.objects, 0.0)
-    laws = _mode_pair_laws(coupled, config, grid, grid.exact)
+    laws = _mode_pair_laws(coupling_channel(rule, grid.probes, grid.objects), grid, grid.exact)
     conditional, defined = conditional_clicks(laws)
     both = defined.all(axis=1)
-    # both views in one call; where the view given survival is not defined, both sides
-    # read all scatter, a distance of 0 that never beats row 0's full view
+    # the full view scores the case; the view given survival, in the same call, explains
+    # it, and where it is not defined both sides read all scatter
     given = np.where(both[:, None, None], conditional, [0.0, 0.0, 1.0])
     views = tvd(*np.stack([laws, given], axis=2).swapaxes(0, 1))
-    n, k = divmod(int(np.argmax(views)), 2)
+    n = int(np.argmax(views[:, 0]))
     evidence = {
         "mode1": [float(x) for x in laws[n, 0]],
         "mode2": [float(x) for x in laws[n, 1]],
         "tvd_full": float(views[n, 0]),
         "tvd_conditional": float(views[n, 1]) if both[n] else None,
     }
-    witness = _mode_pair_witness(config, grid.exact.cases, n, k)
-    return _exact_verdict(CHECK_IDS[0], float(views[n, k]), witness, evidence, config)
+    witness = _mode_pair_witness(grid.exact.cases, n)
+    return _exact_verdict(CHECK_IDS[0], float(views[n, 0]), witness, evidence, config)
 
 
 def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
@@ -717,13 +668,8 @@ def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
     if config.evaluation == "mc":
         return _mc_pass(rule, config)[1]()
     grid = _role_grid(_CORNER_PAIRS, config.seed, 2, config.input_samples)
-    cases = _pair_cases(rule, _lowest_level(config), grid)
-    return _exact_pair_verdict(CHECK_IDS[1], config, *cases, ("direct", "swapped"))
-
-
-def _lowest_level(config: AuditConfig) -> tuple[float]:
-    """The one level C2/C4 run: no other level can beat it (module docstring)."""
-    return (min(config.noise_levels),)
+    return _exact_pair_verdict(CHECK_IDS[1], config, *_pair_cases(rule, grid),
+                               ("direct", "swapped"))
 
 
 @functools.lru_cache(maxsize=1)
@@ -748,15 +694,14 @@ def _basis_laws(out: Coupling, bases) -> np.ndarray:
 
 
 def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
-    """C3: coupled (q = 0) survivors carry zero aligned-cell weight in every basis."""
+    """C3: survive branches carry zero aligned-cell weight in every basis."""
     if config.evaluation == "mc":
         return _mc_pass(rule, config)[2]()
     probes, objects = _input_grid(_CORNER_PAIRS, config.seed, 3, config.input_samples)
-    label, out = _anti_alignment_cases(coupling_channel(rule, probes, objects, 0.0),
-                                       probes, objects)
+    label, out = _anti_alignment_cases(coupling_channel(rule, probes, objects), probes, objects)
     if not out.p_scatter.size:
         return _no_cases(CHECK_IDS[2], config.epsilon_exact)
-    cells = _basis_cells(out.survived / (1.0 - out.p_scatter)[:, None, None], config.bases)
+    cells = _basis_cells(out.survived, config.bases)
     aligned = cells[..., 0] + cells[..., 3]
     n, k = np.unravel_index(np.argmax(aligned), aligned.shape)
     evidence = {"cells": [float(c) for c in cells[n, k]], "aligned_weight": float(aligned[n, k])}
@@ -769,8 +714,8 @@ def check_basis_covariance(rule: Rule, config: AuditConfig) -> CheckResult:
     if config.evaluation == "mc":
         return _mc_pass(rule, config)[3]()
     grid = _covariance_grid(config.bases, _CORNER_PAIRS, config.seed, 4, config.unitary_samples)
-    cases = _pair_cases(rule, _lowest_level(config), grid)
-    return _exact_pair_verdict(CHECK_IDS[3], config, *cases, ("rotated", "base"))
+    return _exact_pair_verdict(CHECK_IDS[3], config, *_pair_cases(rule, grid),
+                               ("rotated", "base"))
 
 
 class _StackedGrid(NamedTuple):
@@ -810,29 +755,25 @@ def _mc_grid(bases, seed: int, input_count: int, unitary_count: int) -> _Stacked
 def _mc_pass(rule: Rule, config: AuditConfig) -> tuple:
     """Monte Carlo C1-C4 of ``rule``: per check, a callable giving its ``CheckResult``.
 
-    One ``coupling_channel`` call runs the stacked grid at the distinct levels
-    of ``(0, q_min)``, as it gives the rows of one call per level: C1 and C3
-    read level 0, C2 and C4 ``q_min``.  One Born call reads the laws of C2's,
+    One ``coupling_channel`` call runs the stacked grid, as it gives each
+    block the rows of its own call.  One Born call reads the laws of C2's,
     C3's and C4's rows, each check draws its counts from its own streams, and
     one chi-square call takes C1's comparisons, padded to five cells, with
     C2's and C4's; two samples that fill one and the same cell agree, at p = 1.
     Each callable builds a new result, so no caller changes what another reads.
     """
     grid = _mc_grid(config.bases, config.seed, config.mc_input_samples, config.mc_unitary_samples)
-    levels = tuple(dict.fromkeys((0.0, *_lowest_level(config))))
-    out = coupling_channel(rule, grid.probes, grid.objects, levels)
-    per_pair = [x.reshape(len(grid.probes), len(levels), *x.shape[1:]) for x in out]
+    out = coupling_channel(rule, grid.probes, grid.objects)
 
-    def block(b: int, coupled: bool) -> Coupling:
-        """Block ``b``'s rows at level 0 when ``coupled``, else at the lowest level."""
-        return Coupling(*(x[grid.blocks[b], 0 if coupled else -1] for x in per_pair))
+    def block(b: int) -> Coupling:
+        return Coupling(*(x[grid.blocks[b]] for x in out))
 
-    laws = _mode_pair_laws(block(_C1, True), config, grid.c1, grid.c1.mc)
+    laws = _mode_pair_laws(block(_C1), grid.c1, grid.c1.mc)
     mode1, mode2 = _mc_sides(config, laws[:, 0], laws[:, 1], 11)
 
-    aligned_label, aligned = _anti_alignment_cases(block(_C3, True), *grid.alignment)
-    sides = (*_pair_sides(grid.role, block(_C2, False)), aligned,
-             *_pair_sides(grid.covariance, block(_C4, False)))
+    aligned_label, aligned = _anti_alignment_cases(block(_C3), *grid.alignment)
+    sides = (*_pair_sides(grid.role, block(_C2)), aligned,
+             *_pair_sides(grid.covariance, block(_C4)))
     laws = _unstack(_basis_laws(Coupling(*map(np.concatenate, zip(*sides))), config.bases),
                     [side.p_scatter.shape for side in sides])
     role = _mc_sides(config, laws[0], laws[1], 22)
@@ -840,7 +781,7 @@ def _mc_pass(rule: Rule, config: AuditConfig) -> tuple:
     covariance = _mc_sides(config, laws[3], laws[4], 42)
 
     # per check, both sides' (rows, columns, 5) counts; one p-value per (row, column)
-    comparisons = ((_c1_views(mode1), _c1_views(mode2)), role, covariance)
+    comparisons = ((_c1_cells(mode1), _c1_cells(mode2)), role, covariance)
     a, b = (np.concatenate([c[side].reshape(-1, 5) for c in comparisons]) for side in (0, 1))
     _, p_values = chi_square_two_sample(a, b)
     p_values[((a + b > 0).sum(axis=1) == 1) & a.any(axis=1) & b.any(axis=1)] = 1.0
@@ -848,7 +789,7 @@ def _mc_pass(rule: Rule, config: AuditConfig) -> tuple:
 
     return (
         functools.partial(_mc_verdict, CHECK_IDS[0], config, p_c1,
-                          functools.partial(_mode_pair_witness, config, grid.c1.mc.cases),
+                          lambda row, _: _mode_pair_witness(grid.c1.mc.cases, row),
                           functools.partial(_c1_evidence, mode1, mode2)),
         functools.partial(_mc_verdict, CHECK_IDS[1], config, p_role,
                           _basis_witness(config, grid.role.label), _no_evidence),
@@ -865,30 +806,24 @@ def _unstack(stacked: np.ndarray, shapes) -> list[np.ndarray]:
             zip(np.split(stacked, np.cumsum(sizes)[:-1]), shapes)]
 
 
-def _c1_views(counts: np.ndarray) -> np.ndarray:
-    """C1's ``(rows, 3)`` counts as ``(rows, 2, 5)`` comparisons: the full law, then given survival.
+def _c1_cells(counts: np.ndarray) -> np.ndarray:
+    """C1's ``(rows, 3)`` counts as ``(rows, 1, 5)`` comparisons of the full detector law.
 
-    The view given survival zeroes the scatter cell; both views are padded
-    to the five cells of C2/C4 with zero cells, which the test drops as
-    pooled-zero cells, so each keeps its statistic, dof and p-value bits.
+    They are padded to the five cells of C2/C4 with zero cells, which the
+    test drops as pooled-zero cells, so each keeps its statistic, dof and
+    p-value bits.
     """
-    views = np.zeros((len(counts), 2, 5), dtype=counts.dtype)
-    views[:, 0, :3] = counts
-    views[:, 1, :2] = counts[:, :2]
-    return views
+    return np.concatenate([counts, np.zeros((len(counts), 2), dtype=counts.dtype)], axis=1)[:, None]
 
 
-def _c1_evidence(mode1: np.ndarray, mode2: np.ndarray, row: int, view: int) -> dict:
-    """The counts of C1 comparison ``(row, view)``, without the scatter cell given survival."""
-    cells = slice(None) if view == 0 else slice(0, 2)
-    return {"counts_mode1": list(map(int, mode1[row, cells])),
-            "counts_mode2": list(map(int, mode2[row, cells]))}
+def _c1_evidence(mode1: np.ndarray, mode2: np.ndarray, row: int, column: int) -> dict:
+    """The counts of C1 comparison ``row``; C1 has one column."""
+    return {"counts_mode1": list(map(int, mode1[row])), "counts_mode2": list(map(int, mode2[row]))}
 
 
 def _basis_witness(config: AuditConfig, input_label):
-    """Witness of C2/C4 comparison ``(row, basis)``: the row's ``_pair_label``, then the basis."""
-    label = _pair_label(_lowest_level(config), input_label)
-    return lambda row, k: f"{label(row)} basis={config.bases[k].label}"
+    """Witness of C2/C4 comparison ``(row, basis)``: the row's input label, then the basis."""
+    return lambda row, k: f"{input_label(row)} basis={config.bases[k].label}"
 
 
 def _no_evidence(row: int, k: int) -> dict:

@@ -203,9 +203,6 @@ def main():
 @click.option("--trials", "mc_trials", type=int, default=100_000, show_default=True,
               callback=_in_bounds, help="Monte Carlo trials per comparison.")
 @_seed_option
-@click.option("--noise-q", "noise_levels", type=float, default=None,
-              callback=lambda ctx, param, q: None if q is None else (q,),
-              help="Audit at this single fly-by probability (default: levels 0 and 0.5).")
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None,
               help="Also write the JSON report to this path.")
 @_config_option

@@ -74,16 +74,13 @@ _FIELD_TYPES = {
     "QubitState": ((QubitState,), (str,), "a QubitState", None),
     "Basis | None": ((Basis, type(None)), (str, type(None)), "a Basis or None", None),
     "tuple[Basis, ...]": ((tuple, list), (list,), "a sequence of Basis", tuple),
-    "tuple[float, ...]": ((tuple, list), (list,), "a sequence of numbers", tuple),
 }
 
 # Bounds of the run parameters by field name: the least value, and the most
 # with the spelling messages use.  Trials are capped as the multinomial takes a
 # C long.  The audit sample counts are capped as an audit builds its case grids
 # whole.  Measured at these caps (``preferred-basis:sigma``, peak RSS): an exact
-# audit peaks near 274 MB at 2 and 16 noise levels, a Monte Carlo one near 806 MB at
-# 2 and 16 levels alike, as only C1 grows with the level count
-# (``audit._MAX_NOISE_LEVELS`` caps it).
+# audit peaks near 262 MB, a Monte Carlo one near 807 MB.
 # A field that names a choice lists its values in ``_CHOICES``.
 _TRIALS_RANGE = (1, 2**63 - 1, "2**63 - 1")
 _BOUNDS = {
@@ -280,19 +277,22 @@ def flyby_clicks(sources, analyzers, take=slice(None)) -> np.ndarray:
     return _expectations(_projectors(np.asarray(sources, dtype=complex))[take], analyzers)
 
 
-def filter_law(q, p_scatter, survivor_clicks, flyby_clicks) -> np.ndarray:
+def filter_law(q, p_scatter, survivor_clicks, flyby_clicks=None) -> np.ndarray:
     """Detector law ``(click b1, click b2, scatter)`` of two equally likely source branches.
 
     Inputs are ``survivor_clicks`` and ``flyby_clicks`` rows reshaped to
     ``(..., 2)`` branches; the survivor clicks already carry the survive
     probability.  ``q`` broadcasts over the leading axes.  Terms add up in
     source order, so a case gives the same bits alone and within a grid.
+    At ``q = 0`` the fly-by term adds exactly 0, so ``flyby_clicks`` may be
+    None there, with the same bits.
     """
     q = np.asarray(q, dtype=float)[..., None]
     clicks = scatter = 0.0
     for b in (0, 1):
         scatter = scatter + 0.5 * (1.0 - q) * p_scatter[..., b, None]
-        clicks = clicks + 0.5 * q * flyby_clicks[..., b, :]
+        if flyby_clicks is not None:
+            clicks = clicks + 0.5 * q * flyby_clicks[..., b, :]
         clicks = clicks + 0.5 * (1.0 - q) * survivor_clicks[..., b, :]
     return np.concatenate([clicks, scatter], axis=-1)
 

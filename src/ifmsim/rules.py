@@ -30,11 +30,11 @@ the audit battery exposes.
 
 Fly-by noise ``q`` is the probability that the coupling simply does not
 happen; the outcome then blends the untouched input with the rule's own
-survivor; a level of 0 adds no input term at all.  ``coupling_channel``
-evaluates a whole batch of input pairs as arrays, at one noise level or
-several, and every experiment and audit check reads its rows, each the
-outcome ``p (+) sigma`` of scatter probability and survive branch (C3, the
-single-pair forms and the correlation and flip runs normalise ``sigma``);
+survive branch; a level of 0 adds no input term at all.  ``coupling_channel``
+evaluates a whole batch of input pairs as arrays at one noise level, and
+every experiment and audit check reads its rows, each the outcome
+``p (+) sigma`` of scatter probability and survive branch (the single-pair
+forms and the correlation and flip runs normalise ``sigma``);
 ``swap_back`` maps the rows of exchanged inputs back through SWAP.
 ``apply_rule`` and ``swapped_channel`` are single-pair conveniences for
 library callers; they stay because the ``ifmbench`` benchmark traces them.
@@ -104,10 +104,9 @@ class Rule:
 
     ``law(probes, objects, inp)`` takes the ``(N, 2)`` probe and object
     amplitudes and their ``(N, 4)`` product amplitudes, and returns the
-    noiseless rows ``(p_scatter, coupled, survivors)``: ``coupled`` marks
-    the rows that can survive, whose survivor densities are normalized;
-    ``coupling_channel`` weights them by their survive probability.  ``operator``
-    is the read-only survive operator ``K`` of a linear rule, else None.
+    noiseless rows ``(p_scatter, survived)``: each survive branch ``sigma`` has
+    trace ``1 - p_scatter`` and is not divided by it.  ``operator`` is the
+    read-only survive operator ``K`` of a linear rule, else None.
     """
 
     name: str
@@ -191,18 +190,16 @@ def _linear_law(operator: np.ndarray) -> Callable:
     """The law of survive operator ``K``: scatter with the weight ``K`` removes, keep ``K psi``."""
     def law(probes, objects, inp):
         kept = inp @ operator.T
-        survive = np.sum(np.abs(kept) ** 2, axis=1)
-        coupled = survive > PHASE_EPS
-        return (np.clip(1.0 - survive, 0.0, 1.0), coupled,
-                _projectors(kept) / np.where(coupled, survive, 1.0)[:, None, None])
+        return np.clip(1.0 - np.sum(np.abs(kept) ** 2, axis=1), 0.0, 1.0), _projectors(kept)
     return law
 
 
 def _universal_law(survivors: Callable) -> Callable:
-    """The law that scatters with the interaction probability; ``survivors`` maps the inputs."""
+    """The law that scatters with the interaction probability, weighting the survivor densities
+    ``survivors`` maps the inputs to by the survive probability ``1 - p``."""
     def law(probes, objects, inp):
         p_scatter = np.clip(np.abs(np.sum(probes.conj() * objects, axis=1)) ** 2, 0.0, 1.0)
-        return p_scatter, 1.0 - p_scatter > PHASE_EPS, survivors(probes, objects, inp)
+        return p_scatter, (1.0 - p_scatter)[:, None, None] * survivors(probes, objects, inp)
     return law
 
 
@@ -285,40 +282,29 @@ def coupling_channel(rule: Rule, probes, objects, noise_q=0.0) -> Coupling:
     With probability ``noise_q`` the coupling does not happen at all and
     the input product state passes through untouched.  Otherwise the
     rule's own law applies, once per input pair.  Each row holds the scatter
-    probability ``p`` and the survive branch ``(1 - q)(1 - p_rule) rho + q
+    probability ``p`` and the survive branch ``(1 - q) sigma_rule + q
     |in><in|`` of trace ``1 - p``, not divided by it.  Rows whose survive
     probability is negligible report certain scatter and a zero branch.
-    Amplitude rows must be normalized.
-
-    ``noise_q`` is one level or a 1-D sequence of ``L`` levels.  The rule
-    runs once per input pair; the fly-by blend then broadcasts over the
-    levels, and row ``n*L + k`` holds pair ``n`` at level ``k``, so one
-    level gives one row per pair.  The input projector ``q |in><in|``
-    enters only the levels above 0, and is built only when one is given,
-    so a level-0 row is the rule's own outcome and a stacked call gives
-    the rows of one call per level.
+    Amplitude rows must be normalized.  ``noise_q`` is one level in [0, 1]; a
+    sequence is refused.  A level of 0 adds no input term, so a level-0 row
+    is the rule's own outcome.
     """
-    q = np.asarray(noise_q, dtype=float).reshape(-1)
-    outside = ~((0.0 <= q) & (q <= 1.0))
-    if outside.any():
-        raise ValueError(f"noise_q must be within [0, 1], got {float(q[outside][0])}")
+    if np.ndim(noise_q):
+        raise ValueError(f"noise_q must be one level, got {noise_q!r}")
+    q = float(noise_q)
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"noise_q must be within [0, 1], got {q}")
     probes = np.asarray(probes, dtype=complex).reshape(-1, 2)
     objects = np.asarray(objects, dtype=complex).reshape(-1, 2)
     inp = _pair_amps(probes, objects)
 
-    p_nn, coupled, survivor_nn = rule.law(probes, objects, inp)
-
-    p_nn, coupled = p_nn[:, None], coupled[:, None]  # axes (pair, level) from here on
-    # an alive row keeps p_scatter < 1, as (1 - q) * p_nn rounds to 1 only at q = 0, p_nn = 1
-    alive = q + (1.0 - q) * (1.0 - p_nn) > PHASE_EPS
-    weight = np.where(coupled & alive, (1.0 - q) * (1.0 - p_nn), 0.0)
-    survived = weight[..., None, None] * survivor_nn[:, None]
-    # only the levels above 0 add the untouched input, and only to the rows that are alive
-    flyby = q > 0.0
-    if flyby.any():
-        survived[:, flyby] += np.where(alive, q, 0.0)[:, flyby, None, None] * _projectors(inp)[:, None]
-    return Coupling(np.where(alive, (1.0 - q) * p_nn, 1.0).reshape(-1),
-                    survived.reshape(-1, 4, 4))
+    p_rule, survived = rule.law(probes, objects, inp)
+    if q > 0.0:
+        survived = (1.0 - q) * survived + q * _projectors(inp)
+    # an alive row keeps p_scatter < 1, as (1 - q) * p_rule rounds to 1 only at q = 0, p_rule = 1
+    alive = q + (1.0 - q) * (1.0 - p_rule) > PHASE_EPS
+    return Coupling(np.where(alive, (1.0 - q) * p_rule, 1.0),
+                    np.where(alive[:, None, None], survived, 0.0))
 
 
 def swap_back(out: Coupling) -> Coupling:
@@ -332,11 +318,8 @@ def swap_back(out: Coupling) -> Coupling:
 
 
 def pair_channel(rule: Rule, probe: QubitState, obj: QubitState, noise_q=0.0) -> Coupling:
-    """The one-row ``coupling_channel`` of one pair; a level sequence is refused, not read at row 0."""
-    out = coupling_channel(rule, probe.amps, obj.amps, noise_q)
-    if len(out.p_scatter) != 1:
-        raise ValueError(f"a single pair takes one noise level, got {len(out.p_scatter)}")
-    return out
+    """The one-row ``coupling_channel`` of one pair."""
+    return coupling_channel(rule, probe.amps, obj.amps, noise_q)
 
 
 def _single(out: Coupling) -> CouplingOutcome:

@@ -1,9 +1,9 @@
+import itertools
 import math
 import os
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -292,8 +292,8 @@ def test_chi_square_null_calibration():
 def test_c1_probe_rigid_fails_with_quarter_and_half():
     result = check_indistinguishability(probe_rigid(), FAST_EXACT)
     assert not result.passed
-    assert result.metric == pytest.approx(0.5, abs=1e-12)
-    assert result.evidence["tvd_full"] == pytest.approx(0.25, abs=1e-12)
+    assert result.metric == pytest.approx(0.25, abs=1e-12)
+    assert result.evidence["tvd_full"] == result.metric
     assert result.evidence["tvd_conditional"] == pytest.approx(0.5, abs=1e-12)
     assert "roles=normal" in result.witness
 
@@ -303,7 +303,7 @@ def test_c1_probe_rigid_fails_with_quarter_and_half():
 def test_c1_default_witness_pinned(rule, roles):
     result = check_indistinguishability(rule, AuditConfig())
     assert result.witness == (
-        f"roles={roles} object_basis=XY analyzer=XY mode2=SIGMA q=0 view=conditional"
+        f"roles={roles} object_basis=XY analyzer=XY mode2=SIGMA"
     )
     assert result.evidence == {
         "mode1": [0.0, 0.5, 0.5],
@@ -428,14 +428,15 @@ def test_audit_deterministic():
 
 
 def test_audit_noise_levels_do_not_change_verdicts():
-    for rule in builtin_rules():
-        patterns = []
-        for levels in ((0.0,), (0.25,), (0.5,)):
-            cfg = AuditConfig(unitary_samples=10, input_samples=20, seed=11,
-                              noise_levels=levels)
-            report = audit_rule(rule, cfg)
-            patterns.append(tuple(c.passed for c in report.checks))
-        assert patterns[0] == patterns[1] == patterns[2]
+    # the audit couples at level 0; at levels 0.25 and 0.5 every C2/C4 outcome
+    # distance scales by 1 - q, so no distance crosses the threshold the level-0
+    # verdict read
+    cfg = AuditConfig(unitary_samples=10, input_samples=20, seed=11)
+    for rule, q in itertools.product(builtin_rules(), (0.25, 0.5)):
+        report = audit_rule(rule, cfg)
+        for check_id, (_, out_a, out_b) in zip(CHECK_IDS[1::2], _exact_pair_cases(rule, cfg, q)):
+            worst = audit._outcome_distance(out_a, out_b).max()
+            assert (worst < cfg.epsilon_exact) == report.check(check_id).passed, (rule.name, q)
 
 
 GRID_BUILDERS = (
@@ -500,7 +501,7 @@ def _cache_config(evaluation, seed=11, **kwargs):
 
 
 def _cache_configs(evaluation):
-    other = _cache_config(evaluation, seed=12, bases=(BASIS_SIGMA,), noise_levels=(0.3,))
+    other = _cache_config(evaluation, seed=12, bases=(BASIS_SIGMA,))
     return (_cache_config(evaluation), other, _cache_config(evaluation))
 
 
@@ -541,11 +542,11 @@ def test_cached_grid_arrays_are_read_only():
         stacked[:2],
         stacked.alignment,
         *(grid[:2] for grid in role_grids + covariance_grids),
-        *(grid.map_b.args[1:] for grid in covariance_grids),
+        *(grid.map_b.args for grid in covariance_grids),
         (audit._basis_vectors(bases),),
     ]
     for grid in covariance_grids:
-        _, _, uu, uu_dagger = grid.map_b.args
+        _, uu, uu_dagger = grid.map_b.args
         assert uu_dagger.tobytes() == uu.conj().swapaxes(-1, -2).tobytes()
     for grid in grids:
         for array in grid:
@@ -588,10 +589,7 @@ def test_mc_audit_cost_does_not_grow_with_trials():
 def test_mc_c1_evidence_counts_cover_every_trial(rule):
     result = check_indistinguishability(rule, FAST_MC)
     counts = [sum(result.evidence[key]) for key in ("counts_mode1", "counts_mode2")]
-    if result.witness.endswith("view=full"):
-        assert counts == [FAST_MC.mc_trials] * 2
-    else:
-        assert max(counts) <= FAST_MC.mc_trials
+    assert counts == [FAST_MC.mc_trials] * 2
 
 
 @pytest.mark.parametrize(
@@ -610,24 +608,24 @@ def test_mc_c3_evidence_counts_are_nested(rule):
 # Witness, metric, threshold and p-value of C1, C2 and C4 in the FAST_MC audit,
 # and C3's witness, metric, threshold and evidence; the C1, C2 and C4 thresholds
 # pin the Bonferroni family sizes (C1 counts probe-rigid's one-cell comparisons,
-# so both rules' C1 families hold all 48; C2 and C4 run the lowest level only).
+# so both rules' C1 families hold all 12 full-law comparisons).
 FAST_MC_PINNED = {
     "probe-rigid": {
-        "C1": ("roles=normal object_basis=XY analyzer=XY mode2=SIGMA q=0 view=full",
-               1.0, 0.9999791666666666, 0.0),
-        "C2": ("input=(sigma+, x) q=0 basis=XY", 1.0, 0.9999722222222223, 0.0),
+        "C1": ("roles=normal object_basis=XY analyzer=XY mode2=SIGMA",
+               1.0, 0.9999166666666667, 0.0),
+        "C2": ("input=(sigma+, x) basis=XY", 1.0, 0.9999722222222223, 0.0),
         "C3": ("input=(sigma+, sigma-) basis=XY", 0.50378, 5e-06,
                {"aligned_events": 50378, "survivors": 100000}),
-        "C4": ("unitary=DIAG->SIGMA input=(y, x) q=0 basis=DIAG", 0.9542459161593924,
+        "C4": ("unitary=DIAG->SIGMA input=(y, x) basis=DIAG", 0.9542459161593924,
                0.9999925925925925, 0.04575408384060761),
     },
     "singlet": {
-        "C1": ("roles=swapped object_basis=SIGMA analyzer=SIGMA mode2=XY q=0.5 view=full",
-               0.9861892337831718, 0.9999791666666666, 0.01381076621682824),
-        "C2": ("input=(theta,phi=1.22831,-0.0149869, theta,phi=2.19804,0.513273) q=0 basis=DIAG",
+        "C1": ("roles=normal object_basis=SIGMA analyzer=SIGMA mode2=DIAG",
+               0.7788452162369391, 0.9999166666666667, 0.22115478376306089),
+        "C2": ("input=(theta,phi=1.22831,-0.0149869, theta,phi=2.19804,0.513273) basis=DIAG",
                0.9808942058940981, 0.9999722222222223, 0.01910579410590186),
         "C3": ("no aligned events observed", 0.0, 5e-06, None),
-        "C4": ("unitary=SIGMA->DIAG input=(y, x) q=0 basis=DIAG", 0.9715733700717815,
+        "C4": ("unitary=SIGMA->DIAG input=(y, x) basis=DIAG", 0.9715733700717815,
                0.9999925925925925, 0.028426629928218514),
     },
 }
@@ -731,13 +729,22 @@ def test_mc_counts_null_calibration():
 
 
 @pytest.mark.parametrize("levels", [(1.0,), (1.0, 1.0)])
-def test_audit_config_refuses_noise_levels_without_a_coupling(levels):
-    # at q = 1 every pair flies by: C1, C2 and C4 would pass every rule
-    message = "noise_levels must hold a level below 1: no pair couples at 1"
-    with pytest.raises(ConfigError, match=message):
+def test_audit_config_refuses_noise_levels_without_a_coupling(levels, monkeypatch):
+    # at q = 1 every pair flies by: C1, C2 and C4 would pass every rule.  The
+    # audit takes no level at all, and every check couples at level 0
+    with pytest.raises(TypeError, match="noise_levels"):
         AuditConfig(noise_levels=levels)
-    for valid in ((0.5, 0.0, 1.0), (0.0, 0.3, 1.0)):
-        assert AuditConfig(noise_levels=valid).noise_levels == valid
+    seen, coupling_channel = [], audit.coupling_channel
+
+    def record(rule, probes, objects, *level):
+        seen.append(level)
+        return coupling_channel(rule, probes, objects, *level)
+
+    monkeypatch.setattr(audit, "coupling_channel", record)
+    for evaluation in ("exact", "mc"):
+        audit_rule(probe_rigid(), AuditConfig(evaluation=evaluation, input_samples=5,
+                                              unitary_samples=5))
+    assert seen == [()] * 5
 
 
 def test_audit_config_validation():
@@ -746,7 +753,7 @@ def test_audit_config_validation():
     with pytest.raises(ValueError):
         AuditConfig(epsilon_mc=2.0)
     with pytest.raises(ValueError):
-        AuditConfig(noise_levels=(1.5,))
+        AuditConfig(mc_trials=0)
     with pytest.raises(ValueError):
         AuditConfig(evaluation="sometimes")
 
@@ -773,37 +780,24 @@ def test_audit_sample_counts_are_capped():
         assert getattr(AuditConfig(**{name: 100_000}), name) == 100_000
 
 
-def test_audit_noise_levels_are_capped():
-    assert len(AuditConfig(noise_levels=(0.0,) * 16).noise_levels) == 16
-    for count in (17, 500):
-        with pytest.raises(ConfigError, match=re.escape(
-                f"noise_levels must hold at most 16 levels, got {count}")):
-            AuditConfig(noise_levels=(0.0,) * count)
-
-
-@pytest.mark.parametrize("check", [check_indistinguishability, check_role_symmetry,
-                                   check_anti_alignment, check_basis_covariance])
 @pytest.mark.parametrize("evaluation", ["exact", "mc"])
 @pytest.mark.parametrize("mutate, message", [
-    (lambda levels: levels.extend([0.0] * 40), "noise_levels must hold at most 16 levels, got 41"),
-    (lambda levels: levels.append(2.0), "noise level 2.0 outside [0, 1]"),
-    (lambda levels: levels.clear(), "noise_levels must not be empty"),
-], ids=["41-levels", "level-2.0", "empty"])
-def test_noise_levels_mutated_after_construction_are_refused(check, evaluation, mutate, message):
-    # the config stores its own tuple of the caller's levels: changing the list
-    # later changes neither the config, nor a check, nor the report, and a new
-    # config of the changed list is refused
-    levels = [0.0]
-    config = AuditConfig(noise_levels=levels, input_samples=5, unitary_samples=5,
-                         evaluation=evaluation, mc_input_samples=2, mc_unitary_samples=2)
-    before = vars(check(singlet_rule(), config))
+    (lambda bases: bases.append("sigma"), "bases must be a sequence of Basis, got "),
+    (lambda bases: bases.clear(), "bases must not be empty"),
+], ids=["not-a-basis", "empty"])
+def test_bases_mutated_after_construction_are_refused(evaluation, mutate, message):
+    # the config stores its own tuple of the caller's bases: changing the list
+    # later changes neither the config nor the report, and a new config of the
+    # changed list is refused
+    bases = [BASIS_XY, BASIS_SIGMA]
+    config = AuditConfig(bases=bases, input_samples=5, unitary_samples=5, evaluation=evaluation,
+                         mc_input_samples=2, mc_unitary_samples=2)
     report = audit_rule(singlet_rule(), config).to_json()
-    mutate(levels)
-    assert config.noise_levels == (0.0,)
-    assert vars(check(singlet_rule(), config)) == before
+    mutate(bases)
+    assert config.bases == (BASIS_XY, BASIS_SIGMA)
     assert audit_rule(singlet_rule(), config).to_json() == report
     with pytest.raises(ConfigError, match=re.escape(message)):
-        AuditConfig(noise_levels=levels)
+        AuditConfig(bases=bases)
 
 
 @pytest.mark.parametrize("numbers", [
@@ -834,13 +828,13 @@ def test_check_result_invariant_passed_iff_below_threshold():
 # C1-C4 verdicts and failing metrics of the default exact audit (seed 0), each
 # pinned at 1e-12.
 DEFAULT_EXACT_TABLE = {
-    "probe-rigid": ("FFFP", {"C1": 0.5, "C2": 0.49999892513056426, "C3": 0.5}),
-    "object-rigid": ("FFFP", {"C1": 0.5, "C2": 0.49999892513056426, "C3": 0.5}),
+    "probe-rigid": ("FFFP", {"C1": 0.25, "C2": 0.49999892513056426, "C3": 0.5}),
+    "object-rigid": ("FFFP", {"C1": 0.25, "C2": 0.49999892513056426, "C3": 0.5}),
     "singlet": ("PPPP", {}),
     "random-mix": ("PPFP", {"C3": 0.5}),
     "preferred-basis:sigma": ("PPFF", {"C3": 0.5, "C4": 0.809016994374947}),
-    "coherent-projection:xy": ("PPFF", {"C3": 1.0, "C4": 0.8090169943749473}),
-    "remove-aligned-xy": ("PPFF", {"C3": 1.0, "C4": 0.8090169943749473}),
+    "coherent-projection:xy": ("PPFF", {"C3": 0.5, "C4": 0.8090169943749473}),
+    "remove-aligned-xy": ("PPFF", {"C3": 0.5, "C4": 0.8090169943749473}),
 }
 REMOVE_ALIGNED_XY = validate_custom_rule(np.diag([0, 1, 1, 0]), name="remove-aligned-xy")
 
@@ -859,22 +853,33 @@ def test_default_exact_audit_pinned(rule):
                 check.check_id
 
 
+def _dense_contraction(seed: int):
+    rng = derive_rng(seed)
+    k = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return validate_custom_rule(k / (1.01 * np.linalg.norm(k, 2)), name=f"dense-{seed}")
+
+
 # Exact C2-C4 at seed 5: their witnesses and metrics come from the seed-5
 # draws, so a check that drew its random inputs at a fixed seed would show.  C4
 # runs in the SIGMA basis alone, where its worst case is a Haar draw, not a
-# corner unitary.
+# corner unitary.  A universal rule's C3 weight (1 - p) times its survivor's
+# aligned weight peaks on the corner pair (x, y), where p = 0, whatever the
+# seed; a dense survive operator's peaks on a drawn pair.
 SEED5_EXACT = [
     (probe_rigid(), check_role_symmetry, AuditConfig(seed=5), 0.4999992708995177,
-     "input=(theta,phi=2.20918,-0.764956, theta,phi=1.39206,1.20491) q=0"),
+     "input=(theta,phi=2.20918,-0.764956, theta,phi=1.39206,1.20491)"),
     (preferred_basis(BASIS_SIGMA), check_anti_alignment, AuditConfig(seed=5), 0.5,
-     "input=(theta,phi=2.14866,-0.750574, "),
+     "input=(x, y) basis=XY"),
     (preferred_basis(BASIS_SIGMA), check_basis_covariance,
      AuditConfig(seed=5, bases=(BASIS_SIGMA,)), 0.7876827976481127, "unitary=haar[98] "),
+    (_dense_contraction(2602), check_anti_alignment, AuditConfig(seed=5), 0.8747297267032234,
+     "input=(theta,phi=0.619761,-0.109175, theta,phi=1.36982,-1.94703) basis=XY"),
 ]
 
 
 @pytest.mark.parametrize("rule, check, config, metric, witness", SEED5_EXACT,
-                         ids=["C2-probe-rigid", "C3-preferred-basis", "C4-preferred-basis"])
+                         ids=["C2-probe-rigid", "C3-preferred-basis", "C4-preferred-basis",
+                              "C3-dense"])
 def test_exact_checks_pinned_at_seed_5(rule, check, config, metric, witness):
     result = check(rule, config)
     assert not result.passed
@@ -915,25 +920,46 @@ def test_symmetry_breaking_metric_falls_with_delta():
     assert np.all(np.diff(metrics, axis=0) < 0), metrics
 
 
-def _exact_pair_cases(rule, config, levels=None):
-    """Exact C2 and C4 ``_pair_cases`` at ``levels``, by default every configured level."""
-    levels = config.noise_levels if levels is None else levels
+def _pair_cases_at(rule, grid, q):
+    """``audit._pair_cases`` of ``grid`` at fly-by level ``q``: the labeller, both couplings."""
+    out = rules.coupling_channel(rule, grid.probes, grid.objects, q)
+    return (grid.label, *audit._pair_sides(grid, out))
+
+
+def test_c3_of_the_delta_family_does_not_depend_on_the_sample_count():
+    # K = (|S><S| + delta |xy><xy|) / (1 + delta) keeps delta <bb|xy> / (1 + delta) on
+    # each aligned cell |bb> of the SIGMA basis for input (x, y), as the singlet has
+    # none: C3 reads delta^2 / (2 (1 + delta)^2) on that corner pair, at every sample
+    # count.  C2 and C4 read about delta, so every row fails; C3 alone passes below
+    # delta of about 4.5e-5, where its metric is under epsilon_exact = 1e-9
+    metrics = []
+    for delta, row in ((1e-5, "PFPF"), (1e-3, "PFFF"), (1e-2, "PFFF")):
+        rule = _delta_rule(delta)
+        c3 = {check_anti_alignment(rule, AuditConfig(input_samples=n)).metric
+              for n in (200, 2000, 20000)}
+        assert len(c3) == 1, (delta, c3)
+        metrics.append(c3.pop())
+        assert metrics[-1] == pytest.approx(delta ** 2 / (2.0 * (1.0 + delta) ** 2), rel=1e-6)
+        report = audit_rule(rule)
+        assert "".join("PF"[not c.passed] for c in report.checks) == row, delta
+        assert not report.overall_pass
+    assert metrics == sorted(metrics) and len(set(metrics)) == 3
+
+
+def _exact_pair_cases(rule, config, q=0.0):
+    """Exact C2's and C4's cases at level ``q``; at level 0 those the audit reads."""
     grids = (audit._role_grid(audit._CORNER_PAIRS, config.seed, 2, config.input_samples),
              audit._covariance_grid(config.bases, audit._CORNER_PAIRS, config.seed, 4,
                                     config.unitary_samples))
-    return tuple(audit._pair_cases(rule, levels, grid) for grid in grids)
-
-
-def _exact_pair_levels(config):
-    """The levels exact C2 and C4 pick: the lowest configured one."""
-    return audit._lowest_level(config)
+    return tuple(_pair_cases_at(rule, grid, q) for grid in grids)
 
 
 @pytest.mark.parametrize("rule", list(builtin_rules()) + [REMOVE_ALIGNED_XY],
                          ids=lambda rule: rule.name)
 def test_outcome_distance_matches_nuclear_norm_and_bounds_basis_tvd(rule):
     config = AuditConfig(input_samples=30, unitary_samples=15, seed=7)
-    for _, out_a, out_b in _exact_pair_cases(rule, config):
+    for _, out_a, out_b in (*_exact_pair_cases(rule, config),
+                            *_exact_pair_cases(rule, config, 0.5)):
         distance = audit._outcome_distance(out_a, out_b)
         diff = out_a.survived - out_b.survived
         rows = derive_rng(7).choice(len(distance), size=40, replace=False)
@@ -961,14 +987,22 @@ def _result_fields(result):
             result.evidence)
 
 
-def _assert_pair_checks_match_all_rows(rule, config):
-    role, covariance = _exact_pair_cases(rule, config, _exact_pair_levels(config))
-    for check, check_id, cases, names in (
-        (check_role_symmetry, CHECK_IDS[1], role, ("direct", "swapped")),
-        (check_basis_covariance, CHECK_IDS[3], covariance, ("rotated", "base")),
-    ):
+PAIR_NAMES = (("direct", "swapped"), ("rotated", "base"))
+
+
+def _assert_pair_checks_match_all_rows(rule, config, levels=()):
+    """Exact C2/C4 against the every-row reference; the screen also at each of ``levels``."""
+    for check, check_id, cases, names in zip((check_role_symmetry, check_basis_covariance),
+                                             CHECK_IDS[1::2], _exact_pair_cases(rule, config),
+                                             PAIR_NAMES):
         want = _all_rows_pair_verdict(check_id, config, *cases, names)
         assert _result_fields(check(rule, config)) == _result_fields(want), (rule.name, check_id)
+    for q in levels:
+        for check_id, cases, names in zip(CHECK_IDS[1::2], _exact_pair_cases(rule, config, q),
+                                          PAIR_NAMES):
+            got = audit._exact_pair_verdict(check_id, config, *cases, names)
+            want = _all_rows_pair_verdict(check_id, config, *cases, names)
+            assert _result_fields(got) == _result_fields(want), (rule.name, check_id, q)
 
 
 PAIR_CHECK_RULES = list(builtin_rules()) + [
@@ -978,29 +1012,29 @@ PAIR_CHECK_RULES = list(builtin_rules()) + [
     coherent_projection(BASIS_DIAG),
     coherent_projection(BASIS_SIGMA),
 ]
+# Each config with the fly-by levels its couplings are also read at: the
+# audit couples at level 0, and the tests compare other levels against it.
 PAIR_CHECK_CONFIGS = {
-    **{f"seed-{seed}": AuditConfig(seed=seed) for seed in (0, 1, 2, 3, 77)},
-    "one-basis": AuditConfig(bases=(BASIS_SIGMA,), seed=5),
-    "two-basis-three-levels": AuditConfig(bases=(BASIS_XY, BASIS_DIAG),
-                                          noise_levels=(0.0, 0.3, 1.0), seed=9),
-    "one-level-q0.25": AuditConfig(noise_levels=(0.25,), seed=4),
-    "one-level-q0": AuditConfig(noise_levels=(0.0,), seed=4),
+    **{f"seed-{seed}": (AuditConfig(seed=seed), (0.0,)) for seed in (0, 1, 2, 3, 77)},
+    "one-basis": (AuditConfig(bases=(BASIS_SIGMA,), seed=5), (0.0,)),
+    "two-basis-three-levels": (AuditConfig(bases=(BASIS_XY, BASIS_DIAG), seed=9), (0.0, 0.3, 1.0)),
+    "one-level-q0.25": (AuditConfig(seed=4), (0.25,)),
+    "one-level-q0": (AuditConfig(seed=4), (0.0,)),
 }
 
 
-@pytest.mark.parametrize("config", PAIR_CHECK_CONFIGS.values(), ids=PAIR_CHECK_CONFIGS)
-def test_exact_pair_verdict_matches_every_row_reference(config):
+@pytest.mark.parametrize("config, levels", PAIR_CHECK_CONFIGS.values(), ids=PAIR_CHECK_CONFIGS)
+def test_exact_pair_verdict_matches_every_row_reference(config, levels):
     # exact C2/C4 take trace norms only of rows that can be the worst; the
-    # verdict, metric, witness and evidence are those of all rows
+    # verdict, metric, witness and evidence are those of all rows, for the
+    # audit's level-0 couplings and for the fly-by couplings of each level
     for rule in PAIR_CHECK_RULES:
-        _assert_pair_checks_match_all_rows(rule, config)
+        _assert_pair_checks_match_all_rows(rule, config, levels)
 
 
 def test_exact_pair_verdict_matches_reference_on_symmetric_and_delta_rules():
-    xy = np.kron(STATE_X.amps, STATE_Y.amps)
     for delta in (1e-2, 1e-3, 1e-5):
-        operator = (SINGLET.density() + delta * np.outer(xy, xy.conj())) / (1.0 + delta)
-        _assert_pair_checks_match_all_rows(validate_custom_rule(operator), AuditConfig())
+        _assert_pair_checks_match_all_rows(_delta_rule(delta), AuditConfig())
     for t in (1e-9, 1e-6, 1e-2):
         _assert_pair_checks_match_all_rows(_survivor_mixture(t), AuditConfig())
 
@@ -1016,34 +1050,43 @@ def _delta_rule(delta):
                          ids=lambda rule: rule.name)
 def test_pair_distance_at_level_q_is_one_minus_q_times_the_coupled_one(rule):
     # a fly-by leaves the product input on both sides, so it cancels from
-    # every C2/C4 difference; exact C2/C4 rest on this to run one level
-    levels = (0.0, 0.3, 0.5, 1.0)
-    config = AuditConfig(noise_levels=levels)
-    for _, out_a, out_b in _exact_pair_cases(rule, config):
-        distance = audit._outcome_distance(out_a, out_b).reshape(-1, len(levels))
-        scaled = np.multiply.outer(distance[:, 0], 1.0 - np.array(levels))
-        assert np.abs(distance - scaled).max() <= 1e-12, rule.name
+    # every C2/C4 difference; the audit rests on this to run level 0 alone
+    config = AuditConfig()
+    coupled = [audit._outcome_distance(a, b) for _, a, b in _exact_pair_cases(rule, config)]
+    for q in (0.3, 0.5, 1.0):
+        for base, (_, out_a, out_b) in zip(coupled, _exact_pair_cases(rule, config, q)):
+            distance = audit._outcome_distance(out_a, out_b)
+            assert np.abs(distance - (1.0 - q) * base).max() <= 1e-12, (rule.name, q)
 
 
 ALL_LEVEL_CONFIGS = {
     **PAIR_CHECK_CONFIGS,
-    "levels-0.5-0": AuditConfig(noise_levels=(0.5, 0.0), seed=6),
+    "levels-0.5-0": (AuditConfig(seed=6), (0.5, 0.0)),
 }
 
 
-@pytest.mark.parametrize("config", ALL_LEVEL_CONFIGS.values(), ids=ALL_LEVEL_CONFIGS)
-def test_exact_pair_checks_match_the_reference_over_every_level(config):
-    # exact C2/C4 run the lowest level only; against every row at every
-    # configured level the verdict holds, the metric moves by rounding at
-    # most, and a failing check keeps its witness, metric and evidence
+def _interleaved(couplings) -> rules.Coupling:
+    """One coupling of the rows of ``couplings``, input-major, then the coupling's position."""
+    return rules.Coupling(*(np.stack(rows, axis=1).reshape(-1, *rows[0].shape[1:])
+                            for rows in zip(*couplings)))
+
+
+@pytest.mark.parametrize("config, levels", ALL_LEVEL_CONFIGS.values(), ids=ALL_LEVEL_CONFIGS)
+def test_exact_pair_checks_match_the_reference_over_every_level(config, levels):
+    # exact C2/C4 run level 0 only; against every row at level 0 and at each
+    # listed level the verdict holds, the metric moves by rounding at most,
+    # and a failing check keeps its witness, metric and evidence
+    every = (0.0, *levels)
     for rule in PAIR_CHECK_RULES:
-        role, covariance = _exact_pair_cases(rule, config)
-        for check, check_id, cases, names in (
-            (check_role_symmetry, CHECK_IDS[1], role, ("direct", "swapped")),
-            (check_basis_covariance, CHECK_IDS[3], covariance, ("rotated", "base")),
-        ):
+        per_level = [_exact_pair_cases(rule, config, q) for q in every]
+        for k, (check, check_id) in enumerate(zip((check_role_symmetry, check_basis_covariance),
+                                                   CHECK_IDS[1::2])):
+            label, *_ = per_level[0][k]
+            out_a, out_b = (_interleaved([cases[k][side] for cases in per_level])
+                            for side in (1, 2))
             got = check(rule, config)
-            want = _all_rows_pair_verdict(check_id, config, *cases, names)
+            want = _all_rows_pair_verdict(check_id, config, lambda row: label(row // len(every)),
+                                          out_a, out_b, PAIR_NAMES[k])
             assert got.passed == want.passed, (rule.name, check_id)
             assert abs(got.metric - want.metric) <= 1e-12, (rule.name, check_id)
             if not want.passed:
@@ -1077,7 +1120,7 @@ def test_exact_pair_verdict_runs_no_eigvalsh_when_every_row_is_zero(rule, monkey
     # at level 0 these rules' C2 differences are exactly zero on every row,
     # which the screen sees, so row 0 is the witness without a trace norm
     config = AuditConfig()
-    cases = _exact_pair_cases(rule, config, _exact_pair_levels(config))[0]
+    cases = _exact_pair_cases(rule, config)[0]
     want = _all_rows_pair_verdict(CHECK_IDS[1], config, *cases, ("direct", "swapped"))
 
     def refuse(*args, **kwargs):
@@ -1085,7 +1128,7 @@ def test_exact_pair_verdict_runs_no_eigvalsh_when_every_row_is_zero(rule, monkey
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     got = check_role_symmetry(rule, config)
-    assert (got.metric, got.witness) == (0.0, "input=(x, x) q=0")
+    assert (got.metric, got.witness) == (0.0, "input=(x, x)")
     assert _result_fields(got) == _result_fields(want)
 
 
@@ -1106,15 +1149,14 @@ def test_covariance_cases_match_a_base_coupling_on_every_row(pairs, stream, coun
                                 haar_unitaries(draw[:, 0:3])])
     index = np.concatenate([np.tile(np.arange(len(pairs)), len(corners)),
                             len(pairs) + np.arange(count)])
-    uu = np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 1, 4, 4)
+    uu = np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 4, 4)
     for inputs, distinct in zip(grid[:2], (probes, objects)):
         rotated = inputs[:grid.split]
         assert rotated.tobytes() == np.einsum("nij,nj->ni", unitaries, distinct[index]).tobytes()
     for rule in PAIR_CHECK_RULES:
-        _, _, conjugated = audit._pair_cases(rule, config.noise_levels, grid)
-        base = rules.coupling_channel(rule, probes[index], objects[index], config.noise_levels)
-        survived = base.survived.reshape(len(index), -1, 4, 4)
-        survived = (uu @ survived @ uu.conj().swapaxes(-1, -2)).reshape(-1, 4, 4)
+        _, _, conjugated = audit._pair_cases(rule, grid)
+        base = rules.coupling_channel(rule, probes[index], objects[index])
+        survived = uu @ base.survived @ uu.conj().swapaxes(-1, -2)
         assert conjugated.p_scatter.tobytes() == base.p_scatter.tobytes(), rule.name
         assert conjugated.survived.tobytes() == survived.tobytes(), rule.name
 
@@ -1122,7 +1164,8 @@ def test_covariance_cases_match_a_base_coupling_on_every_row(pairs, stream, coun
 @pytest.mark.parametrize("levels", [(0.0,), (0.3,), (0.0, 0.5)], ids=str)
 def test_pair_cases_sides_equal_a_coupling_call_per_side(levels):
     # one coupling call over both sides' stacked inputs gives each side the
-    # bytes of its own call, side b mapped back as the grid maps it
+    # bytes of its own call, side b mapped back as the grid maps it, at the
+    # audit's level 0 and at every other level
     config = FAST_EXACT
     grids = (audit._role_grid(audit._CORNER_PAIRS, config.seed, 2, config.input_samples),
              audit._covariance_grid(config.bases, audit._CORNER_PAIRS, config.seed, 4,
@@ -1131,10 +1174,11 @@ def test_pair_cases_sides_equal_a_coupling_call_per_side(levels):
              audit._covariance_grid(config.bases, audit._MC_CORNER_PAIRS, config.seed, 41, 1))
     for grid in grids:
         sides = [(inputs[:grid.split], inputs[grid.split:]) for inputs in grid[:2]]
-        for rule in PAIR_CHECK_RULES:
-            _, got_a, got_b = audit._pair_cases(rule, levels, grid)
-            want_a = rules.coupling_channel(rule, sides[0][0], sides[1][0], levels)
-            want_b = grid.map_b(rules.coupling_channel(rule, sides[0][1], sides[1][1], levels))
+        for rule, q in itertools.product(PAIR_CHECK_RULES, levels):
+            _, got_a, got_b = (audit._pair_cases(rule, grid) if q == 0.0
+                               else _pair_cases_at(rule, grid, q))
+            want_a = rules.coupling_channel(rule, sides[0][0], sides[1][0], q)
+            want_b = grid.map_b(rules.coupling_channel(rule, sides[0][1], sides[1][1], q))
             for got, want in ((got_a, want_a), (got_b, want_b)):
                 for field, expected in zip(got, want):
                     assert field.shape == expected.shape, rule.name
@@ -1146,29 +1190,47 @@ def _two_call_c1(rule, config):
     grid = audit._mode_pair_grid(config.bases)
     if not grid.exact.cases:
         return audit._no_cases(CHECK_IDS[0], config.epsilon_exact)
-    laws = audit._mode_pair_laws(rules.coupling_channel(rule, grid.probes, grid.objects, 0.0),
-                                 config, grid, grid.exact)
+    laws = audit._mode_pair_laws(rules.coupling_channel(rule, grid.probes, grid.objects),
+                                 grid, grid.exact)
     conditional, defined = experiments.conditional_clicks(laws)
     both = defined.all(axis=1)
     t_full = tvd(laws[:, 0], laws[:, 1])
     t_cond = np.full(len(laws), -1.0)
     t_cond[both] = tvd(conditional[both, 0, :2], conditional[both, 1, :2])
-    views = np.stack([t_full, t_cond], axis=1)
-    n, k = divmod(int(np.argmax(views)), 2)
+    n = int(np.argmax(t_full))
     evidence = {"mode1": [float(x) for x in laws[n, 0]], "mode2": [float(x) for x in laws[n, 1]],
                 "tvd_full": float(t_full[n]),
                 "tvd_conditional": float(t_cond[n]) if both[n] else None}
-    witness = audit._mode_pair_witness(config, grid.exact.cases, n, k)
-    return audit._exact_verdict(CHECK_IDS[0], float(views[n, k]), witness, evidence, config)
+    witness = audit._mode_pair_witness(grid.exact.cases, n)
+    return audit._exact_verdict(CHECK_IDS[0], float(t_full[n]), witness, evidence, config)
 
 
-@pytest.mark.parametrize("config", PAIR_CHECK_CONFIGS.values(), ids=PAIR_CHECK_CONFIGS)
-def test_exact_c1_one_tvd_call_matches_two_calls(config):
+def _c1_full_views(rule, config, q):
+    """The full-view TVD of every exact C1 case at fly-by level ``q``, from the filter law."""
+    grid = audit._mode_pair_grid(config.bases)
+    rows = grid.exact
+    coupled = rules.coupling_channel(rule, grid.probes, grid.objects)
+    sources = np.where(grid.swapped[:, None], grid.objects, grid.probes)
+    branches = (*experiments.survivor_clicks(coupled, grid.swapped, rows.analyzers, rows.take),
+                experiments.flyby_clicks(sources, rows.analyzers, rows.take))
+    laws = experiments.filter_law(q, *(x.reshape(-1, 2, 2, *x.shape[1:]) for x in branches))
+    return tvd(laws[:, 0], laws[:, 1])
+
+
+@pytest.mark.parametrize("config, levels", PAIR_CHECK_CONFIGS.values(), ids=PAIR_CHECK_CONFIGS)
+def test_exact_c1_one_tvd_call_matches_two_calls(config, levels):
     # both views in one call keep the witness, metric and evidence bits of two
-    # calls; K = 0 leaves no view given survival at level 0
+    # calls, the full view scoring; K = 0 leaves no view given survival.  At
+    # each listed level every case's full view is 1 - q times its level-0 one,
+    # which the check reads
     for rule in PAIR_CHECK_RULES:
         got, want = check_indistinguishability(rule, config), _two_call_c1(rule, config)
         assert repr(_result_fields(got)) == repr(_result_fields(want)), rule.name
+        coupled = _c1_full_views(rule, config, 0.0)
+        assert got.metric == (coupled.max() if coupled.size else 1.0), rule.name
+        for q in levels:
+            scaled = _c1_full_views(rule, config, q) - (1.0 - q) * coupled
+            assert np.all(np.abs(scaled) <= 1e-12), (rule.name, q)
 
 
 # Trials per comparison of the random count stacks: few trials tie p-values
@@ -1271,7 +1333,7 @@ def test_basis_laws_equal_a_born_call_per_basis():
     config = FAST_EXACT
     for rule in PAIR_CHECK_RULES:
         _, direct, mirrored = audit._pair_cases(
-            rule, config.noise_levels, audit._role_grid(audit._CORNER_PAIRS, config.seed, 2, 20))
+            rule, audit._role_grid(audit._CORNER_PAIRS, config.seed, 2, 20))
         for out in (direct, mirrored):
             want = np.stack([np.column_stack([joint_born_distribution(out.survived, b, b),
                                               out.p_scatter]) for b in config.bases], axis=1)
@@ -1409,21 +1471,19 @@ def test_canonical_phase_is_the_unfused_float_rotation():
 
 @pytest.mark.parametrize("evaluation", ["exact", "mc"])
 def test_mode_pair_laws_equal_filter_runs_of_their_cases(evaluation):
-    # C1's cached wiring and fly-by laws give the laws run_filter computes per case
-    config = AuditConfig(evaluation=evaluation, noise_levels=(0.0, 0.3))
+    # C1's cached wiring gives the laws run_filter computes per case at level 0
+    config = AuditConfig(evaluation=evaluation)
     grid = audit._mode_pair_grid(config.bases)
     rows = grid.mc if evaluation == "mc" else grid.exact
     for rule in PAIR_CHECK_RULES:
-        coupled = rules.coupling_channel(rule, grid.probes, grid.objects, 0.0)
-        laws = audit._mode_pair_laws(coupled, config, grid, rows)
+        laws = audit._mode_pair_laws(rules.coupling_channel(rule, grid.probes, grid.objects),
+                                     grid, rows)
         for n, (swapped, obj, analyzer, mode2) in enumerate(rows.cases):
-            for k, q in enumerate(config.noise_levels):
-                for m, source in enumerate((obj, mode2)):
-                    run = run_filter_exact(FilterConfig(
-                        rule=rule, source_basis=source, object_state=obj.b1, analyzer_basis=analyzer,
-                        noise_q=q, swapped_roles=swapped))
-                    want = run.probabilities()
-                    assert laws[n * 2 + k, m].tobytes() == want.tobytes(), (rule.name, n, k, m)
+            for m, source in enumerate((obj, mode2)):
+                run = run_filter_exact(FilterConfig(
+                    rule=rule, source_basis=source, object_state=obj.b1, analyzer_basis=analyzer,
+                    swapped_roles=swapped))
+                assert laws[n, m].tobytes() == run.probabilities().tobytes(), (rule.name, n, m)
 
 
 def _chi_square_parts(counts_a, counts_b, monkeypatch):
@@ -1470,12 +1530,6 @@ def test_chi_square_rows_keep_their_bits_alone_stacked_and_padded(trials, monkey
         assert (stat, p_value) == (alone[0][n], alone[2][n])
 
 
-def _dense_contraction(seed: int):
-    rng = derive_rng(seed)
-    k = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    return validate_custom_rule(k / (1.01 * np.linalg.norm(k, 2)), name=f"dense-{seed}")
-
-
 BLOCK_RULES = [*builtin_rules(), rule_from_name("coherent-projection:sigma"),
                _dense_contraction(2602)]
 
@@ -1484,28 +1538,24 @@ BLOCK_RULES = [*builtin_rules(), rule_from_name("coherent-projection:sigma"),
 @pytest.mark.parametrize("rule", BLOCK_RULES, ids=lambda rule: rule.name)
 def test_stacked_grid_blocks_keep_the_bits_of_their_own_calls(rule, levels):
     # the Monte Carlo pass couples every block of the stacked grid in one call
-    # at the levels (0, *levels); a block of two or more rows keeps the bits of
-    # its own calls at level 0 and at the configured levels.  A single row of a
-    # dense survive operator takes another BLAS path and can differ by up to
-    # 2.2e-16, so that is not asserted; no block holds one row, as every
-    # nonempty block starts with the corner pairs or C1's coupling rows.
-    configs = (AuditConfig(evaluation="mc", noise_levels=levels),
-               AuditConfig(evaluation="mc", noise_levels=levels, bases=(BASIS_XY, BASIS_SIGMA),
-                           seed=3, mc_input_samples=1, mc_unitary_samples=1))
-    for config in configs:
+    # at level 0; a block of two or more rows keeps the bits of its own call,
+    # at level 0 and at each of ``levels``.  A single row of a dense survive
+    # operator takes another BLAS path and can differ by up to 2.2e-16, so that
+    # is not asserted; no block holds one row, as every nonempty block starts
+    # with the corner pairs or C1's coupling rows.
+    configs = (AuditConfig(evaluation="mc"),
+               AuditConfig(evaluation="mc", bases=(BASIS_XY, BASIS_SIGMA), seed=3,
+                           mc_input_samples=1, mc_unitary_samples=1))
+    for config, q in itertools.product(configs, (0.0, *levels)):
         grid = audit._mc_grid(config.bases, config.seed, config.mc_input_samples,
                               config.mc_unitary_samples)
-        stacked = rules.coupling_channel(rule, grid.probes, grid.objects, (0.0, *levels))
-        per_pair = [x.reshape(len(grid.probes), len(levels) + 1, -1) for x in stacked]
+        stacked = rules.coupling_channel(rule, grid.probes, grid.objects, q)
         assert grid.blocks[-1].stop == len(grid.probes)
         for rows in grid.blocks:
             assert rows.stop - rows.start >= 2
-            inputs = grid.probes[rows], grid.objects[rows]
-            coupled = rules.coupling_channel(rule, *inputs, 0.0)
-            noisy = rules.coupling_channel(rule, *inputs, levels)
-            for got, want_coupled, want_noisy in zip(per_pair, coupled, noisy):
-                assert got[rows, 0].tobytes() == want_coupled.tobytes(), rows
-                assert got[rows, 1:].tobytes() == want_noisy.tobytes(), rows
+            alone = rules.coupling_channel(rule, grid.probes[rows], grid.objects[rows], q)
+            for got, want in zip(stacked, alone):
+                assert got[rows].tobytes() == want.tobytes(), (rows, q)
 
 
 def test_each_audit_runs_its_own_mc_pass(monkeypatch):
@@ -1526,11 +1576,11 @@ def test_each_audit_runs_its_own_mc_pass(monkeypatch):
 
 
 K_ZERO = validate_custom_rule(np.zeros((4, 4)), name="k-zero")
+# Every audit couples at level 0; "level-0" is the config with nothing else changed.
 MC_ALONE_CONFIGS = {
-    "unsorted-levels": AuditConfig(evaluation="mc", noise_levels=(0.5, 0.0, 1.0), seed=5),
     "repeated-basis": AuditConfig(evaluation="mc", bases=(BASIS_XY, BASIS_XY, BASIS_SIGMA), seed=6),
     "one-basis": AuditConfig(evaluation="mc", bases=(BASIS_XY,), seed=7),
-    "level-0": AuditConfig(evaluation="mc", noise_levels=(0.0,), seed=8),
+    "level-0": AuditConfig(evaluation="mc", seed=8),
 }
 
 
@@ -1550,9 +1600,9 @@ def test_mc_checks_called_alone_match_the_audit(config):
                 alone.evidence["p_value"] = "changed"
                 assert _result_fields(check(rule, config)) == _result_fields(
                     report.check(check_id))
-    if config.noise_levels == (0.0,):
-        # every K = 0 pair scatters at level 0: C1's full view and C2/C4 compare
-        # two samples that fill the scatter cell alone, and only C3 has no case
+    if config.bases == AuditConfig().bases:
+        # every K = 0 pair scatters at level 0: C1 and C2/C4 compare two samples
+        # that fill the scatter cell alone, and only C3 has no case
         assert [c.witness == "no cases evaluated" for c in audit_rule(K_ZERO, config).checks] == [
             False, False, True, False]
 
@@ -1567,24 +1617,22 @@ def _one_cell_p_values(counts_a, counts_b):
 
 def _mc_checks_one_call_each(rule, config):
     """Reference for the Monte Carlo pass: each check couples its own grid,
-    reads its own Born laws and makes its own chi-square call; C2 and C4 run
-    the lowest level alone."""
-    bases, levels = config.bases, (min(config.noise_levels),)
+    reads its own Born laws and makes its own chi-square call."""
+    bases = config.bases
     grid = audit._mode_pair_grid(bases)
-    laws = audit._mode_pair_laws(rules.coupling_channel(rule, grid.probes, grid.objects, 0.0),
-                                 config, grid, grid.mc)
+    laws = audit._mode_pair_laws(rules.coupling_channel(rule, grid.probes, grid.objects),
+                                 grid, grid.mc)
     mode1, mode2 = audit._mc_sides(config, laws[:, 0], laws[:, 1], 11)
-    views = [np.stack([d, d * [1, 1, 0]], axis=1) for d in (mode1, mode2)]
     results = [audit._mc_verdict(
-        CHECK_IDS[0], config, _one_cell_p_values(*views),
-        lambda row, view: audit._mode_pair_witness(config, grid.mc.cases, row, view),
-        lambda row, view: audit._c1_evidence(mode1, mode2, row, view))]
+        CHECK_IDS[0], config, _one_cell_p_values(mode1[:, None], mode2[:, None]),
+        lambda row, _: audit._mode_pair_witness(grid.mc.cases, row),
+        lambda row, _: {"counts_mode1": mode1[row].tolist(), "counts_mode2": mode2[row].tolist()})]
     pairs = audit._MC_CORNER_PAIRS
     for check_id, grid, stream in (
             (CHECK_IDS[1], audit._role_grid(pairs, config.seed, 21, config.mc_input_samples), 21),
             (CHECK_IDS[3], audit._covariance_grid(bases, pairs, config.seed, 41,
                                                   config.mc_unitary_samples), 41)):
-        label, out_a, out_b = audit._pair_cases(rule, levels, grid)
+        label, out_a, out_b = audit._pair_cases(rule, grid)
         counts = audit._mc_sides(config, audit._basis_laws(out_a, bases),
                                  audit._basis_laws(out_b, bases), stream + 1)
         results.append(audit._mc_verdict(
@@ -1593,7 +1641,7 @@ def _mc_checks_one_call_each(rule, config):
             lambda row, k: {}))
     probes, objects = audit._input_grid(audit._MC_CORNER_PAIRS, config.seed, 31,
                                         config.mc_input_samples)
-    label, out = audit._anti_alignment_cases(rules.coupling_channel(rule, probes, objects, 0.0),
+    label, out = audit._anti_alignment_cases(rules.coupling_channel(rule, probes, objects),
                                              probes, objects)
     counts = sample_counts(config.seed, config.mc_trials, audit._basis_laws(out, bases), 32, 1)
     results.insert(2, audit._mc_aligned_verdict(config, label, counts))
@@ -1604,8 +1652,7 @@ MC_PASS_CONFIGS = {
     **MC_ALONE_CONFIGS,
     "fast": FAST_MC,
     "five-trials": AuditConfig(evaluation="mc", mc_trials=5, seed=2),
-    "two-bases-three-levels": AuditConfig(evaluation="mc", bases=(BASIS_XY, BASIS_SIGMA),
-                                          noise_levels=(0.0, 0.3, 1.0), seed=3),
+    "two-bases": AuditConfig(evaluation="mc", bases=(BASIS_XY, BASIS_SIGMA), seed=3),
 }
 
 
@@ -1622,37 +1669,12 @@ def test_mc_pass_matches_one_call_per_check(config):
 @pytest.mark.parametrize("levels", [(0.0, 0.5), (0.0,), (0.3,)])
 def test_k_zero_reads_one_row_in_both_modes(levels):
     # at level 0 every K = 0 pair scatters, so both samples of every C2/C4
-    # comparison fill the scatter cell alone: they agree, at p = 1
+    # comparison fill the scatter cell alone: they agree, at p = 1.  A fly-by
+    # leaves the input on both sides, so the C2/C4 distances stay 0 at each level
     rows = {mode: "".join("P" if c.passed else "F" for c in audit_rule(
-        K_ZERO, AuditConfig(evaluation=mode, noise_levels=levels)).checks)
+        K_ZERO, AuditConfig(evaluation=mode)).checks)
         for mode in ("exact", "mc")}
     assert rows == {"exact": "PPFP", "mc": "PPFP"}
-
-
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("lowest, levels", [((0.0,), (0.0, 0.5)), ((0.3,), (0.7, 0.3, 1.0))])
-def test_levels_above_the_lowest_leave_mc_pair_checks_alone(lowest, levels, seed):
-    # a fly-by cancels from C2's and C4's two sides, so Monte Carlo samples the lowest level alone
-    for rule in [*builtin_rules(), K_ZERO]:
-        got = [audit_rule(rule, AuditConfig(evaluation="mc", noise_levels=q, seed=seed))
-               for q in (lowest, levels)]
-        for check_id in CHECK_IDS[1::2]:
-            assert _result_fields(got[0].check(check_id)) == _result_fields(
-                got[1].check(check_id)), (rule.name, check_id)
-
-
-def test_mc_audit_memory_is_flat_in_the_level_count():
-    rule = rule_from_name("preferred-basis:sigma")
-    configs = [AuditConfig(evaluation="mc", mc_input_samples=2000, mc_unitary_samples=2000,
-                           noise_levels=tuple(k / count for k in range(count)))
-               for count in (2, 16)]
-    audit_rule(rule, configs[0])  # the grids, which no level reads, are built untraced
-    peaks = []
-    for config in configs:
-        tracemalloc.start()
-        try:
-            audit_rule(rule, config)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < 1.1 * peaks[0], peaks
+    for q in levels:
+        for _, out_a, out_b in _exact_pair_cases(K_ZERO, AuditConfig(), q):
+            assert audit._outcome_distance(out_a, out_b).max() <= 1e-12, q

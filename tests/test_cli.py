@@ -159,9 +159,12 @@ def test_audit_report_bodies_byte_identical(runner, tmp_path):
 
 
 def test_audit_noise_q_flag(runner):
-    result = invoke(runner, "audit", "--rule", "singlet", "--noise-q", "0.5")
-    doc = json.loads(result.output)
-    assert doc["noise_levels"] == [0.5]
+    # the audit couples at level 0, whose verdict is that of every level, so it takes no level
+    result = runner.invoke(main, ["audit", "--rule", "singlet", "--noise-q", "0.5"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--noise-q" in result.output
+    doc = json.loads(invoke(runner, "audit", "--rule", "singlet").output)
+    assert "noise_levels" not in doc and "noise_levels" not in doc["config"]
 
 
 def test_rules_validate_good_file(runner, tmp_path):
@@ -271,18 +274,21 @@ def test_audit_config_file_sample_count_above_cap_exit_2(runner, tmp_path):
 
 
 def test_audit_config_file_noise_levels_above_cap_exit_2(runner, tmp_path):
+    # an audit config names no noise level, however many
     path = tmp_path / "audit.json"
-    path.write_text(json.dumps({"rule": "singlet", "noise_levels": [0.0] * 17}))
-    result = runner.invoke(main, ["audit", "--config", str(path)])
-    assert result.exit_code == 2
-    assert "error: noise_levels must hold at most 16 levels, got 17" in result.output
+    for levels in ([0.0] * 17, [0.0, 0.5]):
+        path.write_text(json.dumps({"rule": "singlet", "noise_levels": levels}))
+        result = runner.invoke(main, ["audit", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "error: unknown audit config keys: noise_levels" in result.output
 
 
 def test_audit_at_noise_level_one_only_exit_2(runner):
-    # at q = 1 every pair flies by, so C1, C2 and C4 would pass any rule
+    # at q = 1 every pair flies by, so C1, C2 and C4 would pass any rule; the
+    # audit takes no level and couples at 0
     result = runner.invoke(main, ["audit", "--rule", "probe-rigid", "--noise-q", "1"])
     assert result.exit_code == 2
-    assert "error: noise_levels must hold a level below 1: no pair couples at 1" in result.output
+    assert "No such option" in result.output and "--noise-q" in result.output
 
 
 HUGE = 10**400  # an integer JSON number beyond the float range
@@ -291,8 +297,7 @@ HUGE = 10**400  # an integer JSON number beyond the float range
 @pytest.mark.parametrize("command, key, value, message", [
     (["run", "filter"], "noise_q", HUGE, "noise_q must be a number within the float range"),
     (["audit"], "epsilon_mc", HUGE, "epsilon_mc must be a number within the float range"),
-    (["audit"], "noise_levels", [0.0, HUGE], f"noise level {HUGE} outside [0, 1]"),
-], ids=["filter-noise_q", "audit-epsilon_mc", "audit-noise_levels"])
+], ids=["filter-noise_q", "audit-epsilon_mc"])
 def test_config_file_integer_beyond_the_float_range_exits_2(runner, tmp_path, command, key,
                                                             value, message):
     path = tmp_path / "config.json"
@@ -396,11 +401,10 @@ _SMALL_AUDIT = {"input_samples": 5, "unitary_samples": 2, "mc_input_samples": 2,
     (["--seed", "7"], "seed", 7),
     (["--trials", "1000"], "mc_trials", 1000),
     (["--mode", "mc"], "evaluation", "mc"),
-    (["--noise-q", "0.25"], "noise_levels", [0.25]),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_audit_flag_overrides_config_file(runner, tmp_path, flag, key, value):
     cfg = {"rule": "probe-rigid", "seed": 3, "mc_trials": 2000, "evaluation": "exact",
-           "noise_levels": [0.0, 0.5], **_SMALL_AUDIT}
+           **_SMALL_AUDIT}
     path = tmp_path / "audit.json"
     path.write_text(json.dumps(cfg))
 
@@ -445,8 +449,8 @@ def test_filter_config_rejects_unknown_keys(runner, tmp_path):
         ("filter", "seed", True),
         ("filter", "noise_q", [0.1]),
         ("filter", "object_state", 1),
-        ("audit", "noise_levels", 0.5),
-        ("audit", "noise_levels", [0.0, "0.5"]),
+        ("audit", "epsilon_mc", True),
+        ("audit", "seed", [3]),
         ("audit", "input_samples", None),
         ("audit", "mc_trials", 1e5),
         ("audit", "bases", 5),
@@ -470,8 +474,7 @@ def test_config_file_fields_have_json_types():
 
 
 def test_audit_config_file(runner, tmp_path):
-    cfg = {"rule": "random-mix", "noise_levels": [0.0], "unitary_samples": 5,
-           "input_samples": 10}
+    cfg = {"rule": "random-mix", "unitary_samples": 5, "input_samples": 10}
     path = tmp_path / "audit.json"
     path.write_text(json.dumps(cfg))
     result = invoke(runner, "audit", "--config", str(path))
@@ -482,8 +485,7 @@ def test_audit_config_file(runner, tmp_path):
 
 def test_help_documents_every_flag(runner):
     spec = {
-        ("audit",): {"--rule", "--mode", "--trials", "--seed", "--noise-q", "--report",
-                     "--config"},
+        ("audit",): {"--rule", "--mode", "--trials", "--seed", "--report", "--config"},
         ("run", "filter"): {"--rule", "--source-mode", "--source-basis", "--object-state",
                             "--analyzer-basis", "--noise-q", "--swap-roles", "--mode",
                             "--trials", "--seed", "--csv", "--config"},

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import json
+import re
 import warnings
 
 import numpy as np
@@ -279,30 +281,14 @@ def test_coupling_channel_rows_match_single_pairs(rule):
                 )
 
 
-@pytest.mark.parametrize("levels", [(0.0, 0.3, 1.0), (0.5, 0.5)], ids=str)
-@pytest.mark.parametrize("channel", [coupling_channel, swapped_coupling_channel],
-                         ids=lambda f: f.__name__)
-def test_level_axis_matches_per_level_calls(channel, levels):
-    # a level sequence gives the per-level rows interleaved input-major, bit for bit
-    rng = derive_rng(211)
-    pairs = [(a, b) for a in CORNERS for b in CORNERS]
-    pairs += [(random_state(rng), random_state(rng)) for _ in range(20)]
-    probes = np.array([p.amps for p, _ in pairs])
-    objects = np.array([o.amps for _, o in pairs])
-    custom = validate_custom_rule(np.diag([0, 1, 1, 0]), name="remove-aligned-xy")
-    for rule in list(builtin_rules()) + [custom]:
-        stacked = channel(rule, probes, objects, levels)
-        per_level = [channel(rule, probes, objects, q) for q in levels]
-        for field, parts in zip(stacked, zip(*per_level)):
-            expected = np.stack(parts, axis=1).reshape(-1, *parts[0].shape[1:])
-            assert field.shape == expected.shape, rule
-            assert field.tobytes() == expected.tobytes(), rule
-
-
 def test_level_axis_rejects_any_level_outside_the_unit_interval():
-    for levels, shown in (((0.0, 1.5, 0.3), "1.5"), ([0.2, float("nan")], "nan"),
-                          (np.array([-0.25, 2.0]), "-0.25")):
+    # the level is one number in [0, 1]; an axis of levels is refused whatever it holds
+    for level, shown in ((1.5, "1.5"), (float("nan"), "nan"), (np.float32(-0.25), "-0.25"),
+                         (np.array(2.0), "2.0")):
         with pytest.raises(ValueError, match=rf"noise_q must be within \[0, 1\], got {shown}$"):
+            coupling_channel(singlet_rule(), STATE_Y.amps, STATE_X.amps, level)
+    for levels in ((0.0, 1.5, 0.3), [0.2], np.array([0.0, 0.5])):
+        with pytest.raises(ValueError, match="noise_q must be one level, got "):
             coupling_channel(singlet_rule(), STATE_Y.amps, STATE_X.amps, levels)
 
 
@@ -319,10 +305,12 @@ def test_level_axis_rejects_any_level_outside_the_unit_interval():
 ], ids=["apply_rule", "swapped_channel", "run_correlation", "run_correlation_mc", "run_flip",
         "run_flip_mc"])
 def test_single_pair_forms_refuse_a_level_sequence(single, at_half):
-    # row 0 of a level sequence would silently answer at its first level only
-    with pytest.raises(ValueError, match="a single pair takes one noise level, got 2"):
-        single(singlet_rule(), STATE_X, STATE_X, (0.0, 0.5))
-    assert single(singlet_rule(), STATE_X, STATE_X, [0.5]) == at_half
+    # a level sequence, even of one level, is refused rather than read at one of its levels
+    for levels in ((0.0, 0.5), [0.5]):
+        message = f"noise_q must be one level, got {levels!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            single(singlet_rule(), STATE_X, STATE_X, levels)
+    assert single(singlet_rule(), STATE_X, STATE_X, 0.5) == at_half
 
 
 def test_only_linear_kinds_carry_a_survive_operator():
@@ -520,12 +508,12 @@ def test_builtin_spellings_round_trip(name, factory):
     rule, built = rule_from_name(name), factory()
     assert (rule.name, rule.description) == (name, built.description)
     probes, objects = audit._input_grid(audit._CORNER_PAIRS, 0, 2, 200)
-    levels = (0.0, 0.3, 1.0)
-    for channel in (coupling_channel, swapped_coupling_channel):
-        got = channel(rule, probes, objects, levels)
-        want = channel(built, probes, objects, levels)
-        assert got.p_scatter.tobytes() == want.p_scatter.tobytes()
-        assert got.survived.tobytes() == want.survived.tobytes()
+    for q in (0.0, 0.3, 1.0):
+        for channel in (coupling_channel, swapped_coupling_channel):
+            got = channel(rule, probes, objects, q)
+            want = channel(built, probes, objects, q)
+            assert got.p_scatter.tobytes() == want.p_scatter.tobytes()
+            assert got.survived.tobytes() == want.survived.tobytes()
 
 
 def test_load_rule_file_round_trip(tmp_path):
@@ -599,13 +587,13 @@ def test_swapped_coupling_channel_survivors_equal_swap_conjugation(rule):
     pairs += [(random_state(rng), random_state(rng)) for _ in range(40)]
     probes = np.array([p.amps for p, _ in pairs])
     objects = np.array([o.amps for _, o in pairs])
-    levels = (0.0, 0.5, 1.0)
-    mirrored = swapped_coupling_channel(rule, probes, objects, levels)
-    reverse = coupling_channel(rule, objects, probes, levels)
-    assert mirrored.survived.flags.c_contiguous
-    assert mirrored.p_scatter.tobytes() == reverse.p_scatter.tobytes()
-    assert ((mirrored.survived + 0.0).tobytes()
-            == (SWAP @ reverse.survived @ SWAP + 0.0).tobytes())
+    for q in (0.0, 0.5, 1.0):
+        mirrored = swapped_coupling_channel(rule, probes, objects, q)
+        reverse = coupling_channel(rule, objects, probes, q)
+        assert mirrored.survived.flags.c_contiguous
+        assert mirrored.p_scatter.tobytes() == reverse.p_scatter.tobytes()
+        assert ((mirrored.survived + 0.0).tobytes()
+                == (SWAP @ reverse.survived @ SWAP + 0.0).tobytes())
 
 
 def _dense_contractions(rng, count: int):
@@ -624,14 +612,13 @@ def test_coupling_rows_do_not_depend_on_their_batch(levels):
     probes, objects = uniform_state_amps(u[:, 0:2]), uniform_state_amps(u[:, 2:4])
     rules = [coherent_projection(BASIS_SIGMA), coherent_projection(BASIS_DIAG),
              *_dense_contractions(rng, 2), preferred_basis(BASIS_SIGMA), probe_rigid()]
-    width = len(np.atleast_1d(levels))
-    for rule in rules:
-        full = coupling_channel(rule, probes, objects, levels)
+    for rule, q in itertools.product(rules, np.atleast_1d(levels).tolist()):
+        full = coupling_channel(rule, probes, objects, q)
         for size in (1, 2, 3, 7, 17, 18, 40, 236):
             for start in (0, 5, 352 - size):
                 block = coupling_channel(rule, probes[start:start + size], objects[start:start + size],
-                                         levels)
-                rows = slice(width * start, width * (start + size))
+                                         q)
+                rows = slice(start, start + size)
                 if size == 1:
                     assert np.abs(block.p_scatter - full.p_scatter[rows]).max() <= 1e-15
                     assert np.abs(block.survived - full.survived[rows]).max() <= 1e-15
@@ -650,8 +637,8 @@ def test_every_coupling_row_is_a_survive_branch(levels):
     objects = np.concatenate([[o.amps for _, o in pairs], uniform_state_amps(rng.random((60, 2)))])
     rules = [*builtin_rules(), validate_custom_rule(np.zeros((4, 4)), name="k-zero"),
              *_dense_contractions(rng, 3)]
-    for rule in rules:
-        out = coupling_channel(rule, probes, objects, levels)
+    for rule, q in itertools.product(rules, levels):
+        out = coupling_channel(rule, probes, objects, q)
         sigma = out.survived
         assert np.abs(sigma - sigma.conj().swapaxes(-1, -2)).max() <= 1e-12, rule.name
         assert np.linalg.eigvalsh(sigma).min() >= -1e-12, rule.name
@@ -659,5 +646,5 @@ def test_every_coupling_row_is_a_survive_branch(levels):
         assert np.abs(trace - (1.0 - out.p_scatter)).max() <= 1e-12, rule.name
         certain = out.p_scatter == 1.0
         assert np.all(sigma[certain] == 0.0), rule.name
-        if rule.name == "k-zero" and 0.0 in levels:
+        if rule.name == "k-zero" and q == 0.0:
             assert certain.any()

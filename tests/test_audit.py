@@ -780,21 +780,26 @@ def test_audit_sample_counts_are_capped():
         assert getattr(AuditConfig(**{name: 100_000}), name) == 100_000
 
 
+@pytest.mark.parametrize("check", [check_indistinguishability, check_role_symmetry,
+                                   check_anti_alignment, check_basis_covariance],
+                         ids=["C1", "C2", "C3", "C4"])
 @pytest.mark.parametrize("evaluation", ["exact", "mc"])
 @pytest.mark.parametrize("mutate, message", [
     (lambda bases: bases.append("sigma"), "bases must be a sequence of Basis, got "),
     (lambda bases: bases.clear(), "bases must not be empty"),
 ], ids=["not-a-basis", "empty"])
-def test_bases_mutated_after_construction_are_refused(evaluation, mutate, message):
+def test_bases_mutated_after_construction_are_refused(check, evaluation, mutate, message):
     # the config stores its own tuple of the caller's bases: changing the list
-    # later changes neither the config nor the report, and a new config of the
-    # changed list is refused
+    # later changes neither the config, nor a check, nor the report, and a new
+    # config of the changed list is refused
     bases = [BASIS_XY, BASIS_SIGMA]
     config = AuditConfig(bases=bases, input_samples=5, unitary_samples=5, evaluation=evaluation,
                          mc_input_samples=2, mc_unitary_samples=2)
+    before = vars(check(singlet_rule(), config))
     report = audit_rule(singlet_rule(), config).to_json()
     mutate(bases)
     assert config.bases == (BASIS_XY, BASIS_SIGMA)
+    assert vars(check(singlet_rule(), config)) == before
     assert audit_rule(singlet_rule(), config).to_json() == report
     with pytest.raises(ConfigError, match=re.escape(message)):
         AuditConfig(bases=bases)

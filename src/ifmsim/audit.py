@@ -19,7 +19,7 @@ statistical cross-check):
 * C3 anti-alignment - survivors of a coupling must carry zero weight on
   the aligned cells of every configured basis; the exact metric is the
   worst aligned weight of the survive branch ``sigma``, on the same joint
-  scale as the other checks, over the inputs that can survive.
+  scale as the other checks, over the inputs that survive with more than 1e-6.
 * C4 basis covariance - rotating both inputs by the same unitary must
   commute with the rule; metric as in C2, between the outcome of the rotated
   inputs and the rotated outcome.
@@ -89,7 +89,6 @@ from .experiments import (
     check_fields,
     conditional_clicks,
     derive_rng,
-    filter_law,
     sample_counts,
     survivor_clicks,
 )
@@ -541,11 +540,14 @@ def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int) ->
 
 
 def _anti_alignment_cases(out: Coupling, probes, objects):
-    """C3 cases of the coupling ``out`` of the inputs: those that can survive, ``p_scatter < 1``.
+    """C3 cases of the coupling ``out`` of the inputs: those that survive with more than 1e-6.
 
+    A row's aligned weight is at most its survive probability, so a row that
+    all but surely scatters passes on weight alone; with no case left, a rule
+    that almost always scatters (``K = 1e-5 I``) fails as ``K = 0`` does.
     Returns a labeller of the kept rows and their couplings.
     """
-    rows = np.flatnonzero(out.p_scatter < 1.0)
+    rows = np.flatnonzero(out.p_scatter < 1.0 - 1e-6)
 
     def label(i: int) -> str:
         return _input_label(probes[rows[i]], objects[rows[i]])
@@ -624,10 +626,14 @@ def _mode_pair_grid(bases) -> _ModePairGrid:
 def _mode_pair_laws(coupled: Coupling, grid: _ModePairGrid, rows: _ModePairRows) -> np.ndarray:
     """Detector laws of the C1 ``rows``, one per case, over (source mode, outcome).
 
-    ``coupled`` holds the coupling of the grid's coupling rows.
+    ``coupled`` holds the coupling of the grid's coupling rows.  The law is
+    ``experiments.filter_law`` at level 0: the two equally likely source
+    branches' clicks, then their scatter.
     """
     p_scatter, clicks = survivor_clicks(coupled, grid.swapped, rows.analyzers, rows.take)
-    return filter_law(0.0, *(x.reshape(-1, 2, 2, *x.shape[1:]) for x in (p_scatter, clicks)))
+    p_scatter, clicks = (x.reshape(-1, 2, 2, *x.shape[1:]) for x in (p_scatter, clicks))
+    return np.concatenate([0.5 * clicks[..., 0, :] + 0.5 * clicks[..., 1, :],
+                           0.5 * p_scatter[..., 0, None] + 0.5 * p_scatter[..., 1, None]], axis=-1)
 
 
 def _mode_pair_witness(cases, row: int) -> str:

@@ -277,22 +277,19 @@ def flyby_clicks(sources, analyzers, take=slice(None)) -> np.ndarray:
     return _expectations(_projectors(np.asarray(sources, dtype=complex))[take], analyzers)
 
 
-def filter_law(q, p_scatter, survivor_clicks, flyby_clicks=None) -> np.ndarray:
+def filter_law(q, p_scatter, survivor_clicks, flyby_clicks) -> np.ndarray:
     """Detector law ``(click b1, click b2, scatter)`` of two equally likely source branches.
 
     Inputs are ``survivor_clicks`` and ``flyby_clicks`` rows reshaped to
     ``(..., 2)`` branches; the survivor clicks already carry the survive
     probability.  ``q`` broadcasts over the leading axes.  Terms add up in
     source order, so a case gives the same bits alone and within a grid.
-    At ``q = 0`` the fly-by term adds exactly 0, so ``flyby_clicks`` may be
-    None there, with the same bits.
     """
     q = np.asarray(q, dtype=float)[..., None]
     clicks = scatter = 0.0
     for b in (0, 1):
         scatter = scatter + 0.5 * (1.0 - q) * p_scatter[..., b, None]
-        if flyby_clicks is not None:
-            clicks = clicks + 0.5 * q * flyby_clicks[..., b, :]
+        clicks = clicks + 0.5 * q * flyby_clicks[..., b, :]
         clicks = clicks + 0.5 * (1.0 - q) * survivor_clicks[..., b, :]
     return np.concatenate([clicks, scatter], axis=-1)
 

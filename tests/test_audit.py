@@ -413,6 +413,21 @@ def test_always_scatter_rule_fails_without_cases(config):
     assert (c3.passed, c3.metric, c3.witness) == (False, 1.0, "no cases evaluated")
 
 
+@pytest.mark.parametrize("config", [FAST_EXACT, FAST_MC], ids=["exact", "mc"])
+@pytest.mark.parametrize("eps", [1e-5, 1e-2])
+def test_almost_always_scatter_rule_fails_as_k_zero_does(config, eps):
+    # K = eps I survives every pair with eps^2 and leaves it as it was: C1, C2 and
+    # C4 hold, and C3 must fail for every eps, as for K = 0.  At eps = 1e-5 every
+    # row survives with 1e-10, an aligned weight below epsilon_exact, so C3 must
+    # keep no such row as a case
+    report = audit_rule(validate_custom_rule(eps * np.eye(4), name="eps-identity"), config)
+    assert "".join("PF"[not c.passed] for c in report.checks) == "PPFP"
+    assert not report.overall_pass
+    if eps == 1e-5:
+        c3 = report.check(CHECK_IDS[2])
+        assert (c3.metric, c3.witness) == (1.0, "no cases evaluated")
+
+
 @pytest.mark.parametrize("evaluation", ["exact", "mc"])
 def test_c1_without_unbiased_basis_pair_fails(evaluation):
     # one basis leaves no mode-2 basis to compare against
@@ -729,11 +744,15 @@ def test_mc_counts_null_calibration():
 
 
 @pytest.mark.parametrize("levels", [(1.0,), (1.0, 1.0)])
-def test_audit_config_refuses_noise_levels_without_a_coupling(levels, monkeypatch):
+def test_audit_config_refuses_noise_levels_without_a_coupling(levels):
     # at q = 1 every pair flies by: C1, C2 and C4 would pass every rule.  The
-    # audit takes no level at all, and every check couples at level 0
+    # audit takes no level at all
     with pytest.raises(TypeError, match="noise_levels"):
         AuditConfig(noise_levels=levels)
+
+
+def test_every_audit_coupling_runs_at_level_0(monkeypatch):
+    # every check, in both modes, calls the coupling with no level: level 0
     seen, coupling_channel = [], audit.coupling_channel
 
     def record(rule, probes, objects, *level):
@@ -1671,15 +1690,20 @@ def test_mc_pass_matches_one_call_per_check(config):
         assert [_result_fields(c) for c in got] == [_result_fields(c) for c in want], rule.name
 
 
+@pytest.fixture(scope="module")
+def k_zero_rows():
+    """The verdict row of K = 0 in each mode, from one audit per mode."""
+    return {mode: "".join("P" if c.passed else "F" for c in audit_rule(
+        K_ZERO, AuditConfig(evaluation=mode)).checks)
+        for mode in ("exact", "mc")}
+
+
 @pytest.mark.parametrize("levels", [(0.0, 0.5), (0.0,), (0.3,)])
-def test_k_zero_reads_one_row_in_both_modes(levels):
+def test_k_zero_reads_one_row_in_both_modes(levels, k_zero_rows):
     # at level 0 every K = 0 pair scatters, so both samples of every C2/C4
     # comparison fill the scatter cell alone: they agree, at p = 1.  A fly-by
     # leaves the input on both sides, so the C2/C4 distances stay 0 at each level
-    rows = {mode: "".join("P" if c.passed else "F" for c in audit_rule(
-        K_ZERO, AuditConfig(evaluation=mode)).checks)
-        for mode in ("exact", "mc")}
-    assert rows == {"exact": "PPFP", "mc": "PPFP"}
+    assert k_zero_rows == {"exact": "PPFP", "mc": "PPFP"}
     for q in levels:
         for _, out_a, out_b in _exact_pair_cases(K_ZERO, AuditConfig(), q):
             assert audit._outcome_distance(out_a, out_b).max() <= 1e-12, q

@@ -1,77 +1,68 @@
 """The four-check audit battery for candidate non-interaction rules.
 
-Checks (exact evaluation is the verdict of record; Monte Carlo is a
-statistical cross-check):
+Exact evaluation is the verdict of record; Monte Carlo is a statistical
+cross-check.
 
-* C1 indistinguishability - the two source modes of the filter device
-  must stay indistinguishable for every role assignment and object/analyzer
-  basis pairing; metric is the worst total variation distance between the
-  mode-1 and mode-2 detector laws, scatter outcome included.  The evidence
-  adds the distance of the click laws given survival.  Monte Carlo samples
-  the cases of the exact grid whose analyzer is the object basis.
-* C2 role symmetry - applying the rule with the partners exchanged and
-  mapping back through SWAP must reproduce the same outcome; the exact
-  metric is the worst trace distance between the two outcomes, each the
-  scatter probability ``p`` and survive branch ``sigma = (1 - p) rho`` the
-  coupling returns.  It is linear in the law, continuous in the rule, on C1's total
-  variation scale, and bounds the total variation distance of the
-  five-outcome law in every basis, which Monte Carlo samples.
-* C3 anti-alignment - survivors of a coupling must carry zero weight on
-  the aligned cells of every configured basis; the exact metric is the
-  worst aligned weight of the survive branch ``sigma``, on the same joint
-  scale as the other checks, over the inputs that survive with more than 1e-6.
-* C4 basis covariance - rotating both inputs by the same unitary must
-  commute with the rule; metric as in C2, between the outcome of the rotated
-  inputs and the rotated outcome.
+* C1 indistinguishability - the two source modes of the filter device must stay
+  indistinguishable for every role assignment and object/analyzer basis
+  pairing: the worst total variation distance between their detector laws,
+  scatter included, the distance given survival as evidence.  Monte Carlo
+  samples the cases whose analyzer is the object basis.
+* C2 role symmetry - the rule applied with the partners exchanged and mapped
+  back through SWAP must give the same outcome: the worst trace distance
+  between the two outcomes ``p (+) sigma``, scatter probability and survive
+  branch ``sigma = (1 - p) rho``.  It is on C1's scale, continuous in the rule,
+  and bounds the distance of the five-outcome law in every basis, which Monte
+  Carlo samples.
+* C3 anti-alignment - survive branches must carry no weight on the aligned
+  cells of any configured basis: the worst aligned weight, on the same scale,
+  over the inputs that survive with more than 1e-6.
+* C4 basis covariance - rotating both inputs by the same unitary must commute
+  with the rule; metric as in C2.
 
-Every check couples at fly-by level 0.  A fly-by leaves the untouched
-product input, which both C1 source modes turn into the click law of
-``I/2`` and which SWAP and ``U (x) U`` map alike, so at level ``q`` every
-C1, C2 and C4 metric is ``(1 - q)`` times its level-0 value, and C3 reads
-the rule's own survive branch, which a fly-by only blends with the input:
-the level-0 verdict is the verdict for every level in [0, 1).
+C2-C4 read each survive branch once as its real Fano matrix
+``r_ab = tr(sigma P_a (x) P_b)``, ``P = (I, X, Y, Z)`` (``_fano``).  SWAP is then
+``r^T``, ``U (x) U`` is ``O r O^T`` with ``O_ab = tr(P_a U P_b U^dag) / 2``, a
+basis's cells are linear forms of ``r``, and its aligned weight, for Bloch axis
+``m``, is ``(r_00 + m^T R m) / 2`` with ``R = r[1:, 1:]``: 0 for the singlet's
+``(1 - p) diag(1, -1, -1, -1)``.  C2 and C4 screen rows by ``||r_a - r_b||_2 / 2``,
+the Frobenius norm of the branch difference, and take the trace norm of the
+rebuilt ``sum_ab dr_ab P_a (x) P_b / 4`` on the candidates.  C1 reads ``sigma``
+through the filter's click laws.  Every product gives a row the bits it has in a
+batch of any size, one row included.
 
-Monte Carlo mode draws each comparison's counts at ``mc_trials`` trials
-as one multinomial draw of the case's exact law, the same law the exact
-evaluator builds, so the work grows with the number of cells, not with
-the number of trials.  All cases of a check and side come from one Philox
-stream, ``derive_rng(seed, stream, side)``.  The four checks run as one
-pass per rule (``_mc_pass``) over one stacked grid of every check's
-inputs: one ``coupling_channel`` call, one Born call for the laws of C2's,
-C3's and C4's rows in every basis, and one two-sample chi-square call over
-every comparison of C1, C2 and C4, C1's padded with zero cells; each gives
-a check's rows the bits of the check's own call.  Each check keeps its own
-streams, family, witness and verdict.  The
-p-value threshold ``epsilon_mc`` is spent family-wise (Bonferroni) across the
-check's informative comparisons, those with a p-value and those whose two
-nonempty samples fill one and the same cell, at p = 1, so a rule whose exact
-metric is zero is not failed by a single unlucky case among many.  C3's Monte
-Carlo verdict demands zero aligned events among the survivors.
+Every check couples at fly-by level 0.  A fly-by leaves the untouched product
+input, which both C1 source modes turn into the click law of ``I/2`` and which
+SWAP and ``U (x) U`` map alike, so at level ``q`` every C1, C2 and C4 metric is
+``(1 - q)`` times its level-0 value, and C3 reads the rule's own survive
+branch, which a fly-by only blends with the input: the level-0 verdict is the
+verdict for every level in [0, 1).
 
-Exact mode makes one evaluation per check, C2's and C4's one coupling call
-over both sides' stacked inputs; one call for every exact check was slower.
+Monte Carlo draws each comparison's counts at ``mc_trials`` trials as one
+multinomial draw of the case's exact law, so the work grows with the cells, not
+the trials.  The four checks run as one pass per rule (``_mc_pass``) over one
+stacked grid of their inputs: one coupling call, one Fano conversion, one law
+map and one chi-square call over every comparison of C1, C2 and C4, C1's padded
+with zero cells; each gives a check's rows the bits of the check's own call,
+and each check keeps its own streams, family, witness and verdict.
+``epsilon_mc`` is spent family-wise (Bonferroni) across a check's informative
+comparisons, those with a p-value and those whose two nonempty samples fill one
+and the same cell, at p = 1.  C3 demands zero aligned events among the
+survivors.  Exact mode makes one evaluation per check, over both sides' inputs
+for C2/C4.
 
-Every sampled quantity derives from ``AuditConfig.seed`` through fixed
-streams, so identical configs produce identical reports: exact check ``s``
-draws its grid from stream ``s``, Monte Carlo its cases from ``10 s + 1`` and
-its counts from ``10 s + 2``, and Monte Carlo C1 its counts from 11.  Each check's
-rule-independent case grid is built once per configuration and reused
-across rules, C1's across both modes too, with its wiring, so a C1 audit
-runs only the rule's coupling, its partial traces and survivor click laws.
-C2 and C4 each build one
-``_PairGrid`` (both sides' inputs, side b's map back by SWAP or by the
-gather and ``U (x) U`` conjugation, and the input labeller), which exact
-mode reads and Monte Carlo stacks into one grid that carries them.  Each
-such cache, and that of the joint-basis vectors every Born call reads,
-holds one read-only entry keyed on the values it reads, so memory stays
-that of one audit and reports do not depend
-on call order.  The Monte Carlo pass is cached on the rule and config
-objects, so that the four checks of one audit share it; ``audit_rule``
-clears that cache first, so each audit runs its own.  Report floats can
-differ between CPUs in their last bits; verdicts should not, and
-``scripts/report_digest.py`` hashes them apart.
-A witness label is ``state_label`` of its amplitudes, taken through
-``states._canonical_phase`` and ``_amps_label`` without building a state.
+Exact check ``s`` draws its grid from stream ``s``; Monte Carlo draws its cases
+from ``10 s + 1`` and the counts of each side from stream ``(10 s + 2, side)``,
+C1's from 11, so identical configs give identical reports.  Each
+rule-independent grid (C1's with its wiring; C2's and C4's ``_PairGrid`` of
+both sides' inputs, side b's map back and the input labeller; the basis forms)
+keeps one read-only cache entry keyed on the values it reads, so memory stays
+that of one audit and reports do not depend on call order.  The Monte Carlo
+pass is cached on the rule and config for the four checks of one audit;
+``audit_rule`` clears it first.  Report floats can differ between CPUs in their
+last bits, verdicts should not (``scripts/report_digest.py`` hashes them
+apart).  A witness label is ``state_label`` of its amplitudes, via
+``_canonical_phase`` and ``_amps_label``.
 """
 
 from __future__ import annotations
@@ -92,7 +83,7 @@ from .experiments import (
     sample_counts,
     survivor_clicks,
 )
-from .rules import Coupling, Rule, coupling_channel, swap_back
+from .rules import Coupling, Rule, coupling_channel
 from .states import (
     BASIS_DIAG,
     BASIS_SIGMA,
@@ -105,9 +96,9 @@ from .states import (
     STATE_X,
     STATE_Y,
     _amps_label,
+    _bloch,
     _canonical_phase,
-    _expectations,
-    _joint_vectors,
+    _row_product,
     basis_change_unitary,
     haar_unitaries,
     mutually_unbiased,
@@ -380,70 +371,82 @@ def _exact_verdict(check_id: str, worst: float, witness: str, evidence, config) 
     )
 
 
-def _outcome_distance(out_a: Coupling, out_b: Coupling) -> np.ndarray:
-    """Per row, the trace distance between the two sides' outcomes ``p (+) sigma``.
+# Pauli matrices I, X, Y, Z; ``P_a (x) P_b / 4`` is row ``4 a + b`` of ``_FANO_BASIS``.
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_FANO_BASIS = np.einsum("aij,bkl->abikjl", _PAULIS, _PAULIS).reshape(16, 16) / 4.0
+_FANO_DUAL = 4.0 * _FANO_BASIS.conj().T
 
-    That is ``0.5 * (|p_a - p_b| + ||sigma_a - sigma_b||_1)``, the trace
-    norm being the sum of ``|eigvalsh|`` of the Hermitian difference.  A row
-    that scatters with certainty has ``p = 1`` and ``sigma = 0``, so it
-    needs no branch.
+
+class _Fano(NamedTuple):
+    """Coupling rows in Fano form: ``p_scatter`` and the real ``r_ab = tr(sigma P_a (x) P_b)``."""
+
+    p_scatter: np.ndarray
+    r: np.ndarray
+
+
+def _fano(out: Coupling) -> _Fano:
+    """The coupling rows ``out`` in Fano form; each row's bits do not depend on the batch."""
+    r = _row_product(out.survived.reshape(-1, 16), _FANO_DUAL).real
+    return _Fano(out.p_scatter, np.ascontiguousarray(r).reshape(-1, 4, 4))
+
+
+def _pauli_sum(r: np.ndarray) -> np.ndarray:
+    """Per row, the Hermitian ``sum_ab r_ab P_a (x) P_b / 4`` of the real ``(N, 4, 4)`` ``r``."""
+    return _row_product(r.reshape(-1, 16), _FANO_BASIS).reshape(-1, 4, 4)
+
+
+def _fano_rotations(unitaries: np.ndarray) -> np.ndarray:
+    """``O_ab = tr(P_a U P_b U^dag) / 2`` of each ``(2, 2)`` unitary ``U``, real ``(N, 4, 4)``."""
+    turned = np.einsum("nij,bjk,nlk->nbil", unitaries, _PAULIS, unitaries.conj())
+    return 0.5 * np.einsum("aji,nbij->nab", _PAULIS, turned).real
+
+
+def _outcome_distance(rows_a: _Fano, rows_b: _Fano) -> np.ndarray:
+    """Per row, the trace distance ``0.5 * (|p_a - p_b| + ||sigma_a - sigma_b||_1)``.
+
+    The trace norm is the sum of ``|eigvalsh|`` of the branch difference,
+    rebuilt from the difference of the Fano matrices.
     """
-    return 0.5 * (np.abs(out_a.p_scatter - out_b.p_scatter)
-                  + _trace_norm(out_a.survived - out_b.survived))
+    return 0.5 * (np.abs(rows_a.p_scatter - rows_b.p_scatter)
+                  + np.abs(np.linalg.eigvalsh(_pauli_sum(rows_a.r - rows_b.r))).sum(axis=-1))
 
 
-def _trace_norm(diff: np.ndarray) -> np.ndarray:
-    """Per row, the sum of ``|eigvalsh|`` of the Hermitian ``diff``."""
-    return np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+def _half_norm(diff: np.ndarray) -> np.ndarray:
+    """Per row, ``||diff||_2 / 2``, the Frobenius norm of the Pauli sum of the real ``diff``.
 
-
-# eigvalsh reads the six entries below the diagonal, each standing for itself
-# and its mirror, and the real part of the four diagonal ones
-_TRIL = np.tril_indices(4, -1)
-_FROBENIUS_WEIGHTS = np.array([2.0] * 6 + [1.0] * 4)
-
-
-def _eigvalsh_frobenius(diff: np.ndarray) -> np.ndarray:
-    """Per row, the Frobenius norm of the Hermitian matrix ``eigvalsh`` reads from ``diff``.
-
-    Each row is scaled by its largest entry first, so that squares of tiny
-    differences do not underflow.
+    A row of norm below 1e-140, whose squares can underflow, is scaled by ``2**600`` first, exactly.
     """
-    entries = np.concatenate([np.abs(diff[:, _TRIL[0], _TRIL[1]]),
-                              np.abs(np.diagonal(diff, axis1=1, axis2=2).real)], axis=1)
-    scale = entries.max(axis=1, keepdims=True)
-    unit = entries / np.where(scale > 0.0, scale, 1.0)
-    return scale[:, 0] * np.sqrt(unit ** 2 @ _FROBENIUS_WEIGHTS)
+    flat = diff.reshape(len(diff), 16)
+    norm = np.sqrt(np.einsum("nf,nf->n", flat, flat))
+    tiny = norm < 1e-140
+    scaled = flat[tiny] * 2.0 ** 600
+    norm[tiny] = np.sqrt(np.einsum("nf,nf->n", scaled, scaled)) * 2.0 ** -600
+    return 0.5 * norm
 
 
-def _exact_pair_verdict(check_id, config, label, out_a: Coupling, out_b: Coupling, names):
-    """C2/C4 exact: the first row of worst ``_outcome_distance`` of the two couplings.
+def _exact_pair_verdict(check_id, config, label, rows_a: _Fano, rows_b: _Fano, names):
+    """C2/C4 exact: the first row of worst ``_outcome_distance`` of the two sides' Fano rows.
 
-    ``names`` name the two sides in the evidence keys ``p_scatter_<name>``.
-    Only rows that can be the worst get their trace norm.  A Hermitian 4x4
-    matrix of Frobenius norm ``F`` has trace norm in ``[F, 2F]``, so row ``n``
-    lies within ``0.5 * (gap_n + [F_n, 2 F_n])``, with ``gap = |p_a - p_b|``
-    and ``F`` taken of what ``eigvalsh`` reads (``_eigvalsh_frobenius``).
-    When the largest ``gap + F`` is 0, every row is zero as ``eigvalsh``
-    reads it, so row 0 is the worst at distance 0 and no ``eigvalsh`` runs.
-    Otherwise the rows whose upper end, widened by 1e-9 for rounding, reaches
-    the largest lower end, narrowed by as much, are the candidates, and their
-    trace norms are taken of the difference already screened.  Every row
-    that ties the worst is one, and ``eigvalsh`` works on each matrix alone,
-    so the first worst row and its value are those of all rows.
+    ``names`` name the sides in the evidence keys ``p_scatter_<name>``.  A 4x4
+    branch difference of Frobenius norm ``F = ||r_a - r_b||_2 / 2`` has trace norm
+    in ``[F, 2F]``, so row ``n`` lies within ``0.5 * (gap_n + [F_n, 2 F_n])``,
+    ``gap = |p_a - p_b|``.  When the largest ``gap + F`` is 0, row 0 is the worst
+    at distance 0 and no ``eigvalsh`` runs.  Otherwise only the rows whose upper
+    end, widened by 1e-9 for rounding, reaches the largest lower end, narrowed by
+    as much, take a trace norm; each row's distance does not depend on the
+    others, so the first worst row and its value are those of all rows.
     """
-    gap = np.abs(out_a.p_scatter - out_b.p_scatter)
-    diff = out_a.survived - out_b.survived
-    frobenius = _eigvalsh_frobenius(diff)
+    gap = np.abs(rows_a.p_scatter - rows_b.p_scatter)
+    frobenius = _half_norm(rows_a.r - rows_b.r)
     top = (gap + frobenius).max()
     row, distance = 0, 0.0
     if top != 0.0:
         rows = np.flatnonzero((gap + 2.0 * frobenius) * (1.0 + 1e-9) >= top * (1.0 - 1e-9))
-        disc = 0.5 * (gap[rows] + _trace_norm(diff[rows]))
+        disc = _outcome_distance(*(_Fano(*(x[rows] for x in side)) for side in (rows_a, rows_b)))
         worst = int(np.argmax(disc))
         row, distance = int(rows[worst]), float(disc[worst])
-    evidence = {f"p_scatter_{name}": float(out.p_scatter[row])
-                for name, out in zip(names, (out_a, out_b))}
+    evidence = {f"p_scatter_{name}": float(side.p_scatter[row])
+                for name, side in zip(names, (rows_a, rows_b))}
     return _exact_verdict(check_id, distance, label(row), evidence, config)
 
 
@@ -464,7 +467,7 @@ def _input_grid(corner_pairs, seed: int, stream: int, count: int) -> tuple[np.nd
 
 
 class _PairGrid(NamedTuple):
-    """A C2/C4 grid: side a's ``split`` inputs, then side b's, mapped back onto a by ``map_b``.
+    """A C2/C4 grid: side a's ``split`` inputs, then side b's, whose Fano rows ``map_b`` maps back.
 
     ``label(n)`` names input n.  Exact mode reads the grid, Monte Carlo stacks it.
     """
@@ -472,47 +475,43 @@ class _PairGrid(NamedTuple):
     probes: np.ndarray
     objects: np.ndarray
     split: int
-    map_b: Callable[[Coupling], Coupling]
+    map_b: Callable[[_Fano], _Fano]
     label: Callable[[int], str]
 
 
-def _pair_sides(grid: _PairGrid, out: Coupling) -> tuple[Coupling, Coupling]:
-    """Side a's rows of ``out``, the coupling of the grid's inputs, and side b's mapped back."""
-    return (Coupling(*(x[:grid.split] for x in out)),
-            grid.map_b(Coupling(*(x[grid.split:] for x in out))))
+def _pair_sides(grid: _PairGrid, rows: _Fano) -> tuple[_Fano, _Fano]:
+    """Side a's Fano rows of the grid's inputs, ``rows``, and side b's mapped back."""
+    return (_Fano(*(x[:grid.split] for x in rows)),
+            grid.map_b(_Fano(*(x[grid.split:] for x in rows))))
 
 
 def _pair_cases(rule: Rule, grid: _PairGrid):
-    """Exact C2/C4 cases of ``grid``: the row labeller and both sides' couplings."""
-    return grid.label, *_pair_sides(grid, coupling_channel(rule, grid.probes, grid.objects))
+    """Exact C2/C4 cases of ``grid``: the row labeller and both sides' Fano rows."""
+    return grid.label, *_pair_sides(grid, _fano(coupling_channel(rule, grid.probes, grid.objects)))
 
 
 @functools.lru_cache(maxsize=1)
 def _role_grid(corner_pairs, seed: int, stream: int, count: int) -> _PairGrid:
-    """C2's grid: the inputs, the exchanged inputs and SWAP back; it keeps no other copy."""
+    """C2's grid: the inputs, the exchanged inputs and SWAP back, the transpose ``r^T``."""
     probes, objects = _input_grid.__wrapped__(corner_pairs, seed, stream, count)
     stacked = _read_only(np.concatenate([probes, objects]), np.concatenate([objects, probes]))
-    return _PairGrid(*stacked, len(probes), swap_back,
+    return _PairGrid(*stacked, len(probes), lambda rows: rows._replace(r=rows.r.swapaxes(-1, -2)),
                      lambda n: _input_label(stacked[0][n], stacked[1][n]))
 
 
-def _rotate(index, uu, uu_dagger, base: Coupling) -> Coupling:
-    """C4's side b: the coupling ``base`` of the distinct inputs, gathered per input, conjugated."""
-    return Coupling(base.p_scatter[index], uu @ base.survived[index] @ uu_dagger)
+def _rotate(index, rotations, base: _Fano) -> _Fano:
+    """C4's side b: the Fano rows ``base`` of the distinct inputs, gathered per input, rotated."""
+    return _Fano(base.p_scatter[index], rotations @ base.r[index] @ rotations.swapaxes(-1, -2))
 
 
 @functools.lru_cache(maxsize=1)
 def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int) -> _PairGrid:
-    """C4's grid: the rotated inputs, the distinct inputs and the gather and ``U (x) U`` back.
+    """C4's grid: the rotated inputs, the distinct inputs and the gather and ``O r O^T`` back.
 
-    Inputs are every corner unitary on every corner pair, then ``count``
-    Haar unitaries, each with a uniform pair, drawn from one stream.  The
-    corner pairs repeat once per corner unitary, so the distinct probe and
-    object amplitudes are the corner pairs then the uniform pairs, and input
-    ``n`` is distinct input ``index[n]``: side b couples the distinct inputs,
-    and ``map_b`` gathers its rows per input before the conjugation by
-    ``U (x) U``, of shape ``(N, 4, 4)``, and its adjoint, the transposed
-    view of its conjugate.
+    Inputs are every corner unitary on every corner pair, then ``count`` Haar
+    unitaries, each with a uniform pair, drawn from one stream.  Input ``n`` is
+    distinct input ``index[n]`` (the corner pairs, then the uniform pairs): side
+    b couples the distinct inputs, and ``map_b`` gathers them per input.
     """
     corners = _corner_unitaries(bases)
     u = derive_rng(seed, stream).random((count, 7))
@@ -527,32 +526,30 @@ def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int) ->
                             len(corner_pairs) + np.arange(count)])
     stacked_probes = np.concatenate([np.einsum("nij,nj->ni", unitaries, probes[index]), probes])
     stacked_objects = np.concatenate([np.einsum("nij,nj->ni", unitaries, objects[index]), objects])
-    uu = np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 4, 4)
-    uu_dagger = uu.conj().swapaxes(-1, -2)
-    _read_only(index, stacked_probes, stacked_objects, uu, uu_dagger)
+    rotations = _fano_rotations(unitaries)
+    _read_only(index, stacked_probes, stacked_objects, rotations)
 
     def label(n: int) -> str:
         m = len(index) + index[n]  # distinct input index[n], in the stacked inputs the grid keeps
         return f"unitary={names[n]} {_input_label(stacked_probes[m], stacked_objects[m])}"
 
     return _PairGrid(stacked_probes, stacked_objects, len(index),
-                     functools.partial(_rotate, index, uu, uu_dagger), label)
+                     functools.partial(_rotate, index, rotations), label)
 
 
-def _anti_alignment_cases(out: Coupling, probes, objects):
-    """C3 cases of the coupling ``out`` of the inputs: those that survive with more than 1e-6.
+def _anti_alignment_cases(out: _Fano, probes, objects):
+    """C3 cases of the inputs' Fano rows ``out``: a labeller and the rows surviving with > 1e-6.
 
-    A row's aligned weight is at most its survive probability, so a row that
-    all but surely scatters passes on weight alone; with no case left, a rule
-    that almost always scatters (``K = 1e-5 I``) fails as ``K = 0`` does.
-    Returns a labeller of the kept rows and their couplings.
+    A row's aligned weight is at most its survive probability, so a row that all
+    but surely scatters passes on weight alone; with no case left, a rule that
+    almost always scatters (``K = 1e-5 I``) fails as ``K = 0`` does.
     """
     rows = np.flatnonzero(out.p_scatter < 1.0 - 1e-6)
 
     def label(i: int) -> str:
         return _input_label(probes[rows[i]], objects[rows[i]])
 
-    return label, Coupling(*(field[rows] for field in out))
+    return label, _Fano(*(field[rows] for field in out))
 
 
 class _ModePairRows(NamedTuple):
@@ -679,23 +676,22 @@ def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
 
 
 @functools.lru_cache(maxsize=1)
-def _basis_vectors(bases) -> np.ndarray:
-    """The joint vectors ``|b_k b_l>`` of every basis, ``(bases, 4, 4)``, read-only."""
-    return _read_only(np.stack([_joint_vectors(b, b) for b in bases]))[0]
+def _basis_forms(bases) -> np.ndarray:
+    """Linear forms on the 16 entries of a Fano matrix ``r``, ``(bases, 4, 16)``, read-only.
 
-
-def _basis_cells(survivors: np.ndarray, bases) -> np.ndarray:
-    """Joint cells of every survivor in every basis, ``(rows, bases, 4)``, from one Born call."""
-    return _expectations(survivors[:, None], _basis_vectors(bases))
-
-
-def _basis_laws(out: Coupling, bases) -> np.ndarray:
-    """Five-outcome laws of every row in every basis, ``(rows, bases, 5)``.
-
-    The law in a basis is the four joint cells of the survive branch, then scatter.
+    Form ``2 k + l`` of a basis of Bloch axis ``m`` reads the cell ``|b_k b_l>``,
+    ``u_k^T r u_l / 4`` with ``u_1 = (1, m)`` and, the basis being orthonormal, ``u_2 = (1, -m)``.
     """
-    cells = _basis_cells(out.survived, bases)
-    scatter = np.broadcast_to(out.p_scatter[:, None, None], (*cells.shape[:2], 1))
+    axes = np.array([_bloch(b.b1.a_x, b.b1.a_y) for b in bases])
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    u = np.concatenate([np.ones((len(bases), 2, 1)), np.stack([axes, -axes], axis=1)], axis=2)
+    return _read_only(0.25 * np.einsum("jka,jlb->jklab", u, u).reshape(len(bases), 4, 16))[0]
+
+
+def _fano_laws(rows: _Fano, forms: np.ndarray) -> np.ndarray:
+    """Five-outcome laws ``(rows, bases, 5)``: four joint cells, clipped at zero, then scatter."""
+    cells = np.clip(np.einsum("nf,jcf->njc", rows.r.reshape(-1, 16), forms), 0.0, None)
+    scatter = np.broadcast_to(rows.p_scatter[:, None, None], (*cells.shape[:2], 1))
     return np.concatenate([cells, scatter], axis=2)
 
 
@@ -704,13 +700,16 @@ def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
     if config.evaluation == "mc":
         return _mc_pass(rule, config)[2]()
     probes, objects = _input_grid(_CORNER_PAIRS, config.seed, 3, config.input_samples)
-    label, out = _anti_alignment_cases(coupling_channel(rule, probes, objects), probes, objects)
+    out = _fano(coupling_channel(rule, probes, objects))
+    label, out = _anti_alignment_cases(out, probes, objects)
     if not out.p_scatter.size:
         return _no_cases(CHECK_IDS[2], config.epsilon_exact)
-    cells = _basis_cells(out.survived, config.bases)
-    aligned = cells[..., 0] + cells[..., 3]
+    forms = _basis_forms(config.bases)
+    # the aligned weight (r_00 + m^T R m) / 2 reads the aligned cells' forms summed
+    aligned = np.einsum("nf,jf->nj", out.r.reshape(-1, 16), forms[:, 0] + forms[:, 3])
     n, k = np.unravel_index(np.argmax(aligned), aligned.shape)
-    evidence = {"cells": [float(c) for c in cells[n, k]], "aligned_weight": float(aligned[n, k])}
+    cells = _fano_laws(_Fano(*(x[n:n + 1] for x in out)), forms)[0, k, :4]
+    evidence = {"cells": [float(c) for c in cells], "aligned_weight": float(aligned[n, k])}
     witness = f"{label(n)} basis={config.bases[k].label}"
     return _exact_verdict(CHECK_IDS[2], float(aligned[n, k]), witness, evidence, config)
 
@@ -761,26 +760,27 @@ def _mc_grid(bases, seed: int, input_count: int, unitary_count: int) -> _Stacked
 def _mc_pass(rule: Rule, config: AuditConfig) -> tuple:
     """Monte Carlo C1-C4 of ``rule``: per check, a callable giving its ``CheckResult``.
 
-    One ``coupling_channel`` call runs the stacked grid, as it gives each
-    block the rows of its own call.  One Born call reads the laws of C2's,
-    C3's and C4's rows, each check draws its counts from its own streams, and
-    one chi-square call takes C1's comparisons, padded to five cells, with
-    C2's and C4's; two samples that fill one and the same cell agree, at p = 1.
-    Each callable builds a new result, so no caller changes what another reads.
+    One coupling call and one Fano conversion run the stacked grid, as they
+    give each block the rows of its own calls.  One law map reads C2's, C3's
+    and C4's laws, each check draws its counts from its own streams, and one
+    chi-square call takes C1's comparisons, padded to five cells, with C2's and
+    C4's; two samples that fill one and the same cell agree, at p = 1.  Each
+    callable builds a new result, so no caller changes what another reads.
     """
     grid = _mc_grid(config.bases, config.seed, config.mc_input_samples, config.mc_unitary_samples)
     out = coupling_channel(rule, grid.probes, grid.objects)
-
-    def block(b: int) -> Coupling:
-        return Coupling(*(x[grid.blocks[b]] for x in out))
-
-    laws = _mode_pair_laws(block(_C1), grid.c1, grid.c1.mc)
+    laws = _mode_pair_laws(Coupling(*(x[grid.blocks[_C1]] for x in out)), grid.c1, grid.c1.mc)
     mode1, mode2 = _mc_sides(config, laws[:, 0], laws[:, 1], 11)
+    fano = _fano(out)
+
+    def block(b: int) -> _Fano:
+        return _Fano(*(x[grid.blocks[b]] for x in fano))
 
     aligned_label, aligned = _anti_alignment_cases(block(_C3), *grid.alignment)
     sides = (*_pair_sides(grid.role, block(_C2)), aligned,
              *_pair_sides(grid.covariance, block(_C4)))
-    laws = _unstack(_basis_laws(Coupling(*map(np.concatenate, zip(*sides))), config.bases),
+    laws = _unstack(_fano_laws(_Fano(*map(np.concatenate, zip(*sides))),
+                               _basis_forms(config.bases)),
                     [side.p_scatter.shape for side in sides])
     role = _mc_sides(config, laws[0], laws[1], 22)
     aligned_counts = sample_counts(config.seed, config.mc_trials, laws[2], 32, 1)

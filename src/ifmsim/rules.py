@@ -34,10 +34,11 @@ survive branch; a level of 0 adds no input term at all.  ``coupling_channel``
 evaluates a whole batch of input pairs as arrays at one noise level, and
 every experiment and audit check reads its rows, each the outcome
 ``p (+) sigma`` of scatter probability and survive branch (the single-pair
-forms and the correlation and flip runs normalise ``sigma``);
-``swap_back`` maps the rows of exchanged inputs back through SWAP.
+forms and the correlation and flip runs normalise ``sigma``).  A row
+does not depend on the batch it is run in, one pair's row included.
 ``apply_rule`` and ``swapped_channel`` are single-pair conveniences for
-library callers; they stay because the ``ifmbench`` benchmark traces them.
+library callers, the latter mapped back by ``swap_back``; they stay
+because the ``ifmbench`` benchmark traces them.
 All functions here are pure and deterministic; randomness lives only in
 the Monte Carlo engine.
 """
@@ -60,6 +61,7 @@ from .states import (
     SINGLET,
     _pair_amps,
     _projectors,
+    _row_product,
     overlap_probability,
     parse_basis_spec,
 )
@@ -187,9 +189,12 @@ def _orthogonal(amps: np.ndarray) -> np.ndarray:
 
 
 def _linear_law(operator: np.ndarray) -> Callable:
-    """The law of survive operator ``K``: scatter with the weight ``K`` removes, keep ``K psi``."""
+    """The law of survive operator ``K``: scatter with the weight ``K`` removes, keep ``K psi``.
+
+    One pair's row has the bits it has among many (``_row_product``).
+    """
     def law(probes, objects, inp):
-        kept = inp @ operator.T
+        kept = _row_product(inp, operator.T)
         return np.clip(1.0 - np.sum(np.abs(kept) ** 2, axis=1), 0.0, 1.0), _projectors(kept)
     return law
 
@@ -239,8 +244,8 @@ def preferred_basis(basis: Basis) -> Rule:
     cell12, cell21 = _projectors(np.array([v12, v21]))
 
     def survivors(probes, objects, inp):
-        w12 = np.abs(inp @ v12.conj()) ** 2
-        w21 = np.abs(inp @ v21.conj()) ** 2
+        w12 = np.abs(_row_product(inp, v12.conj())) ** 2
+        w21 = np.abs(_row_product(inp, v21.conj())) ** 2
         total = w12 + w21
         # no anti-aligned weight to go by: split evenly between the two cells
         degenerate = total <= PHASE_EPS

@@ -71,6 +71,17 @@ def _pair_amps(probes: np.ndarray, objects: np.ndarray) -> np.ndarray:
     return (probes[:, :, None] * objects[:, None, :]).reshape(-1, 4)
 
 
+def _row_product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``rows @ matrix``, each row with the bits it has in a batch of any size.
+
+    BLAS multiplies a lone row by another kernel (gemv), one rounding apart,
+    so a lone row is stacked twice and the first product kept.
+    """
+    if len(rows) == 1:
+        return (np.concatenate([rows, rows]) @ matrix)[:1]
+    return rows @ matrix
+
+
 def _projectors(amps: np.ndarray) -> np.ndarray:
     """``|v><v|`` for every row ``v`` of ``amps``."""
     return amps[:, :, None] * amps[:, None, :].conj()

@@ -43,8 +43,8 @@ from ifmsim.rules import (
 )
 from ifmsim.states import (
     BASIS_DIAG, BASIS_SIGMA, BASIS_XY, NAMED_STATES, PHASE_EPS, SINGLET, STATE_X, STATE_Y,
-    QubitState, _canonical_phase, _pair_amps, haar_unitaries, joint_born_distribution,
-    mutually_unbiased, orthogonal_state, state_label, uniform_state_amps,
+    QubitState, _canonical_phase, _joint_vectors, _pair_amps, eigenbasis_of, haar_unitaries,
+    joint_born_distribution, mutually_unbiased, orthogonal_state, state_label, uniform_state_amps,
 )
 
 FAST_EXACT = AuditConfig(unitary_samples=25, input_samples=40, seed=11)
@@ -459,7 +459,7 @@ GRID_BUILDERS = (
     audit._input_grid,
     audit._role_grid,
     audit._covariance_grid,
-    audit._basis_vectors,
+    audit._basis_forms,
     audit._mc_grid,
 )
 
@@ -472,15 +472,15 @@ def _cold_report(rule, config) -> str:
 
 
 # keyed on the bases alone, so both modes share them
-MODE_FREE_GRIDS = (audit._mode_pair_grid, audit._basis_vectors)
-# Reads of each grid per audit: exact checks read their own grids and C3's Born
-# call the basis vectors; the Monte Carlo pass reads the stacked grid, which
-# carries the check grids it stacks, and, in its one Born call, the basis
-# vectors.  Building the stacked grid reads C1's, C2's, C3's and C4's grids.
+MODE_FREE_GRIDS = (audit._mode_pair_grid, audit._basis_forms)
+# Reads of each grid per audit: exact checks read their own grids and C3 the
+# basis forms; the Monte Carlo pass reads the stacked grid, which carries the
+# check grids it stacks, and, in its one law map, the basis forms.  Building
+# the stacked grid reads C1's, C2's, C3's and C4's grids.
 AUDIT_READS = {
     "exact": {audit._mode_pair_grid: 1, audit._input_grid: 1, audit._role_grid: 1,
-              audit._covariance_grid: 1, audit._basis_vectors: 1},
-    "mc": {audit._basis_vectors: 1, audit._mc_grid: 1},
+              audit._covariance_grid: 1, audit._basis_forms: 1},
+    "mc": {audit._basis_forms: 1, audit._mc_grid: 1},
 }
 STACKED_GRID_READS = {audit._mode_pair_grid: 1, audit._input_grid: 1, audit._role_grid: 1,
                       audit._covariance_grid: 1}
@@ -547,7 +547,7 @@ def test_cached_grid_arrays_are_read_only():
     c1 = audit._mode_pair_grid(bases)
     stacked = audit._mc_grid(bases, 0, 3, 2)
     # C2's and C4's grids as exact mode reads them and as Monte Carlo stacks them;
-    # C4's map_b reads the input index, U (x) U and its adjoint
+    # C4's map_b reads the input index and the Fano rotations O = 1 (+) R(U)
     role_grids = (audit._role_grid(audit._CORNER_PAIRS, 0, 2, 3), stacked.role)
     covariance_grids = (audit._covariance_grid(bases, audit._CORNER_PAIRS, 0, 4, 2),
                         stacked.covariance)
@@ -558,11 +558,14 @@ def test_cached_grid_arrays_are_read_only():
         stacked.alignment,
         *(grid[:2] for grid in role_grids + covariance_grids),
         *(grid.map_b.args for grid in covariance_grids),
-        (audit._basis_vectors(bases),),
+        (audit._basis_forms(bases),),
     ]
     for grid in covariance_grids:
-        _, uu, uu_dagger = grid.map_b.args
-        assert uu_dagger.tobytes() == uu.conj().swapaxes(-1, -2).tobytes()
+        _, rotations = grid.map_b.args
+        assert rotations.dtype == np.float64
+        assert np.abs(rotations[:, 0] - [1.0, 0.0, 0.0, 0.0]).max() <= 1e-15
+        orthogonal = rotations @ rotations.swapaxes(-1, -2)
+        assert np.abs(orthogonal - np.eye(4)).max() <= 1e-14
     for grid in grids:
         for array in grid:
             with pytest.raises(ValueError, match="read-only"):
@@ -640,8 +643,8 @@ FAST_MC_PINNED = {
         "C2": ("input=(theta,phi=1.22831,-0.0149869, theta,phi=2.19804,0.513273) basis=DIAG",
                0.9808942058940981, 0.9999722222222223, 0.01910579410590186),
         "C3": ("no aligned events observed", 0.0, 5e-06, None),
-        "C4": ("unitary=SIGMA->DIAG input=(y, x) basis=DIAG", 0.9715733700717815,
-               0.9999925925925925, 0.028426629928218514),
+        "C4": ("unitary=DIAG->XY input=(y, x) basis=XY", 0.9985705472695843,
+               0.9999925925925925, 0.0014294527304157011),
     },
 }
 
@@ -945,9 +948,9 @@ def test_symmetry_breaking_metric_falls_with_delta():
 
 
 def _pair_cases_at(rule, grid, q):
-    """``audit._pair_cases`` of ``grid`` at fly-by level ``q``: the labeller, both couplings."""
+    """``audit._pair_cases`` of ``grid`` at fly-by level ``q``: labeller, both sides' Fano rows."""
     out = rules.coupling_channel(rule, grid.probes, grid.objects, q)
-    return (grid.label, *audit._pair_sides(grid, out))
+    return (grid.label, *audit._pair_sides(grid, audit._fano(out)))
 
 
 def test_c3_of_the_delta_family_does_not_depend_on_the_sample_count():
@@ -985,15 +988,15 @@ def test_outcome_distance_matches_nuclear_norm_and_bounds_basis_tvd(rule):
     for _, out_a, out_b in (*_exact_pair_cases(rule, config),
                             *_exact_pair_cases(rule, config, 0.5)):
         distance = audit._outcome_distance(out_a, out_b)
-        diff = out_a.survived - out_b.survived
+        diff = _pauli_sum_reference(out_a.r - out_b.r)
         rows = derive_rng(7).choice(len(distance), size=40, replace=False)
         for n in rows:
             nuclear = np.linalg.svd(diff[n], compute_uv=False).sum()
             brute = 0.5 * (abs(out_a.p_scatter[n] - out_b.p_scatter[n]) + nuclear)
             assert distance[n] == pytest.approx(brute, abs=1e-12), n
         # the distance bounds the five-outcome law that Monte Carlo samples, in every basis
-        basis_tvd = tvd(audit._basis_laws(out_a, config.bases),
-                        audit._basis_laws(out_b, config.bases))
+        forms = audit._basis_forms(config.bases)
+        basis_tvd = tvd(audit._fano_laws(out_a, forms), audit._fano_laws(out_b, forms))
         assert np.all(distance[:, None] >= basis_tvd - 1e-12)
 
 
@@ -1089,10 +1092,10 @@ ALL_LEVEL_CONFIGS = {
 }
 
 
-def _interleaved(couplings) -> rules.Coupling:
-    """One coupling of the rows of ``couplings``, input-major, then the coupling's position."""
-    return rules.Coupling(*(np.stack(rows, axis=1).reshape(-1, *rows[0].shape[1:])
-                            for rows in zip(*couplings)))
+def _interleaved(sides) -> audit._Fano:
+    """The Fano rows of ``sides`` as one, input-major, then the side's position."""
+    return audit._Fano(*(np.stack(rows, axis=1).reshape(-1, *rows[0].shape[1:])
+                         for rows in zip(*sides)))
 
 
 @pytest.mark.parametrize("config, levels", ALL_LEVEL_CONFIGS.values(), ids=ALL_LEVEL_CONFIGS)
@@ -1130,8 +1133,8 @@ def test_exact_pair_verdict_matches_reference_on_synthetic_couplings(scale):
     p_a = 0.01 * rng.random(40)
     p_a[5] = 0.9
     p_a[20] = p_a[10]
-    out_a = rules.Coupling(scale * p_a, scale * hermitian)
-    out_b = rules.Coupling(np.zeros(40), np.zeros((40, 4, 4), dtype=complex))
+    out_a = audit._fano(rules.Coupling(scale * p_a, scale * hermitian))
+    out_b = audit._fano(rules.Coupling(np.zeros(40), np.zeros((40, 4, 4), dtype=complex)))
     got = audit._exact_pair_verdict(CHECK_IDS[1], AuditConfig(), str, out_a, out_b, ("a", "b"))
     want = _all_rows_pair_verdict(CHECK_IDS[1], AuditConfig(), str, out_a, out_b, ("a", "b"))
     assert _result_fields(got) == _result_fields(want)
@@ -1161,7 +1164,8 @@ def test_exact_pair_verdict_runs_no_eigvalsh_when_every_row_is_zero(rule, monkey
     (audit._MC_CORNER_PAIRS, 41, FAST_MC.mc_unitary_samples),
 ], ids=["exact", "mc"])
 def test_covariance_cases_match_a_base_coupling_on_every_row(pairs, stream, count):
-    # the base coupling runs once per distinct input and is gathered per row
+    # the base coupling runs once per distinct input, and its Fano rows are
+    # gathered per row and rotated by O r O^T
     config = FAST_EXACT
     grid = audit._covariance_grid(tuple(config.bases), pairs, config.seed, stream, count)
     probes, objects = (inputs[grid.split:] for inputs in grid[:2])
@@ -1173,16 +1177,17 @@ def test_covariance_cases_match_a_base_coupling_on_every_row(pairs, stream, coun
                                 haar_unitaries(draw[:, 0:3])])
     index = np.concatenate([np.tile(np.arange(len(pairs)), len(corners)),
                             len(pairs) + np.arange(count)])
-    uu = np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 4, 4)
+    rotations = audit._fano_rotations(unitaries)
+    assert grid.map_b.args[1].tobytes() == rotations.tobytes()
     for inputs, distinct in zip(grid[:2], (probes, objects)):
         rotated = inputs[:grid.split]
         assert rotated.tobytes() == np.einsum("nij,nj->ni", unitaries, distinct[index]).tobytes()
     for rule in PAIR_CHECK_RULES:
         _, _, conjugated = audit._pair_cases(rule, grid)
-        base = rules.coupling_channel(rule, probes[index], objects[index])
-        survived = uu @ base.survived @ uu.conj().swapaxes(-1, -2)
+        base = audit._fano(rules.coupling_channel(rule, probes[index], objects[index]))
+        r = rotations @ base.r @ rotations.swapaxes(-1, -2)
         assert conjugated.p_scatter.tobytes() == base.p_scatter.tobytes(), rule.name
-        assert conjugated.survived.tobytes() == survived.tobytes(), rule.name
+        assert conjugated.r.tobytes() == r.tobytes(), rule.name
 
 
 @pytest.mark.parametrize("levels", [(0.0,), (0.3,), (0.0, 0.5)], ids=str)
@@ -1201,8 +1206,9 @@ def test_pair_cases_sides_equal_a_coupling_call_per_side(levels):
         for rule, q in itertools.product(PAIR_CHECK_RULES, levels):
             _, got_a, got_b = (audit._pair_cases(rule, grid) if q == 0.0
                                else _pair_cases_at(rule, grid, q))
-            want_a = rules.coupling_channel(rule, sides[0][0], sides[1][0], q)
-            want_b = grid.map_b(rules.coupling_channel(rule, sides[0][1], sides[1][1], q))
+            want_a = audit._fano(rules.coupling_channel(rule, sides[0][0], sides[1][0], q))
+            want_b = grid.map_b(audit._fano(rules.coupling_channel(rule, sides[0][1], sides[1][1],
+                                                                   q)))
             for got, want in ((got_a, want_a), (got_b, want_b)):
                 for field, expected in zip(got, want):
                     assert field.shape == expected.shape, rule.name
@@ -1351,20 +1357,29 @@ def test_chi_square_sf_elementwise_equals_the_scalar_series_bit_for_bit():
     assert type(_chi_square_sf(3.0, 2)) is float
 
 
-def test_basis_laws_equal_a_born_call_per_basis():
-    # one Born call over every basis gives the bits of one call per basis, and
-    # one call over both sides' rows, as Monte Carlo C2/C4 make, those of each side
+def test_fano_laws_equal_the_born_laws_and_a_call_per_basis():
+    # the law map over every basis gives the bits of one call per basis and the
+    # Born laws of the survive branches; one call over both sides' rows, as Monte
+    # Carlo C2/C4 make, gives the bits of each side's own call
     config = FAST_EXACT
+    grid = audit._role_grid(audit._CORNER_PAIRS, config.seed, 2, 20)
+    forms = audit._basis_forms(config.bases)
     for rule in PAIR_CHECK_RULES:
-        _, direct, mirrored = audit._pair_cases(
-            rule, audit._role_grid(audit._CORNER_PAIRS, config.seed, 2, 20))
-        for out in (direct, mirrored):
-            want = np.stack([np.column_stack([joint_born_distribution(out.survived, b, b),
-                                              out.p_scatter]) for b in config.bases], axis=1)
-            assert audit._basis_laws(out, config.bases).tobytes() == want.tobytes(), rule.name
-        both = rules.Coupling(*map(np.concatenate, zip(direct, mirrored)))
-        sides = [audit._basis_laws(out, config.bases) for out in (direct, mirrored)]
-        assert audit._basis_laws(both, config.bases).tobytes() == np.concatenate(sides).tobytes()
+        _, direct, mirrored = audit._pair_cases(rule, grid)
+        out = rules.coupling_channel(rule, grid.probes, grid.objects)
+        branches = (out.survived[:grid.split], rules.swap_back(
+            rules.Coupling(*(x[grid.split:] for x in out))).survived)
+        for rows, sigma in zip((direct, mirrored), branches):
+            laws = audit._fano_laws(rows, forms)
+            for k, basis in enumerate(config.bases):
+                alone = audit._fano_laws(rows, audit._basis_forms((basis,)))
+                assert alone.tobytes() == laws[:, k:k + 1].tobytes(), rule.name
+                born = np.column_stack([joint_born_distribution(sigma, basis, basis),
+                                        rows.p_scatter])
+                assert np.abs(laws[:, k] - born).max() <= 1e-13, rule.name
+        both = audit._Fano(*map(np.concatenate, zip(direct, mirrored)))
+        sides = [audit._fano_laws(rows, forms) for rows in (direct, mirrored)]
+        assert audit._fano_laws(both, forms).tobytes() == np.concatenate(sides).tobytes()
 
 
 def test_audits_load_no_numpy_ma():
@@ -1562,11 +1577,10 @@ BLOCK_RULES = [*builtin_rules(), rule_from_name("coherent-projection:sigma"),
 @pytest.mark.parametrize("rule", BLOCK_RULES, ids=lambda rule: rule.name)
 def test_stacked_grid_blocks_keep_the_bits_of_their_own_calls(rule, levels):
     # the Monte Carlo pass couples every block of the stacked grid in one call
-    # at level 0; a block of two or more rows keeps the bits of its own call,
-    # at level 0 and at each of ``levels``.  A single row of a dense survive
-    # operator takes another BLAS path and can differ by up to 2.2e-16, so that
-    # is not asserted; no block holds one row, as every nonempty block starts
-    # with the corner pairs or C1's coupling rows.
+    # at level 0 and takes their Fano rows in one more; a block keeps the bits
+    # of its own calls, at level 0 and at each of ``levels``.  Every nonempty
+    # block starts with the corner pairs or C1's coupling rows, so none holds
+    # one row.
     configs = (AuditConfig(evaluation="mc"),
                AuditConfig(evaluation="mc", bases=(BASIS_XY, BASIS_SIGMA), seed=3,
                            mc_input_samples=1, mc_unitary_samples=1))
@@ -1575,11 +1589,13 @@ def test_stacked_grid_blocks_keep_the_bits_of_their_own_calls(rule, levels):
                               config.mc_unitary_samples)
         stacked = rules.coupling_channel(rule, grid.probes, grid.objects, q)
         assert grid.blocks[-1].stop == len(grid.probes)
+        fano = audit._fano(stacked)
         for rows in grid.blocks:
             assert rows.stop - rows.start >= 2
             alone = rules.coupling_channel(rule, grid.probes[rows], grid.objects[rows], q)
             for got, want in zip(stacked, alone):
                 assert got[rows].tobytes() == want.tobytes(), (rows, q)
+            assert fano.r[rows].tobytes() == audit._fano(alone).r.tobytes(), (rows, q)
 
 
 def test_each_audit_runs_its_own_mc_pass(monkeypatch):
@@ -1657,17 +1673,19 @@ def _mc_checks_one_call_each(rule, config):
             (CHECK_IDS[3], audit._covariance_grid(bases, pairs, config.seed, 41,
                                                   config.mc_unitary_samples), 41)):
         label, out_a, out_b = audit._pair_cases(rule, grid)
-        counts = audit._mc_sides(config, audit._basis_laws(out_a, bases),
-                                 audit._basis_laws(out_b, bases), stream + 1)
+        forms = audit._basis_forms(bases)
+        counts = audit._mc_sides(config, audit._fano_laws(out_a, forms),
+                                 audit._fano_laws(out_b, forms), stream + 1)
         results.append(audit._mc_verdict(
             check_id, config, _one_cell_p_values(*counts),
             lambda row, k, label=label: f"{label(row)} basis={bases[k].label}",
             lambda row, k: {}))
     probes, objects = audit._input_grid(audit._MC_CORNER_PAIRS, config.seed, 31,
                                         config.mc_input_samples)
-    label, out = audit._anti_alignment_cases(rules.coupling_channel(rule, probes, objects),
-                                             probes, objects)
-    counts = sample_counts(config.seed, config.mc_trials, audit._basis_laws(out, bases), 32, 1)
+    label, out = audit._anti_alignment_cases(
+        audit._fano(rules.coupling_channel(rule, probes, objects)), probes, objects)
+    counts = sample_counts(config.seed, config.mc_trials,
+                           audit._fano_laws(out, audit._basis_forms(bases)), 32, 1)
     results.insert(2, audit._mc_aligned_verdict(config, label, counts))
     return results
 
@@ -1707,3 +1725,107 @@ def test_k_zero_reads_one_row_in_both_modes(levels, k_zero_rows):
     for q in levels:
         for _, out_a, out_b in _exact_pair_cases(K_ZERO, AuditConfig(), q):
             assert audit._outcome_distance(out_a, out_b).max() <= 1e-12, q
+
+
+# The Pauli matrices I, X, Y, Z and their pair products P_a (x) P_b, built with
+# np.kron apart from the audit's own tables: PAULI_KRON[a, b] is P_a (x) P_b.
+PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+          np.diag([1.0, -1.0]))
+PAULI_KRON = np.array([[np.kron(a, b) for b in PAULIS] for a in PAULIS])
+
+
+def _pauli_sum_reference(r):
+    """``sum_ab r_ab P_a (x) P_b / 4`` per row."""
+    return np.einsum("nab,abij->nij", r, PAULI_KRON) / 4.0
+
+
+def _random_branches(rng, count):
+    """``count`` random Hermitian 4x4 matrices, entries of order 1."""
+    a = rng.normal(size=(count, 4, 4)) + 1j * rng.normal(size=(count, 4, 4))
+    return a + a.conj().swapaxes(-1, -2)
+
+
+def _aligned_weights(r, forms):
+    """Per row and basis, the aligned weight exact C3 reads: the aligned cells' forms summed."""
+    return np.einsum("nf,jf->nj", r.reshape(-1, 16), forms[:, 0] + forms[:, 3])
+
+
+def _fano_of(sigma):
+    return audit._fano(rules.Coupling(np.zeros(len(sigma)), sigma)).r
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_fano_identities_hold_on_random_branches(seed):
+    # the Fano matrix r_ab = tr(sigma P_a (x) P_b) of a Hermitian sigma: SWAP is
+    # r^T, U (x) U is O r O^T, the Pauli sum gives sigma back, the Frobenius norm
+    # of a difference is half that of its Fano difference, and a basis of Bloch
+    # axis m reads its aligned Born cells as (r_00 + m^T R m) / 2
+    rng = np.random.default_rng(seed)
+    sigma, other = _random_branches(rng, 8), _random_branches(rng, 8)
+    r = _fano_of(sigma)
+    assert np.abs(r - np.einsum("nij,abji->nab", sigma, PAULI_KRON).real).max() <= 1e-13
+    swap = rules.SWAP
+    assert np.abs(_fano_of(swap @ sigma @ swap) - r.swapaxes(-1, -2)).max() <= 1e-13
+    unitaries = haar_unitaries(rng.random((8, 3)))
+    uu = np.einsum("nij,nkl->nikjl", unitaries, unitaries).reshape(-1, 4, 4)
+    rotations = audit._fano_rotations(unitaries)
+    rotated = _fano_of(uu @ sigma @ uu.conj().swapaxes(-1, -2))
+    assert np.abs(rotated - rotations @ r @ rotations.swapaxes(-1, -2)).max() <= 1e-13
+    assert np.abs(audit._pauli_sum(r) - sigma).max() <= 1e-13
+    assert np.abs(_pauli_sum_reference(r) - sigma).max() <= 1e-13
+    frobenius = np.linalg.norm(sigma - other, axis=(1, 2))
+    assert np.abs(audit._half_norm(r - _fano_of(other)) - frobenius).max() <= 1e-13
+    bases = (BASIS_XY, BASIS_SIGMA, BASIS_DIAG,
+             eigenbasis_of(QubitState(uniform_state_amps(rng.random(2)))))
+    forms = audit._basis_forms(bases)
+    aligned = _aligned_weights(r, forms)
+    cells = np.einsum("nf,jcf->njc", r.reshape(-1, 16), forms)
+    for k, basis in enumerate(bases):
+        vectors = _joint_vectors(basis, basis)
+        born = np.einsum("ci,nij,cj->nc", vectors.conj(), sigma, vectors).real
+        assert np.abs(aligned[:, k] - born[:, [0, 3]].sum(axis=1)).max() <= 1e-13
+        assert np.abs(cells[:, k] - born).max() <= 1e-13
+
+
+def test_singlet_reads_minus_the_identity_on_its_bloch_block():
+    # the singlet's Fano matrix is diag(1, -1, -1, -1), so each survive branch
+    # (1 - p) |S><S| reads (1 - p) diag(1, -1, -1, -1), and (r_00 + m^T R m) / 2
+    # is 0 for every unit axis m
+    singlet = np.diag([1.0, -1.0, -1.0, -1.0])
+    assert np.abs(_fano_of(SINGLET.density()[None])[0] - singlet).max() <= 1e-15
+    config = AuditConfig()
+    probes, objects = audit._input_grid(audit._CORNER_PAIRS, config.seed, 3, 50)
+    rows = audit._fano(rules.coupling_channel(singlet_rule(), probes, objects))
+    want = (1.0 - rows.p_scatter)[:, None, None] * singlet
+    assert np.abs(rows.r - want).max() <= 1e-15
+    aligned = _aligned_weights(rows.r, audit._basis_forms(config.bases))
+    assert np.abs(aligned).max() <= 1e-15
+
+
+# The Monte Carlo sample cap's row count: blocks of it at these sizes and offsets.
+BATCH_ROWS = 100_036
+BLOCK_SIZES = (1, 2, 3, 236, 2036, 20036)
+BLOCK_OFFSETS = (0, 1, 513, 40000)
+
+
+def test_fano_rows_and_laws_do_not_depend_on_their_batch():
+    # the Fano conversion, the law map, the Pauli sum the pair screen rebuilds and
+    # C4's rotation give every block of rows, a single row among them, the bits it
+    # has in a batch of the sample cap's size
+    rng = derive_rng(3201)
+    sigma = _random_branches(rng, BATCH_ROWS)
+    full = audit._fano(rules.Coupling(rng.random(BATCH_ROWS), sigma))
+    forms = audit._basis_forms(AuditConfig().bases)
+    laws = audit._fano_laws(full, forms)
+    rebuilt = audit._pauli_sum(full.r)
+    rotations = audit._fano_rotations(haar_unitaries(rng.random((BATCH_ROWS, 3))))
+    index = np.arange(BATCH_ROWS)
+    turned = audit._rotate(index, rotations, full).r
+    for size, offset in itertools.product(BLOCK_SIZES, BLOCK_OFFSETS):
+        rows = slice(offset, offset + size)
+        block = audit._fano(rules.Coupling(full.p_scatter[rows], sigma[rows]))
+        assert block.r.tobytes() == full.r[rows].tobytes(), (size, offset)
+        assert audit._fano_laws(block, forms).tobytes() == laws[rows].tobytes(), (size, offset)
+        assert audit._pauli_sum(block.r).tobytes() == rebuilt[rows].tobytes(), (size, offset)
+        alone = audit._rotate(index[:size], rotations[rows], block).r
+        assert alone.tobytes() == turned[rows].tobytes(), (size, offset)

@@ -28,8 +28,9 @@ basis's cells are linear forms of ``r``, and its aligned weight, for Bloch axis
 ``(1 - p) diag(1, -1, -1, -1)``.  C2 and C4 screen rows by ``||r_a - r_b||_2 / 2``,
 the Frobenius norm of the branch difference, and take the trace norm of the
 rebuilt ``sum_ab dr_ab P_a (x) P_b / 4`` on the candidates.  C1 reads ``sigma``
-through the filter's click laws.  Every product gives a row the bits it has in a
-batch of any size, one row included.
+with no division through ``experiments.filter_laws``, the filter device's one
+law, which ``run filter`` reads too.  Every product gives a row the bits it has
+in a batch of any size, one row included.
 
 Every check couples at fly-by level 0.  A fly-by leaves the untouched product
 input, which both C1 source modes turn into the click law of ``I/2`` and which
@@ -80,8 +81,8 @@ from .experiments import (
     check_fields,
     conditional_clicks,
     derive_rng,
+    filter_laws,
     sample_counts,
-    survivor_clicks,
 )
 from .rules import Coupling, Rule, coupling_channel
 from .states import (
@@ -620,19 +621,6 @@ def _mode_pair_grid(bases) -> _ModePairGrid:
     )
 
 
-def _mode_pair_laws(coupled: Coupling, grid: _ModePairGrid, rows: _ModePairRows) -> np.ndarray:
-    """Detector laws of the C1 ``rows``, one per case, over (source mode, outcome).
-
-    ``coupled`` holds the coupling of the grid's coupling rows.  The law is
-    ``experiments.filter_law`` at level 0: the two equally likely source
-    branches' clicks, then their scatter.
-    """
-    p_scatter, clicks = survivor_clicks(coupled, grid.swapped, rows.analyzers, rows.take)
-    p_scatter, clicks = (x.reshape(-1, 2, 2, *x.shape[1:]) for x in (p_scatter, clicks))
-    return np.concatenate([0.5 * clicks[..., 0, :] + 0.5 * clicks[..., 1, :],
-                           0.5 * p_scatter[..., 0, None] + 0.5 * p_scatter[..., 1, None]], axis=-1)
-
-
 def _mode_pair_witness(cases, row: int) -> str:
     """Label of C1 case ``row``."""
     swapped, object_basis, analyzer, mode2_basis = cases[row]
@@ -648,7 +636,8 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
     grid = _mode_pair_grid(config.bases)
     if not grid.exact.cases:
         return _no_cases(CHECK_IDS[0], config.epsilon_exact)
-    laws = _mode_pair_laws(coupling_channel(rule, grid.probes, grid.objects), grid, grid.exact)
+    laws = filter_laws(coupling_channel(rule, grid.probes, grid.objects), grid.swapped,
+                       grid.exact.analyzers, grid.exact.take).reshape(-1, 2, 3)
     conditional, defined = conditional_clicks(laws)
     both = defined.all(axis=1)
     # the full view scores the case; the view given survival, in the same call, explains
@@ -769,7 +758,8 @@ def _mc_pass(rule: Rule, config: AuditConfig) -> tuple:
     """
     grid = _mc_grid(config.bases, config.seed, config.mc_input_samples, config.mc_unitary_samples)
     out = coupling_channel(rule, grid.probes, grid.objects)
-    laws = _mode_pair_laws(Coupling(*(x[grid.blocks[_C1]] for x in out)), grid.c1, grid.c1.mc)
+    laws = filter_laws(Coupling(*(x[grid.blocks[_C1]] for x in out)), grid.c1.swapped,
+                       grid.c1.mc.analyzers, grid.c1.mc.take).reshape(-1, 2, 3)
     mode1, mode2 = _mc_sides(config, laws[:, 0], laws[:, 1], 11)
     fano = _fano(out)
 

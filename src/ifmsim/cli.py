@@ -235,7 +235,7 @@ def run():
 @run.command("filter")
 @_rule_option()
 @click.option("--source-mode", type=click.IntRange(1, 2), default=1, show_default=True,
-              help="1: source emits the filter particle's eigenbasis; 2: a conjugate basis.")
+              help="1: source emits the filter particle's eigenbasis; 2: a basis unbiased with it.")
 @click.option("--source-basis", default=None, help="Override the source basis (xy|sigma|diag).")
 @click.option("--object-state", default="x", show_default=True,
               help="Filter particle state (stage B).")

@@ -3,7 +3,8 @@
 The device has a source (stage A), a filter (stage B) and an analyzer
 (stage C).  The source emits one of the two states of its basis with
 probability 1/2 each; mode 1 uses the filter particle's own eigenbasis,
-mode 2 a conjugate basis (SIGMA by default).  The filter particle is
+mode 2 a conjugate basis: by default the first of SIGMA, DIAG and XY
+unbiased with mode 1's, or SIGMA when none is.  The filter particle is
 freshly prepared in ``object_state`` for every emission; nothing persists
 between trials.  Surviving source particles are projected by the analyzer
 onto ``analyzer_basis`` and detected; scatter events are observable as the
@@ -14,6 +15,10 @@ the rule's probe slot and the filter particle its object slot.  Swapping
 roles exchanges the wiring (the source feeds the object slot) while the
 rule itself is left untouched, which is exactly the symmetry the audit
 interrogates.  The analyzer always watches the source particle.
+
+A run couples its two source states with ``coupling_channel`` at
+``noise_q``, the one place fly-by noise enters, and ``filter_laws`` reads
+its detector law from the coupling rows, as the audit's C1 does.
 
 PRNG contract: every stochastic run draws from a Philox generator keyed
 by the words ``numpy.random.SeedSequence(seed, spawn_key=stream)``
@@ -35,6 +40,7 @@ import numpy as np
 
 from .rules import Coupling, Rule, coupling_channel, pair_channel
 from .states import (
+    BASIS_DIAG,
     BASIS_SIGMA,
     BASIS_XY,
     Basis,
@@ -43,9 +49,9 @@ from .states import (
     STATE_X,
     STATE_Y,
     _expectations,
-    _projectors,
     eigenbasis_of,
     joint_born_distribution,
+    mutually_unbiased,
     partial_trace,
 )
 
@@ -212,14 +218,17 @@ class FilterConfig:
     def resolved_source_basis(self) -> Basis:
         """Explicit source basis, or the mode default.
 
-        Mode 1 defaults to the filter particle's eigenbasis; mode 2
-        defaults to SIGMA.
+        Mode 1 defaults to the filter particle's eigenbasis; mode 2 to the
+        first of SIGMA, DIAG and XY unbiased with it, and to SIGMA when none
+        is, as for a generic object state.
         """
         if self.source_basis is not None:
             return self.source_basis
+        eigenbasis = eigenbasis_of(self.object_state)
         if self.source_mode == 1:
-            return eigenbasis_of(self.object_state)
-        return BASIS_SIGMA
+            return eigenbasis
+        unbiased = (b for b in (BASIS_SIGMA, BASIS_DIAG, BASIS_XY) if mutually_unbiased(eigenbasis, b))
+        return next(unbiased, BASIS_SIGMA)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,47 +260,26 @@ class OutcomeDistribution:
         }
 
 
-def survivor_clicks(out: Coupling, swapped, analyzers, take=slice(None)):
-    """The filter device's survivor click weights, one row per analyzer row.
+def filter_laws(out: Coupling, swapped, analyzers, take=slice(None)) -> np.ndarray:
+    """Detector laws ``(click b1, click b2, scatter)`` of the filter device, one per run.
 
-    ``out`` holds the q = 0 coupling rows of the wiring and ``swapped`` their
-    ``(N,)`` flags marking the rows whose source particle sits in the object
-    slot; ``analyzers`` holds ``(M, 2, 2)`` analyzer basis vectors.  ``take``
-    names, per analyzer row, the coupling row it projects (by default row
-    ``n`` projects row ``n``), so rows that differ only in the analyzer share
-    one coupling.  Returns per analyzer row the scatter probability and the
-    source particle's click law when it survives times ``1 - p_scatter``.
+    ``out`` holds the coupling rows of the wiring, fly-by noise included, and
+    ``swapped`` their ``(N,)`` flags marking the rows whose source particle
+    sits in the object slot; ``analyzers`` holds ``(2 M, 2, 2)`` analyzer
+    basis vectors.  ``take`` names, per analyzer row, the coupling row it
+    projects (by default row ``n`` projects row ``n``), so rows that differ
+    only in the analyzer share one coupling.  Each pair of analyzer rows is
+    one run: the source particle's clicks, read from the survive branch with
+    no division, and the scatter probability of its two equally likely source
+    states, added as ``0.5 c0 + 0.5 c1`` in source order, so a run gives the
+    same bits alone and within a grid.
     """
     swapped = np.asarray(swapped, dtype=bool)[:, None, None]
     reduced = np.where(swapped, partial_trace(out.survived, "object"),
                        partial_trace(out.survived, "probe"))
-    return out.p_scatter[take], _expectations(reduced[take], analyzers)
-
-
-def flyby_clicks(sources, analyzers, take=slice(None)) -> np.ndarray:
-    """The source particle's click law when the coupling flies by, one row per analyzer row.
-
-    ``sources`` holds the ``(N, 2)`` source particle amplitudes; ``analyzers``
-    and ``take`` are those of ``survivor_clicks``.
-    """
-    return _expectations(_projectors(np.asarray(sources, dtype=complex))[take], analyzers)
-
-
-def filter_law(q, p_scatter, survivor_clicks, flyby_clicks) -> np.ndarray:
-    """Detector law ``(click b1, click b2, scatter)`` of two equally likely source branches.
-
-    Inputs are ``survivor_clicks`` and ``flyby_clicks`` rows reshaped to
-    ``(..., 2)`` branches; the survivor clicks already carry the survive
-    probability.  ``q`` broadcasts over the leading axes.  Terms add up in
-    source order, so a case gives the same bits alone and within a grid.
-    """
-    q = np.asarray(q, dtype=float)[..., None]
-    clicks = scatter = 0.0
-    for b in (0, 1):
-        scatter = scatter + 0.5 * (1.0 - q) * p_scatter[..., b, None]
-        clicks = clicks + 0.5 * q * flyby_clicks[..., b, :]
-        clicks = clicks + 0.5 * (1.0 - q) * survivor_clicks[..., b, :]
-    return np.concatenate([clicks, scatter], axis=-1)
+    branches = np.concatenate([_expectations(reduced[take], analyzers), out.p_scatter[take, None]],
+                              axis=-1).reshape(-1, 2, 3)
+    return 0.5 * branches[:, 0] + 0.5 * branches[:, 1]
 
 
 def conditional_clicks(law) -> tuple[np.ndarray, np.ndarray]:
@@ -301,22 +289,21 @@ def conditional_clicks(law) -> tuple[np.ndarray, np.ndarray]:
     return law * [1.0, 1.0, 0.0] / np.where(defined[..., None], mass, 1.0), defined
 
 
-def _config_branches(cfg: FilterConfig):
-    """Scatter probability, survivor and fly-by click laws of the two source states of one run."""
+def _config_law(cfg: FilterConfig) -> np.ndarray:
+    """Detector law of one run: its two source states coupled at ``cfg.noise_q``."""
     sources = np.array([s.amps for s in cfg.resolved_source_basis().states()])
     objects = np.array([cfg.object_state.amps] * 2)
     slots = (objects, sources) if cfg.swapped_roles else (sources, objects)
     analyzer = [cfg.analyzer_basis.b1.amps, cfg.analyzer_basis.b2.amps]
-    out = coupling_channel(cfg.rule, *slots, 0.0)
-    return (*survivor_clicks(out, [cfg.swapped_roles] * 2, [analyzer] * 2),
-            flyby_clicks(sources, [analyzer] * 2))
+    out = coupling_channel(cfg.rule, *slots, cfg.noise_q)
+    return filter_laws(out, [cfg.swapped_roles] * 2, [analyzer] * 2)[0]
 
 
 def run_filter_exact(cfg: FilterConfig) -> OutcomeDistribution:
     """Closed-form detector statistics of one filter run."""
     if cfg.evaluation != "exact":
         raise ConfigError("run_filter_exact needs evaluation='exact'")
-    law = filter_law(cfg.noise_q, *_config_branches(cfg))
+    law = _config_law(cfg)
     conditional, defined = conditional_clicks(law)
     conditional = (float(conditional[0]), float(conditional[1])) if defined else None
     return OutcomeDistribution(float(law[0]), float(law[1]), float(law[2]), conditional)
@@ -326,7 +313,7 @@ def run_filter_mc(cfg: FilterConfig) -> OutcomeDistribution:
     """Stochastic realization of one filter run: ``cfg.trials`` draws of its exact law."""
     if cfg.evaluation != "mc":
         raise ConfigError("run_filter_mc needs evaluation='mc'")
-    law = filter_law(cfg.noise_q, *_config_branches(cfg))
+    law = _config_law(cfg)
     counts = tuple(int(c) for c in sample_counts(cfg.seed, cfg.trials, law))
     survived = counts[0] + counts[1]
     conditional = (counts[0] / survived, counts[1] / survived) if survived else None

@@ -1220,8 +1220,7 @@ def _two_call_c1(rule, config):
     grid = audit._mode_pair_grid(config.bases)
     if not grid.exact.cases:
         return audit._no_cases(CHECK_IDS[0], config.epsilon_exact)
-    laws = audit._mode_pair_laws(rules.coupling_channel(rule, grid.probes, grid.objects),
-                                 grid, grid.exact)
+    laws = _c1_laws(rules.coupling_channel(rule, grid.probes, grid.objects), grid, grid.exact)
     conditional, defined = experiments.conditional_clicks(laws)
     both = defined.all(axis=1)
     t_full = tvd(laws[:, 0], laws[:, 1])
@@ -1235,15 +1234,16 @@ def _two_call_c1(rule, config):
     return audit._exact_verdict(CHECK_IDS[0], float(t_full[n]), witness, evidence, config)
 
 
+def _c1_laws(coupled, grid, rows):
+    """The filter device's laws of the C1 ``rows``, ``(cases, mode, 3)``, from the coupling rows."""
+    return experiments.filter_laws(coupled, grid.swapped, rows.analyzers,
+                                   rows.take).reshape(-1, 2, 3)
+
+
 def _c1_full_views(rule, config, q):
     """The full-view TVD of every exact C1 case at fly-by level ``q``, from the filter law."""
     grid = audit._mode_pair_grid(config.bases)
-    rows = grid.exact
-    coupled = rules.coupling_channel(rule, grid.probes, grid.objects)
-    sources = np.where(grid.swapped[:, None], grid.objects, grid.probes)
-    branches = (*experiments.survivor_clicks(coupled, grid.swapped, rows.analyzers, rows.take),
-                experiments.flyby_clicks(sources, rows.analyzers, rows.take))
-    laws = experiments.filter_law(q, *(x.reshape(-1, 2, 2, *x.shape[1:]) for x in branches))
+    laws = _c1_laws(rules.coupling_channel(rule, grid.probes, grid.objects, q), grid, grid.exact)
     return tvd(laws[:, 0], laws[:, 1])
 
 
@@ -1515,8 +1515,7 @@ def test_mode_pair_laws_equal_filter_runs_of_their_cases(evaluation):
     grid = audit._mode_pair_grid(config.bases)
     rows = grid.mc if evaluation == "mc" else grid.exact
     for rule in PAIR_CHECK_RULES:
-        laws = audit._mode_pair_laws(rules.coupling_channel(rule, grid.probes, grid.objects),
-                                     grid, rows)
+        laws = _c1_laws(rules.coupling_channel(rule, grid.probes, grid.objects), grid, rows)
         for n, (swapped, obj, analyzer, mode2) in enumerate(rows.cases):
             for m, source in enumerate((obj, mode2)):
                 run = run_filter_exact(FilterConfig(
@@ -1660,8 +1659,7 @@ def _mc_checks_one_call_each(rule, config):
     reads its own Born laws and makes its own chi-square call."""
     bases = config.bases
     grid = audit._mode_pair_grid(bases)
-    laws = audit._mode_pair_laws(rules.coupling_channel(rule, grid.probes, grid.objects),
-                                 grid, grid.mc)
+    laws = _c1_laws(rules.coupling_channel(rule, grid.probes, grid.objects), grid, grid.mc)
     mode1, mode2 = audit._mc_sides(config, laws[:, 0], laws[:, 1], 11)
     results = [audit._mc_verdict(
         CHECK_IDS[0], config, _one_cell_p_values(mode1[:, None], mode2[:, None]),

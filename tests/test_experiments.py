@@ -10,6 +10,7 @@ from ifmsim.experiments import (
     FilterConfig,
     NoSurvivorsError,
     derive_rng,
+    filter_laws,
     run_correlation,
     run_correlation_mc,
     run_filter,
@@ -27,12 +28,14 @@ from ifmsim.rules import (
     probe_rigid,
     random_mix,
     singlet_rule,
+    validate_custom_rule,
 )
 from ifmsim.states import (
     BASIS_DIAG,
     BASIS_SIGMA,
     BASIS_XY,
     D_PLUS,
+    SIGMA_MINUS,
     SIGMA_PLUS,
     STATE_X,
     STATE_Y,
@@ -68,6 +71,12 @@ def test_source_basis_defaults():
     assert exact_cfg(singlet_rule(), 2).resolved_source_basis() is BASIS_SIGMA
     cfg = exact_cfg(singlet_rule(), 1, object_state=SIGMA_PLUS)
     assert cfg.resolved_source_basis() is BASIS_SIGMA
+    # mode 2 takes a basis unbiased with mode 1's: DIAG for a SIGMA object, SIGMA otherwise
+    for obj in (SIGMA_PLUS, SIGMA_MINUS):
+        assert exact_cfg(singlet_rule(), 2, object_state=obj).resolved_source_basis() is BASIS_DIAG
+    assert exact_cfg(singlet_rule(), 2, object_state=D_PLUS).resolved_source_basis() is BASIS_SIGMA
+    generic = exact_cfg(singlet_rule(), 2, object_state=random_state(derive_rng(66)))
+    assert generic.resolved_source_basis() is BASIS_SIGMA
     cfg = exact_cfg(singlet_rule(), 2, source_basis=BASIS_DIAG)
     assert cfg.resolved_source_basis() is BASIS_DIAG
 
@@ -302,6 +311,33 @@ def test_flip_mc_matches_exact():
     assert mc.counts.sum() == 100_000
     assert abs(mc.probe_probs[0] - exact.probe_probs[0]) < 0.01
     assert np.allclose(mc.object_given[0], exact.object_given[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+def test_filter_runs_read_the_coupling_at_their_level(q):
+    # fly-by noise enters a run only through coupling_channel, which filter_laws reads
+    analyzer = [BASIS_DIAG.b1.amps, BASIS_DIAG.b2.amps]
+    for rule in builtin_rules():
+        for mode in (1, 2):
+            for swapped in (False, True):
+                cfg = exact_cfg(rule, mode, object_state=D_PLUS, analyzer_basis=BASIS_DIAG,
+                                noise_q=q, swapped_roles=swapped)
+                sources = np.array([s.amps for s in cfg.resolved_source_basis().states()])
+                objects = np.array([D_PLUS.amps] * 2)
+                slots = (objects, sources) if swapped else (sources, objects)
+                law = filter_laws(coupling_channel(rule, *slots, q), [swapped] * 2, [analyzer] * 2)
+                got = run_filter_exact(cfg).probabilities()
+                assert got.tobytes() == law[0].tobytes(), (rule.name, mode, swapped)
+
+
+def test_sure_scatter_below_phase_eps_reads_certain_scatter():
+    # a fly-by of 1e-13 leaves a survive probability below PHASE_EPS: certain scatter
+    k_zero = validate_custom_rule(np.zeros((4, 4)), "k-zero")
+    for mode in (1, 2):
+        for swapped in (False, True):
+            dist = run_filter_exact(exact_cfg(k_zero, mode, noise_q=1e-13, swapped_roles=swapped))
+            assert dist.p_scatter == 1.0
+            assert dist.conditional_on_survival is None
 
 
 def test_run_filter_dispatch():

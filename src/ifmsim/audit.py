@@ -39,28 +39,41 @@ SWAP and ``U (x) U`` map alike, so at level ``q`` every C1, C2 and C4 metric is
 branch, which a fly-by only blends with the input: the level-0 verdict is the
 verdict for every level in [0, 1).
 
+Both modes run the four checks as one pass per rule, each check reading its
+rows of the pass.  The exact pass (``_exact_pass``) makes one coupling call and
+one Fano conversion over one table of distinct inputs (``_exact_grid``): the
+corner pairs once, then every other input of C1's, C2's and C4's grids, 636
+rows at the default config where coupling each check alone took 1232.  Every
+law is a function of rays, so an input on the rays of a corner pair reads that
+pair's row: C1's coupling rows, C2's exchanged corners and C4's corners, which a
+basis change among the named bases maps onto corners up to phase.  An input
+whose amplitudes are not the corner's bit for bit, as C4's rotated corners and
+the states of an in-process basis on corner rays, reads a row that differs from
+a call of its own at rounding level.  Every other row, an input on no corner's
+rays, has the bits of its check's own call.
+
 Monte Carlo draws each comparison's counts at ``mc_trials`` trials as one
 multinomial draw of the case's exact law, so the work grows with the cells, not
-the trials.  The four checks run as one pass per rule (``_mc_pass``) over one
-stacked grid of their inputs: one coupling call, one Fano conversion, one law
-map and one chi-square call over every comparison of C1, C2 and C4, C1's padded
-with zero cells; each gives a check's rows the bits of the check's own call,
-and each check keeps its own streams, family, witness and verdict.
-``epsilon_mc`` is spent family-wise (Bonferroni) across a check's informative
-comparisons, those with a p-value and those whose two nonempty samples fill one
-and the same cell, at p = 1.  C3 demands zero aligned events among the
-survivors.  Exact mode makes one evaluation per check, over both sides' inputs
-for C2/C4.
+the trials.  Its pass (``_mc_pass``) runs one stacked grid of the checks'
+inputs: one coupling call, one Fano conversion, one law map and one chi-square
+call over every comparison of C1, C2 and C4, C1's padded with zero cells; each
+gives a check's rows the bits of the check's own call, and each check keeps its
+own streams, family, witness and verdict.  ``epsilon_mc`` is spent family-wise
+(Bonferroni) across a check's informative comparisons, those with a p-value and
+those whose two nonempty samples fill one and the same cell, at p = 1.  C3
+demands zero aligned events among the survivors.
 
-Exact check ``s`` draws its grid from stream ``s``; Monte Carlo draws its cases
-from ``10 s + 1`` and the counts of each side from stream ``(10 s + 2, side)``,
-C1's from 11, so identical configs give identical reports.  Each
-rule-independent grid (C1's with its wiring; C2's and C4's ``_PairGrid`` of
-both sides' inputs, side b's map back and the input labeller; the basis forms)
-keeps one read-only cache entry keyed on the values it reads, so memory stays
-that of one audit and reports do not depend on call order.  The Monte Carlo
-pass is cached on the rule and config for the four checks of one audit;
-``audit_rule`` clears it first.  Report floats can differ between CPUs in their
+Exact C2 draws its inputs from stream 2 and C4 from stream 4; exact C3 reads
+C2's side a, so stream 3 is unused.  Monte Carlo draws its cases from
+``10 s + 1`` for check ``s`` and the counts of each side from stream
+``(10 s + 2, side)``, C1's from 11, so identical configs give identical
+reports.  Each rule-independent grid (C1's with its wiring; C2's and C4's
+``_PairGrid`` of both sides' inputs, side b's map back and the input labeller;
+the exact table and the stacked grid; the basis forms) keeps one read-only
+cache entry keyed on the values it reads, so memory stays that of one audit and
+reports do not depend on call order.  Each pass is cached on the rule and
+config for the four checks of one audit; ``audit_rule`` clears both caches
+first.  Report floats can differ between CPUs in their
 last bits, verdicts should not (``scripts/report_digest.py`` hashes them
 apart).  A witness label is ``state_label`` of its amplitudes, via
 ``_canonical_phase`` and ``_amps_label``.
@@ -443,7 +456,7 @@ def _exact_pair_verdict(check_id, config, label, rows_a: _Fano, rows_b: _Fano, n
     row, distance = 0, 0.0
     if top != 0.0:
         rows = np.flatnonzero((gap + 2.0 * frobenius) * (1.0 + 1e-9) >= top * (1.0 - 1e-9))
-        disc = _outcome_distance(*(_Fano(*(x[rows] for x in side)) for side in (rows_a, rows_b)))
+        disc = _outcome_distance(_gather(rows_a, rows), _gather(rows_b, rows))
         worst = int(np.argmax(disc))
         row, distance = int(rows[worst]), float(disc[worst])
     evidence = {f"p_scatter_{name}": float(side.p_scatter[row])
@@ -457,7 +470,12 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-# C3's grid, keyed on the values it reads; C2's grid draws its own inputs.
+def _gather(rows: tuple, index) -> tuple:
+    """The rows ``index`` of each array of the named tuple ``rows``, as one of its type."""
+    return type(rows)(*(x[index] for x in rows))
+
+
+# Monte Carlo C3's grid, keyed on the values it reads; C2's grids draw through it too.
 @functools.lru_cache(maxsize=1)
 def _input_grid(corner_pairs, seed: int, stream: int, count: int) -> tuple[np.ndarray, ...]:
     """Probe and object amplitudes: the corner pairs, then ``count`` uniform pairs."""
@@ -470,7 +488,7 @@ def _input_grid(corner_pairs, seed: int, stream: int, count: int) -> tuple[np.nd
 class _PairGrid(NamedTuple):
     """A C2/C4 grid: side a's ``split`` inputs, then side b's, whose Fano rows ``map_b`` maps back.
 
-    ``label(n)`` names input n.  Exact mode reads the grid, Monte Carlo stacks it.
+    ``label(n)`` names input n.  The exact table and the Monte Carlo grid stack it.
     """
 
     probes: np.ndarray
@@ -484,11 +502,6 @@ def _pair_sides(grid: _PairGrid, rows: _Fano) -> tuple[_Fano, _Fano]:
     """Side a's Fano rows of the grid's inputs, ``rows``, and side b's mapped back."""
     return (_Fano(*(x[:grid.split] for x in rows)),
             grid.map_b(_Fano(*(x[grid.split:] for x in rows))))
-
-
-def _pair_cases(rule: Rule, grid: _PairGrid):
-    """Exact C2/C4 cases of ``grid``: the row labeller and both sides' Fano rows."""
-    return grid.label, *_pair_sides(grid, _fano(coupling_channel(rule, grid.probes, grid.objects)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -550,7 +563,7 @@ def _anti_alignment_cases(out: _Fano, probes, objects):
     def label(i: int) -> str:
         return _input_label(probes[rows[i]], objects[rows[i]])
 
-    return label, _Fano(*(field[rows] for field in out))
+    return label, _gather(out, rows)
 
 
 class _ModePairRows(NamedTuple):
@@ -629,15 +642,21 @@ def _mode_pair_witness(cases, row: int) -> str:
             f"mode2={mode2_basis.label}")
 
 
+def _checks(rule: Rule, config: AuditConfig) -> tuple:
+    """The pass of ``config.evaluation`` for ``rule``: per check, a callable giving its result."""
+    return (_mc_pass if config.evaluation == "mc" else _exact_pass)(rule, config)
+
+
 def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
     """C1: mode-1 and mode-2 source statistics must be identical."""
-    if config.evaluation == "mc":
-        return _mc_pass(rule, config)[0]()
-    grid = _mode_pair_grid(config.bases)
+    return _checks(rule, config)[0]()
+
+
+def _exact_c1(config: AuditConfig, grid: _ModePairGrid, out: Coupling) -> CheckResult:
+    """Exact C1 of the grid's coupling rows ``out``."""
     if not grid.exact.cases:
         return _no_cases(CHECK_IDS[0], config.epsilon_exact)
-    laws = filter_laws(coupling_channel(rule, grid.probes, grid.objects), grid.swapped,
-                       grid.exact.analyzers, grid.exact.take).reshape(-1, 2, 3)
+    laws = filter_laws(out, grid.swapped, grid.exact.analyzers, grid.exact.take).reshape(-1, 2, 3)
     conditional, defined = conditional_clicks(laws)
     both = defined.all(axis=1)
     # the full view scores the case; the view given survival, in the same call, explains
@@ -657,11 +676,14 @@ def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
 
 def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
     """C2: exchanging the partners and SWAPping back must change nothing."""
-    if config.evaluation == "mc":
-        return _mc_pass(rule, config)[1]()
-    grid = _role_grid(_CORNER_PAIRS, config.seed, 2, config.input_samples)
-    return _exact_pair_verdict(CHECK_IDS[1], config, *_pair_cases(rule, grid),
-                               ("direct", "swapped"))
+    return _checks(rule, config)[1]()
+
+
+def _exact_pair_check(check_id: str, config: AuditConfig, grid: _PairGrid, fano: _Fano, rows,
+                      names) -> CheckResult:
+    """Exact C2/C4 of the table's Fano rows ``fano``; the grid's stacked inputs are its ``rows``."""
+    return _exact_pair_verdict(check_id, config, grid.label,
+                               *_pair_sides(grid, _gather(fano, rows)), names)
 
 
 @functools.lru_cache(maxsize=1)
@@ -686,11 +708,13 @@ def _fano_laws(rows: _Fano, forms: np.ndarray) -> np.ndarray:
 
 def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
     """C3: survive branches carry zero aligned-cell weight in every basis."""
-    if config.evaluation == "mc":
-        return _mc_pass(rule, config)[2]()
-    probes, objects = _input_grid(_CORNER_PAIRS, config.seed, 3, config.input_samples)
-    out = _fano(coupling_channel(rule, probes, objects))
-    label, out = _anti_alignment_cases(out, probes, objects)
+    return _checks(rule, config)[2]()
+
+
+def _exact_c3(config: AuditConfig, grid: _PairGrid, fano: _Fano, rows) -> CheckResult:
+    """Exact C3 of the table's Fano rows ``fano`` over side a of C2's grid, its ``rows``."""
+    probes, objects = (inputs[:grid.split] for inputs in grid[:2])
+    label, out = _anti_alignment_cases(_gather(fano, rows[:grid.split]), probes, objects)
     if not out.p_scatter.size:
         return _no_cases(CHECK_IDS[2], config.epsilon_exact)
     forms = _basis_forms(config.bases)
@@ -705,11 +729,94 @@ def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
 
 def check_basis_covariance(rule: Rule, config: AuditConfig) -> CheckResult:
     """C4: the rule must commute with identical rotations of both inputs."""
-    if config.evaluation == "mc":
-        return _mc_pass(rule, config)[3]()
-    grid = _covariance_grid(config.bases, _CORNER_PAIRS, config.seed, 4, config.unitary_samples)
-    return _exact_pair_verdict(CHECK_IDS[3], config, *_pair_cases(rule, grid),
-                               ("rotated", "base"))
+    return _checks(rule, config)[3]()
+
+
+_CORNER_AMPS = _amps(CORNER_STATES)
+
+
+def _corner_pair_rows(probes: np.ndarray, objects: np.ndarray) -> np.ndarray:
+    """Per input, the position in ``_CORNER_PAIRS`` of the corner pair of its rays, or -1.
+
+    A state is on a corner's ray when their overlap is 1 within 1e-12; two
+    corner states overlap 0 or 1/2, so at most one corner fits.
+    """
+    def corner(amps: np.ndarray) -> np.ndarray:
+        fits = np.abs(amps @ _CORNER_AMPS.conj().T) ** 2 > 1.0 - 1e-12
+        return np.where(fits.any(axis=1), fits.argmax(axis=1), -1)
+
+    p, o = corner(probes), corner(objects)
+    return np.where((p >= 0) & (o >= 0), len(CORNER_STATES) * p + o, -1)
+
+
+class _ExactGrid(NamedTuple):
+    """The exact table of distinct inputs, and per grid the table rows of its inputs.
+
+    ``c1_rows`` are the rows of C1's coupling rows, ``role_rows`` and
+    ``covariance_rows`` those of C2's and C4's stacked inputs; C3 reads C2's side a.
+    """
+
+    probes: np.ndarray
+    objects: np.ndarray
+    c1: _ModePairGrid
+    c1_rows: np.ndarray
+    role: _PairGrid
+    role_rows: np.ndarray
+    covariance: _PairGrid
+    covariance_rows: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _exact_grid(bases, seed: int, input_count: int, unitary_count: int) -> _ExactGrid:
+    """The exact table, read-only: the corner pairs once, then every other input of the grids.
+
+    The grids are C1's, C2's from stream 2 with ``input_count`` samples and
+    C4's from stream 4 with ``unitary_count``, in that order.  An input on the
+    rays of a corner pair reads that pair's row, as every law is a function of
+    rays: C1's coupling rows, C2's exchanged corners and C4's corners, rotated
+    by a basis change among the named bases or not.  Every other input, such
+    as a state of an in-process basis off the corner rays, is a row of its own.
+    """
+    c1 = _mode_pair_grid(bases)
+    role = _role_grid(_CORNER_PAIRS, seed, 2, input_count)
+    covariance = _covariance_grid(bases, _CORNER_PAIRS, seed, 4, unitary_count)
+    probes, objects = [_amps(p for p, _ in _CORNER_PAIRS)], [_amps(o for _, o in _CORNER_PAIRS)]
+    rows = []
+    for grid in (c1, role, covariance):
+        index = _corner_pair_rows(grid.probes, grid.objects)
+        own = index < 0
+        index[own] = sum(map(len, probes)) + np.arange(own.sum())
+        probes.append(grid.probes[own])
+        objects.append(grid.objects[own])
+        rows.append(index)
+    c1_rows, role_rows, covariance_rows = _read_only(*rows)
+    return _ExactGrid(*_read_only(np.concatenate(probes), np.concatenate(objects)),
+                      c1, c1_rows, role, role_rows, covariance, covariance_rows)
+
+
+@functools.lru_cache(maxsize=1)
+def _exact_pass(rule: Rule, config: AuditConfig) -> tuple:
+    """Exact C1-C4 of ``rule``: per check, a callable giving its ``CheckResult``.
+
+    One coupling call and one Fano conversion run the exact table, and each
+    check gathers its rows by index: every row has the bits of the check's
+    own call, but for an input on a corner pair's rays with other amplitude
+    bits, as C4's rotated corners, which reads that pair's row.  Only C1's
+    coupling rows are kept beside the Fano
+    rows.  Each callable builds a new result, so no caller changes what
+    another reads.
+    """
+    grid = _exact_grid(config.bases, config.seed, config.input_samples, config.unitary_samples)
+    out = coupling_channel(rule, grid.probes, grid.objects)
+    fano = _fano(out)
+    return (
+        functools.partial(_exact_c1, config, grid.c1, _gather(out, grid.c1_rows)),
+        functools.partial(_exact_pair_check, CHECK_IDS[1], config, grid.role, fano,
+                          grid.role_rows, ("direct", "swapped")),
+        functools.partial(_exact_c3, config, grid.role, fano, grid.role_rows),
+        functools.partial(_exact_pair_check, CHECK_IDS[3], config, grid.covariance, fano,
+                          grid.covariance_rows, ("rotated", "base")),
+    )
 
 
 class _StackedGrid(NamedTuple):
@@ -875,10 +982,11 @@ def _mc_aligned_verdict(config: AuditConfig, label, counts: np.ndarray) -> Check
 def audit_rule(rule: Rule, config: AuditConfig | None = None) -> AuditReport:
     """Run the full battery C1-C4 and combine the verdicts.
 
-    Each audit runs its own Monte Carlo pass: the cache is cleared first, so
+    Each audit runs its own pass: both pass caches are cleared first, so
     that no audit reads a pass an earlier call made.
     """
     cfg = config if config is not None else AuditConfig()
+    _exact_pass.cache_clear()
     _mc_pass.cache_clear()
     checks = (
         check_indistinguishability(rule, cfg),

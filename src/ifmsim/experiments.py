@@ -40,6 +40,7 @@ import numpy as np
 
 from .rules import Coupling, Rule, coupling_channel, pair_channel
 from .states import (
+    ATOL,
     BASIS_DIAG,
     BASIS_SIGMA,
     BASIS_XY,
@@ -52,6 +53,7 @@ from .states import (
     eigenbasis_of,
     joint_born_distribution,
     mutually_unbiased,
+    overlap_probability,
     partial_trace,
 )
 
@@ -86,7 +88,8 @@ _FIELD_TYPES = {
 # with the spelling messages use.  Trials are capped as the multinomial takes a
 # C long.  The audit sample counts are capped as an audit builds its case grids
 # whole.  Measured at these caps (``preferred-basis:sigma``, peak RSS): an exact
-# audit peaks near 262 MB, a Monte Carlo one near 807 MB.
+# audit, whose one coupling call runs its whole table, peaks near 408 MB, a
+# Monte Carlo one near 807 MB.
 # A field that names a choice lists its values in ``_CHOICES``.
 _TRIALS_RANGE = (1, 2**63 - 1, "2**63 - 1")
 _BOUNDS = {
@@ -214,6 +217,13 @@ class FilterConfig:
             raise ConfigError(f"source_mode must be 1 or 2, got {self.source_mode!r}")
         if not 0.0 <= self.noise_q <= 1.0:
             raise ConfigError(f"noise_q must be within [0, 1], got {self.noise_q!r}")
+        if self.source_mode == 2 and self.source_basis is not None:
+            # a basis is its two rays: its first state on either ray of mode 1 makes it mode 1's
+            mode1 = eigenbasis_of(self.object_state)
+            p = overlap_probability(self.source_basis.b1, mode1.b1)
+            if min(p, 1.0 - p) <= ATOL:
+                raise ConfigError(f"source_mode 2 needs a source basis other than the mode-1 "
+                                  f"basis {mode1.label}, got source_basis {self.source_basis.label}")
 
     def resolved_source_basis(self) -> Basis:
         """Explicit source basis, or the mode default.

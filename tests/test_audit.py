@@ -460,12 +460,14 @@ GRID_BUILDERS = (
     audit._role_grid,
     audit._covariance_grid,
     audit._basis_forms,
+    audit._exact_grid,
     audit._mc_grid,
 )
+PASSES = (audit._exact_pass, audit._mc_pass)
 
 
 def _cold_report(rule, config) -> str:
-    for builder in (*GRID_BUILDERS, audit._mc_pass):
+    for builder in (*GRID_BUILDERS, *PASSES):
         builder.cache_clear()
     experiments._seed_words.cache_clear()
     return audit_rule(rule, config).to_json()
@@ -473,38 +475,45 @@ def _cold_report(rule, config) -> str:
 
 # keyed on the bases alone, so both modes share them
 MODE_FREE_GRIDS = (audit._mode_pair_grid, audit._basis_forms)
-# Reads of each grid per audit: exact checks read their own grids and C3 the
-# basis forms; the Monte Carlo pass reads the stacked grid, which carries the
-# check grids it stacks, and, in its one law map, the basis forms.  Building
-# the stacked grid reads C1's, C2's, C3's and C4's grids.
+# Each mode's pass grid: the exact table and the stacked Monte Carlo grid.
+PASS_GRIDS = {"exact": audit._exact_grid, "mc": audit._mc_grid}
+# Reads of each grid per audit: each pass reads its pass grid, which carries the
+# check grids it maps, and the basis forms, exact C3 and the Monte Carlo law map once.
 AUDIT_READS = {
-    "exact": {audit._mode_pair_grid: 1, audit._input_grid: 1, audit._role_grid: 1,
-              audit._covariance_grid: 1, audit._basis_forms: 1},
+    "exact": {audit._exact_grid: 1, audit._basis_forms: 1},
     "mc": {audit._basis_forms: 1, audit._mc_grid: 1},
 }
-STACKED_GRID_READS = {audit._mode_pair_grid: 1, audit._input_grid: 1, audit._role_grid: 1,
-                      audit._covariance_grid: 1}
+# Reads of each grid when a pass grid is built: the exact table reads C1's, C2's
+# and C4's grids, the stacked grid those and Monte Carlo C3's.
+BUILD_READS = {
+    "exact": {audit._mode_pair_grid: 1, audit._role_grid: 1, audit._covariance_grid: 1},
+    "mc": {audit._mode_pair_grid: 1, audit._input_grid: 1, audit._role_grid: 1,
+           audit._covariance_grid: 1},
+}
 
 
 @pytest.mark.parametrize("configs", [(FAST_EXACT,), (FAST_MC,), (FAST_EXACT, FAST_MC, FAST_EXACT)],
                          ids=["exact", "mc", "exact-mc-exact"])
 def test_grids_are_built_once_per_config(configs):
-    # each grid is built once per change of mode, the mode-free ones once
+    # each mode's pass grid is built once and kept across a change of mode; each
+    # build reads the check grids it carries, at keys the other mode does not
+    # share, and the mode-free grids are built once
     reads = dict.fromkeys(GRID_BUILDERS, 0)
-    for builder in (*GRID_BUILDERS, audit._mc_pass):
+    for builder in (*GRID_BUILDERS, *PASSES):
         builder.cache_clear()
+    built = set()
     for config in configs:
         audit_rule(singlet_rule(), config)
         audit_rule(probe_rigid(), config)
         for builder, count in AUDIT_READS[config.evaluation].items():
             reads[builder] += 2 * count
-        if config.evaluation == "mc":
-            for builder, count in STACKED_GRID_READS.items():
+        if config.evaluation not in built:
+            built.add(config.evaluation)
+            for builder, count in BUILD_READS[config.evaluation].items():
                 reads[builder] += count
-    mc_configs = sum(config.evaluation == "mc" for config in configs)
     for builder in GRID_BUILDERS:  # each keeps one entry
-        built = mc_configs if builder is audit._mc_grid else len(configs)
-        misses = 1 if builder in MODE_FREE_GRIDS else built
+        once = builder in MODE_FREE_GRIDS or builder in PASS_GRIDS.values()
+        misses = min(reads[builder], 1) if once else reads[builder]
         info = builder.cache_info()
         assert (info.misses, info.hits, info.currsize) == (misses, reads[builder] - misses,
                                                            1 if misses else 0), builder
@@ -546,13 +555,16 @@ def test_cached_grid_arrays_are_read_only():
     bases = (BASIS_XY, BASIS_SIGMA)
     c1 = audit._mode_pair_grid(bases)
     stacked = audit._mc_grid(bases, 0, 3, 2)
-    # C2's and C4's grids as exact mode reads them and as Monte Carlo stacks them;
-    # C4's map_b reads the input index and the Fano rotations O = 1 (+) R(U)
+    # the exact table and its index arrays; C2's and C4's grids as the table maps
+    # them and as Monte Carlo stacks them; C4's map_b reads the input index and
+    # the Fano rotations O = 1 (+) R(U)
     role_grids = (audit._role_grid(audit._CORNER_PAIRS, 0, 2, 3), stacked.role)
     covariance_grids = (audit._covariance_grid(bases, audit._CORNER_PAIRS, 0, 4, 2),
                         stacked.covariance)
+    table = audit._exact_grid(bases, 0, 3, 2)
     grids = [
         (*c1[:3], *c1.exact[1:], *c1.mc[1:]),
+        (*table[:2], table.c1_rows, table.role_rows, table.covariance_rows),
         audit._input_grid(audit._MC_CORNER_PAIRS, 0, 31, 3),
         stacked[:2],
         stacked.alignment,
@@ -681,8 +693,9 @@ GRID_SIDES = {"C1": 1, "C2": 2, "C3": 1, "C4": 2}
 def _grid_lengths(config, monkeypatch) -> dict:
     """Per check, the number of inputs of every grid it couples.
 
-    A Monte Carlo check, called alone, makes the pass's one coupling call
-    over the whole stacked grid; its grids are its blocks of that grid.
+    A check, called alone, makes its pass's one coupling call over the whole
+    pass grid.  A Monte Carlo check's grids are its blocks of the stacked
+    grid; an exact check's grid is the table rows it gathers, C3's C2's side a.
     """
     lengths, coupling_channel = [], audit.coupling_channel
 
@@ -697,7 +710,13 @@ def _grid_lengths(config, monkeypatch) -> dict:
         check(probe_rigid(), config)
         out[name] = tuple(lengths)
     monkeypatch.undo()
-    if config.evaluation == "mc":
+    if config.evaluation == "exact":
+        table = audit._exact_grid(config.bases, config.seed, config.input_samples,
+                                  config.unitary_samples)
+        assert set(out.values()) == {(len(table.probes),)}
+        out = {"C1": (len(table.c1_rows),), "C2": (len(table.role_rows),),
+               "C3": (table.role.split,), "C4": (len(table.covariance_rows),)}
+    else:
         grid = audit._mc_grid(config.bases, config.seed, config.mc_input_samples,
                               config.mc_unitary_samples)
         assert set(out.values()) == {(len(grid.probes),)}
@@ -755,7 +774,7 @@ def test_audit_config_refuses_noise_levels_without_a_coupling(levels):
 
 
 def test_every_audit_coupling_runs_at_level_0(monkeypatch):
-    # every check, in both modes, calls the coupling with no level: level 0
+    # each mode's one pass calls the coupling with no level: level 0
     seen, coupling_channel = [], audit.coupling_channel
 
     def record(rule, probes, objects, *level):
@@ -766,7 +785,7 @@ def test_every_audit_coupling_runs_at_level_0(monkeypatch):
     for evaluation in ("exact", "mc"):
         audit_rule(probe_rigid(), AuditConfig(evaluation=evaluation, input_samples=5,
                                               unitary_samples=5))
-    assert seen == [()] * 5
+    assert seen == [()] * 2
 
 
 def test_audit_config_validation():
@@ -891,7 +910,8 @@ def _dense_contraction(seed: int):
 # runs in the SIGMA basis alone, where its worst case is a Haar draw, not a
 # corner unitary.  A universal rule's C3 weight (1 - p) times its survivor's
 # aligned weight peaks on the corner pair (x, y), where p = 0, whatever the
-# seed; a dense survive operator's peaks on a drawn pair.
+# seed; a dense survive operator's can peak on a drawn pair, as dense-2601's
+# does on one of C2's seed-5 draws, which exact C3 reads.
 SEED5_EXACT = [
     (probe_rigid(), check_role_symmetry, AuditConfig(seed=5), 0.4999992708995177,
      "input=(theta,phi=2.20918,-0.764956, theta,phi=1.39206,1.20491)"),
@@ -899,8 +919,8 @@ SEED5_EXACT = [
      "input=(x, y) basis=XY"),
     (preferred_basis(BASIS_SIGMA), check_basis_covariance,
      AuditConfig(seed=5, bases=(BASIS_SIGMA,)), 0.7876827976481127, "unitary=haar[98] "),
-    (_dense_contraction(2602), check_anti_alignment, AuditConfig(seed=5), 0.8747297267032234,
-     "input=(theta,phi=0.619761,-0.109175, theta,phi=1.36982,-1.94703) basis=XY"),
+    (_dense_contraction(2601), check_anti_alignment, AuditConfig(seed=5), 0.7053023673888905,
+     "input=(theta,phi=0.778051,2.17491, theta,phi=2.97346,-1.83539) basis=SIGMA"),
 ]
 
 
@@ -948,7 +968,7 @@ def test_symmetry_breaking_metric_falls_with_delta():
 
 
 def _pair_cases_at(rule, grid, q):
-    """``audit._pair_cases`` of ``grid`` at fly-by level ``q``: labeller, both sides' Fano rows."""
+    """The cases of ``grid`` at fly-by level ``q``: labeller, both sides' Fano rows."""
     out = rules.coupling_channel(rule, grid.probes, grid.objects, q)
     return (grid.label, *audit._pair_sides(grid, audit._fano(out)))
 
@@ -974,11 +994,18 @@ def test_c3_of_the_delta_family_does_not_depend_on_the_sample_count():
 
 
 def _exact_pair_cases(rule, config, q=0.0):
-    """Exact C2's and C4's cases at level ``q``; at level 0 those the audit reads."""
-    grids = (audit._role_grid(audit._CORNER_PAIRS, config.seed, 2, config.input_samples),
-             audit._covariance_grid(config.bases, audit._CORNER_PAIRS, config.seed, 4,
-                                    config.unitary_samples))
-    return tuple(_pair_cases_at(rule, grid, q) for grid in grids)
+    """Exact C2's and C4's cases at level ``q``; at level 0 those the audit reads.
+
+    The exact table is coupled at ``q``, and each grid's sides read the table
+    rows of its inputs, C4's rotated corners the rows of the corner pairs they
+    land on.
+    """
+    table = audit._exact_grid(config.bases, config.seed, config.input_samples,
+                              config.unitary_samples)
+    fano = audit._fano(rules.coupling_channel(rule, table.probes, table.objects, q))
+    return tuple((grid.label, *audit._pair_sides(grid, audit._Fano(*(x[rows] for x in fano))))
+                 for grid, rows in ((table.role, table.role_rows),
+                                    (table.covariance, table.covariance_rows)))
 
 
 @pytest.mark.parametrize("rule", list(builtin_rules()) + [REMOVE_ALIGNED_XY],
@@ -1183,7 +1210,7 @@ def test_covariance_cases_match_a_base_coupling_on_every_row(pairs, stream, coun
         rotated = inputs[:grid.split]
         assert rotated.tobytes() == np.einsum("nij,nj->ni", unitaries, distinct[index]).tobytes()
     for rule in PAIR_CHECK_RULES:
-        _, _, conjugated = audit._pair_cases(rule, grid)
+        _, _, conjugated = _pair_cases_at(rule, grid, 0.0)
         base = audit._fano(rules.coupling_channel(rule, probes[index], objects[index]))
         r = rotations @ base.r @ rotations.swapaxes(-1, -2)
         assert conjugated.p_scatter.tobytes() == base.p_scatter.tobytes(), rule.name
@@ -1204,8 +1231,7 @@ def test_pair_cases_sides_equal_a_coupling_call_per_side(levels):
     for grid in grids:
         sides = [(inputs[:grid.split], inputs[grid.split:]) for inputs in grid[:2]]
         for rule, q in itertools.product(PAIR_CHECK_RULES, levels):
-            _, got_a, got_b = (audit._pair_cases(rule, grid) if q == 0.0
-                               else _pair_cases_at(rule, grid, q))
+            _, got_a, got_b = _pair_cases_at(rule, grid, q)
             want_a = audit._fano(rules.coupling_channel(rule, sides[0][0], sides[1][0], q))
             want_b = grid.map_b(audit._fano(rules.coupling_channel(rule, sides[0][1], sides[1][1],
                                                                    q)))
@@ -1365,7 +1391,7 @@ def test_fano_laws_equal_the_born_laws_and_a_call_per_basis():
     grid = audit._role_grid(audit._CORNER_PAIRS, config.seed, 2, 20)
     forms = audit._basis_forms(config.bases)
     for rule in PAIR_CHECK_RULES:
-        _, direct, mirrored = audit._pair_cases(rule, grid)
+        _, direct, mirrored = _pair_cases_at(rule, grid, 0.0)
         out = rules.coupling_channel(rule, grid.probes, grid.objects)
         branches = (out.survived[:grid.split], rules.swap_back(
             rules.Coupling(*(x[grid.split:] for x in out))).survived)
@@ -1440,15 +1466,12 @@ def _label_reference(amps) -> str:
 
 
 def _grid_states(seed: int) -> np.ndarray:
+    # the exact table holds C2's and C4's exact inputs, the Haar-rotated ones too
     bases = AuditConfig().bases
-    grids = [audit._input_grid(pairs, seed, stream, count)
-             for pairs, stream, count in ((audit._CORNER_PAIRS, 2, 200), (audit._CORNER_PAIRS, 3, 200),
-                                          (audit._MC_CORNER_PAIRS, 21, 12),
-                                          (audit._MC_CORNER_PAIRS, 31, 12))]
-    grids += [[inputs[grid.split:] for inputs in grid[:2]]
-              for grid in (audit._covariance_grid.__wrapped__(bases, pairs, seed, stream, count)
-                           for pairs, stream, count in ((audit._CORNER_PAIRS, 4, 100),
-                                                        (audit._MC_CORNER_PAIRS, 41, 6)))]
+    grids = [audit._exact_grid.__wrapped__(bases, seed, 200, 100)[:2]]
+    grids += [audit._input_grid(audit._MC_CORNER_PAIRS, seed, stream, 12) for stream in (21, 31)]
+    grid = audit._covariance_grid.__wrapped__(bases, audit._MC_CORNER_PAIRS, seed, 41, 6)
+    grids.append([inputs[grid.split:] for inputs in grid[:2]])
     return np.concatenate([states for grid in grids for states in grid])
 
 
@@ -1670,7 +1693,7 @@ def _mc_checks_one_call_each(rule, config):
             (CHECK_IDS[1], audit._role_grid(pairs, config.seed, 21, config.mc_input_samples), 21),
             (CHECK_IDS[3], audit._covariance_grid(bases, pairs, config.seed, 41,
                                                   config.mc_unitary_samples), 41)):
-        label, out_a, out_b = audit._pair_cases(rule, grid)
+        label, out_a, out_b = _pair_cases_at(rule, grid, 0.0)
         forms = audit._basis_forms(bases)
         counts = audit._mc_sides(config, audit._fano_laws(out_a, forms),
                                  audit._fano_laws(out_b, forms), stream + 1)
@@ -1792,7 +1815,7 @@ def test_singlet_reads_minus_the_identity_on_its_bloch_block():
     singlet = np.diag([1.0, -1.0, -1.0, -1.0])
     assert np.abs(_fano_of(SINGLET.density()[None])[0] - singlet).max() <= 1e-15
     config = AuditConfig()
-    probes, objects = audit._input_grid(audit._CORNER_PAIRS, config.seed, 3, 50)
+    probes, objects = audit._input_grid(audit._CORNER_PAIRS, config.seed, 2, 50)
     rows = audit._fano(rules.coupling_channel(singlet_rule(), probes, objects))
     want = (1.0 - rows.p_scatter)[:, None, None] * singlet
     assert np.abs(rows.r - want).max() <= 1e-15
@@ -1827,3 +1850,110 @@ def test_fano_rows_and_laws_do_not_depend_on_their_batch():
         assert audit._pauli_sum(block.r).tobytes() == rebuilt[rows].tobytes(), (size, offset)
         alone = audit._rotate(index[:size], rotations[rows], block).r
         assert alone.tobytes() == turned[rows].tobytes(), (size, offset)
+
+
+PHASE_RULES = [*builtin_rules(), REMOVE_ALIGNED_XY, K_ZERO, _dense_contraction(2602)]
+
+
+@pytest.mark.parametrize("rule", PHASE_RULES, ids=lambda rule: rule.name)
+def test_coupling_rows_do_not_depend_on_global_phases(rule):
+    # a law is a function of the input rays: a global phase on the probe or the
+    # object moves no scatter probability and no Fano row beyond rounding, so the
+    # exact table may serve a rotated corner from the row of the corner it lands on
+    rng = derive_rng(3401)
+    corners = np.array([s.amps for s in audit.CORNER_STATES])
+    states = np.concatenate([corners, uniform_state_amps(rng.random((60, 2)))])
+    probes, objects = (np.repeat(states, len(states), axis=0), np.tile(states, (len(states), 1)))
+    phases = np.exp(2j * math.pi * rng.random((2, len(probes), 1)))
+    plain = audit._fano(rules.coupling_channel(rule, probes, objects))
+    phased = audit._fano(rules.coupling_channel(rule, phases[0] * probes, phases[1] * objects))
+    assert np.abs(phased.p_scatter - plain.p_scatter).max() <= 1e-15
+    assert np.abs(phased.r - plain.r).max() <= 1e-15
+
+
+# Basis sets of the exact table: the named ones, where every corner input reads a
+# corner pair's row, and one with a basis that is no named one, whose states and
+# the corners rotated onto them take rows of their own.
+TILTED = eigenbasis_of(QubitState(uniform_state_amps([0.3, 0.8])))
+TABLE_BASES = {"default": AuditConfig().bases, "xy-sigma": (BASIS_XY, BASIS_SIGMA),
+               "tilted": (BASIS_XY, TILTED, BASIS_SIGMA)}
+
+
+def _exact_checks_one_call_each(rule, config):
+    """Reference for the exact pass: each check reads one coupling call of its own inputs."""
+    table = audit._exact_grid(config.bases, config.seed, config.input_samples,
+                              config.unitary_samples)
+
+    def own(grid):
+        out = rules.coupling_channel(rule, grid.probes, grid.objects)
+        return out, audit._fano(out), np.arange(len(grid.probes))
+
+    c1_out, _, _ = own(table.c1)
+    _, role, role_rows = own(table.role)
+    _, covariance, covariance_rows = own(table.covariance)
+    return [audit._exact_c1(config, table.c1, c1_out),
+            audit._exact_pair_check(CHECK_IDS[1], config, table.role, role, role_rows,
+                                    PAIR_NAMES[0]),
+            audit._exact_c3(config, table.role, role, role_rows),
+            audit._exact_pair_check(CHECK_IDS[3], config, table.covariance, covariance,
+                                    covariance_rows, PAIR_NAMES[1])]
+
+
+@pytest.mark.parametrize("bases", TABLE_BASES.values(), ids=TABLE_BASES)
+def test_exact_table_rows_keep_the_bits_of_their_own_calls(bases, monkeypatch):
+    # the exact pass couples its table of distinct inputs once; each check's rows
+    # keep the bits of a call of its own inputs, but for C4's corners rotated by a
+    # basis change, which read the row of the corner pair on their rays
+    config = AuditConfig(bases=bases)
+    table = audit._exact_grid(bases, config.seed, config.input_samples, config.unitary_samples)
+    named = bases != TABLE_BASES["tilted"]
+    assert (len(table.probes) == 636) == named
+    role, covariance = table.role, table.covariance
+    corners = len(audit._CORNER_PAIRS) * len(audit._corner_unitaries(bases))
+    blocks = {  # each block's inputs, and the table rows it reads; C3 reads C2's side a
+        "C1": (table.c1[:2], table.c1_rows),
+        "C2-a": ((x[:role.split] for x in role[:2]), table.role_rows[:role.split]),
+        "C2-b": ((x[role.split:] for x in role[:2]), table.role_rows[role.split:]),
+        "C4-haar": ((x[corners:covariance.split] for x in covariance[:2]),
+                    table.covariance_rows[corners:covariance.split]),
+        "C4-base": ((x[covariance.split:] for x in covariance[:2]),
+                    table.covariance_rows[covariance.split:]),
+    }
+    blocks = {name: (tuple(inputs), rows) for name, (inputs, rows) in blocks.items()}
+    # each rotated corner reads a row on its rays: a corner pair's, or its own
+    rows = table.covariance_rows[:corners]
+    for rotated, stored in zip(covariance[:2], table[:2]):
+        overlap = np.abs(np.einsum("ni,ni->n", stored[rows].conj(), rotated[:corners])) ** 2
+        assert np.abs(overlap - 1.0).max() <= 1e-12
+        own = rows >= len(audit._CORNER_PAIRS)
+        assert stored[rows[own]].tobytes() == rotated[:corners][own].tobytes()
+    assert own.any() == (not named)
+    for rule in BLOCK_RULES + [REMOVE_ALIGNED_XY, K_ZERO]:
+        out = rules.coupling_channel(rule, *table[:2])
+        fano = audit._fano(out)
+        for name, (inputs, rows) in blocks.items():
+            alone = rules.coupling_channel(rule, *inputs)
+            for got, want in zip(out, alone):
+                assert got[rows].tobytes() == want.tobytes(), (rule.name, name)
+            assert fano.r[rows].tobytes() == audit._fano(alone).r.tobytes(), (rule.name, name)
+        # C1-C3 keep every field, C4 its verdict and its metric within rounding
+        got = audit_rule(rule, config).checks
+        want = _exact_checks_one_call_each(rule, config)
+        assert [_result_fields(c) for c in got[:3]] == [_result_fields(c) for c in want[:3]]
+        assert got[3].passed == want[3].passed, rule.name
+        assert abs(got[3].metric - want[3].metric) <= 1e-12, rule.name
+    # one coupling call and one Fano conversion per audit, over the whole table
+    calls, coupling_channel, fano = [], audit.coupling_channel, audit._fano
+
+    def record_coupling(rule, probes, objects):
+        calls.append(("coupling_channel", len(probes)))
+        return coupling_channel(rule, probes, objects)
+
+    def record_fano(out):
+        calls.append(("_fano", len(out.p_scatter)))
+        return fano(out)
+
+    monkeypatch.setattr(audit, "coupling_channel", record_coupling)
+    monkeypatch.setattr(audit, "_fano", record_fano)
+    audit_rule(probe_rigid(), config)
+    assert calls == [("coupling_channel", len(table.probes)), ("_fano", len(table.probes))]

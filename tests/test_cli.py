@@ -430,6 +430,28 @@ def test_seed_environment_overrides_config_file(runner, tmp_path, command):
     assert from_env.output == invoke(runner, *args, "--seed", "8").output
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_filter_mode_2_refuses_the_mode_1_basis(runner, tmp_path, source):
+    # an x object's mode 1 emits xy; mode 2 naming xy would compare mode 1 with itself
+    settings = {"rule": "probe-rigid", "source_mode": 2, "source_basis": "xy"}
+    if source == "flag":
+        args = ["--rule", "probe-rigid", "--source-mode", "2", "--source-basis", "xy"]
+    else:
+        path = tmp_path / "filter.json"
+        path.write_text(json.dumps(settings))
+        args = ["--config", str(path)]
+    result = runner.invoke(main, ["run", "filter", *args])
+    assert result.exit_code == 2
+    assert result.output.strip().endswith(
+        "error: source_mode 2 needs a source basis other than the mode-1 basis XY, "
+        "got source_basis XY")
+    # a generic object's mode 2 takes sigma, named or by default
+    generic = ["--rule", "probe-rigid", "--source-mode", "2", "--object-state", "0.3,0.2"]
+    named = invoke(runner, "run", "filter", *generic, "--source-basis", "sigma")
+    assert named.exit_code == 0
+    assert named.output == invoke(runner, "run", "filter", *generic).output
+
+
 def test_filter_config_rejects_unknown_keys(runner, tmp_path):
     path = tmp_path / "filter.json"
     path.write_text(json.dumps({"rule": "singlet", "wormhole": True}))

@@ -34,7 +34,10 @@ from ifmsim.states import (
     BASIS_DIAG,
     BASIS_SIGMA,
     BASIS_XY,
+    D_MINUS,
     D_PLUS,
+    Basis,
+    QubitState,
     SIGMA_MINUS,
     SIGMA_PLUS,
     STATE_X,
@@ -79,6 +82,21 @@ def test_source_basis_defaults():
     assert generic.resolved_source_basis() is BASIS_SIGMA
     cfg = exact_cfg(singlet_rule(), 2, source_basis=BASIS_DIAG)
     assert cfg.resolved_source_basis() is BASIS_DIAG
+
+
+def test_mode_2_refuses_the_mode_1_basis_in_any_order_and_phase():
+    # mode 2 with mode 1's basis would compare mode 1 with itself
+    x_phased, y_phased = (QubitState(1j * s.amps) for s in (STATE_X, STATE_Y))
+    for basis in (BASIS_XY, Basis(STATE_Y, STATE_X), Basis(y_phased, x_phased, "phased")):
+        with pytest.raises(ConfigError, match=f"mode-1 basis XY, got source_basis {basis.label}$"):
+            exact_cfg(singlet_rule(), 2, source_basis=basis)
+    with pytest.raises(ConfigError, match="mode-1 basis d--eigen, got source_basis DIAG$"):
+        exact_cfg(singlet_rule(), 2, object_state=D_MINUS, source_basis=BASIS_DIAG)
+    # mode 1 may name its own basis; a generic object's mode 2 takes sigma, as by default
+    assert exact_cfg(singlet_rule(), 1, source_basis=BASIS_XY).resolved_source_basis() is BASIS_XY
+    generic = random_state(derive_rng(66))
+    cfg = exact_cfg(singlet_rule(), 2, object_state=generic, source_basis=BASIS_SIGMA)
+    assert cfg.resolved_source_basis() is BASIS_SIGMA
 
 
 def test_probe_rigid_mode_distinguishability():

@@ -25,9 +25,17 @@ C2-C4 read each survive branch once as its real Fano matrix
 ``r^T``, ``U (x) U`` is ``O r O^T`` with ``O_ab = tr(P_a U P_b U^dag) / 2``, a
 basis's cells are linear forms of ``r``, and its aligned weight, for Bloch axis
 ``m``, is ``(r_00 + m^T R m) / 2`` with ``R = r[1:, 1:]``: 0 for the singlet's
-``(1 - p) diag(1, -1, -1, -1)``.  C2 and C4 screen rows by ``||r_a - r_b||_2 / 2``,
-the Frobenius norm of the branch difference, and take the trace norm of the
-rebuilt ``sum_ab dr_ab P_a (x) P_b / 4`` on the candidates.  C1 reads ``sigma``
+``(1 - p) diag(1, -1, -1, -1)``.  C2 and C4 bracket each row's trace norm before
+they take it.  Stage 1 reads ``[F, 2 F]``, ``F = ||r_a - r_b||_2 / 2`` the
+Frobenius norm of the branch difference.  When more than 16 rows remain
+candidates for the worst, stage 2 reads, with ``t = dr_00`` the difference's
+trace, ``L = sqrt(max(t^2, 2 F^2 - t^2))``, exact at rank 2 or less, and, for
+PSD branches of traces ``a`` and ``b``, the purified Fuchs-van de Graaf bound
+``U = min(2 F, sqrt((a + b)^2 - r_a . r_b))``, exact for pure branches: the
+screen reads the positivity every law builds.  A row whose ``F`` or ``a + b``
+lies below 1e-140, where those squares underflow, keeps ``[F, 2 F]``.  Only
+the rows left take the trace norm of the rebuilt ``sum_ab dr_ab P_a (x) P_b /
+4``, so the worst row and its value are those of every row.  C1 reads ``sigma``
 with no division through ``experiments.filter_laws``, the filter device's one
 law, which ``run filter`` reads too.  Every product gives a row the bits it has
 in a batch of any size, one row included.
@@ -40,10 +48,11 @@ branch, which a fly-by only blends with the input: the level-0 verdict is the
 verdict for every level in [0, 1).
 
 Both modes run the four checks as one pass per rule, each check reading its
-rows of the pass.  The exact pass (``_exact_pass``) makes one coupling call and
-one Fano conversion over one table of distinct inputs (``_exact_grid``): the
-corner pairs once, then every other input of C1's, C2's and C4's grids, 636
-rows at the default config where coupling each check alone took 1232.  Every
+rows of the pass.  The exact pass (``_exact_pass``) couples one table of
+distinct inputs (``_exact_grid``) and converts it to Fano rows in blocks of
+16384 rows, keeping only the Fano rows and C1's coupling rows: the corner
+pairs once, then every other input of C1's, C2's and C4's grids, 636 rows and
+one block at the default config, where coupling each check alone took 1232.  Every
 law is a function of rays, so an input on the rays of a corner pair reads that
 pair's row: C1's coupling rows, C2's exchanged corners and C4's corners, which a
 basis change among the named bases maps onto corners up to phase.  An input
@@ -76,7 +85,8 @@ config for the four checks of one audit; ``audit_rule`` clears both caches
 first.  Report floats can differ between CPUs in their
 last bits, verdicts should not (``scripts/report_digest.py`` hashes them
 apart).  A witness label is ``state_label`` of its amplitudes, via
-``_canonical_phase`` and ``_amps_label``.
+``_canonical_phase`` and ``_amps_label``, formatted once per distinct pair of
+amplitude rows and kept in a bounded cache.
 """
 
 from __future__ import annotations
@@ -369,8 +379,15 @@ def _amps(states) -> np.ndarray:
 
 
 def _input_label(probe: np.ndarray, obj: np.ndarray) -> str:
-    probe_label, obj_label = (_amps_label(*_canonical_phase(s.tolist())) for s in (probe, obj))
-    return f"input=({probe_label}, {obj_label})"
+    """The witness label of an input pair, formatted once per distinct pair of amplitude rows."""
+    return _amps_pair_label(*(np.asarray(s, dtype=complex).tobytes() for s in (probe, obj)))
+
+
+@functools.lru_cache(maxsize=1024)
+def _amps_pair_label(probe: bytes, obj: bytes) -> str:
+    labels = (_amps_label(*_canonical_phase(np.frombuffer(s, dtype=complex).tolist()))
+              for s in (probe, obj))
+    return "input=({}, {})".format(*labels)
 
 
 def _no_cases(check_id: str, threshold: float) -> CheckResult:
@@ -433,29 +450,84 @@ def _half_norm(diff: np.ndarray) -> np.ndarray:
     flat = diff.reshape(len(diff), 16)
     norm = np.sqrt(np.einsum("nf,nf->n", flat, flat))
     tiny = norm < 1e-140
-    scaled = flat[tiny] * 2.0 ** 600
-    norm[tiny] = np.sqrt(np.einsum("nf,nf->n", scaled, scaled)) * 2.0 ** -600
+    if tiny.any():
+        scaled = flat[tiny] * 2.0 ** 600
+        norm[tiny] = np.sqrt(np.einsum("nf,nf->n", scaled, scaled)) * 2.0 ** -600
     return 0.5 * norm
+
+
+# Stage 2 of the C2/C4 screen, the bracket, runs only on more stage-1 candidates
+# than this.  On a 2-CPU x86-64 host (numpy 2.4.6) it costs about 23 us, and the
+# gather and trace norm of a row about 1.7 us, so it pays once it drops 14 rows.
+_BRACKET_MIN_ROWS = 16
+# Under the root of the purified bound: a share of ``(a + b)^2`` that covers the
+# rounding of Fano rows whose branches are PSD in exact arithmetic, with room
+# for errors of about 4e4 ulps of ``(a + b)^2``.
+_PURIFIED_SLACK = 1e-11
+
+
+def _trace_norm_bracket(r_a: np.ndarray, r_b: np.ndarray, frobenius: np.ndarray):
+    """Per row, a lower and an upper end of ``||sigma_a - sigma_b||_1`` from the Fano matrices.
+
+    ``frobenius`` is ``F = ||r_a - r_b||_2 / 2``, the Frobenius norm of the
+    branch difference, and ``t = r_a,00 - r_b,00`` its trace.  Its eigenvalues
+    give ``(sum |l|)^2 = sum l^2 + sum_{i != j} |l_i l_j| >= F^2 + |t^2 - F^2|``:
+    the lower end ``L = sqrt(max(t^2, 2 F^2 - t^2))``, exact when the
+    difference has rank 2 or less.  For PSD branches of traces ``a`` and
+    ``b`` and fidelity ``Fid``, purification gives ``||sigma_a - sigma_b||_1
+    <= sqrt((a + b)^2 - 4 Fid^2)`` (Fuchs and van de Graaf), and
+    ``r_a . r_b = 4 tr(sigma_a sigma_b) <= 4 Fid^2``: the upper end
+    ``U = min(2 F, sqrt((a + b)^2 - r_a . r_b))``, exact when both branches are
+    pure, its root taking ``_PURIFIED_SLACK (a + b)^2`` more for rounding.  It
+    needs ``sigma >= 0``, which every law builds; a non-PSD pair can exceed
+    it.  A row whose ``F`` or ``a + b`` lies below 1e-140, where squares can
+    underflow, keeps ``[F, 2 F]``.
+    """
+    a, b = r_a[:, 0, 0], r_b[:, 0, 0]
+    t, mass = a - b, a + b
+    overlap = (r_a * r_b).sum(axis=(1, 2))
+    lower = np.sqrt(np.maximum(t * t, 2.0 * frobenius * frobenius - t * t))
+    squared = mass * mass
+    upper = np.minimum(2.0 * frobenius,
+                       np.sqrt(np.maximum(squared - overlap, 0.0) + _PURIFIED_SLACK * squared))
+    tiny = np.minimum(frobenius, mass) < 1e-140
+    if tiny.any():
+        lower[tiny], upper[tiny] = frobenius[tiny], 2.0 * frobenius[tiny]
+    return lower, upper
+
+
+def _reaching(upper: np.ndarray, top: float) -> np.ndarray:
+    """The rows whose upper end, widened by 1e-9 for rounding, reaches ``top`` narrowed by as much."""
+    return np.flatnonzero(upper * (1.0 + 1e-9) >= top * (1.0 - 1e-9))
 
 
 def _exact_pair_verdict(check_id, config, label, rows_a: _Fano, rows_b: _Fano, names):
     """C2/C4 exact: the first row of worst ``_outcome_distance`` of the two sides' Fano rows.
 
-    ``names`` name the sides in the evidence keys ``p_scatter_<name>``.  A 4x4
-    branch difference of Frobenius norm ``F = ||r_a - r_b||_2 / 2`` has trace norm
-    in ``[F, 2F]``, so row ``n`` lies within ``0.5 * (gap_n + [F_n, 2 F_n])``,
-    ``gap = |p_a - p_b|``.  When the largest ``gap + F`` is 0, row 0 is the worst
-    at distance 0 and no ``eigvalsh`` runs.  Otherwise only the rows whose upper
-    end, widened by 1e-9 for rounding, reaches the largest lower end, narrowed by
-    as much, take a trace norm; each row's distance does not depend on the
-    others, so the first worst row and its value are those of all rows.
+    ``names`` name the sides in the evidence keys ``p_scatter_<name>``.  Row
+    ``n`` lies within ``0.5 * (gap_n + [lower_n, upper_n])``, ``gap = |p_a -
+    p_b|``, for ends of the trace norm of its branch difference.  Stage 1 takes
+    ``[F, 2 F]``, ``F = ||r_a - r_b||_2 / 2`` the Frobenius norm: when the
+    largest ``gap + F`` is 0, row 0 is the worst at distance 0 and no
+    ``eigvalsh`` runs.  Otherwise the rows whose upper end, widened by 1e-9
+    for rounding, reaches the largest lower end, narrowed by as much, are the
+    candidates.  When more than ``_BRACKET_MIN_ROWS`` remain, stage 2 screens
+    them again within ``_trace_norm_bracket``'s tighter ends, which read the
+    rank of the difference and the purity of the branches and need the PSD
+    branches every law builds.  Only the rows left take a trace norm; each
+    row's distance does not depend on the others, so the first worst row and
+    its value are those of all rows.
     """
     gap = np.abs(rows_a.p_scatter - rows_b.p_scatter)
     frobenius = _half_norm(rows_a.r - rows_b.r)
     top = (gap + frobenius).max()
     row, distance = 0, 0.0
     if top != 0.0:
-        rows = np.flatnonzero((gap + 2.0 * frobenius) * (1.0 + 1e-9) >= top * (1.0 - 1e-9))
+        rows = _reaching(gap + 2.0 * frobenius, top)
+        if len(rows) > _BRACKET_MIN_ROWS:
+            lower, upper = _trace_norm_bracket(rows_a.r[rows], rows_b.r[rows], frobenius[rows])
+            gaps = gap[rows]
+            rows = rows[_reaching(gaps + upper, (gaps + lower).max())]
         disc = _outcome_distance(_gather(rows_a, rows), _gather(rows_b, rows))
         worst = int(np.argmax(disc))
         row, distance = int(rows[worst]), float(disc[worst])
@@ -794,23 +866,37 @@ def _exact_grid(bases, seed: int, input_count: int, unitary_count: int) -> _Exac
                       c1, c1_rows, role, role_rows, covariance, covariance_rows)
 
 
+# Rows of the exact table coupled and converted at a time: the default table is
+# one block, and at the sample caps the complex survive branches of one block are
+# held, not those of the whole table.
+_TABLE_BLOCK = 16384
+
+
 @functools.lru_cache(maxsize=1)
 def _exact_pass(rule: Rule, config: AuditConfig) -> tuple:
     """Exact C1-C4 of ``rule``: per check, a callable giving its ``CheckResult``.
 
-    One coupling call and one Fano conversion run the exact table, and each
-    check gathers its rows by index: every row has the bits of the check's
-    own call, but for an input on a corner pair's rays with other amplitude
-    bits, as C4's rotated corners, which reads that pair's row.  Only C1's
-    coupling rows are kept beside the Fano
-    rows.  Each callable builds a new result, so no caller changes what
-    another reads.
+    The exact table is coupled and converted to Fano rows in blocks of
+    ``_TABLE_BLOCK`` rows, one coupling call and one Fano conversion for the
+    default table, and each check gathers its rows by index: every row has
+    the bits of the check's own call, but for an input on a corner pair's rays
+    with other amplitude bits, as C4's rotated corners, which reads that
+    pair's row.  Only the Fano rows and C1's coupling rows are kept; the table
+    places C1's rows right after the corners, so the first block, widened to
+    them when the bases are many, holds every one.  Each callable builds a new
+    result, so no caller changes what another reads.
     """
     grid = _exact_grid(config.bases, config.seed, config.input_samples, config.unitary_samples)
-    out = coupling_channel(rule, grid.probes, grid.objects)
-    fano = _fano(out)
+    first = max(_TABLE_BLOCK, int(grid.c1_rows.max(initial=-1)) + 1)
+    out = coupling_channel(rule, grid.probes[:first], grid.objects[:first])
+    c1, blocks = _gather(out, grid.c1_rows), [_fano(out)]
+    del out
+    for start in range(first, len(grid.probes), _TABLE_BLOCK):
+        block = slice(start, start + _TABLE_BLOCK)
+        blocks.append(_fano(coupling_channel(rule, grid.probes[block], grid.objects[block])))
+    fano = blocks[0] if len(blocks) == 1 else _Fano(*map(np.concatenate, zip(*blocks)))
     return (
-        functools.partial(_exact_c1, config, grid.c1, _gather(out, grid.c1_rows)),
+        functools.partial(_exact_c1, config, grid.c1, c1),
         functools.partial(_exact_pair_check, CHECK_IDS[1], config, grid.role, fano,
                           grid.role_rows, ("direct", "swapped")),
         functools.partial(_exact_c3, config, grid.role, fano, grid.role_rows),

@@ -88,8 +88,8 @@ _FIELD_TYPES = {
 # with the spelling messages use.  Trials are capped as the multinomial takes a
 # C long.  The audit sample counts are capped as an audit builds its case grids
 # whole.  Measured at these caps (``preferred-basis:sigma``, peak RSS): an exact
-# audit, whose one coupling call runs its whole table, peaks near 408 MB, a
-# Monte Carlo one near 807 MB.
+# audit, which couples its table in blocks and keeps its Fano rows, peaks near
+# 232 MB, a Monte Carlo one near 807 MB.
 # A field that names a choice lists its values in ``_CHOICES``.
 _TRIALS_RANGE = (1, 2**63 - 1, "2**63 - 1")
 _BOUNDS = {

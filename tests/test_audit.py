@@ -1186,6 +1186,108 @@ def test_exact_pair_verdict_runs_no_eigvalsh_when_every_row_is_zero(rule, monkey
     assert _result_fields(got) == _result_fields(want)
 
 
+def _psd_branches(rng, count, rank, traces):
+    """``count`` random PSD 4x4 branches of the given rank, row ``n`` of trace ``traces[n]``."""
+    v = rng.normal(size=(count, rank, 4)) + 1j * rng.normal(size=(count, rank, 4))
+    sigma = np.einsum("nk,nki,nkj->nij", rng.random((count, rank)) + 0.1, v, v.conj())
+    return sigma * (traces / np.trace(sigma, axis1=1, axis2=2).real)[:, None, None]
+
+
+def _trace_norms(r_a, r_b):
+    """``||sigma_a - sigma_b||_1`` per row, as ``_outcome_distance`` takes it: no scatter gap."""
+    zeros = np.zeros(len(r_a))
+    return 2.0 * audit._outcome_distance(audit._Fano(zeros, r_a), audit._Fano(zeros, r_b))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), ranks=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       exponent=st.floats(-200.0, 0.0), side=st.sampled_from(["drawn", "near", "swap", "rotate"]),
+       near=st.sampled_from([1e-3, 1e-9, 1e-15]))
+def test_trace_norm_bracket_holds_on_random_psd_branches(seed, ranks, exponent, side, near):
+    # L <= ||sigma_a - sigma_b||_1 <= U for PSD branches of any rank and of traces from
+    # 1 down to 1e-200: drawn independently, near-equal, or side b SWAP'd or rotated
+    # by U (x) U as C2's and C4's sides are
+    rng = np.random.default_rng(seed)
+    count = 16
+    traces = 10.0 ** exponent * rng.uniform(0.01, 1.0, size=(2, count))
+    sigma_a = _psd_branches(rng, count, ranks[0], traces[0])
+    r_a = _fano_of(sigma_a)
+    if side == "drawn":
+        r_b = _fano_of(_psd_branches(rng, count, ranks[1], traces[1]))
+    elif side == "near":
+        other = _psd_branches(rng, count, ranks[1], traces[0])
+        r_b = _fano_of((1.0 - near) * sigma_a + near * other)
+    elif side == "swap":
+        r_b = r_a.swapaxes(-1, -2)
+    else:
+        rotations = audit._fano_rotations(haar_unitaries(rng.random((count, 3))))
+        r_b = rotations @ r_a @ rotations.swapaxes(-1, -2)
+    frobenius = audit._half_norm(r_a - r_b)
+    lower, upper = audit._trace_norm_bracket(r_a, r_b, frobenius)
+    norms = _trace_norms(r_a, r_b)
+    assert np.all(lower <= norms * (1.0 + 1e-12)), (lower - norms).max()
+    assert np.all(norms <= upper), (norms - upper).max()
+
+
+def test_trace_norm_bracket_is_tight_on_pure_branches():
+    # both ends are exact for pure branches, whose difference has rank 2 at most
+    rng = derive_rng(3501)
+    traces = rng.uniform(0.01, 1.0, size=(2, 200))
+    r_a, r_b = (_fano_of(_psd_branches(rng, 200, 1, t)) for t in traces)
+    lower, upper = audit._trace_norm_bracket(r_a, r_b, audit._half_norm(r_a - r_b))
+    norms = _trace_norms(r_a, r_b)
+    assert np.abs(lower - norms).max() <= 1e-13
+    assert np.all(upper - norms <= 1e-5 * (traces[0] + traces[1]))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-200])
+def test_trace_norm_bracket_verdict_matches_every_row_reference(scale, monkeypatch):
+    # 40 rank-2 branch pairs with small scatter gaps leave more stage-1 candidates
+    # than the bracket needs, at traces where (a + b)^2 underflows too, so that a
+    # bracket read from underflowed squares would keep the largest gap alone; rows
+    # 10 and 20 hold the worst pair, so the first of them must be the witness
+    rng = derive_rng(3502)
+    sigmas = [_psd_branches(rng, 40, 2, np.full(40, 0.5)) for _ in range(2)]
+    p_a, p_b = 0.01 * rng.random(40), np.zeros(40)
+    disc = audit._outcome_distance(*(audit._Fano(p, _fano_of(sigma))
+                                     for p, sigma in zip((p_a, p_b), sigmas)))
+    worst = int(np.argmax(disc))
+    for row in (p_a, *sigmas):
+        row[[10, worst]] = row[[worst, 10]]
+        row[20] = row[10]
+    out_a, out_b = (audit._fano(rules.Coupling(scale * p, scale * sigma))
+                    for p, sigma in zip((p_a, p_b), sigmas))
+    bracketed, bracket = [], audit._trace_norm_bracket
+
+    def record(r_a, r_b, frobenius):
+        bracketed.append(len(frobenius))
+        return bracket(r_a, r_b, frobenius)
+
+    monkeypatch.setattr(audit, "_trace_norm_bracket", record)
+    got = audit._exact_pair_verdict(CHECK_IDS[1], AuditConfig(), str, out_a, out_b, ("a", "b"))
+    want = _all_rows_pair_verdict(CHECK_IDS[1], AuditConfig(), str, out_a, out_b, ("a", "b"))
+    assert len(bracketed) == 1 and bracketed[0] > audit._BRACKET_MIN_ROWS, bracketed
+    assert _result_fields(got) == _result_fields(want)
+    assert got.witness == "10"
+
+
+@pytest.mark.parametrize("rule, check, rows", [
+    (probe_rigid(), check_role_symmetry, 1),
+    (coherent_projection(BASIS_XY), check_basis_covariance, 16),
+], ids=["C2-probe-rigid", "C4-coherent-projection-xy"])
+def test_trace_norm_bracket_leaves_the_ties_at_seed_5(rule, check, rows, monkeypatch):
+    # the stage-1 screen leaves 166 and 68 rows here; the bracket leaves the worst
+    # row of probe-rigid's pure branches and coherent-projection's 16 tied rows
+    seen, distance = [], audit._outcome_distance
+
+    def record(rows_a, rows_b):
+        seen.append(len(rows_a.p_scatter))
+        return distance(rows_a, rows_b)
+
+    monkeypatch.setattr(audit, "_outcome_distance", record)
+    check(rule, AuditConfig(seed=5))
+    assert seen == [rows]
+
+
 @pytest.mark.parametrize("pairs, stream, count", [
     (audit._CORNER_PAIRS, 4, FAST_EXACT.unitary_samples),
     (audit._MC_CORNER_PAIRS, 41, FAST_MC.mc_unitary_samples),
@@ -1957,3 +2059,18 @@ def test_exact_table_rows_keep_the_bits_of_their_own_calls(bases, monkeypatch):
     monkeypatch.setattr(audit, "_fano", record_fano)
     audit_rule(probe_rigid(), config)
     assert calls == [("coupling_channel", len(table.probes)), ("_fano", len(table.probes))]
+
+
+@pytest.mark.parametrize("bases", TABLE_BASES.values(), ids=TABLE_BASES)
+def test_exact_table_blocks_keep_every_report_byte(bases, monkeypatch):
+    # the exact pass couples its table in blocks of _TABLE_BLOCK rows, the default
+    # table in one; blocks of any size, a lone row among them, give every report
+    # byte of the one-block pass, C1's coupling rows gathered across blocks included
+    config = AuditConfig(bases=bases)
+    table = audit._exact_grid(bases, config.seed, config.input_samples, config.unitary_samples)
+    assert len(table.probes) <= audit._TABLE_BLOCK
+    rules_ = BLOCK_RULES + [REMOVE_ALIGNED_XY, K_ZERO]
+    want = [audit_rule(rule, config).to_json() for rule in rules_]
+    for block in (1, 37, 250):
+        monkeypatch.setattr(audit, "_TABLE_BLOCK", block)
+        assert [audit_rule(rule, config).to_json() for rule in rules_] == want, block

@@ -27,7 +27,7 @@ basis's cells are linear forms of ``r``, and its aligned weight, for Bloch axis
 ``m``, is ``(r_00 + m^T R m) / 2`` with ``R = r[1:, 1:]``: 0 for the singlet's
 ``(1 - p) diag(1, -1, -1, -1)``.  C2 and C4 bracket each row's trace norm before
 they take it.  Stage 1 reads ``[F, 2 F]``, ``F = ||r_a - r_b||_2 / 2`` the
-Frobenius norm of the branch difference.  When more than 16 rows remain
+Frobenius norm of the branch difference.  When more than 44 rows remain
 candidates for the worst, stage 2 reads, with ``t = dr_00`` the difference's
 trace, ``L = sqrt(max(t^2, 2 F^2 - t^2))``, exact at rank 2 or less, and, for
 PSD branches of traces ``a`` and ``b``, the purified Fuchs-van de Graaf bound
@@ -85,8 +85,7 @@ config for the four checks of one audit; ``audit_rule`` clears both caches
 first.  Report floats can differ between CPUs in their
 last bits, verdicts should not (``scripts/report_digest.py`` hashes them
 apart).  A witness label is ``state_label`` of its amplitudes, via
-``_canonical_phase`` and ``_amps_label``, formatted once per distinct pair of
-amplitude rows and kept in a bounded cache.
+``_canonical_phase`` and ``_amps_label``.
 """
 
 from __future__ import annotations
@@ -379,15 +378,8 @@ def _amps(states) -> np.ndarray:
 
 
 def _input_label(probe: np.ndarray, obj: np.ndarray) -> str:
-    """The witness label of an input pair, formatted once per distinct pair of amplitude rows."""
-    return _amps_pair_label(*(np.asarray(s, dtype=complex).tobytes() for s in (probe, obj)))
-
-
-@functools.lru_cache(maxsize=1024)
-def _amps_pair_label(probe: bytes, obj: bytes) -> str:
-    labels = (_amps_label(*_canonical_phase(np.frombuffer(s, dtype=complex).tolist()))
-              for s in (probe, obj))
-    return "input=({}, {})".format(*labels)
+    probe_label, obj_label = (_amps_label(*_canonical_phase(s.tolist())) for s in (probe, obj))
+    return f"input=({probe_label}, {obj_label})"
 
 
 def _no_cases(check_id: str, threshold: float) -> CheckResult:
@@ -457,9 +449,13 @@ def _half_norm(diff: np.ndarray) -> np.ndarray:
 
 
 # Stage 2 of the C2/C4 screen, the bracket, runs only on more stage-1 candidates
-# than this.  On a 2-CPU x86-64 host (numpy 2.4.6) it costs about 23 us, and the
-# gather and trace norm of a row about 1.7 us, so it pays once it drops 14 rows.
-_BRACKET_MIN_ROWS = 16
+# than this.  On a 2-CPU x86-64 host (numpy 2.4.6) it costs about 22 us, and the
+# gather and trace norm of a row about 1.0 us, so it pays once it drops 22 rows.
+# It drops none of the rows tied at the worst, and C4's corner rows tie up to 34
+# to a call, so it waits for twice the break-even.  Over the six built-ins and
+# remove-aligned-xy at seeds 0-40, each of the 208 calls above 44 candidates
+# dropped at least 22 rows; 2 of the 106 calls with 17-44 did.
+_BRACKET_MIN_ROWS = 44
 # Under the root of the purified bound: a share of ``(a + b)^2`` that covers the
 # rounding of Fano rows whose branches are PSD in exact arithmetic, with room
 # for errors of about 4e4 ulps of ``(a + b)^2``.

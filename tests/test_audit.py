@@ -1241,13 +1241,13 @@ def test_trace_norm_bracket_is_tight_on_pure_branches():
 
 @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-200])
 def test_trace_norm_bracket_verdict_matches_every_row_reference(scale, monkeypatch):
-    # 40 rank-2 branch pairs with small scatter gaps leave more stage-1 candidates
+    # 96 rank-2 branch pairs with small scatter gaps leave more stage-1 candidates
     # than the bracket needs, at traces where (a + b)^2 underflows too, so that a
     # bracket read from underflowed squares would keep the largest gap alone; rows
     # 10 and 20 hold the worst pair, so the first of them must be the witness
     rng = derive_rng(3502)
-    sigmas = [_psd_branches(rng, 40, 2, np.full(40, 0.5)) for _ in range(2)]
-    p_a, p_b = 0.01 * rng.random(40), np.zeros(40)
+    sigmas = [_psd_branches(rng, 96, 2, np.full(96, 0.5)) for _ in range(2)]
+    p_a, p_b = 0.01 * rng.random(96), np.zeros(96)
     disc = audit._outcome_distance(*(audit._Fano(p, _fano_of(sigma))
                                      for p, sigma in zip((p_a, p_b), sigmas)))
     worst = int(np.argmax(disc))
@@ -2065,7 +2065,8 @@ def test_exact_table_rows_keep_the_bits_of_their_own_calls(bases, monkeypatch):
 def test_exact_table_blocks_keep_every_report_byte(bases, monkeypatch):
     # the exact pass couples its table in blocks of _TABLE_BLOCK rows, the default
     # table in one; blocks of any size, a lone row among them, give every report
-    # byte of the one-block pass, C1's coupling rows gathered across blocks included
+    # byte of the one-block pass, the Fano rows joined across blocks; C1's coupling
+    # rows always stay in the first block, which is widened to hold them all
     config = AuditConfig(bases=bases)
     table = audit._exact_grid(bases, config.seed, config.input_samples, config.unitary_samples)
     assert len(table.probes) <= audit._TABLE_BLOCK

@@ -47,27 +47,28 @@ SWAP and ``U (x) U`` map alike, so at level ``q`` every C1, C2 and C4 metric is
 branch, which a fly-by only blends with the input: the level-0 verdict is the
 verdict for every level in [0, 1).
 
-Both modes run the four checks as one pass per rule, each check reading its
-rows of the pass.  The exact pass (``_exact_pass``) couples one table of
-distinct inputs (``_exact_grid``) and converts it to Fano rows in blocks of
-16384 rows, keeping only the Fano rows and C1's coupling rows: the corner
-pairs once, then every other input of C1's, C2's and C4's grids, 636 rows and
-one block at the default config, where coupling each check alone took 1232.  Every
-law is a function of rays, so an input on the rays of a corner pair reads that
-pair's row: C1's coupling rows, C2's exchanged corners and C4's corners, which a
-basis change among the named bases maps onto corners up to phase.  An input
-whose amplitudes are not the corner's bit for bit, as C4's rotated corners and
-the states of an in-process basis on corner rays, reads a row that differs from
-a call of its own at rounding level.  Every other row, an input on no corner's
-rays, has the bits of its check's own call.
+Both modes run the four checks as one pass per rule, each check gathering its
+rows of the pass.  A pass stacks its grids' inputs into one table of distinct
+inputs (``_table``), couples it and converts it to Fano rows in blocks of 16384
+rows (``_couple``), and keeps only the Fano rows and C1's coupling rows.  The
+exact table (``_exact_grid``) holds the corner pairs once, then every other
+input of C1's, C2's and C4's grids, 636 rows and one block at the default
+config, where coupling each check alone took 1232.  Every law is a function of
+rays, so an exact input on the rays of a corner pair reads that pair's row:
+C1's coupling rows, C2's exchanged corners and C4's corners, which a basis
+change among the named bases maps onto corners up to phase.  An input whose
+amplitudes are not the corner's bit for bit, as C4's rotated corners and the
+states of an in-process basis on corner rays, reads a row that differs from a
+call of its own at rounding level.  Every other row, an input on no corner's
+rays, has the bits of its check's own call.  The Monte Carlo table
+(``_mc_grid``) shares no row, so every row has those bits.
 
 Monte Carlo draws each comparison's counts at ``mc_trials`` trials as one
 multinomial draw of the case's exact law, so the work grows with the cells, not
-the trials.  Its pass (``_mc_pass``) runs one stacked grid of the checks'
-inputs: one coupling call, one Fano conversion, one law map and one chi-square
-call over every comparison of C1, C2 and C4, C1's padded with zero cells; each
-gives a check's rows the bits of the check's own call, and each check keeps its
-own streams, family, witness and verdict.  ``epsilon_mc`` is spent family-wise
+the trials.  Its pass (``_mc_pass``) runs one law map and one chi-square call
+over every comparison of C1, C2 and C4, C1's padded with zero cells; each gives
+a check's rows the bits of the check's own call, and each check keeps its own
+streams, family, witness and verdict.  ``epsilon_mc`` is spent family-wise
 (Bonferroni) across a check's informative comparisons, those with a p-value and
 those whose two nonempty samples fill one and the same cell, at p = 1.  C3
 demands zero aligned events among the survivors.
@@ -76,12 +77,12 @@ Exact C2 draws its inputs from stream 2 and C4 from stream 4; exact C3 reads
 C2's side a, so stream 3 is unused.  Monte Carlo draws its cases from
 ``10 s + 1`` for check ``s`` and the counts of each side from stream
 ``(10 s + 2, side)``, C1's from 11, so identical configs give identical
-reports.  Each rule-independent grid (C1's with its wiring; C2's and C4's
-``_PairGrid`` of both sides' inputs, side b's map back and the input labeller;
-the exact table and the stacked grid; the basis forms) keeps one read-only
-cache entry keyed on the values it reads, so memory stays that of one audit and
+reports.  Each pass's table, read-only, carries its rule-independent grids
+(C1's with its wiring; C2's and C4's ``_PairGrid`` of both sides' inputs, side
+b's map back and the input labeller) and the basis forms, and keeps one cache
+entry keyed on the values it reads, so memory stays that of one audit and
 reports do not depend on call order.  Each pass is cached on the rule and
-config for the four checks of one audit; ``audit_rule`` clears both caches
+config for the four checks of one audit; ``audit_rule`` clears both pass caches
 first.  Report floats can differ between CPUs in their
 last bits, verdicts should not (``scripts/report_digest.py`` hashes them
 apart).  A witness label is ``state_label`` of its amplitudes, via
@@ -543,8 +544,7 @@ def _gather(rows: tuple, index) -> tuple:
     return type(rows)(*(x[index] for x in rows))
 
 
-# Monte Carlo C3's grid, keyed on the values it reads; C2's grids draw through it too.
-@functools.lru_cache(maxsize=1)
+# Monte Carlo C3's grid; C2's grids draw through it too.
 def _input_grid(corner_pairs, seed: int, stream: int, count: int) -> tuple[np.ndarray, ...]:
     """Probe and object amplitudes: the corner pairs, then ``count`` uniform pairs."""
     u = derive_rng(seed, stream).random((count, 4))
@@ -556,7 +556,7 @@ def _input_grid(corner_pairs, seed: int, stream: int, count: int) -> tuple[np.nd
 class _PairGrid(NamedTuple):
     """A C2/C4 grid: side a's ``split`` inputs, then side b's, whose Fano rows ``map_b`` maps back.
 
-    ``label(n)`` names input n.  The exact table and the Monte Carlo grid stack it.
+    ``label(n)`` names input n.  Both passes' tables stack it.
     """
 
     probes: np.ndarray
@@ -572,10 +572,9 @@ def _pair_sides(grid: _PairGrid, rows: _Fano) -> tuple[_Fano, _Fano]:
             grid.map_b(_Fano(*(x[grid.split:] for x in rows))))
 
 
-@functools.lru_cache(maxsize=1)
 def _role_grid(corner_pairs, seed: int, stream: int, count: int) -> _PairGrid:
     """C2's grid: the inputs, the exchanged inputs and SWAP back, the transpose ``r^T``."""
-    probes, objects = _input_grid.__wrapped__(corner_pairs, seed, stream, count)
+    probes, objects = _input_grid(corner_pairs, seed, stream, count)
     stacked = _read_only(np.concatenate([probes, objects]), np.concatenate([objects, probes]))
     return _PairGrid(*stacked, len(probes), lambda rows: rows._replace(r=rows.r.swapaxes(-1, -2)),
                      lambda n: _input_label(stacked[0][n], stacked[1][n]))
@@ -586,7 +585,6 @@ def _rotate(index, rotations, base: _Fano) -> _Fano:
     return _Fano(base.p_scatter[index], rotations @ base.r[index] @ rotations.swapaxes(-1, -2))
 
 
-@functools.lru_cache(maxsize=1)
 def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int) -> _PairGrid:
     """C4's grid: the rotated inputs, the distinct inputs and the gather and ``O r O^T`` back.
 
@@ -661,7 +659,6 @@ class _ModePairGrid(NamedTuple):
     mc: _ModePairRows
 
 
-@functools.lru_cache(maxsize=1)
 def _mode_pair_grid(bases) -> _ModePairGrid:
     """C1 cases ``(swapped, object_basis, analyzer, mode2_basis)`` and their rows, read-only.
 
@@ -754,7 +751,6 @@ def _exact_pair_check(check_id: str, config: AuditConfig, grid: _PairGrid, fano:
                                *_pair_sides(grid, _gather(fano, rows)), names)
 
 
-@functools.lru_cache(maxsize=1)
 def _basis_forms(bases) -> np.ndarray:
     """Linear forms on the 16 entries of a Fano matrix ``r``, ``(bases, 4, 16)``, read-only.
 
@@ -779,13 +775,12 @@ def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
     return _checks(rule, config)[2]()
 
 
-def _exact_c3(config: AuditConfig, grid: _PairGrid, fano: _Fano, rows) -> CheckResult:
+def _exact_c3(config: AuditConfig, grid: _PairGrid, fano: _Fano, rows, forms) -> CheckResult:
     """Exact C3 of the table's Fano rows ``fano`` over side a of C2's grid, its ``rows``."""
     probes, objects = (inputs[:grid.split] for inputs in grid[:2])
     label, out = _anti_alignment_cases(_gather(fano, rows[:grid.split]), probes, objects)
     if not out.p_scatter.size:
         return _no_cases(CHECK_IDS[2], config.epsilon_exact)
-    forms = _basis_forms(config.bases)
     # the aligned weight (r_00 + m^T R m) / 2 reads the aligned cells' forms summed
     aligned = np.einsum("nf,jf->nj", out.r.reshape(-1, 16), forms[:, 0] + forms[:, 3])
     n, k = np.unravel_index(np.argmax(aligned), aligned.shape)
@@ -800,166 +795,164 @@ def check_basis_covariance(rule: Rule, config: AuditConfig) -> CheckResult:
     return _checks(rule, config)[3]()
 
 
-_CORNER_AMPS = _amps(CORNER_STATES)
-
-
-def _corner_pair_rows(probes: np.ndarray, objects: np.ndarray) -> np.ndarray:
-    """Per input, the position in ``_CORNER_PAIRS`` of the corner pair of its rays, or -1.
+def _corner_pair_rows(probes: np.ndarray, objects: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Per input, the row ``len(corners) p + o`` of the corner pair on its rays, or -1.
 
     A state is on a corner's ray when their overlap is 1 within 1e-12; two
-    corner states overlap 0 or 1/2, so at most one corner fits.
+    of ``CORNER_STATES`` overlap 0 or 1/2, so at most one of them fits.
     """
     def corner(amps: np.ndarray) -> np.ndarray:
-        fits = np.abs(amps @ _CORNER_AMPS.conj().T) ** 2 > 1.0 - 1e-12
+        fits = np.abs(amps @ corners.conj().T) ** 2 > 1.0 - 1e-12
         return np.where(fits.any(axis=1), fits.argmax(axis=1), -1)
 
     p, o = corner(probes), corner(objects)
-    return np.where((p >= 0) & (o >= 0), len(CORNER_STATES) * p + o, -1)
+    return np.where((p >= 0) & (o >= 0), len(corners) * p + o, -1)
 
 
-class _ExactGrid(NamedTuple):
-    """The exact table of distinct inputs, and per grid the table rows of its inputs.
+class _Table(NamedTuple):
+    """A pass's table of distinct inputs, its basis forms, and per grid the rows of its inputs.
 
     ``c1_rows`` are the rows of C1's coupling rows, ``role_rows`` and
-    ``covariance_rows`` those of C2's and C4's stacked inputs; C3 reads C2's side a.
+    ``covariance_rows`` those of C2's and C4's stacked inputs, and
+    ``alignment_rows`` those of Monte Carlo C3's inputs ``alignment``; exact
+    C3 reads C2's side a.  A C2-C4 grid whose inputs all have rows of their
+    own reads a slice of the table, so that its Fano rows are a view.
     """
 
     probes: np.ndarray
     objects: np.ndarray
+    forms: np.ndarray
     c1: _ModePairGrid
     c1_rows: np.ndarray
     role: _PairGrid
-    role_rows: np.ndarray
+    role_rows: np.ndarray | slice
     covariance: _PairGrid
-    covariance_rows: np.ndarray
+    covariance_rows: np.ndarray | slice
+    alignment: tuple[np.ndarray, np.ndarray] | None = None
+    alignment_rows: slice | None = None
+
+
+def _table(bases, grids, states) -> _Table:
+    """The table of the ``grids``' inputs, read-only: the pairs of ``states``, then the rest.
+
+    ``grids`` are C1's, C2's and C4's, then Monte Carlo C3's inputs.  An input
+    on the rays of a pair of ``states`` reads that pair's row, as every law is
+    a function of rays; every other input is a row of its own.
+    """
+    corners = _amps(states)
+    probes = [np.repeat(corners, len(corners), axis=0)]
+    objects = [np.tile(corners, (len(corners), 1))]
+    rows = []
+    for grid in grids:
+        start = sum(map(len, probes))
+        index = _corner_pair_rows(*grid[:2], corners) if states else np.full(len(grid[0]), -1)
+        own = index < 0
+        index[own] = start + np.arange(own.sum())
+        probes.append(grid[0][own])
+        objects.append(grid[1][own])
+        # C1's rows stay an index array: ``_couple`` sizes its first block by their largest
+        rows.append(slice(start, start + len(own)) if rows and own.all() else _read_only(index)[0])
+    return _Table(*_read_only(np.concatenate(probes), np.concatenate(objects)), _basis_forms(bases),
+                  *(x for pair in zip(grids, rows) for x in pair))
 
 
 @functools.lru_cache(maxsize=1)
-def _exact_grid(bases, seed: int, input_count: int, unitary_count: int) -> _ExactGrid:
-    """The exact table, read-only: the corner pairs once, then every other input of the grids.
+def _exact_grid(bases, seed: int, input_count: int, unitary_count: int) -> _Table:
+    """The exact table: the corner pairs once, then every other input of the grids.
 
     The grids are C1's, C2's from stream 2 with ``input_count`` samples and
-    C4's from stream 4 with ``unitary_count``, in that order.  An input on the
-    rays of a corner pair reads that pair's row, as every law is a function of
-    rays: C1's coupling rows, C2's exchanged corners and C4's corners, rotated
-    by a basis change among the named bases or not.  Every other input, such
-    as a state of an in-process basis off the corner rays, is a row of its own.
+    C4's from stream 4 with ``unitary_count``.  C1's coupling rows, C2's
+    exchanged corners and C4's corners, rotated by a basis change among the
+    named bases or not, read corner pairs' rows.  Every other input, such as a
+    state of an in-process basis off the corner rays, is a row of its own.
     """
-    c1 = _mode_pair_grid(bases)
-    role = _role_grid(_CORNER_PAIRS, seed, 2, input_count)
-    covariance = _covariance_grid(bases, _CORNER_PAIRS, seed, 4, unitary_count)
-    probes, objects = [_amps(p for p, _ in _CORNER_PAIRS)], [_amps(o for _, o in _CORNER_PAIRS)]
-    rows = []
-    for grid in (c1, role, covariance):
-        index = _corner_pair_rows(grid.probes, grid.objects)
-        own = index < 0
-        index[own] = sum(map(len, probes)) + np.arange(own.sum())
-        probes.append(grid.probes[own])
-        objects.append(grid.objects[own])
-        rows.append(index)
-    c1_rows, role_rows, covariance_rows = _read_only(*rows)
-    return _ExactGrid(*_read_only(np.concatenate(probes), np.concatenate(objects)),
-                      c1, c1_rows, role, role_rows, covariance, covariance_rows)
+    return _table(bases, (_mode_pair_grid(bases), _role_grid(_CORNER_PAIRS, seed, 2, input_count),
+                          _covariance_grid(bases, _CORNER_PAIRS, seed, 4, unitary_count)),
+                  CORNER_STATES)
 
 
-# Rows of the exact table coupled and converted at a time: the default table is
-# one block, and at the sample caps the complex survive branches of one block are
+@functools.lru_cache(maxsize=1)
+def _mc_grid(bases, seed: int, input_count: int, unitary_count: int) -> _Table:
+    """The Monte Carlo table, in which every input is a row of its own.
+
+    Check ``s`` draws its cases from stream ``10 s + 1`` over the compact
+    corner set; C2 and C3 take ``input_count`` samples, C4 ``unitary_count``.
+    No row is shared: a rotated corner reading its corner's row, which differs
+    at rounding level, would move the counts of a report.
+    """
+    return _table(bases, (_mode_pair_grid(bases),
+                          _role_grid(_MC_CORNER_PAIRS, seed, 21, input_count),
+                          _covariance_grid(bases, _MC_CORNER_PAIRS, seed, 41, unitary_count),
+                          _input_grid(_MC_CORNER_PAIRS, seed, 31, input_count)), ())
+
+
+# Rows of a table coupled and converted at a time: the default tables are one
+# block, and at the sample caps the complex survive branches of one block are
 # held, not those of the whole table.
 _TABLE_BLOCK = 16384
+
+
+def _couple(rule: Rule, table: _Table) -> tuple[Coupling, _Fano]:
+    """C1's coupling rows and the Fano rows of ``table``'s inputs, in blocks of ``_TABLE_BLOCK``.
+
+    The table places C1's rows right after the pairs of its states, so the
+    first block, widened to them when the bases are many, holds every one.
+    Only they and the Fano rows are kept; every row has the bits of a call of
+    its own.
+    """
+    first = max(_TABLE_BLOCK, int(table.c1_rows.max(initial=-1)) + 1)
+    out = coupling_channel(rule, table.probes[:first], table.objects[:first])
+    c1, blocks = _gather(out, table.c1_rows), [_fano(out)]
+    del out
+    for start in range(first, len(table.probes), _TABLE_BLOCK):
+        block = slice(start, start + _TABLE_BLOCK)
+        blocks.append(_fano(coupling_channel(rule, table.probes[block], table.objects[block])))
+    return c1, blocks[0] if len(blocks) == 1 else _Fano(*map(np.concatenate, zip(*blocks)))
 
 
 @functools.lru_cache(maxsize=1)
 def _exact_pass(rule: Rule, config: AuditConfig) -> tuple:
     """Exact C1-C4 of ``rule``: per check, a callable giving its ``CheckResult``.
 
-    The exact table is coupled and converted to Fano rows in blocks of
-    ``_TABLE_BLOCK`` rows, one coupling call and one Fano conversion for the
-    default table, and each check gathers its rows by index: every row has
+    Each check gathers its rows of the coupled table by index: every row has
     the bits of the check's own call, but for an input on a corner pair's rays
     with other amplitude bits, as C4's rotated corners, which reads that
-    pair's row.  Only the Fano rows and C1's coupling rows are kept; the table
-    places C1's rows right after the corners, so the first block, widened to
-    them when the bases are many, holds every one.  Each callable builds a new
-    result, so no caller changes what another reads.
+    pair's row.  Each callable builds a new result, so no caller changes what
+    another reads.
     """
-    grid = _exact_grid(config.bases, config.seed, config.input_samples, config.unitary_samples)
-    first = max(_TABLE_BLOCK, int(grid.c1_rows.max(initial=-1)) + 1)
-    out = coupling_channel(rule, grid.probes[:first], grid.objects[:first])
-    c1, blocks = _gather(out, grid.c1_rows), [_fano(out)]
-    del out
-    for start in range(first, len(grid.probes), _TABLE_BLOCK):
-        block = slice(start, start + _TABLE_BLOCK)
-        blocks.append(_fano(coupling_channel(rule, grid.probes[block], grid.objects[block])))
-    fano = blocks[0] if len(blocks) == 1 else _Fano(*map(np.concatenate, zip(*blocks)))
+    table = _exact_grid(config.bases, config.seed, config.input_samples, config.unitary_samples)
+    c1, fano = _couple(rule, table)
     return (
-        functools.partial(_exact_c1, config, grid.c1, c1),
-        functools.partial(_exact_pair_check, CHECK_IDS[1], config, grid.role, fano,
-                          grid.role_rows, ("direct", "swapped")),
-        functools.partial(_exact_c3, config, grid.role, fano, grid.role_rows),
-        functools.partial(_exact_pair_check, CHECK_IDS[3], config, grid.covariance, fano,
-                          grid.covariance_rows, ("rotated", "base")),
+        functools.partial(_exact_c1, config, table.c1, c1),
+        functools.partial(_exact_pair_check, CHECK_IDS[1], config, table.role, fano,
+                          table.role_rows, ("direct", "swapped")),
+        functools.partial(_exact_c3, config, table.role, fano, table.role_rows, table.forms),
+        functools.partial(_exact_pair_check, CHECK_IDS[3], config, table.covariance, fano,
+                          table.covariance_rows, ("rotated", "base")),
     )
-
-
-class _StackedGrid(NamedTuple):
-    """The Monte Carlo checks' grids and their stacked inputs, block ``b`` rows ``blocks[b]``."""
-
-    probes: np.ndarray
-    objects: np.ndarray
-    blocks: tuple[slice, ...]
-    c1: _ModePairGrid
-    role: _PairGrid
-    alignment: tuple[np.ndarray, np.ndarray]
-    covariance: _PairGrid
-
-
-# Blocks of the stacked grid: C1's coupling rows, then C2's, C3's and C4's inputs.
-_C1, _C2, _C3, _C4 = range(4)
-
-
-@functools.lru_cache(maxsize=1)
-def _mc_grid(bases, seed: int, input_count: int, unitary_count: int) -> _StackedGrid:
-    """The stacked Monte Carlo grid, read-only, from each check's cached grid.
-
-    Check ``s`` draws its cases from stream ``10 s + 1`` over the compact
-    corner set; C2 and C3 take ``input_count`` samples, C4 ``unitary_count``.
-    """
-    c1 = _mode_pair_grid(bases)
-    role = _role_grid(_MC_CORNER_PAIRS, seed, 21, input_count)
-    alignment = _input_grid(_MC_CORNER_PAIRS, seed, 31, input_count)
-    covariance = _covariance_grid(bases, _MC_CORNER_PAIRS, seed, 41, unitary_count)
-    blocks = ((c1.probes, c1.objects), role[:2], alignment, covariance[:2])
-    starts = np.cumsum([0] + [len(block[0]) for block in blocks]).tolist()
-    return _StackedGrid(*_read_only(*(np.concatenate(side) for side in zip(*blocks))),
-                        tuple(map(slice, starts[:-1], starts[1:])), c1, role, alignment, covariance)
 
 
 @functools.lru_cache(maxsize=1)
 def _mc_pass(rule: Rule, config: AuditConfig) -> tuple:
     """Monte Carlo C1-C4 of ``rule``: per check, a callable giving its ``CheckResult``.
 
-    One coupling call and one Fano conversion run the stacked grid, as they
-    give each block the rows of its own calls.  One law map reads C2's, C3's
-    and C4's laws, each check draws its counts from its own streams, and one
-    chi-square call takes C1's comparisons, padded to five cells, with C2's and
-    C4's; two samples that fill one and the same cell agree, at p = 1.  Each
-    callable builds a new result, so no caller changes what another reads.
+    The table is coupled as the exact one is, and C2-C4 read their Fano rows
+    as views.  One law map reads C2's, C3's and C4's laws, each check draws its
+    counts from its own streams, and one chi-square call takes C1's
+    comparisons, padded to five cells, with C2's and C4's; two samples that
+    fill one and the same cell agree, at p = 1.  Each callable builds a new
+    result, so no caller changes what another reads.
     """
-    grid = _mc_grid(config.bases, config.seed, config.mc_input_samples, config.mc_unitary_samples)
-    out = coupling_channel(rule, grid.probes, grid.objects)
-    laws = filter_laws(Coupling(*(x[grid.blocks[_C1]] for x in out)), grid.c1.swapped,
-                       grid.c1.mc.analyzers, grid.c1.mc.take).reshape(-1, 2, 3)
+    table = _mc_grid(config.bases, config.seed, config.mc_input_samples, config.mc_unitary_samples)
+    c1, fano = _couple(rule, table)
+    laws = filter_laws(c1, table.c1.swapped, table.c1.mc.analyzers,
+                       table.c1.mc.take).reshape(-1, 2, 3)
     mode1, mode2 = _mc_sides(config, laws[:, 0], laws[:, 1], 11)
-    fano = _fano(out)
-
-    def block(b: int) -> _Fano:
-        return _Fano(*(x[grid.blocks[b]] for x in fano))
-
-    aligned_label, aligned = _anti_alignment_cases(block(_C3), *grid.alignment)
-    sides = (*_pair_sides(grid.role, block(_C2)), aligned,
-             *_pair_sides(grid.covariance, block(_C4)))
-    laws = _unstack(_fano_laws(_Fano(*map(np.concatenate, zip(*sides))),
-                               _basis_forms(config.bases)),
+    aligned_label, aligned = _anti_alignment_cases(_gather(fano, table.alignment_rows),
+                                                   *table.alignment)
+    sides = (*_pair_sides(table.role, _gather(fano, table.role_rows)), aligned,
+             *_pair_sides(table.covariance, _gather(fano, table.covariance_rows)))
+    laws = _unstack(_fano_laws(_Fano(*map(np.concatenate, zip(*sides))), table.forms),
                     [side.p_scatter.shape for side in sides])
     role = _mc_sides(config, laws[0], laws[1], 22)
     aligned_counts = sample_counts(config.seed, config.mc_trials, laws[2], 32, 1)
@@ -974,13 +967,13 @@ def _mc_pass(rule: Rule, config: AuditConfig) -> tuple:
 
     return (
         functools.partial(_mc_verdict, CHECK_IDS[0], config, p_c1,
-                          lambda row, _: _mode_pair_witness(grid.c1.mc.cases, row),
+                          lambda row, _: _mode_pair_witness(table.c1.mc.cases, row),
                           functools.partial(_c1_evidence, mode1, mode2)),
         functools.partial(_mc_verdict, CHECK_IDS[1], config, p_role,
-                          _basis_witness(config, grid.role.label), _no_evidence),
+                          _basis_witness(config, table.role.label), _no_evidence),
         functools.partial(_mc_aligned_verdict, config, aligned_label, aligned_counts),
         functools.partial(_mc_verdict, CHECK_IDS[3], config, p_covariance,
-                          _basis_witness(config, grid.covariance.label), _no_evidence),
+                          _basis_witness(config, table.covariance.label), _no_evidence),
     )
 
 

@@ -87,9 +87,9 @@ _FIELD_TYPES = {
 # Bounds of the run parameters by field name: the least value, and the most
 # with the spelling messages use.  Trials are capped as the multinomial takes a
 # C long.  The audit sample counts are capped as an audit builds its case grids
-# whole.  Measured at these caps (``preferred-basis:sigma``, peak RSS): an exact
-# audit, which couples its table in blocks and keeps its Fano rows, peaks near
-# 232 MB, a Monte Carlo one near 807 MB.
+# whole.  Measured at these caps (``preferred-basis:sigma``, peak RSS, 2-CPU
+# x86-64 host): both passes couple their table in blocks and keep its Fano rows,
+# and an exact audit peaks near 232 MB, a Monte Carlo one near 669 MB.
 # A field that names a choice lists its values in ``_CHOICES``.
 _TRIALS_RANGE = (1, 2**63 - 1, "2**63 - 1")
 _BOUNDS = {

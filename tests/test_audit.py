@@ -44,7 +44,8 @@ from ifmsim.rules import (
 from ifmsim.states import (
     BASIS_DIAG, BASIS_SIGMA, BASIS_XY, NAMED_STATES, PHASE_EPS, SINGLET, STATE_X, STATE_Y,
     QubitState, _canonical_phase, _joint_vectors, _pair_amps, eigenbasis_of, haar_unitaries,
-    joint_born_distribution, mutually_unbiased, orthogonal_state, state_label, uniform_state_amps,
+    joint_born_distribution, make_state, mutually_unbiased, orthogonal_state, state_label,
+    uniform_state_amps,
 )
 
 FAST_EXACT = AuditConfig(unitary_samples=25, input_samples=40, seed=11)
@@ -454,69 +455,46 @@ def test_audit_noise_levels_do_not_change_verdicts():
             assert (worst < cfg.epsilon_exact) == report.check(check_id).passed, (rule.name, q)
 
 
-GRID_BUILDERS = (
-    audit._mode_pair_grid,
-    audit._input_grid,
-    audit._role_grid,
-    audit._covariance_grid,
-    audit._basis_forms,
-    audit._exact_grid,
-    audit._mc_grid,
-)
+# Each mode's table, which carries the grids it stacks and the basis forms.
+TABLES = {"exact": audit._exact_grid, "mc": audit._mc_grid}
 PASSES = (audit._exact_pass, audit._mc_pass)
 
 
+def _pass_table(config):
+    """The table of ``config``'s pass."""
+    if config.evaluation == "exact":
+        return audit._exact_grid(config.bases, config.seed, config.input_samples,
+                                 config.unitary_samples)
+    return audit._mc_grid(config.bases, config.seed, config.mc_input_samples,
+                          config.mc_unitary_samples)
+
+
 def _cold_report(rule, config) -> str:
-    for builder in (*GRID_BUILDERS, *PASSES):
+    for builder in (*TABLES.values(), *PASSES):
         builder.cache_clear()
     experiments._seed_words.cache_clear()
     return audit_rule(rule, config).to_json()
 
 
-# keyed on the bases alone, so both modes share them
-MODE_FREE_GRIDS = (audit._mode_pair_grid, audit._basis_forms)
-# Each mode's pass grid: the exact table and the stacked Monte Carlo grid.
-PASS_GRIDS = {"exact": audit._exact_grid, "mc": audit._mc_grid}
-# Reads of each grid per audit: each pass reads its pass grid, which carries the
-# check grids it maps, and the basis forms, exact C3 and the Monte Carlo law map once.
-AUDIT_READS = {
-    "exact": {audit._exact_grid: 1, audit._basis_forms: 1},
-    "mc": {audit._basis_forms: 1, audit._mc_grid: 1},
-}
-# Reads of each grid when a pass grid is built: the exact table reads C1's, C2's
-# and C4's grids, the stacked grid those and Monte Carlo C3's.
-BUILD_READS = {
-    "exact": {audit._mode_pair_grid: 1, audit._role_grid: 1, audit._covariance_grid: 1},
-    "mc": {audit._mode_pair_grid: 1, audit._input_grid: 1, audit._role_grid: 1,
-           audit._covariance_grid: 1},
-}
-
-
 @pytest.mark.parametrize("configs", [(FAST_EXACT,), (FAST_MC,), (FAST_EXACT, FAST_MC, FAST_EXACT)],
                          ids=["exact", "mc", "exact-mc-exact"])
 def test_grids_are_built_once_per_config(configs):
-    # each mode's pass grid is built once and kept across a change of mode; each
-    # build reads the check grids it carries, at keys the other mode does not
-    # share, and the mode-free grids are built once
-    reads = dict.fromkeys(GRID_BUILDERS, 0)
-    for builder in (*GRID_BUILDERS, *PASSES):
+    # each mode's table is built once per config and kept across a change of
+    # mode; each audit's pass reads it once
+    reads = dict.fromkeys(TABLES.values(), 0)
+    for builder in (*TABLES.values(), *PASSES):
         builder.cache_clear()
-    built = set()
     for config in configs:
         audit_rule(singlet_rule(), config)
         audit_rule(probe_rigid(), config)
-        for builder, count in AUDIT_READS[config.evaluation].items():
-            reads[builder] += 2 * count
-        if config.evaluation not in built:
-            built.add(config.evaluation)
-            for builder, count in BUILD_READS[config.evaluation].items():
-                reads[builder] += count
-    for builder in GRID_BUILDERS:  # each keeps one entry
-        once = builder in MODE_FREE_GRIDS or builder in PASS_GRIDS.values()
-        misses = min(reads[builder], 1) if once else reads[builder]
+        reads[TABLES[config.evaluation]] += 2
+    # the tables and the passes are the audit's only caches
+    cached = {f for f in vars(audit).values() if hasattr(f, "cache_info")}
+    assert cached == {*TABLES.values(), *PASSES}
+    for builder, count in reads.items():  # each keeps one entry
+        misses = min(count, 1)
         info = builder.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (misses, reads[builder] - misses,
-                                                           1 if misses else 0), builder
+        assert (info.misses, info.hits, info.currsize) == (misses, count - misses, misses), builder
 
 
 def _cache_config(evaluation, seed=11, **kwargs):
@@ -553,25 +531,22 @@ def test_mode_pair_grid_samples_one_analyzer_per_object_basis_position():
 
 def test_cached_grid_arrays_are_read_only():
     bases = (BASIS_XY, BASIS_SIGMA)
-    c1 = audit._mode_pair_grid(bases)
-    stacked = audit._mc_grid(bases, 0, 3, 2)
-    # the exact table and its index arrays; C2's and C4's grids as the table maps
-    # them and as Monte Carlo stacks them; C4's map_b reads the input index and
-    # the Fano rotations O = 1 (+) R(U)
-    role_grids = (audit._role_grid(audit._CORNER_PAIRS, 0, 2, 3), stacked.role)
-    covariance_grids = (audit._covariance_grid(bases, audit._CORNER_PAIRS, 0, 4, 2),
-                        stacked.covariance)
-    table = audit._exact_grid(bases, 0, 3, 2)
-    grids = [
-        (*c1[:3], *c1.exact[1:], *c1.mc[1:]),
-        (*table[:2], table.c1_rows, table.role_rows, table.covariance_rows),
-        audit._input_grid(audit._MC_CORNER_PAIRS, 0, 31, 3),
-        stacked[:2],
-        stacked.alignment,
-        *(grid[:2] for grid in role_grids + covariance_grids),
-        *(grid.map_b.args for grid in covariance_grids),
-        (audit._basis_forms(bases),),
-    ]
+    # both tables, their index arrays and basis forms, and the grids they stack:
+    # C1's, C2's and C4's, and Monte Carlo C3's inputs; C4's map_b reads the input
+    # index and the Fano rotations O = 1 (+) R(U)
+    tables = (audit._exact_grid(bases, 0, 3, 2), audit._mc_grid(bases, 0, 3, 2))
+    covariance_grids = [table.covariance for table in tables]
+    grids = [table.alignment for table in tables if table.alignment is not None]
+    for table in tables:
+        c1 = table.c1
+        rows = (table.c1_rows, table.role_rows, table.alignment_rows, table.covariance_rows)
+        grids += [
+            (*table[:3], *(index for index in rows if isinstance(index, np.ndarray))),
+            (*c1[:3], *c1.exact[1:], *c1.mc[1:]),
+            table.role[:2],
+            table.covariance[:2],
+            table.covariance.map_b.args,
+        ]
     for grid in covariance_grids:
         _, rotations = grid.map_b.args
         assert rotations.dtype == np.float64
@@ -683,8 +658,6 @@ CHECKS = {"C1": check_indistinguishability, "C2": check_role_symmetry,
           "C3": check_anti_alignment, "C4": check_basis_covariance}
 
 
-# The block of the stacked Monte Carlo grid each check couples.
-MC_BLOCKS = {"C1": (audit._C1,), "C2": (audit._C2,), "C3": (audit._C3,), "C4": (audit._C4,)}
 # The sides each check's grid stacks: a C2/C4 grid stacks both sides' inputs,
 # so each sample adds one input to each side.
 GRID_SIDES = {"C1": 1, "C2": 2, "C3": 1, "C4": 2}
@@ -694,8 +667,8 @@ def _grid_lengths(config, monkeypatch) -> dict:
     """Per check, the number of inputs of every grid it couples.
 
     A check, called alone, makes its pass's one coupling call over the whole
-    pass grid.  A Monte Carlo check's grids are its blocks of the stacked
-    grid; an exact check's grid is the table rows it gathers, C3's C2's side a.
+    table.  A check's grid is the inputs of its table rows; exact C3's is
+    C2's side a.
     """
     lengths, coupling_channel = [], audit.coupling_channel
 
@@ -710,19 +683,11 @@ def _grid_lengths(config, monkeypatch) -> dict:
         check(probe_rigid(), config)
         out[name] = tuple(lengths)
     monkeypatch.undo()
-    if config.evaluation == "exact":
-        table = audit._exact_grid(config.bases, config.seed, config.input_samples,
-                                  config.unitary_samples)
-        assert set(out.values()) == {(len(table.probes),)}
-        out = {"C1": (len(table.c1_rows),), "C2": (len(table.role_rows),),
-               "C3": (table.role.split,), "C4": (len(table.covariance_rows),)}
-    else:
-        grid = audit._mc_grid(config.bases, config.seed, config.mc_input_samples,
-                              config.mc_unitary_samples)
-        assert set(out.values()) == {(len(grid.probes),)}
-        out = {name: tuple(grid.blocks[b].stop - grid.blocks[b].start for b in blocks)
-               for name, blocks in MC_BLOCKS.items()}
-    return out
+    table = _pass_table(config)
+    assert set(out.values()) == {(len(table.probes),)}
+    alignment = table.role.split if config.evaluation == "exact" else len(table.alignment[0])
+    return {"C1": (len(table.c1.probes),), "C2": (len(table.role.probes),), "C3": (alignment,),
+            "C4": (len(table.covariance.probes),)}
 
 
 def test_each_sample_count_field_sizes_only_the_grids_it_names(monkeypatch):
@@ -1572,7 +1537,7 @@ def _grid_states(seed: int) -> np.ndarray:
     bases = AuditConfig().bases
     grids = [audit._exact_grid.__wrapped__(bases, seed, 200, 100)[:2]]
     grids += [audit._input_grid(audit._MC_CORNER_PAIRS, seed, stream, 12) for stream in (21, 31)]
-    grid = audit._covariance_grid.__wrapped__(bases, audit._MC_CORNER_PAIRS, seed, 41, 6)
+    grid = audit._covariance_grid(bases, audit._MC_CORNER_PAIRS, seed, 41, 6)
     grids.append([inputs[grid.split:] for inputs in grid[:2]])
     return np.concatenate([states for grid in grids for states in grid])
 
@@ -1700,26 +1665,30 @@ BLOCK_RULES = [*builtin_rules(), rule_from_name("coherent-projection:sigma"),
 @pytest.mark.parametrize("levels", [(0.0, 0.5), (0.3,)])
 @pytest.mark.parametrize("rule", BLOCK_RULES, ids=lambda rule: rule.name)
 def test_stacked_grid_blocks_keep_the_bits_of_their_own_calls(rule, levels):
-    # the Monte Carlo pass couples every block of the stacked grid in one call
-    # at level 0 and takes their Fano rows in one more; a block keeps the bits
-    # of its own calls, at level 0 and at each of ``levels``.  Every nonempty
-    # block starts with the corner pairs or C1's coupling rows, so none holds
-    # one row.
+    # the Monte Carlo table stacks every grid's inputs, each in a run of rows of
+    # its own, no row shared; one coupling call over the table and one Fano
+    # conversion give each grid's rows the bits of its own calls, at level 0 and
+    # at each of ``levels``.  Every grid starts with the corner pairs or C1's
+    # coupling rows, so none holds one row.
     configs = (AuditConfig(evaluation="mc"),
                AuditConfig(evaluation="mc", bases=(BASIS_XY, BASIS_SIGMA), seed=3,
                            mc_input_samples=1, mc_unitary_samples=1))
     for config, q in itertools.product(configs, (0.0, *levels)):
-        grid = audit._mc_grid(config.bases, config.seed, config.mc_input_samples,
-                              config.mc_unitary_samples)
-        stacked = rules.coupling_channel(rule, grid.probes, grid.objects, q)
-        assert grid.blocks[-1].stop == len(grid.probes)
+        table = _pass_table(config)
+        grids = {"C1": (table.c1[:2], table.c1_rows), "C2": (table.role[:2], table.role_rows),
+                 "C4": (table.covariance[:2], table.covariance_rows),
+                 "C3": (table.alignment, table.alignment_rows)}
+        rows = np.arange(len(table.probes))
+        assert np.concatenate([rows[index] for _, index in grids.values()]).tolist() == (
+            rows.tolist())
+        stacked = rules.coupling_channel(rule, table.probes, table.objects, q)
         fano = audit._fano(stacked)
-        for rows in grid.blocks:
-            assert rows.stop - rows.start >= 2
-            alone = rules.coupling_channel(rule, grid.probes[rows], grid.objects[rows], q)
+        for name, (inputs, index) in grids.items():
+            assert len(inputs[0]) >= 2
+            alone = rules.coupling_channel(rule, *inputs, q)
             for got, want in zip(stacked, alone):
-                assert got[rows].tobytes() == want.tobytes(), (rows, q)
-            assert fano.r[rows].tobytes() == audit._fano(alone).r.tobytes(), (rows, q)
+                assert got[index].tobytes() == want.tobytes(), (name, q)
+            assert fano.r[index].tobytes() == audit._fano(alone).r.tobytes(), (name, q)
 
 
 def test_each_audit_runs_its_own_mc_pass(monkeypatch):
@@ -1974,11 +1943,14 @@ def test_coupling_rows_do_not_depend_on_global_phases(rule):
 
 
 # Basis sets of the exact table: the named ones, where every corner input reads a
-# corner pair's row, and one with a basis that is no named one, whose states and
-# the corners rotated onto them take rows of their own.
+# corner pair's row, and two with a basis that is no named one, whose states and
+# the corners rotated onto them take rows of their own.  The near-x basis's first
+# state has overlap 1 - 1e-6 with x, near a corner's ray but not on it.
 TILTED = eigenbasis_of(QubitState(uniform_state_amps([0.3, 0.8])))
+NEAR_X = eigenbasis_of(make_state(1, 1e-3))
 TABLE_BASES = {"default": AuditConfig().bases, "xy-sigma": (BASIS_XY, BASIS_SIGMA),
-               "tilted": (BASIS_XY, TILTED, BASIS_SIGMA)}
+               "tilted": (BASIS_XY, TILTED, BASIS_SIGMA),
+               "near-x": (NEAR_X, BASIS_SIGMA, BASIS_DIAG)}
 
 
 def _exact_checks_one_call_each(rule, config):
@@ -1996,7 +1968,7 @@ def _exact_checks_one_call_each(rule, config):
     return [audit._exact_c1(config, table.c1, c1_out),
             audit._exact_pair_check(CHECK_IDS[1], config, table.role, role, role_rows,
                                     PAIR_NAMES[0]),
-            audit._exact_c3(config, table.role, role, role_rows),
+            audit._exact_c3(config, table.role, role, role_rows, table.forms),
             audit._exact_pair_check(CHECK_IDS[3], config, table.covariance, covariance,
                                     covariance_rows, PAIR_NAMES[1])]
 
@@ -2008,8 +1980,15 @@ def test_exact_table_rows_keep_the_bits_of_their_own_calls(bases, monkeypatch):
     # basis change, which read the row of the corner pair on their rays
     config = AuditConfig(bases=bases)
     table = audit._exact_grid(bases, config.seed, config.input_samples, config.unitary_samples)
-    named = bases != TABLE_BASES["tilted"]
+    named = all(basis in (BASIS_XY, BASIS_SIGMA, BASIS_DIAG) for basis in bases)
     assert (len(table.probes) == 636) == named
+    # C1's inputs off the corner rays read rows of their own, which hold their
+    # amplitudes: the near-x basis's states do, while the tilted basis, unbiased
+    # with no other, sources no C1 case
+    own = table.c1_rows >= len(audit._CORNER_PAIRS)
+    for inputs, stored in zip(table.c1[:2], table[:2]):
+        assert stored[table.c1_rows[own]].tobytes() == inputs[own].tobytes()
+    assert own.any() == (NEAR_X in bases)
     role, covariance = table.role, table.covariance
     corners = len(audit._CORNER_PAIRS) * len(audit._corner_unitaries(bases))
     blocks = {  # each block's inputs, and the table rows it reads; C3 reads C2's side a
@@ -2061,17 +2040,30 @@ def test_exact_table_rows_keep_the_bits_of_their_own_calls(bases, monkeypatch):
     assert calls == [("coupling_channel", len(table.probes)), ("_fano", len(table.probes))]
 
 
+@pytest.mark.parametrize("evaluation", ["exact", "mc"])
 @pytest.mark.parametrize("bases", TABLE_BASES.values(), ids=TABLE_BASES)
-def test_exact_table_blocks_keep_every_report_byte(bases, monkeypatch):
-    # the exact pass couples its table in blocks of _TABLE_BLOCK rows, the default
-    # table in one; blocks of any size, a lone row among them, give every report
+def test_table_blocks_keep_every_report_byte(bases, evaluation, monkeypatch):
+    # both passes couple their table in blocks of _TABLE_BLOCK rows, the default
+    # tables in one; blocks of any size, a lone row among them, give every report
     # byte of the one-block pass, the Fano rows joined across blocks; C1's coupling
-    # rows always stay in the first block, which is widened to hold them all
-    config = AuditConfig(bases=bases)
-    table = audit._exact_grid(bases, config.seed, config.input_samples, config.unitary_samples)
+    # rows always stay in the first block, which is widened to hold them all and
+    # is the only call above _TABLE_BLOCK rows
+    config = AuditConfig(bases=bases, evaluation=evaluation)
+    table = _pass_table(config)
     assert len(table.probes) <= audit._TABLE_BLOCK
+    c1_rows = int(table.c1_rows.max()) + 1
     rules_ = BLOCK_RULES + [REMOVE_ALIGNED_XY, K_ZERO]
     want = [audit_rule(rule, config).to_json() for rule in rules_]
+    calls, coupling_channel = [], audit.coupling_channel
+
+    def record(rule, probes, objects):
+        calls.append(len(probes))
+        return coupling_channel(rule, probes, objects)
+
+    monkeypatch.setattr(audit, "coupling_channel", record)
     for block in (1, 37, 250):
         monkeypatch.setattr(audit, "_TABLE_BLOCK", block)
+        calls.clear()
         assert [audit_rule(rule, config).to_json() for rule in rules_] == want, block
+        assert max(calls) <= max(block, c1_rows), block
+        assert sum(calls) == len(rules_) * len(table.probes), block

@@ -48,20 +48,21 @@ branch, which a fly-by only blends with the input: the level-0 verdict is the
 verdict for every level in [0, 1).
 
 Both modes run the four checks as one pass per rule, each check gathering its
-rows of the pass.  A pass stacks its grids' inputs into one table of distinct
-inputs (``_table``), couples it and converts it to Fano rows in blocks of 16384
-rows (``_couple``), and keeps only the Fano rows and C1's coupling rows.  The
-exact table (``_exact_grid``) holds the corner pairs once, then every other
-input of C1's, C2's and C4's grids, 636 rows and one block at the default
-config, where coupling each check alone took 1232.  Every law is a function of
-rays, so an exact input on the rays of a corner pair reads that pair's row:
-C1's coupling rows, C2's exchanged corners and C4's corners, which a basis
-change among the named bases maps onto corners up to phase.  An input whose
+rows of the pass.  One builder (``_table``) gives both modes' tables: the two
+differ only in their corner pairs (``_CORNER_PAIRS`` or the compact
+``_MC_CORNER_PAIRS``) and their two sample counts.  A table holds the 36 pairs
+of ``CORNER_STATES`` once, then every other input of C1's, C2's and C4's
+grids, 636 rows and one block at the default exact config, where coupling
+each check alone took 1232, and 72 rows at the default Monte Carlo one.  It is
+coupled and converted to Fano rows in blocks of 16384 rows (``_couple``), and
+only the Fano rows and C1's coupling rows are kept.  Every law is a function
+of rays, so an input on the rays of a corner pair reads that pair's row: C1's
+coupling rows, C2's exchanged corners and C4's corners, which a basis change
+among the named bases maps onto corners up to phase.  An input whose
 amplitudes are not the corner's bit for bit, as C4's rotated corners and the
 states of an in-process basis on corner rays, reads a row that differs from a
 call of its own at rounding level.  Every other row, an input on no corner's
-rays, has the bits of its check's own call.  The Monte Carlo table
-(``_mc_grid``) shares no row, so every row has those bits.
+rays, has the bits of its check's own call.
 
 Monte Carlo draws each comparison's counts at ``mc_trials`` trials as one
 multinomial draw of the case's exact law, so the work grows with the cells, not
@@ -73,20 +74,23 @@ streams, family, witness and verdict.  ``epsilon_mc`` is spent family-wise
 those whose two nonempty samples fill one and the same cell, at p = 1.  C3
 demands zero aligned events among the survivors.
 
-Exact C2 draws its inputs from stream 2 and C4 from stream 4; exact C3 reads
-C2's side a, so stream 3 is unused.  Monte Carlo draws its cases from
-``10 s + 1`` for check ``s`` and the counts of each side from stream
-``(10 s + 2, side)``, C1's from 11, so identical configs give identical
-reports.  Each pass's table, read-only, carries its rule-independent grids
-(C1's with its wiring; C2's and C4's ``_PairGrid`` of both sides' inputs, side
-b's map back and the input labeller) and the basis forms, and keeps one cache
-entry keyed on the values it reads, so memory stays that of one audit and
-reports do not depend on call order.  Each pass is cached on the rule and
-config for the four checks of one audit; ``audit_rule`` clears both pass caches
-first.  Report floats can differ between CPUs in their
-last bits, verdicts should not (``scripts/report_digest.py`` hashes them
-apart).  A witness label is ``state_label`` of its amplitudes, via
-``_canonical_phase`` and ``_amps_label``.
+In both modes C2 draws its inputs from stream 2 and C4 from stream 4, and C3
+reads C2's side a (``_anti_alignment_cases``), so stream 3 is unused.  A draw
+of fewer samples is a prefix of a draw of more, and the compact corner pairs
+are corner pairs, so at the default sample counts every Monte Carlo case is an
+exact case.  Monte
+Carlo draws the counts of each side from stream ``(10 s + 2, side)`` for check
+``s``, C1's from 11, so identical configs give identical reports.  Each
+table, read-only, carries its rule-independent grids (C1's with its wiring;
+C2's and C4's ``_PairGrid`` of both sides' inputs, side b's map back and the
+input labeller) and the basis forms.  Its cache keeps two entries, one per
+mode, keyed on the values it reads, so reports do not depend on call order.
+Each pass is cached on the rule and config for the four checks of one audit;
+``audit_rule`` clears both pass caches first.  Report floats can differ
+between CPUs in their last bits, verdicts should not
+(``scripts/report_digest.py`` hashes them apart).  A witness label is
+``state_label`` of its amplitudes, via ``_canonical_phase`` and
+``_amps_label``.
 """
 
 from __future__ import annotations
@@ -544,15 +548,6 @@ def _gather(rows: tuple, index) -> tuple:
     return type(rows)(*(x[index] for x in rows))
 
 
-# Monte Carlo C3's grid; C2's grids draw through it too.
-def _input_grid(corner_pairs, seed: int, stream: int, count: int) -> tuple[np.ndarray, ...]:
-    """Probe and object amplitudes: the corner pairs, then ``count`` uniform pairs."""
-    u = derive_rng(seed, stream).random((count, 4))
-    probes = np.concatenate([_amps(p for p, _ in corner_pairs), uniform_state_amps(u[:, 0:2])])
-    objects = np.concatenate([_amps(o for _, o in corner_pairs), uniform_state_amps(u[:, 2:4])])
-    return _read_only(probes, objects)
-
-
 class _PairGrid(NamedTuple):
     """A C2/C4 grid: side a's ``split`` inputs, then side b's, whose Fano rows ``map_b`` maps back.
 
@@ -572,9 +567,15 @@ def _pair_sides(grid: _PairGrid, rows: _Fano) -> tuple[_Fano, _Fano]:
             grid.map_b(_Fano(*(x[grid.split:] for x in rows))))
 
 
-def _role_grid(corner_pairs, seed: int, stream: int, count: int) -> _PairGrid:
-    """C2's grid: the inputs, the exchanged inputs and SWAP back, the transpose ``r^T``."""
-    probes, objects = _input_grid(corner_pairs, seed, stream, count)
+def _role_grid(corner_pairs, seed: int, count: int) -> _PairGrid:
+    """C2's grid: the inputs, the exchanged inputs and SWAP back, the transpose ``r^T``.
+
+    The inputs are the corner pairs, then ``count`` uniform pairs drawn from
+    stream 2; exact and Monte Carlo C3 read them too, as side a.
+    """
+    u = derive_rng(seed, 2).random((count, 4))
+    probes = np.concatenate([_amps(p for p, _ in corner_pairs), uniform_state_amps(u[:, 0:2])])
+    objects = np.concatenate([_amps(o for _, o in corner_pairs), uniform_state_amps(u[:, 2:4])])
     stacked = _read_only(np.concatenate([probes, objects]), np.concatenate([objects, probes]))
     return _PairGrid(*stacked, len(probes), lambda rows: rows._replace(r=rows.r.swapaxes(-1, -2)),
                      lambda n: _input_label(stacked[0][n], stacked[1][n]))
@@ -585,16 +586,16 @@ def _rotate(index, rotations, base: _Fano) -> _Fano:
     return _Fano(base.p_scatter[index], rotations @ base.r[index] @ rotations.swapaxes(-1, -2))
 
 
-def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int) -> _PairGrid:
+def _covariance_grid(bases, corner_pairs, seed: int, count: int) -> _PairGrid:
     """C4's grid: the rotated inputs, the distinct inputs and the gather and ``O r O^T`` back.
 
     Inputs are every corner unitary on every corner pair, then ``count`` Haar
-    unitaries, each with a uniform pair, drawn from one stream.  Input ``n`` is
+    unitaries, each with a uniform pair, drawn from stream 4.  Input ``n`` is
     distinct input ``index[n]`` (the corner pairs, then the uniform pairs): side
     b couples the distinct inputs, and ``map_b`` gathers them per input.
     """
     corners = _corner_unitaries(bases)
-    u = derive_rng(seed, stream).random((count, 7))
+    u = derive_rng(seed, 4).random((count, 7))
     names = [name for name, _ in corners for _ in corner_pairs]
     names += [f"haar[{i}]" for i in range(count)]
     unitaries = np.concatenate(
@@ -617,19 +618,16 @@ def _covariance_grid(bases, corner_pairs, seed: int, stream: int, count: int) ->
                      functools.partial(_rotate, index, rotations), label)
 
 
-def _anti_alignment_cases(out: _Fano, probes, objects):
-    """C3 cases of the inputs' Fano rows ``out``: a labeller and the rows surviving with > 1e-6.
+def _anti_alignment_cases(role: _PairGrid, side_a: _Fano):
+    """C3's cases in both modes: side a of C2's grid ``role``, of Fano rows ``side_a``.
 
-    A row's aligned weight is at most its survive probability, so a row that all
-    but surely scatters passes on weight alone; with no case left, a rule that
-    almost always scatters (``K = 1e-5 I``) fails as ``K = 0`` does.
+    Gives a labeller and the rows surviving with > 1e-6.  A row's aligned
+    weight is at most its survive probability, so a row that all but surely
+    scatters passes on weight alone; with no case left, a rule that almost
+    always scatters (``K = 1e-5 I``) fails as ``K = 0`` does.
     """
-    rows = np.flatnonzero(out.p_scatter < 1.0 - 1e-6)
-
-    def label(i: int) -> str:
-        return _input_label(probes[rows[i]], objects[rows[i]])
-
-    return label, _gather(out, rows)
+    rows = np.flatnonzero(side_a.p_scatter < 1.0 - 1e-6)
+    return (lambda i: role.label(rows[i])), _gather(side_a, rows)
 
 
 class _ModePairRows(NamedTuple):
@@ -775,10 +773,10 @@ def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
     return _checks(rule, config)[2]()
 
 
-def _exact_c3(config: AuditConfig, grid: _PairGrid, fano: _Fano, rows, forms) -> CheckResult:
-    """Exact C3 of the table's Fano rows ``fano`` over side a of C2's grid, its ``rows``."""
-    probes, objects = (inputs[:grid.split] for inputs in grid[:2])
-    label, out = _anti_alignment_cases(_gather(fano, rows[:grid.split]), probes, objects)
+def _exact_c3(config: AuditConfig, table: _Table, fano: _Fano) -> CheckResult:
+    """Exact C3 of the table's Fano rows ``fano``."""
+    role, forms = table.role, table.forms
+    label, out = _anti_alignment_cases(role, _gather(fano, table.role_rows[:role.split]))
     if not out.p_scatter.size:
         return _no_cases(CHECK_IDS[2], config.epsilon_exact)
     # the aligned weight (r_00 + m^T R m) / 2 reads the aligned cells' forms summed
@@ -813,10 +811,8 @@ class _Table(NamedTuple):
     """A pass's table of distinct inputs, its basis forms, and per grid the rows of its inputs.
 
     ``c1_rows`` are the rows of C1's coupling rows, ``role_rows`` and
-    ``covariance_rows`` those of C2's and C4's stacked inputs, and
-    ``alignment_rows`` those of Monte Carlo C3's inputs ``alignment``; exact
-    C3 reads C2's side a.  A C2-C4 grid whose inputs all have rows of their
-    own reads a slice of the table, so that its Fano rows are a view.
+    ``covariance_rows`` those of C2's and C4's stacked inputs; C3 reads C2's
+    side a.
     """
 
     probes: np.ndarray
@@ -825,65 +821,39 @@ class _Table(NamedTuple):
     c1: _ModePairGrid
     c1_rows: np.ndarray
     role: _PairGrid
-    role_rows: np.ndarray | slice
+    role_rows: np.ndarray
     covariance: _PairGrid
-    covariance_rows: np.ndarray | slice
-    alignment: tuple[np.ndarray, np.ndarray] | None = None
-    alignment_rows: slice | None = None
+    covariance_rows: np.ndarray
 
 
-def _table(bases, grids, states) -> _Table:
-    """The table of the ``grids``' inputs, read-only: the pairs of ``states``, then the rest.
+@functools.lru_cache(maxsize=2)
+def _table(bases, corner_pairs, seed: int, input_count: int, unitary_count: int) -> _Table:
+    """A pass's table, read-only: the pairs of ``CORNER_STATES`` once, then every other input.
 
-    ``grids`` are C1's, C2's and C4's, then Monte Carlo C3's inputs.  An input
-    on the rays of a pair of ``states`` reads that pair's row, as every law is
-    a function of rays; every other input is a row of its own.
+    The grids are C1's, C2's over ``corner_pairs`` and ``input_count`` drawn
+    pairs, and C4's over ``corner_pairs`` and ``unitary_count`` draws.  An
+    input on the rays of a corner pair reads that pair's row, as every law is
+    a function of rays: C1's coupling rows, C2's exchanged corners and C4's
+    corners, rotated by a basis change among the named bases or not.  Every
+    other input, such as a state of an in-process basis off the corner rays,
+    is a row of its own.  The two entries keep each mode's table across a
+    change of mode.
     """
-    corners = _amps(states)
+    corners = _amps(CORNER_STATES)
+    grids = (_mode_pair_grid(bases), _role_grid(corner_pairs, seed, input_count),
+             _covariance_grid(bases, corner_pairs, seed, unitary_count))
     probes = [np.repeat(corners, len(corners), axis=0)]
     objects = [np.tile(corners, (len(corners), 1))]
     rows = []
     for grid in grids:
-        start = sum(map(len, probes))
-        index = _corner_pair_rows(*grid[:2], corners) if states else np.full(len(grid[0]), -1)
+        index = _corner_pair_rows(*grid[:2], corners)
         own = index < 0
-        index[own] = start + np.arange(own.sum())
+        index[own] = sum(map(len, probes)) + np.arange(own.sum())
         probes.append(grid[0][own])
         objects.append(grid[1][own])
-        # C1's rows stay an index array: ``_couple`` sizes its first block by their largest
-        rows.append(slice(start, start + len(own)) if rows and own.all() else _read_only(index)[0])
+        rows.append(_read_only(index)[0])
     return _Table(*_read_only(np.concatenate(probes), np.concatenate(objects)), _basis_forms(bases),
                   *(x for pair in zip(grids, rows) for x in pair))
-
-
-@functools.lru_cache(maxsize=1)
-def _exact_grid(bases, seed: int, input_count: int, unitary_count: int) -> _Table:
-    """The exact table: the corner pairs once, then every other input of the grids.
-
-    The grids are C1's, C2's from stream 2 with ``input_count`` samples and
-    C4's from stream 4 with ``unitary_count``.  C1's coupling rows, C2's
-    exchanged corners and C4's corners, rotated by a basis change among the
-    named bases or not, read corner pairs' rows.  Every other input, such as a
-    state of an in-process basis off the corner rays, is a row of its own.
-    """
-    return _table(bases, (_mode_pair_grid(bases), _role_grid(_CORNER_PAIRS, seed, 2, input_count),
-                          _covariance_grid(bases, _CORNER_PAIRS, seed, 4, unitary_count)),
-                  CORNER_STATES)
-
-
-@functools.lru_cache(maxsize=1)
-def _mc_grid(bases, seed: int, input_count: int, unitary_count: int) -> _Table:
-    """The Monte Carlo table, in which every input is a row of its own.
-
-    Check ``s`` draws its cases from stream ``10 s + 1`` over the compact
-    corner set; C2 and C3 take ``input_count`` samples, C4 ``unitary_count``.
-    No row is shared: a rotated corner reading its corner's row, which differs
-    at rounding level, would move the counts of a report.
-    """
-    return _table(bases, (_mode_pair_grid(bases),
-                          _role_grid(_MC_CORNER_PAIRS, seed, 21, input_count),
-                          _covariance_grid(bases, _MC_CORNER_PAIRS, seed, 41, unitary_count),
-                          _input_grid(_MC_CORNER_PAIRS, seed, 31, input_count)), ())
 
 
 # Rows of a table coupled and converted at a time: the default tables are one
@@ -895,8 +865,8 @@ _TABLE_BLOCK = 16384
 def _couple(rule: Rule, table: _Table) -> tuple[Coupling, _Fano]:
     """C1's coupling rows and the Fano rows of ``table``'s inputs, in blocks of ``_TABLE_BLOCK``.
 
-    The table places C1's rows right after the pairs of its states, so the
-    first block, widened to them when the bases are many, holds every one.
+    The table places C1's rows right after the corner pairs, so the first
+    block, widened to them when the bases are many, holds every one.
     Only they and the Fano rows are kept; every row has the bits of a call of
     its own.
     """
@@ -920,13 +890,14 @@ def _exact_pass(rule: Rule, config: AuditConfig) -> tuple:
     pair's row.  Each callable builds a new result, so no caller changes what
     another reads.
     """
-    table = _exact_grid(config.bases, config.seed, config.input_samples, config.unitary_samples)
+    table = _table(config.bases, _CORNER_PAIRS, config.seed, config.input_samples,
+                   config.unitary_samples)
     c1, fano = _couple(rule, table)
     return (
         functools.partial(_exact_c1, config, table.c1, c1),
         functools.partial(_exact_pair_check, CHECK_IDS[1], config, table.role, fano,
                           table.role_rows, ("direct", "swapped")),
-        functools.partial(_exact_c3, config, table.role, fano, table.role_rows, table.forms),
+        functools.partial(_exact_c3, config, table, fano),
         functools.partial(_exact_pair_check, CHECK_IDS[3], config, table.covariance, fano,
                           table.covariance_rows, ("rotated", "base")),
     )
@@ -936,27 +907,31 @@ def _exact_pass(rule: Rule, config: AuditConfig) -> tuple:
 def _mc_pass(rule: Rule, config: AuditConfig) -> tuple:
     """Monte Carlo C1-C4 of ``rule``: per check, a callable giving its ``CheckResult``.
 
-    The table is coupled as the exact one is, and C2-C4 read their Fano rows
-    as views.  One law map reads C2's, C3's and C4's laws, each check draws its
-    counts from its own streams, and one chi-square call takes C1's
-    comparisons, padded to five cells, with C2's and C4's; two samples that
-    fill one and the same cell agree, at p = 1.  Each callable builds a new
-    result, so no caller changes what another reads.
+    The table is built and coupled as the exact one is, over the compact
+    corner pairs and the Monte Carlo sample counts.  One law map reads C2's,
+    C3's and C4's laws, each check draws its counts from its own streams, and
+    one chi-square call takes C1's comparisons, padded to five cells, with
+    C2's and C4's; two samples that fill one and the same cell agree, at p = 1.
+    The Fano rows and laws are released before that call.  Each callable
+    builds a new result, so no caller changes what another reads.
     """
-    table = _mc_grid(config.bases, config.seed, config.mc_input_samples, config.mc_unitary_samples)
+    table = _table(config.bases, _MC_CORNER_PAIRS, config.seed, config.mc_input_samples,
+                   config.mc_unitary_samples)
     c1, fano = _couple(rule, table)
     laws = filter_laws(c1, table.c1.swapped, table.c1.mc.analyzers,
                        table.c1.mc.take).reshape(-1, 2, 3)
     mode1, mode2 = _mc_sides(config, laws[:, 0], laws[:, 1], 11)
-    aligned_label, aligned = _anti_alignment_cases(_gather(fano, table.alignment_rows),
-                                                   *table.alignment)
-    sides = (*_pair_sides(table.role, _gather(fano, table.role_rows)), aligned,
-             *_pair_sides(table.covariance, _gather(fano, table.covariance_rows)))
+    role = _pair_sides(table.role, _gather(fano, table.role_rows))
+    aligned_label, aligned = _anti_alignment_cases(table.role, role[0])
+    sides = (*role, aligned, *_pair_sides(table.covariance, _gather(fano, table.covariance_rows)))
+    del fano, role, aligned  # ``sides`` holds them until the laws are read
     laws = _unstack(_fano_laws(_Fano(*map(np.concatenate, zip(*sides))), table.forms),
                     [side.p_scatter.shape for side in sides])
+    del sides
     role = _mc_sides(config, laws[0], laws[1], 22)
     aligned_counts = sample_counts(config.seed, config.mc_trials, laws[2], 32, 1)
     covariance = _mc_sides(config, laws[3], laws[4], 42)
+    del laws
 
     # per check, both sides' (rows, columns, 5) counts; one p-value per (row, column)
     comparisons = ((_c1_cells(mode1), _c1_cells(mode2)), role, covariance)

@@ -89,7 +89,7 @@ _FIELD_TYPES = {
 # C long.  The audit sample counts are capped as an audit builds its case grids
 # whole.  Measured at these caps (``preferred-basis:sigma``, peak RSS, 2-CPU
 # x86-64 host): both passes couple their table in blocks and keep its Fano rows,
-# and an exact audit peaks near 232 MB, a Monte Carlo one near 669 MB.
+# and an exact audit peaks near 232 MB, a Monte Carlo one near 510 MB.
 # A field that names a choice lists its values in ``_CHOICES``.
 _TRIALS_RANGE = (1, 2**63 - 1, "2**63 - 1")
 _BOUNDS = {

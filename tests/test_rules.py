@@ -507,7 +507,7 @@ def test_builtin_spellings_round_trip(name, factory):
     # the same coupling rows on the C2 grid, bit for bit
     rule, built = rule_from_name(name), factory()
     assert (rule.name, rule.description) == (name, built.description)
-    probes, objects = audit._input_grid(audit._CORNER_PAIRS, 0, 2, 200)
+    probes, objects = audit._role_grid(audit._CORNER_PAIRS, 0, 200)[:2]
     for q in (0.0, 0.3, 1.0):
         for channel in (coupling_channel, swapped_coupling_channel):
             got = channel(rule, probes, objects, q)

@@ -84,9 +84,9 @@ Carlo draws the counts of each side from stream ``(10 s + 2, side)`` for check
 table, read-only, carries its rule-independent grids (C1's with its wiring;
 C2's and C4's ``_PairGrid`` of both sides' inputs, side b's map back and the
 input labeller) and the basis forms.  Its cache keeps two entries, one per
-mode, keyed on the values it reads, so reports do not depend on call order.
-Each pass is cached on the rule and config for the four checks of one audit;
-``audit_rule`` clears both pass caches first.  Report floats can differ
+mode, keyed on the values it reads, so reports do not depend on call order;
+it is the module's only cache, and a pass keeps none of its rows once it
+returns.  Report floats can differ
 between CPUs in their last bits, verdicts should not
 (``scripts/report_digest.py`` hashes them apart).  A witness label is
 ``state_label`` of its amplitudes, via ``_canonical_phase`` and
@@ -630,31 +630,24 @@ def _anti_alignment_cases(role: _PairGrid, side_a: _Fano):
     return (lambda i: role.label(rows[i])), _gather(side_a, rows)
 
 
-class _ModePairRows(NamedTuple):
-    """One evaluator's C1 rows: its cases, their analyzer rows and the coupling rows they project.
-
-    Four analyzer rows per case (mode, then source state): the analyzer
-    basis vectors and the coupling row each projects (``take``).
-    """
-
-    cases: tuple
-    analyzers: np.ndarray
-    take: np.ndarray
-
-
 class _ModePairGrid(NamedTuple):
-    """C1's rule-independent arrays: the coupling rows, and the rows exact and Monte Carlo read.
+    """C1's rule-independent arrays: the coupling rows, the cases and their analyzer rows.
 
     One coupling row per distinct ``(swapped, object_basis, source state)``:
     its probe-slot and object-slot amplitudes after the role swap, and
-    whether the source particle sits in the object slot.
+    whether the source particle sits in the object slot.  Four analyzer rows
+    per case (mode, then source state): the analyzer basis vectors and the
+    coupling row each projects (``take``).  Monte Carlo reads the cases
+    ``sampled``, case ``n`` on analyzer rows ``4 n`` to ``4 n + 3``.
     """
 
     probes: np.ndarray
     objects: np.ndarray
     swapped: np.ndarray
-    exact: _ModePairRows
-    mc: _ModePairRows
+    cases: tuple
+    analyzers: np.ndarray
+    take: np.ndarray
+    sampled: np.ndarray
 
 
 def _mode_pair_grid(bases) -> _ModePairGrid:
@@ -662,9 +655,9 @@ def _mode_pair_grid(bases) -> _ModePairGrid:
 
     Mode 1 emits the object basis, mode 2 any basis unbiased with it; both
     are orthonormal (``Basis``), so each 50/50 ensemble is ``I/2``.  Exact
-    rows run every case; Monte Carlo rows run the cases whose analyzer sits
-    at the object basis's position in the bases.  Each analyzer row takes
-    its coupling from one row per distinct ``(swapped, object_basis, source
+    runs every case; Monte Carlo samples the cases whose analyzer sits at
+    the object basis's position in the bases.  Each analyzer row takes its
+    coupling from one row per distinct ``(swapped, object_basis, source
     state)``, as the analyzer only changes the click projection.
     """
     cases, sampled = [], []
@@ -684,16 +677,10 @@ def _mode_pair_grid(bases) -> _ModePairGrid:
     analyzers = np.repeat(np.array([_amps(c[2].states()) for c in cases]).reshape(-1, 2, 2), 4,
                           axis=0)
     take = np.array([couplings[key] for key in keys], dtype=int)
-    mc_rows = (4 * np.array(sampled, dtype=int)[:, None] + np.arange(4)).reshape(-1)
-
-    def rows(view_cases, analyzers, take) -> _ModePairRows:
-        return _ModePairRows(tuple(view_cases), *_read_only(analyzers, take))
-
     return _ModePairGrid(
         *_read_only(np.where(swapped[:, None], objects, sources),
                     np.where(swapped[:, None], sources, objects), swapped),
-        rows(cases, analyzers, take),
-        rows((cases[n] for n in sampled), analyzers[mc_rows], take[mc_rows]),
+        tuple(cases), *_read_only(analyzers, take, np.array(sampled, dtype=int)),
     )
 
 
@@ -705,21 +692,24 @@ def _mode_pair_witness(cases, row: int) -> str:
             f"mode2={mode2_basis.label}")
 
 
-def _checks(rule: Rule, config: AuditConfig) -> tuple:
-    """The pass of ``config.evaluation`` for ``rule``: per check, a callable giving its result."""
+def _checks(rule: Rule, config: AuditConfig) -> tuple[CheckResult, ...]:
+    """The pass of ``config.evaluation`` for ``rule``: the results of C1-C4."""
     return (_mc_pass if config.evaluation == "mc" else _exact_pass)(rule, config)
 
 
 def check_indistinguishability(rule: Rule, config: AuditConfig) -> CheckResult:
-    """C1: mode-1 and mode-2 source statistics must be identical."""
-    return _checks(rule, config)[0]()
+    """C1: mode-1 and mode-2 source statistics must be identical.
+
+    Runs the whole pass of ``config.evaluation`` and keeps C1's result.
+    """
+    return _checks(rule, config)[0]
 
 
 def _exact_c1(config: AuditConfig, grid: _ModePairGrid, out: Coupling) -> CheckResult:
     """Exact C1 of the grid's coupling rows ``out``."""
-    if not grid.exact.cases:
+    if not grid.cases:
         return _no_cases(CHECK_IDS[0], config.epsilon_exact)
-    laws = filter_laws(out, grid.swapped, grid.exact.analyzers, grid.exact.take).reshape(-1, 2, 3)
+    laws = filter_laws(out, grid.swapped, grid.analyzers, grid.take).reshape(-1, 2, 3)
     conditional, defined = conditional_clicks(laws)
     both = defined.all(axis=1)
     # the full view scores the case; the view given survival, in the same call, explains
@@ -733,20 +723,16 @@ def _exact_c1(config: AuditConfig, grid: _ModePairGrid, out: Coupling) -> CheckR
         "tvd_full": float(views[n, 0]),
         "tvd_conditional": float(views[n, 1]) if both[n] else None,
     }
-    witness = _mode_pair_witness(grid.exact.cases, n)
+    witness = _mode_pair_witness(grid.cases, n)
     return _exact_verdict(CHECK_IDS[0], float(views[n, 0]), witness, evidence, config)
 
 
 def check_role_symmetry(rule: Rule, config: AuditConfig) -> CheckResult:
-    """C2: exchanging the partners and SWAPping back must change nothing."""
-    return _checks(rule, config)[1]()
+    """C2: exchanging the partners and SWAPping back must change nothing.
 
-
-def _exact_pair_check(check_id: str, config: AuditConfig, grid: _PairGrid, fano: _Fano, rows,
-                      names) -> CheckResult:
-    """Exact C2/C4 of the table's Fano rows ``fano``; the grid's stacked inputs are its ``rows``."""
-    return _exact_pair_verdict(check_id, config, grid.label,
-                               *_pair_sides(grid, _gather(fano, rows)), names)
+    Runs the whole pass of ``config.evaluation`` and keeps C2's result.
+    """
+    return _checks(rule, config)[1]
 
 
 def _basis_forms(bases) -> np.ndarray:
@@ -769,8 +755,11 @@ def _fano_laws(rows: _Fano, forms: np.ndarray) -> np.ndarray:
 
 
 def check_anti_alignment(rule: Rule, config: AuditConfig) -> CheckResult:
-    """C3: survive branches carry zero aligned-cell weight in every basis."""
-    return _checks(rule, config)[2]()
+    """C3: survive branches carry zero aligned-cell weight in every basis.
+
+    Runs the whole pass of ``config.evaluation`` and keeps C3's result.
+    """
+    return _checks(rule, config)[2]
 
 
 def _exact_c3(config: AuditConfig, table: _Table, fano: _Fano) -> CheckResult:
@@ -789,8 +778,11 @@ def _exact_c3(config: AuditConfig, table: _Table, fano: _Fano) -> CheckResult:
 
 
 def check_basis_covariance(rule: Rule, config: AuditConfig) -> CheckResult:
-    """C4: the rule must commute with identical rotations of both inputs."""
-    return _checks(rule, config)[3]()
+    """C4: the rule must commute with identical rotations of both inputs.
+
+    Runs the whole pass of ``config.evaluation`` and keeps C4's result.
+    """
+    return _checks(rule, config)[3]
 
 
 def _corner_pair_rows(probes: np.ndarray, objects: np.ndarray, corners: np.ndarray) -> np.ndarray:
@@ -880,46 +872,47 @@ def _couple(rule: Rule, table: _Table) -> tuple[Coupling, _Fano]:
     return c1, blocks[0] if len(blocks) == 1 else _Fano(*map(np.concatenate, zip(*blocks)))
 
 
-@functools.lru_cache(maxsize=1)
-def _exact_pass(rule: Rule, config: AuditConfig) -> tuple:
-    """Exact C1-C4 of ``rule``: per check, a callable giving its ``CheckResult``.
+def _exact_pass(rule: Rule, config: AuditConfig) -> tuple[CheckResult, ...]:
+    """Exact C1-C4 of ``rule``.
 
     Each check gathers its rows of the coupled table by index: every row has
     the bits of the check's own call, but for an input on a corner pair's rays
     with other amplitude bits, as C4's rotated corners, which reads that
-    pair's row.  Each callable builds a new result, so no caller changes what
-    another reads.
+    pair's row.
     """
     table = _table(config.bases, _CORNER_PAIRS, config.seed, config.input_samples,
                    config.unitary_samples)
     c1, fano = _couple(rule, table)
+    role, covariance = table.role, table.covariance
     return (
-        functools.partial(_exact_c1, config, table.c1, c1),
-        functools.partial(_exact_pair_check, CHECK_IDS[1], config, table.role, fano,
-                          table.role_rows, ("direct", "swapped")),
-        functools.partial(_exact_c3, config, table, fano),
-        functools.partial(_exact_pair_check, CHECK_IDS[3], config, table.covariance, fano,
-                          table.covariance_rows, ("rotated", "base")),
+        _exact_c1(config, table.c1, c1),
+        _exact_pair_verdict(CHECK_IDS[1], config, role.label,
+                            *_pair_sides(role, _gather(fano, table.role_rows)),
+                            ("direct", "swapped")),
+        _exact_c3(config, table, fano),
+        _exact_pair_verdict(CHECK_IDS[3], config, covariance.label,
+                            *_pair_sides(covariance, _gather(fano, table.covariance_rows)),
+                            ("rotated", "base")),
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _mc_pass(rule: Rule, config: AuditConfig) -> tuple:
-    """Monte Carlo C1-C4 of ``rule``: per check, a callable giving its ``CheckResult``.
+def _mc_pass(rule: Rule, config: AuditConfig) -> tuple[CheckResult, ...]:
+    """Monte Carlo C1-C4 of ``rule``.
 
     The table is built and coupled as the exact one is, over the compact
     corner pairs and the Monte Carlo sample counts.  One law map reads C2's,
     C3's and C4's laws, each check draws its counts from its own streams, and
     one chi-square call takes C1's comparisons, padded to five cells, with
     C2's and C4's; two samples that fill one and the same cell agree, at p = 1.
-    The Fano rows and laws are released before that call.  Each callable
-    builds a new result, so no caller changes what another reads.
+    The Fano rows and laws are released before that call.  C1 reads the
+    analyzer rows of its sampled cases.
     """
     table = _table(config.bases, _MC_CORNER_PAIRS, config.seed, config.mc_input_samples,
                    config.mc_unitary_samples)
     c1, fano = _couple(rule, table)
-    laws = filter_laws(c1, table.c1.swapped, table.c1.mc.analyzers,
-                       table.c1.mc.take).reshape(-1, 2, 3)
+    grid = table.c1
+    rows = (4 * grid.sampled[:, None] + np.arange(4)).reshape(-1)
+    laws = filter_laws(c1, grid.swapped, grid.analyzers[rows], grid.take[rows]).reshape(-1, 2, 3)
     mode1, mode2 = _mc_sides(config, laws[:, 0], laws[:, 1], 11)
     role = _pair_sides(table.role, _gather(fano, table.role_rows))
     aligned_label, aligned = _anti_alignment_cases(table.role, role[0])
@@ -941,14 +934,14 @@ def _mc_pass(rule: Rule, config: AuditConfig) -> tuple:
     p_c1, p_role, p_covariance = _unstack(p_values, [c[0].shape[:-1] for c in comparisons])
 
     return (
-        functools.partial(_mc_verdict, CHECK_IDS[0], config, p_c1,
-                          lambda row, _: _mode_pair_witness(table.c1.mc.cases, row),
-                          functools.partial(_c1_evidence, mode1, mode2)),
-        functools.partial(_mc_verdict, CHECK_IDS[1], config, p_role,
-                          _basis_witness(config, table.role.label), _no_evidence),
-        functools.partial(_mc_aligned_verdict, config, aligned_label, aligned_counts),
-        functools.partial(_mc_verdict, CHECK_IDS[3], config, p_covariance,
-                          _basis_witness(config, table.covariance.label), _no_evidence),
+        _mc_verdict(CHECK_IDS[0], config, p_c1,
+                    lambda row, _: _mode_pair_witness(grid.cases, grid.sampled[row]),
+                    functools.partial(_c1_evidence, mode1, mode2)),
+        _mc_verdict(CHECK_IDS[1], config, p_role, _basis_witness(config, table.role.label),
+                    _no_evidence),
+        _mc_aligned_verdict(config, aligned_label, aligned_counts),
+        _mc_verdict(CHECK_IDS[3], config, p_covariance,
+                    _basis_witness(config, table.covariance.label), _no_evidence),
     )
 
 
@@ -1030,20 +1023,9 @@ def _mc_aligned_verdict(config: AuditConfig, label, counts: np.ndarray) -> Check
 
 
 def audit_rule(rule: Rule, config: AuditConfig | None = None) -> AuditReport:
-    """Run the full battery C1-C4 and combine the verdicts.
-
-    Each audit runs its own pass: both pass caches are cleared first, so
-    that no audit reads a pass an earlier call made.
-    """
+    """Run the full battery C1-C4, one pass of ``evaluation``, and combine the verdicts."""
     cfg = config if config is not None else AuditConfig()
-    _exact_pass.cache_clear()
-    _mc_pass.cache_clear()
-    checks = (
-        check_indistinguishability(rule, cfg),
-        check_role_symmetry(rule, cfg),
-        check_anti_alignment(rule, cfg),
-        check_basis_covariance(rule, cfg),
-    )
+    checks = _checks(rule, cfg)
     return AuditReport(
         rule_name=rule.name,
         checks=checks,

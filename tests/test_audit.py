@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import itertools
 import math
 import os
@@ -5,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -455,8 +458,9 @@ def test_audit_noise_levels_do_not_change_verdicts():
             assert (worst < cfg.epsilon_exact) == report.check(check_id).passed, (rule.name, q)
 
 
-# The one table builder, which carries the grids it stacks and the basis forms, and the passes.
-CACHES = (audit._table, audit._exact_pass, audit._mc_pass)
+# The one table builder, which carries the grids it stacks and the basis forms, is the
+# audit's only cache.
+CACHES = (audit._table,)
 
 
 def _pass_table(config):
@@ -485,7 +489,7 @@ def test_grids_are_built_once_per_config(configs):
     for config in configs:
         audit_rule(singlet_rule(), config)
         audit_rule(probe_rigid(), config)
-    # the table builder and the passes are the audit's only caches
+    # the table builder is the audit's only cache
     cached = {f for f in vars(audit).values() if hasattr(f, "cache_info")}
     assert cached == set(CACHES)
     modes, reads = len({config.evaluation for config in configs}), 2 * len(configs)
@@ -521,8 +525,8 @@ def test_mode_pair_grid_samples_one_analyzer_per_object_basis_position():
     grid = audit._mode_pair_grid(bases)
     want = [(swapped, obj, obj, mode2) for swapped in (False, True) for obj in bases
             for mode2 in bases if mode2 is not obj and mutually_unbiased(obj, mode2)]
-    assert list(grid.mc.cases) == want
-    assert len(grid.exact.cases) == len(bases) * len(want)
+    assert [grid.cases[n] for n in grid.sampled] == want
+    assert len(grid.cases) == len(bases) * len(want)
 
 
 def test_cached_grid_arrays_are_read_only():
@@ -538,7 +542,7 @@ def test_cached_grid_arrays_are_read_only():
         c1 = table.c1
         grids += [
             (*table[:3], table.c1_rows, table.role_rows, table.covariance_rows),
-            (*c1[:3], *c1.exact[1:], *c1.mc[1:]),
+            (*c1[:3], *c1[4:]),
             table.role[:2],
             table.covariance[:2],
             table.covariance.map_b.args,
@@ -1164,10 +1168,34 @@ def test_exact_pair_verdict_runs_no_eigvalsh_when_every_row_is_zero(rule, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("eigvalsh ran")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    calls = _inside_pair_verdict(monkeypatch, CHECK_IDS[1], np.linalg, "eigvalsh", refuse)
     got = check_role_symmetry(rule, config)
+    assert calls == [CHECK_IDS[1]]
     assert (got.metric, got.witness) == (0.0, "input=(x, x)")
     assert _result_fields(got) == _result_fields(want)
+
+
+def _inside_pair_verdict(monkeypatch, check_id, owner, name, stand_in):
+    """Put ``stand_in`` for ``owner.name`` only while ``check_id``'s ``_exact_pair_verdict`` runs.
+
+    A pass runs every check, so a stand-in set for the whole pass would see
+    the other pair check's calls too.  Returns the list of that check's
+    verdict calls, one entry per call.
+    """
+    verdict, original, calls = audit._exact_pair_verdict, getattr(owner, name), []
+
+    def scoped(this_check, *args):
+        if this_check != check_id:
+            return verdict(this_check, *args)
+        calls.append(this_check)
+        setattr(owner, name, stand_in)
+        try:
+            return verdict(this_check, *args)
+        finally:
+            setattr(owner, name, original)
+
+    monkeypatch.setattr(audit, "_exact_pair_verdict", scoped)
+    return calls
 
 
 def _psd_branches(rng, count, rank, traces):
@@ -1254,11 +1282,49 @@ def test_trace_norm_bracket_verdict_matches_every_row_reference(scale, monkeypat
     assert got.witness == "10"
 
 
-@pytest.mark.parametrize("rule, check, rows", [
-    (probe_rigid(), check_role_symmetry, 1),
-    (coherent_projection(BASIS_XY), check_basis_covariance, 16),
+def _tied_rows(seed):
+    """Two rows of no scatter gap whose outcome distances tie at ``2 lam`` in exact arithmetic.
+
+    Row 0's branch difference ``lam U diag(1, 1, -1, -1) U^dag`` has rank 4 and
+    eigenvalues of one magnitude, so its trace norm ``4 lam`` is ``2 F``, its
+    upper end; row 1's ``4 lam |v><v|`` has rank 1, so its trace norm ``4 lam``
+    is ``F``, twice row 0's ``F``.  Side b is zero.
+    """
+    rng = derive_rng(3601, seed)
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    lam = rng.uniform(0.01, 0.2)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    v /= np.linalg.norm(v)
+    sigma = np.stack([lam * (u * [1, 1, -1, -1]) @ u.conj().T, 4 * lam * np.outer(v, v.conj())])
+    return (audit._fano(rules.Coupling(np.zeros(2), sigma)),
+            audit._fano(rules.Coupling(np.zeros(2), np.zeros((2, 4, 4), dtype=complex))))
+
+
+def test_stage_1_keeps_a_row_whose_upper_end_reaches_the_top_in_exact_arithmetic():
+    # the first seed where rounding puts row 0's upper end 2 F below row 1's F,
+    # the top, while its trace norm still ties the worst: the screen must widen
+    # both ends to keep row 0, the first worst row, as the witness
+    for seed in range(400):
+        out_a, out_b = _tied_rows(seed)
+        frobenius = audit._half_norm(out_a.r - out_b.r)
+        disc = audit._outcome_distance(out_a, out_b)
+        if 2.0 * frobenius[0] < frobenius[1] and disc[0] >= disc[1]:
+            break
+    else:
+        pytest.fail("no seed rounds row 0's upper end below the top")
+    assert abs(disc[0] - disc[1]) <= 1e-15
+    got = audit._exact_pair_verdict(CHECK_IDS[1], AuditConfig(), str, out_a, out_b, ("a", "b"))
+    want = _all_rows_pair_verdict(CHECK_IDS[1], AuditConfig(), str, out_a, out_b, ("a", "b"))
+    assert got.witness == "0"
+    assert _result_fields(got) == _result_fields(want)
+
+
+@pytest.mark.parametrize("rule, check, check_id, rows", [
+    (probe_rigid(), check_role_symmetry, CHECK_IDS[1], 1),
+    (coherent_projection(BASIS_XY), check_basis_covariance, CHECK_IDS[3], 16),
 ], ids=["C2-probe-rigid", "C4-coherent-projection-xy"])
-def test_trace_norm_bracket_leaves_the_ties_at_seed_5(rule, check, rows, monkeypatch):
+def test_trace_norm_bracket_leaves_the_ties_at_seed_5(rule, check, check_id, rows, monkeypatch):
     # the stage-1 screen leaves 166 and 68 rows here; the bracket leaves the worst
     # row of probe-rigid's pure branches and coherent-projection's 16 tied rows
     seen, distance = [], audit._outcome_distance
@@ -1267,8 +1333,9 @@ def test_trace_norm_bracket_leaves_the_ties_at_seed_5(rule, check, rows, monkeyp
         seen.append(len(rows_a.p_scatter))
         return distance(rows_a, rows_b)
 
-    monkeypatch.setattr(audit, "_outcome_distance", record)
+    calls = _inside_pair_verdict(monkeypatch, check_id, audit, "_outcome_distance", record)
     check(rule, AuditConfig(seed=5))
+    assert calls == [check_id]
     assert seen == [rows]
 
 
@@ -1330,9 +1397,9 @@ def test_pair_cases_sides_equal_a_coupling_call_per_side(levels):
 def _two_call_c1(rule, config):
     """Reference for exact C1: the full view and the view given survival in two ``tvd`` calls."""
     grid = audit._mode_pair_grid(config.bases)
-    if not grid.exact.cases:
+    if not grid.cases:
         return audit._no_cases(CHECK_IDS[0], config.epsilon_exact)
-    laws = _c1_laws(rules.coupling_channel(rule, grid.probes, grid.objects), grid, grid.exact)
+    laws = _c1_laws(rules.coupling_channel(rule, grid.probes, grid.objects), grid)
     conditional, defined = experiments.conditional_clicks(laws)
     both = defined.all(axis=1)
     t_full = tvd(laws[:, 0], laws[:, 1])
@@ -1342,20 +1409,24 @@ def _two_call_c1(rule, config):
     evidence = {"mode1": [float(x) for x in laws[n, 0]], "mode2": [float(x) for x in laws[n, 1]],
                 "tvd_full": float(t_full[n]),
                 "tvd_conditional": float(t_cond[n]) if both[n] else None}
-    witness = audit._mode_pair_witness(grid.exact.cases, n)
+    witness = audit._mode_pair_witness(grid.cases, n)
     return audit._exact_verdict(CHECK_IDS[0], float(t_full[n]), witness, evidence, config)
 
 
-def _c1_laws(coupled, grid, rows):
-    """The filter device's laws of the C1 ``rows``, ``(cases, mode, 3)``, from the coupling rows."""
-    return experiments.filter_laws(coupled, grid.swapped, rows.analyzers,
-                                   rows.take).reshape(-1, 2, 3)
+def _c1_laws(coupled, grid, cases=slice(None)):
+    """The filter device's laws of the C1 ``cases``, ``(cases, mode, 3)``, from the coupling rows.
+
+    Case ``n`` reads the four analyzer rows of block ``n``.
+    """
+    rows = np.arange(len(grid.analyzers)).reshape(-1, 4)[cases].reshape(-1)
+    return experiments.filter_laws(coupled, grid.swapped, grid.analyzers[rows],
+                                   grid.take[rows]).reshape(-1, 2, 3)
 
 
 def _c1_full_views(rule, config, q):
     """The full-view TVD of every exact C1 case at fly-by level ``q``, from the filter law."""
     grid = audit._mode_pair_grid(config.bases)
-    laws = _c1_laws(rules.coupling_channel(rule, grid.probes, grid.objects, q), grid, grid.exact)
+    laws = _c1_laws(rules.coupling_channel(rule, grid.probes, grid.objects, q), grid)
     return tvd(laws[:, 0], laws[:, 1])
 
 
@@ -1619,10 +1690,10 @@ def test_mode_pair_laws_equal_filter_runs_of_their_cases(evaluation):
     # C1's cached wiring gives the laws run_filter computes per case at level 0
     config = AuditConfig(evaluation=evaluation)
     grid = audit._mode_pair_grid(config.bases)
-    rows = grid.mc if evaluation == "mc" else grid.exact
+    cases = grid.sampled if evaluation == "mc" else np.arange(len(grid.cases))
     for rule in PAIR_CHECK_RULES:
-        laws = _c1_laws(rules.coupling_channel(rule, grid.probes, grid.objects), grid, rows)
-        for n, (swapped, obj, analyzer, mode2) in enumerate(rows.cases):
+        laws = _c1_laws(rules.coupling_channel(rule, grid.probes, grid.objects), grid, cases)
+        for n, (swapped, obj, analyzer, mode2) in enumerate(grid.cases[c] for c in cases):
             for m, source in enumerate((obj, mode2)):
                 run = run_filter_exact(FilterConfig(
                     rule=rule, source_basis=source, object_state=obj.b1, analyzer_basis=analyzer,
@@ -1721,8 +1792,24 @@ def test_each_audit_runs_its_own_mc_pass(monkeypatch):
     rule = probe_rigid()
     reports = [audit_rule(rule, FAST_MC).to_json() for _ in range(2)]
     assert len(calls) == 2 and reports[0] == reports[1]
-    info = audit._mc_pass.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+
+
+@pytest.mark.parametrize("config", [FAST_EXACT, FAST_MC], ids=["exact", "mc"])
+def test_no_pass_rows_outlive_the_audit(config, monkeypatch):
+    # the table is the audit's only cache: once audit_rule returns, nothing
+    # keeps the C1 coupling rows or the Fano rows its pass coupled
+    refs, couple = [], audit._couple
+
+    def record(rule, table):
+        c1, fano = couple(rule, table)
+        refs.extend(weakref.ref(rows) for rows in (*c1, *fano))
+        return c1, fano
+
+    monkeypatch.setattr(audit, "_couple", record)
+    audit_rule(probe_rigid(), config)
+    gc.collect()
+    assert len(refs) == 4
+    assert [ref() is None for ref in refs] == [True] * 4
 
 
 K_ZERO = validate_custom_rule(np.zeros((4, 4)), name="k-zero")
@@ -1736,20 +1823,21 @@ MC_ALONE_CONFIGS = {
 
 @pytest.mark.parametrize("config", MC_ALONE_CONFIGS.values(), ids=MC_ALONE_CONFIGS)
 def test_mc_checks_called_alone_match_the_audit(config):
-    # each check reads its entry of the one Monte Carlo pass: alone, with a
-    # cold pass cache, it gives field for field the result of the whole audit,
-    # and a caller's change to one result's evidence reaches no later call
-    for rule in (probe_rigid(), singlet_rule(), coherent_projection(BASIS_SIGMA), K_ZERO):
-        report = audit_rule(rule, config)
+    # in Monte Carlo and in exact mode, each check called alone runs its mode's
+    # pass and gives field for field the result of the whole audit, and a
+    # caller's change to one result's evidence reaches no later call
+    for mode, rule in itertools.product(("mc", "exact"), (
+            probe_rigid(), singlet_rule(), coherent_projection(BASIS_SIGMA), K_ZERO)):
+        mode_config = dataclasses.replace(config, evaluation=mode)
+        report = audit_rule(rule, mode_config)
         for check, check_id in zip(CHECKS.values(), CHECK_IDS):
-            audit._mc_pass.cache_clear()
-            alone = check(rule, config)
+            alone = check(rule, mode_config)
             assert _result_fields(alone) == _result_fields(report.check(check_id)), (
-                rule.name, check_id)
+                mode, rule.name, check_id)
             if alone.evidence is not None:
                 alone.evidence["p_value"] = "changed"
-                assert _result_fields(check(rule, config)) == _result_fields(
-                    report.check(check_id))
+                assert _result_fields(check(rule, mode_config)) == _result_fields(
+                    report.check(check_id)), (mode, rule.name, check_id)
     if config.bases == AuditConfig().bases:
         # every K = 0 pair scatters at level 0: C1 and C2/C4 compare two samples
         # that fill the scatter cell alone, and only C3 has no case
@@ -1775,11 +1863,12 @@ def _mc_checks_one_call_each(rule, config):
     bases = config.bases
     grid = audit._mode_pair_grid(bases)
     laws = _c1_laws(rules.coupling_channel(rule, *_as_corner_pairs(grid.probes, grid.objects)),
-                    grid, grid.mc)
+                    grid, grid.sampled)
     mode1, mode2 = audit._mc_sides(config, laws[:, 0], laws[:, 1], 11)
+    cases = [grid.cases[n] for n in grid.sampled]
     results = [audit._mc_verdict(
         CHECK_IDS[0], config, _one_cell_p_values(mode1[:, None], mode2[:, None]),
-        lambda row, _: audit._mode_pair_witness(grid.mc.cases, row),
+        lambda row, _: audit._mode_pair_witness(cases, row),
         lambda row, _: {"counts_mode1": mode1[row].tolist(), "counts_mode2": mode2[row].tolist()})]
     pairs, forms = audit._MC_CORNER_PAIRS, audit._basis_forms(bases)
     role = audit._role_grid(pairs, config.seed, config.mc_input_samples)
@@ -1887,6 +1976,28 @@ def test_permuting_the_bases_moves_no_exact_metric_and_no_verdict(seed):
             assert len({result.passed for result in results}) == 1, (rule.name, check_id)
             metrics = [result.metric for result in results]
             assert max(metrics) - min(metrics) <= 1e-12, (rule.name, check_id)
+
+
+def _role_exchanged(rule):
+    """R': ``rule`` with its inputs exchanged and its outcome mapped back by ``swap_back``."""
+    def law(probes, objects, inp):
+        return tuple(rules.swap_back(rules.Coupling(*rule.law(objects, probes,
+                                                              _pair_amps(objects, probes)))))
+
+    return rules.Rule(f"{rule.name}-exchanged", rule.description, law)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_exchanging_the_roles_moves_no_exact_c2_metric(seed):
+    # the paper's role exchange: R' gives on (probe, object) what R gives on
+    # (object, probe), mapped back by SWAP, and C2's distance on an input is
+    # that on the exchanged input, so R' reads R's C2 metric and verdict
+    for rule in [*builtin_rules(), REMOVE_ALIGNED_XY]:
+        config = AuditConfig(seed=seed)
+        got = audit_rule(_role_exchanged(rule), config).check(CHECK_IDS[1])
+        want = audit_rule(rule, config).check(CHECK_IDS[1])
+        assert got.passed == want.passed, rule.name
+        assert abs(got.metric - want.metric) <= 1e-12, rule.name
 
 
 @pytest.fixture(scope="module")
@@ -2049,17 +2160,19 @@ def _exact_checks_one_call_each(rule, config):
 
     def own(grid):
         out = rules.coupling_channel(rule, grid.probes, grid.objects)
-        return out, audit._fano(out), np.arange(len(grid.probes))
+        return out, audit._fano(out)
 
-    c1_out, _, _ = own(table.c1)
-    _, role, role_rows = own(table.role)
-    _, covariance, covariance_rows = own(table.covariance)
+    c1_out, _ = own(table.c1)
+    _, role = own(table.role)
+    _, covariance = own(table.covariance)
+    role_rows = np.arange(len(table.role.probes))
     return [audit._exact_c1(config, table.c1, c1_out),
-            audit._exact_pair_check(CHECK_IDS[1], config, table.role, role, role_rows,
-                                    PAIR_NAMES[0]),
+            audit._exact_pair_verdict(CHECK_IDS[1], config, table.role.label,
+                                      *audit._pair_sides(table.role, role), PAIR_NAMES[0]),
             audit._exact_c3(config, table._replace(role_rows=role_rows), role),
-            audit._exact_pair_check(CHECK_IDS[3], config, table.covariance, covariance,
-                                    covariance_rows, PAIR_NAMES[1])]
+            audit._exact_pair_verdict(CHECK_IDS[3], config, table.covariance.label,
+                                      *audit._pair_sides(table.covariance, covariance),
+                                      PAIR_NAMES[1])]
 
 
 @pytest.mark.parametrize("evaluation", ["exact", "mc"])

@@ -3,21 +3,19 @@
 
 Each mutant is ``(name, file, old text, new text)``: ``old`` must appear
 exactly once in ``file``.  The script copies ``src/``, ``tests/`` and
-``pyproject.toml`` of the checkout to a temporary directory, runs the
-unmutated copy once (it must pass), then, per mutant, puts back the original
-file, writes the mutant, and runs ``pytest -x`` over the acceptance, audit,
-rules and experiments tests with the copy's ``src`` first on the path.  A
-mutant is killed when that run fails, and the first failing test is named.
-The exit status is 1 when a mutant survives, 2 when the unmutated copy
-fails or a mutant's old text is not found once.
+``pyproject.toml`` of the checkout it sits in to a temporary directory,
+runs the unmutated copy once (it must pass), then, per mutant, puts back
+the original file, writes the mutant, and runs ``pytest -x`` over the
+acceptance, audit, rules and experiments tests with the copy's ``src``
+first on the path.  A mutant is killed when that run fails, and the first
+failing test is named.  The exit status is 1 when a mutant survives, 2 when
+the unmutated copy fails or a mutant's old text is not found once.
 
-    python scripts/mutants.py                            # this checkout
-    python scripts/mutants.py --root ../other-checkout   # another tree's code and tests
+    python scripts/mutants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -26,6 +24,7 @@ import tempfile
 import time
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 AUDIT = "src/ifmsim/audit.py"
 RULES = "src/ifmsim/rules.py"
 
@@ -89,19 +88,14 @@ def _outcome(proc: subprocess.CompletedProcess) -> str:
     return f"{failed[0]}; {summary}" if failed else summary
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
-                        help="checkout whose src/ and tests/ are mutated (default: this one)")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="ifmsim-mutants-") as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
         for part in ("src", "tests"):
-            shutil.copytree(args.root / part, copy / part, ignore=ignore)
-        shutil.copy2(args.root / "pyproject.toml", copy / "pyproject.toml")
-        originals = {file: (args.root / file).read_text() for _, file, _, _ in MUTANTS}
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        originals = {file: (ROOT / file).read_text() for _, file, _, _ in MUTANTS}
         for name, file, old, _ in MUTANTS:
             if originals[file].count(old) != 1:
                 print(f"{name}: old text found {originals[file].count(old)} times in {file}")
